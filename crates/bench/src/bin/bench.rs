@@ -4,7 +4,6 @@
 //! ```text
 //! bench                          # full grid, writes BENCH_throughput.json
 //! bench --quick                  # shortened cells for CI smoke runs
-//! bench --closed-loop            # the old closed-loop baseline (RTT-bound)
 //! bench --out path.json          # choose the output path
 //! bench --seed 42                # change the LB seed
 //! ```
@@ -25,7 +24,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut seed = 7u64;
     let mut quick = false;
-    let mut closed_loop = false;
     let mut out = "BENCH_throughput.json".to_string();
     let mut i = 0;
     while i < args.len() {
@@ -45,16 +43,10 @@ fn main() {
                     .unwrap_or_else(|| usage("--out needs a path"));
             }
             "--quick" => quick = true,
-            "--closed-loop" => closed_loop = true,
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown argument {other}")),
         }
         i += 1;
-    }
-
-    if closed_loop {
-        run_closed_loop(seed, quick, &out);
-        return;
     }
 
     println!(
@@ -116,38 +108,10 @@ fn main() {
     );
 }
 
-/// The pre-pipelining closed-loop baseline, kept for comparison runs: each
-/// client thread waits out the round trip before offering the next
-/// invocation, so it measures RTT, not middleware capacity.
-fn run_closed_loop(seed: u64, quick: bool, out: &str) {
-    println!(
-        "# Closed-loop baseline (seed {seed}{}): 4 clients, echo service",
-        if quick { ", quick" } else { "" }
-    );
-    let points = erm_harness::run_throughput_grid(seed, quick);
-    print!("{}", erm_harness::format_throughput(&points));
-    let empty: Vec<_> = points.iter().filter(|p| p.completed == 0).collect();
-    if !empty.is_empty() {
-        for p in &empty {
-            eprintln!(
-                "error: {} x {} members completed zero invocations",
-                p.transport, p.members
-            );
-        }
-        std::process::exit(1);
-    }
-    let json = erm_harness::throughput_json(&points, seed, quick);
-    if let Err(e) = std::fs::write(out, &json) {
-        eprintln!("error: cannot write {out}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out}: {} points", points.len());
-}
-
 fn usage(err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}");
     }
-    eprintln!("usage: bench [--quick] [--closed-loop] [--out PATH] [--seed N]");
+    eprintln!("usage: bench [--quick] [--out PATH] [--seed N]");
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -272,11 +272,10 @@ fn print_warmpool(seed: u64, quick: bool, metrics_path: Option<&str>) {
     }
     let mut failed = false;
     for (name, v) in [("warm", &run.warm), ("cold", &run.cold)] {
-        if !v.clean() {
+        if !v.violations.is_clean() {
             eprintln!(
-                "error: {name} variant violated conservation (lost {}, duplicate \
-                 terminals {}, route violations {}, leaked slices {}, leaked locks {})",
-                v.lost, v.duplicate_terminals, v.route_violations, v.leaked_slices, v.leaked_locks
+                "error: {name} variant violated an invariant: {:?}",
+                v.violations
             );
             failed = true;
         }
@@ -323,16 +322,9 @@ fn print_sharded(seed: u64, quick: bool, metrics_path: Option<&str>) {
     let e = &run.enforcement;
     if !e.clean() {
         eprintln!(
-            "error: sharding invariants violated (misrouted executions {}, lost {}, \
-             duplicate terminals {}, handoff released {}/{} moved, misplaced {}, \
-             leaked locks {})",
-            e.misrouted_executions,
-            e.lost,
-            e.duplicate_terminals,
-            e.handoff_released,
-            e.handoff_moved,
-            e.misplaced_retained,
-            e.leaked_locks,
+            "error: sharding invariants violated (handoff released {}/{} moved, \
+             misplaced {}): {:?}",
+            e.handoff_released, e.handoff_moved, e.misplaced_retained, e.violations,
         );
         failed = true;
     }

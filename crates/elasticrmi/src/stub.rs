@@ -1126,6 +1126,16 @@ impl Stub {
             return;
         };
         let attempts = pending.attempts;
+        // The terminal event every started invocation owes its trace: the
+        // pool refused or never answered, so it completes as failed.
+        self.trace.emit(
+            self.clock.now(),
+            TraceEvent::InvocationCompleted {
+                invocation,
+                attempts,
+                ok: false,
+            },
+        );
         let result = match pending.overload_hint {
             Some(retry_after) => Err(RmiError::Overloaded {
                 attempts,

@@ -1,7 +1,7 @@
 //! Deterministic churn/chaos harness: member-crash recovery end to end.
 //!
 //! Where [`crate::telemetry`] stresses the *scaling* path, this module
-//! stresses the *failure* path of paper §4.4: a pool of real [`Skeleton`]s
+//! stresses the *failure* path of paper §4.4: a pool of real [`Skeleton`](elasticrmi::Skeleton)s
 //! served from a real [`ResourceManager`] is driven through scripted and
 //! seeded-random node failures, a cluster-master outage window, and
 //! crash-mid-critical-section lock loss, while a steady client workload
@@ -11,7 +11,7 @@
 //!   (the stub's `ConnectionClosed` path) and retry elsewhere after a
 //!   seeded, jittered backoff, instead of burning the reply timeout;
 //! * **orphaned-lock reclamation** — a member that dies holding the class
-//!   lock is fenced with [`Store::release_owner`], so `synchronized`
+//!   lock is fenced with [`Store::release_owner`](erm_kvstore::Store::release_owner), so `synchronized`
 //!   waiters unblock at crash *detection*, not at TTL expiry;
 //! * **crash-aware slice accounting** — revoked slices are never
 //!   double-released, so the cluster books balance at quiesce;
@@ -27,27 +27,25 @@
 //!   while it sits in the standby tier.
 //!
 //! The run is a single-threaded discrete-event simulation on a
-//! [`VirtualClock`], deterministic for a given seed: same seed, same
+//! [`VirtualClock`](erm_sim::VirtualClock), deterministic for a given seed: same seed, same
 //! report, same CSV, byte for byte.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 
-use elasticrmi::{
-    AdmissionConfig, ElasticService, InvocationContext, RemoteError, ReplyCacheConfig, RmiMessage,
-    Semantics, ServiceContext, Skeleton,
-};
-use erm_cluster::{ClusterConfig, LatencyModel, NodeId, ResourceManager, SliceGrant, SliceId};
-use erm_kvstore::{LockOwner, Store, StoreConfig};
-use erm_metrics::{
-    snapshots_to_csv, MetricsHandle, RegistrySnapshot, TraceEvent, TraceHandle, TraceRecord,
-    TraceSink,
-};
-use erm_sim::{seeded_rng, Clock, SharedClock, SimDuration, SimTime, VirtualClock};
-use erm_transport::{EndpointId, InProcNetwork, Mailbox};
+use elasticrmi::{AdmissionConfig, ReplyCacheConfig, RmiMessage, Semantics};
+use erm_cluster::{NodeId, ResourceManager, SliceGrant, SliceId};
+use erm_kvstore::LockOwner;
+use erm_metrics::{snapshots_to_csv, RegistrySnapshot, TraceEvent, TraceRecord};
+use erm_sim::{seeded_rng, Clock, SimDuration, SimTime};
+use erm_transport::EndpointId;
 use rand::Rng;
+
+use crate::invariants::Violations;
+use crate::rig::{
+    arrival_schedule, ms, Attempt, Call, ClassLock, JitteredService, SimClient, SimMember, SimRig,
+};
 
 /// Class name shared by every skeleton, the store lock, and the report.
 const CLASS: &str = "Churn";
@@ -127,10 +125,11 @@ pub struct ChurnRun {
     pub reelections: usize,
     /// Locks reclaimed from crashed owners via `release_owner`.
     pub locks_reclaimed: usize,
-    /// Locks still held at quiesce (must be zero).
-    pub leaked_locks: usize,
-    /// Slices still granted or pending at quiesce (must be zero).
-    pub leaked_slices: usize,
+    /// The shared checker's verdict (must be clean): terminal conservation,
+    /// at-most-once executions, no attempt routed to a member while it sat
+    /// in the standby tier, and no lock, slice or reply-cache entry left at
+    /// quiesce.
+    pub violations: Violations,
     /// Cluster slice total at quiesce.
     pub slices_total: usize,
     /// Free slices at quiesce.
@@ -144,74 +143,32 @@ pub struct ChurnRun {
     pub dedup_replayed: u64,
     /// Completed cache entries evicted under the entry/byte caps.
     pub dedup_evicted: u64,
-    /// `AtMostOnce` invocations observed executing more than once — the
-    /// exactly-once property violation counter (must be zero).
-    pub duplicate_executions: usize,
-    /// Reply-cache entries still live after the quiesce TTL sweep (must be
-    /// zero).
-    pub leaked_cache_entries: usize,
     /// Standbys promoted into the rotation (route-flip recoveries).
     pub promotions: usize,
     /// Standby members lost to node failures.
     pub standby_crashes: usize,
-    /// Attempts that targeted a member while it sat in the standby tier
-    /// (must be zero: standbys are outside the membership view).
-    pub standby_routed: usize,
 }
 
-/// The hosted service. `work` burns a jittered service time; `sync`
-/// additionally serializes on the class lock with a bounded wait, so a
-/// crashed holder surfaces as `LockBusy` until reclamation frees it.
-struct ChurnService {
-    clock: Arc<VirtualClock>,
-    rng: rand::rngs::StdRng,
-    mean: SimDuration,
-    owner: LockOwner,
-    store: Arc<Store>,
-}
+/// `sync` serializes on the class lock with a bounded wait, so a crashed
+/// holder surfaces as `LockBusy` until reclamation frees it.
+const SYNC: Call = Call {
+    method: "sync",
+    semantics: Semantics::AtLeastOnce,
+    key: None,
+};
 
-impl ElasticService for ChurnService {
-    fn dispatch(
-        &mut self,
-        method: &str,
-        _args: &[u8],
-        _ctx: &mut ServiceContext,
-    ) -> Result<Vec<u8>, RemoteError> {
-        let factor: f64 = self.rng.gen_range(0.8..=1.2);
-        let busy = SimDuration::from_micros((self.mean.as_micros() as f64 * factor) as u64);
-        if method == "sync" {
-            // Spin on the class lock advancing *virtual* time with a hard
-            // bound: a lock orphaned by a crash must fail the request (the
-            // client retries) rather than stall the pool until TTL expiry.
-            let start = self.clock.now();
-            let ttl = SimDuration::from_secs(1);
-            while !self
-                .store
-                .try_lock(CLASS, self.owner, self.clock.now(), ttl)
-            {
-                if self.clock.now().saturating_since(start) >= LOCK_WAIT_MAX {
-                    return Err(RemoteError::new(
-                        "LockBusy",
-                        "class lock held past the bounded wait",
-                    ));
-                }
-                self.clock.advance(SimDuration::from_micros(100));
-            }
-            self.clock.advance(busy);
-            let _ = self.store.unlock_at(CLASS, self.owner, self.clock.now());
-        } else {
-            self.clock.advance(busy);
-        }
-        Ok(Vec::new())
-    }
-}
+/// `work` is the non-idempotent method: at-most-once, pinned to the member
+/// that first accepted it (mirroring the stub's `committed` state).
+const WORK: Call = Call {
+    method: "work",
+    semantics: Semantics::AtMostOnce,
+    key: None,
+};
 
-/// One live pool member: its grant, transport identity, and skeleton.
+/// One live pool member: its grant plus the skeleton and its endpoint.
 struct Member {
     grant: SliceGrant,
-    ep: EndpointId,
-    mb: Mailbox,
-    skeleton: Skeleton,
+    sim: SimMember,
 }
 
 /// A member lost to a node failure, awaiting control-plane detection.
@@ -239,29 +196,32 @@ enum Chaos {
     MasterOutage(SimTime),
 }
 
-/// How an invocation ended.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Outcome {
-    Ok,
-    Err,
-    Expired,
+/// The sentinel seat: the lowest live uid wins, and every election bumps
+/// the epoch (paper §4.4).
+#[derive(Default)]
+struct Sentinel {
+    uid: Option<u64>,
+    epoch: u64,
+}
+
+impl Sentinel {
+    /// Elects among `members`; `None` (and no epoch bump) if there are none.
+    fn elect(&mut self, rig: &SimRig, members: &BTreeMap<u64, Member>) -> Option<u64> {
+        self.uid = members.keys().next().copied();
+        if let Some(uid) = self.uid {
+            self.epoch += 1;
+            let epoch = self.epoch;
+            rig.trace
+                .emit(rig.clock.now(), TraceEvent::SentinelElected { uid, epoch });
+        }
+        self.uid
+    }
 }
 
 /// Client-side invocation record for availability accounting.
 struct InvRec {
     start: SimTime,
     deadline: SimTime,
-    outcome: Option<Outcome>,
-}
-
-/// A client attempt awaiting its reply.
-struct Pending {
-    invocation: u64,
-    attempt: u32,
-    deadline: SimTime,
-    target: EndpointId,
-    /// When the attempt went out, for the reply-timeout retransmit sweep.
-    sent: SimTime,
 }
 
 /// One contiguous recovery window: from the first crash until the pool
@@ -269,7 +229,6 @@ struct Pending {
 struct Episode {
     opened: SimTime,
     restored: Option<SimTime>,
-    capacity_lag: Option<SimDuration>,
 }
 
 /// Runs the churn scenario to completion. Deterministic per `seed`.
@@ -283,32 +242,12 @@ struct Episode {
 /// quiesces with leak checks.
 #[allow(clippy::too_many_lines)]
 pub fn run_churn(seed: u64) -> ChurnRun {
-    let net = InProcNetwork::new();
-    let clock = Arc::new(VirtualClock::new());
-    let sink = Arc::new(TraceSink::new(1 << 17));
-    let trace = TraceHandle::new(Arc::clone(&sink));
-    let (metrics, registry) = MetricsHandle::shared();
-    let reelection_lag = metrics.histogram("pool.recovery.reelection.lag");
-    let capacity_lag = metrics.histogram("pool.recovery.capacity.lag");
-
-    let store = Arc::new(Store::new(StoreConfig::default()));
-    store.install_lock_metrics(&metrics);
-
-    let mut cluster = ResourceManager::new(ClusterConfig {
-        nodes: 8,
-        slices_per_node: 2,
-        provisioning: LatencyModel::Fixed(SimDuration::from_millis(500)),
-        ..ClusterConfig::default()
-    });
-    cluster.set_telemetry(trace.clone(), &metrics);
-
-    let pool_size = Arc::new(AtomicU32::new(0));
-    let (client_ep, client_mb) = net.open_endpoint();
-    let (runtime_ep, _runtime_mb) = net.open_endpoint();
+    let mut rig = SimRig::new(CLASS, 8, 2, SimDuration::from_millis(500));
+    let mut client = SimClient::new(&rig, MAX_ATTEMPTS);
+    let reelection_lag = rig.metrics.histogram("pool.recovery.reelection.lag");
+    let capacity_lag = rig.metrics.histogram("pool.recovery.capacity.lag");
 
     let mut chaos_rng = seeded_rng(seed ^ 0x000c_4a05_u64);
-    let mut client_rng = seeded_rng(seed ^ 0x11e7_u64);
-    let mut arrival_rng = seeded_rng(seed);
     let mut drop_rng = seeded_rng(seed ^ 0xd20b_u64);
 
     // Scripted chaos plus the seeded-random phase, sorted by due time.
@@ -331,90 +270,61 @@ pub fn run_churn(seed: u64) -> ChurnRun {
     chaos.push((r1, Chaos::CrashRandom));
     chaos.push((r2, Chaos::CrashRandom));
     chaos.sort_by_key(|&(at, _)| at);
-    let mut chaos = std::collections::VecDeque::from(chaos);
+    let mut chaos = VecDeque::from(chaos);
     // Repairs are scheduled dynamically once the crashed node is known.
     let mut repairs: Vec<(SimTime, NodeId)> = Vec::new();
 
-    let spawn_service = |uid: u64, clock: &Arc<VirtualClock>, store: &Arc<Store>| ChurnService {
-        clock: Arc::clone(clock),
-        rng: seeded_rng(seed ^ uid.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-        mean: SimDuration::from_micros(300),
-        owner: LockOwner::new(uid),
-        store: Arc::clone(store),
-    };
-
     let mut members: BTreeMap<u64, Member> = BTreeMap::new();
     // The warm tier: fully provisioned members kept out of the routing
-    // view. Windows record each member's standby tenure `[from, to)` by
-    // endpoint, for the never-routed-while-standby property check.
+    // view. `StandbyJoined` opens a member's standby window in the trace;
+    // promotion, crash or drain closes it.
     let mut standbys: BTreeMap<u64, Member> = BTreeMap::new();
-    let mut standby_windows: Vec<(u64, SimTime, Option<SimTime>)> = Vec::new();
     let mut next_uid: u64 = 0;
-    let spawn_member = |grant: SliceGrant,
-                        next_uid: &mut u64,
-                        members: &mut BTreeMap<u64, Member>,
-                        now: SimTime,
-                        standby: bool| {
-        let uid = *next_uid;
-        *next_uid += 1;
-        let (ep, mb) = net.open_endpoint();
-        let ctx = ServiceContext::new(
-            Arc::clone(&store),
-            CLASS,
-            uid,
-            Arc::<VirtualClock>::clone(&clock) as SharedClock,
-            Arc::clone(&pool_size),
-        );
-        let service = spawn_service(uid, &clock, &store);
-        let mut skeleton = Skeleton::new(
-            uid,
-            ep,
-            runtime_ep,
-            Arc::new(net.clone()),
-            Arc::<VirtualClock>::clone(&clock) as SharedClock,
-            Box::new(service),
-            ctx,
-            trace.clone(),
-            Some(AdmissionConfig::edf(32)),
-        );
-        // A cap comfortably above the per-member at-most-once volume:
-        // evicting a Completed entry whose duplicate is still in flight
-        // would re-execute it, which is exactly what this harness checks.
-        skeleton.set_reply_cache(ReplyCacheConfig {
-            grace: SimDuration::from_secs(1),
-            max_entries: 4096,
-            max_bytes: 1 << 20,
-        });
-        skeleton.set_metrics(&metrics);
-        if standby {
-            trace.emit(now, TraceEvent::StandbyJoined { uid });
-        } else {
-            trace.emit(now, TraceEvent::MemberJoined { uid });
-        }
-        members.insert(
-            uid,
-            Member {
-                grant,
-                ep,
-                mb,
-                skeleton,
-            },
-        );
-        uid
-    };
+    let mut spawn_member =
+        |rig: &mut SimRig, grant: SliceGrant, tier: &mut BTreeMap<u64, Member>, standby: bool| {
+            let uid = next_uid;
+            next_uid += 1;
+            let service = JitteredService::new(
+                &rig.clock,
+                seed ^ uid.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                SimDuration::from_micros(300),
+            )
+            .locking(ClassLock {
+                class: CLASS,
+                method: Some(SYNC.method),
+                spin: SimDuration::from_micros(100),
+                max_wait: Some(LOCK_WAIT_MAX),
+            });
+            // A cap comfortably above the per-member at-most-once volume:
+            // evicting a Completed entry whose duplicate is still in flight
+            // would re-execute it, which is exactly what this harness checks.
+            let reply_cache = ReplyCacheConfig {
+                grace: SimDuration::from_secs(1),
+                max_entries: 4096,
+                max_bytes: 1 << 20,
+            };
+            let sim = rig.spawn_member(
+                uid,
+                service,
+                Some(AdmissionConfig::edf(32)),
+                Some(reply_cache),
+            );
+            let joined = if standby {
+                TraceEvent::StandbyJoined { uid }
+            } else {
+                TraceEvent::MemberJoined { uid }
+            };
+            rig.trace.emit(rig.clock.now(), joined);
+            tier.insert(uid, Member { grant, sim });
+        };
 
     // Bootstrap: provision the target pool plus the warm tier before
     // traffic starts.
-    cluster
-        .request_slices(TARGET_POOL + WARM_STANDBY, clock.now())
-        .expect("bootstrap slices");
-    clock.advance_to(SimTime::ZERO + SimDuration::from_millis(500));
-    for grant in cluster.poll_ready(clock.now()) {
+    for grant in rig.bootstrap(TARGET_POOL + WARM_STANDBY) {
         if (members.len() as u32) < TARGET_POOL {
-            spawn_member(grant, &mut next_uid, &mut members, clock.now(), false);
+            spawn_member(&mut rig, grant, &mut members, false);
         } else {
-            let uid = spawn_member(grant, &mut next_uid, &mut standbys, clock.now(), true);
-            standby_windows.push((standbys[&uid].ep.0, clock.now(), None));
+            spawn_member(&mut rig, grant, &mut standbys, true);
         }
     }
     assert_eq!(members.len() as u32, TARGET_POOL, "bootstrap pool");
@@ -423,49 +333,34 @@ pub fn run_churn(seed: u64) -> ChurnRun {
         WARM_STANDBY,
         "bootstrap standby tier"
     );
-    pool_size.store(members.len() as u32, Ordering::SeqCst);
+    rig.pool_size.store(members.len() as u32, Ordering::SeqCst);
 
     // Initial sentinel election: lowest uid, epoch 1 (paper §4.4).
-    let mut sentinel_uid: Option<u64> = members.keys().next().copied();
-    let mut election_epoch: u64 = 1;
-    if let Some(uid) = sentinel_uid {
-        trace.emit(
-            clock.now(),
-            TraceEvent::SentinelElected {
-                uid,
-                epoch: election_epoch,
-            },
-        );
-    }
+    let mut sentinel = Sentinel::default();
+    sentinel.elect(&rig, &members);
 
     // Pre-computed steady arrival schedule: 120 req/s, ±50 % jitter.
-    let start = SimTime::from_secs(1);
-    let end = SimTime::from_secs(25);
-    let mut schedule: Vec<SimTime> = Vec::new();
-    let mut t = start;
-    loop {
-        let gap: f64 = 1_000_000.0 / 120.0 * arrival_rng.gen_range(0.5..=1.5);
-        t += SimDuration::from_micros(gap as u64);
-        if t >= end {
-            break;
-        }
-        schedule.push(t);
-    }
+    let schedule = arrival_schedule(
+        seed,
+        SimTime::from_secs(1),
+        SimTime::from_secs(25),
+        120.0,
+        None,
+    );
     let mut arrivals = schedule.into_iter().peekable();
 
     // Client state. The membership view refreshes only at control ticks,
     // so it goes stale the instant a member crashes — exactly the window
     // the fast-fail path must cover.
-    let mut view: Vec<(u64, EndpointId)> = members.iter().map(|(&u, m)| (u, m.ep)).collect();
-    let mut pending: HashMap<u64, Pending> = HashMap::new();
-    let mut retries: Vec<(SimTime, u64, u32, SimTime)> = Vec::new();
-    // At-most-once pinning, mirroring the stub's `committed` state: once a
-    // member accepted an attempt, every retransmit goes back to it — its
-    // reply cache is the only place the duplicate can be recognised.
-    let mut pins: HashMap<u64, u64> = HashMap::new();
+    let current_view = |members: &BTreeMap<u64, Member>| -> Vec<(u64, EndpointId)> {
+        members.iter().map(|(&u, m)| (u, m.sim.ep)).collect()
+    };
+    let mut view = current_view(&members);
+    let mut routing = Routing {
+        pins: HashMap::new(),
+        rng: seeded_rng(seed ^ 0x11e7_u64),
+    };
     let mut recs: BTreeMap<u64, InvRec> = BTreeMap::new();
-    let mut next_call: u64 = 0;
-    let mut next_invocation: u64 = 0;
 
     // Control-plane state.
     let mut crashed: Vec<CrashRec> = Vec::new();
@@ -479,11 +374,11 @@ pub fn run_churn(seed: u64) -> ChurnRun {
     let mut reelections: Vec<(u64, SimTime, SimDuration)> = Vec::new();
     let mut next_tick = SimTime::ZERO + SimDuration::from_millis(700);
     let mut next_snapshot = SimTime::from_secs(1);
-    let mut snapshots: Vec<RegistrySnapshot> = vec![registry.snapshot(clock.now())];
+    let mut snapshots: Vec<RegistrySnapshot> = vec![rig.registry.snapshot(rig.clock.now())];
     let hard_stop = SimTime::from_secs(60);
 
     loop {
-        let now = clock.now();
+        let now = rig.clock.now();
         if now >= hard_stop {
             break; // backstop against a wedged schedule; checks will flag it
         }
@@ -491,209 +386,120 @@ pub fn run_churn(seed: u64) -> ChurnRun {
         // 1. Chaos events due now.
         if chaos.front().is_some_and(|&(at, _)| at <= now) {
             let (_, event) = chaos.pop_front().expect("checked non-empty");
-            match &event {
-                Chaos::MasterOutage(until) => cluster.fail_master_until(*until),
-                Chaos::CrashSentinel | Chaos::CrashRandom | Chaos::CrashStandby => {
-                    let victim = match event {
-                        Chaos::CrashSentinel => sentinel_uid,
-                        Chaos::CrashStandby => standbys.keys().next().copied(),
-                        _ => {
-                            let live: Vec<u64> = members.keys().copied().collect();
-                            if live.is_empty() {
-                                None
-                            } else {
-                                Some(live[chaos_rng.gen_range(0..live.len())])
-                            }
-                        }
-                    };
-                    if let Some(victim) = victim {
-                        let node = members
-                            .get(&victim)
-                            .or_else(|| standbys.get(&victim))
-                            .expect("victim is live")
-                            .grant
-                            .node;
-                        cluster.fail_node(node);
-                        // Every member on the node dies with it — standbys
-                        // included. The first *rotation* casualty dies
-                        // holding the class lock (a crash mid-critical-
-                        // section): only reclamation frees it. Standbys
-                        // never execute, so they never hold it.
-                        let dead: Vec<u64> = members
-                            .iter()
-                            .filter(|(_, m)| m.grant.node == node)
-                            .map(|(&u, _)| u)
-                            .collect();
-                        let dead_standby: Vec<u64> = standbys
-                            .iter()
-                            .filter(|(_, m)| m.grant.node == node)
-                            .map(|(&u, _)| u)
-                            .collect();
-                        let rotation_lost = !dead.is_empty();
-                        let mut took_lock = false;
-                        for uid in dead {
-                            if !took_lock
-                                && store.try_lock(CLASS, LockOwner::new(uid), now, CRASH_TTL)
-                            {
-                                took_lock = true;
-                            }
-                            let m = members.remove(&uid).expect("listed above");
-                            net.close_endpoint(m.ep);
-                            trace.emit(now, TraceEvent::MemberCrashed { uid });
-                            crashed.push(CrashRec {
-                                uid,
-                                node,
-                                slice: m.grant.slice,
-                                at: now,
-                                detected: None,
-                                locks_reclaimed: Vec::new(),
-                                was_sentinel: sentinel_uid == Some(uid),
-                                was_standby: false,
-                            });
-                        }
-                        for uid in dead_standby {
-                            let m = standbys.remove(&uid).expect("listed above");
-                            net.close_endpoint(m.ep);
-                            trace.emit(now, TraceEvent::MemberCrashed { uid });
-                            if let Some(w) = standby_windows
-                                .iter_mut()
-                                .find(|w| w.0 == m.ep.0 && w.2.is_none())
-                            {
-                                w.2 = Some(now);
-                            }
-                            crashed.push(CrashRec {
-                                uid,
-                                node,
-                                slice: m.grant.slice,
-                                at: now,
-                                detected: None,
-                                locks_reclaimed: Vec::new(),
-                                was_sentinel: false,
-                                was_standby: true,
-                            });
-                        }
-                        pool_size.store(members.len() as u32, Ordering::SeqCst);
-                        repairs.push((
-                            now + SimDuration::from_millis(
-                                2_000 + chaos_rng.gen_range(0..1_500u64),
-                            ),
-                            node,
-                        ));
-                        // A standby-only crash costs no serving capacity,
-                        // so it opens no availability episode.
-                        if rotation_lost && open_episode.is_none() {
-                            open_episode = Some(episodes.len());
-                            episodes.push(Episode {
-                                opened: now,
-                                restored: None,
-                                capacity_lag: None,
-                            });
-                        }
+            let victim = match event {
+                Chaos::MasterOutage(until) => {
+                    rig.cluster.fail_master_until(until);
+                    None
+                }
+                Chaos::CrashSentinel => sentinel.uid,
+                Chaos::CrashStandby => standbys.keys().next().copied(),
+                Chaos::CrashRandom => {
+                    let live: Vec<u64> = members.keys().copied().collect();
+                    if live.is_empty() {
+                        None
+                    } else {
+                        Some(live[chaos_rng.gen_range(0..live.len())])
                     }
+                }
+            };
+            if let Some(victim) = victim {
+                let node = members
+                    .get(&victim)
+                    .or_else(|| standbys.get(&victim))
+                    .expect("victim is live")
+                    .grant
+                    .node;
+                rig.cluster.fail_node(node);
+                // Every member on the node dies with it — standbys
+                // included. The first *rotation* casualty dies holding the
+                // class lock (a crash mid-critical-section): only
+                // reclamation frees it. Standbys never execute, so they
+                // never hold it.
+                let mut took_lock = false;
+                let mut rotation_lost = false;
+                for (tier, was_standby) in [(&mut members, false), (&mut standbys, true)] {
+                    let dead: Vec<u64> = tier
+                        .iter()
+                        .filter(|(_, m)| m.grant.node == node)
+                        .map(|(&u, _)| u)
+                        .collect();
+                    for uid in dead {
+                        if !was_standby {
+                            rotation_lost = true;
+                            took_lock = took_lock
+                                || rig
+                                    .store
+                                    .try_lock(CLASS, LockOwner::new(uid), now, CRASH_TTL);
+                        }
+                        let m = tier.remove(&uid).expect("listed above");
+                        rig.net.close_endpoint(m.sim.ep);
+                        rig.trace.emit(now, TraceEvent::MemberCrashed { uid });
+                        crashed.push(CrashRec {
+                            uid,
+                            node,
+                            slice: m.grant.slice,
+                            at: now,
+                            detected: None,
+                            locks_reclaimed: Vec::new(),
+                            was_sentinel: !was_standby && sentinel.uid == Some(uid),
+                            was_standby,
+                        });
+                    }
+                }
+                rig.pool_size.store(members.len() as u32, Ordering::SeqCst);
+                repairs.push((
+                    now + SimDuration::from_millis(2_000 + chaos_rng.gen_range(0..1_500u64)),
+                    node,
+                ));
+                // A standby-only crash costs no serving capacity, so it
+                // opens no availability episode.
+                if rotation_lost && open_episode.is_none() {
+                    open_episode = Some(episodes.len());
+                    episodes.push(Episode {
+                        opened: now,
+                        restored: None,
+                    });
                 }
             }
             continue;
         }
         if let Some(idx) = repairs.iter().position(|&(at, _)| at <= now) {
             let (_, node) = repairs.swap_remove(idx);
-            cluster.repair_node(node);
+            rig.cluster.repair_node(node);
             continue;
         }
 
         // 2. Drain client replies.
         let mut drained = false;
-        while let Ok(d) = client_mb.try_recv() {
+        while let Some((p, reply)) = client.recv() {
             drained = true;
-            match RmiMessage::decode(&d.payload) {
-                Ok(RmiMessage::Response {
-                    replayed: _,
-                    call,
-                    outcome,
-                }) => {
+            match reply {
+                RmiMessage::Response { outcome, .. } => {
                     // The reply-drop fault: the member executed and
                     // answered, but the answer never reaches the client —
                     // its retransmit is a true duplicate.
-                    if pending.contains_key(&call) && drop_rng.gen_range(0..100u64) < DROP_REPLY_PCT
-                    {
+                    if drop_rng.gen_range(0..100u64) < DROP_REPLY_PCT {
+                        client.pending.insert(p.id, p);
                         continue;
                     }
-                    if let Some(p) = pending.remove(&call) {
-                        let at = clock.now();
-                        match outcome {
-                            Ok(_) if at <= p.deadline => {
-                                trace.emit(
-                                    at,
-                                    TraceEvent::InvocationCompleted {
-                                        invocation: p.invocation,
-                                        attempts: p.attempt,
-                                        ok: true,
-                                    },
-                                );
-                                finish(&mut recs, p.invocation, Outcome::Ok);
-                            }
-                            Ok(_) => {
-                                trace.emit(
-                                    at,
-                                    TraceEvent::InvocationExpired {
-                                        invocation: p.invocation,
-                                        attempts: p.attempt,
-                                    },
-                                );
-                                finish(&mut recs, p.invocation, Outcome::Expired);
-                            }
-                            Err(e) if e.is_deadline_exceeded() => {
-                                trace.emit(
-                                    at,
-                                    TraceEvent::InvocationExpired {
-                                        invocation: p.invocation,
-                                        attempts: p.attempt,
-                                    },
-                                );
-                                finish(&mut recs, p.invocation, Outcome::Expired);
-                            }
-                            Err(_) => {
-                                // Transient server-side error (e.g. LockBusy
-                                // behind a crashed holder): retry on budget.
-                                let backoff = jitter(&mut client_rng, p.attempt);
-                                let due = at + backoff;
-                                if p.attempt < MAX_ATTEMPTS
-                                    && due + SimDuration::from_millis(5) < p.deadline
-                                {
-                                    retries.push((due, p.invocation, p.attempt + 1, p.deadline));
-                                } else {
-                                    dead_end(&trace, &mut recs, &p, at);
-                                }
-                            }
+                    match outcome {
+                        // An answer past the deadline is as good as none.
+                        Ok(_) if now > p.a.deadline => client.expire(&p.a),
+                        // Transient server-side error (e.g. LockBusy
+                        // behind a crashed holder): retry on budget.
+                        Err(e) if !e.is_deadline_exceeded() => {
+                            let backoff = jitter(&mut routing.rng, p.a.attempt);
+                            client.retry_or_give_up(p.a, now + backoff);
                         }
+                        _ => client.complete(&p.a, &outcome),
                     }
                 }
-                Ok(RmiMessage::Overloaded {
-                    call, retry_after, ..
-                }) => {
-                    if let Some(p) = pending.remove(&call) {
-                        let at = clock.now();
-                        // An explicit refusal proves the member never
-                        // admitted (so never executed) the attempt: the
-                        // at-most-once pin is safe to release.
-                        pins.remove(&p.invocation);
-                        trace.emit(
-                            at,
-                            TraceEvent::AttemptOverloaded {
-                                invocation: p.invocation,
-                                attempt: p.attempt,
-                                target: p.target.0,
-                                retry_after,
-                            },
-                        );
-                        let due = at + retry_after;
-                        if p.attempt < MAX_ATTEMPTS
-                            && due + SimDuration::from_millis(5) < p.deadline
-                        {
-                            retries.push((due, p.invocation, p.attempt + 1, p.deadline));
-                        } else {
-                            dead_end(&trace, &mut recs, &p, at);
-                        }
-                    }
+                RmiMessage::Overloaded { retry_after, .. } => {
+                    // An explicit refusal proves the member never admitted
+                    // (so never executed) the attempt: the at-most-once
+                    // pin is safe to release.
+                    routing.pins.remove(&p.a.invocation);
+                    client.overloaded(&p, retry_after);
                 }
                 _ => {}
             }
@@ -705,90 +511,29 @@ pub fn run_churn(seed: u64) -> ChurnRun {
         // 3. Fast-fail sweep: pending attempts aimed at endpoints the
         //    crash closed. This is the stub's ConnectionClosed path — the
         //    client learns in one poll, not one reply timeout.
-        let closed: Vec<u64> = pending
-            .iter()
-            .filter(|(_, p)| !net.is_open(p.target))
-            .map(|(&call, _)| call)
-            .collect();
-        if !closed.is_empty() {
-            let mut calls = closed;
-            calls.sort_unstable();
-            for call in calls {
-                let p = pending.remove(&call).expect("listed above");
-                trace.emit(
-                    now,
-                    TraceEvent::AttemptFailed {
-                        invocation: p.invocation,
-                        attempt: p.attempt,
-                        target: p.target.0,
-                    },
-                );
-                let due = now + jitter(&mut client_rng, p.attempt);
-                if p.attempt < MAX_ATTEMPTS && due + SimDuration::from_millis(5) < p.deadline {
-                    retries.push((due, p.invocation, p.attempt + 1, p.deadline));
-                } else {
-                    dead_end(&trace, &mut recs, &p, now);
-                }
-            }
-            continue;
-        }
-
+        let mut unanswered = client.take_pending(|p| !members.contains_key(&p.target));
         // 4. Client-side expiry sweep: no answer and the deadline passed.
-        let expired_calls: Vec<u64> = {
-            let mut v: Vec<u64> = pending
-                .iter()
-                .filter(|(_, p)| p.deadline < now)
-                .map(|(&call, _)| call)
-                .collect();
-            v.sort_unstable();
-            v
+        let expired = if unanswered.is_empty() {
+            client.take_pending(|p| p.a.deadline < now)
+        } else {
+            Vec::new()
         };
-        if !expired_calls.is_empty() {
-            for call in expired_calls {
-                let p = pending.remove(&call).expect("listed above");
-                trace.emit(
-                    now,
-                    TraceEvent::InvocationExpired {
-                        invocation: p.invocation,
-                        attempts: p.attempt,
-                    },
-                );
-                finish(&mut recs, p.invocation, Outcome::Expired);
-            }
-            continue;
-        }
-
         // 4b. Reply-timeout sweep: attempts whose answer was lost (the
         //     drop fault, or a reply stuck behind a backlog) retransmit
         //     with a bumped attempt counter — the duplicate-generation
         //     path the reply cache must absorb.
-        let timed_out: Vec<u64> = {
-            let mut v: Vec<u64> = pending
-                .iter()
-                .filter(|(_, p)| p.sent + REPLY_TIMEOUT <= now)
-                .map(|(&call, _)| call)
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        if !timed_out.is_empty() {
-            for call in timed_out {
-                let p = pending.remove(&call).expect("listed above");
-                trace.emit(
-                    now,
-                    TraceEvent::AttemptFailed {
-                        invocation: p.invocation,
-                        attempt: p.attempt,
-                        target: p.target.0,
-                    },
-                );
-                let due = now + jitter(&mut client_rng, p.attempt);
-                if p.attempt < MAX_ATTEMPTS && due + SimDuration::from_millis(5) < p.deadline {
-                    retries.push((due, p.invocation, p.attempt + 1, p.deadline));
-                } else {
-                    dead_end(&trace, &mut recs, &p, now);
-                }
-            }
+        if unanswered.is_empty() && expired.is_empty() {
+            unanswered = client.take_pending(|p| p.sent + REPLY_TIMEOUT <= now);
+        }
+        let swept = !(unanswered.is_empty() && expired.is_empty());
+        for p in expired {
+            client.expire(&p.a);
+        }
+        for p in unanswered {
+            let backoff = jitter(&mut routing.rng, p.a.attempt);
+            client.failed(p.a, p.target, backoff);
+        }
+        if swept {
             continue;
         }
 
@@ -798,33 +543,24 @@ pub fn run_churn(seed: u64) -> ChurnRun {
             next_tick += TICK;
             // 5a. Detect revocations and finish the crashed members:
             //     reclaim their locks with epoch fencing.
-            for slice in cluster.drain_revocations() {
+            for slice in rig.cluster.drain_revocations() {
                 if let Some(rec) = crashed
                     .iter_mut()
                     .find(|r| r.slice == slice && r.detected.is_none())
                 {
                     rec.detected = Some(now);
-                    rec.locks_reclaimed = store.release_owner(LockOwner::new(rec.uid), now);
+                    rec.locks_reclaimed = rig.store.release_owner(LockOwner::new(rec.uid), now);
                 }
             }
-            // 5b. Sentinel re-election by lowest uid if the sentinel died.
-            let sentinel_dead = sentinel_uid.is_some_and(|uid| !members.contains_key(&uid));
-            if sentinel_dead {
-                let dead_uid = sentinel_uid.expect("checked above");
+            // 5b. Sentinel re-election by lowest uid if the sentinel died
+            //     (or, below, once a blacked-out pool has members again).
+            let dead_sentinel = sentinel.uid.filter(|uid| !members.contains_key(uid));
+            if let Some(dead_uid) = dead_sentinel {
                 let crash_at = crashed
                     .iter()
                     .find(|r| r.uid == dead_uid)
                     .map_or(now, |r| r.at);
-                sentinel_uid = members.keys().next().copied();
-                if let Some(uid) = sentinel_uid {
-                    election_epoch += 1;
-                    trace.emit(
-                        now,
-                        TraceEvent::SentinelElected {
-                            uid,
-                            epoch: election_epoch,
-                        },
-                    );
+                if let Some(uid) = sentinel.elect(&rig, &members) {
                     let lag = now.saturating_since(crash_at);
                     reelection_lag.record(lag);
                     reelections.push((uid, now, lag));
@@ -835,36 +571,29 @@ pub fn run_churn(seed: u64) -> ChurnRun {
             //     no provisioning wait. The vacated standby slot is
             //     backfilled by a background request below.
             while (members.len() as u32) < TARGET_POOL {
-                let Some((&uid, _)) = standbys.iter().next() else {
+                let Some((uid, m)) = standbys.pop_first() else {
                     break;
                 };
-                let m = standbys.remove(&uid).expect("keyed above");
-                if let Some(w) = standby_windows
-                    .iter_mut()
-                    .find(|w| w.0 == m.ep.0 && w.2.is_none())
-                {
-                    w.2 = Some(now);
-                }
-                trace.emit(now, TraceEvent::MemberPromoted { uid });
+                rig.trace.emit(now, TraceEvent::MemberPromoted { uid });
                 members.insert(uid, m);
                 promotions += 1;
             }
             // 5c'. Replacement capacity, retried across master outages.
             //      Promotions need no master; fresh slices do. Earmarks
             //      can never exceed what is actually pending.
-            standby_inbound = standby_inbound.min(cluster.pending_slices() as u32);
+            standby_inbound = standby_inbound.min(rig.cluster.pending_slices() as u32);
             let rotation_inbound =
-                (cluster.pending_slices() as u32).saturating_sub(standby_inbound);
+                (rig.cluster.pending_slices() as u32).saturating_sub(standby_inbound);
             let deficit = TARGET_POOL.saturating_sub(members.len() as u32 + rotation_inbound);
             let standby_deficit =
                 WARM_STANDBY.saturating_sub(standbys.len() as u32 + standby_inbound);
             if deficit + standby_deficit > 0 {
-                if cluster.master_available(now) {
+                if rig.cluster.master_available(now) {
                     if deficit > 0 {
-                        let _ = cluster.request_slices(deficit, now);
+                        let _ = rig.cluster.request_slices(deficit, now);
                     }
                     if standby_deficit > 0 {
-                        if let Ok(out) = cluster.request_slices(standby_deficit, now) {
+                        if let Ok(out) = rig.cluster.request_slices(standby_deficit, now) {
                             standby_inbound += out.granted;
                         }
                     }
@@ -875,124 +604,79 @@ pub fn run_churn(seed: u64) -> ChurnRun {
             // 5d. Replacements that finished provisioning come up: the
             //     rotation refills first, then the standby tier; a grant
             //     that a promotion made surplus goes straight back.
-            for grant in cluster.poll_ready(now) {
+            for grant in rig.cluster.poll_ready(now) {
                 if (members.len() as u32) < TARGET_POOL {
-                    spawn_member(grant, &mut next_uid, &mut members, now, false);
+                    spawn_member(&mut rig, grant, &mut members, false);
                 } else if (standbys.len() as u32) < WARM_STANDBY {
                     standby_inbound = standby_inbound.saturating_sub(1);
-                    let uid = spawn_member(grant, &mut next_uid, &mut standbys, now, true);
-                    standby_windows.push((standbys[&uid].ep.0, now, None));
+                    spawn_member(&mut rig, grant, &mut standbys, true);
                 } else {
                     standby_inbound = standby_inbound.saturating_sub(1);
-                    let _ = cluster.release(grant.slice, now);
+                    let _ = rig.cluster.release(grant.slice, now);
                 }
             }
-            pool_size.store(members.len() as u32, Ordering::SeqCst);
-            if sentinel_uid.is_none() {
-                sentinel_uid = members.keys().next().copied();
-                if let Some(uid) = sentinel_uid {
-                    election_epoch += 1;
-                    trace.emit(
-                        now,
-                        TraceEvent::SentinelElected {
-                            uid,
-                            epoch: election_epoch,
-                        },
-                    );
-                }
+            rig.pool_size.store(members.len() as u32, Ordering::SeqCst);
+            if sentinel.uid.is_none() {
+                sentinel.elect(&rig, &members);
             }
             // 5e. Close the recovery window once capacity is back.
             if let Some(i) = open_episode {
                 if members.len() as u32 >= TARGET_POOL {
                     let lag = now.saturating_since(episodes[i].opened);
                     capacity_lag.record(lag);
-                    episodes[i].capacity_lag = Some(lag);
                     episodes[i].restored = Some(now);
                     open_episode = None;
                 }
             }
             // 5f. Clients refresh their membership view.
-            view = members.iter().map(|(&u, m)| (u, m.ep)).collect();
+            view = current_view(&members);
             if now >= next_snapshot {
                 next_snapshot += SimDuration::from_secs(1);
-                snapshots.push(registry.snapshot(now));
+                snapshots.push(rig.registry.snapshot(now));
             }
             continue;
         }
 
         // 6. Due retries re-enter ahead of fresh arrivals, targeting the
         //    *current* membership (failure triggered a refresh).
-        if let Some(idx) = retries.iter().position(|&(due, ..)| due <= now) {
-            let (_, invocation, attempt, deadline) = retries.swap_remove(idx);
-            let fresh: Vec<(u64, EndpointId)> = members.iter().map(|(&u, m)| (u, m.ep)).collect();
-            send_attempt(
-                &net,
-                &mut members,
-                &fresh,
-                &mut client_rng,
-                &trace,
-                &mut pending,
-                &mut retries,
-                &mut recs,
-                &mut pins,
-                &mut next_call,
-                client_ep,
-                now,
-                invocation,
-                attempt,
-                deadline,
-            );
+        if let Some(retry) = client.due_retry() {
+            let fresh = current_view(&members);
+            routing.send(&rig, &mut client, &mut members, &fresh, retry);
             continue;
         }
 
         // 7. Arrivals due now enter, targeting the (possibly stale) view.
-        if arrivals.peek().is_some_and(|&at| at <= now) {
-            arrivals.next();
-            let invocation = next_invocation;
-            next_invocation += 1;
+        //    Every `SYNC_EVERY`th invocation calls the synchronized method.
+        if arrivals.next_if(|&at| at <= now).is_some() {
+            let call = if (client.invocations() as u64).is_multiple_of(SYNC_EVERY) {
+                SYNC
+            } else {
+                WORK
+            };
+            let attempt = client.begin(call, now + DEADLINE_BUDGET);
             recs.insert(
-                invocation,
+                attempt.invocation,
                 InvRec {
                     start: now,
-                    deadline: now + DEADLINE_BUDGET,
-                    outcome: None,
+                    deadline: attempt.deadline,
                 },
             );
-            send_attempt(
-                &net,
-                &mut members,
-                &view,
-                &mut client_rng,
-                &trace,
-                &mut pending,
-                &mut retries,
-                &mut recs,
-                &mut pins,
-                &mut next_call,
-                client_ep,
-                now,
-                invocation,
-                1,
-                now + DEADLINE_BUDGET,
-            );
+            routing.send(&rig, &mut client, &mut members, &view, attempt);
             continue;
         }
 
         // 8. Let every live member execute one admitted request.
-        let uids: Vec<u64> = members.keys().copied().collect();
         let mut worked = false;
-        for uid in uids {
-            if let Some(m) = members.get_mut(&uid) {
-                worked |= m.skeleton.step();
-            }
+        for m in members.values_mut() {
+            worked |= m.sim.skeleton.step();
         }
         if worked {
             continue;
         }
 
         // 9. Idle: jump to the next event, or finish.
-        let workload_done = arrivals.peek().is_none() && retries.is_empty() && pending.is_empty();
-        if workload_done
+        if arrivals.peek().is_none()
+            && client.is_idle()
             && open_episode.is_none()
             && members.len() as u32 >= TARGET_POOL
             && standbys.len() as u32 >= WARM_STANDBY
@@ -1001,134 +685,80 @@ pub fn run_churn(seed: u64) -> ChurnRun {
         {
             break;
         }
-        let mut targets = vec![next_tick];
-        if let Some(&at) = arrivals.peek() {
-            targets.push(at);
-        }
-        if let Some(&(due, ..)) = retries.iter().min_by_key(|&&(due, ..)| due) {
-            targets.push(due);
-        }
-        if let Some(&(at, _)) = chaos.front() {
-            targets.push(at);
-        }
-        if let Some(&(at, _)) = repairs.iter().min_by_key(|&&(at, _)| at) {
-            targets.push(at);
-        }
-        if let Some(p) = pending.values().min_by_key(|p| p.sent) {
-            targets.push(p.sent + REPLY_TIMEOUT);
-        }
-        let target = targets.into_iter().min().expect("next_tick always present");
-        clock.advance_to(target.max(now + SimDuration::from_micros(1)));
+        let reply_timeout = client.pending.values().map(|p| p.sent + REPLY_TIMEOUT);
+        rig.idle_until(&[
+            Some(next_tick),
+            arrivals.peek().copied(),
+            client.next_retry(),
+            chaos.front().map(|&(at, _)| at),
+            repairs.iter().map(|&(at, _)| at).min(),
+            reply_timeout.min(),
+        ]);
     }
 
-    // Quiesce: release every live member's slice (revoked slices were
-    // already reabsorbed by fail_node — releasing them again is exactly
-    // the double-release bug this harness guards against). First advance
-    // past the last possible reply-cache TTL (deadline + grace) so the
-    // sweep below can prove deterministic expiry: anything still cached
-    // after that horizon is a leak.
-    clock.advance(DEADLINE_BUDGET + SimDuration::from_secs(1));
-    let quiesce_at = clock.now();
+    // Quiesce: release every live member's slice — rotation and standby
+    // tier alike; live standbys hold a slice despite never serving.
+    // (Revoked slices were already reabsorbed by fail_node — releasing
+    // them again is exactly the double-release bug this harness guards
+    // against.) First advance past the last possible reply-cache TTL
+    // (deadline + grace) so the sweep below can prove deterministic
+    // expiry: anything still cached after that horizon is a leak.
+    rig.clock
+        .advance(DEADLINE_BUDGET + SimDuration::from_secs(1));
+    let quiesce_at = rig.clock.now();
     let mut leaked_cache_entries = 0usize;
-    let live_uids: Vec<u64> = members.keys().copied().collect();
-    for uid in live_uids {
-        let mut m = members.remove(&uid).expect("listed above");
-        leaked_cache_entries += m.skeleton.sweep_reply_cache();
-        let _ = cluster.release(m.grant.slice, quiesce_at);
-        net.close_endpoint(m.ep);
-        trace.emit(quiesce_at, TraceEvent::MemberDrained { uid });
+    for (uid, mut m) in members.into_iter().chain(standbys) {
+        leaked_cache_entries += m.sim.skeleton.sweep_reply_cache();
+        let _ = rig.cluster.release(m.grant.slice, quiesce_at);
+        rig.net.close_endpoint(m.sim.ep);
+        rig.trace
+            .emit(quiesce_at, TraceEvent::MemberDrained { uid });
     }
-    // Live standbys hold a slice despite never serving: collect them the
-    // same way. Crashed standbys were revoked by `fail_node` — releasing
-    // them again would be the double-release bug.
-    let standby_uids: Vec<u64> = standbys.keys().copied().collect();
-    for uid in standby_uids {
-        let mut m = standbys.remove(&uid).expect("listed above");
-        leaked_cache_entries += m.skeleton.sweep_reply_cache();
-        let _ = cluster.release(m.grant.slice, quiesce_at);
-        net.close_endpoint(m.ep);
-        trace.emit(quiesce_at, TraceEvent::MemberDrained { uid });
-    }
-    let leaked_locks = store.held_locks().len();
-    let leaked_slices = cluster.slices_in_use() + cluster.pending_slices();
-    metrics.gauge("churn.locks.leaked").set(leaked_locks as i64);
-    metrics
-        .gauge("churn.slices.leaked")
-        .set(leaked_slices as i64);
 
-    // Exactly-once accounting over the trace: executions per invocation.
-    // `work` (at-most-once) invocations must never execute twice; crashed
-    // members make zero executions legal.
-    let trace_records = sink.snapshot();
-    // Routing hygiene: no attempt may ever have targeted a member during
-    // its standby tenure (standbys are outside the membership view).
-    let standby_routed = trace_records
-        .iter()
-        .filter(|r| {
-            if let TraceEvent::AttemptStarted { target, .. } = r.event {
-                standby_windows.iter().any(|&(ep, from, to)| {
-                    ep == target && r.at >= from && r.at < to.unwrap_or(quiesce_at)
-                })
-            } else {
-                false
-            }
-        })
-        .count();
+    // Every conservation, exactly-once, routing-hygiene and leak verdict
+    // comes from the shared checker over the complete trace.
+    let trace = rig.sink.snapshot();
+    let violations = rig.check(&client.facts, &trace, leaked_cache_entries);
     let standby_crashes = crashed.iter().filter(|r| r.was_standby).count();
-    let mut exec_counts: BTreeMap<u64, usize> = BTreeMap::new();
-    for r in &trace_records {
-        if let TraceEvent::RequestExecuted { invocation, .. } = r.event {
-            *exec_counts.entry(invocation).or_default() += 1;
-        }
-    }
-    let duplicate_executions = exec_counts
-        .iter()
-        .filter(|&(inv, &n)| !inv.is_multiple_of(SYNC_EVERY) && n > 1)
-        .count();
     // Suppression totals come from the shared metrics registry, not the
     // skeletons: published diffs survive member crashes and re-elections.
-    let dedup_hits = metrics.counter("rmi.dedup.hits").get();
-    let dedup_replayed = metrics.counter("rmi.dedup.replayed").get();
-    let dedup_evicted = metrics.counter("rmi.dedup.evicted").get();
-    metrics
-        .gauge("churn.dedup.leaked")
-        .set(leaked_cache_entries as i64);
-    metrics
-        .gauge("churn.dedup.duplicates")
-        .set(duplicate_executions as i64);
-    metrics
-        .gauge("churn.standby.promotions")
-        .set(promotions as i64);
-    metrics
-        .gauge("churn.standby.crashes")
-        .set(standby_crashes as i64);
-    metrics
-        .gauge("churn.standby.routed")
-        .set(standby_routed as i64);
-    snapshots.push(registry.snapshot(quiesce_at));
+    let counter = |name| rig.metrics.counter(name).get();
+    let gauge = |name, value: usize| rig.metrics.gauge(name).set(value as i64);
+    gauge("churn.locks.leaked", violations.leaks.leaked_locks);
+    gauge("churn.slices.leaked", violations.leaks.leaked_slices);
+    gauge("churn.dedup.leaked", leaked_cache_entries);
+    gauge(
+        "churn.dedup.duplicates",
+        violations.duplicate_executions.len(),
+    );
+    gauge("churn.standby.promotions", promotions);
+    gauge("churn.standby.crashes", standby_crashes);
+    gauge("churn.standby.routed", violations.standby_routed.len());
+    snapshots.push(rig.registry.snapshot(quiesce_at));
 
     // Availability over invocations untouched by any disruption window.
     let windows: Vec<(SimTime, SimTime)> = episodes
         .iter()
         .map(|e| (e.opened, e.restored.map_or(quiesce_at, |r| r + WINDOW_PAD)))
         .collect();
+    // How each invocation ended is its terminal event: `Some(ok)` for a
+    // completion; an expiry (or nothing at all) counts as expired.
+    let mut completed: BTreeMap<u64, bool> = BTreeMap::new();
+    for r in &trace {
+        if let TraceEvent::InvocationCompleted { invocation, ok, .. } = r.event {
+            completed.insert(invocation, ok);
+        }
+    }
+    let tally = |wanted: bool| completed.values().filter(|&&ok| ok == wanted).count();
     let mut eligible = 0usize;
     let mut eligible_ok = 0usize;
-    let mut completed_ok = 0usize;
-    let mut completed_err = 0usize;
-    let mut expired = 0usize;
-    for rec in recs.values() {
-        match rec.outcome {
-            Some(Outcome::Ok) => completed_ok += 1,
-            Some(Outcome::Err) => completed_err += 1,
-            Some(Outcome::Expired) | None => expired += 1,
-        }
+    for (inv, rec) in &recs {
         let disrupted = windows
             .iter()
             .any(|&(from, to)| rec.start <= to && rec.deadline >= from);
         if !disrupted {
             eligible += 1;
-            if rec.outcome == Some(Outcome::Ok) {
+            if completed.get(inv) == Some(&true) {
                 eligible_ok += 1;
             }
         }
@@ -1139,83 +769,41 @@ pub fn run_churn(seed: u64) -> ChurnRun {
         eligible_ok as f64 / eligible as f64
     };
 
-    let locks_reclaimed: usize = crashed.iter().map(|r| r.locks_reclaimed.len()).sum();
-    let sentinel_crashes = crashed.iter().filter(|r| r.was_sentinel).count();
-    let report = render_report(
-        seed,
-        &recs,
-        &crashed,
-        &episodes,
-        &reelections,
-        availability,
-        eligible,
-        eligible_ok,
-        completed_ok,
-        completed_err,
-        expired,
-        master_delayed_ticks,
-        leaked_locks,
-        leaked_slices,
-        StandbySummary {
-            promotions,
-            standby_crashes,
-            standby_routed,
-        },
-        &cluster,
-        sink.dropped(),
-        DedupSummary {
-            hits: dedup_hits,
-            replayed: dedup_replayed,
-            evicted: dedup_evicted,
-            duplicate_executions,
-            leaked_cache_entries,
-        },
-    );
-
-    ChurnRun {
-        report,
+    let mut run = ChurnRun {
+        report: String::new(),
         metrics_csv: snapshots_to_csv(&snapshots),
-        trace: trace_records,
+        trace,
         invocations: recs.len(),
-        completed_ok,
-        completed_err,
-        expired,
+        completed_ok: tally(true),
+        completed_err: tally(false),
+        expired: recs.len() - completed.len(),
         availability,
         eligible,
         crashes: crashed.len(),
-        sentinel_crashes,
+        sentinel_crashes: crashed.iter().filter(|r| r.was_sentinel).count(),
         reelections: reelections.len(),
-        locks_reclaimed,
-        leaked_locks,
-        leaked_slices,
-        slices_total: cluster.total_slices(),
-        slices_free: cluster.free_slices(),
-        dropped: sink.dropped(),
-        dedup_hits,
-        dedup_replayed,
-        dedup_evicted,
-        duplicate_executions,
-        leaked_cache_entries,
+        locks_reclaimed: crashed.iter().map(|r| r.locks_reclaimed.len()).sum(),
+        violations,
+        slices_total: rig.cluster.total_slices(),
+        slices_free: rig.cluster.free_slices(),
+        dropped: rig.sink.dropped(),
+        dedup_hits: counter("rmi.dedup.hits"),
+        dedup_replayed: counter("rmi.dedup.replayed"),
+        dedup_evicted: counter("rmi.dedup.evicted"),
         promotions,
         standby_crashes,
-        standby_routed,
-    }
-}
-
-/// Warm-tier facts the report renders.
-struct StandbySummary {
-    promotions: usize,
-    standby_crashes: usize,
-    standby_routed: usize,
-}
-
-/// Duplicate-suppression facts the report renders.
-struct DedupSummary {
-    hits: u64,
-    replayed: u64,
-    evicted: u64,
-    duplicate_executions: usize,
-    leaked_cache_entries: usize,
+    };
+    run.report = render_report(
+        seed,
+        &run,
+        &crashed,
+        &episodes,
+        &reelections,
+        eligible_ok,
+        master_delayed_ticks,
+        &rig.cluster,
+    );
+    run
 }
 
 /// Seeded exponential backoff with jitter: `[step/2, step]` where the
@@ -1226,181 +814,67 @@ fn jitter(rng: &mut rand::rngs::StdRng, attempt: u32) -> SimDuration {
     SimDuration::from_micros(rng.gen_range(step_us / 2..=step_us))
 }
 
-/// Records the invocation's terminal outcome exactly once.
-fn finish(recs: &mut BTreeMap<u64, InvRec>, invocation: u64, outcome: Outcome) {
-    if let Some(rec) = recs.get_mut(&invocation) {
-        debug_assert!(rec.outcome.is_none(), "double terminal for {invocation}");
-        rec.outcome = Some(outcome);
-    }
+/// The client's routing state: the seeded balancer and the at-most-once
+/// pins. Pinning mirrors the stub's `committed` state: once a member
+/// accepted an attempt, every retransmit goes back to it — its reply cache
+/// is the only place the duplicate can be recognised.
+struct Routing {
+    pins: HashMap<u64, u64>,
+    rng: rand::rngs::StdRng,
 }
 
-/// No more retry budget: emit the single terminal event for the attempt.
-fn dead_end(trace: &TraceHandle, recs: &mut BTreeMap<u64, InvRec>, p: &Pending, now: SimTime) {
-    if now >= p.deadline {
-        trace.emit(
-            now,
-            TraceEvent::InvocationExpired {
-                invocation: p.invocation,
-                attempts: p.attempt,
-            },
-        );
-        finish(recs, p.invocation, Outcome::Expired);
-    } else {
-        trace.emit(
-            now,
-            TraceEvent::InvocationCompleted {
-                invocation: p.invocation,
-                attempts: p.attempt,
-                ok: false,
-            },
-        );
-        finish(recs, p.invocation, Outcome::Err);
-    }
-}
-
-/// Emits the `AttemptStarted` anchor, then either ingests the request at
-/// the chosen member or fast-fails into the retry queue (closed endpoint
-/// or stale membership entry). `sync` runs `AtLeastOnce`; `work` is the
-/// non-idempotent `AtMostOnce` method, pinned to the member that first
-/// accepted it (mirroring the stub's `committed` state).
-#[allow(clippy::too_many_arguments)]
-fn send_attempt(
-    net: &InProcNetwork,
-    members: &mut BTreeMap<u64, Member>,
-    view: &[(u64, EndpointId)],
-    rng: &mut rand::rngs::StdRng,
-    trace: &TraceHandle,
-    pending: &mut HashMap<u64, Pending>,
-    retries: &mut Vec<(SimTime, u64, u32, SimTime)>,
-    recs: &mut BTreeMap<u64, InvRec>,
-    pins: &mut HashMap<u64, u64>,
-    next_call: &mut u64,
-    client_ep: EndpointId,
-    now: SimTime,
-    invocation: u64,
-    attempt: u32,
-    deadline: SimTime,
-) {
-    let (method, semantics) = if invocation.is_multiple_of(SYNC_EVERY) {
-        ("sync", Semantics::AtLeastOnce)
-    } else {
-        ("work", Semantics::AtMostOnce)
-    };
-    let pinned = pins.get(&invocation).copied();
-    let target = match pinned {
-        // A pinned retransmit may only go back to the member that already
-        // accepted an earlier attempt — it may have executed and lost the
-        // reply, and only its cache can recognise the duplicate.
-        Some(uid) => members.get(&uid).map(|m| (uid, m.ep)),
-        None if view.is_empty() => None,
-        None => Some(view[rng.gen_range(0..view.len())]),
-    };
-    let Some((uid, ep)) = target else {
-        if pinned.is_some() {
-            // The pinned member crashed. Failing over could execute the
-            // invocation a second time, so it terminates here — the same
-            // dead end a stub's committed invocation reaches.
-            let p = Pending {
-                invocation,
-                attempt,
-                deadline,
-                target: EndpointId(0),
-                sent: now,
-            };
-            dead_end(trace, recs, &p, now);
+impl Routing {
+    /// Picks the attempt's target and either sends it or fast-fails it
+    /// into the retry queue (closed endpoint or stale membership entry).
+    /// `sync` runs `AtLeastOnce`; `work` is the non-idempotent `AtMostOnce`
+    /// method, pinned to the member that first accepted it.
+    fn send(
+        &mut self,
+        rig: &SimRig,
+        client: &mut SimClient,
+        members: &mut BTreeMap<u64, Member>,
+        view: &[(u64, EndpointId)],
+        a: Attempt,
+    ) {
+        let pinned = self.pins.get(&a.invocation).copied();
+        let target = match pinned {
+            // A pinned retransmit may only go back to the member that already
+            // accepted an earlier attempt — it may have executed and lost the
+            // reply, and only its cache can recognise the duplicate.
+            Some(uid) => members.get(&uid).map(|m| (uid, m.sim.ep)),
+            None if view.is_empty() => None,
+            None => Some(view[self.rng.gen_range(0..view.len())]),
+        };
+        let Some((uid, ep)) = target else {
+            if pinned.is_some() {
+                // The pinned member crashed. Failing over could execute the
+                // invocation a second time, so it terminates here — the same
+                // dead end a stub's committed invocation reaches.
+                client.give_up(&a);
+            } else {
+                // Total blackout: park the attempt for one backoff, or expire.
+                let due = rig.clock.now() + jitter(&mut self.rng, a.attempt);
+                if !client.try_retry(a, due) {
+                    client.expire(&a);
+                }
+            }
             return;
+        };
+        match members.get_mut(&uid).filter(|_| rig.net.is_open(ep)) {
+            // The stub's ConnectionClosed fast path: fail immediately,
+            // decorrelate with jitter, retry against fresh membership.
+            None => client.refused(a, uid, jitter(&mut self.rng, a.attempt)),
+            Some(m) => {
+                if a.call.semantics == Semantics::AtMostOnce {
+                    // Delivery commits the attempt to this member (the
+                    // skeleton's cache now tracks it); only an explicit refusal
+                    // releases it.
+                    self.pins.insert(a.invocation, uid);
+                }
+                client.send_attempt(&mut m.sim, uid, a);
+            }
         }
-        // Total blackout: park the attempt for one backoff, or give up.
-        let due = now + jitter(rng, attempt);
-        if attempt < MAX_ATTEMPTS && due + SimDuration::from_millis(5) < deadline {
-            retries.push((due, invocation, attempt + 1, deadline));
-        } else {
-            trace.emit(
-                now,
-                TraceEvent::InvocationExpired {
-                    invocation,
-                    attempts: attempt,
-                },
-            );
-            finish(recs, invocation, Outcome::Expired);
-        }
-        return;
-    };
-    trace.emit(
-        now,
-        TraceEvent::AttemptStarted {
-            invocation,
-            attempt,
-            target: ep.0,
-            deadline,
-        },
-    );
-    let open = net.is_open(ep) && members.contains_key(&uid);
-    if !open {
-        // The stub's ConnectionClosed fast path: fail immediately,
-        // decorrelate with jitter, retry against fresh membership.
-        trace.emit(
-            now,
-            TraceEvent::AttemptFailed {
-                invocation,
-                attempt,
-                target: ep.0,
-            },
-        );
-        let due = now + jitter(rng, attempt);
-        if attempt < MAX_ATTEMPTS && due + SimDuration::from_millis(5) < deadline {
-            retries.push((due, invocation, attempt + 1, deadline));
-        } else {
-            let p = Pending {
-                invocation,
-                attempt,
-                deadline,
-                target: ep,
-                sent: now,
-            };
-            dead_end(trace, recs, &p, now);
-        }
-        return;
     }
-    let call = *next_call;
-    *next_call += 1;
-    pending.insert(
-        call,
-        Pending {
-            invocation,
-            attempt,
-            deadline,
-            target: ep,
-            sent: now,
-        },
-    );
-    if semantics == Semantics::AtMostOnce {
-        // Delivery commits the attempt to this member (the skeleton's
-        // cache now tracks it); only an explicit refusal releases it.
-        pins.insert(invocation, uid);
-    }
-    let m = members.get_mut(&uid).expect("checked above");
-    m.skeleton.ingest(
-        client_ep,
-        RmiMessage::Request {
-            call,
-            context: InvocationContext {
-                id: invocation,
-                deadline,
-                attempt,
-                origin: client_ep,
-                semantics,
-                routing_key: None,
-            },
-            method: method.into(),
-            args: Vec::new(),
-        },
-        &m.mb,
-    );
-}
-
-fn ms(d: SimDuration) -> f64 {
-    d.as_micros() as f64 / 1000.0
 }
 
 /// Renders the why-recovered report: one block per crash, each carrying
@@ -1408,35 +882,25 @@ fn ms(d: SimDuration) -> f64 {
 #[allow(clippy::too_many_arguments)]
 fn render_report(
     seed: u64,
-    recs: &BTreeMap<u64, InvRec>,
+    run: &ChurnRun,
     crashed: &[CrashRec],
     episodes: &[Episode],
     reelections: &[(u64, SimTime, SimDuration)],
-    availability: f64,
-    eligible: usize,
     eligible_ok: usize,
-    completed_ok: usize,
-    completed_err: usize,
-    expired: usize,
     master_delayed_ticks: u64,
-    leaked_locks: usize,
-    leaked_slices: usize,
-    standby: StandbySummary,
     cluster: &ResourceManager,
-    dropped: u64,
-    dedup: DedupSummary,
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Churn run (seed {seed}): {} invocations (ok {completed_ok}, \
-         remote-error {completed_err}, expired {expired})",
-        recs.len(),
+        "Churn run (seed {seed}): {} invocations (ok {}, remote-error {}, expired {})",
+        run.invocations, run.completed_ok, run.completed_err, run.expired,
     );
     let _ = writeln!(
         out,
-        "availability outside disruption windows: {:.2}% ({eligible_ok}/{eligible})",
-        availability * 100.0,
+        "availability outside disruption windows: {:.2}% ({eligible_ok}/{})",
+        run.availability * 100.0,
+        run.eligible,
     );
     let _ = writeln!(
         out,
@@ -1453,7 +917,9 @@ fn render_report(
         out,
         "standby tier: {} promotions (route-flips), {} standby crashes, \
          {} attempts routed to standbys (must be 0)",
-        standby.promotions, standby.standby_crashes, standby.standby_routed,
+        run.promotions,
+        run.standby_crashes,
+        run.violations.standby_routed.len(),
     );
     out.push('\n');
     let _ = writeln!(out, "Why the pool recovered ({} crashes):", crashed.len());
@@ -1504,8 +970,8 @@ fn render_report(
     out.push('\n');
     let _ = writeln!(out, "Recovery episodes ({}):", episodes.len());
     for (i, e) in episodes.iter().enumerate() {
-        match (e.restored, e.capacity_lag) {
-            (Some(restored), Some(lag)) => {
+        match e.restored {
+            Some(restored) => {
                 let _ = writeln!(
                     out,
                     "#{} opened t={:.2}s, capacity restored t={:.2}s \
@@ -1513,10 +979,10 @@ fn render_report(
                     i + 1,
                     e.opened.as_secs_f64(),
                     restored.as_secs_f64(),
-                    ms(lag),
+                    ms(restored.saturating_since(e.opened)),
                 );
             }
-            _ => {
+            None => {
                 let _ = writeln!(
                     out,
                     "#{} opened t={:.2}s, NEVER CLOSED (capacity not restored)",
@@ -1532,25 +998,27 @@ fn render_report(
         "duplicate suppression (at-most-once): {} duplicates absorbed, \
          {} cached replies replayed, {} entries evicted; \
          duplicate executions {} (must be 0), leaked cache entries {} (must be 0)",
-        dedup.hits,
-        dedup.replayed,
-        dedup.evicted,
-        dedup.duplicate_executions,
-        dedup.leaked_cache_entries,
+        run.dedup_hits,
+        run.dedup_replayed,
+        run.dedup_evicted,
+        run.violations.duplicate_executions.len(),
+        run.violations.leaks.leaked_cache_entries,
     );
     let _ = writeln!(
         out,
-        "quiesce: leaked locks {leaked_locks}, leaked slices {leaked_slices} \
-         (free {}/{}, in-use {}, pending {})",
+        "quiesce: leaked locks {}, leaked slices {} (free {}/{}, in-use {}, pending {})",
+        run.violations.leaks.leaked_locks,
+        run.violations.leaks.leaked_slices,
         cluster.free_slices(),
         cluster.total_slices(),
         cluster.slices_in_use(),
         cluster.pending_slices(),
     );
-    if dropped > 0 {
+    if run.dropped > 0 {
         let _ = writeln!(
             out,
-            "WARNING: trace ring dropped {dropped} records; property checks may be blind"
+            "WARNING: trace ring dropped {} records; property checks may be blind",
+            run.dropped
         );
     } else {
         let _ = writeln!(out, "trace ring dropped 0 records (lossless)");
@@ -1561,20 +1029,6 @@ fn render_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn terminal_counts(run: &ChurnRun) -> BTreeMap<u64, usize> {
-        let mut terminals: BTreeMap<u64, usize> = BTreeMap::new();
-        for r in &run.trace {
-            match r.event {
-                TraceEvent::InvocationCompleted { invocation, .. }
-                | TraceEvent::InvocationExpired { invocation, .. } => {
-                    *terminals.entry(invocation).or_default() += 1;
-                }
-                _ => {}
-            }
-        }
-        terminals
-    }
 
     #[test]
     fn run_is_deterministic_for_a_seed() {
@@ -1589,31 +1043,20 @@ mod tests {
     fn every_accepted_invocation_has_exactly_one_terminal_event() {
         let run = run_churn(7);
         assert_eq!(run.dropped, 0, "ring must be lossless for this check");
-        let terminals = terminal_counts(&run);
-        let mut started: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        for r in &run.trace {
-            if let TraceEvent::AttemptStarted { invocation, .. } = r.event {
-                started.insert(invocation);
-            }
-        }
-        for inv in &started {
-            assert_eq!(
-                terminals.get(inv).copied().unwrap_or(0),
-                1,
-                "invocation {inv} must terminate exactly once"
-            );
-        }
-        for (inv, n) in &terminals {
-            assert_eq!(*n, 1, "invocation {inv} terminated {n} times");
-        }
+        assert_eq!(run.violations.lost, [0u64; 0], "lost invocations");
+        assert_eq!(
+            run.violations.duplicate_terminals, [0u64; 0],
+            "invocations terminated more than once"
+        );
     }
 
     #[test]
     fn books_and_locks_balance_at_quiesce_across_seeds() {
         for seed in [7u64, 99, 2026] {
             let run = run_churn(seed);
-            assert_eq!(run.leaked_locks, 0, "seed {seed}: locks leaked");
-            assert_eq!(run.leaked_slices, 0, "seed {seed}: slices leaked");
+            let leaks = run.violations.leaks;
+            assert_eq!(leaks.leaked_locks, 0, "seed {seed}: locks leaked");
+            assert_eq!(leaks.leaked_slices, 0, "seed {seed}: slices leaked");
             assert_eq!(
                 run.slices_free, run.slices_total,
                 "seed {seed}: every slice must be free at quiesce"
@@ -1670,7 +1113,7 @@ mod tests {
             "the mid-critical-section crash must exercise reclamation:\n{}",
             run.report
         );
-        assert_eq!(run.leaked_locks, 0);
+        assert_eq!(run.violations.leaks.leaked_locks, 0);
         assert!(run.crashes >= 3, "the schedule injects at least 3 crashes");
         assert!(
             run.sentinel_crashes >= 1,
@@ -1716,16 +1159,11 @@ mod tests {
                 }
             }
             let is_amo = |inv: u64| !inv.is_multiple_of(SYNC_EVERY);
-            for (&inv, &n) in &execs {
-                if is_amo(inv) {
-                    assert!(
-                        n <= 1,
-                        "seed {seed}: at-most-once invocation {inv} executed {n} times\n{}",
-                        run.report
-                    );
-                }
-            }
-            assert_eq!(run.duplicate_executions, 0, "seed {seed}");
+            assert_eq!(
+                run.violations.duplicate_executions, [0u64; 0],
+                "seed {seed}: at-most-once invocations executed more than once\n{}",
+                run.report
+            );
             for &inv in &completed_ok {
                 if is_amo(inv) {
                     assert_eq!(
@@ -1758,7 +1196,7 @@ mod tests {
                 run.dedup_replayed
             );
             assert_eq!(
-                run.leaked_cache_entries, 0,
+                run.violations.leaks.leaked_cache_entries, 0,
                 "seed {seed}: reply caches must be empty after the TTL sweep"
             );
         }
@@ -1784,13 +1222,12 @@ mod tests {
                 "seed {seed}: the scripted standby crash never bit\n{}",
                 run.report
             );
-            assert_eq!(
-                run.standby_routed, 0,
-                "seed {seed}: attempts routed to standby-tier members\n{}",
+            assert!(
+                run.violations.is_clean(),
+                "seed {seed}: {:?}\n{}",
+                run.violations,
                 run.report
             );
-            assert_eq!(run.leaked_slices, 0, "seed {seed}: slices leaked");
-            assert_eq!(run.leaked_locks, 0, "seed {seed}: locks leaked");
             assert_eq!(
                 run.slices_free, run.slices_total,
                 "seed {seed}: standby slices must be back in the free pool"

@@ -17,8 +17,10 @@ pub mod churn;
 pub mod deployment;
 pub mod experiment;
 pub mod figures;
+pub mod invariants;
 pub mod openloop;
 pub mod overload;
+pub mod rig;
 pub mod scalability;
 pub mod shard;
 pub mod sockets;
@@ -31,6 +33,7 @@ pub use churn::{run_churn, ChurnRun};
 pub use deployment::Deployment;
 pub use experiment::{run_experiment, ExperimentConfig, ExperimentResult};
 pub use figures::{agility_results, sparkline, FigureId};
+pub use invariants::{Invariants, Quiesce, Violations};
 pub use openloop::{
     format_open_loop, open_loop_json, run_open_loop, run_open_loop_grid, run_raw_socket_echo,
     OpenLoopConfig, OpenLoopGrid, OpenLoopPoint, OPEN_LOOP_MEMBER_COUNTS, OPEN_LOOP_SERVICE,
@@ -40,10 +43,7 @@ pub use scalability::{
     render_scalability, scalability_curve, ScalabilityPoint, SharedStateProfile,
 };
 pub use shard::{run_sharded, ShardEnforcement, ShardScalePoint, ShardedRun};
-pub use sockets::{
-    format_throughput, run_socket_overload, run_throughput, run_throughput_grid, throughput_json,
-    Outcomes, SocketOverloadRun, ThroughputPoint, TransportKind,
-};
+pub use sockets::{run_socket_overload, Outcomes, SocketOverloadRun, TransportKind};
 pub use summary::{format_summary, summary_table, SummaryRow};
 pub use telemetry::{render_why_scaled, run_elastic_overload, ElasticOverloadRun};
 pub use tiered::{render_tiered, run_tiered, TierCoordination, TieredResult};

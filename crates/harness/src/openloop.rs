@@ -1,9 +1,9 @@
 //! Open-loop load generation over the pipelined stub engine.
 //!
-//! The closed-loop baseline in [`crate::sockets`] measures the *client*:
-//! each thread waits for a round trip before offering the next invocation,
-//! so measured throughput saturates on RTT long before the middleware
-//! does. An open-loop generator injects at a configured arrival rate
+//! A closed-loop generator measures the *client*: each thread waits for a
+//! round trip before offering the next invocation, so measured throughput
+//! saturates on RTT long before the middleware does. An open-loop
+//! generator injects at a configured arrival rate
 //! regardless of completions — the paper's evaluation shape — so sweeping
 //! the offered rate exposes the knee where the pool stops keeping up,
 //! and member-count scaling shows as knee position, not RTT noise.

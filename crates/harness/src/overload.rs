@@ -1,9 +1,9 @@
 //! Overload experiment: admission control vs. an unbounded FIFO run queue.
 //!
-//! Drives one *real* [`Skeleton`] — the production ingest/cull/dispatch
+//! Drives one *real* [`Skeleton`](elasticrmi::Skeleton) — the production ingest/cull/dispatch
 //! machinery, not a model of it — through a point-A workload that doubles
 //! for a burst window while the pool is pinned (no scaling). The experiment
-//! is a discrete-event simulation on a [`VirtualClock`]: the hosted service
+//! is a discrete-event simulation on a [`VirtualClock`](erm_sim::VirtualClock): the hosted service
 //! advances the clock by each request's service time, so queueing delay,
 //! deadline expiry, and `Overloaded` retry hints all unfold in exact virtual
 //! time and the whole run is deterministic for a given seed.
@@ -19,19 +19,12 @@
 //!   explicit retry hint, queued work stays young enough to finish inside
 //!   its deadline, and goodput holds near capacity through the burst.
 
-use std::collections::HashMap;
-use std::sync::atomic::AtomicU32;
-use std::sync::Arc;
+use elasticrmi::{AdmissionConfig, AimdConfig, AimdLimiter, RmiMessage};
+use erm_metrics::AdmissionStats;
+use erm_sim::{Clock, SimDuration, SimTime};
 
-use elasticrmi::{
-    AdmissionConfig, AimdConfig, AimdLimiter, ElasticService, InvocationContext, RemoteError,
-    RmiMessage, ServiceContext, Skeleton,
-};
-use erm_kvstore::{Store, StoreConfig};
-use erm_metrics::{AdmissionStats, TraceHandle};
-use erm_sim::{seeded_rng, Clock, SharedClock, SimDuration, SimTime, VirtualClock};
-use erm_transport::{Host, InProcNetwork};
-use rand::Rng;
+use crate::invariants::Violations;
+use crate::rig::{arrival_schedule, Call, JitteredService, SimClient, SimMember, SimRig};
 
 /// One overload run: a pinned single-member pool under a rate step.
 #[derive(Debug, Clone)]
@@ -92,7 +85,7 @@ impl OverloadConfig {
 ///
 /// Conservation invariant: `offered == goodput + late + expired + rejected
 /// + throttled` — nothing is lost or double-counted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct OverloadResult {
     /// Requests the workload generated.
     pub offered: u64,
@@ -110,198 +103,99 @@ pub struct OverloadResult {
     pub queue_delay_p99: SimDuration,
     /// The member's own admit/reject/cull/shed tallies.
     pub admission: AdmissionStats,
-}
-
-/// The hosted service: does no computation, but *occupies* the member for
-/// the request's service time by advancing the shared virtual clock.
-struct TimedService {
-    clock: Arc<VirtualClock>,
-    rng: rand::rngs::StdRng,
-    mean: SimDuration,
-}
-
-impl ElasticService for TimedService {
-    fn dispatch(
-        &mut self,
-        _method: &str,
-        _args: &[u8],
-        _ctx: &mut ServiceContext,
-    ) -> Result<Vec<u8>, RemoteError> {
-        let factor: f64 = self.rng.gen_range(0.8..=1.2);
-        let busy = SimDuration::from_micros((self.mean.as_micros() as f64 * factor) as u64);
-        self.clock.advance(busy);
-        Ok(Vec::new())
-    }
+    /// The shared checker's verdict on the run's trace.
+    pub violations: Violations,
 }
 
 /// Runs one configuration to completion and accounts for every request.
 pub fn run_overload(config: &OverloadConfig) -> OverloadResult {
-    let net = InProcNetwork::new();
-    let (member_ep, member_mb) = net.open();
-    let (client_ep, client_mb) = net.open();
-    let (runtime_ep, _runtime_mb) = net.open();
-    let clock = Arc::new(VirtualClock::new());
-    let ctx = ServiceContext::new(
-        Arc::new(Store::new(StoreConfig::default())),
-        "Overload",
-        0,
-        Arc::<VirtualClock>::clone(&clock) as SharedClock,
-        Arc::new(AtomicU32::new(1)),
-    );
-    let service = TimedService {
-        clock: Arc::clone(&clock),
-        rng: seeded_rng(config.seed ^ 0x5e51_1ce0),
-        mean: config.service_mean,
-    };
-    let mut skeleton = Skeleton::new(
-        0,
-        member_ep,
-        runtime_ep,
-        Arc::new(net.clone()),
-        Arc::<VirtualClock>::clone(&clock) as SharedClock,
-        Box::new(service),
-        ctx,
-        TraceHandle::disabled(),
-        config.admission,
-    );
+    // The pool is pinned at one member, so the cluster is never asked.
+    let mut rig = SimRig::new("Overload", 1, 1, SimDuration::ZERO);
+    let service = JitteredService::new(&rig.clock, config.seed ^ 0x5e51_1ce0, config.service_mean);
+    let mut member = rig.spawn_member(0, service, config.admission, None);
+    // An `Overloaded` refusal is final here: one attempt per request.
+    let mut client = SimClient::new(&rig, 1);
+    let clock = &rig.clock;
     let limiter = config.limiter.map(AimdLimiter::new);
 
-    // Pre-compute the arrival schedule so the event loop has no RNG state
-    // of its own: spacing is 1/rate with ±50 % seeded jitter, rate doubled
-    // inside the burst window.
-    let mut rng = seeded_rng(config.seed);
-    let end = SimTime::ZERO + config.warmup + config.burst + config.recovery;
     let burst_from = SimTime::ZERO + config.warmup;
     let burst_to = burst_from + config.burst;
-    let mut schedule: Vec<SimTime> = Vec::new();
-    let mut t = SimTime::ZERO;
-    loop {
-        let rate = if t >= burst_from && t < burst_to {
-            config.base_rate * config.burst_multiplier
-        } else {
-            config.base_rate
-        };
-        let gap: f64 = 1_000_000.0 / rate * rng.gen_range(0.5..=1.5);
-        t += SimDuration::from_micros(gap as u64);
-        if t >= end {
-            break;
-        }
-        schedule.push(t);
-    }
+    let schedule = arrival_schedule(
+        config.seed,
+        SimTime::ZERO,
+        burst_to + config.recovery,
+        config.base_rate,
+        Some((burst_from, burst_to, config.burst_multiplier)),
+    );
 
     let mut result = OverloadResult {
         offered: schedule.len() as u64,
         ..OverloadResult::default()
     };
-    let mut deadlines: HashMap<u64, SimTime> = HashMap::new();
-    let mut p99_us: u64 = 0;
+    let poll_p99 = |client: &mut SimClient, member: &mut SimMember| {
+        let report = client.poll_load(member);
+        SimDuration::from_micros(report.map_or(0, |r| r.queue_delay_p99_us))
+    };
     let poll_every = SimDuration::from_secs(1);
     let mut next_poll = SimTime::ZERO + poll_every;
-    let mut next_call: u64 = 0;
     let mut arrivals = schedule.into_iter().peekable();
 
-    let drain = |result: &mut OverloadResult,
-                 deadlines: &mut HashMap<u64, SimTime>,
-                 p99_us: &mut u64,
-                 now: SimTime| {
-        while let Ok(d) = client_mb.try_recv() {
-            match RmiMessage::decode(&d.payload) {
-                Ok(RmiMessage::Response {
-                    replayed: _,
-                    call,
-                    outcome,
-                }) => {
-                    if let Some(l) = &limiter {
-                        l.release();
-                    }
-                    let deadline = deadlines.remove(&call).unwrap_or(SimTime::ZERO);
+    let drain = |client: &mut SimClient, result: &mut OverloadResult| {
+        let now = clock.now();
+        while let Some((p, reply)) = client.recv() {
+            // Where the request ended up, and what its fate tells the
+            // limiter: `None` is a success, `Some(hint)` is congestion with
+            // the server's retry hint if it sent one.
+            let (bucket, congestion) = match reply {
+                RmiMessage::Response { outcome, .. } => {
+                    client.complete(&p.a, &outcome);
                     match outcome {
-                        Ok(_) if now <= deadline => {
-                            result.goodput += 1;
-                            if let Some(l) = &limiter {
-                                l.on_success();
-                            }
-                        }
-                        Ok(_) => {
-                            result.late += 1;
-                            if let Some(l) = &limiter {
-                                l.on_congestion(now, None);
-                            }
-                        }
-                        Err(_) => {
-                            result.expired += 1;
-                            if let Some(l) = &limiter {
-                                l.on_congestion(now, None);
-                            }
-                        }
+                        Ok(_) if now <= p.a.deadline => (&mut result.goodput, None),
+                        Ok(_) => (&mut result.late, Some(None)),
+                        Err(_) => (&mut result.expired, Some(None)),
                     }
                 }
-                Ok(RmiMessage::Overloaded {
-                    call, retry_after, ..
-                }) => {
-                    deadlines.remove(&call);
-                    result.rejected += 1;
-                    if let Some(l) = &limiter {
-                        l.release();
-                        l.on_congestion(now, Some(retry_after));
-                    }
+                RmiMessage::Overloaded { retry_after, .. } => {
+                    client.overloaded(&p, retry_after);
+                    (&mut result.rejected, Some(Some(retry_after)))
                 }
-                Ok(RmiMessage::Load(report)) => {
-                    *p99_us = (*p99_us).max(report.queue_delay_p99_us);
+                _ => continue,
+            };
+            *bucket += 1;
+            if let Some(l) = &limiter {
+                l.release();
+                match congestion {
+                    Some(retry_after) => l.on_congestion(now, retry_after),
+                    None => l.on_success(),
                 }
-                _ => {}
             }
         }
     };
 
     loop {
         let now = clock.now();
-        drain(&mut result, &mut deadlines, &mut p99_us, now);
+        drain(&mut client, &mut result);
         // 1. Arrivals due now enter (or are throttled) before anything runs.
-        if let Some(&at) = arrivals.peek() {
-            if at <= now {
-                arrivals.next();
-                if let Some(l) = &limiter {
-                    if !l.try_acquire(now) {
-                        result.throttled += 1;
-                        continue;
-                    }
-                }
-                let call = next_call;
-                next_call += 1;
-                let deadline = now + config.deadline_budget;
-                deadlines.insert(call, deadline);
-                let context = InvocationContext {
-                    semantics: elasticrmi::Semantics::AtLeastOnce,
-                    id: call,
-                    deadline,
-                    attempt: 1,
-                    origin: client_ep,
-                    routing_key: None,
-                };
-                skeleton.ingest(
-                    client_ep,
-                    RmiMessage::Request {
-                        call,
-                        context,
-                        method: "work".into(),
-                        args: Vec::new(),
-                    },
-                    &member_mb,
-                );
+        if arrivals.peek().is_some_and(|&at| at <= now) {
+            arrivals.next();
+            if limiter.as_ref().is_some_and(|l| !l.try_acquire(now)) {
+                result.throttled += 1;
                 continue;
             }
+            let attempt = client.begin(Call::WORK, now + config.deadline_budget);
+            client.send_attempt(&mut member, 0, attempt);
+            continue;
         }
         // 2. Burst-interval rollover: pull the load report (queue-delay
         //    percentiles) exactly like the sentinel's PollLoad would.
         if now >= next_poll {
-            skeleton.ingest(client_ep, RmiMessage::PollLoad, &member_mb);
+            result.queue_delay_p99 = poll_p99(&mut client, &mut member).max(result.queue_delay_p99);
             next_poll += poll_every;
             continue;
         }
         // 3. Execute one admitted request (the service advances the clock)
         //    or cull expired ones.
-        if skeleton.step() {
+        if member.skeleton.step() {
             continue;
         }
         // 4. Idle with an empty queue: jump to the next event.
@@ -310,12 +204,11 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadResult {
             None => break,
         }
     }
-    // Flush the final burst interval and any unread replies.
-    skeleton.ingest(client_ep, RmiMessage::PollLoad, &member_mb);
-    drain(&mut result, &mut deadlines, &mut p99_us, clock.now());
-    debug_assert!(deadlines.is_empty(), "every sent request must be answered");
-    result.queue_delay_p99 = SimDuration::from_micros(p99_us);
-    result.admission = skeleton.admission_stats();
+    // Flush the final burst interval.
+    result.queue_delay_p99 = poll_p99(&mut client, &mut member).max(result.queue_delay_p99);
+    debug_assert!(client.is_idle(), "every sent request must be answered");
+    result.admission = member.skeleton.admission_stats();
+    result.violations = rig.check(&client.facts, &rig.sink.snapshot(), 0);
     result
 }
 
@@ -380,6 +273,7 @@ mod tests {
                 r.goodput + r.late + r.expired + r.rejected + r.throttled,
                 "lost or duplicated requests in {r:?}"
             );
+            assert!(r.violations.is_clean(), "{:?}", r.violations);
         }
     }
 

@@ -2,21 +2,22 @@
 //!
 //! Two parts, one run:
 //!
-//! 1. **Enforcement** — three real [`Skeleton`]s behind a consistent-hash
+//! 1. **Enforcement** — three real [`Skeleton`](elasticrmi::Skeleton)s behind a consistent-hash
 //!    ring, driven through a membership change with requests deliberately
-//!    misrouted and a queue caught mid-handoff. The run then scans the raw
-//!    trace and gates the sharding invariants at zero:
+//!    misrouted and a queue caught mid-handoff. The run then hands the raw
+//!    trace to the shared [`crate::invariants`] checker and gates the
+//!    sharding invariants at zero:
 //!
 //!    * no invocation is ever *executed* by a member that was not the
 //!      ring owner of its key at execution time — every
 //!      [`TraceEvent::RequestExecuted`] record is checked against the ring
-//!      that was in force at its timestamp;
+//!      that was in force at that point of the trace;
 //!    * every misroute is refused with `WrongShard` (ingest-time for fresh
 //!      requests, dispatch-time for requests caught in the queue by a
 //!      grow), and the client's retry at the named owner succeeds;
 //!    * shard handoff conserves locks: the ring diff over the held set
 //!      partitions it into *moved* (released via
-//!      [`Store::release_named`], no fencing) and *retained* (still held
+//!      [`Store::release_named`](erm_kvstore::Store::release_named), no fencing) and *retained* (still held
 //!      by a member that still owns the range), with nothing lost and
 //!      nothing leaked at quiesce;
 //!    * terminal conservation as in [`crate::warmpool`]: every injected
@@ -42,21 +43,21 @@
 //!    the collapse the paper's locality argument predicts.
 
 use std::collections::HashMap;
-
-use std::sync::atomic::AtomicU32;
-use std::sync::Arc;
+use std::fmt::Write as _;
+use std::sync::atomic::Ordering;
 
 use elasticrmi::{
-    AdmissionConfig, ElasticService, InvocationContext, KeyExtractor, MemberState, RemoteError,
-    RmiMessage, Semantics, ServiceContext, ShardRing, ShardingTable, Skeleton,
+    AdmissionConfig, KeyExtractor, MemberState, RmiMessage, Semantics, ShardRing, ShardingTable,
 };
-use erm_kvstore::{LockOwner, Store, StoreConfig};
-use erm_metrics::{snapshots_to_csv, MetricsHandle, TraceEvent, TraceHandle, TraceSink};
-use erm_sim::{seeded_rng, Clock, SharedClock, SimDuration, SimTime, VirtualClock};
-use erm_transport::{EndpointId, Host, Mailbox};
+use erm_kvstore::LockOwner;
+use erm_metrics::{snapshots_to_csv, MetricsHandle, TraceEvent};
+use erm_sim::{seeded_rng, Clock, SimDuration, SimTime};
+use erm_transport::EndpointId;
 use erm_workloads::ZipfKeys;
 use rand::Rng;
-use std::fmt::Write as _;
+
+use crate::invariants::Violations;
+use crate::rig::{Attempt, Call, JitteredService, SimClient, SimMember, SimRig};
 
 /// Class name shared by the skeletons, the store locks, and the report.
 const CLASS: &str = "Sharded";
@@ -95,12 +96,11 @@ pub struct ShardEnforcement {
     pub redirects: usize,
     /// `RequestMisrouted` events skeletons emitted (must equal `redirects`).
     pub misrouted_refusals: usize,
-    /// Executions by a non-owner of the key at execution time (must be 0).
-    pub misrouted_executions: usize,
-    /// Invocations that never reached a terminal event (must be 0).
-    pub lost: usize,
-    /// Invocations with more than one terminal event (must be 0).
-    pub duplicate_terminals: usize,
+    /// The shared checker's verdict (must be clean): in particular no
+    /// execution by a non-owner of the key at execution time, no lost or
+    /// doubly-terminated invocation, and no lock still held at quiesce
+    /// after the rightful owners released theirs.
+    pub violations: Violations,
     /// Locks whose key range moved rings at the membership change.
     pub handoff_moved: usize,
     /// Locks held when the handoff ran.
@@ -109,20 +109,14 @@ pub struct ShardEnforcement {
     pub handoff_released: usize,
     /// Retained locks whose holder no longer owned the range (must be 0).
     pub misplaced_retained: usize,
-    /// Locks still held at quiesce after the rightful owners released
-    /// theirs (must be 0).
-    pub leaked_locks: usize,
 }
 
 impl ShardEnforcement {
     /// True when every sharding invariant held.
     pub fn clean(&self) -> bool {
-        self.misrouted_executions == 0
-            && self.lost == 0
-            && self.duplicate_terminals == 0
+        self.violations.is_clean()
             && self.handoff_released == self.handoff_moved
             && self.misplaced_retained == 0
-            && self.leaked_locks == 0
     }
 }
 
@@ -152,165 +146,99 @@ pub struct ShardedRun {
     pub scaling: Vec<ShardScalePoint>,
 }
 
-/// The hosted service: burns a fixed service time and acknowledges. The
-/// enforcement part measures routing, not compute, so the body is flat.
-struct ShardService {
-    clock: Arc<VirtualClock>,
-}
-
-impl ElasticService for ShardService {
-    fn dispatch(
-        &mut self,
-        _method: &str,
-        _args: &[u8],
-        _ctx: &mut ServiceContext,
-    ) -> Result<Vec<u8>, RemoteError> {
-        self.clock.advance(SimDuration::from_micros(300));
-        Ok(Vec::new())
-    }
-}
-
-/// A client attempt awaiting its reply.
-struct Pending {
-    invocation: u64,
-    key: u64,
-    attempt: u32,
-    deadline: SimTime,
-}
-
-/// The enforcement rig: real skeletons on an in-process network.
-struct Rig {
-    skeletons: Vec<Skeleton>,
-    mailboxes: Vec<Mailbox>,
-    endpoints: Vec<EndpointId>,
-    client_ep: EndpointId,
-    client_mb: Mailbox,
-    runtime_ep: EndpointId,
-    clock: Arc<VirtualClock>,
-    trace: TraceHandle,
-    /// Rings in force over time: `(installed_at, ring)`, append-only.
-    timeline: Vec<(SimTime, ShardRing)>,
-    pending: HashMap<u64, Pending>,
-    keys_by_invocation: HashMap<u64, u64>,
-    next_call: u64,
+/// The enforcement rig: real skeletons behind one ring, one client.
+struct Enforcement {
+    rig: SimRig,
+    members: Vec<SimMember>,
+    client: SimClient,
+    /// The ring in force right now (installed by the last broadcast).
+    ring: ShardRing,
     redirects: usize,
-    terminals: HashMap<u64, usize>,
 }
 
-impl Rig {
-    /// The ring in force right now (the last one installed).
-    fn ring(&self) -> &ShardRing {
-        &self.timeline.last().expect("broadcast before traffic").1
-    }
-
-    /// Installs a membership view on every live skeleton and the timeline.
-    fn broadcast(&mut self, epoch: u64, live: &[usize]) {
-        let members: Vec<MemberState> = live
+impl Enforcement {
+    /// Installs the membership view `0..live` on every live skeleton.
+    /// Members new to the view are announced in the trace, which is where
+    /// the checker learns the ring in force at each execution.
+    fn broadcast(&mut self, epoch: u64, live: usize) {
+        let states: Vec<MemberState> = self.members[..live]
             .iter()
-            .map(|&i| MemberState {
-                endpoint: self.endpoints[i],
-                uid: i as u64,
+            .map(|m| MemberState {
+                endpoint: m.ep,
+                uid: m.uid,
                 pending: 0,
             })
             .collect();
-        let seats: Vec<(u64, EndpointId)> = members.iter().map(|m| (m.uid, m.endpoint)).collect();
-        for &i in live {
-            self.skeletons[i].ingest(
-                self.runtime_ep,
+        let runtime_ep = self.rig.runtime_ep();
+        for m in &mut self.members[..live] {
+            m.skeleton.ingest(
+                runtime_ep,
                 RmiMessage::StateBroadcast {
                     epoch,
                     sentinel_uid: 0,
-                    members: members.clone(),
+                    members: states.clone(),
                 },
-                &self.mailboxes[i],
+                &m.mb,
             );
         }
-        self.timeline
-            .push((self.clock.now(), ShardRing::from_members(&seats)));
+        for uid in self.ring.len() as u64..live as u64 {
+            self.rig
+                .trace
+                .emit(self.rig.clock.now(), TraceEvent::MemberJoined { uid });
+        }
+        let seats: Vec<(u64, EndpointId)> = states.iter().map(|m| (m.uid, m.endpoint)).collect();
+        self.ring = ShardRing::from_members(&seats);
     }
 
-    /// Sends one attempt of a keyed invocation to member `target`.
-    fn send(&mut self, target: usize, invocation: u64, key: u64, attempt: u32, deadline: SimTime) {
-        let call = self.next_call;
-        self.next_call += 1;
-        self.trace.emit(
-            self.clock.now(),
-            TraceEvent::AttemptStarted {
-                invocation,
-                attempt,
-                target: target as u64,
-                deadline,
-            },
-        );
-        self.pending.insert(
-            call,
-            Pending {
-                invocation,
-                key,
-                attempt,
-                deadline,
-            },
-        );
-        self.keys_by_invocation.insert(invocation, key);
-        let args = erm_transport::to_bytes(&key).expect("u64 args encode");
-        self.skeletons[target].ingest(
-            self.client_ep,
-            RmiMessage::Request {
-                call,
-                context: InvocationContext {
-                    semantics: Semantics::AtLeastOnce,
-                    id: invocation,
-                    deadline,
-                    attempt,
-                    origin: self.client_ep,
-                    // The stub's extractor output for FirstU64 args is the
-                    // raw key; the rig stamps what `Stub::invoke` would.
-                    routing_key: Some(key),
-                },
-                method: METHOD.into(),
-                args,
-            },
-            &self.mailboxes[target],
-        );
+    /// The member the ring in force assigns `key` to.
+    fn owner(&self, key: u64) -> usize {
+        self.ring.owner_uid(key).expect("non-empty ring") as usize
     }
 
-    /// Steps every live skeleton and drains the client mailbox until the
-    /// run is quiescent. `WrongShard` refusals are retried at the named
+    /// Sends one attempt to member `target`.
+    fn send(&mut self, target: usize, attempt: Attempt) {
+        self.client
+            .send_attempt(&mut self.members[target], target as u64, attempt);
+    }
+
+    /// Sends the first attempt of a fresh invocation of `key` to `target`.
+    /// The stub's extractor output for FirstU64 args is the raw key; the
+    /// client stamps what `Stub::invoke` would.
+    fn inject(&mut self, target: usize, key: u64) {
+        let call = Call {
+            method: METHOD,
+            semantics: Semantics::AtLeastOnce,
+            key: Some(key),
+        };
+        let deadline = self.rig.clock.now() + SimDuration::from_secs(60);
+        let attempt = self.client.begin(call, deadline);
+        self.send(target, attempt);
+    }
+
+    /// Steps the first `live` skeletons and drains the client mailbox until
+    /// the run is quiescent. `WrongShard` refusals are retried at the named
     /// owner, exactly as the stub's redirect path does.
-    fn pump(&mut self, live: &[usize]) {
+    fn pump(&mut self, live: usize) {
         loop {
             let mut progress = false;
-            for &i in live {
-                while self.skeletons[i].step() {
+            for m in &mut self.members[..live] {
+                while m.skeleton.step() {
                     progress = true;
                 }
             }
-            while let Ok(d) = self.client_mb.try_recv() {
+            while let Some((p, reply)) = self.client.recv() {
                 progress = true;
-                match RmiMessage::decode(&d.payload) {
-                    Ok(RmiMessage::Response { call, .. }) => {
-                        if let Some(p) = self.pending.remove(&call) {
-                            self.trace.emit(
-                                self.clock.now(),
-                                TraceEvent::InvocationCompleted {
-                                    invocation: p.invocation,
-                                    attempts: p.attempt,
-                                    ok: true,
-                                },
-                            );
-                            *self.terminals.entry(p.invocation).or_default() += 1;
-                        }
-                    }
-                    Ok(RmiMessage::WrongShard { call, owner, .. }) => {
-                        if let Some(p) = self.pending.remove(&call) {
-                            self.redirects += 1;
-                            let target = self
-                                .endpoints
-                                .iter()
-                                .position(|&ep| ep == owner)
-                                .expect("owner endpoint is a pool member");
-                            self.send(target, p.invocation, p.key, p.attempt + 1, p.deadline);
-                        }
+                match reply {
+                    RmiMessage::Response { outcome, .. } => self.client.complete(&p.a, &outcome),
+                    RmiMessage::WrongShard { owner, .. } => {
+                        self.redirects += 1;
+                        let target = self
+                            .members
+                            .iter()
+                            .position(|m| m.ep == owner)
+                            .expect("owner endpoint is a pool member");
+                        let attempt = p.a.attempt + 1;
+                        self.send(target, Attempt { attempt, ..p.a });
                     }
                     _ => {}
                 }
@@ -322,122 +250,83 @@ impl Rig {
     }
 }
 
-/// Runs the enforcement part and scans the trace for violations.
+/// The key a `key/<k>` lock name guards.
+fn lock_key(name: &str) -> u64 {
+    name.strip_prefix("key/")
+        .and_then(|s| s.parse().ok())
+        .expect("lock names carry their key")
+}
+
+/// Runs the enforcement part and hands the trace to the shared checker.
 fn run_enforcement(seed: u64, quick: bool) -> ShardEnforcement {
     let (fresh, queued, locks) = if quick { (80, 40, 64) } else { (400, 160, 200) };
-    let net = erm_transport::InProcNetwork::new();
-    let clock = Arc::new(VirtualClock::new());
-    let sink = Arc::new(TraceSink::new(1 << 16));
-    let trace = TraceHandle::new(Arc::clone(&sink));
-    let (metrics, _registry) = MetricsHandle::shared();
-    let store = Arc::new(Store::new(StoreConfig::default()));
-    let rotation_size = Arc::new(AtomicU32::new(2));
+    // Membership is scripted, not provisioned: the cluster is never asked.
+    let mut rig = SimRig::new(CLASS, 1, 1, SimDuration::ZERO);
+    rig.pool_size.store(2, Ordering::SeqCst);
+    let client = SimClient::new(&rig, 1);
     let table = ShardingTable::new().method(METHOD, KeyExtractor::FirstU64);
-
-    let (client_ep, client_mb) = net.open();
-    let (runtime_ep, _runtime_mb) = net.open();
-    let mut skeletons = Vec::new();
-    let mut mailboxes = Vec::new();
-    let mut endpoints = Vec::new();
-    for uid in 0..3u64 {
-        let (ep, mb) = net.open();
-        let ctx = ServiceContext::new(
-            Arc::clone(&store),
-            CLASS,
-            uid,
-            Arc::<VirtualClock>::clone(&clock) as SharedClock,
-            Arc::clone(&rotation_size),
-        );
-        let mut skeleton = Skeleton::new(
-            uid,
-            ep,
-            runtime_ep,
-            Arc::new(net.clone()),
-            Arc::<VirtualClock>::clone(&clock) as SharedClock,
-            Box::new(ShardService {
-                clock: Arc::clone(&clock),
-            }),
-            ctx,
-            trace.clone(),
-            Some(AdmissionConfig::edf(256)),
-        );
-        skeleton.set_sharding(table.clone());
-        skeleton.set_metrics(&metrics);
-        skeletons.push(skeleton);
-        mailboxes.push(mb);
-        endpoints.push(ep);
-    }
-
-    let mut rig = Rig {
-        skeletons,
-        mailboxes,
-        endpoints,
-        client_ep,
-        client_mb,
-        runtime_ep,
-        clock: Arc::clone(&clock),
-        trace: trace.clone(),
-        timeline: Vec::new(),
-        pending: HashMap::new(),
-        keys_by_invocation: HashMap::new(),
-        next_call: 0,
+    let members = (0..3u64)
+        .map(|uid| {
+            // The run measures routing, not compute: a short service time.
+            let service =
+                JitteredService::new(&rig.clock, seed ^ uid, SimDuration::from_micros(300));
+            let mut member = rig.spawn_member(uid, service, Some(AdmissionConfig::edf(256)), None);
+            member.skeleton.set_sharding(table.clone());
+            member
+        })
+        .collect();
+    let mut run = Enforcement {
+        rig,
+        members,
+        client,
+        ring: ShardRing::default(),
         redirects: 0,
-        terminals: HashMap::new(),
     };
 
     // Epoch 1: two members. Every fifth request is deliberately sent to
     // the *other* member — the ingest-time refusal path under test.
-    rig.broadcast(1, &[0, 1]);
+    run.broadcast(1, 2);
     let mut zipf = ZipfKeys::new(KEYS, ZIPF_S, seed);
-    let mut next_invocation: u64 = 0;
     for i in 0..fresh {
         let key = zipf.next_key();
-        let deadline = clock.now() + SimDuration::from_secs(60);
-        let owner = rig.ring().owner_uid(key).expect("two-member ring") as usize;
+        let owner = run.owner(key);
         let target = if i % 5 == 0 { 1 - owner } else { owner };
-        let invocation = next_invocation;
-        next_invocation += 1;
-        rig.send(target, invocation, key, 1, deadline);
-        rig.pump(&[0, 1]);
+        run.inject(target, key);
+        run.pump(2);
     }
 
     // Phase B setup: the epoch-1 owners take locks over a dense key range
     // (the `kv.lock.*` hot set), and a batch of correctly-routed requests
     // is parked in the members' queues *without stepping*.
-    let ring1 = rig.ring().clone();
+    let store = std::sync::Arc::clone(&run.rig.store);
+    let ring1 = run.ring.clone();
     let lock_ttl = SimDuration::from_secs(120);
     for k in 0..locks as u64 {
         let uid = ring1.owner_uid(k).expect("two-member ring");
         let name = format!("key/{k}");
         assert!(
-            store.try_lock(&name, LockOwner::new(uid), clock.now(), lock_ttl),
+            store.try_lock(&name, LockOwner::new(uid), run.rig.clock.now(), lock_ttl),
             "fresh lock must be free"
         );
     }
     for _ in 0..queued {
         let key = zipf.next_key();
-        let deadline = clock.now() + SimDuration::from_secs(60);
-        let owner = rig.ring().owner_uid(key).expect("two-member ring") as usize;
-        let invocation = next_invocation;
-        next_invocation += 1;
-        rig.send(owner, invocation, key, 1, deadline);
+        run.inject(run.owner(key), key);
     }
 
     // Epoch 2: member 2 joins. Queued requests whose keys moved now hit
     // the dispatch-time recheck; the handoff below releases exactly the
     // moved lock ranges, mirroring `ElasticPool`'s `shard_handoff`.
-    clock.advance(SimDuration::from_millis(5));
-    rig.broadcast(2, &[0, 1, 2]);
-    let ring2 = rig.ring().clone();
+    run.rig.clock.advance(SimDuration::from_millis(5));
+    run.broadcast(2, 3);
+    let now = run.rig.clock.now();
+    let ring2 = run.ring.clone();
     let held = store.held_locks();
     let handoff_total = held.len();
     let mut by_owner: HashMap<u64, Vec<String>> = HashMap::new();
     let mut handoff_moved = 0usize;
     for (name, owner) in &held {
-        let k: u64 = name
-            .strip_prefix("key/")
-            .and_then(|s| s.parse().ok())
-            .expect("lock names carry their key");
+        let k = lock_key(name);
         if ring1.owner_uid(k) != ring2.owner_uid(k) {
             handoff_moved += 1;
             by_owner.entry(owner.id()).or_default().push(name.clone());
@@ -445,12 +334,10 @@ fn run_enforcement(seed: u64, quick: bool) -> ShardEnforcement {
     }
     let mut handoff_released = 0usize;
     for (uid, names) in &by_owner {
-        handoff_released += store
-            .release_named(&LockOwner::new(*uid), names, clock.now())
-            .len();
+        handoff_released += store.release_named(&LockOwner::new(*uid), names, now).len();
     }
-    trace.emit(
-        clock.now(),
+    run.rig.trace.emit(
+        now,
         TraceEvent::ShardHandoff {
             epoch: 2,
             moved: handoff_moved as u64,
@@ -462,91 +349,46 @@ fn run_enforcement(seed: u64, quick: bool) -> ShardEnforcement {
     let misplaced_retained = store
         .held_locks()
         .iter()
-        .filter(|(name, owner)| {
-            let k: u64 = name
-                .strip_prefix("key/")
-                .and_then(|s| s.parse().ok())
-                .expect("lock names carry their key");
-            ring2.owner_uid(k) != Some(owner.id())
-        })
+        .filter(|(name, owner)| ring2.owner_uid(lock_key(name)) != Some(owner.id()))
         .count();
 
-    rig.pump(&[0, 1, 2]);
+    run.pump(3);
 
     // A fresh tail of traffic under the three-member ring, misroutes
     // included, so the new member executes and refuses like the others.
     for i in 0..fresh / 2 {
         let key = zipf.next_key();
-        let deadline = clock.now() + SimDuration::from_secs(60);
-        let owner = rig.ring().owner_uid(key).expect("three-member ring") as usize;
+        let owner = run.owner(key);
         let target = if i % 5 == 0 { (owner + 1) % 3 } else { owner };
-        let invocation = next_invocation;
-        next_invocation += 1;
-        rig.send(target, invocation, key, 1, deadline);
-        rig.pump(&[0, 1, 2]);
+        run.inject(target, key);
+        run.pump(3);
     }
-    rig.pump(&[0, 1, 2]);
+    run.pump(3);
 
     // Quiesce: rightful owners release their retained locks; anything the
     // store still counts afterwards leaked through the handoff.
     for (name, owner) in store.held_locks() {
-        let _ = store.release_named(&owner, &[name], clock.now());
+        let _ = store.release_named(&owner, &[name], run.rig.clock.now());
     }
-    let leaked_locks = store.held_locks().len();
 
-    // Trace scan. The ownership check is the tentpole gate: each
-    // `RequestExecuted` record is judged against the ring in force at its
-    // timestamp, not the final one.
-    let records = sink.snapshot();
-    assert_eq!(sink.dropped(), 0, "sink sized for a lossless run");
-    let mut executed = 0usize;
-    let mut misrouted_executions = 0usize;
-    let mut misrouted_refusals = 0usize;
-    let mut started: Vec<u64> = Vec::new();
-    for r in &records {
-        match r.event {
-            TraceEvent::RequestExecuted {
-                uid, invocation, ..
-            } => {
-                executed += 1;
-                let key = rig.keys_by_invocation[&invocation];
-                let ring_then = rig
-                    .timeline
-                    .iter()
-                    .rev()
-                    .find(|(at, _)| *at <= r.at)
-                    .map(|(_, ring)| ring)
-                    .expect("a ring precedes every execution");
-                if !ring_then.owns(uid, key) {
-                    misrouted_executions += 1;
-                }
-            }
-            TraceEvent::RequestMisrouted { .. } => misrouted_refusals += 1,
-            TraceEvent::AttemptStarted { invocation, .. } => started.push(invocation),
-            _ => {}
-        }
-    }
-    started.sort_unstable();
-    started.dedup();
-    let lost = started
-        .iter()
-        .filter(|i| !rig.terminals.contains_key(i))
-        .count();
-    let duplicate_terminals = rig.terminals.values().filter(|&&c| c > 1).count();
+    // The ownership check is the tentpole gate: the shared checker judges
+    // each `RequestExecuted` record against the ring in force at that point
+    // of the trace, not the final one.
+    let records = run.rig.sink.snapshot();
+    let violations = run.rig.check(&run.client.facts, &records, 0);
+    let count =
+        |select: fn(&TraceEvent) -> bool| records.iter().filter(|r| select(&r.event)).count();
 
     ShardEnforcement {
-        invocations: next_invocation as usize,
-        executed,
-        redirects: rig.redirects,
-        misrouted_refusals,
-        misrouted_executions,
-        lost,
-        duplicate_terminals,
+        invocations: run.client.invocations(),
+        executed: count(|e| matches!(e, TraceEvent::RequestExecuted { .. })),
+        redirects: run.redirects,
+        misrouted_refusals: count(|e| matches!(e, TraceEvent::RequestMisrouted { .. })),
+        violations,
         handoff_moved,
         handoff_total,
         handoff_released,
         misplaced_retained,
-        leaked_locks,
     }
 }
 
@@ -632,45 +474,34 @@ pub fn run_sharded(seed: u64, quick: bool) -> ShardedRun {
         .collect();
 
     let (metrics, registry) = MetricsHandle::shared();
-    let e = &enforcement;
-    metrics
-        .gauge("shard.enforce.invocations")
-        .set(e.invocations as i64);
-    metrics
-        .gauge("shard.enforce.redirects")
-        .set(e.redirects as i64);
-    metrics
-        .gauge("shard.enforce.misrouted.refusals")
-        .set(e.misrouted_refusals as i64);
-    metrics
-        .gauge("shard.enforce.misrouted.executions")
-        .set(e.misrouted_executions as i64);
-    metrics.gauge("shard.enforce.lost").set(e.lost as i64);
-    metrics
-        .gauge("shard.enforce.terminal.duplicates")
-        .set(e.duplicate_terminals as i64);
-    metrics
-        .gauge("shard.enforce.locks.leaked")
-        .set(e.leaked_locks as i64);
-    metrics
-        .gauge("shard.handoff.moved")
-        .set(e.handoff_moved as i64);
-    metrics
-        .gauge("shard.handoff.total")
-        .set(e.handoff_total as i64);
-    metrics
-        .gauge("shard.handoff.released")
-        .set(e.handoff_released as i64);
-    metrics
-        .gauge("shard.handoff.misplaced")
-        .set(e.misplaced_retained as i64);
+    let gauge = |name, value: i64| metrics.gauge(name).set(value);
+    let (e, found) = (&enforcement, &enforcement.violations);
+    gauge("shard.enforce.invocations", e.invocations as i64);
+    gauge("shard.enforce.redirects", e.redirects as i64);
+    gauge(
+        "shard.enforce.misrouted.refusals",
+        e.misrouted_refusals as i64,
+    );
+    gauge(
+        "shard.enforce.misrouted.executions",
+        found.misrouted_executions.len() as i64,
+    );
+    gauge("shard.enforce.lost", found.lost.len() as i64);
+    gauge(
+        "shard.enforce.terminal.duplicates",
+        found.duplicate_terminals.len() as i64,
+    );
+    gauge(
+        "shard.enforce.locks.leaked",
+        found.leaks.leaked_locks as i64,
+    );
+    gauge("shard.handoff.moved", e.handoff_moved as i64);
+    gauge("shard.handoff.total", e.handoff_total as i64);
+    gauge("shard.handoff.released", e.handoff_released as i64);
+    gauge("shard.handoff.misplaced", e.misplaced_retained as i64);
     for (i, p) in scaling.iter().enumerate() {
-        metrics
-            .gauge(SHARDED_OPS_GAUGES[i])
-            .set(p.ops_sharded as i64);
-        metrics
-            .gauge(UNSHARDED_OPS_GAUGES[i])
-            .set(p.ops_unsharded as i64);
+        gauge(SHARDED_OPS_GAUGES[i], p.ops_sharded as i64);
+        gauge(UNSHARDED_OPS_GAUGES[i], p.ops_unsharded as i64);
     }
     let first = &scaling[0];
     let last = &scaling[scaling.len() - 1];
@@ -681,18 +512,22 @@ pub fn run_sharded(seed: u64, quick: bool) -> ShardedRun {
             -1
         }
     };
-    metrics
-        .gauge("shard.zipf.sharded.scaling_x100")
-        .set(ratio_x100(last.ops_sharded, first.ops_sharded));
-    metrics
-        .gauge("shard.zipf.unsharded.scaling_x100")
-        .set(ratio_x100(last.ops_unsharded, first.ops_unsharded));
-    metrics
-        .gauge("shard.zipf.advantage_x100")
-        .set(ratio_x100(last.ops_sharded, last.ops_unsharded));
-    metrics
-        .gauge("shard.zipf.unsharded.m8.lock_wait_us")
-        .set(last.lock_wait_us as i64);
+    gauge(
+        "shard.zipf.sharded.scaling_x100",
+        ratio_x100(last.ops_sharded, first.ops_sharded),
+    );
+    gauge(
+        "shard.zipf.unsharded.scaling_x100",
+        ratio_x100(last.ops_unsharded, first.ops_unsharded),
+    );
+    gauge(
+        "shard.zipf.advantage_x100",
+        ratio_x100(last.ops_sharded, last.ops_unsharded),
+    );
+    gauge(
+        "shard.zipf.unsharded.m8.lock_wait_us",
+        last.lock_wait_us as i64,
+    );
     let metrics_csv = snapshots_to_csv(&[registry.snapshot(SimTime::ZERO)]);
 
     let mut out = String::new();
@@ -711,13 +546,19 @@ pub fn run_sharded(seed: u64, quick: bool) -> ShardedRun {
         out,
         "    misrouted executions {} (must be 0), lost {} (must be 0), \
          duplicate terminals {} (must be 0)",
-        e.misrouted_executions, e.lost, e.duplicate_terminals,
+        found.misrouted_executions.len(),
+        found.lost.len(),
+        found.duplicate_terminals.len(),
     );
     let _ = writeln!(
         out,
         "    handoff: {} of {} locks moved rings, {} released, \
          {} misplaced (must be 0), {} leaked (must be 0)",
-        e.handoff_moved, e.handoff_total, e.handoff_released, e.misplaced_retained, e.leaked_locks,
+        e.handoff_moved,
+        e.handoff_total,
+        e.handoff_released,
+        e.misplaced_retained,
+        found.leaks.leaked_locks,
     );
     let _ = writeln!(
         out,
@@ -763,14 +604,12 @@ mod tests {
             let b = run_sharded(seed, true);
             assert_eq!(a.report, b.report, "seed {seed}: nondeterministic run");
             let e = &a.enforcement;
-            assert_eq!(
-                e.misrouted_executions, 0,
-                "seed {seed}: a non-owner executed a keyed request:\n{}",
+            assert!(
+                e.violations.is_clean(),
+                "seed {seed}: {:?}\n{}",
+                e.violations,
                 a.report
             );
-            assert_eq!(e.lost, 0, "seed {seed}: lost invocations");
-            assert_eq!(e.duplicate_terminals, 0, "seed {seed}: double terminals");
-            assert_eq!(e.leaked_locks, 0, "seed {seed}: leaked locks");
             assert_eq!(
                 e.misplaced_retained, 0,
                 "seed {seed}: misplaced retained lock"

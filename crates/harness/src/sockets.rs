@@ -2,17 +2,14 @@
 //! in-process channels): the paper's "performs as well as plain RMI" claim
 //! needs socket-path evidence, not just `InProcNetwork` runs.
 //!
-//! Two entry points:
-//!
-//! * [`run_socket_overload`] — the PR 2 overload scenario (base load, 2x
-//!   burst, recovery) driven end-to-end through stub → wire → skeleton →
-//!   pool → registry over TCP loopback, with the same invariants: zero
-//!   lost invocations and conservation of terminal events. This is
-//!   `figures --tcp`.
-//! * [`run_throughput`] — a closed-loop throughput baseline, inproc vs TCP
-//!   at 1/4/8 members, feeding `BENCH_throughput.json`. The 1-member point
-//!   is a standalone skeleton — the plain-RMI shape the paper compares
-//!   against; 4 and 8 run through the full elastic pool pinned at size.
+//! [`run_socket_overload`] is the PR 2 overload scenario (base load, 2x
+//! burst, recovery) driven end-to-end through stub → wire → skeleton →
+//! pool → registry over TCP loopback, with the same invariants: zero lost
+//! invocations and conservation of terminal events. This is
+//! `figures --tcp`. The `Fabric` / `ServerSide` pair it is built from
+//! also serves the open-loop sweep in [`crate::openloop`]: one member is a
+//! standalone skeleton — the plain-RMI shape the paper compares against;
+//! more run through the full elastic pool pinned at size.
 //!
 //! Time domains: all protocol semantics (timeouts, budgets, burst
 //! intervals) run on the injected clock — here the [`SystemClock`], since
@@ -474,126 +471,6 @@ pub fn run_socket_overload(seed: u64, quick: bool) -> SocketOverloadRun {
     }
 }
 
-/// One transport x member-count point of the throughput baseline.
-#[derive(Debug, Clone)]
-pub struct ThroughputPoint {
-    /// Substrate the bytes travelled over.
-    pub transport: TransportKind,
-    /// Pool size (pinned; 1 = standalone skeleton, the plain-RMI shape).
-    pub members: u32,
-    /// Closed-loop client threads.
-    pub clients: u32,
-    /// Measured run length in seconds (on the injected clock).
-    pub seconds: f64,
-    /// Invocations that completed ok.
-    pub completed: u64,
-    /// Invocations that terminated any other way.
-    pub errors: u64,
-    /// `completed / seconds`.
-    pub throughput_rps: f64,
-    /// Median ok-latency, microseconds.
-    pub p50_us: u64,
-    /// 99th percentile ok-latency, microseconds.
-    pub p99_us: u64,
-}
-
-/// Runs one closed-loop no-op-service throughput measurement: `clients`
-/// stubs invoking `echo` as fast as round trips allow for roughly
-/// `duration`, against a pool pinned at `members` (or a standalone
-/// skeleton when `members == 1`).
-pub fn run_throughput(
-    kind: TransportKind,
-    members: u32,
-    clients: u32,
-    duration: SimDuration,
-    seed: u64,
-) -> ThroughputPoint {
-    let fabric = Fabric::new(kind);
-    let clock: SharedClock = Arc::new(SystemClock::new());
-    let server = ServerSide::spawn(&fabric, kind, members, &clock, std::time::Duration::ZERO);
-    let sentinel = server.sentinel();
-
-    let t0 = clock.now();
-    let end = t0 + duration;
-    let mut handles = Vec::new();
-    for i in 0..clients {
-        let net = fabric.client_net();
-        let (ep, mailbox) = fabric.client_host().open();
-        let clock = Arc::clone(&clock);
-        handles.push(std::thread::spawn(move || {
-            let mut completed = 0u64;
-            let mut errors = 0u64;
-            let mut latencies_us: Vec<u64> = Vec::new();
-            let Ok(mut stub) = Stub::connect(
-                net,
-                ep,
-                mailbox,
-                sentinel,
-                ClientLb::Random {
-                    seed: seed ^ u64::from(i),
-                },
-                Arc::clone(&clock),
-            ) else {
-                return (completed, errors, latencies_us);
-            };
-            stub.set_reply_timeout(SimDuration::from_millis(500));
-            stub.set_invocation_budget(SimDuration::from_secs(2));
-            let mut n = 0u64;
-            while clock.now() < end {
-                let before = clock.now();
-                match stub.invoke::<u64, u64>("echo", &n) {
-                    Ok(_) => {
-                        completed += 1;
-                        latencies_us.push(clock.now().saturating_since(before).as_micros());
-                    }
-                    Err(_) => errors += 1,
-                }
-                n += 1;
-            }
-            (completed, errors, latencies_us)
-        }));
-    }
-
-    let mut completed = 0u64;
-    let mut errors = 0u64;
-    let mut latencies: Vec<u64> = Vec::new();
-    for h in handles {
-        let (c, e, l) = h.join().expect("bench client thread");
-        completed += c;
-        errors += e;
-        latencies.extend(l);
-    }
-    let elapsed = clock.now().saturating_since(t0);
-    let seconds = elapsed.as_micros() as f64 / 1_000_000.0;
-    latencies.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if latencies.is_empty() {
-            0
-        } else {
-            latencies[((latencies.len() - 1) as f64 * p) as usize]
-        }
-    };
-    let point = ThroughputPoint {
-        transport: kind,
-        members,
-        clients,
-        seconds,
-        completed,
-        errors,
-        throughput_rps: if seconds > 0.0 {
-            completed as f64 / seconds
-        } else {
-            0.0
-        },
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
-    };
-
-    server.shutdown();
-    fabric.shutdown();
-    point
-}
-
 /// The serving side of a benchmark cell: a pinned pool, or a lone skeleton
 /// for `members == 1` (ElasticPool's paper-faithful minimum is 2 — a
 /// singleton *pool* does not exist; a singleton remote object is exactly
@@ -709,119 +586,9 @@ impl ServerSide {
     }
 }
 
-/// Standard member counts of the baseline grid.
-pub const BENCH_MEMBER_COUNTS: [u32; 3] = [1, 4, 8];
-
-/// Runs the full inproc-vs-TCP baseline grid (1/4/8 members), returning
-/// one point per cell. `quick` shortens each cell for CI.
-pub fn run_throughput_grid(seed: u64, quick: bool) -> Vec<ThroughputPoint> {
-    let duration = if quick {
-        SimDuration::from_millis(400)
-    } else {
-        SimDuration::from_secs(2)
-    };
-    let mut points = Vec::new();
-    for kind in [TransportKind::Inproc, TransportKind::Tcp] {
-        for members in BENCH_MEMBER_COUNTS {
-            points.push(run_throughput(kind, members, 4, duration, seed));
-        }
-    }
-    points
-}
-
-/// Renders the grid as the table EXPERIMENTS.md embeds.
-pub fn format_throughput(points: &[ThroughputPoint]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "  {:<9} {:>8} {:>9} {:>12} {:>10} {:>10}",
-        "transport", "members", "clients", "throughput", "p50", "p99"
-    );
-    for p in points {
-        let _ = writeln!(
-            out,
-            "  {:<9} {:>8} {:>9} {:>9.0}/s {:>7} us {:>7} us",
-            p.transport.to_string(),
-            p.members,
-            p.clients,
-            p.throughput_rps,
-            p.p50_us,
-            p.p99_us
-        );
-    }
-    out
-}
-
-/// Serializes the grid as `BENCH_throughput.json` (hand-rolled: the repo
-/// has no JSON serializer dependency).
-pub fn throughput_json(points: &[ThroughputPoint], seed: u64, quick: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"bench\": \"throughput\",");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"quick\": {quick},");
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"transport\": \"{}\", \"members\": {}, \"clients\": {}, \
-             \"seconds\": {:.3}, \"completed\": {}, \"errors\": {}, \
-             \"throughput_rps\": {:.1}, \"p50_us\": {}, \"p99_us\": {}}}",
-            p.transport,
-            p.members,
-            p.clients,
-            p.seconds,
-            p.completed,
-            p.errors,
-            p.throughput_rps,
-            p.p50_us,
-            p.p99_us
-        );
-        out.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn inproc_throughput_point_is_sane() {
-        let p = run_throughput(
-            TransportKind::Inproc,
-            1,
-            2,
-            SimDuration::from_millis(150),
-            7,
-        );
-        assert!(p.completed > 0, "closed loop must complete invocations");
-        assert!(p.throughput_rps > 0.0);
-        assert!(p.seconds > 0.0);
-    }
-
-    #[test]
-    fn tcp_throughput_point_is_sane() {
-        let p = run_throughput(TransportKind::Tcp, 2, 2, SimDuration::from_millis(150), 7);
-        assert!(p.completed > 0, "TCP loopback must complete invocations");
-        assert_eq!(p.members, 2);
-    }
-
-    #[test]
-    fn throughput_json_is_parseable_shape() {
-        let points = vec![run_throughput(
-            TransportKind::Inproc,
-            1,
-            1,
-            SimDuration::from_millis(50),
-            7,
-        )];
-        let json = throughput_json(&points, 7, true);
-        assert!(json.contains("\"bench\": \"throughput\""));
-        assert!(json.contains("\"transport\": \"inproc\""));
-        assert!(json.ends_with("}\n"));
-    }
 
     #[test]
     fn socket_overload_conserves_every_invocation() {

@@ -5,7 +5,7 @@
 //! pool that is allowed to scale — with every telemetry layer switched on
 //! at once:
 //!
-//! * a [`TraceSink`] shared by the skeleton, the scaling driver, and the
+//! * a [`TraceSink`](erm_metrics::TraceSink) shared by the skeleton, the scaling driver, and the
 //!   cluster manager, so the event stream contains complete invocation
 //!   *and* control-plane histories;
 //! * a metrics [`Registry`](erm_metrics::Registry) with the skeleton's
@@ -20,30 +20,29 @@
 //!   into the `scaling.decision.lag` histogram).
 //!
 //! The run is a single-threaded discrete-event simulation on a
-//! [`VirtualClock`] and is deterministic for a given seed. One real
-//! [`Skeleton`] hosts the service; added pool members are emulated by
+//! [`VirtualClock`](erm_sim::VirtualClock) and is deterministic for a given seed. One real
+//! [`Skeleton`](elasticrmi::Skeleton) hosts the service; added pool members are emulated by
 //! dividing the service time by the live pool size (the load-sharing
 //! effect of a bigger pool), so the scaling loop sees honest load signals
 //! without spinning up threads.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 
 use elasticrmi::{
-    AdmissionConfig, ElasticService, InvocationContext, PoolConfig, PoolSample, RemoteError,
-    RmiMessage, ScalingDecision, ScalingEngine, ScalingPolicy, ServiceContext, Skeleton,
+    AdmissionConfig, PoolConfig, RmiMessage, ScalingDecision, ScalingEngine, ScalingPolicy,
 };
-use erm_cluster::{ClusterConfig, LatencyModel, ResourceManager, SliceGrant};
-use erm_kvstore::{LockOwner, Store, StoreConfig};
+use erm_kvstore::LockOwner;
 use erm_metrics::{
-    chrome_trace, snapshots_to_csv, DecisionSpan, InvocationOutcome, InvocationSpan, MetricsHandle,
-    RegistrySnapshot, SpanBuilder, TraceEvent, TraceHandle, TraceSink,
+    chrome_trace, snapshots_to_csv, DecisionSpan, InvocationOutcome, InvocationSpan,
+    RegistrySnapshot, SpanBuilder,
 };
-use erm_sim::{seeded_rng, Clock, SharedClock, SimDuration, SimTime, VirtualClock};
-use erm_transport::{EndpointId, Host, InProcNetwork, Mailbox};
-use rand::Rng;
+use erm_sim::{Clock, SimDuration};
+
+use crate::invariants::Violations;
+use crate::rig::{
+    arrival_schedule, ms, Call, ClassLock, JitteredService, ModelledPool, SimClient, SimRig,
+};
 
 /// Class name shared by the skeleton, the store lock, and the pool config.
 const CLASS: &str = "Overload";
@@ -66,105 +65,8 @@ pub struct ElasticOverloadRun {
     pub decisions: usize,
     /// Trace records evicted from the ring (zero means a complete trace).
     pub dropped: u64,
-}
-
-/// The hosted service: occupies the member for the request's service time
-/// divided by the live pool size, and serializes each request briefly on
-/// the class lock (the way a `synchronized` elastic method would) so the
-/// `kv.lock.wait` / `kv.lock.hold` instruments see real traffic.
-struct ElasticTimedService {
-    clock: Arc<VirtualClock>,
-    rng: rand::rngs::StdRng,
-    mean: SimDuration,
-    pool_size: Arc<AtomicU32>,
-    store: Arc<Store>,
-}
-
-impl ElasticService for ElasticTimedService {
-    fn dispatch(
-        &mut self,
-        _method: &str,
-        _args: &[u8],
-        _ctx: &mut ServiceContext,
-    ) -> Result<Vec<u8>, RemoteError> {
-        let members = self.pool_size.load(Ordering::SeqCst).max(1);
-        let factor: f64 = self.rng.gen_range(0.8..=1.2);
-        let busy = SimDuration::from_micros(
-            (self.mean.as_micros() as f64 * factor / f64::from(members)) as u64,
-        );
-        // Spin on the class lock advancing virtual time, not wall time:
-        // `ServiceContext::synchronized` backs off with a real sleep, which
-        // under a VirtualClock would never let a contender's TTL lapse.
-        let owner = LockOwner::new(0);
-        let ttl = SimDuration::from_secs(1);
-        while !self.store.try_lock(CLASS, owner, self.clock.now(), ttl) {
-            self.clock.advance(SimDuration::from_micros(200));
-        }
-        self.clock.advance(busy);
-        let _ = self.store.unlock_at(CLASS, owner, self.clock.now());
-        Ok(Vec::new())
-    }
-}
-
-/// A client attempt awaiting its reply.
-struct Pending {
-    invocation: u64,
-    attempt: u32,
-    deadline: SimTime,
-}
-
-/// Emits the client-side `AttemptStarted` anchor and hands the request to
-/// the skeleton.
-#[allow(clippy::too_many_arguments)]
-fn send_attempt(
-    skeleton: &mut Skeleton,
-    member_mb: &Mailbox,
-    member_ep: EndpointId,
-    client_ep: EndpointId,
-    trace: &TraceHandle,
-    pending: &mut HashMap<u64, Pending>,
-    next_call: &mut u64,
-    now: SimTime,
-    invocation: u64,
-    attempt: u32,
-    deadline: SimTime,
-) {
-    let call = *next_call;
-    *next_call += 1;
-    trace.emit(
-        now,
-        TraceEvent::AttemptStarted {
-            invocation,
-            attempt,
-            target: member_ep.0,
-            deadline,
-        },
-    );
-    pending.insert(
-        call,
-        Pending {
-            invocation,
-            attempt,
-            deadline,
-        },
-    );
-    skeleton.ingest(
-        client_ep,
-        RmiMessage::Request {
-            call,
-            context: InvocationContext {
-                semantics: elasticrmi::Semantics::AtLeastOnce,
-                id: invocation,
-                deadline,
-                attempt,
-                origin: client_ep,
-                routing_key: None,
-            },
-            method: "work".into(),
-            args: Vec::new(),
-        },
-        member_mb,
-    );
+    /// The shared checker's verdict on the run's trace and quiesce state.
+    pub violations: Violations,
 }
 
 /// Runs the instrumented elastic overload scenario to completion.
@@ -175,68 +77,29 @@ fn send_attempt(
 /// every burst interval; grows go through the cluster manager's offer round
 /// trip with 500 ms provisioning latency.
 pub fn run_elastic_overload(seed: u64) -> ElasticOverloadRun {
-    let net = InProcNetwork::new();
-    let (member_ep, member_mb) = net.open();
-    let (client_ep, client_mb) = net.open();
-    let (runtime_ep, _runtime_mb) = net.open();
-    let clock = Arc::new(VirtualClock::new());
-    let sink = Arc::new(TraceSink::new(1 << 18));
-    let trace = TraceHandle::new(Arc::clone(&sink));
-    let (metrics, registry) = MetricsHandle::shared();
-
-    let store = Arc::new(Store::new(StoreConfig::default()));
-    store.install_lock_metrics(&metrics);
-
-    let mut cluster = ResourceManager::new(ClusterConfig {
-        nodes: 8,
-        slices_per_node: 1,
-        provisioning: LatencyModel::Fixed(SimDuration::from_millis(500)),
-        ..ClusterConfig::default()
-    });
-    cluster.set_telemetry(trace.clone(), &metrics);
-
-    let pool_size = Arc::new(AtomicU32::new(0));
-    let ctx = ServiceContext::new(
-        Arc::clone(&store),
-        CLASS,
-        0,
-        Arc::<VirtualClock>::clone(&clock) as SharedClock,
-        Arc::clone(&pool_size),
-    );
-    let service = ElasticTimedService {
-        clock: Arc::clone(&clock),
-        rng: seeded_rng(seed ^ 0x7e1e_0e17),
-        mean: SimDuration::from_millis(10),
-        pool_size: Arc::clone(&pool_size),
-        store: Arc::clone(&store),
-    };
-    let mut skeleton = Skeleton::new(
-        0,
-        member_ep,
-        runtime_ep,
-        Arc::new(net.clone()),
-        Arc::<VirtualClock>::clone(&clock) as SharedClock,
-        Box::new(service),
-        ctx,
-        trace.clone(),
-        Some(AdmissionConfig::edf(16)),
-    );
-    skeleton.set_metrics(&metrics);
+    let mut rig = SimRig::new(CLASS, 8, 1, SimDuration::from_millis(500));
+    // The service occupies the member for the request's service time
+    // divided by the live pool size, and serializes each request briefly on
+    // the class lock (the way a `synchronized` elastic method would) so the
+    // `kv.lock.wait` / `kv.lock.hold` instruments see real traffic.
+    let service =
+        JitteredService::new(&rig.clock, seed ^ 0x7e1e_0e17, SimDuration::from_millis(10))
+            .sharing_load()
+            .locking(ClassLock {
+                class: CLASS,
+                method: None,
+                spin: SimDuration::from_micros(200),
+                max_wait: None,
+            });
+    let mut member = rig.spawn_member(0, service, Some(AdmissionConfig::edf(16)), None);
+    let mut client = SimClient::new(&rig, 3);
 
     // Bootstrap: provision the floor of two members before traffic starts.
     // These offers precede any ScaleDecision, so span reconstruction leaves
     // them unattributed — exactly right for bootstrap capacity.
-    let mut next_uid: u64 = 0;
-    let mut live: Vec<(u64, SliceGrant)> = Vec::new();
-    cluster
-        .request_slices(2, clock.now())
-        .expect("bootstrap slices");
-    clock.advance_to(SimTime::ZERO + SimDuration::from_millis(500));
-    for grant in cluster.poll_ready(clock.now()) {
-        trace.emit(clock.now(), TraceEvent::MemberJoined { uid: next_uid });
-        pool_size.fetch_add(1, Ordering::SeqCst);
-        live.push((next_uid, grant));
-        next_uid += 1;
+    let mut pool = ModelledPool::default();
+    for grant in rig.bootstrap(2) {
+        pool.join(&rig, grant);
     }
 
     let pool_config = PoolConfig::builder(CLASS)
@@ -247,148 +110,46 @@ pub fn run_elastic_overload(seed: u64) -> ElasticOverloadRun {
         .burst_interval(SimDuration::from_secs(1))
         .build()
         .expect("valid pool config");
-    let mut engine = ScalingEngine::new(pool_config, clock.now());
+    let mut engine = ScalingEngine::new(pool_config, rig.clock.now());
 
     // Pre-computed arrival schedule: 80 req/s with ±50 % jitter, 4x inside
     // the burst window. Two members at 10 ms mean service ≈ 200 req/s
     // capacity, so the burst (320 req/s) forces growth.
-    let start = clock.now();
-    let warmup = SimDuration::from_secs(3);
-    let burst = SimDuration::from_secs(6);
-    let recovery = SimDuration::from_secs(3);
-    let burst_from = start + warmup;
-    let burst_to = burst_from + burst;
-    let end = burst_to + recovery;
-    let base_rate = 80.0;
-    let mut rng = seeded_rng(seed);
-    let mut schedule: Vec<SimTime> = Vec::new();
-    let mut t = start;
-    loop {
-        let rate = if t >= burst_from && t < burst_to {
-            base_rate * 4.0
-        } else {
-            base_rate
-        };
-        let gap: f64 = 1_000_000.0 / rate * rng.gen_range(0.5..=1.5);
-        t += SimDuration::from_micros(gap as u64);
-        if t >= end {
-            break;
-        }
-        schedule.push(t);
-    }
+    let start = rig.clock.now();
+    let burst_from = start + SimDuration::from_secs(3);
+    let burst_to = burst_from + SimDuration::from_secs(6);
+    let end = burst_to + SimDuration::from_secs(3);
+    let schedule = arrival_schedule(seed, start, end, 80.0, Some((burst_from, burst_to, 4.0)));
 
     let deadline_budget = SimDuration::from_millis(250);
     let poll_every = SimDuration::from_secs(1);
     let mut next_poll = start + poll_every;
-    let mut next_call: u64 = 0;
-    let mut next_invocation: u64 = 0;
-    let mut pending: HashMap<u64, Pending> = HashMap::new();
-    // (due, invocation, next attempt, deadline) for Overloaded retries.
-    let mut retries: Vec<(SimTime, u64, u32, SimTime)> = Vec::new();
-    let mut last_report = None;
-    let mut snapshots: Vec<RegistrySnapshot> = vec![registry.snapshot(start)];
+    let mut snapshots: Vec<RegistrySnapshot> = vec![rig.registry.snapshot(start)];
     let mut arrivals = schedule.into_iter().peekable();
 
     loop {
-        let now = clock.now();
+        let now = rig.clock.now();
         // 1. Drain replies: close invocation spans, schedule retries.
-        while let Ok(d) = client_mb.try_recv() {
-            match RmiMessage::decode(&d.payload) {
-                Ok(RmiMessage::Response {
-                    replayed: _,
-                    call,
-                    outcome,
-                }) => {
-                    if let Some(p) = pending.remove(&call) {
-                        let event = match outcome {
-                            Ok(_) => TraceEvent::InvocationCompleted {
-                                invocation: p.invocation,
-                                attempts: p.attempt,
-                                ok: true,
-                            },
-                            Err(e) if e.is_deadline_exceeded() => TraceEvent::InvocationExpired {
-                                invocation: p.invocation,
-                                attempts: p.attempt,
-                            },
-                            Err(_) => TraceEvent::InvocationCompleted {
-                                invocation: p.invocation,
-                                attempts: p.attempt,
-                                ok: false,
-                            },
-                        };
-                        trace.emit(clock.now(), event);
-                    }
-                }
-                Ok(RmiMessage::Overloaded {
-                    call, retry_after, ..
-                }) => {
-                    if let Some(p) = pending.remove(&call) {
-                        let at = clock.now();
-                        trace.emit(
-                            at,
-                            TraceEvent::AttemptOverloaded {
-                                invocation: p.invocation,
-                                attempt: p.attempt,
-                                target: member_ep.0,
-                                retry_after,
-                            },
-                        );
-                        let due = at + retry_after;
-                        if p.attempt < 3 && due + SimDuration::from_millis(5) < p.deadline {
-                            retries.push((due, p.invocation, p.attempt + 1, p.deadline));
-                        }
-                    }
-                }
-                Ok(RmiMessage::Load(report)) => last_report = Some(report),
+        while let Some((p, reply)) = client.recv() {
+            match reply {
+                RmiMessage::Response { outcome, .. } => client.complete(&p.a, &outcome),
+                RmiMessage::Overloaded { retry_after, .. } => client.overloaded(&p, retry_after),
                 _ => {}
             }
         }
         // 2. New members that finished provisioning come up.
-        for grant in cluster.poll_ready(now) {
-            trace.emit(now, TraceEvent::MemberJoined { uid: next_uid });
-            pool_size.fetch_add(1, Ordering::SeqCst);
-            live.push((next_uid, grant));
-            next_uid += 1;
+        for grant in rig.cluster.poll_ready(now) {
+            pool.join(&rig, grant);
         }
-        // 3. Due retries re-enter ahead of fresh arrivals.
-        if let Some(idx) = retries.iter().position(|&(due, ..)| due <= now) {
-            let (_, invocation, attempt, deadline) = retries.swap_remove(idx);
-            send_attempt(
-                &mut skeleton,
-                &member_mb,
-                member_ep,
-                client_ep,
-                &trace,
-                &mut pending,
-                &mut next_call,
-                now,
-                invocation,
-                attempt,
-                deadline,
-            );
+        // 3. Due retries re-enter ahead of fresh arrivals; 4. arrivals due
+        //    now enter.
+        let due = client.due_retry().or_else(|| {
+            arrivals.next_if(|&at| at <= now)?;
+            Some(client.begin(Call::WORK, now + deadline_budget))
+        });
+        if let Some(attempt) = due {
+            client.send_attempt(&mut member, 0, attempt);
             continue;
-        }
-        // 4. Arrivals due now enter.
-        if let Some(&at) = arrivals.peek() {
-            if at <= now {
-                arrivals.next();
-                let invocation = next_invocation;
-                next_invocation += 1;
-                send_attempt(
-                    &mut skeleton,
-                    &member_mb,
-                    member_ep,
-                    client_ep,
-                    &trace,
-                    &mut pending,
-                    &mut next_call,
-                    now,
-                    invocation,
-                    1,
-                    now + deadline_budget,
-                );
-                continue;
-            }
         }
         // 5. Burst-interval rollover: poll load, run the scaling engine on
         //    the report, snapshot the registry.
@@ -396,123 +157,74 @@ pub fn run_elastic_overload(seed: u64) -> ElasticOverloadRun {
             next_poll += poll_every;
             // A phantom contender briefly takes the class lock so the next
             // dispatch measurably waits: shared-state pressure on cue.
-            let _ = store.try_lock(CLASS, CONTENDER, now, SimDuration::from_millis(2));
-            skeleton.ingest(client_ep, RmiMessage::PollLoad, &member_mb);
-            while let Ok(d) = client_mb.try_recv() {
-                if let Ok(RmiMessage::Load(report)) = RmiMessage::decode(&d.payload) {
-                    last_report = Some(report);
-                }
-            }
-            if let Some(report) = last_report.take() {
-                let size = pool_size.load(Ordering::SeqCst);
-                let sample = PoolSample {
-                    pool_size: size,
-                    avg_cpu: report.busy,
-                    avg_ram: report.ram,
-                    fine_votes: Vec::new(),
-                    desired_size: None,
-                    queue_delay_p99: SimDuration::from_micros(report.queue_delay_p99_us),
-                    rejected: report.rejected,
-                    standbys: 0,
-                };
-                let (decision, why) = engine.poll_explained(now, &sample);
-                // The rule explanation precedes the decision in the trace so
-                // span reconstruction can pair them.
-                if let Some(w) = why {
-                    trace.emit(
-                        now,
-                        TraceEvent::RuleFired {
-                            rule: w.rule,
-                            observed_milli: w.observed_milli,
-                            threshold_milli: w.threshold_milli,
-                        },
-                    );
-                }
-                match decision {
+            let _ = rig
+                .store
+                .try_lock(CLASS, CONTENDER, now, SimDuration::from_millis(2));
+            if let Some(report) = client.poll_load(&mut member) {
+                let size = rig.pool_size.load(Ordering::SeqCst);
+                match rig.scaling_tick(&mut engine, &report, size, 0) {
                     ScalingDecision::Grow(k) => {
-                        trace.emit(
-                            now,
-                            TraceEvent::ScaleDecision {
-                                pool_size: size,
-                                delta: i64::from(k),
-                            },
-                        );
-                        let _ = cluster.request_slices(k, now);
+                        let _ = rig.cluster.request_slices(k, now);
                     }
-                    ScalingDecision::Shrink(k) => {
-                        trace.emit(
-                            now,
-                            TraceEvent::ScaleDecision {
-                                pool_size: size,
-                                delta: -i64::from(k),
-                            },
-                        );
-                        for _ in 0..k {
-                            // Never drain member 0: it is the real skeleton.
-                            if live.len() <= 1 {
-                                break;
-                            }
-                            let (uid, grant) = live.pop().expect("checked non-empty");
-                            trace.emit(now, TraceEvent::MemberDrained { uid });
-                            pool_size.fetch_sub(1, Ordering::SeqCst);
-                            let _ = cluster.release(grant.slice, now);
-                        }
-                    }
+                    ScalingDecision::Shrink(k) => pool.shrink(&mut rig, k),
                     ScalingDecision::Hold => {}
                 }
             }
-            snapshots.push(registry.snapshot(now));
+            snapshots.push(rig.registry.snapshot(now));
             continue;
         }
         // 6. Execute one admitted request or cull expired ones.
-        if skeleton.step() {
+        if member.skeleton.step() {
             continue;
         }
         // 7. Idle: jump to the next event, or finish.
-        let mut targets = vec![next_poll];
-        if let Some(&at) = arrivals.peek() {
-            targets.push(at);
-        }
-        if let Some(&(due, ..)) = retries.iter().min_by_key(|&&(due, ..)| due) {
-            targets.push(due);
-        }
-        if arrivals.peek().is_none() && retries.is_empty() && pending.is_empty() && now >= end {
+        if arrivals.peek().is_none() && client.is_idle() && now >= end {
             break;
         }
-        let target = targets.into_iter().min().expect("next_poll always present");
-        clock.advance_to(target.max(now + SimDuration::from_micros(1)));
+        rig.idle_until(&[
+            Some(next_poll),
+            arrivals.peek().copied(),
+            client.next_retry(),
+        ]);
     }
 
     // Reconstruct spans, attribute decision lag, and render the artifacts.
-    let builder = SpanBuilder::new(sink.snapshot());
+    let records = rig.sink.snapshot();
+    let builder = SpanBuilder::new(records.clone());
     let invocation_spans = builder.invocations();
     let decision_spans = builder.decisions();
-    let lag_hist = metrics.histogram("scaling.decision.lag");
+    let lag_hist = rig.metrics.histogram("scaling.decision.lag");
     for d in &decision_spans {
         if let Some(lag) = d.lag() {
             lag_hist.record(lag);
         }
     }
-    snapshots.push(registry.snapshot(clock.now()));
+    snapshots.push(rig.registry.snapshot(rig.clock.now()));
 
-    let dedup = DedupLine {
-        hits: metrics.counter("rmi.dedup.hits").get(),
-        replayed: metrics.counter("rmi.dedup.replayed").get(),
-        evicted: metrics.counter("rmi.dedup.evicted").get(),
-    };
-    let report = render_report(&invocation_spans, &decision_spans, sink.dropped(), dedup);
+    // Quiesce for the checker: hand back every slice, and let the phantom
+    // contender drop the class lock it took at the last poll (during the
+    // run it just lets the 2 ms TTL lapse).
+    pool.release_all(&mut rig);
+    let _ = rig.store.release_owner(CONTENDER, rig.clock.now());
+    let violations = rig.check(&client.facts, &records, 0);
+
+    // Duplicate-suppression tallies (wire v4): hits, replayed, evicted.
+    // All zero on an `AtLeastOnce`-only workload, but the line is always
+    // rendered so readers can tell "no suppression happened" from
+    // "suppression was not measured".
+    let dedup = ["rmi.dedup.hits", "rmi.dedup.replayed", "rmi.dedup.evicted"]
+        .map(|name| rig.metrics.counter(name).get());
+    let dropped = rig.sink.dropped();
+    let report = render_report(&invocation_spans, &decision_spans, dropped, dedup);
     ElasticOverloadRun {
         report,
         trace_json: chrome_trace(&invocation_spans, &decision_spans),
         metrics_csv: snapshots_to_csv(&snapshots),
         invocations: invocation_spans.len(),
         decisions: decision_spans.len(),
-        dropped: sink.dropped(),
+        dropped,
+        violations,
     }
-}
-
-fn ms(d: SimDuration) -> f64 {
-    d.as_micros() as f64 / 1000.0
 }
 
 /// Renders the why-scaled report: one block per pool-size change, each
@@ -577,22 +289,13 @@ pub fn render_why_scaled(decisions: &[DecisionSpan]) -> String {
     out
 }
 
-/// Duplicate-suppression tallies for the report (wire v4). All zero on an
-/// `AtLeastOnce`-only workload, but the line is always rendered so readers
-/// can tell "no suppression happened" from "suppression was not measured".
-struct DedupLine {
-    hits: u64,
-    replayed: u64,
-    evicted: u64,
-}
-
 /// The full run report: span accounting, outcome tallies, drop warning,
 /// duplicate-suppression tallies, and the why-scaled attribution.
 fn render_report(
     invocations: &[InvocationSpan],
     decisions: &[DecisionSpan],
     dropped: u64,
-    dedup: DedupLine,
+    dedup: [u64; 3],
 ) -> String {
     let mut out = String::new();
     let count = |o: InvocationOutcome| invocations.iter().filter(|s| s.outcome == o).count();
@@ -620,7 +323,7 @@ fn render_report(
         out,
         "duplicate suppression (at-most-once): {} duplicates absorbed, \
          {} cached replies replayed, {} cache entries evicted",
-        dedup.hits, dedup.replayed, dedup.evicted,
+        dedup[0], dedup[1], dedup[2],
     );
     out.push('\n');
     out.push_str(&render_why_scaled(decisions));
@@ -638,6 +341,27 @@ mod tests {
         assert_eq!(a.report, b.report);
         assert_eq!(a.trace_json, b.trace_json);
         assert_eq!(a.metrics_csv, b.metrics_csv);
+    }
+
+    #[test]
+    fn invocations_the_client_gives_up_on_still_terminate() {
+        // The burst refuses some invocations past their retry budget. The
+        // client used to drop those without a terminal event (the span
+        // builder papered over it as `Rejected`); the shared checker
+        // reports exactly that as lost invocations.
+        for seed in [7u64, 99, 2026] {
+            let run = run_elastic_overload(seed);
+            assert!(
+                run.violations.is_clean(),
+                "seed {seed}: {:?}",
+                run.violations
+            );
+            assert!(
+                run.report.contains("rejected 0, incomplete 0"),
+                "seed {seed}: every refusal must end in a terminal event:\n{}",
+                run.report
+            );
+        }
     }
 
     #[test]

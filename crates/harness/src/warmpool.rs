@@ -10,45 +10,43 @@
 //!   cluster's offer-plus-provisioning round trip (~700 ms here) to at
 //!   most one control-loop tick;
 //! * **what warm pays**: the standby's slice is reserved the whole run,
-//!   measured by [`ResourceManager::reserved_slice_seconds`] — capacity
+//!   measured by [`ResourceManager::reserved_slice_seconds`](erm_cluster::ResourceManager::reserved_slice_seconds) — capacity
 //!   an operator is billed for whether or not a burst ever arrives.
 //!
 //! Both variants run the same property checks the churn harness pioneered,
 //! tightened for the route-flip window:
 //!
-//! * every request is routed to a member present in the *current*
-//!   membership broadcast — promotion must publish the member before the
-//!   balancer may pick it ([`WarmpoolVariant::route_violations`]);
+//! * no request is routed to a member still in the standby tier —
+//!   promotion must publish the member before the balancer may pick it
+//!   ([`Violations::standby_routed`]);
 //! * every invocation reaches exactly one terminal event — none lost,
-//!   none double-terminated across the flip ([`WarmpoolVariant::lost`],
-//!   [`WarmpoolVariant::duplicate_terminals`]);
+//!   none double-terminated across the flip ([`Violations::lost`],
+//!   [`Violations::duplicate_terminals`]);
 //! * at quiesce no slice and no lock is leaked, standby slices included.
 //!
+//! All of them are verdicts of the shared [`crate::invariants`] checker.
+//!
 //! The run is a deterministic single-threaded discrete-event simulation on
-//! a [`VirtualClock`], same substitution scheme as [`crate::telemetry`]:
-//! one real [`Skeleton`] hosts the service (honest admission and
+//! a [`VirtualClock`](erm_sim::VirtualClock), same substitution scheme as [`crate::telemetry`]:
+//! one real [`Skeleton`](elasticrmi::Skeleton) hosts the service (honest admission and
 //! queue-delay signals), added members are emulated by dividing service
 //! time by the rotation size, and the standby tier is modelled exactly as
 //! `ElasticPool` implements it (provisioned, heartbeating, excluded from
 //! the rotation and from scaling samples until promoted).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 
 use elasticrmi::{
-    AdmissionConfig, ElasticService, InvocationContext, PoolConfig, PoolSample, RemoteError,
-    RmiMessage, ScalingDecision, ScalingEngine, ScalingPolicy, ServiceContext, Skeleton,
+    AdmissionConfig, PoolConfig, RmiMessage, ScalingDecision, ScalingEngine, ScalingPolicy,
 };
-use erm_cluster::{ClusterConfig, LatencyModel, ResourceManager, SliceGrant};
-use erm_kvstore::{LockOwner, Store, StoreConfig};
-use erm_metrics::{
-    snapshots_to_csv, MetricsHandle, SpanBuilder, TraceEvent, TraceHandle, TraceSink,
+use erm_metrics::{snapshots_to_csv, MetricsHandle, SpanBuilder};
+use erm_sim::{Clock, SimDuration, SimTime};
+
+use crate::invariants::Violations;
+use crate::rig::{
+    arrival_schedule, ms, Call, ClassLock, JitteredService, ModelledPool, SimClient, SimRig,
 };
-use erm_sim::{seeded_rng, Clock, SharedClock, SimDuration, SimTime, VirtualClock};
-use erm_transport::{EndpointId, Host, InProcNetwork, Mailbox};
-use rand::Rng;
 
 /// Class name shared by the skeleton, the store lock, and the pool config.
 const CLASS: &str = "Warmpool";
@@ -70,13 +68,9 @@ pub struct WarmpoolVariant {
     pub warm_standby: u32,
     /// Invocations injected.
     pub invocations: usize,
-    /// Invocations that never reached a terminal event (must be 0).
-    pub lost: usize,
-    /// Invocations with more than one terminal event (must be 0).
-    pub duplicate_terminals: usize,
-    /// Requests routed to a member absent from the current membership
-    /// broadcast (must be 0: the route-flip publishes before it routes).
-    pub route_violations: usize,
+    /// The shared checker's verdict (must be clean). `standby_routed` is
+    /// the route-flip property: the flip publishes before it routes.
+    pub violations: Violations,
     /// Standbys promoted into the rotation.
     pub promotions: usize,
     /// Grow decisions the scaling engine issued.
@@ -87,24 +81,9 @@ pub struct WarmpoolVariant {
     /// Symptom-to-capacity lag of the first grow decision satisfied by the
     /// cluster's offer path (`None` if none resolved).
     pub offer_lag: Option<SimDuration>,
-    /// Slices still granted or provisioning at quiesce (must be 0).
-    pub leaked_slices: usize,
-    /// Locks still held at quiesce (must be 0).
-    pub leaked_locks: usize,
     /// Reserved-capacity integral over the run, in slice-seconds: the cost
     /// side of the warm tier.
     pub slice_seconds: f64,
-}
-
-impl WarmpoolVariant {
-    /// True when every conservation property held.
-    pub fn clean(&self) -> bool {
-        self.lost == 0
-            && self.duplicate_terminals == 0
-            && self.route_violations == 0
-            && self.leaked_slices == 0
-            && self.leaked_locks == 0
-    }
 }
 
 /// Artifacts of one warm-vs-cold comparison run.
@@ -122,207 +101,33 @@ pub struct WarmpoolRun {
     pub cold: WarmpoolVariant,
 }
 
-/// The hosted service: occupies the member for the request's service time
-/// divided by the *rotation* size — standbys hold capacity but serve no
-/// load until promoted — and briefly serializes on the class lock.
-struct WarmpoolService {
-    clock: Arc<VirtualClock>,
-    rng: rand::rngs::StdRng,
-    mean: SimDuration,
-    rotation_size: Arc<AtomicU32>,
-    store: Arc<Store>,
-}
-
-impl ElasticService for WarmpoolService {
-    fn dispatch(
-        &mut self,
-        _method: &str,
-        _args: &[u8],
-        _ctx: &mut ServiceContext,
-    ) -> Result<Vec<u8>, RemoteError> {
-        let members = self.rotation_size.load(Ordering::SeqCst).max(1);
-        let factor: f64 = self.rng.gen_range(0.8..=1.2);
-        let busy = SimDuration::from_micros(
-            (self.mean.as_micros() as f64 * factor / f64::from(members)) as u64,
-        );
-        let owner = LockOwner::new(0);
-        let ttl = SimDuration::from_secs(1);
-        while !self.store.try_lock(CLASS, owner, self.clock.now(), ttl) {
-            self.clock.advance(SimDuration::from_micros(200));
-        }
-        self.clock.advance(busy);
-        let _ = self.store.unlock_at(CLASS, owner, self.clock.now());
-        Ok(Vec::new())
-    }
-}
-
-/// A client attempt awaiting its reply.
-struct Pending {
-    invocation: u64,
-    attempt: u32,
-    deadline: SimTime,
-}
-
-/// Routes the request over the balancer's rotation, checks the membership
-/// property, emits the attempt anchor, and hands it to the skeleton.
-#[allow(clippy::too_many_arguments)]
-fn send_attempt(
-    skeleton: &mut Skeleton,
-    member_mb: &Mailbox,
-    client_ep: EndpointId,
-    trace: &TraceHandle,
-    routing: &mut RoutingState,
-    pending: &mut HashMap<u64, Pending>,
-    next_call: &mut u64,
-    now: SimTime,
-    invocation: u64,
-    attempt: u32,
-    deadline: SimTime,
-) {
-    // Round-robin over the rotation, exactly like the pool's balancer.
-    let target = routing.rotation[routing.rr % routing.rotation.len()];
-    routing.rr += 1;
-    // The property under test: the balancer must never pick a member the
-    // membership broadcast has not advertised. A promotion that flips
-    // routes before publishing would trip this counter.
-    if !routing.advertised.contains(&target) {
-        routing.violations += 1;
-    }
-    let call = *next_call;
-    *next_call += 1;
-    trace.emit(
-        now,
-        TraceEvent::AttemptStarted {
-            invocation,
-            attempt,
-            target,
-            deadline,
-        },
-    );
-    pending.insert(
-        call,
-        Pending {
-            invocation,
-            attempt,
-            deadline,
-        },
-    );
-    skeleton.ingest(
-        client_ep,
-        RmiMessage::Request {
-            call,
-            context: InvocationContext {
-                semantics: elasticrmi::Semantics::AtLeastOnce,
-                id: invocation,
-                deadline,
-                attempt,
-                origin: client_ep,
-                routing_key: None,
-            },
-            method: "work".into(),
-            args: Vec::new(),
-        },
-        member_mb,
-    );
-}
-
-/// The balancer-visible membership state of the modelled pool.
-struct RoutingState {
-    /// Members in the load-balancing rotation (uids).
-    rotation: Vec<u64>,
-    /// Members named by the latest membership broadcast.
-    advertised: Vec<u64>,
-    /// Round-robin cursor.
-    rr: usize,
-    /// Requests routed to unadvertised members.
-    violations: usize,
-}
-
-impl RoutingState {
-    /// Re-publishes membership: the broadcast advertises the rotation.
-    /// Mirrors `ElasticPool::publish`, which filters by `in_rotation` —
-    /// standbys are never advertised.
-    fn publish(&mut self) {
-        self.advertised = self.rotation.clone();
-    }
-}
-
 /// Runs one variant of the scenario.
 fn run_variant(seed: u64, warm_standby: u32, quick: bool) -> WarmpoolVariant {
-    let net = InProcNetwork::new();
-    let (member_ep, member_mb) = net.open();
-    let (client_ep, client_mb) = net.open();
-    let (runtime_ep, _runtime_mb) = net.open();
-    let clock = Arc::new(VirtualClock::new());
-    let sink = Arc::new(TraceSink::new(1 << 18));
-    let trace = TraceHandle::new(Arc::clone(&sink));
-    let (metrics, _registry) = MetricsHandle::shared();
-
-    let store = Arc::new(Store::new(StoreConfig::default()));
-    let mut cluster = ResourceManager::new(ClusterConfig {
-        nodes: 8,
-        slices_per_node: 1,
-        provisioning: LatencyModel::Fixed(PROVISION),
-        ..ClusterConfig::default()
-    });
-    cluster.set_telemetry(trace.clone(), &metrics);
-
-    let rotation_size = Arc::new(AtomicU32::new(0));
-    let ctx = ServiceContext::new(
-        Arc::clone(&store),
-        CLASS,
-        0,
-        Arc::<VirtualClock>::clone(&clock) as SharedClock,
-        Arc::clone(&rotation_size),
-    );
-    let service = WarmpoolService {
-        clock: Arc::clone(&clock),
-        rng: seeded_rng(seed ^ 0x3a9b_51c7),
-        mean: SimDuration::from_millis(10),
-        rotation_size: Arc::clone(&rotation_size),
-        store: Arc::clone(&store),
-    };
-    let mut skeleton = Skeleton::new(
-        0,
-        member_ep,
-        runtime_ep,
-        Arc::new(net.clone()),
-        Arc::<VirtualClock>::clone(&clock) as SharedClock,
-        Box::new(service),
-        ctx,
-        trace.clone(),
-        Some(AdmissionConfig::edf(16)),
-    );
-    skeleton.set_metrics(&metrics);
+    let mut rig = SimRig::new(CLASS, 8, 1, PROVISION);
+    // The service occupies the member for the request's service time
+    // divided by the *rotation* size (`rig.pool_size`) — standbys hold
+    // capacity but serve no load until promoted — and briefly serializes
+    // on the class lock.
+    let service =
+        JitteredService::new(&rig.clock, seed ^ 0x3a9b_51c7, SimDuration::from_millis(10))
+            .sharing_load()
+            .locking(ClassLock {
+                class: CLASS,
+                method: None,
+                spin: SimDuration::from_micros(200),
+                max_wait: None,
+            });
+    let mut member = rig.spawn_member(0, service, Some(AdmissionConfig::edf(16)), None);
+    let mut client = SimClient::new(&rig, 3);
 
     // Bootstrap: the rotation floor of two plus the warm tier, provisioned
     // before traffic starts. Grants beyond the floor join as standbys.
-    let mut next_uid: u64 = 0;
-    let mut rotation_grants: Vec<(u64, SliceGrant)> = Vec::new();
-    let mut standbys: Vec<(u64, SliceGrant)> = Vec::new();
-    let mut routing = RoutingState {
-        rotation: Vec::new(),
-        advertised: Vec::new(),
-        rr: 0,
-        violations: 0,
-    };
-    let mut promotions = 0usize;
-    cluster
-        .request_slices(2 + warm_standby, clock.now())
-        .expect("bootstrap slices");
-    clock.advance_to(SimTime::ZERO + PROVISION);
-    for grant in cluster.poll_ready(clock.now()) {
-        let uid = next_uid;
-        next_uid += 1;
-        if rotation_grants.len() < 2 {
-            trace.emit(clock.now(), TraceEvent::MemberJoined { uid });
-            rotation_size.fetch_add(1, Ordering::SeqCst);
-            rotation_grants.push((uid, grant));
-            routing.rotation.push(uid);
-            routing.publish();
+    let mut pool = ModelledPool::default();
+    for grant in rig.bootstrap(2 + warm_standby) {
+        if pool.rotation.len() < 2 {
+            pool.join(&rig, grant);
         } else {
-            trace.emit(clock.now(), TraceEvent::StandbyJoined { uid });
-            standbys.push((uid, grant));
+            pool.standby(&rig, grant);
         }
     }
 
@@ -335,333 +140,113 @@ fn run_variant(seed: u64, warm_standby: u32, quick: bool) -> WarmpoolVariant {
         .burst_interval(TICK)
         .build()
         .expect("valid pool config");
-    let mut engine = ScalingEngine::new(pool_config, clock.now());
+    let mut engine = ScalingEngine::new(pool_config, rig.clock.now());
 
     // Arrival schedule: 80 req/s with ±50 % jitter, 4x inside the burst.
     // Two members at 10 ms mean service ≈ 200 req/s capacity, so the burst
     // (320 req/s) forces growth.
-    let start = clock.now();
-    let (warmup, burst, recovery) = if quick {
-        (
-            SimDuration::from_secs(1),
-            SimDuration::from_secs(3),
-            SimDuration::from_secs(1),
-        )
-    } else {
-        (
-            SimDuration::from_secs(3),
-            SimDuration::from_secs(6),
-            SimDuration::from_secs(3),
-        )
-    };
-    let burst_from = start + warmup;
-    let burst_to = burst_from + burst;
-    let end = burst_to + recovery;
-    let base_rate = 80.0;
-    let mut rng = seeded_rng(seed);
-    let mut schedule: Vec<SimTime> = Vec::new();
-    let mut t = start;
-    loop {
-        let rate = if t >= burst_from && t < burst_to {
-            base_rate * 4.0
-        } else {
-            base_rate
-        };
-        let gap: f64 = 1_000_000.0 / rate * rng.gen_range(0.5..=1.5);
-        t += SimDuration::from_micros(gap as u64);
-        if t >= end {
-            break;
-        }
-        schedule.push(t);
-    }
+    let start = rig.clock.now();
+    let (warmup, burst, recovery) = if quick { (1, 3, 1) } else { (3, 6, 3) };
+    let burst_from = start + SimDuration::from_secs(warmup);
+    let burst_to = burst_from + SimDuration::from_secs(burst);
+    let end = burst_to + SimDuration::from_secs(recovery);
+    let schedule = arrival_schedule(seed, start, end, 80.0, Some((burst_from, burst_to, 4.0)));
     let invocations_total = schedule.len();
 
     let mut next_poll = start + TICK;
-    let mut next_call: u64 = 0;
-    let mut next_invocation: u64 = 0;
-    let mut pending: HashMap<u64, Pending> = HashMap::new();
-    // (due, invocation, next attempt, deadline) for Overloaded retries.
-    let mut retries: Vec<(SimTime, u64, u32, SimTime)> = Vec::new();
-    let mut last_report = None;
     let mut arrivals = schedule.into_iter().peekable();
     // Grants still provisioning that are earmarked for the standby tier.
     let mut standby_inbound: u32 = 0;
 
     loop {
-        let now = clock.now();
+        let now = rig.clock.now();
         // 1. Drain replies: terminal events, Overloaded retry scheduling.
-        while let Ok(d) = client_mb.try_recv() {
-            match RmiMessage::decode(&d.payload) {
-                Ok(RmiMessage::Response {
-                    replayed: _,
-                    call,
-                    outcome,
-                }) => {
-                    if let Some(p) = pending.remove(&call) {
-                        let event = match outcome {
-                            Ok(_) => TraceEvent::InvocationCompleted {
-                                invocation: p.invocation,
-                                attempts: p.attempt,
-                                ok: true,
-                            },
-                            Err(e) if e.is_deadline_exceeded() => TraceEvent::InvocationExpired {
-                                invocation: p.invocation,
-                                attempts: p.attempt,
-                            },
-                            Err(_) => TraceEvent::InvocationCompleted {
-                                invocation: p.invocation,
-                                attempts: p.attempt,
-                                ok: false,
-                            },
-                        };
-                        trace.emit(clock.now(), event);
-                    }
-                }
-                Ok(RmiMessage::Overloaded {
-                    call, retry_after, ..
-                }) => {
-                    if let Some(p) = pending.remove(&call) {
-                        let at = clock.now();
-                        trace.emit(
-                            at,
-                            TraceEvent::AttemptOverloaded {
-                                invocation: p.invocation,
-                                attempt: p.attempt,
-                                target: member_ep.0,
-                                retry_after,
-                            },
-                        );
-                        let due = at + retry_after;
-                        if p.attempt < 3 && due + SimDuration::from_millis(5) < p.deadline {
-                            retries.push((due, p.invocation, p.attempt + 1, p.deadline));
-                        } else {
-                            // Out of budget: the invocation terminates here.
-                            // Every injected invocation must reach exactly
-                            // one terminal event — giving up silently would
-                            // read as a lost invocation.
-                            trace.emit(
-                                at,
-                                TraceEvent::InvocationExpired {
-                                    invocation: p.invocation,
-                                    attempts: p.attempt,
-                                },
-                            );
-                        }
-                    }
-                }
-                Ok(RmiMessage::Load(report)) => last_report = Some(report),
+        while let Some((p, reply)) = client.recv() {
+            match reply {
+                RmiMessage::Response { outcome, .. } => client.complete(&p.a, &outcome),
+                RmiMessage::Overloaded { retry_after, .. } => client.overloaded(&p, retry_after),
                 _ => {}
             }
         }
         // 2. Grants that finished provisioning come up: the standby tier
         //    refills first, anything else joins the rotation.
-        for grant in cluster.poll_ready(now) {
-            let uid = next_uid;
-            next_uid += 1;
-            if (standbys.len() as u32) < warm_standby && standby_inbound > 0 {
+        for grant in rig.cluster.poll_ready(now) {
+            if (pool.standbys.len() as u32) < warm_standby && standby_inbound > 0 {
                 standby_inbound -= 1;
-                trace.emit(now, TraceEvent::StandbyJoined { uid });
-                standbys.push((uid, grant));
+                pool.standby(&rig, grant);
             } else {
-                trace.emit(now, TraceEvent::MemberJoined { uid });
-                rotation_size.fetch_add(1, Ordering::SeqCst);
-                rotation_grants.push((uid, grant));
-                routing.rotation.push(uid);
-                routing.publish();
+                pool.join(&rig, grant);
             }
         }
-        // 3. Due retries re-enter ahead of fresh arrivals.
-        if let Some(idx) = retries.iter().position(|&(due, ..)| due <= now) {
-            let (_, invocation, attempt, deadline) = retries.swap_remove(idx);
-            send_attempt(
-                &mut skeleton,
-                &member_mb,
-                client_ep,
-                &trace,
-                &mut routing,
-                &mut pending,
-                &mut next_call,
-                now,
-                invocation,
-                attempt,
-                deadline,
-            );
+        // 3. Due retries re-enter ahead of fresh arrivals; 4. arrivals due
+        //    now enter.
+        let due = client.due_retry().or_else(|| {
+            arrivals.next_if(|&at| at <= now)?;
+            Some(client.begin(Call::WORK, now + DEADLINE_BUDGET))
+        });
+        if let Some(attempt) = due {
+            client.send_attempt(&mut member, pool.route(), attempt);
             continue;
-        }
-        // 4. Arrivals due now enter.
-        if let Some(&at) = arrivals.peek() {
-            if at <= now {
-                arrivals.next();
-                let invocation = next_invocation;
-                next_invocation += 1;
-                send_attempt(
-                    &mut skeleton,
-                    &member_mb,
-                    client_ep,
-                    &trace,
-                    &mut routing,
-                    &mut pending,
-                    &mut next_call,
-                    now,
-                    invocation,
-                    1,
-                    now + DEADLINE_BUDGET,
-                );
-                continue;
-            }
         }
         // 5. Control-loop tick: poll load, decide, grow by route-flip when
         //    the warm tier can cover it.
         if now >= next_poll {
             next_poll += TICK;
-            skeleton.ingest(client_ep, RmiMessage::PollLoad, &member_mb);
-            while let Ok(d) = client_mb.try_recv() {
-                if let Ok(RmiMessage::Load(report)) = RmiMessage::decode(&d.payload) {
-                    last_report = Some(report);
-                }
-            }
-            if let Some(report) = last_report.take() {
-                let size = rotation_size.load(Ordering::SeqCst);
-                let sample = PoolSample {
-                    pool_size: size,
-                    avg_cpu: report.busy,
-                    avg_ram: report.ram,
-                    fine_votes: Vec::new(),
-                    desired_size: None,
-                    queue_delay_p99: SimDuration::from_micros(report.queue_delay_p99_us),
-                    rejected: report.rejected,
-                    standbys: standbys.len() as u32,
-                };
-                let (decision, why) = engine.poll_explained(now, &sample);
-                if let Some(w) = why {
-                    trace.emit(
-                        now,
-                        TraceEvent::RuleFired {
-                            rule: w.rule,
-                            observed_milli: w.observed_milli,
-                            threshold_milli: w.threshold_milli,
-                        },
-                    );
-                }
-                match decision {
+            if let Some(report) = client.poll_load(&mut member) {
+                let size = rig.pool_size.load(Ordering::SeqCst);
+                let standbys = pool.standbys.len() as u32;
+                match rig.scaling_tick(&mut engine, &report, size, standbys) {
                     ScalingDecision::Grow(k) => {
-                        trace.emit(
-                            now,
-                            TraceEvent::ScaleDecision {
-                                pool_size: size,
-                                delta: i64::from(k),
-                            },
-                        );
                         // Route-flip first: promote standbys, publishing the
-                        // new membership before any request can route to
-                        // them. Shortfall goes through the cold offer path;
-                        // the tier is refilled in the background.
+                        // promotion before any request can route to them.
+                        // Shortfall goes through the cold offer path; the
+                        // tier is refilled in the background.
                         let mut shortfall = k;
-                        while shortfall > 0 && !standbys.is_empty() {
-                            let (uid, grant) = standbys.remove(0);
-                            trace.emit(now, TraceEvent::MemberPromoted { uid });
-                            rotation_size.fetch_add(1, Ordering::SeqCst);
-                            rotation_grants.push((uid, grant));
-                            routing.rotation.push(uid);
-                            routing.publish();
-                            promotions += 1;
+                        while shortfall > 0 && !pool.standbys.is_empty() {
+                            pool.promote(&rig);
                             shortfall -= 1;
                         }
                         let promoted = k - shortfall;
                         let ask = shortfall + promoted; // growth + tier refill
                         if ask > 0 {
-                            if let Ok(out) = cluster.request_slices(ask, now) {
+                            if let Ok(out) = rig.cluster.request_slices(ask, now) {
                                 standby_inbound += out.granted.min(promoted);
                             }
                         }
                     }
-                    ScalingDecision::Shrink(k) => {
-                        trace.emit(
-                            now,
-                            TraceEvent::ScaleDecision {
-                                pool_size: size,
-                                delta: -i64::from(k),
-                            },
-                        );
-                        for _ in 0..k {
-                            // Never drain member 0: it is the real skeleton.
-                            if rotation_grants.len() <= 1 {
-                                break;
-                            }
-                            let (uid, grant) = rotation_grants.pop().expect("checked non-empty");
-                            trace.emit(now, TraceEvent::MemberDrained { uid });
-                            rotation_size.fetch_sub(1, Ordering::SeqCst);
-                            routing.rotation.retain(|&u| u != uid);
-                            routing.publish();
-                            let _ = cluster.release(grant.slice, now);
-                        }
-                    }
+                    ScalingDecision::Shrink(k) => pool.shrink(&mut rig, k),
                     ScalingDecision::Hold => {}
                 }
             }
             continue;
         }
         // 6. Execute one admitted request or cull expired ones.
-        if skeleton.step() {
+        if member.skeleton.step() {
             continue;
         }
         // 7. Idle: jump to the next event, or finish.
-        let mut targets = vec![next_poll];
-        if let Some(&at) = arrivals.peek() {
-            targets.push(at);
-        }
-        if let Some(&(due, ..)) = retries.iter().min_by_key(|&&(due, ..)| due) {
-            targets.push(due);
-        }
-        if arrivals.peek().is_none() && retries.is_empty() && pending.is_empty() && now >= end {
+        if arrivals.peek().is_none() && client.is_idle() && now >= end {
             break;
         }
-        let target = targets.into_iter().min().expect("next_poll always present");
-        clock.advance_to(target.max(now + SimDuration::from_micros(1)));
+        rig.idle_until(&[
+            Some(next_poll),
+            arrivals.peek().copied(),
+            client.next_retry(),
+        ]);
     }
 
     // Quiesce: collect stragglers still provisioning, then release every
     // slice — rotation and standby tier alike. Anything the cluster still
     // counts afterwards is a leak.
-    clock.advance(PROVISION + SimDuration::from_secs(1));
-    let quiesce_at = clock.now();
-    for grant in cluster.poll_ready(quiesce_at) {
-        let _ = cluster.release(grant.slice, quiesce_at);
+    rig.clock.advance(PROVISION + SimDuration::from_secs(1));
+    let quiesce_at = rig.clock.now();
+    for grant in rig.cluster.poll_ready(quiesce_at) {
+        let _ = rig.cluster.release(grant.slice, quiesce_at);
     }
-    let slice_seconds = cluster.reserved_slice_seconds(quiesce_at);
-    for (uid, grant) in rotation_grants.drain(..) {
-        trace.emit(quiesce_at, TraceEvent::MemberDrained { uid });
-        let _ = cluster.release(grant.slice, quiesce_at);
-    }
-    for (_, grant) in standbys.drain(..) {
-        let _ = cluster.release(grant.slice, quiesce_at);
-    }
-    let leaked_slices = cluster.slices_in_use() + cluster.pending_slices();
-    let leaked_locks = store.held_locks().len();
-
-    // Terminal-event conservation over the raw trace: each injected
-    // invocation must terminate exactly once.
-    let records = sink.snapshot();
-    assert_eq!(sink.dropped(), 0, "sink sized for a lossless run");
-    let mut started: BTreeSet<u64> = BTreeSet::new();
-    let mut terminals: BTreeMap<u64, usize> = BTreeMap::new();
-    for r in &records {
-        match r.event {
-            TraceEvent::AttemptStarted { invocation, .. } => {
-                started.insert(invocation);
-            }
-            TraceEvent::InvocationCompleted { invocation, .. }
-            | TraceEvent::InvocationExpired { invocation, .. } => {
-                *terminals.entry(invocation).or_default() += 1;
-            }
-            _ => {}
-        }
-    }
-    let lost = started
-        .iter()
-        .filter(|i| !terminals.contains_key(i))
-        .count();
-    let duplicate_terminals = terminals.values().filter(|&&c| c > 1).count();
+    let slice_seconds = rig.cluster.reserved_slice_seconds(quiesce_at);
+    pool.release_all(&mut rig);
+    let records = rig.sink.snapshot();
+    let violations = rig.check(&client.facts, &records, 0);
 
     // Decision lag attribution through the span machinery: promotions
     // covering the grow delta give the decision its capacity time.
@@ -680,21 +265,13 @@ fn run_variant(seed: u64, warm_standby: u32, quick: bool) -> WarmpoolVariant {
     WarmpoolVariant {
         warm_standby,
         invocations: invocations_total,
-        lost,
-        duplicate_terminals,
-        route_violations: routing.violations,
-        promotions,
+        violations,
+        promotions: pool.promotions,
         grow_decisions: grows.len(),
         promoted_lag,
         offer_lag,
-        leaked_slices,
-        leaked_locks,
         slice_seconds,
     }
-}
-
-fn ms(d: SimDuration) -> f64 {
-    d.as_micros() as f64 / 1000.0
 }
 
 /// Runs the warm and cold variants under one seed and renders the
@@ -704,59 +281,35 @@ pub fn run_warmpool(seed: u64, quick: bool) -> WarmpoolRun {
     let cold = run_variant(seed, 0, quick);
 
     let (metrics, registry) = MetricsHandle::shared();
+    let gauge = |name, value: i64| metrics.gauge(name).set(value);
     let lag_us = |lag: Option<SimDuration>| lag.map_or(-1, |d| d.as_micros() as i64);
-    // Gauge names are `&'static str`, so each variant gets its table.
-    struct GaugeNames {
-        lost: &'static str,
-        dup: &'static str,
-        route: &'static str,
-        slices: &'static str,
-        locks: &'static str,
-        promotions: &'static str,
-        promoted_lag: &'static str,
-        offer_lag: &'static str,
-        slice_ms: &'static str,
+    // Gauge names are `&'static str`, so each variant's are put together at
+    // compile time.
+    macro_rules! export {
+        ($variant:literal, $v:expr) => {{
+            let (v, found) = ($v, &$v.violations);
+            macro_rules! name {
+                ($suffix:literal) => {
+                    concat!("warmpool.", $variant, ".", $suffix)
+                };
+            }
+            gauge(name!("lost"), found.lost.len() as i64);
+            gauge(
+                name!("terminal.duplicates"),
+                found.duplicate_terminals.len() as i64,
+            );
+            gauge(name!("route.violations"), found.standby_routed.len() as i64);
+            gauge(name!("slices.leaked"), found.leaks.leaked_slices as i64);
+            gauge(name!("locks.leaked"), found.leaks.leaked_locks as i64);
+            gauge(name!("promotions"), v.promotions as i64);
+            gauge(name!("promoted.lag_us"), lag_us(v.promoted_lag));
+            gauge(name!("offer.lag_us"), lag_us(v.offer_lag));
+            gauge(name!("slice_ms"), (v.slice_seconds * 1000.0) as i64);
+        }};
     }
-    const WARM_GAUGES: GaugeNames = GaugeNames {
-        lost: "warmpool.warm.lost",
-        dup: "warmpool.warm.terminal.duplicates",
-        route: "warmpool.warm.route.violations",
-        slices: "warmpool.warm.slices.leaked",
-        locks: "warmpool.warm.locks.leaked",
-        promotions: "warmpool.warm.promotions",
-        promoted_lag: "warmpool.warm.promoted.lag_us",
-        offer_lag: "warmpool.warm.offer.lag_us",
-        slice_ms: "warmpool.warm.slice_ms",
-    };
-    const COLD_GAUGES: GaugeNames = GaugeNames {
-        lost: "warmpool.cold.lost",
-        dup: "warmpool.cold.terminal.duplicates",
-        route: "warmpool.cold.route.violations",
-        slices: "warmpool.cold.slices.leaked",
-        locks: "warmpool.cold.locks.leaked",
-        promotions: "warmpool.cold.promotions",
-        promoted_lag: "warmpool.cold.promoted.lag_us",
-        offer_lag: "warmpool.cold.offer.lag_us",
-        slice_ms: "warmpool.cold.slice_ms",
-    };
-    for (names, v) in [(WARM_GAUGES, &warm), (COLD_GAUGES, &cold)] {
-        metrics.gauge(names.lost).set(v.lost as i64);
-        metrics.gauge(names.dup).set(v.duplicate_terminals as i64);
-        metrics.gauge(names.route).set(v.route_violations as i64);
-        metrics.gauge(names.slices).set(v.leaked_slices as i64);
-        metrics.gauge(names.locks).set(v.leaked_locks as i64);
-        metrics.gauge(names.promotions).set(v.promotions as i64);
-        metrics
-            .gauge(names.promoted_lag)
-            .set(lag_us(v.promoted_lag));
-        metrics.gauge(names.offer_lag).set(lag_us(v.offer_lag));
-        metrics
-            .gauge(names.slice_ms)
-            .set((v.slice_seconds * 1000.0) as i64);
-    }
-    metrics
-        .gauge("warmpool.tick_us")
-        .set(TICK.as_micros() as i64);
+    export!("warm", &warm);
+    export!("cold", &cold);
+    gauge("warmpool.tick_us", TICK.as_micros() as i64);
     let metrics_csv = snapshots_to_csv(&[registry.snapshot(SimTime::ZERO)]);
 
     let mut out = String::new();
@@ -787,13 +340,15 @@ pub fn run_warmpool(seed: u64, quick: bool) -> WarmpoolRun {
             out,
             "    conservation: lost {} (must be 0), duplicate terminals {} \
              (must be 0), route violations {} (must be 0)",
-            v.lost, v.duplicate_terminals, v.route_violations,
+            v.violations.lost.len(),
+            v.violations.duplicate_terminals.len(),
+            v.violations.standby_routed.len(),
         );
         let _ = writeln!(
             out,
             "    quiesce: leaked slices {} (must be 0), leaked locks {} \
              (must be 0); reserved {:.1} slice-seconds",
-            v.leaked_slices, v.leaked_locks, v.slice_seconds,
+            v.violations.leaks.leaked_slices, v.violations.leaks.leaked_locks, v.slice_seconds,
         );
     }
     if let (Some(warm_lag), Some(cold_lag)) = (warm.promoted_lag, cold.offer_lag) {
@@ -843,18 +398,11 @@ mod tests {
             let b = run_warmpool(seed, true);
             assert_eq!(a.report, b.report, "seed {seed}: nondeterministic run");
             for (name, v) in [("warm", &a.warm), ("cold", &a.cold)] {
-                assert_eq!(v.lost, 0, "seed {seed} {name}: lost invocations");
-                assert_eq!(
-                    v.duplicate_terminals, 0,
-                    "seed {seed} {name}: double-terminated invocations"
+                assert!(
+                    v.violations.is_clean(),
+                    "seed {seed} {name}: {:?}",
+                    v.violations
                 );
-                assert_eq!(
-                    v.route_violations, 0,
-                    "seed {seed} {name}: routed to unadvertised member"
-                );
-                assert_eq!(v.leaked_slices, 0, "seed {seed} {name}: leaked slices");
-                assert_eq!(v.leaked_locks, 0, "seed {seed} {name}: leaked locks");
-                assert!(v.clean(), "seed {seed} {name}: clean() disagrees");
             }
         }
     }

@@ -13,7 +13,7 @@
 //!   and that resource serving its first request. See
 //!   [`ProvisioningRecorder`].
 //!
-//! The crate also provides the QoS trackers (throughput / latency) used by
+//! The crate also provides the QoS trackers (latency, admission tallies) used by
 //! the threaded runtime and application tests, plus the telemetry layer:
 //!
 //! * a [`Registry`] of named counters, gauges and log-linear histograms that
@@ -33,7 +33,7 @@ mod trace;
 
 pub use agility::{AgilityMeter, AgilityReport};
 pub use provisioning::{ProvisioningRecorder, ProvisioningReport};
-pub use qos::{AdmissionCounters, AdmissionStats, LatencyTracker, ThroughputTracker};
+pub use qos::{AdmissionCounters, AdmissionStats, LatencyTracker};
 pub use registry::{
     snapshots_to_csv, Counter, Gauge, Histogram, HistogramSnapshot, MetricsHandle, Registry,
     RegistrySnapshot, CSV_HEADER,

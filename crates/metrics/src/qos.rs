@@ -1,4 +1,4 @@
-//! QoS trackers: throughput and latency.
+//! QoS trackers: latency and admission tallies.
 //!
 //! The paper defines QoS per application as "typically a combination of
 //! throughput and latency" (§5.1). These trackers are used by the threaded
@@ -7,89 +7,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use erm_sim::{SimDuration, SimTime, TimeSeries};
-
-/// Counts events per fixed window and exposes a rate series.
-///
-/// # Example
-///
-/// ```
-/// use erm_metrics::ThroughputTracker;
-/// use erm_sim::{SimDuration, SimTime};
-///
-/// let mut t = ThroughputTracker::new(SimDuration::from_secs(1));
-/// for i in 0..500 {
-///     t.observe(SimTime::from_micros(i * 2_000)); // 500 events in 1s
-/// }
-/// t.flush(SimTime::from_secs(1));
-/// assert_eq!(t.series().samples()[0].1, 500.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ThroughputTracker {
-    window: SimDuration,
-    window_start: SimTime,
-    count: u64,
-    total: u64,
-    series: TimeSeries,
-}
-
-impl ThroughputTracker {
-    /// Creates a tracker with the given aggregation window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "throughput window must be positive");
-        ThroughputTracker {
-            window,
-            window_start: SimTime::ZERO,
-            count: 0,
-            total: 0,
-            series: TimeSeries::new("throughput_per_s"),
-        }
-    }
-
-    /// Records one event at `now`, closing windows as needed.
-    pub fn observe(&mut self, now: SimTime) {
-        self.roll(now);
-        self.count += 1;
-        self.total += 1;
-    }
-
-    /// Records `n` events at once.
-    pub fn observe_n(&mut self, now: SimTime, n: u64) {
-        self.roll(now);
-        self.count += n;
-        self.total += n;
-    }
-
-    fn roll(&mut self, now: SimTime) {
-        while now.saturating_since(self.window_start) >= self.window {
-            let end = self.window_start + self.window;
-            let rate = self.count as f64 / self.window.as_secs_f64();
-            self.series.push(end, rate);
-            self.count = 0;
-            self.window_start = end;
-        }
-    }
-
-    /// Closes the window containing `now` so the final partial window is
-    /// emitted.
-    pub fn flush(&mut self, now: SimTime) {
-        self.roll(now + self.window);
-    }
-
-    /// Total events observed.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Rate per window over time (events/second).
-    pub fn series(&self) -> &TimeSeries {
-        &self.series
-    }
-}
+use erm_sim::SimDuration;
 
 /// Online latency statistics with logarithmic buckets.
 ///
@@ -289,30 +207,6 @@ impl AdmissionCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn throughput_counts_rate_per_window() {
-        let mut t = ThroughputTracker::new(SimDuration::from_secs(10));
-        for s in 0..10 {
-            t.observe_n(SimTime::from_secs(s), 100); // 1000 events in 10s
-        }
-        t.flush(SimTime::from_secs(10));
-        assert_eq!(t.total(), 1000);
-        assert_eq!(t.series().samples()[0].1, 100.0);
-    }
-
-    #[test]
-    fn throughput_emits_zero_windows_for_idle_gaps() {
-        let mut t = ThroughputTracker::new(SimDuration::from_secs(1));
-        t.observe(SimTime::from_secs(0));
-        t.observe(SimTime::from_secs(5));
-        t.flush(SimTime::from_secs(5));
-        let zeros = t.series().iter().filter(|&(_, v)| v == 0.0).count();
-        assert!(
-            zeros >= 3,
-            "idle seconds should appear as zero-rate windows"
-        );
-    }
 
     #[test]
     fn latency_mean_and_max_are_exact() {

@@ -12,6 +12,8 @@ use elasticrmi::{
     decode_args, encode_result, ClientLb, ElasticService, MethodCallStats, PoolConfig, RemoteError,
     RmiError, ScalingPolicy, ServiceContext,
 };
+use erm_harness::{Invariants, Quiesce};
+use erm_metrics::TraceHandle;
 use erm_sim::SimDuration;
 
 /// A service that can be made to crash (panic) on request — the "object can
@@ -158,6 +160,8 @@ fn whole_pool_failure_propagates_to_client() {
     let (mut pool, deps, _vote) = fragile_pool(2, 4);
     let mut stub = pool.stub(ClientLb::RoundRobin).unwrap();
     stub.set_reply_timeout(erm_sim::SimDuration::from_millis(100));
+    let (trace, sink) = TraceHandle::buffered(1024);
+    stub.set_trace(trace);
     // Take the whole pool's endpoints off the network.
     let net = deps.net;
     for ep in pool.members() {
@@ -171,6 +175,10 @@ fn whole_pool_failure_propagates_to_client() {
         matches!(err, RmiError::PoolUnreachable { attempts } if attempts >= 2),
         "got {err:?}"
     );
+    // Nor does it hide them from the trace: the invocation that found every
+    // member dead still ends in exactly one terminal event.
+    let found = Invariants::default().check(&sink.snapshot(), &Quiesce::default());
+    assert!(found.is_clean(), "{found:?}\n{}", sink.dump());
     pool.shutdown();
 }
 
