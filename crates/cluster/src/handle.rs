@@ -67,6 +67,11 @@ impl ClusterHandle {
         self.inner.lock().poll_ready(now)
     }
 
+    /// See [`ResourceManager::poll_ready_of`].
+    pub fn poll_ready_of(&self, requests: &[u64], now: SimTime) -> Vec<SliceGrant> {
+        self.inner.lock().poll_ready_of(requests, now)
+    }
+
     /// See [`ResourceManager::release`].
     pub fn release(&self, slice: SliceId, now: SimTime) -> Result<(), ClusterError> {
         self.inner.lock().release(slice, now)
@@ -163,6 +168,23 @@ mod tests {
         let b = a.clone();
         a.request_slices(3, SimTime::ZERO).unwrap();
         assert_eq!(b.free_slices(), b.total_slices() - 3);
+    }
+
+    #[test]
+    fn a_tenant_collects_only_the_grants_of_its_own_requests() {
+        let cluster = handle();
+        let mine = cluster.request_slices(2, SimTime::ZERO).unwrap();
+        let theirs = cluster.request_slices(3, SimTime::ZERO).unwrap();
+        let at = SimTime::from_secs(1);
+        let got = cluster.poll_ready_of(&[mine.request_id], at);
+        assert_eq!(got.len(), 2);
+        assert!(got.iter().all(|g| g.request_id == mine.request_id));
+        assert!(cluster.poll_ready_of(&[mine.request_id], at).is_empty());
+        // The other tenant's grants were left for it, none lost.
+        let rest = cluster.poll_ready(at);
+        assert_eq!(rest.len(), 3);
+        assert!(rest.iter().all(|g| g.request_id == theirs.request_id));
+        assert_eq!(cluster.slices_in_use(), 5);
     }
 
     #[test]

@@ -330,8 +330,25 @@ impl ResourceManager {
 
     /// Collects every grant whose provisioning finished by `now`.
     pub fn poll_ready(&mut self, now: SimTime) -> Vec<SliceGrant> {
+        self.collect_ready(now, |_| true)
+    }
+
+    /// [`poll_ready`](ResourceManager::poll_ready) for one tenant of a
+    /// shared cluster: collects only grants of the listed `requests` (the
+    /// ids [`request_slices`](ResourceManager::request_slices) returned to
+    /// that tenant) and leaves everyone else's for them to collect.
+    pub fn poll_ready_of(&mut self, requests: &[u64], now: SimTime) -> Vec<SliceGrant> {
+        self.collect_ready(now, |request_id| requests.contains(&request_id))
+    }
+
+    fn collect_ready(&mut self, now: SimTime, wanted: impl Fn(u64) -> bool) -> Vec<SliceGrant> {
         let mut ready = Vec::new();
+        let mut left = Vec::new();
         while let Some((ready_at, pending)) = self.provisioning.pop_one_due(now) {
+            if !wanted(pending.request_id) {
+                left.push((ready_at, pending));
+                continue;
+            }
             self.pending_count -= 1;
             self.in_use.insert(pending.slice);
             self.provision_latency
@@ -344,6 +361,9 @@ impl ResourceManager {
                 request_id: pending.request_id,
                 ready_at,
             });
+        }
+        for (ready_at, pending) in left {
+            self.provisioning.schedule(ready_at, pending);
         }
         ready
     }

@@ -12,7 +12,7 @@
 
 use erm_semantics::Semantics;
 use erm_sim::{SimDuration, SimTime};
-use erm_transport::EndpointId;
+use erm_transport::{buffers, EndpointId};
 use serde::{Deserialize, Serialize};
 
 use crate::error::RemoteError;
@@ -259,6 +259,31 @@ impl RmiMessage {
         erm_transport::to_bytes(self).expect("protocol messages are always encodable")
     }
 
+    /// The bytes of `RmiMessage::Request { call, context, method, args }
+    /// .encode()`, built from borrowed parts into one buffer of its final
+    /// size (a recycled one when [`buffers`] has one) — so the stub, which
+    /// keeps `method` and `args` for resends, neither clones them into an
+    /// owned message nor regrows the buffer on every attempt.
+    pub(crate) fn encode_request(
+        call: CallId,
+        context: &InvocationContext,
+        method: &str,
+        args: &[u8],
+    ) -> Vec<u8> {
+        // Variant index, call, the context's fixed fields and its optional
+        // routing key, then two length-prefixed runs.
+        let routing_key = if context.routing_key.is_some() { 9 } else { 1 };
+        let len = 4 + 8 + (8 + 8 + 4 + 8 + 4 + routing_key) + 4 + method.len() + 4 + args.len();
+        let mut out = buffers::take(len);
+        0u32.serialize(&mut out);
+        call.serialize(&mut out);
+        context.serialize(&mut out);
+        method.serialize(&mut out);
+        args.serialize(&mut out);
+        debug_assert_eq!(out.len(), len, "reserved exactly");
+        out
+    }
+
     /// Decodes a received payload.
     ///
     /// # Errors
@@ -266,6 +291,38 @@ impl RmiMessage {
     /// Returns the wire error for truncated or malformed payloads.
     pub fn decode(bytes: &[u8]) -> Result<Self, erm_transport::WireError> {
         erm_transport::from_bytes(bytes)
+    }
+
+    /// [`RmiMessage::decode`] for a receiver that owns the payload: the
+    /// arguments of a `Request` are the tail of its encoding, so they stay
+    /// in the payload's buffer (moved to its front) instead of being copied
+    /// into a second one of the same size.
+    pub(crate) fn decode_owned(mut payload: Vec<u8>) -> Result<Self, erm_transport::WireError> {
+        let Some((call, context, method, args_at)) = Self::request_head(&payload) else {
+            return Self::decode(&payload);
+        };
+        payload.drain(..args_at);
+        Ok(RmiMessage::Request {
+            call,
+            context,
+            method,
+            args: payload,
+        })
+    }
+
+    /// The fields of a well-formed `Request` ahead of its argument bytes,
+    /// and where those start. `None` for everything else, malformed
+    /// requests included: the general decoder names the error.
+    fn request_head(bytes: &[u8]) -> Option<(CallId, InvocationContext, String, usize)> {
+        let mut input = bytes;
+        if u32::deserialize(&mut input).ok()? != 0 {
+            return None;
+        }
+        let call = CallId::deserialize(&mut input).ok()?;
+        let context = InvocationContext::deserialize(&mut input).ok()?;
+        let method = String::deserialize(&mut input).ok()?;
+        let args_len = u32::deserialize(&mut input).ok()? as usize;
+        (input.len() == args_len).then(|| (call, context, method, bytes.len() - args_len))
     }
 }
 
@@ -276,6 +333,7 @@ mod tests {
     fn roundtrip(msg: RmiMessage) {
         let bytes = msg.encode();
         assert_eq!(RmiMessage::decode(&bytes).unwrap(), msg);
+        assert_eq!(RmiMessage::decode_owned(bytes).unwrap(), msg);
     }
 
     fn ctx() -> InvocationContext {
@@ -341,6 +399,82 @@ mod tests {
             owner: EndpointId(6),
             deadline: SimTime::from_micros(800_000),
         });
+    }
+
+    #[test]
+    fn borrowed_request_encoder_matches_the_owned_message() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xB0220);
+        for round in 0..200 {
+            let call: CallId = rng.gen();
+            let context = InvocationContext {
+                id: rng.gen(),
+                deadline: SimTime::from_micros(rng.gen()),
+                attempt: rng.gen(),
+                origin: EndpointId(rng.gen()),
+                semantics: [
+                    Semantics::AtMostOnce,
+                    Semantics::AtLeastOnce,
+                    Semantics::Maybe,
+                ][round % 3],
+                routing_key: rng.gen::<bool>().then(|| rng.gen()),
+            };
+            let method: String = (0..rng.gen_range(0usize..40))
+                .map(|_| char::from(b'a' + rng.gen_range(0u8..26)))
+                .collect();
+            // Every tenth round carries a blob-sized argument.
+            let args_len = if round % 10 == 0 {
+                65_540
+            } else {
+                rng.gen_range(0usize..300)
+            };
+            let args: Vec<u8> = (0..args_len).map(|_| rng.gen()).collect();
+            // (`encode_request` asserts in this debug build that the size it
+            // reserved is the size it wrote.)
+            let borrowed = RmiMessage::encode_request(call, &context, &method, &args);
+            let owned = RmiMessage::Request {
+                call,
+                context,
+                method,
+                args,
+            };
+            assert_eq!(borrowed, owned.encode(), "round {round}");
+        }
+    }
+
+    #[test]
+    fn owned_decode_keeps_request_args_in_place_and_agrees_on_malformed_input() {
+        let args: Vec<u8> = (0..5_000u32).map(|i| i as u8).collect();
+        let good = RmiMessage::encode_request(9, &ctx(), "blob", &args);
+        let owned = good.clone();
+        let buffer = owned.as_ptr();
+        match RmiMessage::decode_owned(owned).unwrap() {
+            RmiMessage::Request { args: got, .. } => {
+                assert_eq!(got, args);
+                assert_eq!(got.as_ptr(), buffer, "the payload's buffer, not a copy");
+            }
+            other => panic!("decoded {other:?}"),
+        }
+
+        // Every truncation, a trailing byte, and each length prefix off by
+        // one or absurd: the same verdict as the borrowing decoder.
+        let head = good.len() - args.len();
+        let mut bad: Vec<Vec<u8>> = (0..good.len()).map(|n| good[..n].to_vec()).collect();
+        bad.push([good.as_slice(), &[0]].concat());
+        for prefix_at in [head - 4, head - 4 - "blob".len() - 4] {
+            for lie in [1u32.wrapping_neg(), 1, u32::MAX / 2] {
+                let mut b = good.clone();
+                let was = u32::from_le_bytes(b[prefix_at..prefix_at + 4].try_into().unwrap());
+                b[prefix_at..prefix_at + 4].copy_from_slice(&was.wrapping_add(lie).to_le_bytes());
+                bad.push(b);
+            }
+        }
+        for b in bad {
+            let expected = RmiMessage::decode(&b);
+            assert!(expected.is_err());
+            assert_eq!(RmiMessage::decode_owned(b), expected);
+        }
     }
 
     #[test]

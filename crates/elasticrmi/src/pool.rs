@@ -456,7 +456,10 @@ impl Runtime {
                 }
             }
             // 3. Newly provisioned slices become members.
-            let grants = self.deps.cluster.poll_ready(self.deps.clock.now());
+            // Only this pool's: another pool on the same cluster collects
+            // its own (taking them here left that pool with no members).
+            let due: Vec<u64> = self.grant_times.keys().copied().collect();
+            let grants = self.deps.cluster.poll_ready_of(&due, self.deps.clock.now());
             let grew = !grants.is_empty();
             for grant in grants {
                 self.spawn_member(grant);

@@ -32,7 +32,7 @@ use erm_metrics::{
 };
 use erm_semantics::{DedupStats, Lookup, ReplyCache, ReplyCacheConfig, Semantics};
 use erm_sim::{SharedClock, SimDuration, SimTime};
-use erm_transport::{Datagram, EndpointId, Mailbox, Network, RecvError};
+use erm_transport::{buffers, Datagram, EndpointId, Mailbox, Network, RecvError};
 
 use crate::api::{ElasticService, MethodCallStats, ServiceContext};
 use crate::error::RemoteError;
@@ -320,7 +320,7 @@ impl Skeleton {
     }
 
     fn ingest_datagram(&mut self, datagram: Datagram, mailbox: &Mailbox) -> bool {
-        match RmiMessage::decode(&datagram.payload) {
+        match RmiMessage::decode_owned(datagram.payload) {
             Ok(msg) => self.ingest(datagram.from, msg, mailbox),
             Err(_) => false, // malformed datagrams are dropped
         }
@@ -710,6 +710,9 @@ impl Skeleton {
             .service
             .dispatch(&request.method, &request.args, &mut self.ctx);
         self.ctx.set_invocation(None);
+        // The arguments still sit in the buffer the transport delivered
+        // them in; the next inbound payload of that size reuses it.
+        buffers::recycle(request.args);
         let end = self.clock.now();
         let latency = end.saturating_since(start);
         self.interval.record(&request.method, latency.as_micros());

@@ -30,7 +30,7 @@ use erm_admission::AimdLimiter;
 use erm_metrics::{TraceEvent, TraceHandle};
 use erm_semantics::{Semantics, SemanticsTable};
 use erm_sim::{seeded_rng, SharedClock, SimDuration, SimTime};
-use erm_transport::{Datagram, EndpointId, Mailbox, Network, RecvError};
+use erm_transport::{buffers, Datagram, EndpointId, Mailbox, Network, RecvError};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::de::DeserializeOwned;
@@ -43,6 +43,9 @@ use crate::shard::{ShardRing, ShardingTable};
 /// How often the wait loops re-check the (possibly virtual) clock while
 /// polling the mailbox.
 const POLL_TICK: Duration = Duration::from_millis(1);
+
+/// Argument buffers a stub keeps from completed invocations for reuse.
+const SPARE_ARGS: usize = 32;
 
 /// Client-side load-balancing discipline (§4.3: "randomly or in a
 /// round-robin fashion").
@@ -128,6 +131,9 @@ pub struct Stub {
     calls: HashMap<u64, u64>,
     /// Finished invocations awaiting [`Stub::poll_complete`].
     completed: BTreeMap<u64, Result<Vec<u8>, RmiError>>,
+    /// Argument buffers of completed invocations, for the next
+    /// [`Stub::invoke_begin`] to encode into (at most [`SPARE_ARGS`]).
+    spare_args: Vec<Vec<u8>>,
     /// Deadline of the outstanding async membership refresh, if any.
     refresh_inflight: Option<SimTime>,
     /// Highest membership epoch seen in a `PoolInfo`. Commitments are
@@ -203,6 +209,7 @@ impl Stub {
             pending: BTreeMap::new(),
             calls: HashMap::new(),
             completed: BTreeMap::new(),
+            spare_args: Vec::new(),
             refresh_inflight: None,
             epoch: 0,
             sharding: ShardingTable::default(),
@@ -330,14 +337,16 @@ impl Stub {
     ///
     /// # Errors
     ///
-    /// [`RmiError::Encode`] on marshalling failure, [`RmiError::Throttled`]
-    /// when the AIMD limiter refuses the slot (the invocation is not
-    /// injected).
+    /// [`RmiError::Throttled`] when the AIMD limiter refuses the slot (the
+    /// invocation is not injected).
     pub fn invoke_begin<A>(&mut self, method: &str, args: &A) -> Result<u64, RmiError>
     where
         A: Serialize + ?Sized,
     {
-        let encoded = erm_transport::to_bytes(args).map_err(|e| RmiError::Encode(e.to_string()))?;
+        // Into the buffer a completed invocation left behind, when there
+        // is one: it is kept until this one completes in turn.
+        let mut encoded = self.spare_args.pop().unwrap_or_default();
+        args.serialize(&mut encoded);
         self.invoke_begin_raw(method, encoded)
     }
 
@@ -505,7 +514,9 @@ impl Stub {
     /// already abandoned (timeout, crash failover) — and are dropped,
     /// exactly as the blocking loop used to skip them.
     fn process_datagram(&mut self, datagram: Datagram) {
-        let Ok(msg) = RmiMessage::decode(&datagram.payload) else {
+        let decoded = RmiMessage::decode(&datagram.payload);
+        buffers::recycle(datagram.payload);
+        let Ok(msg) = decoded else {
             return;
         };
         match msg {
@@ -767,15 +778,9 @@ impl Stub {
             // across every resend path (timeout retry, fast-failover,
             // redirect splice) — the regression contract of wire v4.
             pending.context.attempt = pending.attempts;
-            let msg = RmiMessage::Request {
-                call,
-                context: pending.context,
-                method: pending.method.clone(),
-                args: pending.args.clone(),
-            };
             (
                 target,
-                msg.encode(),
+                RmiMessage::encode_request(call, &pending.context, &pending.method, &pending.args),
                 pending.attempts,
                 pending.context.deadline,
             )
@@ -1065,6 +1070,11 @@ impl Stub {
             matches!(&result, Ok(_) | Err(RmiError::Remote(_))),
         );
         self.completed.insert(invocation, result);
+        if self.spare_args.len() < SPARE_ARGS {
+            let mut args = pending.args;
+            args.clear();
+            self.spare_args.push(args);
+        }
     }
 
     /// The invocation ran out its whole budget — congestion too: the pool

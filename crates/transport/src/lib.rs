@@ -13,10 +13,13 @@
 //!    crash/partition fault injection for tests) and [`TcpHost`] (real
 //!    sockets, frame-delimited).
 //!
+//! [`buffers`] recycles the payload buffers that cross threads on the way.
+//!
 //! The RMI *protocol* — requests, responses, redirects, pool-control
 //! messages — is defined one layer up, in the `elasticrmi` crate; this crate
 //! only moves bytes.
 
+pub mod buffers;
 pub mod testutil;
 pub mod wire;
 

@@ -19,7 +19,11 @@
 //! core therefore drives hundreds of connections — the per-peer
 //! reader/writer thread pairs of the original implementation are gone, but
 //! the public API, the wire format, and the failure semantics are
-//! unchanged: writes coalesce queued frames into batched syscalls, dead
+//! unchanged: a sent frame waits on its link as header fields beside the
+//! caller's payload `Vec` and first becomes wire bytes in the link's batch
+//! buffer, where queued frames coalesce into batched write syscalls (the
+//! payload's own buffer then goes back to [`crate::buffers`], which is also
+//! where the receiving loop gets the buffers it delivers payloads in); dead
 //! connections reconnect with bounded backoff (rewriting the in-flight
 //! batch, trading at-most-once for at-least-once on that boundary), and a
 //! peer whose every connect attempt failed is marked broken — which
@@ -51,6 +55,7 @@ use erm_metrics::{Counter, Gauge, MetricsHandle};
 use parking_lot::Mutex;
 use parking_lot::RwLock;
 
+use crate::buffers;
 use crate::endpoint::{Datagram, EndpointId, Mailbox, Network, SendError};
 use crate::poller::{Event, Interest, Poller, Waker};
 
@@ -195,10 +200,12 @@ struct TcpTelemetry {
 /// The half of an outbound link both senders and the event loop touch.
 #[derive(Debug, Default)]
 struct LinkShared {
-    /// Encoded frames awaiting the event loop, FIFO per link.
-    queue: Mutex<VecDeque<Vec<u8>>>,
-    /// Byte size of `queue` (senders add, the loop subtracts), kept
-    /// outside the lock so `backpressure` checks stay wait-free.
+    /// Frames awaiting the event loop, FIFO per link.
+    queue: Mutex<VecDeque<QueuedFrame>>,
+    /// Wire size of `queue`, kept outside the lock so `backpressure` checks
+    /// stay wait-free. Senders add while they hold the `queue` lock for the
+    /// push; the loop subtracts what it popped under that lock, so it never
+    /// subtracts bytes that are not yet added.
     queued_bytes: AtomicU64,
     /// Set when a full reconnect cycle failed; cleared on the next
     /// successful connect. `endpoint_open` reads it.
@@ -467,14 +474,17 @@ impl TcpHost {
 
     /// Queues a frame on the peer's link (created on first use) and nudges
     /// the event loop.
-    fn enqueue(&self, addr: SocketAddr, frame: Vec<u8>) {
+    fn enqueue(&self, addr: SocketAddr, frame: QueuedFrame) {
         let link = {
             let mut links = self.inner.links.lock();
             Arc::clone(links.entry(addr).or_default())
         };
-        let len = frame.len() as u64;
-        link.queue.lock().push_back(frame);
-        let total = link.queued_bytes.fetch_add(len, Ordering::SeqCst) + len;
+        let len = frame.wire_len() as u64;
+        let total = {
+            let mut queue = link.queue.lock();
+            queue.push_back(frame);
+            link.queued_bytes.fetch_add(len, Ordering::SeqCst) + len
+        };
         self.inner.gauge_queued(len as i64);
         if total as usize >= LINK_HIGH_WATER_BYTES
             && !link.backpressured.swap(true, Ordering::SeqCst)
@@ -505,7 +515,7 @@ impl Network for TcpHost {
             return Ok(());
         }
         let addr = self.route(to).ok_or(SendError::Unreachable(to))?;
-        let frame = encode_frame(from, to, &self.inner.advertised, &payload)
+        let frame = QueuedFrame::new(from, to, &self.inner.advertised, payload)
             .ok_or(SendError::Unreachable(to))?;
         // Success means "accepted for delivery", like UDP: the event loop
         // owns actual delivery, reconnecting as needed.
@@ -542,23 +552,51 @@ impl Network for TcpHost {
     }
 }
 
-/// Encodes one wire frame; `None` if the payload exceeds the u32 length.
-fn encode_frame(
+/// One outbound frame as it waits on a link: the header fields and the
+/// caller's payload `Vec` as handed to `send`. The wire bytes exist only in
+/// the batch buffer, where [`QueuedFrame::write_to`] puts them.
+#[derive(Debug)]
+struct QueuedFrame {
     from: EndpointId,
     to: EndpointId,
-    advertised: &[u8],
-    payload: &[u8],
-) -> Option<Vec<u8>> {
-    let addr_len = u16::try_from(advertised.len()).ok()?;
-    let len = u32::try_from(FRAME_FIXED + advertised.len() + payload.len()).ok()?;
-    let mut frame = Vec::with_capacity(4 + len as usize);
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&from.0.to_le_bytes());
-    frame.extend_from_slice(&to.0.to_le_bytes());
-    frame.extend_from_slice(&addr_len.to_le_bytes());
-    frame.extend_from_slice(advertised);
-    frame.extend_from_slice(payload);
-    Some(frame)
+    /// The frame's length word: everything after itself.
+    len: u32,
+    payload: Vec<u8>,
+}
+
+impl QueuedFrame {
+    /// `None` if the frame would exceed the u32 length word.
+    fn new(
+        from: EndpointId,
+        to: EndpointId,
+        advertised: &[u8],
+        payload: Vec<u8>,
+    ) -> Option<QueuedFrame> {
+        u16::try_from(advertised.len()).ok()?;
+        let len = u32::try_from(FRAME_FIXED + advertised.len() + payload.len()).ok()?;
+        Some(QueuedFrame {
+            from,
+            to,
+            len,
+            payload,
+        })
+    }
+
+    /// Bytes this frame occupies on the stream, length word included.
+    fn wire_len(&self) -> usize {
+        4 + self.len as usize
+    }
+
+    /// Appends the wire frame (see the module doc) to a batch buffer.
+    /// `advertised` is the host's, the one `new` checked and sized `len` for.
+    fn write_to(&self, out: &mut Vec<u8>, advertised: &[u8]) {
+        out.extend_from_slice(&self.len.to_le_bytes());
+        out.extend_from_slice(&self.from.0.to_le_bytes());
+        out.extend_from_slice(&self.to.0.to_le_bytes());
+        out.extend_from_slice(&(advertised.len() as u16).to_le_bytes());
+        out.extend_from_slice(advertised);
+        out.extend_from_slice(&self.payload);
+    }
 }
 
 /// One accepted inbound connection plus its reassembly buffer.
@@ -788,9 +826,10 @@ impl EventLoop {
                         let Some(frame) = queue.pop_front() else {
                             break;
                         };
-                        taken += frame.len();
-                        link.scratch.extend_from_slice(&frame);
+                        taken += frame.wire_len();
+                        frame.write_to(&mut link.scratch, &inner.advertised);
                         link.scratch_frames.push(link.scratch.len());
+                        buffers::recycle(frame.payload);
                     }
                 }
                 if taken > 0 {
@@ -934,13 +973,14 @@ impl EventLoop {
 /// fail over instead of waiting out reply timeouts.
 fn give_up(link: &mut OutLink, inner: &HostInner) {
     let unsent_scratch = (link.scratch_frames.len() - link.scratch_sent) as u64;
-    let queued = {
+    // Zeroed under the queue lock, like every other change to it: a sender
+    // racing this sees either the cleared queue and counter or neither.
+    let (queued, cleared_bytes) = {
         let mut queue = link.shared.queue.lock();
         let n = queue.len() as u64;
         queue.clear();
-        n
+        (n, link.shared.queued_bytes.swap(0, Ordering::SeqCst))
     };
-    let cleared_bytes = link.shared.queued_bytes.swap(0, Ordering::SeqCst);
     inner.gauge_queued(-(cleared_bytes as i64));
     link.scratch.clear();
     link.scratch_frames.clear();
@@ -1027,7 +1067,9 @@ fn parse_frames(buf: &mut Vec<u8>, inner: &HostInner) -> Result<(), ()> {
                 inner.host_routes.write().insert(sender_host, addr);
             }
         }
-        let payload = frame[FRAME_FIXED + addr_len..].to_vec();
+        let bytes = &frame[FRAME_FIXED + addr_len..];
+        let mut payload = buffers::take(bytes.len());
+        payload.extend_from_slice(bytes);
         inner.count_received(1);
         if let Some(tx) = inner.local.read().get(&to) {
             let _ = tx.send(Datagram { from, payload });
@@ -1141,6 +1183,52 @@ mod tests {
             stats.batches <= stats.frames_sent,
             "writer may coalesce but never splits"
         );
+    }
+
+    #[test]
+    fn concurrent_senders_never_outrun_the_byte_accounting() {
+        // Two senders hammer one link while the loop drains it. Were a frame
+        // poppable before its bytes are counted, the loop's `fetch_sub`
+        // would underflow: in a debug build that panics the loop thread
+        // (nothing more is delivered and the senders die on the poisoned
+        // queue lock), in release it skips a backpressure clear.
+        const SENDERS: u32 = 2;
+        const PER_SENDER: u32 = 150_000;
+        let (metrics, registry) = MetricsHandle::shared();
+        let (host_a, host_b) = pair();
+        host_a.install_metrics(&metrics);
+        let (a, _mail_a) = host_a.open_endpoint();
+        let (b, mail_b) = host_b.open_endpoint();
+        host_a.register_peer(b, host_b.local_addr());
+        thread::scope(|scope| {
+            let senders: Vec<_> = (0..SENDERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        for i in 0..PER_SENDER {
+                            host_a.send(a, b, i.to_le_bytes().to_vec()).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for _ in 0..SENDERS * PER_SENDER {
+                recv_ready(&mail_b, "a hammered frame: the loop thread is alive");
+            }
+            for sender in senders {
+                sender.join().expect("sender survived");
+            }
+        });
+        assert_eq!(host_a.stats().frames_sent, u64::from(SENDERS * PER_SENDER));
+        let queued_bytes = || {
+            let gauges = registry.snapshot(erm_sim::SimTime::ZERO).gauges;
+            gauges
+                .iter()
+                .find(|&&(name, _)| name == "tcp.outbound.queued_bytes")
+                .map(|&(_, v)| v)
+        };
+        eventually("tcp.outbound.queued_bytes back at 0", || {
+            queued_bytes() == Some(0)
+        });
+        assert!(!host_a.backpressure(b));
     }
 
     #[test]

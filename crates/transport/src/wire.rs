@@ -11,7 +11,8 @@
 //! * fixed-width integers and floats as their raw bytes,
 //! * `bool` as one byte (0/1),
 //! * `char` as a `u32` scalar value,
-//! * strings and byte strings as a `u32` length followed by the bytes,
+//! * strings and byte strings as a `u32` length followed by the bytes
+//!   (moved in bulk: see the `serde` shim's slice hooks),
 //! * `Option` as a 0/1 tag followed by the value,
 //! * sequences and maps as a `u32` length followed by the elements,
 //! * enum variants as a `u32` variant index followed by the payload,
@@ -152,6 +153,36 @@ mod tests {
         roundtrip(String::from("hello, 世界"));
         roundtrip(String::new());
         roundtrip(vec![0u8, 255, 127]);
+    }
+
+    #[test]
+    fn byte_string_length_lies_are_eof() {
+        let mut bytes = to_bytes(&vec![7u8; 4096]).unwrap();
+        for claimed in [4097u32, u32::MAX] {
+            bytes[..4].copy_from_slice(&claimed.to_le_bytes());
+            assert_eq!(
+                from_bytes::<Vec<u8>>(&bytes).unwrap_err(),
+                WireError::UnexpectedEof
+            );
+        }
+        // One short is a complete value with a byte left over.
+        bytes[..4].copy_from_slice(&4095u32.to_le_bytes());
+        assert_eq!(
+            from_bytes::<Vec<u8>>(&bytes).unwrap_err(),
+            WireError::TrailingBytes(1)
+        );
+    }
+
+    #[test]
+    fn byte_strings_inside_messages_roundtrip() {
+        // The shape a 64 KiB argument travels in: a byte vector nested in
+        // an enum variant, between other fields.
+        roundtrip(Command::Put {
+            key: "blob".into(),
+            value: (0..65_536).map(|i| (i % 251) as u8).collect(),
+        });
+        roundtrip(vec![(1u8, 2u8), (3, 4)]);
+        roundtrip(vec![vec![1u8, 2], Vec::new(), vec![3]]);
     }
 
     #[test]

@@ -46,6 +46,21 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<(u64, u64, String, Vec<
     Ok((from, to, addr, payload))
 }
 
+/// Writes `bytes` in deterministically irregular chunks of 1..=23 bytes,
+/// never aligned with a frame length, so every header and payload gets
+/// split.
+fn dribble(conn: &mut TcpStream, bytes: &[u8]) {
+    let mut off = 0usize;
+    let mut step = 1usize;
+    while off < bytes.len() {
+        let n = step.min(bytes.len() - off);
+        conn.write_all(&bytes[off..off + n]).unwrap();
+        conn.flush().unwrap();
+        off += n;
+        step = (step * 3 + 1) % 23 + 1;
+    }
+}
+
 #[test]
 fn golden_frame_bytes_on_the_wire() {
     // A raw listener stands in for the peer so the exact bytes the host
@@ -120,6 +135,60 @@ fn pipelined_batch_keeps_exact_golden_bytes() {
 }
 
 #[test]
+fn large_frame_then_small_ones_keep_golden_stream_and_order() {
+    // One frame bigger than the writer's batch limit and the reader's
+    // chunk (both 64 KiB) with three small ones queued behind it. The
+    // sender keeps the payload apart from its header until the batch
+    // buffer; the stream must still be the frames' concatenation, and a
+    // host fed that stream in scraps must deliver all four in order.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let peer_addr: SocketAddr = listener.local_addr().unwrap();
+
+    let host = TcpHost::bind("127.0.0.1:0", 2).unwrap();
+    let (from, _mail) = host.open_endpoint();
+    let to = EndpointId(6 << 32);
+    host.register_peer(to, peer_addr);
+
+    let large: Vec<u8> = (0..100_000u32).map(|i| (i % 253) as u8).collect();
+    let payloads = [large, b"one".to_vec(), Vec::new(), b"three".to_vec()];
+    let mut expected = Vec::new();
+    for payload in &payloads {
+        expected.extend_from_slice(&golden_frame(
+            from.0,
+            to.0,
+            &host.local_addr().to_string(),
+            payload,
+        ));
+        host.send(from, to, payload.clone()).unwrap();
+    }
+
+    let mut conn = accept_ready(&listener, "the host's outbound connection");
+    let mut got = vec![0u8; expected.len()];
+    conn.read_exact(&mut got).unwrap();
+    assert!(
+        got == expected,
+        "the stream must be byte-identical to the four frames in order"
+    );
+    eventually("all four frames counted sent", || {
+        host.stats().frames_sent == 4
+    });
+
+    // The receiving side: host 6's first endpoint is `to`.
+    let receiver = TcpHost::bind("127.0.0.1:0", 6).unwrap();
+    let (dest, mailbox) = receiver.open_endpoint();
+    assert_eq!(dest, to);
+    let mut feed = TcpStream::connect(receiver.local_addr()).unwrap();
+    dribble(&mut feed, &got);
+    for (i, payload) in payloads.iter().enumerate() {
+        let delivered = recv_ready(&mailbox, &format!("frame {i} of the dribbled stream"));
+        assert_eq!(delivered.from, from);
+        assert!(delivered.payload == *payload, "payload {i} survives");
+    }
+    assert!(mailbox.try_recv().is_err(), "no extra frames invented");
+}
+
+#[test]
 fn split_frames_reassemble_across_short_reads_and_writes() {
     // A raw client dribbles frames at the host byte by byte (worst-case
     // short writes); the framing layer must reassemble them exactly.
@@ -186,18 +255,8 @@ fn pipelined_frames_for_many_endpoints_reassemble_from_irregular_chunks() {
         ));
     }
 
-    // Deterministically irregular chunk sizes: 1..=23 bytes, never aligned
-    // with the frame length, so every header and payload gets split.
     let mut conn = TcpStream::connect(host.local_addr()).unwrap();
-    let mut off = 0usize;
-    let mut step = 1usize;
-    while off < stream_bytes.len() {
-        let n = step.min(stream_bytes.len() - off);
-        conn.write_all(&stream_bytes[off..off + n]).unwrap();
-        conn.flush().unwrap();
-        off += n;
-        step = (step * 3 + 1) % 23 + 1;
-    }
+    dribble(&mut conn, &stream_bytes);
 
     for (k, mailbox) in mailboxes.iter().enumerate() {
         let mut i = k;

@@ -17,6 +17,20 @@
 //!   the payload,
 //! * structs and tuples as their fields in order, with no framing.
 //!
+//! # Slice hooks
+//!
+//! A `u8` encodes as itself, so the elements of a `[u8]` *are* its bytes on
+//! the wire — yet an element-at-a-time walk costs a call, a bounds check
+//! and a capacity check per byte, which is what a 64 KiB argument spent its
+//! time on. [`Serialize::serialize_slice`] and
+//! [`Deserialize::deserialize_vec`] are the one place the generic `[T]` /
+//! `Vec<T>` impls hand the *whole* run of elements to `T`: the provided
+//! bodies are the element loop, and `u8` alone overrides them with one
+//! `extend_from_slice` out and one bounds-checked `to_vec` in. The bytes
+//! are identical either way; every other element type has a variable or
+//! endian-dependent encoding and keeps the loop. (This is borsh's
+//! `u8_slice` trick; stable Rust has no specialization.)
+//!
 //! The derive macros (`#[derive(Serialize, Deserialize)]`, via the
 //! `serde_derive` shim) generate field-in-order impls of these traits, so
 //! every type that derived serde in the original codebase keeps the exact
@@ -68,6 +82,18 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// Appends this value's encoding to `out`.
     fn serialize(&self, out: &mut Vec<u8>);
+
+    /// Appends the encodings of `items` back to back (no length prefix):
+    /// what `[Self]` calls for its elements. See the module's *Slice hooks*.
+    #[doc(hidden)]
+    fn serialize_slice(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.serialize(out);
+        }
+    }
 }
 
 /// A type that can decode itself from the workspace wire format.
@@ -82,6 +108,21 @@ pub trait Deserialize<'de>: Sized {
     /// [`Error::UnexpectedEof`] on truncation, [`Error::Invalid`] on
     /// malformed data.
     fn deserialize(input: &mut &'de [u8]) -> Result<Self, Error>;
+
+    /// Decodes `len` values back to back (the length prefix already read):
+    /// what `Vec<Self>` calls for its elements. See the module's *Slice
+    /// hooks*.
+    #[doc(hidden)]
+    fn deserialize_vec(input: &mut &'de [u8], len: usize) -> Result<Vec<Self>, Error> {
+        // Guard against hostile lengths: never reserve more than the input
+        // could possibly hold (each element needs at least one byte, except
+        // zero-sized encodings which push nothing and are capped too).
+        let mut items = Vec::with_capacity(len.min(input.len()).min(4096));
+        for _ in 0..len {
+            items.push(Self::deserialize(input)?);
+        }
+        Ok(items)
+    }
 }
 
 /// Module mirroring `serde::ser` for imports like `serde::ser::Error`.
@@ -143,7 +184,29 @@ macro_rules! impl_fixed {
         }
     )*};
 }
-impl_fixed!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128, f32, f64);
+impl_fixed!(u16, u32, u64, u128, i8, i16, i32, i64, i128, f32, f64);
+
+impl Serialize for u8 {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    fn serialize_slice(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+}
+
+impl<'de> Deserialize<'de> for u8 {
+    fn deserialize(input: &mut &'de [u8]) -> Result<Self, Error> {
+        Ok(take::<1>(input)?[0])
+    }
+
+    fn deserialize_vec(input: &mut &'de [u8], len: usize) -> Result<Vec<u8>, Error> {
+        // The bounds check comes first: a lying length is `UnexpectedEof`
+        // before anything is allocated.
+        Ok(take_slice(input, len)?.to_vec())
+    }
+}
 
 impl Serialize for usize {
     fn serialize(&self, out: &mut Vec<u8>) {
@@ -305,9 +368,7 @@ impl<'de, T: Deserialize<'de>, E: Deserialize<'de>> Deserialize<'de> for Result<
 impl<T: Serialize> Serialize for [T] {
     fn serialize(&self, out: &mut Vec<u8>) {
         write_len(out, self.len());
-        for item in self {
-            item.serialize(out);
-        }
+        T::serialize_slice(self, out);
     }
 }
 
@@ -320,14 +381,7 @@ impl<T: Serialize> Serialize for Vec<T> {
 impl<'de, T: Deserialize<'de>> Deserialize<'de> for Vec<T> {
     fn deserialize(input: &mut &'de [u8]) -> Result<Self, Error> {
         let len = read_len(input)?;
-        // Guard against hostile lengths: never reserve more than the input
-        // could possibly hold (each element needs at least one byte, except
-        // zero-sized encodings which push nothing and are capped too).
-        let mut items = Vec::with_capacity(len.min(input.len()).min(4096));
-        for _ in 0..len {
-            items.push(T::deserialize(input)?);
-        }
-        Ok(items)
+        T::deserialize_vec(input, len)
     }
 }
 
@@ -479,14 +533,117 @@ mod tests {
         assert_eq!(String::deserialize(&mut short), Err(Error::UnexpectedEof));
     }
 
+    /// Records the largest single allocation this thread has requested, so
+    /// "does not over-allocate" is an assertion and not a hope (a 4 GiB
+    /// `with_capacity` succeeds silently on an overcommitting kernel).
+    struct LargestRequest;
+
+    thread_local! {
+        static LARGEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    // SAFETY: every call is forwarded unchanged to `System`; the only
+    // addition is a thread-local store that itself never allocates.
+    unsafe impl std::alloc::GlobalAlloc for LargestRequest {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            let _ = LARGEST.try_with(|l| l.set(l.get().max(layout.size())));
+            std::alloc::System.alloc(layout)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            std::alloc::System.dealloc(ptr, layout)
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new: usize) -> *mut u8 {
+            let _ = LARGEST.try_with(|l| l.set(l.get().max(new)));
+            std::alloc::System.realloc(ptr, layout, new)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: LargestRequest = LargestRequest;
+
+    /// Runs `f` and returns the largest allocation it requested.
+    fn largest_allocation_in(f: impl FnOnce()) -> usize {
+        LARGEST.with(|l| l.set(0));
+        f();
+        LARGEST.with(|l| l.get())
+    }
+
     #[test]
     fn hostile_length_does_not_overallocate() {
-        // Length claims 2^32-1 elements but supplies none.
+        // Length claims 2^32-1 elements but supplies none: the default
+        // `deserialize_vec` caps its reservation by the input left.
         let bytes = u32::MAX.to_le_bytes();
-        let mut input = &bytes[..];
-        assert_eq!(
-            Vec::<u64>::deserialize(&mut input),
-            Err(Error::UnexpectedEof)
-        );
+        let largest = largest_allocation_in(|| {
+            let mut input = &bytes[..];
+            assert_eq!(
+                Vec::<u64>::deserialize(&mut input),
+                Err(Error::UnexpectedEof)
+            );
+        });
+        assert!(largest <= 4096 * 8, "reserved {largest} bytes");
+    }
+
+    /// The encoding `[u8]` had before the slice hook: one element at a time.
+    fn per_byte_encoding(bytes: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        for b in bytes {
+            out.push(*b);
+        }
+        out
+    }
+
+    #[test]
+    fn byte_vectors_encode_as_the_element_loop_did() {
+        for len in [0usize, 1, 4095, 4096, 4097, 65_536] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            let expected = per_byte_encoding(&bytes);
+            let mut from_vec = Vec::new();
+            bytes.serialize(&mut from_vec);
+            assert_eq!(from_vec, expected, "Vec<u8> of {len}");
+            let mut from_slice = Vec::new();
+            bytes.as_slice().serialize(&mut from_slice);
+            assert_eq!(from_slice, expected, "&[u8] of {len}");
+            assert_eq!(roundtrip(&bytes), bytes, "round trip of {len}");
+        }
+    }
+
+    #[test]
+    fn lying_byte_vector_length_is_eof_before_any_allocation() {
+        let body = vec![0xABu8; 1000];
+        for claimed in [u32::MAX, body.len() as u32 + 1] {
+            let mut bytes = claimed.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&body);
+            let largest = largest_allocation_in(|| {
+                let mut input = bytes.as_slice();
+                assert_eq!(
+                    Vec::<u8>::deserialize(&mut input),
+                    Err(Error::UnexpectedEof)
+                );
+            });
+            assert_eq!(largest, 0, "claimed {claimed}: allocated {largest} bytes");
+        }
+    }
+
+    #[test]
+    fn other_element_types_keep_the_element_loop() {
+        fn encoded<T: Serialize>(value: &T) -> Vec<u8> {
+            let mut out = Vec::new();
+            value.serialize(&mut out);
+            out
+        }
+        let words: Vec<u16> = (0..5000).collect();
+        assert_eq!(encoded(&words).len(), 4 + 2 * words.len());
+        assert_eq!(encoded(&words)[4..8], [0, 0, 1, 0], "little-endian u16s");
+        assert_eq!(roundtrip(&words), words);
+
+        let strings: Vec<String> = (0..100).map(|i| "x".repeat(i)).collect();
+        let chars: usize = strings.iter().map(String::len).sum();
+        assert_eq!(encoded(&strings).len(), 4 + 4 * strings.len() + chars);
+        assert_eq!(roundtrip(&strings), strings);
+
+        let pairs: Vec<(u8, u8)> = (0..=255).map(|i| (i, !i)).collect();
+        assert_eq!(encoded(&pairs).len(), 4 + 2 * pairs.len());
+        assert_eq!(roundtrip(&pairs), pairs);
     }
 }

@@ -73,17 +73,117 @@ fn codec_roundtrips_arbitrary_structs() {
     }
 }
 
-/// Decoding never panics on arbitrary garbage — it returns errors.
+/// Records the largest single allocation a thread requests, so the decode
+/// property below can assert "never over-allocates" (a lying 4 GiB length
+/// reserves silently on an overcommitting kernel).
+struct LargestRequest;
+
+thread_local! {
+    static LARGEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the only addition
+// is a thread-local store that itself never allocates.
+unsafe impl std::alloc::GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        let _ = LARGEST.try_with(|l| l.set(l.get().max(layout.size())));
+        std::alloc::System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        std::alloc::System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new: usize) -> *mut u8 {
+        let _ = LARGEST.try_with(|l| l.set(l.get().max(new)));
+        std::alloc::System.realloc(ptr, layout, new)
+    }
+}
+
+#[global_allocator]
+static ALLOC: LargestRequest = LargestRequest;
+
+/// Decoding never panics on arbitrary garbage — it returns errors — and a
+/// valid message whose length prefixes are made to lie errors without ever
+/// allocating more than the message holds.
 #[test]
 fn codec_decode_never_panics() {
+    use elasticrmi::RmiMessage;
+
     let mut rng = StdRng::seed_from_u64(0x6A4BA6E);
     for _ in 0..300 {
         let len = rng.gen_range(0usize..256);
         let bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
         let _ = erm_transport::from_bytes::<Nested>(&bytes);
         let _ = erm_transport::from_bytes::<Vec<String>>(&bytes);
-        let _ = elasticrmi::RmiMessage::decode(&bytes);
+        let _ = RmiMessage::decode(&bytes);
     }
+
+    let blob: Vec<u8> = (0..65_536).map(|_| rng.gen()).collect();
+    let args = erm_transport::to_bytes(&blob).unwrap();
+    let request = RmiMessage::Request {
+        call: rng.gen(),
+        context: elasticrmi::InvocationContext {
+            id: rng.gen(),
+            deadline: SimTime::from_micros(rng.gen()),
+            attempt: 1,
+            origin: EndpointId(rng.gen()),
+            semantics: elasticrmi::Semantics::AtLeastOnce,
+            routing_key: None,
+        },
+        method: "blob".to_string(),
+        args: args.clone(),
+    }
+    .encode();
+    let response = RmiMessage::Response {
+        call: rng.gen(),
+        outcome: Ok(blob),
+        replayed: false,
+    }
+    .encode();
+    // The request's method and args, the response's Ok bytes, and the byte
+    // vector inside the args as the skeleton's `decode_args` meets it.
+    let decodes_message = |bytes: &[u8]| RmiMessage::decode(bytes).is_ok();
+    assert_lying_lengths_error(&request, &[45, 53], decodes_message);
+    assert_lying_lengths_error(&response, &[16], decodes_message);
+    assert_lying_lengths_error(&args, &[0], |bytes| {
+        elasticrmi::decode_args::<Vec<u8>>("blob", bytes).is_ok()
+    });
+}
+
+/// `message` decodes; with any of the `u32` length prefixes at `prefixes`
+/// lying it does not, and the attempt never asks the allocator for more
+/// than the message's own size.
+fn assert_lying_lengths_error(message: &[u8], prefixes: &[usize], decodes: impl Fn(&[u8]) -> bool) {
+    assert!(decodes(message), "the unmutated message");
+    for mutant in lying_lengths(message, prefixes) {
+        LARGEST.with(|l| l.set(0));
+        let decoded = decodes(&mutant);
+        let largest = LARGEST.with(|l| l.get());
+        assert!(!decoded, "a message with a lying length decoded");
+        assert!(
+            largest <= message.len(),
+            "decode requested {largest} bytes for a {}-byte message",
+            message.len()
+        );
+    }
+}
+
+/// Every way this suite makes the `u32` length prefixes at `prefixes` lie:
+/// one past the truth, `u32::MAX`, and the message cut inside the prefix,
+/// right after it, one byte into its body, and one byte short of its end.
+fn lying_lengths(message: &[u8], prefixes: &[usize]) -> Vec<Vec<u8>> {
+    let mut mutants = vec![message[..message.len() - 1].to_vec()];
+    for &at in prefixes {
+        let honest = u32::from_le_bytes(message[at..at + 4].try_into().unwrap());
+        for lie in [honest + 1, u32::MAX] {
+            let mut mutant = message.to_vec();
+            mutant[at..at + 4].copy_from_slice(&lie.to_le_bytes());
+            mutants.push(mutant);
+        }
+        for cut in [at + 2, at + 4, at + 5] {
+            mutants.push(message[..cut].to_vec());
+        }
+    }
+    mutants
 }
 
 /// Bin packing conserves work, never overloads a receiver, and never moves

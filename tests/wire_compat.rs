@@ -95,6 +95,51 @@ fn request_message_golden_bytes() {
 }
 
 #[test]
+fn blob_request_golden_bytes() {
+    // A 64 KiB byte-vector argument, the shape `blob_tcp_64k` sends: the
+    // argument is itself a length-prefixed byte string (inner length
+    // 65 536), carried as the request's `args` byte string (outer length
+    // 65 540). Byte strings are raw bytes after their length, whatever
+    // their size and however the codec moves them.
+    let blob: Vec<u8> = (0..65_536u32).map(|i| (i % 251) as u8).collect();
+    let msg = RmiMessage::Request {
+        call: 1,
+        context: InvocationContext {
+            id: 7,
+            deadline: SimTime::from_micros(500_000),
+            attempt: 1,
+            origin: EndpointId(9),
+            semantics: elasticrmi::Semantics::AtLeastOnce,
+            routing_key: None,
+        },
+        method: "blob".to_string(),
+        args: to_bytes(&blob).unwrap(),
+    };
+    let bytes = msg.encode();
+    assert_eq!(bytes.len(), 65_597);
+    let head: Vec<u8> = [
+        vec![0, 0, 0, 0],                         // variant 0: Request
+        vec![1, 0, 0, 0, 0, 0, 0, 0],             // call: u64 = 1
+        vec![7, 0, 0, 0, 0, 0, 0, 0],             // context.id: u64 = 7
+        vec![0x20, 0xa1, 0x07, 0, 0, 0, 0, 0],    // context.deadline: 500_000 µs
+        vec![1, 0, 0, 0],                         // context.attempt: u32 = 1
+        vec![9, 0, 0, 0, 0, 0, 0, 0],             // context.origin: EndpointId(9)
+        vec![1, 0, 0, 0],                         // context.semantics: AtLeastOnce
+        vec![0],                                  // context.routing_key: None
+        vec![4, 0, 0, 0, b'b', b'l', b'o', b'b'], // method: len 4, "blob"
+        vec![0x04, 0x00, 0x01, 0x00],             // args: len 65_540
+        vec![0x00, 0x00, 0x01, 0x00],             // the blob: len 65_536
+        (0..19).collect(),                        // its first 19 bytes
+    ]
+    .concat();
+    assert_eq!(head.len(), 80);
+    assert_eq!(&bytes[..80], &head[..]);
+    // 65_528 % 251 = 17: the last eight bytes of the blob end the message.
+    assert_eq!(&bytes[65_589..], &[17, 18, 19, 20, 21, 22, 23, 24]);
+    assert_eq!(RmiMessage::decode(&bytes).unwrap(), msg);
+}
+
+#[test]
 fn request_routing_key_golden_bytes() {
     // Format v5: a keyed invocation carries Some(routing_key) — tag byte 1
     // followed by the u64 key — between the semantics and the method name.
