@@ -1,5 +1,7 @@
 //! The bounded per-skeleton run queue.
 
+use std::collections::VecDeque;
+
 use erm_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -112,19 +114,29 @@ struct Entry<T> {
 #[derive(Debug, Clone)]
 pub struct AdmissionQueue<T> {
     config: AdmissionConfig,
-    entries: Vec<Entry<T>>,
+    /// In arrival (`seq`) order: entries join at the back and every removal
+    /// keeps the order, so the FIFO head is the front.
+    entries: VecDeque<Entry<T>>,
+    /// No queued deadline is earlier than this ([`NEVER`] when empty).
+    /// Before it nothing can have expired, so the expiry scans are skipped;
+    /// a scan resets it to the exact minimum.
+    earliest: SimTime,
     next_seq: u64,
     admitted: u64,
     rejected: u64,
     culled: u64,
 }
 
+/// The `earliest` of an empty queue.
+const NEVER: SimTime = SimTime::from_micros(u64::MAX);
+
 impl<T> AdmissionQueue<T> {
     /// Creates an empty queue.
     pub fn new(config: AdmissionConfig) -> Self {
         AdmissionQueue {
             config,
-            entries: Vec::new(),
+            entries: VecDeque::new(),
+            earliest: NEVER,
             next_seq: 0,
             admitted: 0,
             rejected: 0,
@@ -156,6 +168,9 @@ impl<T> AdmissionQueue<T> {
     /// Queued entries whose deadline has not passed at `now` — the work
     /// that is still worth moving or counting as pending.
     pub fn live_len(&self, now: SimTime) -> u32 {
+        if now < self.earliest {
+            return self.entries.len() as u32;
+        }
         self.entries.iter().filter(|e| now < e.deadline).count() as u32
     }
 
@@ -174,15 +189,7 @@ impl<T> AdmissionQueue<T> {
     /// Returns the item back with a [`RejectReason`]. A `QueueFull`
     /// rejection reports the live depth at rejection time.
     pub fn offer(&mut self, now: SimTime, deadline: SimTime, item: T) -> Result<u32, Rejected<T>> {
-        if now >= deadline {
-            self.rejected += 1;
-            return Err(Rejected {
-                item,
-                reason: RejectReason::Expired {
-                    late_by: now.saturating_since(deadline),
-                },
-            });
-        }
+        let item = self.reject_expired(now, deadline, item)?;
         let live = self.live_len(now);
         if live >= self.config.capacity {
             self.rejected += 1;
@@ -191,14 +198,7 @@ impl<T> AdmissionQueue<T> {
                 reason: RejectReason::QueueFull { depth: live },
             });
         }
-        self.entries.push(Entry {
-            seq: self.next_seq,
-            deadline,
-            enqueued_at: now,
-            item,
-        });
-        self.next_seq += 1;
-        self.admitted += 1;
+        self.push(now, deadline, item);
         Ok(live + 1)
     }
 
@@ -210,16 +210,32 @@ impl<T> AdmissionQueue<T> {
     ///
     /// Still rejects items whose deadline has already passed.
     pub fn force(&mut self, now: SimTime, deadline: SimTime, item: T) -> Result<u32, Rejected<T>> {
-        if now >= deadline {
-            self.rejected += 1;
-            return Err(Rejected {
-                item,
-                reason: RejectReason::Expired {
-                    late_by: now.saturating_since(deadline),
-                },
-            });
+        let item = self.reject_expired(now, deadline, item)?;
+        self.push(now, deadline, item);
+        Ok(self.live_len(now))
+    }
+
+    fn reject_expired(
+        &mut self,
+        now: SimTime,
+        deadline: SimTime,
+        item: T,
+    ) -> Result<T, Rejected<T>> {
+        if now < deadline {
+            return Ok(item);
         }
-        self.entries.push(Entry {
+        self.rejected += 1;
+        Err(Rejected {
+            item,
+            reason: RejectReason::Expired {
+                late_by: now.saturating_since(deadline),
+            },
+        })
+    }
+
+    fn push(&mut self, now: SimTime, deadline: SimTime, item: T) {
+        self.earliest = self.earliest.min(deadline);
+        self.entries.push_back(Entry {
             seq: self.next_seq,
             deadline,
             enqueued_at: now,
@@ -227,7 +243,6 @@ impl<T> AdmissionQueue<T> {
         });
         self.next_seq += 1;
         self.admitted += 1;
-        Ok(self.live_len(now))
     }
 
     /// Removes and returns every queued entry whose deadline has passed at
@@ -235,20 +250,13 @@ impl<T> AdmissionQueue<T> {
     /// with its deadline rejection instead of dispatching it.
     pub fn cull(&mut self, now: SimTime) -> Vec<Admitted<T>> {
         let mut dead = Vec::new();
-        let mut i = 0;
-        while i < self.entries.len() {
-            if now >= self.entries[i].deadline {
-                let e = self.entries.remove(i);
-                self.culled += 1;
-                dead.push(Admitted {
-                    item: e.item,
-                    deadline: e.deadline,
-                    queue_delay: now.saturating_since(e.enqueued_at),
-                });
-            } else {
-                i += 1;
-            }
-        }
+        self.expire(now, |e| {
+            dead.push(Admitted {
+                item: e.item,
+                deadline: e.deadline,
+                queue_delay: now.saturating_since(e.enqueued_at),
+            });
+        });
         dead
     }
 
@@ -259,36 +267,48 @@ impl<T> AdmissionQueue<T> {
         // Never dispatch dead work: drop expired entries from the books
         // (the caller is expected to have culled already if it wants to
         // answer them; anything left here is silently counted).
-        let mut culled = 0u64;
-        self.entries.retain(|e| {
-            if now >= e.deadline {
-                culled += 1;
-                false
-            } else {
-                true
+        self.expire(now, drop);
+        let e = match self.config.discipline {
+            Discipline::Fifo => self.entries.pop_front()?,
+            Discipline::Edf => {
+                let idx = self
+                    .entries
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| (e.deadline, e.seq))
+                    .map(|(i, _)| i)?;
+                self.entries.remove(idx).expect("index from the scan")
             }
-        });
-        self.culled += culled;
-        let idx = match self.config.discipline {
-            Discipline::Fifo => self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.seq)
-                .map(|(i, _)| i)?,
-            Discipline::Edf => self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| (e.deadline, e.seq))
-                .map(|(i, _)| i)?,
         };
-        let e = self.entries.remove(idx);
+        if self.entries.is_empty() {
+            self.earliest = NEVER;
+        }
         Some(Admitted {
             item: e.item,
             deadline: e.deadline,
             queue_delay: now.saturating_since(e.enqueued_at),
         })
+    }
+
+    /// Removes every entry expired at `now`, oldest first, into `dead`, and
+    /// makes `earliest` exact again. A no-op while `now` is before it.
+    fn expire(&mut self, now: SimTime, mut dead: impl FnMut(Entry<T>)) {
+        if now < self.earliest {
+            return;
+        }
+        let mut earliest = NEVER;
+        // One rotation: live entries go back in behind the rest, in order.
+        for _ in 0..self.entries.len() {
+            let e = self.entries.pop_front().expect("one pop per entry");
+            if now >= e.deadline {
+                self.culled += 1;
+                dead(e);
+            } else {
+                earliest = earliest.min(e.deadline);
+                self.entries.push_back(e);
+            }
+        }
+        self.earliest = earliest;
     }
 }
 
@@ -420,6 +440,159 @@ mod tests {
         assert_eq!(q.len(), 2);
         let r = q.force(ms(10), ms(5), "late").unwrap_err();
         assert!(matches!(r.reason, RejectReason::Expired { .. }));
+    }
+
+    /// The `Vec`-scan queue the indexed one replaced: every operation scans
+    /// or shifts the whole queue. Kept as the model the fast paths must
+    /// match result for result.
+    struct Reference<T> {
+        config: AdmissionConfig,
+        entries: Vec<Entry<T>>,
+        next_seq: u64,
+        totals: (u64, u64, u64),
+    }
+
+    impl<T> Reference<T> {
+        fn new(config: AdmissionConfig) -> Self {
+            Reference {
+                config,
+                entries: Vec::new(),
+                next_seq: 0,
+                totals: (0, 0, 0),
+            }
+        }
+
+        fn live_len(&self, now: SimTime) -> u32 {
+            self.entries.iter().filter(|e| now < e.deadline).count() as u32
+        }
+
+        fn admit(
+            &mut self,
+            now: SimTime,
+            deadline: SimTime,
+            item: T,
+            capacity: u32,
+        ) -> Result<u32, Rejected<T>> {
+            let reason = if now >= deadline {
+                RejectReason::Expired {
+                    late_by: now.saturating_since(deadline),
+                }
+            } else if self.live_len(now) >= capacity {
+                RejectReason::QueueFull {
+                    depth: self.live_len(now),
+                }
+            } else {
+                self.entries.push(Entry {
+                    seq: self.next_seq,
+                    deadline,
+                    enqueued_at: now,
+                    item,
+                });
+                self.next_seq += 1;
+                self.totals.0 += 1;
+                return Ok(self.live_len(now));
+            };
+            self.totals.1 += 1;
+            Err(Rejected { item, reason })
+        }
+
+        fn cull(&mut self, now: SimTime) -> Vec<Admitted<T>> {
+            let mut dead = Vec::new();
+            let mut i = 0;
+            while i < self.entries.len() {
+                if now >= self.entries[i].deadline {
+                    let e = self.entries.remove(i);
+                    self.totals.2 += 1;
+                    dead.push(Admitted {
+                        item: e.item,
+                        deadline: e.deadline,
+                        queue_delay: now.saturating_since(e.enqueued_at),
+                    });
+                } else {
+                    i += 1;
+                }
+            }
+            dead
+        }
+
+        fn pop(&mut self, now: SimTime) -> Option<Admitted<T>> {
+            self.cull(now);
+            let idx = match self.config.discipline {
+                Discipline::Fifo => self.entries.iter().enumerate().min_by_key(|(_, e)| e.seq),
+                Discipline::Edf => self
+                    .entries
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| (e.deadline, e.seq)),
+            }
+            .map(|(i, _)| i)?;
+            let e = self.entries.remove(idx);
+            Some(Admitted {
+                item: e.item,
+                deadline: e.deadline,
+                queue_delay: now.saturating_since(e.enqueued_at),
+            })
+        }
+    }
+
+    #[test]
+    fn matches_the_vec_scan_reference_on_random_sequences() {
+        // splitmix64: a seeded stream without a dependency.
+        let next = |state: &mut u64| {
+            *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (*state ^ (*state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut seen = (0u64, 0u64, 0u64);
+        for discipline in [Discipline::Fifo, Discipline::Edf] {
+            for seed in 0..50u64 {
+                let config = AdmissionConfig {
+                    capacity: 1 + (seed % 8) as u32,
+                    discipline,
+                };
+                let mut queue = AdmissionQueue::new(config);
+                let mut model = Reference::new(config);
+                let mut rng = seed;
+                let mut now = 1_000u64;
+                for step in 0..400u32 {
+                    let roll = next(&mut rng);
+                    // Mostly small steps; sometimes a jump past every
+                    // deadline, sometimes one backwards.
+                    now = match roll % 16 {
+                        0 => now + 500,
+                        1 => now - 40,
+                        2..=7 => now + roll % 4,
+                        _ => now,
+                    };
+                    let at = SimTime::from_micros(now);
+                    // Deadlines from 4 µs before now to 19 µs after it, so
+                    // many are equal and many pass within a few steps.
+                    let deadline = SimTime::from_micros(now + (roll >> 8) % 24 - 4);
+                    let case = format!("{discipline:?}, seed {seed}, step {step}");
+                    match (roll >> 16) % 6 {
+                        0 | 1 => assert_eq!(
+                            queue.offer(at, deadline, step),
+                            model.admit(at, deadline, step, config.capacity),
+                            "offer: {case}"
+                        ),
+                        2 => assert_eq!(
+                            queue.force(at, deadline, step),
+                            model.admit(at, deadline, step, u32::MAX),
+                            "force: {case}"
+                        ),
+                        3 => assert_eq!(queue.cull(at), model.cull(at), "cull: {case}"),
+                        4 => assert_eq!(queue.pop(at), model.pop(at), "pop: {case}"),
+                        _ => assert_eq!(queue.live_len(at), model.live_len(at), "{case}"),
+                    }
+                    assert_eq!(queue.totals(), model.totals, "totals: {case}");
+                    assert_eq!(queue.len(), model.entries.len(), "len: {case}");
+                }
+                let (admitted, rejected, culled) = queue.totals();
+                seen = (seen.0 + admitted, seen.1 + rejected, seen.2 + culled);
+            }
+        }
+        assert!(seen.0 > 0 && seen.1 > 0 && seen.2 > 0, "{seen:?}");
     }
 
     #[test]

@@ -33,6 +33,7 @@ use erm_metrics::{
 use erm_semantics::{DedupStats, Lookup, ReplyCache, ReplyCacheConfig, Semantics};
 use erm_sim::{SharedClock, SimDuration, SimTime};
 use erm_transport::{buffers, Datagram, EndpointId, Mailbox, Network, RecvError};
+use serde::Serialize;
 
 use crate::api::{ElasticService, MethodCallStats, ServiceContext};
 use crate::error::RemoteError;
@@ -64,9 +65,15 @@ struct IntervalStats {
 
 impl IntervalStats {
     fn record(&mut self, method: &str, latency_us: u64) {
-        let entry = self.methods.entry(method.to_string()).or_insert((0, 0));
-        entry.0 += 1;
-        entry.1 += latency_us;
+        match self.methods.get_mut(method) {
+            Some((calls, total)) => {
+                *calls += 1;
+                *total += latency_us;
+            }
+            None => {
+                self.methods.insert(method.to_string(), (1, latency_us));
+            }
+        }
         self.busy_micros += latency_us;
     }
 
@@ -909,7 +916,18 @@ impl Skeleton {
     }
 
     fn send(&self, to: EndpointId, msg: RmiMessage) {
-        let _ = self.net.send(self.endpoint, to, msg.encode());
+        // A result is encoded into a buffer of its exact size (variant,
+        // call, `Ok` tag, byte run, `replayed`), never regrown.
+        let len = match &msg {
+            RmiMessage::Response {
+                outcome: Ok(bytes), ..
+            } => 4 + 8 + 4 + 4 + bytes.len() + 1,
+            _ => 0,
+        };
+        let mut payload = buffers::take(len);
+        msg.serialize(&mut payload);
+        debug_assert!(len == 0 || payload.len() == len, "result sized exactly");
+        let _ = self.net.send(self.endpoint, to, payload);
     }
 }
 

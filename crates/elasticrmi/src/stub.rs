@@ -151,6 +151,10 @@ pub struct Stub {
     /// suggesting one of these is stale: following it would send an
     /// invocation to a corpse. Pruned when an endpoint rejoins.
     departed: BTreeSet<EndpointId>,
+    /// [`Stub::pump`]'s scratch, kept for the next turn: the invocations it
+    /// found due, and the transport's verdict on each target it asked about.
+    due: Vec<u64>,
+    target_open: Vec<(EndpointId, bool)>,
 }
 
 impl std::fmt::Debug for Stub {
@@ -215,6 +219,8 @@ impl Stub {
             sharding: ShardingTable::default(),
             ring: ShardRing::default(),
             departed: BTreeSet::new(),
+            due: Vec::new(),
+            target_open: Vec::new(),
         };
         stub.refresh_members()?;
         Ok(stub)
@@ -463,17 +469,47 @@ impl Stub {
         }
     }
 
-    /// One engine turn: drain the mailbox, then advance every pending
-    /// invocation's state machine — fire due attempts, fail over from
-    /// closed endpoints, time out mute members, expire blown deadlines.
+    /// One engine turn: drain the mailbox, then advance the pending
+    /// invocations that have something to do — fire due attempts, fail over
+    /// from closed endpoints, time out mute members, expire blown deadlines.
     fn pump(&mut self) {
         while let Ok(datagram) = self.mailbox.try_recv() {
             self.process_datagram(datagram);
         }
-        let ids: Vec<u64> = self.pending.keys().copied().collect();
-        for id in ids {
+        // Exactly the invocations `advance_one` would not return from
+        // untouched, in id order; the transport is asked once per target.
+        let now = self.clock.now();
+        let mut due = std::mem::take(&mut self.due);
+        let (net, target_open) = (&self.net, &mut self.target_open);
+        target_open.clear();
+        let mut is_open = |target: EndpointId| {
+            if let Some(&(_, open)) = target_open.iter().find(|(t, _)| *t == target) {
+                return open;
+            }
+            let open = net.endpoint_open(target);
+            target_open.push((target, open));
+            open
+        };
+        for (&id, pending) in &self.pending {
+            let has_work = match pending.state {
+                PendingState::Waiting {
+                    target,
+                    attempt_deadline,
+                    ..
+                } => now >= attempt_deadline || !is_open(target),
+                PendingState::Idle { not_before } => {
+                    now >= not_before || pending.context.is_expired(now)
+                }
+            };
+            if has_work {
+                due.push(id);
+            }
+        }
+        for &id in &due {
             self.advance_one(id);
         }
+        due.clear();
+        self.due = due;
         // An async refresh the sentinel never answered. While invocations
         // are still waiting on it, keep asking (one request per reply
         // timeout) — they retry until their own deadlines expire, as the
@@ -1409,6 +1445,15 @@ mod tests {
     }
 
     fn connect(net: &InProcNetwork, sentinel: &FakeMember, members: &[&FakeMember]) -> Stub {
+        connect_on(net, sentinel, members, Arc::new(SystemClock::new()))
+    }
+
+    fn connect_on(
+        net: &InProcNetwork,
+        sentinel: &FakeMember,
+        members: &[&FakeMember],
+        clock: SharedClock,
+    ) -> Stub {
         let (client_ep, client_mb) = net.open();
         let net_arc: Arc<dyn Network> = Arc::new(net.clone());
         let info = pool_info(sentinel, members);
@@ -1422,7 +1467,7 @@ mod tests {
                 client_mb,
                 s_ep,
                 ClientLb::RoundRobin,
-                Arc::new(SystemClock::new()),
+                clock,
             )
         });
         let d = sentinel.mailbox.recv().expect("discovery request");
@@ -1911,6 +1956,65 @@ mod tests {
             0,
             "no spurious retries under pipelining"
         );
+    }
+
+    #[test]
+    fn pump_advances_exactly_the_invocations_with_work() {
+        let net = InProcNetwork::new();
+        let sentinel = FakeMember::new(&net);
+        let m1 = FakeMember::new(&net);
+        let m2 = FakeMember::new(&net);
+        let clock = Arc::new(erm_sim::VirtualClock::new());
+        let mut stub = connect_on(&net, &sentinel, &[&m1, &m2], clock.clone());
+        stub.set_reply_timeout(SimDuration::from_millis(100));
+        let at_ms = |ms| clock.advance_to(SimTime::ZERO + SimDuration::from_millis(ms));
+        // (invocation, attempt) of every request waiting at `m`.
+        let requests = |m: &FakeMember| {
+            let mut seen = BTreeSet::new();
+            while let Ok(d) = m.mailbox.try_recv() {
+                if let RmiMessage::Request { context, .. } = RmiMessage::decode(&d.payload).unwrap()
+                {
+                    seen.insert((context.id, context.attempt));
+                }
+            }
+            seen
+        };
+        let next_attempt = |sent: &BTreeSet<(u64, u32)>| -> BTreeSet<(u64, u32)> {
+            sent.iter()
+                .map(|&(id, attempt)| (id, attempt + 1))
+                .collect()
+        };
+
+        // Round-robin: even invocations try m1 first, odd ones m2.
+        for k in 0..200u32 {
+            stub.invoke_begin("m", &k).unwrap();
+        }
+        let (at_m1, at_m2) = (requests(&m1), requests(&m2));
+        assert_eq!((at_m1.len(), at_m2.len()), (100, 100));
+
+        // Closing m2 fails over exactly its invocations on the next pump...
+        net.close_endpoint(m2.endpoint);
+        assert!(stub.drain_completed().is_empty());
+        assert_eq!(stub.stats().connections_closed, 100);
+        // ... and after their backoff they reach m1 as second attempts.
+        at_ms(50);
+        assert!(stub.drain_completed().is_empty());
+        assert_eq!(requests(&m1), next_attempt(&at_m2));
+
+        // Passing the first attempts' reply timeout retries exactly those
+        // still waiting since t = 0: m1's own. Their next target is the
+        // closed m2, so they back off once more and then ask the sentinel.
+        at_ms(100);
+        assert!(stub.drain_completed().is_empty());
+        assert_eq!(stub.stats().retries, 200);
+        at_ms(110);
+        assert!(stub.drain_completed().is_empty());
+        assert_eq!(requests(&sentinel), next_attempt(&next_attempt(&at_m1)));
+        assert!(
+            requests(&m1).is_empty(),
+            "the failed-over attempts still wait"
+        );
+        assert_eq!(stub.in_flight(), 200);
     }
 
     #[test]

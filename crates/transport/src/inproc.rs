@@ -1,7 +1,7 @@
 //! In-process network with fault injection.
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,6 +44,9 @@ pub struct InProcNetwork {
 struct Inner {
     registry: RwLock<HashMap<EndpointId, Sender<Datagram>>>,
     cut_links: RwLock<HashSet<(EndpointId, EndpointId)>>,
+    /// Whether `cut_links` is non-empty, so `send` skips its lock while no
+    /// link is cut. Written under the `cut_links` write lock.
+    any_cut: AtomicBool,
     next_id: AtomicU64,
     sent: AtomicU64,
     delivered: AtomicU64,
@@ -117,6 +120,9 @@ impl InProcNetwork {
         } else {
             links.remove(&(from, to));
         }
+        self.inner
+            .any_cut
+            .store(!links.is_empty(), Ordering::SeqCst);
     }
 
     /// Injects a fixed one-way delivery latency on every subsequent send
@@ -159,15 +165,20 @@ impl crate::endpoint::Host for InProcNetwork {
 
 impl Network for InProcNetwork {
     fn send(&self, from: EndpointId, to: EndpointId, payload: Vec<u8>) -> Result<(), SendError> {
-        if !self.inner.registry.read().contains_key(&to) {
+        let registry = self.inner.registry.read();
+        let Some(tx) = registry.get(&to) else {
             return Err(SendError::Unreachable(to));
-        }
+        };
         self.inner.sent.fetch_add(1, Ordering::Relaxed);
-        if self.inner.cut_links.read().contains(&(from, to)) {
+        if self.inner.any_cut.load(Ordering::SeqCst)
+            && self.inner.cut_links.read().contains(&(from, to))
+        {
             return Ok(()); // silently lost
         }
         let latency_us = self.inner.latency_us.load(Ordering::SeqCst);
         if latency_us > 0 {
+            // The delay thread takes the queue lock before the registry's.
+            drop(registry);
             let seq = self.inner.sent.load(Ordering::Relaxed);
             let mut queue = self.inner.delay_queue.lock();
             queue.push(DelayedDelivery {
@@ -179,11 +190,8 @@ impl Network for InProcNetwork {
             self.inner.delay_signal.notify_one();
             return Ok(());
         }
-        let registry = self.inner.registry.read();
-        if let Some(tx) = registry.get(&to) {
-            if tx.send(Datagram { from, payload }).is_ok() {
-                self.inner.delivered.fetch_add(1, Ordering::Relaxed);
-            }
+        if tx.send(Datagram { from, payload }).is_ok() {
+            self.inner.delivered.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
     }

@@ -112,6 +112,8 @@ pub struct Event {
 #[derive(Debug)]
 pub struct Poller {
     wake_rx: RawFd,
+    /// The interest list handed to `poll(2)`, rebuilt in place per wait.
+    pollfds: Vec<sys::pollfd>,
 }
 
 /// Cloneable cross-thread wakeup handle (self-pipe write end).
@@ -135,7 +137,11 @@ impl Poller {
         let (rx, tx) = (fds[0], fds[1]);
         set_nonblocking_fd(rx)?;
         set_nonblocking_fd(tx)?;
-        Ok((Poller { wake_rx: rx }, Waker { wake_tx: tx }))
+        let poller = Poller {
+            wake_rx: rx,
+            pollfds: Vec::new(),
+        };
+        Ok((poller, Waker { wake_tx: tx }))
     }
 
     /// Blocks until any registered fd is ready, the timeout passes, or a
@@ -146,13 +152,14 @@ impl Poller {
     ///
     /// Propagates `poll(2)` failures other than `EINTR` (which retries).
     pub fn wait(
-        &self,
+        &mut self,
         fds: &[(RawFd, Interest)],
         timeout: Option<Duration>,
         events: &mut Vec<Event>,
     ) -> io::Result<bool> {
         events.clear();
-        let mut pollfds: Vec<sys::pollfd> = Vec::with_capacity(fds.len() + 1);
+        let pollfds = &mut self.pollfds;
+        pollfds.clear();
         pollfds.push(sys::pollfd {
             fd: self.wake_rx,
             events: sys::POLLIN,
@@ -193,11 +200,11 @@ impl Poller {
                 return Err(err);
             }
         }
-        let woken = pollfds[0].revents != 0;
+        let woken = self.pollfds[0].revents != 0;
         if woken {
             self.drain_wake();
         }
-        for pfd in &pollfds[1..] {
+        for pfd in &self.pollfds[1..] {
             if pfd.revents == 0 {
                 continue;
             }
@@ -255,7 +262,7 @@ mod tests {
 
     #[test]
     fn wake_interrupts_an_idle_wait() {
-        let (poller, waker) = Poller::new().unwrap();
+        let (mut poller, waker) = Poller::new().unwrap();
         let handle = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(30));
             waker.wake();
@@ -276,7 +283,7 @@ mod tests {
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server, _) = listener.accept().unwrap();
         client.write_all(b"x").unwrap();
-        let (poller, _waker) = Poller::new().unwrap();
+        let (mut poller, _waker) = Poller::new().unwrap();
         let mut events = Vec::new();
         poller
             .wait(
@@ -295,7 +302,7 @@ mod tests {
 
     #[test]
     fn timeout_returns_empty() {
-        let (poller, _waker) = Poller::new().unwrap();
+        let (mut poller, _waker) = Poller::new().unwrap();
         let mut events = Vec::new();
         let woken = poller
             .wait(&[], Some(Duration::from_millis(10)), &mut events)

@@ -604,7 +604,12 @@ impl QueuedFrame {
 struct InboundConn {
     stream: TcpStream,
     buf: Vec<u8>,
+    advertised: Advertised,
 }
+
+/// The advertised address a connection's frames last carried, as bytes and
+/// parsed: a connection's peer advertises one address, so it is parsed once.
+type Advertised = Option<(Vec<u8>, SocketAddr)>;
 
 /// The event loop's private half of an outbound link: the socket, the
 /// batch being written, and the reconnect schedule.
@@ -615,6 +620,7 @@ struct OutLink {
     /// Frames peers push back on the outbound socket (unusual but legal);
     /// also where a peer's FIN is observed.
     read_buf: Vec<u8>,
+    read_advertised: Advertised,
     /// The batch currently being written: coalesced frames, a cursor, and
     /// per-frame end offsets so `frames_sent` counts a frame exactly once
     /// even across partial writes and whole-batch rewrites.
@@ -635,6 +641,7 @@ impl OutLink {
             shared,
             conn: None,
             read_buf: Vec::new(),
+            read_advertised: None,
             scratch: Vec::new(),
             scratch_off: 0,
             scratch_frames: Vec::new(),
@@ -684,6 +691,7 @@ impl EventLoop {
         let mut fds: Vec<(RawFd, Interest)> = Vec::new();
         let mut tokens: HashMap<RawFd, Token> = HashMap::new();
         let mut events: Vec<Event> = Vec::new();
+        let mut addrs: Vec<SocketAddr> = Vec::new();
         loop {
             if self.inner.shutdown.load(Ordering::SeqCst) {
                 return;
@@ -693,7 +701,8 @@ impl EventLoop {
             self.inner.dirty.store(false, Ordering::SeqCst);
             self.adopt_new_links();
             self.drive_connects();
-            let addrs: Vec<SocketAddr> = self.out.keys().copied().collect();
+            addrs.clear();
+            addrs.extend(self.out.keys());
             for addr in &addrs {
                 self.flush(*addr);
             }
@@ -902,6 +911,7 @@ impl EventLoop {
                         InboundConn {
                             stream,
                             buf: Vec::new(),
+                            advertised: None,
                         },
                     );
                 }
@@ -920,7 +930,7 @@ impl EventLoop {
             return;
         };
         let open = read_available(&mut conn.stream, &mut conn.buf, &mut self.chunk);
-        let well_formed = parse_frames(&mut conn.buf, &inner).is_ok();
+        let well_formed = parse_frames(&mut conn.buf, &mut conn.advertised, &inner).is_ok();
         if !open || !well_formed || error {
             self.inbound.remove(&fd);
         }
@@ -939,7 +949,8 @@ impl EventLoop {
                 return;
             };
             let open = read_available(conn, &mut link.read_buf, &mut self.chunk);
-            let well_formed = parse_frames(&mut link.read_buf, &inner).is_ok();
+            let well_formed =
+                parse_frames(&mut link.read_buf, &mut link.read_advertised, &inner).is_ok();
             if !open || !well_formed || ev.error {
                 link.drop_conn();
                 return;
@@ -1024,14 +1035,18 @@ fn read_available(stream: &mut TcpStream, buf: &mut Vec<u8>, chunk: &mut [u8]) -
 
 /// Extracts every complete frame from `buf` (draining consumed bytes,
 /// keeping any trailing partial frame for the next read), learns reply
-/// routes from advertised addresses, and delivers payloads to local
-/// mailboxes.
+/// routes from advertised addresses (`advertised` caches the connection's
+/// last one), and delivers payloads to local mailboxes.
 ///
 /// # Errors
 ///
 /// A nonsensical length or header means the stream is corrupt beyond
 /// resynchronization; the caller must drop the connection.
-fn parse_frames(buf: &mut Vec<u8>, inner: &HostInner) -> Result<(), ()> {
+fn parse_frames(
+    buf: &mut Vec<u8>,
+    advertised: &mut Advertised,
+    inner: &HostInner,
+) -> Result<(), ()> {
     let mut consumed = 0usize;
     let result = loop {
         let avail = buf.len() - consumed;
@@ -1058,13 +1073,23 @@ fn parse_frames(buf: &mut Vec<u8>, inner: &HostInner) -> Result<(), ()> {
         // Learn the sender's listener address so replies route without any
         // out-of-band registration.
         if addr_len > 0 {
-            if let Some(addr) = std::str::from_utf8(&frame[18..18 + addr_len])
-                .ok()
-                .and_then(|s| s.parse::<SocketAddr>().ok())
-            {
+            let raw = &frame[18..18 + addr_len];
+            if advertised.as_ref().is_none_or(|(seen, _)| seen[..] != *raw) {
+                *advertised = std::str::from_utf8(raw)
+                    .ok()
+                    .and_then(|s| s.parse::<SocketAddr>().ok())
+                    .map(|addr| (raw.to_vec(), addr));
+            }
+            // The write locks are taken only to change a route, which after
+            // a connection's first frame is almost never.
+            if let Some(&(_, addr)) = advertised.as_ref() {
+                if inner.peers.read().get(&from) != Some(&addr) {
+                    inner.peers.write().insert(from, addr);
+                }
                 let sender_host = (from.0 >> 32) as u32;
-                inner.peers.write().insert(from, addr);
-                inner.host_routes.write().insert(sender_host, addr);
+                if inner.host_routes.read().get(&sender_host) != Some(&addr) {
+                    inner.host_routes.write().insert(sender_host, addr);
+                }
             }
         }
         let bytes = &frame[FRAME_FIXED + addr_len..];
@@ -1110,6 +1135,33 @@ mod tests {
         host_b.send(b, a, b"pong".to_vec()).unwrap();
         let got = recv_ready(&mail_a, "pong back at a");
         assert_eq!(got.payload, b"pong");
+    }
+
+    #[test]
+    fn a_frame_restores_routes_overwritten_since_the_connection_learned_them() {
+        let (host_a, host_b) = pair();
+        let (a, mail_a) = host_a.open_endpoint();
+        let (b, mail_b) = host_b.open_endpoint();
+        host_a.register_peer(b, host_b.local_addr());
+        host_a.send(a, b, b"one".to_vec()).unwrap();
+        recv_ready(&mail_b, "first frame");
+        // Same connection, same advertised address, but the stored routes
+        // changed: the next frame must put them back.
+        let nowhere: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        host_b.register_peer(a, nowhere);
+        host_b.register_host(0, nowhere);
+        host_a.send(a, b, b"two".to_vec()).unwrap();
+        recv_ready(&mail_b, "second frame");
+        assert_eq!(
+            host_b.inner.peers.read().get(&a),
+            Some(&host_a.local_addr())
+        );
+        assert_eq!(
+            host_b.inner.host_routes.read().get(&0),
+            Some(&host_a.local_addr())
+        );
+        host_b.send(b, a, b"back".to_vec()).unwrap();
+        assert_eq!(recv_ready(&mail_a, "reply").payload, b"back");
     }
 
     #[test]
@@ -1304,9 +1356,11 @@ mod tests {
     #[test]
     fn preconnect_to_dead_peer_gives_up_and_marks_broken() {
         let host = TcpHost::bind("127.0.0.1:0", 0).unwrap();
-        // Reserve a port, then free it so connects are refused.
+        // Reserve a port, then free it so connects are refused. On
+        // 127.0.0.2: the hosts of tests running alongside bind 127.0.0.1,
+        // where one could be handed the freed port and accept the dial.
         let dead = {
-            let reserved = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let reserved = std::net::TcpListener::bind("127.0.0.2:0").unwrap();
             reserved.local_addr().unwrap()
         };
         let to = EndpointId(7 << 32);
