@@ -13,8 +13,8 @@
 //! numbers measure the middleware's capacity, not the client's round-trip
 //! behaviour. The knee sweep runs a 2 ms *sleeping* service — one member
 //! caps at ~500 inv/s — so member-count scaling is honest concurrency in
-//! the pool even on a single-core container. Saturation `echo` cells plus
-//! a raw-socket pipelined echo give the data-path comparison.
+//! the pool even on a single-core container. The data-path ceiling is the
+//! `benchmark/` package's job, not this binary's.
 //!
 //! Exits nonzero if any invocation is lost (conservation), any knee cell
 //! completes nothing, or the inproc knee fails to scale with members
@@ -57,7 +57,7 @@ fn main() {
     print!("{}", erm_harness::format_open_loop(&grid));
 
     let mut failed = false;
-    for p in grid.knee.iter().chain(grid.echo.iter()) {
+    for p in &grid.knee {
         if p.lost != 0 {
             eprintln!(
                 "error: {} x {} members @ {}/s lost {} invocations",
@@ -65,8 +65,6 @@ fn main() {
             );
             failed = true;
         }
-    }
-    for p in &grid.knee {
         if p.outcomes.ok == 0 {
             eprintln!(
                 "error: {} x {} members @ {}/s completed zero invocations",
@@ -101,11 +99,7 @@ fn main() {
         eprintln!("error: cannot write {out}: {e}");
         std::process::exit(1);
     }
-    println!(
-        "wrote {out}: {} knee + {} echo points",
-        grid.knee.len(),
-        grid.echo.len()
-    );
+    println!("wrote {out}: {} knee points", grid.knee.len());
 }
 
 fn usage(err: &str) -> ! {

@@ -1,8 +1,7 @@
-//! Shared helpers for the benchmark targets and the `figures` binary.
+//! Helpers for the `figures` binary, which produces the figure data.
 //!
-//! The Criterion benches (one per paper figure, plus microbenches of every
-//! substrate) live under `benches/`; the figure data itself is produced by
-//! the `figures` binary. See EXPERIMENTS.md for the paper-vs-measured
+//! The `bench` binary runs the open-loop knee grid behind
+//! `BENCH_throughput.json`. See EXPERIMENTS.md for the paper-vs-measured
 //! record.
 
 use erm_harness::{run_experiment, ExperimentConfig};

@@ -35,8 +35,8 @@ pub use experiment::{run_experiment, ExperimentConfig, ExperimentResult};
 pub use figures::{agility_results, sparkline, FigureId};
 pub use invariants::{Invariants, Quiesce, Violations};
 pub use openloop::{
-    format_open_loop, open_loop_json, run_open_loop, run_open_loop_grid, run_raw_socket_echo,
-    OpenLoopConfig, OpenLoopGrid, OpenLoopPoint, OPEN_LOOP_MEMBER_COUNTS, OPEN_LOOP_SERVICE,
+    format_open_loop, open_loop_json, run_open_loop, run_open_loop_grid, OpenLoopConfig,
+    OpenLoopGrid, OpenLoopPoint, OPEN_LOOP_MEMBER_COUNTS, OPEN_LOOP_SERVICE,
 };
 pub use overload::{render_overload, run_overload, OverloadConfig, OverloadResult};
 pub use scalability::{

@@ -9,8 +9,9 @@
 //! and member-count scaling shows as knee position, not RTT noise.
 //!
 //! Mechanics: one generator per cell owns a pipelined [`Stub`], paces
-//! arrivals on the injected clock with catch-up (a late wakeup injects the
-//! backlog, it does not silently stretch the schedule), sheds arrivals
+//! arrivals on the injected clock with catch-up (the k-th arrival is due
+//! exactly `k / rate` after the start; a late wakeup injects the backlog,
+//! it does not silently stretch the schedule), sheds arrivals
 //! when `max_in_flight` is reached (an open-loop client with a bounded
 //! buffer — sheds are reported, never hidden), and harvests completions in
 //! bulk via [`Stub::drain_completed`]. Setting the stub's reply timeout
@@ -22,13 +23,11 @@
 //! `work` call in the grid) rather than spinning, so a pool of 8 members
 //! has 8x the capacity of one member even on a single-core container —
 //! member-count scaling is real concurrency in the middleware, not a
-//! CPU-count artifact. The zero-service `echo` cells and the raw-socket
-//! comparison measure the data path itself and *are* core-bound.
+//! CPU-count artifact. The data-path ceiling is measured by the
+//! `benchmark/` package's echo workloads, not here.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::{Read as _, Write as _};
-use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 use elasticrmi::{ClientLb, RmiError, Stub};
@@ -43,8 +42,7 @@ pub struct OpenLoopConfig {
     pub kind: TransportKind,
     /// Pool size (pinned; 1 = standalone skeleton, the plain-RMI shape).
     pub members: u32,
-    /// Target arrival rate, invocations per second. `0` means saturation
-    /// mode: keep `max_in_flight` invocations outstanding at all times.
+    /// Target arrival rate, invocations per second; must be positive.
     pub offered_rps: u64,
     /// Injection window on the injected clock (drain time is extra).
     pub duration: SimDuration,
@@ -67,7 +65,7 @@ pub struct OpenLoopPoint {
     pub transport: TransportKind,
     /// Pool size (1 = standalone skeleton).
     pub members: u32,
-    /// Configured arrival rate (0 = saturation mode).
+    /// Configured arrival rate.
     pub offered_rps: u64,
     /// Injection-window length actually observed, seconds.
     pub seconds: f64,
@@ -98,7 +96,15 @@ pub struct OpenLoopPoint {
 /// `config.duration`, then drain until every begun invocation reaches a
 /// terminal outcome (bounded by the budget plus slack — an invocation
 /// that outlives the drain is reported as lost, never silently dropped).
+///
+/// # Panics
+///
+/// If `config.offered_rps` is zero.
 pub fn run_open_loop(config: &OpenLoopConfig) -> OpenLoopPoint {
+    assert!(
+        config.offered_rps > 0,
+        "open-loop arrival rate must be positive"
+    );
     let fabric = Fabric::new(config.kind);
     let clock: SharedClock = Arc::new(SystemClock::new());
     let server = ServerSide::spawn(&fabric, config.kind, config.members, &clock, config.service);
@@ -124,23 +130,7 @@ pub fn run_open_loop(config: &OpenLoopConfig) -> OpenLoopPoint {
     let mut latencies_us: Vec<u64> = Vec::new();
     let mut begun: HashMap<u64, SimTime> = HashMap::new();
     let mut in_flight_peak = 0usize;
-    let mut n = 0u64;
 
-    let begin_one = |stub: &mut Stub,
-                     now: SimTime,
-                     n: &mut u64,
-                     injected: &mut u64,
-                     outcomes: &mut Outcomes,
-                     begun: &mut HashMap<u64, SimTime>| {
-        *injected += 1;
-        match stub.invoke_begin("work", n) {
-            Ok(id) => {
-                begun.insert(id, now);
-            }
-            Err(e) => outcomes.add(&Err::<u64, RmiError>(e)),
-        }
-        *n += 1;
-    };
     let harvest = |stub: &mut Stub,
                    outcomes: &mut Outcomes,
                    begun: &mut HashMap<u64, SimTime>,
@@ -163,52 +153,34 @@ pub fn run_open_loop(config: &OpenLoopConfig) -> OpenLoopPoint {
 
     let t0 = clock.now();
     let end = t0 + config.duration;
-    if config.offered_rps == 0 {
-        // Saturation mode: keep the window full, harvest as fast as the
-        // pool completes. This measures the data-path ceiling.
-        while clock.now() < end {
-            let now = clock.now();
-            while stub.in_flight() < config.max_in_flight {
-                begin_one(
-                    &mut stub,
-                    now,
-                    &mut n,
-                    &mut injected,
-                    &mut outcomes,
-                    &mut begun,
-                );
-            }
-            in_flight_peak = in_flight_peak.max(stub.in_flight());
-            if harvest(&mut stub, &mut outcomes, &mut begun, &mut latencies_us) == 0 {
-                std::thread::yield_now();
-            }
+    // The k-th arrival is due exactly k / rate after `t0`: no truncated
+    // per-arrival step to drift the rate or collapse to zero.
+    let due = |k: u64| t0 + SimDuration::from_micros(k * 1_000_000 / config.offered_rps);
+    let mut arrivals = 0u64;
+    loop {
+        let now = clock.now();
+        if now >= end {
+            break;
         }
-    } else {
-        let interval = SimDuration::from_micros(1_000_000 / config.offered_rps.max(1));
-        let mut next = t0;
-        while clock.now() < end {
-            let now = clock.now();
-            // Catch-up pacing: a late wakeup injects the arrivals the
-            // schedule owed, keeping the offered rate honest.
-            while next <= now {
-                if stub.in_flight() >= config.max_in_flight {
-                    shed += 1;
-                } else {
-                    begin_one(
-                        &mut stub,
-                        now,
-                        &mut n,
-                        &mut injected,
-                        &mut outcomes,
-                        &mut begun,
-                    );
+        // Catch-up pacing: a late wakeup injects the arrivals the
+        // schedule owed, keeping the offered rate honest.
+        while due(arrivals) <= now {
+            arrivals += 1;
+            if stub.in_flight() >= config.max_in_flight {
+                shed += 1;
+                continue;
+            }
+            match stub.invoke_begin("work", &injected) {
+                Ok(id) => {
+                    begun.insert(id, now);
                 }
-                next += interval;
+                Err(e) => outcomes.add(&Err::<u64, RmiError>(e)),
             }
-            in_flight_peak = in_flight_peak.max(stub.in_flight());
-            harvest(&mut stub, &mut outcomes, &mut begun, &mut latencies_us);
-            std::thread::sleep(std::time::Duration::from_micros(200));
+            injected += 1;
         }
+        in_flight_peak = in_flight_peak.max(stub.in_flight());
+        harvest(&mut stub, &mut outcomes, &mut begun, &mut latencies_us);
+        std::thread::sleep(std::time::Duration::from_micros(200));
     }
     let seconds = clock.now().saturating_since(t0).as_micros() as f64 / 1_000_000.0;
 
@@ -261,57 +233,6 @@ pub fn run_open_loop(config: &OpenLoopConfig) -> OpenLoopPoint {
     }
 }
 
-/// Pipelined raw-socket echo over TCP loopback: 32-byte messages, a primed
-/// window of `window` outstanding messages, and — deliberately — one
-/// `read`/`write` pair *per message* on both sides, the per-message syscall
-/// discipline an un-batched RMI peer pays. (A bulk-read variant measures
-/// loopback memcpy bandwidth, tens of millions of "messages" per second,
-/// and says nothing about a framed request/response path.) This is the
-/// honest baseline the full stack's TCP echo cells are compared against:
-/// "within 2–3x of raw sockets", not "fast in a vacuum".
-pub fn run_raw_socket_echo(duration: std::time::Duration, window: usize) -> f64 {
-    const MSG: usize = 32;
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind raw echo server");
-    let addr = listener.local_addr().expect("raw echo addr");
-    let server = std::thread::spawn(move || {
-        let Ok((mut s, _)) = listener.accept() else {
-            return;
-        };
-        let _ = s.set_nodelay(true);
-        let mut msg = [0u8; MSG];
-        loop {
-            if s.read_exact(&mut msg).is_err() || s.write_all(&msg).is_err() {
-                break;
-            }
-        }
-    });
-
-    let mut c = TcpStream::connect(addr).expect("connect raw echo");
-    let _ = c.set_nodelay(true);
-    let start = std::time::Instant::now();
-    let prime = vec![0x5au8; MSG * window];
-    c.write_all(&prime).expect("prime echo window");
-    let mut echoed = 0u64;
-    let mut msg = [0u8; MSG];
-    while start.elapsed() < duration {
-        if c.read_exact(&mut msg).is_err() {
-            break;
-        }
-        echoed += 1;
-        if c.write_all(&msg).is_err() {
-            break;
-        }
-    }
-    let seconds = start.elapsed().as_secs_f64();
-    drop(c);
-    let _ = server.join();
-    if seconds > 0.0 {
-        echoed as f64 / seconds
-    } else {
-        0.0
-    }
-}
-
 /// Member counts swept by the open-loop grid.
 pub const OPEN_LOOP_MEMBER_COUNTS: [u32; 3] = [1, 4, 8];
 
@@ -324,20 +245,15 @@ pub const OPEN_LOOP_SERVICE: std::time::Duration = std::time::Duration::from_mil
 pub struct OpenLoopGrid {
     /// Knee sweep: 2 ms service, offered rate swept per member count.
     pub knee: Vec<OpenLoopPoint>,
-    /// Saturation cells: zero service, window kept full — data-path ceiling.
-    pub echo: Vec<OpenLoopPoint>,
-    /// Pipelined raw-socket echo rate, the TCP comparison baseline.
-    pub raw_socket_echo_rps: f64,
     /// Seed the grid ran with.
     pub seed: u64,
     /// Whether the shortened CI shape was used.
     pub quick: bool,
 }
 
-/// Runs the open-loop grid: a knee sweep (2 transports x 1/4/8 members x
-/// offered rates) with a 2 ms sleeping service, saturation `echo` cells
-/// for the data-path ceiling, and the raw-socket baseline. `quick`
-/// shortens cells and thins the rate sweep for CI.
+/// Runs the open-loop knee sweep: 2 transports x 1/4/8 members x offered
+/// rates, with a 2 ms sleeping service. `quick` shortens cells and thins
+/// the rate sweep for CI.
 pub fn run_open_loop_grid(seed: u64, quick: bool) -> OpenLoopGrid {
     let rates: &[u64] = if quick {
         &[250, 1_000, 4_000]
@@ -368,33 +284,7 @@ pub fn run_open_loop_grid(seed: u64, quick: bool) -> OpenLoopGrid {
             }
         }
     }
-
-    let mut echo = Vec::new();
-    for kind in [TransportKind::Inproc, TransportKind::Tcp] {
-        for members in [1u32, 8] {
-            echo.push(run_open_loop(&OpenLoopConfig {
-                kind,
-                members,
-                offered_rps: 0,
-                duration,
-                service: std::time::Duration::ZERO,
-                seed,
-                max_in_flight: 256,
-                budget,
-            }));
-        }
-    }
-
-    let raw_socket_echo_rps =
-        run_raw_socket_echo(std::time::Duration::from_micros(duration.as_micros()), 256);
-
-    OpenLoopGrid {
-        knee,
-        echo,
-        raw_socket_echo_rps,
-        seed,
-        quick,
-    }
+    OpenLoopGrid { knee, seed, quick }
 }
 
 /// Renders the grid as the table EXPERIMENTS.md embeds.
@@ -435,31 +325,6 @@ pub fn format_open_loop(grid: &OpenLoopGrid) -> String {
             p.p99_us,
         );
     }
-    let _ = writeln!(
-        out,
-        "# Saturation echo cells (zero service, window kept full)"
-    );
-    for p in &grid.echo {
-        let _ = writeln!(
-            out,
-            "  {:<9} {:>7} {:>9} {:>9.0}/s {:>8} {:>8} {:>6} {:>5} {:>6} us {:>6} us",
-            p.transport.to_string(),
-            p.members,
-            "window",
-            p.completed_rps,
-            p.outcomes.ok,
-            p.outcomes.expired,
-            p.shed,
-            p.lost,
-            p.p50_us,
-            p.p99_us,
-        );
-    }
-    let _ = writeln!(
-        out,
-        "# Raw-socket pipelined echo baseline: {:.0}/s (32-byte messages)",
-        grid.raw_socket_echo_rps
-    );
     out
 }
 
@@ -497,23 +362,12 @@ pub fn open_loop_json(grid: &OpenLoopGrid) -> String {
     let _ = writeln!(out, "  \"seed\": {},", grid.seed);
     let _ = writeln!(out, "  \"quick\": {},", grid.quick);
     let _ = writeln!(out, "  \"service_us\": {},", OPEN_LOOP_SERVICE.as_micros());
-    let _ = writeln!(
-        out,
-        "  \"raw_socket_echo_rps\": {:.1},",
-        grid.raw_socket_echo_rps
-    );
-    for (name, points) in [("knee", &grid.knee), ("echo", &grid.echo)] {
-        let _ = writeln!(out, "  \"{name}\": [");
-        for (i, p) in points.iter().enumerate() {
-            let _ = write!(out, "    {}", point_json(p));
-            out.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n");
+    out.push_str("  \"knee\": [\n");
+    for (i, p) in grid.knee.iter().enumerate() {
+        let _ = write!(out, "    {}", point_json(p));
+        out.push_str(if i + 1 < grid.knee.len() { ",\n" } else { "\n" });
     }
-    // Trailing-comma fix: close the object after the last array.
-    let trimmed = out.trim_end_matches(",\n").len();
-    out.truncate(trimmed);
-    out.push_str("\n}\n");
+    out.push_str("  ]\n}\n");
     out
 }
 
@@ -521,21 +375,35 @@ pub fn open_loop_json(grid: &OpenLoopGrid) -> String {
 mod tests {
     use super::*;
 
-    fn quick_cell(
+    fn cell(
         offered_rps: u64,
         max_in_flight: usize,
         service: std::time::Duration,
+        duration: SimDuration,
     ) -> OpenLoopPoint {
         run_open_loop(&OpenLoopConfig {
             kind: TransportKind::Inproc,
             members: 1,
             offered_rps,
-            duration: SimDuration::from_millis(250),
+            duration,
             service,
             seed: 7,
             max_in_flight,
             budget: SimDuration::from_secs(2),
         })
+    }
+
+    fn quick_cell(
+        offered_rps: u64,
+        max_in_flight: usize,
+        service: std::time::Duration,
+    ) -> OpenLoopPoint {
+        cell(
+            offered_rps,
+            max_in_flight,
+            service,
+            SimDuration::from_millis(250),
+        )
     }
 
     #[test]
@@ -558,33 +426,63 @@ mod tests {
     }
 
     #[test]
-    fn saturation_mode_keeps_the_window_full() {
-        let p = quick_cell(0, 64, std::time::Duration::ZERO);
-        assert_eq!(p.in_flight_peak, 64, "window must be topped up: {p:?}");
-        assert!(p.outcomes.ok > 0, "{p:?}");
+    fn pacing_above_a_million_per_second_terminates_on_schedule() {
+        // A per-arrival step truncated to whole microseconds is zero above
+        // 1M/s, and the catch-up loop never advanced. Run on a thread so a
+        // regression fails the test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let p = cell(
+                2_000_000,
+                8,
+                std::time::Duration::ZERO,
+                SimDuration::from_millis(5),
+            );
+            let _ = tx.send(p);
+        });
+        let p = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a 2M/s cell over 5 ms must terminate");
+        // 2M/s over 5 ms owes at most 10,000 arrivals.
+        assert!(p.injected + p.shed <= 10_000, "{p:?}");
+        assert!(p.in_flight_peak <= 8, "{p:?}");
         assert_eq!(p.lost, 0, "{p:?}");
     }
 
     #[test]
-    fn raw_socket_echo_measures_something() {
-        let rps = run_raw_socket_echo(std::time::Duration::from_millis(100), 64);
-        assert!(rps > 0.0, "raw echo must move messages, got {rps}");
+    fn pacing_does_not_over_offer_at_rates_that_do_not_divide_a_second() {
+        // A 333 us truncated step would offer 3,003/s.
+        let p = cell(
+            3_000,
+            512,
+            std::time::Duration::ZERO,
+            SimDuration::from_secs(1),
+        );
+        assert!(p.injected + p.shed <= 3_000, "{p:?}");
+        assert_eq!(p.lost, 0, "{p:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival rate must be positive")]
+    fn a_zero_arrival_rate_is_rejected() {
+        quick_cell(0, 8, std::time::Duration::ZERO);
     }
 
     #[test]
     fn open_loop_json_has_the_expected_shape() {
         let grid = OpenLoopGrid {
             knee: vec![quick_cell(400, 512, std::time::Duration::ZERO)],
-            echo: vec![],
-            raw_socket_echo_rps: 123.0,
             seed: 7,
             quick: true,
         };
         let json = open_loop_json(&grid);
         assert!(json.contains("\"mode\": \"open-loop\""));
         assert!(json.contains("\"knee\": ["));
-        assert!(json.contains("\"echo\": ["));
-        assert!(json.contains("\"raw_socket_echo_rps\": 123.0"));
+        assert!(!json.contains("\"echo\""), "no echo cells");
+        assert!(
+            !json.contains("\"raw_socket_echo_rps\""),
+            "no raw-socket baseline"
+        );
         assert!(json.ends_with("}\n"));
         assert!(!json.contains("],\n}"), "no trailing comma before close");
     }
