@@ -113,7 +113,9 @@ pub use erm_admission::{AdmissionConfig, AimdConfig, AimdLimiter, Discipline};
 pub use erm_semantics::{DedupStats, ReplyCache, ReplyCacheConfig, Semantics, SemanticsTable};
 pub use error::{PoolError, RemoteError, RmiError};
 pub use message::{InvocationContext, LoadReport, MemberState, MethodStat, RmiMessage};
-pub use pool::{Decider, ElasticPool, PoolDeps, PoolStats, ServiceFactory};
+pub use pool::{
+    Decider, ElasticPool, Launch, PoolDeps, PoolHandle, PoolRuntime, PoolStats, ServiceFactory,
+};
 pub use registry::{RegistryClient, RegistryServer};
 pub use scaling::{DecisionExplanation, PoolSample, ScalingDecision, ScalingEngine};
 pub use shard::{hash_bytes, KeyExtractor, ShardRing, ShardingTable};

@@ -14,14 +14,18 @@
 //! * broadcasts membership (epoch, sentinel, loads) to all skeletons,
 //! * plans server-side rebalancing with first-fit bin packing, and
 //! * detects member crashes, re-electing the sentinel by lowest uid.
+//!
+//! That loop is [`PoolRuntime::step`], and it has two drivers: the pool
+//! thread behind [`ElasticPool`], which runs each member on its own thread,
+//! and a simulated driver that steps the runtime and its members on a
+//! virtual clock (the harness's `SimRig::drive_pool`).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use erm_cluster::{ClusterHandle, SliceGrant, SliceId};
 use erm_kvstore::{LockOwner, Store};
 use erm_metrics::{Histogram, MetricsHandle, TraceEvent, TraceHandle};
@@ -111,25 +115,63 @@ struct PoolShared {
     size: Arc<AtomicU32>,
     stats: Mutex<PoolStats>,
     last_reports: Mutex<Vec<LoadReport>>,
+    shutdown: AtomicBool,
 }
 
-enum Command {
-    Shutdown,
+/// The driver-independent face of a [`PoolRuntime`]: its published view,
+/// its counters and the shutdown request. Clones share one runtime.
+#[derive(Debug, Clone)]
+pub struct PoolHandle(Arc<PoolShared>);
+
+impl PoolHandle {
+    /// Current number of live members — the paper's `getPoolSize()`.
+    pub fn size(&self) -> u32 {
+        self.0.size.load(Ordering::SeqCst)
+    }
+
+    /// The sentinel's invocation endpoint: what a client needs to connect.
+    pub fn sentinel(&self) -> EndpointId {
+        *self.0.sentinel.read()
+    }
+
+    /// Current member endpoints.
+    pub fn members(&self) -> Vec<EndpointId> {
+        self.0.members.read().clone()
+    }
+
+    /// Lifetime counters.
+    pub fn stats(&self) -> PoolStats {
+        self.0.stats.lock().clone()
+    }
+
+    /// The load reports collected at the most recent burst interval — what
+    /// the sentinel saw when it last made a scaling decision (per-member
+    /// pending counts, busy/RAM utilization, fine votes, method stats).
+    pub fn last_reports(&self) -> Vec<LoadReport> {
+        self.0.last_reports.lock().clone()
+    }
+
+    /// Asks the runtime to shut down. Its next step tells every member to
+    /// drain; later steps finalize them as they ack or exit and release
+    /// their slices, force-releasing whatever is left after 5 s of sim time.
+    pub fn shutdown(&self) {
+        self.0.shutdown.store(true, Ordering::SeqCst);
+    }
 }
 
-/// Handle to a running elastic object pool.
+/// Handle to a running elastic object pool: a [`PoolHandle`] (its size,
+/// sentinel, members and counters) whose runtime the pool thread drives.
 ///
 /// Dropping the handle shuts the pool down (draining members and releasing
 /// their slices).
 pub struct ElasticPool {
-    shared: Arc<PoolShared>,
+    handle: PoolHandle,
     net: Arc<dyn Host>,
     clock: SharedClock,
     trace: TraceHandle,
     semantics: crate::SemanticsTable,
     sharding: crate::ShardingTable,
-    cmd_tx: Sender<Command>,
-    runtime: Option<JoinHandle<()>>,
+    driver: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ElasticPool {
@@ -163,74 +205,23 @@ impl ElasticPool {
         deps: PoolDeps,
         decider: Option<Box<dyn Decider>>,
     ) -> Result<ElasticPool, PoolError> {
-        assert_eq!(
-            matches!(config.policy(), ScalingPolicy::AppLevel),
-            decider.is_some(),
-            "a Decider must be supplied iff the policy is AppLevel"
-        );
-        let now = deps.clock.now();
-        let outcome = deps
-            .cluster
-            .request_slices(config.min_pool_size(), now)
-            .map_err(|e| PoolError::Cluster(e.to_string()))?;
-        if outcome.granted == 0 {
-            return Err(PoolError::NoCapacity);
-        }
-
-        let shared = Arc::new(PoolShared {
-            sentinel: RwLock::new(EndpointId(u64::MAX)),
-            members: RwLock::new(Vec::new()),
-            size: Arc::new(AtomicU32::new(0)),
-            stats: Mutex::new(PoolStats::default()),
-            last_reports: Mutex::new(Vec::new()),
-        });
-        let (cmd_tx, cmd_rx) = unbounded();
-        let (ctl, ctl_mailbox) = deps.net.open();
         let semantics = config.semantics().clone();
         let sharding = config.sharding().clone();
-        let mut runtime = Runtime {
-            config,
-            deps: deps.clone(),
-            factory,
-            decider,
-            shared: Arc::clone(&shared),
-            ctl,
-            cmd_rx,
-            members: BTreeMap::new(),
-            next_uid: 0,
-            epoch: 0,
-            reports: BTreeMap::new(),
-            engine: None,
-            collect_until: None,
-            grant_times: BTreeMap::new(),
-            last_broadcast: SimTime::ZERO,
-            standby_requested_at: None,
-            revoked_slices: BTreeSet::new(),
-            last_view: Vec::new(),
-            recovery: RecoveryTracker::new(&deps.metrics),
-        };
-        runtime.grant_times.insert(
-            outcome.request_id,
-            PendingRequest {
-                requested_at: now,
-                outstanding: outcome.granted,
-                standby: false,
-            },
-        );
-        let handle = std::thread::Builder::new()
+        let runtime = PoolRuntime::start(config, factory, deps.clone(), decider)?;
+        let handle = runtime.handle();
+        let driver = std::thread::Builder::new()
             .name("elasticrmi-pool".to_string())
-            .spawn(move || runtime.run(ctl_mailbox))
+            .spawn(move || drive_threads(runtime))
             .expect("spawn pool runtime");
 
         let pool = ElasticPool {
-            shared,
+            handle,
             net: deps.net,
             clock: deps.clock,
             trace: deps.trace,
             semantics,
             sharding,
-            cmd_tx,
-            runtime: Some(handle),
+            driver: Some(driver),
         };
         // Wait for the initial members to come up, bounded on the injected
         // clock: 30 s of *sim* time. Under the system clock that is 30 real
@@ -247,33 +238,6 @@ impl ElasticPool {
             std::thread::sleep(Duration::from_millis(2));
         }
         Ok(pool)
-    }
-
-    /// Current number of live members — the paper's `getPoolSize()`.
-    pub fn size(&self) -> u32 {
-        self.shared.size.load(Ordering::SeqCst)
-    }
-
-    /// The sentinel's invocation endpoint: what a client needs to connect.
-    pub fn sentinel(&self) -> EndpointId {
-        *self.shared.sentinel.read()
-    }
-
-    /// Current member endpoints.
-    pub fn members(&self) -> Vec<EndpointId> {
-        self.shared.members.read().clone()
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> PoolStats {
-        self.shared.stats.lock().clone()
-    }
-
-    /// The load reports collected at the most recent burst interval — what
-    /// the sentinel saw when it last made a scaling decision (per-member
-    /// pending counts, busy/RAM utilization, fine votes, method stats).
-    pub fn last_reports(&self) -> Vec<LoadReport> {
-        self.shared.last_reports.lock().clone()
     }
 
     /// Opens a client stub against this pool.
@@ -307,10 +271,18 @@ impl ElasticPool {
     /// Shuts the pool down: drains every member and releases all slices.
     /// Idempotent; also performed on drop.
     pub fn shutdown(&mut self) {
-        let _ = self.cmd_tx.send(Command::Shutdown);
-        if let Some(handle) = self.runtime.take() {
-            let _ = handle.join();
+        self.handle.shutdown();
+        if let Some(driver) = self.driver.take() {
+            let _ = driver.join();
         }
+    }
+}
+
+impl std::ops::Deref for ElasticPool {
+    type Target = PoolHandle;
+
+    fn deref(&self) -> &PoolHandle {
+        &self.handle
     }
 }
 
@@ -320,16 +292,52 @@ impl Drop for ElasticPool {
     }
 }
 
+/// The pool thread: steps the runtime every [`TICK`] of wall time, runs each
+/// launched member on a thread of its own, and reports the threads that end.
+fn drive_threads(mut runtime: PoolRuntime) {
+    let clock = Arc::clone(&runtime.deps.clock);
+    let mut threads: Vec<(u64, JoinHandle<()>)> = Vec::new();
+    loop {
+        for (uid, thread) in threads.extract_if(.., |(_, t)| t.is_finished()) {
+            let _ = thread.join(); // a panic is an exit like any other
+            runtime.member_exited(uid);
+        }
+        let (launched, next_due) = runtime.step(clock.now());
+        for l in launched {
+            let thread = std::thread::Builder::new()
+                .name(format!("erm-member-{}", l.uid))
+                .spawn(move || l.skeleton.run(l.mailbox))
+                .expect("spawn member thread");
+            threads.push((l.uid, thread));
+        }
+        if next_due.is_none() {
+            return; // a member stuck past the deadline finishes on its own
+        }
+        std::thread::sleep(Duration::from_micros(TICK.as_micros()));
+    }
+}
+
+/// A member the runtime brought up, for its driver to run: the skeleton,
+/// the mailbox it serves, and the slice it occupies.
+pub struct Launch {
+    /// The member's uid (lowest uid in rotation is the sentinel).
+    pub uid: u64,
+    /// The slice the member was granted.
+    pub slice: SliceId,
+    /// The member's event loop and hosted service.
+    pub skeleton: crate::skeleton::Skeleton,
+    /// The member's invocation endpoint.
+    pub mailbox: Mailbox,
+}
+
 struct Member {
     endpoint: EndpointId,
     slice: SliceId,
-    join: JoinHandle<()>,
     draining: bool,
     requested_at: Option<SimTime>,
     first_served: bool,
     /// When this member's endpoint was taken down by a slice revocation
-    /// (node failure). A draining member with `crashed_at` set is reaped as
-    /// crashed rather than waiting for a drain ack that can never arrive.
+    /// (node failure): the crash time its recovery lags count from.
     crashed_at: Option<SimTime>,
     /// Warm standby: fully provisioned and heartbeating, but outside the LB
     /// rotation and the scaling sample until promoted by a route-flip.
@@ -345,10 +353,8 @@ impl Member {
 }
 
 /// One outstanding slice request: when it was made (for provisioning-latency
-/// attribution), how many grants are still due (the entry is pruned when the
-/// last grant arrives — request ids can be reused by the cluster, so a stale
-/// entry would mis-attribute a later request's latency), and which tier the
-/// resulting members join.
+/// attribution), how many grants are still due (pruned at the last, since
+/// request ids can be reused), and which tier the members join.
 struct PendingRequest {
     requested_at: SimTime,
     outstanding: u32,
@@ -395,19 +401,26 @@ impl RecoveryTracker {
     }
 }
 
-struct Runtime {
+/// The pool's control loop as a state machine: every grant, reap, election,
+/// broadcast and scaling decision happens in [`PoolRuntime::step`]; its
+/// driver runs the launched members and reports their exits.
+pub struct PoolRuntime {
     config: PoolConfig,
     deps: PoolDeps,
     factory: ServiceFactory,
     decider: Option<Box<dyn Decider>>,
     shared: Arc<PoolShared>,
     ctl: EndpointId,
-    cmd_rx: Receiver<Command>,
+    ctl_mailbox: Mailbox,
     members: BTreeMap<u64, Member>,
+    /// Members whose skeletons stopped running, applied at the next step.
+    exited: BTreeSet<u64>,
+    /// Members brought up since the last step, for the driver to run.
+    launched: Vec<Launch>,
     next_uid: u64,
     epoch: u64,
     reports: BTreeMap<u64, LoadReport>,
-    engine: Option<ScalingEngine>,
+    engine: ScalingEngine,
     /// Sim-time deadline for the current load-report collection round;
     /// `None` when no poll is outstanding.
     collect_until: Option<SimTime>,
@@ -417,98 +430,165 @@ struct Runtime {
     /// unforced refills are throttled to one ask per broadcast interval so a
     /// saturated cluster is not spammed with doomed requests every tick.
     standby_requested_at: Option<SimTime>,
-    /// Slices the cluster revoked (node failure) that we have not finalized
-    /// yet. `finalize_member` must not `release()` these: the cluster
-    /// already took them back, and by finalize time the slice may have been
-    /// re-granted — releasing it again would free it underneath its new
-    /// owner.
+    /// Slices the cluster revoked (node failure) whose members are not
+    /// finalized yet. `finalize_member` must not `release()` these: the
+    /// slice may have been re-granted by then, to a new owner.
     revoked_slices: BTreeSet<SliceId>,
     /// The in-rotation membership `(uid, endpoint)` seats as of the last
     /// `publish()`. `sync_view` diffs against this to bump the epoch exactly
     /// once per view change and to drive shard handoff when sharding is on.
     last_view: Vec<(u64, EndpointId)>,
     recovery: RecoveryTracker,
+    /// Set once shutdown began: when leftover members are force-released.
+    shutdown_deadline: Option<SimTime>,
 }
 
-/// Control-loop pacing. Pure thread scheduling (how often the loop wakes to
-/// look at its mailboxes), not protocol semantics — so it stays wall time.
-const TICK: Duration = Duration::from_millis(2);
+/// Control-loop pacing: how often the runtime polls its mailbox, the cluster
+/// and its members' exits — a wall-time sleep for the pool thread.
+const TICK: SimDuration = SimDuration::from_millis(2);
 /// How long (sim time) the sentinel waits for load reports after a poll.
 const COLLECT_GRACE: SimDuration = SimDuration::from_millis(100);
 const BROADCAST_EVERY: SimDuration = SimDuration::from_millis(500);
 
-impl Runtime {
-    fn run(&mut self, ctl_mailbox: Mailbox) {
-        self.engine = Some(ScalingEngine::new(
-            self.config.clone(),
-            self.deps.clock.now(),
-        ));
-        loop {
-            // 1. Commands from the handle.
-            if let Ok(Command::Shutdown) = self.cmd_rx.try_recv() {
-                self.shutdown_all(&ctl_mailbox);
-                return;
-            }
-            // 2. Control messages from members.
-            while let Ok(d) = ctl_mailbox.try_recv() {
-                if let Ok(msg) = RmiMessage::decode(&d.payload) {
-                    self.on_ctl(msg);
-                }
-            }
-            // 3. Newly provisioned slices become members.
-            // Only this pool's: another pool on the same cluster collects
-            // its own (taking them here left that pool with no members).
-            let due: Vec<u64> = self.grant_times.keys().copied().collect();
-            let grants = self.deps.cluster.poll_ready_of(&due, self.deps.clock.now());
-            let grew = !grants.is_empty();
-            for grant in grants {
-                self.spawn_member(grant);
-            }
-            // 4. Crash detection + sentinel re-election. Slice revocations
-            // (node failures) kill their members too.
-            let revoked = self.deps.cluster.drain_revocations();
-            if !revoked.is_empty() {
-                let at = self.deps.clock.now();
-                self.revoked_slices.extend(revoked.iter().copied());
-                let victims: Vec<u64> = self
-                    .members
-                    .iter()
-                    .filter(|(_, m)| revoked.contains(&m.slice))
-                    .map(|(&uid, _)| uid)
-                    .collect();
-                for uid in victims {
-                    if let Some(m) = self.members.get_mut(&uid) {
-                        // Take the endpoint down; the skeleton thread exits
-                        // on its closed mailbox and reaping does the rest.
-                        m.crashed_at = Some(at);
-                        self.deps.net.close(m.endpoint);
-                    }
-                }
-            }
-            let crashed = self.reap_crashed();
-            if grew || crashed {
-                self.publish();
-                self.broadcast();
-            }
-            // 5. Periodic broadcast (the JGroups substitute).
-            let now = self.deps.clock.now();
-            let live = self
-                .members
-                .values()
-                .filter(|m| m.in_rotation() && m.crashed_at.is_none())
-                .count() as u32;
-            self.recovery.check_capacity(live, now);
-            if now.saturating_since(self.last_broadcast) >= BROADCAST_EVERY {
-                self.broadcast();
-            }
-            // 6. Keep the warm tier topped up (initial fill, and refills
-            // after a standby crash or promotion).
-            self.replenish_standbys(now, false);
-            // 7. Burst-interval scaling.
-            self.scaling_step(now);
-
-            std::thread::sleep(TICK);
+impl PoolRuntime {
+    /// Builds the runtime of [`ElasticPool::instantiate`], failing and
+    /// panicking as it does: asks the cluster for `min_pool_size` slices and
+    /// opens the control endpoint. The members come up in later steps.
+    pub fn start(
+        config: PoolConfig,
+        factory: ServiceFactory,
+        deps: PoolDeps,
+        decider: Option<Box<dyn Decider>>,
+    ) -> Result<PoolRuntime, PoolError> {
+        assert_eq!(
+            matches!(config.policy(), ScalingPolicy::AppLevel),
+            decider.is_some(),
+            "a Decider must be supplied iff the policy is AppLevel"
+        );
+        let now = deps.clock.now();
+        let outcome = deps
+            .cluster
+            .request_slices(config.min_pool_size(), now)
+            .map_err(|e| PoolError::Cluster(e.to_string()))?;
+        if outcome.granted == 0 {
+            return Err(PoolError::NoCapacity);
         }
+        let (ctl, ctl_mailbox) = deps.net.open();
+        let pending = PendingRequest {
+            requested_at: now,
+            outstanding: outcome.granted,
+            standby: false,
+        };
+        Ok(PoolRuntime {
+            engine: ScalingEngine::new(config.clone(), now),
+            recovery: RecoveryTracker::new(&deps.metrics),
+            config,
+            deps,
+            factory,
+            decider,
+            shared: Arc::new(PoolShared {
+                sentinel: RwLock::new(EndpointId(u64::MAX)),
+                members: RwLock::new(Vec::new()),
+                size: Arc::new(AtomicU32::new(0)),
+                stats: Mutex::new(PoolStats::default()),
+                last_reports: Mutex::new(Vec::new()),
+                shutdown: AtomicBool::new(false),
+            }),
+            ctl,
+            ctl_mailbox,
+            members: BTreeMap::new(),
+            exited: BTreeSet::new(),
+            launched: Vec::new(),
+            next_uid: 0,
+            epoch: 0,
+            reports: BTreeMap::new(),
+            collect_until: None,
+            grant_times: BTreeMap::from([(outcome.request_id, pending)]),
+            last_broadcast: SimTime::ZERO,
+            standby_requested_at: None,
+            revoked_slices: BTreeSet::new(),
+            last_view: Vec::new(),
+            shutdown_deadline: None,
+        })
+    }
+
+    /// The handle its driver and callers read the pool through.
+    pub fn handle(&self) -> PoolHandle {
+        PoolHandle(Arc::clone(&self.shared))
+    }
+
+    /// Reports that member `uid`'s skeleton stopped running. The next step
+    /// applies it after draining the control mailbox: a member whose drain
+    /// ack is in was finalized as drained by then, any other one crashed.
+    pub fn member_exited(&mut self, uid: u64) {
+        self.exited.insert(uid);
+    }
+
+    /// One turn of the control loop at `now`. Returns the members the
+    /// driver must start running, and when the runtime needs its next
+    /// turn — `None` once shutdown has completed.
+    pub fn step(&mut self, now: SimTime) -> (Vec<Launch>, Option<SimTime>) {
+        if self.shutdown_deadline.is_none() && self.shared.shutdown.load(Ordering::SeqCst) {
+            let all: Vec<u64> = self.members.keys().copied().collect();
+            self.drain(&all);
+            // Drain deadline in sim time: under a virtual clock the pool
+            // waits for its members however long the wall takes, and
+            // force-reaps only once the driver lets 5 sim-seconds pass.
+            self.shutdown_deadline = Some(now + SimDuration::from_secs(5));
+        }
+        // 1. Control messages from members.
+        while let Ok(d) = self.ctl_mailbox.try_recv() {
+            if let Ok(msg) = RmiMessage::decode(&d.payload) {
+                self.on_ctl(msg);
+            }
+        }
+        if let Some(deadline) = self.shutdown_deadline {
+            return (Vec::new(), self.shutdown_step(now, deadline));
+        }
+        // 2. Newly provisioned slices become members.
+        // Only this pool's: another pool on the same cluster collects
+        // its own (taking them here left that pool with no members).
+        let due: Vec<u64> = self.grant_times.keys().copied().collect();
+        let grants = self.deps.cluster.poll_ready_of(&due, now);
+        let grew = !grants.is_empty();
+        for grant in grants {
+            self.spawn_member(grant);
+        }
+        // 3. Crash detection + sentinel re-election. Slice revocations
+        // (node failures) kill their members too.
+        let revoked = self.deps.cluster.drain_revocations();
+        if !revoked.is_empty() {
+            self.revoked_slices.extend(revoked.iter().copied());
+            for m in self.members.values_mut() {
+                if revoked.contains(&m.slice) {
+                    // Take the endpoint down; the skeleton exits on its
+                    // closed mailbox and reaping does the rest.
+                    m.crashed_at = Some(now);
+                    self.deps.net.close(m.endpoint);
+                }
+            }
+        }
+        let crashed = self.reap_crashed();
+        if grew || crashed {
+            self.publish();
+            self.broadcast();
+        }
+        // 4. Periodic broadcast (the JGroups substitute).
+        let live = self
+            .members
+            .values()
+            .filter(|m| m.in_rotation() && m.crashed_at.is_none())
+            .count() as u32;
+        self.recovery.check_capacity(live, now);
+        if now.saturating_since(self.last_broadcast) >= BROADCAST_EVERY {
+            self.broadcast();
+        }
+        // 5. Keep the warm tier topped up (initial fill, and refills
+        // after a standby crash or promotion).
+        self.replenish_standbys(now, false);
+        // 6. Burst-interval scaling.
+        self.scaling_step(now);
+        (std::mem::take(&mut self.launched), Some(now + TICK))
     }
 
     fn on_ctl(&mut self, msg: RmiMessage) {
@@ -520,12 +600,9 @@ impl Runtime {
                     if !m.first_served && !report.method_stats.is_empty() {
                         m.first_served = true;
                         if let Some(t0) = m.requested_at {
+                            let mut stats = self.shared.stats.lock();
                             let latency = self.deps.clock.now().saturating_since(t0);
-                            self.shared
-                                .stats
-                                .lock()
-                                .provisioning_latencies
-                                .push(latency);
+                            stats.provisioning_latencies.push(latency);
                         }
                     }
                 }
@@ -574,10 +651,12 @@ impl Runtime {
         }
         skeleton.set_metrics(&self.deps.metrics);
         skeleton.set_sharding(self.config.sharding().clone());
-        let join = std::thread::Builder::new()
-            .name(format!("erm-member-{uid}"))
-            .spawn(move || skeleton.run(mailbox))
-            .expect("spawn member thread");
+        self.launched.push(Launch {
+            uid,
+            slice: grant.slice,
+            skeleton,
+            mailbox,
+        });
         // Consume one grant from the originating request; prune the entry on
         // the final grant so reused request ids never read a stale
         // `requested_at`.
@@ -598,7 +677,6 @@ impl Runtime {
             Member {
                 endpoint,
                 slice: grant.slice,
-                join,
                 draining: false,
                 requested_at,
                 first_served: false,
@@ -631,39 +709,31 @@ impl Runtime {
         if !self.revoked_slices.remove(&member.slice) {
             let _ = self.deps.cluster.release(member.slice, now);
         }
-        if !crashed {
-            let _ = member.join.join();
-        }
+        self.reports.remove(&uid);
+        let mut stats = self.shared.stats.lock();
         if crashed {
             // Reclaim the dead member's kv locks and fence its owner, so
             // `synchronized` methods stop stalling on a holder that will
             // never unlock (§4.4) and a stale resurrected member cannot
             // unlock what it no longer owns.
             let _ = self.deps.store.release_owner(LockOwner::new(uid), now);
-        }
-        self.reports.remove(&uid);
-        if crashed {
             self.deps.trace.emit(now, TraceEvent::MemberCrashed { uid });
-        } else if member.draining {
-            self.deps.trace.emit(now, TraceEvent::MemberDrained { uid });
-        }
-        let mut stats = self.shared.stats.lock();
-        if crashed {
             stats.crashed += 1;
         } else if member.draining {
+            self.deps.trace.emit(now, TraceEvent::MemberDrained { uid });
             stats.shrunk += 1;
         }
     }
 
     fn reap_crashed(&mut self) -> bool {
-        // A draining member normally finalizes through its ShutdownReady
-        // ack — but one whose slice was revoked mid-drain lost its endpoint
-        // and can never ack, so it must be reaped here (as crashed) too.
-        let dead: Vec<u64> = self
-            .members
-            .iter()
-            .filter(|(_, m)| m.join.is_finished() && (!m.draining || m.crashed_at.is_some()))
-            .map(|(&uid, _)| uid)
+        // Exits are applied after the control mailbox was drained, so a
+        // draining member whose ShutdownReady ack came in is gone already.
+        // Anything still here died without one — a crash, draining or not
+        // (a panic mid-drain, or a slice revoked under it) — and must give
+        // its slice back rather than hold it forever.
+        let dead: Vec<u64> = std::mem::take(&mut self.exited)
+            .into_iter()
+            .filter(|uid| self.members.contains_key(uid))
             .collect();
         if dead.is_empty() {
             return false;
@@ -690,22 +760,14 @@ impl Runtime {
             // (the royal hierarchy) wins, which BTreeMap order gives us.
             self.shared.stats.lock().elections += 1;
             if let Some(uid) = self.sentinel_uid() {
-                self.recovery
-                    .reelection_lag
-                    .record(now.saturating_since(crashed_at));
-                self.deps.trace.emit(
-                    now,
-                    TraceEvent::SentinelElected {
-                        uid,
-                        epoch: self.epoch + 1,
-                    },
-                );
+                let (lag, epoch) = (now.saturating_since(crashed_at), self.epoch + 1);
+                self.recovery.reelection_lag.record(lag);
+                let elected = TraceEvent::SentinelElected { uid, epoch };
+                self.deps.trace.emit(now, elected);
             }
         }
-        // The epoch bump itself happens in `sync_view` (via the `publish()`
-        // that always follows a reap), which diffs the in-rotation view and
-        // bumps exactly once — so the `self.epoch + 1` stamped on
-        // SentinelElected above is the epoch the surviving members will see.
+        // The epoch bump itself happens once, in the `publish()` that always
+        // follows a reap: `self.epoch + 1` is the epoch survivors will see.
         true
     }
 
@@ -716,14 +778,11 @@ impl Runtime {
             .map(|(&uid, _)| uid)
     }
 
-    /// §4.2: "ElasticRMI instantiates the HyperDex on one additional Mesos
-    /// slice, and continues to monitor the performance ... ElasticRMI may
-    /// add additional nodes to HyperDex as necessary." One store node per
-    /// eight pool members keeps the modelled store capacity ahead of the
-    /// pool's shared-state traffic.
+    /// §4.2: "ElasticRMI may add additional nodes to HyperDex as necessary."
+    /// One store node per eight published members keeps the modelled store
+    /// capacity ahead of the pool's shared-state traffic.
     fn scale_store(&self) {
-        let live = self.members.values().filter(|m| m.in_rotation()).count() as u32;
-        let target = 1 + live / 8;
+        let target = 1 + self.last_view.len() as u32 / 8;
         let current = self.deps.store.nodes();
         if current < target {
             self.deps.store.add_nodes(target - current);
@@ -756,13 +815,10 @@ impl Runtime {
         }
     }
 
-    /// Moves ownership of exactly the reassigned key ranges between the old
-    /// and new consistent-hash rings (§tentpole: handoff on Grow/Shrink/
-    /// crash touches only the ranges whose owner changed). Concretely that
-    /// means releasing kvstore locks whose name hashes out of a live
-    /// member's ranges — epoch-fenced by the lock table so late unlocks from
-    /// the old owner are refused — and accounting how much of the keyspace
-    /// moved for the conservation gate in the harness.
+    /// Moves ownership of exactly the key ranges whose owner changed between
+    /// the old and new rings: releases kvstore locks whose name hashes out of
+    /// a live member's ranges (late unlocks from the old owner are fenced),
+    /// and accounts how much of the keyspace moved.
     fn shard_handoff(&mut self, old: &[(u64, EndpointId)], new: &[(u64, EndpointId)]) {
         let old_ring = ShardRing::from_members(old);
         let new_ring = ShardRing::from_members(new);
@@ -812,17 +868,8 @@ impl Runtime {
     /// membership view does not advertise as serving.
     fn publish(&mut self) {
         self.sync_view();
-        let live: Vec<EndpointId> = self
-            .members
-            .values()
-            .filter(|m| m.in_rotation())
-            .map(|m| m.endpoint)
-            .collect();
-        let sentinel = self
-            .members
-            .iter()
-            .find(|(_, m)| m.in_rotation())
-            .map_or(EndpointId(u64::MAX), |(_, m)| m.endpoint);
+        let live: Vec<EndpointId> = self.last_view.iter().map(|&(_, ep)| ep).collect();
+        let sentinel = live.first().copied().unwrap_or(EndpointId(u64::MAX));
         self.shared.size.store(live.len() as u32, Ordering::SeqCst);
         *self.shared.members.write() = live;
         *self.shared.sentinel.write() = sentinel;
@@ -852,20 +899,16 @@ impl Runtime {
             sentinel_uid,
             members: states,
         };
-        let encoded = msg.encode();
-        for member in self.members.values() {
-            let _ = self
-                .deps
-                .net
-                .send(self.ctl, member.endpoint, encoded.clone());
+        let (encoded, net) = (msg.encode(), &self.deps.net);
+        for m in self.members.values() {
+            let _ = net.send(self.ctl, m.endpoint, encoded.clone());
         }
     }
 
     fn scaling_step(&mut self, now: SimTime) {
-        let engine = self.engine.as_mut().expect("engine initialized in run()");
         match self.collect_until {
             None => {
-                if engine.is_due(now) && !self.members.is_empty() {
+                if self.engine.is_due(now) && !self.members.is_empty() {
                     // Burst boundary: poll all members — standbys included,
                     // their reply is the warm tier's heartbeat — then decide
                     // once the reports are in (or the grace period lapses).
@@ -922,11 +965,7 @@ impl Runtime {
             sample.desired_size = Some(decider.desired_pool_size(&sample));
         }
         *self.shared.last_reports.lock() = self.reports.values().cloned().collect();
-        let (decision, why) = self
-            .engine
-            .as_mut()
-            .expect("engine initialized")
-            .poll_explained(now, &sample);
+        let (decision, why) = self.engine.poll_explained(now, &sample);
         // The rule explanation precedes the decision in the trace so span
         // reconstruction can pair each ScaleDecision with its cause.
         if let Some(why) = why {
@@ -939,15 +978,13 @@ impl Runtime {
                 },
             );
         }
+        if decision != ScalingDecision::Hold {
+            let delta = decision.delta();
+            let decided = TraceEvent::ScaleDecision { pool_size, delta };
+            self.deps.trace.emit(now, decided);
+        }
         match decision {
             ScalingDecision::Grow(k) => {
-                self.deps.trace.emit(
-                    now,
-                    TraceEvent::ScaleDecision {
-                        pool_size,
-                        delta: i64::from(k),
-                    },
-                );
                 // Route-flip scale-up: promote warm standbys first — they
                 // are provisioned, connected, and hold a current membership
                 // view, so the broadcast below is all it takes to make them
@@ -964,13 +1001,6 @@ impl Runtime {
                 self.replenish_standbys(now, true);
             }
             ScalingDecision::Shrink(k) => {
-                self.deps.trace.emit(
-                    now,
-                    TraceEvent::ScaleDecision {
-                        pool_size,
-                        delta: -i64::from(k),
-                    },
-                );
                 // Remove the youngest in-rotation members first and never
                 // the sentinel; standbys are not rotation capacity, so
                 // scale-in does not touch the warm tier.
@@ -983,16 +1013,7 @@ impl Runtime {
                     .take(k as usize)
                     .map(|(&uid, _)| uid)
                     .collect();
-                for uid in victims {
-                    if let Some(m) = self.members.get_mut(&uid) {
-                        m.draining = true;
-                        let _ =
-                            self.deps
-                                .net
-                                .send(self.ctl, m.endpoint, RmiMessage::Shutdown.encode());
-                    }
-                }
-                self.publish();
+                self.drain(&victims);
                 self.broadcast();
             }
             ScalingDecision::Hold => {}
@@ -1032,16 +1053,9 @@ impl Runtime {
             // absorbing) but never executed across shard boundaries.
             let skipped = planned_total(&plan);
             if skipped > 0 {
-                self.deps
-                    .metrics
-                    .counter("balance.shard_skipped")
-                    .add(skipped);
+                let metrics = &self.deps.metrics;
+                metrics.counter("balance.shard_skipped").add(skipped);
             }
-            debug_assert!(
-                plan.iter().all(|e| e.from != e.to),
-                "a redirect within one member would be shard-safe, but the \
-                 planner never emits one — cross-member moves are all we skip"
-            );
             return;
         }
         for entry in plan {
@@ -1061,9 +1075,6 @@ impl Runtime {
     /// for determinism) and returns how many flipped. The caller is
     /// responsible for publishing + broadcasting the new view.
     fn promote_standbys(&mut self, k: u32, now: SimTime) -> u32 {
-        if k == 0 {
-            return 0;
-        }
         let picks: Vec<u64> = self
             .members
             .iter()
@@ -1071,27 +1082,22 @@ impl Runtime {
             .take(k as usize)
             .map(|(&uid, _)| uid)
             .collect();
+        let trace = &self.deps.trace;
         for &uid in &picks {
             if let Some(m) = self.members.get_mut(&uid) {
                 m.standby = false;
             }
-            self.deps
-                .trace
-                .emit(now, TraceEvent::MemberPromoted { uid });
+            trace.emit(now, TraceEvent::MemberPromoted { uid });
         }
         let promoted = picks.len() as u32;
-        if promoted > 0 {
-            let mut stats = self.shared.stats.lock();
-            stats.grown += promoted;
-            stats.promoted += promoted;
-        }
+        let mut stats = self.shared.stats.lock();
+        stats.grown += promoted;
+        stats.promoted += promoted;
         promoted
     }
 
-    /// Every slice this pool is answerable for: members not yet finalized
-    /// (standbys included — they occupy slices like anyone else) plus grants
-    /// still provisioning. The warm tier must fit inside `max_pool_size`
-    /// together with the actives, not on top of it.
+    /// Every slice this pool is answerable for: members not yet finalized,
+    /// standbys included, plus grants still provisioning.
     fn slice_footprint(&self) -> u32 {
         self.members.len() as u32
             + self
@@ -1167,45 +1173,38 @@ impl Runtime {
         self.request_members(deficit.min(headroom), true, now);
     }
 
-    fn shutdown_all(&mut self, ctl_mailbox: &Mailbox) {
-        for m in self.members.values_mut() {
-            m.draining = true;
-            let _ = self
-                .deps
-                .net
-                .send(self.ctl, m.endpoint, RmiMessage::Shutdown.encode());
+    /// Tells `uids` to drain (the §2.5 two-phase shutdown) and publishes
+    /// the view without them.
+    fn drain(&mut self, uids: &[u64]) {
+        for uid in uids {
+            if let Some(m) = self.members.get_mut(uid) {
+                m.draining = true;
+                let shutdown = RmiMessage::Shutdown.encode();
+                let _ = self.deps.net.send(self.ctl, m.endpoint, shutdown);
+            }
         }
         self.publish();
-        // Drain deadline in sim time: under a virtual clock the pool waits
-        // for its members however long the wall takes, and force-reaps only
-        // if the *harness* lets 5 sim-seconds pass — shutdown can no longer
-        // flake because a paused clock made wall time race the drain.
-        let deadline = self.deps.clock.now() + SimDuration::from_secs(5);
-        while !self.members.is_empty() && self.deps.clock.now() < deadline {
-            while let Ok(d) = ctl_mailbox.try_recv() {
-                if let Ok(RmiMessage::ShutdownReady { uid }) = RmiMessage::decode(&d.payload) {
-                    self.finalize_member(uid, false);
-                }
-            }
-            // Also reap members whose threads exited without a ready ack.
-            let finished: Vec<u64> = self
-                .members
-                .iter()
-                .filter(|(_, m)| m.join.is_finished())
-                .map(|(&uid, _)| uid)
-                .collect();
-            for uid in finished {
-                self.finalize_member(uid, false);
-            }
-            std::thread::sleep(TICK);
+    }
+
+    /// The shutdown state: acks were applied by `on_ctl`, exits are reaped,
+    /// late grants go straight back, and once every member is gone (or the
+    /// deadline passed) the rest is force-released.
+    fn shutdown_step(&mut self, now: SimTime, deadline: SimTime) -> Option<SimTime> {
+        let due: Vec<u64> = self.grant_times.keys().copied().collect();
+        for grant in self.deps.cluster.poll_ready_of(&due, now) {
+            let _ = self.deps.cluster.release(grant.slice, now);
         }
-        // Force-release anything left.
+        self.reap_crashed();
+        if !self.members.is_empty() && now < deadline {
+            return Some(deadline.min(now + TICK));
+        }
         let leftovers: Vec<u64> = self.members.keys().copied().collect();
         for uid in leftovers {
             self.finalize_member(uid, true);
         }
         self.deps.net.close(self.ctl);
         self.publish();
+        None
     }
 }
 
@@ -1241,64 +1240,30 @@ mod tests {
         }))
     }
 
-    /// Builds a `Runtime` directly (no control-loop thread), with a virtual
-    /// clock, so finalize/reap logic is testable deterministically.
-    fn runtime(cluster: ClusterHandle, clock: VirtualClock, metrics: MetricsHandle) -> Runtime {
-        let net: Arc<InProcNetwork> = Arc::new(InProcNetwork::new());
+    /// Builds the runtime the way `ElasticPool::instantiate` does, with a
+    /// virtual clock and no driver: its members are launched but never run,
+    /// so a test decides when one "dies" (`member_exited`).
+    fn runtime(
+        cluster: &ClusterHandle,
+        clock: &VirtualClock,
+        metrics: MetricsHandle,
+    ) -> PoolRuntime {
         let deps = PoolDeps {
-            cluster,
-            net,
+            cluster: cluster.clone(),
+            net: Arc::new(InProcNetwork::new()),
             store: Arc::new(Store::new(StoreConfig::default())),
-            clock: Arc::new(clock),
+            clock: Arc::new(clock.clone()),
             trace: TraceHandle::disabled(),
-            metrics: metrics.clone(),
+            metrics,
         };
         let config = PoolConfig::builder("Churn").build().unwrap();
-        Runtime {
-            config,
-            recovery: RecoveryTracker::new(&metrics),
-            deps: deps.clone(),
-            factory: Arc::new(|| Box::new(Idle)),
-            decider: None,
-            shared: Arc::new(PoolShared {
-                sentinel: RwLock::new(EndpointId(u64::MAX)),
-                members: RwLock::new(Vec::new()),
-                size: Arc::new(AtomicU32::new(0)),
-                stats: Mutex::new(PoolStats::default()),
-                last_reports: Mutex::new(Vec::new()),
-            }),
-            ctl: deps.net.open().0,
-            cmd_rx: unbounded().1,
-            members: BTreeMap::new(),
-            next_uid: 0,
-            epoch: 0,
-            reports: BTreeMap::new(),
-            engine: None,
-            collect_until: None,
-            grant_times: BTreeMap::new(),
-            last_broadcast: SimTime::ZERO,
-            standby_requested_at: None,
-            revoked_slices: BTreeSet::new(),
-            last_view: Vec::new(),
-        }
+        PoolRuntime::start(config, Arc::new(|| Box::new(Idle)), deps, None).unwrap()
     }
 
-    /// A member whose skeleton thread has already exited — as after a crash.
-    fn dead_member(rt: &Runtime, slice: SliceId) -> Member {
-        let (endpoint, _mailbox) = rt.deps.net.open();
-        let join = std::thread::spawn(|| {});
-        while !join.is_finished() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        Member {
-            endpoint,
-            slice,
-            join,
-            draining: false,
-            requested_at: None,
-            first_served: false,
-            crashed_at: None,
-            standby: false,
+    /// Brings up every grant of the runtime's initial request as a member.
+    fn join_initial(rt: &mut PoolRuntime, cluster: &ClusterHandle, at: SimTime) {
+        for grant in cluster.poll_ready(at) {
+            rt.spawn_member(grant);
         }
     }
 
@@ -1313,13 +1278,10 @@ mod tests {
         // immediately re-granted after repair. Releasing it again during
         // finalize would free the new member's slice underneath it.
         let cluster = cluster(1);
-        let slice = grant_one(&cluster, SimTime::ZERO);
-        let mut rt = runtime(
-            cluster.clone(),
-            VirtualClock::new(),
-            MetricsHandle::disabled(),
-        );
-        rt.members.insert(0, dead_member(&rt, slice));
+        let clock = VirtualClock::new();
+        let mut rt = runtime(&cluster, &clock, MetricsHandle::disabled());
+        join_initial(&mut rt, &cluster, SimTime::ZERO);
+        let slice = rt.members[&0].slice;
 
         cluster.fail_node(NodeId(0));
         rt.revoked_slices.extend(cluster.drain_revocations());
@@ -1339,13 +1301,9 @@ mod tests {
     #[test]
     fn finalize_releases_unrevoked_slices_normally() {
         let cluster = cluster(1);
-        let slice = grant_one(&cluster, SimTime::ZERO);
-        let mut rt = runtime(
-            cluster.clone(),
-            VirtualClock::new(),
-            MetricsHandle::disabled(),
-        );
-        rt.members.insert(0, dead_member(&rt, slice));
+        let clock = VirtualClock::new();
+        let mut rt = runtime(&cluster, &clock, MetricsHandle::disabled());
+        join_initial(&mut rt, &cluster, SimTime::ZERO);
         rt.finalize_member(0, true);
         assert_eq!(cluster.slices_in_use(), 0);
         assert_eq!(cluster.free_slices(), 1);
@@ -1356,16 +1314,13 @@ mod tests {
         // A member mid scale-in whose node dies: it can never ack its drain,
         // so the crash path must finalize it — once.
         let cluster = cluster(1);
-        let slice = grant_one(&cluster, SimTime::ZERO);
-        let mut rt = runtime(
-            cluster.clone(),
-            VirtualClock::new(),
-            MetricsHandle::disabled(),
-        );
-        let mut member = dead_member(&rt, slice);
+        let clock = VirtualClock::new();
+        let mut rt = runtime(&cluster, &clock, MetricsHandle::disabled());
+        join_initial(&mut rt, &cluster, SimTime::ZERO);
+        let member = rt.members.get_mut(&0).unwrap();
         member.draining = true;
         member.crashed_at = Some(SimTime::ZERO);
-        rt.members.insert(0, member);
+        rt.member_exited(0);
         cluster.fail_node(NodeId(0));
         rt.revoked_slices.extend(cluster.drain_revocations());
 
@@ -1378,36 +1333,61 @@ mod tests {
         assert_eq!((stats.crashed, stats.shrunk), (1, 0));
     }
 
+    /// A runtime whose only member was told to drain, plus the member's
+    /// endpoint (for acking as it would).
+    fn draining_member(cluster: &ClusterHandle) -> (PoolRuntime, EndpointId) {
+        let clock = VirtualClock::new();
+        let mut rt = runtime(cluster, &clock, MetricsHandle::disabled());
+        join_initial(&mut rt, cluster, SimTime::ZERO);
+        rt.drain(&[0]);
+        let ep = rt.members[&0].endpoint;
+        (rt, ep)
+    }
+
     #[test]
-    fn draining_member_without_revocation_waits_for_its_ack() {
-        // The two-phase drain stays intact: a drained member whose thread
-        // has exited but whose slice was not revoked finalizes through its
-        // ShutdownReady ack, not the crash path.
+    fn draining_member_that_acked_finalizes_as_drained() {
+        // The two-phase drain stays intact: a drained member whose skeleton
+        // has exited finalizes through its ShutdownReady ack, not the crash
+        // path — the ack is in the control mailbox before the exit applies.
         let cluster = cluster(1);
-        let slice = grant_one(&cluster, SimTime::ZERO);
-        let mut rt = runtime(
-            cluster.clone(),
-            VirtualClock::new(),
-            MetricsHandle::disabled(),
-        );
-        let mut member = dead_member(&rt, slice);
-        member.draining = true;
-        rt.members.insert(0, member);
-        assert!(!rt.reap_crashed());
-        assert_eq!(rt.members.len(), 1);
+        let (mut rt, ep) = draining_member(&cluster);
+        let ack = RmiMessage::ShutdownReady { uid: 0 }.encode();
+        rt.deps.net.send(ep, rt.ctl, ack).unwrap();
+        rt.member_exited(0);
+        rt.step(SimTime::ZERO);
+        assert!(rt.members.is_empty());
+        let stats = rt.shared.stats.lock().clone();
+        assert_eq!((stats.crashed, stats.shrunk), (0, 1));
+        assert_eq!(cluster.slices_in_use(), 0);
+    }
+
+    #[test]
+    fn draining_member_that_exits_without_an_ack_is_reaped_as_crashed() {
+        // Regression: a member that died mid-drain (no ShutdownReady, slice
+        // not revoked) used to be skipped by the reap forever, keeping its
+        // slice and counting in `slice_footprint`.
+        let cluster = cluster(1);
+        let (mut rt, _ep) = draining_member(&cluster);
+        rt.member_exited(0);
+        rt.step(SimTime::ZERO);
+        assert!(rt.members.is_empty());
+        let stats = rt.shared.stats.lock().clone();
+        assert_eq!((stats.crashed, stats.shrunk), (1, 0));
+        assert_eq!(cluster.slices_in_use(), 0, "its slice is released");
+        assert_eq!(cluster.free_slices(), 1);
     }
 
     #[test]
     fn reap_reclaims_crashed_members_locks() {
         let cluster = cluster(1);
-        let slice = grant_one(&cluster, SimTime::ZERO);
         let clock = VirtualClock::new();
-        let mut rt = runtime(cluster, clock.clone(), MetricsHandle::disabled());
+        let mut rt = runtime(&cluster, &clock, MetricsHandle::disabled());
+        join_initial(&mut rt, &cluster, SimTime::ZERO);
         let store = Arc::clone(&rt.deps.store);
         let ttl = SimDuration::from_secs(3600);
         // The member dies holding its class lock, TTL far in the future.
         assert!(store.try_lock("Churn", LockOwner::new(0), clock.now(), ttl));
-        rt.members.insert(0, dead_member(&rt, slice));
+        rt.member_exited(0);
 
         assert!(rt.reap_crashed());
         assert!(store.held_locks().is_empty(), "orphaned lock reclaimed");
@@ -1441,10 +1421,10 @@ mod tests {
     #[test]
     fn publish_bumps_epoch_exactly_once_per_view_change() {
         let cluster = cluster(1);
-        let slice = grant_one(&cluster, SimTime::ZERO);
-        let mut rt = runtime(cluster, VirtualClock::new(), MetricsHandle::disabled());
+        let clock = VirtualClock::new();
+        let mut rt = runtime(&cluster, &clock, MetricsHandle::disabled());
         assert_eq!(rt.epoch, 0);
-        rt.members.insert(0, dead_member(&rt, slice));
+        join_initial(&mut rt, &cluster, SimTime::ZERO);
         rt.publish();
         assert_eq!(rt.epoch, 1, "bootstrap view change bumps once");
         rt.publish();
@@ -1452,6 +1432,7 @@ mod tests {
         // Crash: the reap no longer bumps by itself — the following publish
         // sees the view shrink and bumps exactly once, matching the
         // `epoch + 1` stamped on any SentinelElected event.
+        rt.member_exited(0);
         assert!(rt.reap_crashed());
         rt.publish();
         assert_eq!(
@@ -1465,13 +1446,13 @@ mod tests {
     fn shard_handoff_releases_only_the_moved_ranges_of_live_members() {
         let cluster = cluster(2);
         let clock = VirtualClock::new();
-        let mut rt = runtime(cluster.clone(), clock.clone(), MetricsHandle::disabled());
+        let mut rt = runtime(&cluster, &clock, MetricsHandle::disabled());
         rt.config = sharded_config();
         let store = Arc::clone(&rt.deps.store);
         let ttl = SimDuration::from_secs(3600);
 
-        let s0 = grant_one(&cluster, SimTime::ZERO);
-        rt.members.insert(0, dead_member(&rt, s0));
+        let mut grants = cluster.poll_ready(SimTime::ZERO).into_iter();
+        rt.spawn_member(grants.next().unwrap());
         rt.publish(); // bootstrap: epoch 1, no handoff possible
         let e0 = rt.members[&0].endpoint;
 
@@ -1482,8 +1463,7 @@ mod tests {
         }
 
         // Grow: a second member takes over part of the ring.
-        let s1 = grant_one(&cluster, SimTime::ZERO);
-        rt.members.insert(1, dead_member(&rt, s1));
+        rt.spawn_member(grants.next().unwrap());
         rt.publish();
         assert_eq!(rt.epoch, 2);
         let e1 = rt.members[&1].endpoint;
@@ -1522,12 +1502,9 @@ mod tests {
     fn rebalance_is_suppressed_and_counted_when_sharding_is_on() {
         let cluster = cluster(2);
         let (metrics, registry) = MetricsHandle::shared();
-        let mut rt = runtime(cluster.clone(), VirtualClock::new(), metrics);
+        let mut rt = runtime(&cluster, &VirtualClock::new(), metrics);
         rt.config = sharded_config();
-        for uid in 0..2 {
-            let slice = grant_one(&cluster, SimTime::ZERO);
-            rt.members.insert(uid, dead_member(&rt, slice));
-        }
+        join_initial(&mut rt, &cluster, SimTime::ZERO);
         // Grossly imbalanced: the planner would move work — but keyed load
         // is pinned to its ring owner, so the plan is counted, not executed.
         rt.reports.insert(0, load(0, 40));
@@ -1547,11 +1524,13 @@ mod tests {
         // Regression: entries used to live for the pool's lifetime, so a
         // request id reused by the cluster would read a stale requested_at
         // and mis-attribute provisioning latency.
-        let cluster = cluster(2);
+        let cluster = cluster(4);
         let clock = VirtualClock::new();
         clock.advance(SimDuration::from_secs(1));
-        let mut rt = runtime(cluster.clone(), clock.clone(), MetricsHandle::disabled());
+        let mut rt = runtime(&cluster, &clock, MetricsHandle::disabled());
         let t0 = clock.now();
+        join_initial(&mut rt, &cluster, t0);
+        assert!(rt.grant_times.is_empty(), "the initial request is complete");
         assert_eq!(rt.request_members(2, false, t0), 2);
         assert_eq!(rt.grant_times.len(), 1);
         let grants = cluster.poll_ready(t0);
@@ -1572,18 +1551,13 @@ mod tests {
             rt.members.values().all(|m| m.requested_at == Some(t0)),
             "latency attribution still works for every grant of the request"
         );
-        // Leave the skeleton threads to exit on their closed endpoints.
-        let uids: Vec<u64> = rt.members.keys().copied().collect();
-        for uid in uids {
-            rt.finalize_member(uid, true);
-        }
     }
 
     #[test]
     fn standbys_join_outside_the_rotation_and_promote_on_grow() {
         let cluster = cluster(4);
         let clock = VirtualClock::new();
-        let mut rt = runtime(cluster.clone(), clock.clone(), MetricsHandle::disabled());
+        let mut rt = runtime(&cluster, &clock, MetricsHandle::disabled());
         rt.config = PoolConfig::builder("Churn")
             .min_pool_size(2)
             .max_pool_size(4)
@@ -1591,12 +1565,10 @@ mod tests {
             .build()
             .unwrap();
         let t0 = clock.now();
-        rt.request_members(1, false, t0);
+        join_initial(&mut rt, &cluster, t0);
         rt.request_members(1, true, t0);
-        for g in cluster.poll_ready(t0) {
-            rt.spawn_member(g);
-        }
-        assert_eq!(rt.members.len(), 2);
+        join_initial(&mut rt, &cluster, t0);
+        assert_eq!(rt.members.len(), 3);
         assert_eq!(
             rt.members.values().filter(|m| m.standby).count(),
             1,
@@ -1606,49 +1578,42 @@ mod tests {
         assert!(!rt.members[&active_uid].standby);
         assert_eq!(
             rt.shared.size.load(Ordering::SeqCst),
-            1,
+            2,
             "the published view hides the standby"
         );
-        assert_eq!(rt.shared.members.read().len(), 1);
+        assert_eq!(rt.shared.members.read().len(), 2);
 
         // Route-flip: the standby becomes rotation capacity without any
         // cluster round trip.
         clock.advance(SimDuration::from_millis(5));
         assert_eq!(rt.promote_standbys(1, clock.now()), 1);
         rt.publish();
-        assert_eq!(rt.shared.size.load(Ordering::SeqCst), 2);
+        assert_eq!(rt.shared.size.load(Ordering::SeqCst), 3);
         assert!(rt.members.values().all(|m| !m.standby));
         let stats = rt.shared.stats.lock().clone();
         assert_eq!(stats.promoted, 1);
-        assert_eq!(stats.grown, 2, "cold grant + promotion both count");
-        drop(stats);
+        assert_eq!(stats.grown, 1, "a promotion counts as growth");
 
         // The forced refill (second half of the flip) replaces the standby.
         rt.replenish_standbys(clock.now(), true);
-        for g in cluster.poll_ready(clock.now()) {
-            rt.spawn_member(g);
-        }
+        join_initial(&mut rt, &cluster, clock.now());
         assert_eq!(rt.members.values().filter(|m| m.standby).count(), 1);
         assert!(rt.grant_times.is_empty(), "standby grants prune too");
-        let uids: Vec<u64> = rt.members.keys().copied().collect();
-        for uid in uids {
-            rt.finalize_member(uid, true);
-        }
     }
 
     #[test]
     fn promotion_skips_crashed_standbys_and_respects_k() {
         let cluster = cluster(3);
         let clock = VirtualClock::new();
-        let mut rt = runtime(cluster.clone(), clock.clone(), MetricsHandle::disabled());
-        for uid in 0..3u64 {
-            let slice = grant_one(&cluster, SimTime::ZERO);
-            let mut m = dead_member(&rt, slice);
+        let mut rt = runtime(&cluster, &clock, MetricsHandle::disabled());
+        join_initial(&mut rt, &cluster, SimTime::ZERO);
+        rt.request_members(1, true, SimTime::ZERO);
+        join_initial(&mut rt, &cluster, SimTime::ZERO);
+        for (uid, m) in &mut rt.members {
             m.standby = true;
-            if uid == 0 {
+            if *uid == 0 {
                 m.crashed_at = Some(SimTime::ZERO);
             }
-            rt.members.insert(uid, m);
         }
         assert_eq!(rt.promote_standbys(1, clock.now()), 1, "promotes exactly k");
         assert!(
@@ -1664,16 +1629,13 @@ mod tests {
         // A standby was never in rotation, but its slice bookkeeping must be
         // identical to an active's: revoked ⇒ no release, otherwise release.
         let cluster = cluster(1);
-        let slice = grant_one(&cluster, SimTime::ZERO);
-        let mut rt = runtime(
-            cluster.clone(),
-            VirtualClock::new(),
-            MetricsHandle::disabled(),
-        );
-        let mut standby = dead_member(&rt, slice);
+        let clock = VirtualClock::new();
+        let mut rt = runtime(&cluster, &clock, MetricsHandle::disabled());
+        join_initial(&mut rt, &cluster, SimTime::ZERO);
+        let standby = rt.members.get_mut(&0).unwrap();
         standby.standby = true;
         standby.crashed_at = Some(SimTime::ZERO);
-        rt.members.insert(0, standby);
+        rt.member_exited(0);
         cluster.fail_node(NodeId(0));
         rt.revoked_slices.extend(cluster.drain_revocations());
         assert!(rt.reap_crashed());
@@ -1691,7 +1653,7 @@ mod tests {
     fn replenish_is_throttled_but_force_bypasses() {
         let cluster = cluster(8);
         let clock = VirtualClock::new();
-        let mut rt = runtime(cluster.clone(), clock.clone(), MetricsHandle::disabled());
+        let mut rt = runtime(&cluster, &clock, MetricsHandle::disabled());
         rt.config = PoolConfig::builder("Churn")
             .min_pool_size(2)
             .max_pool_size(8)
@@ -1699,16 +1661,15 @@ mod tests {
             .build()
             .unwrap();
         let t0 = clock.now();
+        join_initial(&mut rt, &cluster, t0);
         rt.replenish_standbys(t0, false);
         assert_eq!(rt.grant_times.len(), 1, "initial fill is immediate");
         let inbound: u32 = rt.grant_times.values().map(|p| p.outstanding).sum();
         assert_eq!(inbound, 2);
         // Spawn them, then kill one: the refill ask is rate-limited...
-        for g in cluster.poll_ready(t0) {
-            rt.spawn_member(g);
-        }
+        join_initial(&mut rt, &cluster, t0);
         assert!(rt.grant_times.is_empty());
-        rt.finalize_member(0, true);
+        rt.finalize_member(2, true);
         rt.replenish_standbys(t0, false);
         assert!(
             rt.grant_times.is_empty(),
@@ -1718,10 +1679,6 @@ mod tests {
         clock.advance(BROADCAST_EVERY);
         rt.replenish_standbys(clock.now(), false);
         assert_eq!(rt.grant_times.len(), 1);
-        let uids: Vec<u64> = rt.members.keys().copied().collect();
-        for uid in uids {
-            rt.finalize_member(uid, true);
-        }
     }
 
     #[test]
@@ -1729,27 +1686,11 @@ mod tests {
         let cluster = cluster(2);
         let (metrics, registry) = MetricsHandle::shared();
         let clock = VirtualClock::new();
-        let mut rt = runtime(cluster.clone(), clock.clone(), metrics);
-        let s0 = grant_one(&cluster, SimTime::ZERO);
-        let s1 = grant_one(&cluster, SimTime::ZERO);
+        let mut rt = runtime(&cluster, &clock, metrics);
+        join_initial(&mut rt, &cluster, SimTime::ZERO);
         // Sentinel (uid 0) crashed at t=0; reaped at t=2s with uid 1 alive.
-        let mut sentinel = dead_member(&rt, s0);
-        sentinel.crashed_at = Some(SimTime::ZERO);
-        rt.members.insert(0, sentinel);
-        let (survivor_ep, _mb) = rt.deps.net.open();
-        rt.members.insert(
-            1,
-            Member {
-                endpoint: survivor_ep,
-                slice: s1,
-                join: std::thread::spawn(|| std::thread::sleep(Duration::from_secs(2))),
-                draining: false,
-                requested_at: None,
-                first_served: false,
-                crashed_at: None,
-                standby: false,
-            },
-        );
+        rt.members.get_mut(&0).unwrap().crashed_at = Some(SimTime::ZERO);
+        rt.member_exited(0);
         clock.advance(SimDuration::from_secs(2));
         assert!(rt.reap_crashed());
         // Capacity is restored once the live count is back at the pre-crash

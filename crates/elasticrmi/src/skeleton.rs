@@ -293,8 +293,7 @@ impl Skeleton {
     /// Runs the event loop until shutdown completes or the mailbox closes.
     /// This is the thread body of a pool member.
     pub fn run(mut self, mailbox: Mailbox) {
-        self.service.on_start(&mut self.ctx);
-        self.interval.started_at = Some(self.clock.now());
+        self.start();
         loop {
             match mailbox.recv_timeout(POLL_TICK) {
                 Ok(datagram) => {
@@ -311,13 +310,7 @@ impl Skeleton {
                     }
                 }
                 Err(RecvError::Timeout) => {
-                    while self.step() {}
-                    if self.finished {
-                        break;
-                    }
-                    if self.draining && mailbox.is_empty() && self.queue.is_empty() {
-                        // Drained with no pending work: finish shutdown.
-                        self.finish_shutdown();
+                    if self.idle(&mailbox) {
                         break;
                     }
                 }
@@ -326,7 +319,27 @@ impl Skeleton {
         }
     }
 
-    fn ingest_datagram(&mut self, datagram: Datagram, mailbox: &Mailbox) -> bool {
+    /// The member's prologue: the service's `on_start`, and the first
+    /// burst interval opens. Every driver calls it once before serving.
+    pub fn start(&mut self) {
+        self.service.on_start(&mut self.ctx);
+        self.interval.started_at = Some(self.clock.now());
+    }
+
+    /// What a member does when its mailbox is quiet: executes everything
+    /// admitted, then, if it is draining and nothing is left, finishes its
+    /// shutdown. Returns `true` once the skeleton is done.
+    pub fn idle(&mut self, mailbox: &Mailbox) -> bool {
+        while self.step() {}
+        if !self.finished && self.draining && mailbox.is_empty() && self.queue.is_empty() {
+            self.finish_shutdown();
+        }
+        self.finished
+    }
+
+    /// Decodes `datagram` and [`Skeleton::ingest`]s it (a malformed one is
+    /// dropped). Returns `true` when the skeleton should exit.
+    pub fn ingest_datagram(&mut self, datagram: Datagram, mailbox: &Mailbox) -> bool {
         match RmiMessage::decode_owned(datagram.payload) {
             Ok(msg) => self.ingest(datagram.from, msg, mailbox),
             Err(_) => false, // malformed datagrams are dropped

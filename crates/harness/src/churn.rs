@@ -1,30 +1,29 @@
 //! Deterministic churn/chaos harness: member-crash recovery end to end.
 //!
 //! Where [`crate::telemetry`] stresses the *scaling* path, this module
-//! stresses the *failure* path of paper §4.4: a pool of real [`Skeleton`](elasticrmi::Skeleton)s
-//! served from a real [`ResourceManager`] is driven through scripted and
-//! seeded-random node failures, a cluster-master outage window, and
-//! crash-mid-critical-section lock loss, while a steady client workload
-//! keeps running. The run verifies the whole recovery chain:
+//! stresses the *failure* path of paper §4.4. The pool is the production
+//! runtime ([`elasticrmi::PoolRuntime`]) on a real [`ResourceManager`](erm_cluster::ResourceManager),
+//! driven by [`SimRig::drive_pool`]. While a steady client workload runs, a
+//! chaos script fails nodes (the sentinel's and a warm standby's among
+//! them), takes the cluster master down for a window, and leaves a victim
+//! holding the class lock as if it died mid-critical-section. Everything
+//! after the injection is the runtime's own, and checked:
 //!
-//! * **in-flight failover** — clients fail fast on closed endpoints
-//!   (the stub's `ConnectionClosed` path) and retry elsewhere after a
-//!   seeded, jittered backoff, instead of burning the reply timeout;
-//! * **orphaned-lock reclamation** — a member that dies holding the class
-//!   lock is fenced with [`Store::release_owner`](erm_kvstore::Store::release_owner), so `synchronized`
-//!   waiters unblock at crash *detection*, not at TTL expiry;
-//! * **crash-aware slice accounting** — revoked slices are never
-//!   double-released, so the cluster books balance at quiesce;
-//! * **recovery telemetry** — crash-to-reelection and
-//!   crash-to-capacity-restored lags land in the
-//!   `pool.recovery.reelection.lag` / `pool.recovery.capacity.lag`
-//!   histograms and the why-recovered report;
-//! * **standby-tier hygiene** — a warm standby (provisioned but never in
-//!   the routing view) is crashed and promoted mid-run; its slices ride
-//!   the same revocation/release books as rotation members, so the
-//!   `churn.slices.leaked` quiesce gauge also covers standby crashes and
-//!   promotion-in-flight races, and no attempt ever routes to a member
-//!   while it sits in the standby tier.
+//! * **detection and re-election** — revoked slices take their members
+//!   down and the sentinel is re-elected by lowest uid; the tests hold the
+//!   runtime's counts to the crashes the script injected;
+//! * **in-flight failover** — clients fail fast on closed endpoints (the
+//!   stub's `ConnectionClosed` path) and retry elsewhere after a seeded,
+//!   jittered backoff, instead of burning the reply timeout;
+//! * **orphaned-lock reclamation** — a crashed member's owner is fenced
+//!   with [`Store::release_owner`](erm_kvstore::Store::release_owner), so
+//!   `synchronized` waiters unblock at detection, not at TTL expiry;
+//! * **route-flip recovery and slice accounting** — the standby is promoted
+//!   at the next burst interval (no master needed) and backfilled; revoked
+//!   slices are never double-released, so the books balance at quiesce;
+//! * **recovery telemetry** — the runtime's `pool.recovery.reelection.lag`
+//!   and `pool.recovery.capacity.lag` histograms, next to the why-recovered
+//!   report the script assembles from the trace.
 //!
 //! The run is a single-threaded discrete-event simulation on a
 //! [`VirtualClock`](erm_sim::VirtualClock), deterministic for a given seed: same seed, same
@@ -32,10 +31,11 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::atomic::Ordering;
 
-use elasticrmi::{AdmissionConfig, ReplyCacheConfig, RmiMessage, Semantics};
-use erm_cluster::{NodeId, ResourceManager, SliceGrant, SliceId};
+use elasticrmi::{
+    Discipline, PoolConfig, PoolStats, ReplyCacheConfig, RmiMessage, ScalingPolicy, Semantics,
+};
+use erm_cluster::{NodeId, SliceId};
 use erm_kvstore::LockOwner;
 use erm_metrics::{snapshots_to_csv, RegistrySnapshot, TraceEvent, TraceRecord};
 use erm_sim::{seeded_rng, Clock, SimDuration, SimTime};
@@ -44,13 +44,13 @@ use rand::Rng;
 
 use crate::invariants::Violations;
 use crate::rig::{
-    arrival_schedule, ms, Attempt, Call, ClassLock, JitteredService, SimClient, SimMember, SimRig,
+    arrival_schedule, ms, Attempt, Call, ClassLock, JitteredService, SimClient, SimPool, SimRig,
 };
 
 /// Class name shared by every skeleton, the store lock, and the report.
 const CLASS: &str = "Churn";
 
-/// Members the control plane keeps the pool at.
+/// Members the pool keeps in rotation (its minimum size).
 const TARGET_POOL: u32 = 4;
 
 /// Warm standbys kept provisioned but outside the routing view. A
@@ -58,8 +58,8 @@ const TARGET_POOL: u32 = 4;
 /// provisioning wait); the vacated slot is backfilled in the background.
 const WARM_STANDBY: u32 = 1;
 
-/// Control-plane tick: crash detection, reclamation, re-election,
-/// replacement requests, and client membership refresh all happen here.
+/// The pool's burst interval, and how often clients refresh their
+/// membership view.
 const TICK: SimDuration = SimDuration::from_millis(200);
 
 /// Deadline budget each invocation runs under.
@@ -70,7 +70,8 @@ const DEADLINE_BUDGET: SimDuration = SimDuration::from_millis(400);
 const LOCK_WAIT_MAX: SimDuration = SimDuration::from_millis(30);
 
 /// TTL a dying member leaves on the class lock. Deliberately far beyond
-/// the run: only [`Store::release_owner`] can free it in time.
+/// the run: only [`Store::release_owner`](erm_kvstore::Store::release_owner)
+/// can free it in time.
 const CRASH_TTL: SimDuration = SimDuration::from_secs(120);
 
 /// Attempts a client invests in one invocation before giving up.
@@ -117,12 +118,15 @@ pub struct ChurnRun {
     /// Invocations whose `[start, deadline]` missed every disruption
     /// window (the availability denominator).
     pub eligible: usize,
-    /// Members lost to node failures.
+    /// Members the chaos script killed (node failures).
     pub crashes: usize,
-    /// Crashes that took the sentinel with them.
+    /// Of those, the sentinel at the time.
     pub sentinel_crashes: usize,
-    /// Sentinel re-elections (initial election excluded).
-    pub reelections: usize,
+    /// Of those, warm standbys.
+    pub standby_crashes: usize,
+    /// The runtime's counters at quiesce: the crashes it detected, the
+    /// re-elections and promotions it made.
+    pub stats: PoolStats,
     /// Locks reclaimed from crashed owners via `release_owner`.
     pub locks_reclaimed: usize,
     /// The shared checker's verdict (must be clean): terminal conservation,
@@ -143,10 +147,6 @@ pub struct ChurnRun {
     pub dedup_replayed: u64,
     /// Completed cache entries evicted under the entry/byte caps.
     pub dedup_evicted: u64,
-    /// Standbys promoted into the rotation (route-flip recoveries).
-    pub promotions: usize,
-    /// Standby members lost to node failures.
-    pub standby_crashes: usize,
 }
 
 /// `sync` serializes on the class lock with a bounded wait, so a crashed
@@ -165,22 +165,17 @@ const WORK: Call = Call {
     key: None,
 };
 
-/// One live pool member: its grant plus the skeleton and its endpoint.
-struct Member {
-    grant: SliceGrant,
-    sim: SimMember,
-}
-
-/// A member lost to a node failure, awaiting control-plane detection.
+/// A member the chaos script killed: what the report checks the runtime's
+/// trace against.
 struct CrashRec {
     uid: u64,
     node: NodeId,
     slice: SliceId,
     at: SimTime,
-    detected: Option<SimTime>,
-    locks_reclaimed: Vec<String>,
     was_sentinel: bool,
     was_standby: bool,
+    /// The script left the class lock held in the victim's name.
+    held_lock: bool,
 }
 
 /// Scripted chaos: what to do when the event comes due. Node repairs are
@@ -196,36 +191,8 @@ enum Chaos {
     MasterOutage(SimTime),
 }
 
-/// The sentinel seat: the lowest live uid wins, and every election bumps
-/// the epoch (paper §4.4).
-#[derive(Default)]
-struct Sentinel {
-    uid: Option<u64>,
-    epoch: u64,
-}
-
-impl Sentinel {
-    /// Elects among `members`; `None` (and no epoch bump) if there are none.
-    fn elect(&mut self, rig: &SimRig, members: &BTreeMap<u64, Member>) -> Option<u64> {
-        self.uid = members.keys().next().copied();
-        if let Some(uid) = self.uid {
-            self.epoch += 1;
-            let epoch = self.epoch;
-            rig.trace
-                .emit(rig.clock.now(), TraceEvent::SentinelElected { uid, epoch });
-        }
-        self.uid
-    }
-}
-
-/// Client-side invocation record for availability accounting.
-struct InvRec {
-    start: SimTime,
-    deadline: SimTime,
-}
-
-/// One contiguous recovery window: from the first crash until the pool
-/// is back at target capacity.
+/// One contiguous disruption window: from the first rotation crash until
+/// the runtime reaped its victims and the rotation is back at target.
 struct Episode {
     opened: SimTime,
     restored: Option<SimTime>,
@@ -233,20 +200,18 @@ struct Episode {
 
 /// Runs the churn scenario to completion. Deterministic per `seed`.
 ///
-/// Timeline (all virtual): bootstrap to four members, then a steady
-/// 120 req/s workload from t=1 s to t=25 s while the harness injects, in
-/// order: a sentinel-node crash at 5 s (mid-critical-section), a master
-/// outage from 10 s to 13 s with a member crash inside it at 10.4 s, and
-/// two seeded-random crashes in [15 s, 21 s]. Every failed node heals a
-/// few seconds later; the run then drains, restores capacity, and
-/// quiesces with leak checks.
+/// Timeline (all virtual): the pool bootstraps four members and a standby,
+/// then a steady 120 req/s workload runs from t=1 s to t=25 s while the
+/// script injects, in order: a sentinel-node crash at 5 s
+/// (mid-critical-section), a standby-node crash at 8 s, a master outage
+/// from 10 s to 13 s with a member crash inside it at 10.4 s, and two
+/// seeded-random crashes in [15 s, 21 s]. Every failed node heals a few
+/// seconds later; the run then drains, lets the pool restore capacity, and
+/// quiesces through the runtime's shutdown with leak checks.
 #[allow(clippy::too_many_lines)]
 pub fn run_churn(seed: u64) -> ChurnRun {
-    let mut rig = SimRig::new(CLASS, 8, 2, SimDuration::from_millis(500));
+    let rig = SimRig::new(CLASS, 8, 2, SimDuration::from_millis(500));
     let mut client = SimClient::new(&rig, MAX_ATTEMPTS);
-    let reelection_lag = rig.metrics.histogram("pool.recovery.reelection.lag");
-    let capacity_lag = rig.metrics.histogram("pool.recovery.capacity.lag");
-
     let mut chaos_rng = seeded_rng(seed ^ 0x000c_4a05_u64);
     let mut drop_rng = seeded_rng(seed ^ 0xd20b_u64);
 
@@ -274,70 +239,39 @@ pub fn run_churn(seed: u64) -> ChurnRun {
     // Repairs are scheduled dynamically once the crashed node is known.
     let mut repairs: Vec<(SimTime, NodeId)> = Vec::new();
 
-    let mut members: BTreeMap<u64, Member> = BTreeMap::new();
-    // The warm tier: fully provisioned members kept out of the routing
-    // view. `StandbyJoined` opens a member's standby window in the trace;
-    // promotion, crash or drain closes it.
-    let mut standbys: BTreeMap<u64, Member> = BTreeMap::new();
-    let mut next_uid: u64 = 0;
-    let mut spawn_member =
-        |rig: &mut SimRig, grant: SliceGrant, tier: &mut BTreeMap<u64, Member>, standby: bool| {
-            let uid = next_uid;
-            next_uid += 1;
-            let service = JitteredService::new(
-                &rig.clock,
-                seed ^ uid.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                SimDuration::from_micros(300),
-            )
-            .locking(ClassLock {
-                class: CLASS,
-                method: Some(SYNC.method),
-                spin: SimDuration::from_micros(100),
-                max_wait: Some(LOCK_WAIT_MAX),
-            });
-            // A cap comfortably above the per-member at-most-once volume:
-            // evicting a Completed entry whose duplicate is still in flight
-            // would re-execute it, which is exactly what this harness checks.
-            let reply_cache = ReplyCacheConfig {
-                grace: SimDuration::from_secs(1),
-                max_entries: 4096,
-                max_bytes: 1 << 20,
-            };
-            let sim = rig.spawn_member(
-                uid,
-                service,
-                Some(AdmissionConfig::edf(32)),
-                Some(reply_cache),
-            );
-            let joined = if standby {
-                TraceEvent::StandbyJoined { uid }
-            } else {
-                TraceEvent::MemberJoined { uid }
-            };
-            rig.trace.emit(rig.clock.now(), joined);
-            tier.insert(uid, Member { grant, sim });
-        };
-
-    // Bootstrap: provision the target pool plus the warm tier before
-    // traffic starts.
-    for grant in rig.bootstrap(TARGET_POOL + WARM_STANDBY) {
-        if (members.len() as u32) < TARGET_POOL {
-            spawn_member(&mut rig, grant, &mut members, false);
-        } else {
-            spawn_member(&mut rig, grant, &mut standbys, true);
-        }
-    }
-    assert_eq!(members.len() as u32, TARGET_POOL, "bootstrap pool");
-    assert_eq!(
-        standbys.len() as u32,
-        WARM_STANDBY,
-        "bootstrap standby tier"
-    );
-    rig.pool_size.store(members.len() as u32, Ordering::SeqCst);
-
-    // Initial sentinel election: lowest uid, epoch 1 (paper §4.4).
-    let mut sentinel = Sentinel::default();
-    sentinel.elect(&rig, &members);
+    // The pool: four members in rotation plus the warm tier, held at its
+    // minimum by the runtime's own min-size clamp. A reply-cache cap
+    // comfortably above the per-member at-most-once volume: evicting a
+    // Completed entry whose duplicate is still in flight would re-execute
+    // it, which is exactly what this harness checks.
+    let config = PoolConfig::builder(CLASS)
+        .min_pool_size(TARGET_POOL)
+        .max_pool_size(TARGET_POOL + WARM_STANDBY)
+        .warm_standby(WARM_STANDBY)
+        .policy(ScalingPolicy::Implicit)
+        .burst_interval(TICK)
+        .admission(Discipline::Edf)
+        .overload_capacity(32)
+        .reply_cache(ReplyCacheConfig {
+            grace: SimDuration::from_secs(1),
+            max_entries: 4096,
+            max_bytes: 1 << 20,
+        })
+        .build()
+        .expect("valid pool config");
+    let mut pool = rig.start_pool(config, move |clock, n| {
+        JitteredService::new(
+            clock,
+            seed ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            SimDuration::from_micros(300),
+        )
+        .locking(ClassLock {
+            class: CLASS,
+            method: Some(SYNC.method),
+            spin: SimDuration::from_micros(100),
+            max_wait: Some(LOCK_WAIT_MAX),
+        })
+    });
 
     // Pre-computed steady arrival schedule: 120 req/s, ±50 % jitter.
     let schedule = arrival_schedule(
@@ -349,29 +283,17 @@ pub fn run_churn(seed: u64) -> ChurnRun {
     );
     let mut arrivals = schedule.into_iter().peekable();
 
-    // Client state. The membership view refreshes only at control ticks,
-    // so it goes stale the instant a member crashes — exactly the window
-    // the fast-fail path must cover.
-    let current_view = |members: &BTreeMap<u64, Member>| -> Vec<(u64, EndpointId)> {
-        members.iter().map(|(&u, m)| (u, m.sim.ep)).collect()
-    };
-    let mut view = current_view(&members);
+    // Client state. The membership view refreshes only every TICK, so it
+    // goes stale the instant a member crashes — exactly the window the
+    // fast-fail path must cover.
+    let mut view = pool.view();
     let mut routing = Routing {
         pins: HashMap::new(),
         rng: seeded_rng(seed ^ 0x11e7_u64),
     };
-    let mut recs: BTreeMap<u64, InvRec> = BTreeMap::new();
 
-    // Control-plane state.
     let mut crashed: Vec<CrashRec> = Vec::new();
     let mut episodes: Vec<Episode> = Vec::new();
-    let mut open_episode: Option<usize> = None;
-    let mut master_delayed_ticks: u64 = 0;
-    // Pending slices earmarked for the standby tier; the manager does not
-    // tie grants to tiers, so the control plane keeps the split itself.
-    let mut standby_inbound: u32 = 0;
-    let mut promotions: usize = 0;
-    let mut reelections: Vec<(u64, SimTime, SimDuration)> = Vec::new();
     let mut next_tick = SimTime::ZERO + SimDuration::from_millis(700);
     let mut next_snapshot = SimTime::from_secs(1);
     let mut snapshots: Vec<RegistrySnapshot> = vec![rig.registry.snapshot(rig.clock.now())];
@@ -382,6 +304,16 @@ pub fn run_churn(seed: u64) -> ChurnRun {
         if now >= hard_stop {
             break; // backstop against a wedged schedule; checks will flag it
         }
+        // 0. A disruption window closes once the runtime has reaped every
+        //    member killed so far and the published rotation is back at target.
+        let published = pool.view();
+        let reaped = pool.handle.stats().crashed as usize == crashed.len();
+        if let Some(e) = episodes.last_mut().filter(|e| e.restored.is_none()) {
+            if reaped && published.len() as u32 >= TARGET_POOL {
+                e.restored = Some(now);
+            }
+        }
+        let open_episode = episodes.last().is_some_and(|e| e.restored.is_none());
 
         // 1. Chaos events due now.
         if chaos.front().is_some_and(|&(at, _)| at <= now) {
@@ -391,70 +323,55 @@ pub fn run_churn(seed: u64) -> ChurnRun {
                     rig.cluster.fail_master_until(until);
                     None
                 }
-                Chaos::CrashSentinel => sentinel.uid,
-                Chaos::CrashStandby => standbys.keys().next().copied(),
-                Chaos::CrashRandom => {
-                    let live: Vec<u64> = members.keys().copied().collect();
-                    if live.is_empty() {
-                        None
-                    } else {
-                        Some(live[chaos_rng.gen_range(0..live.len())])
-                    }
-                }
+                Chaos::CrashSentinel => published.first().map(|&(uid, _)| uid),
+                Chaos::CrashStandby => pool
+                    .seats
+                    .keys()
+                    .find(|uid| !published.iter().any(|(u, _)| u == *uid))
+                    .copied(),
+                Chaos::CrashRandom => (!published.is_empty())
+                    .then(|| published[chaos_rng.gen_range(0..published.len())].0),
             };
             if let Some(victim) = victim {
-                let node = members
-                    .get(&victim)
-                    .or_else(|| standbys.get(&victim))
-                    .expect("victim is live")
-                    .grant
-                    .node;
+                let node_of = |slice| rig.cluster.with(|m| m.node_of(slice));
+                let node = node_of(pool.seats[&victim].member.slice);
                 rig.cluster.fail_node(node);
                 // Every member on the node dies with it — standbys
                 // included. The first *rotation* casualty dies holding the
                 // class lock (a crash mid-critical-section): only
                 // reclamation frees it. Standbys never execute, so they
                 // never hold it.
-                let mut took_lock = false;
-                let mut rotation_lost = false;
-                for (tier, was_standby) in [(&mut members, false), (&mut standbys, true)] {
-                    let dead: Vec<u64> = tier
-                        .iter()
-                        .filter(|(_, m)| m.grant.node == node)
-                        .map(|(&u, _)| u)
-                        .collect();
-                    for uid in dead {
-                        if !was_standby {
-                            rotation_lost = true;
-                            took_lock = took_lock
-                                || rig
-                                    .store
-                                    .try_lock(CLASS, LockOwner::new(uid), now, CRASH_TTL);
-                        }
-                        let m = tier.remove(&uid).expect("listed above");
-                        rig.net.close_endpoint(m.sim.ep);
-                        rig.trace.emit(now, TraceEvent::MemberCrashed { uid });
-                        crashed.push(CrashRec {
-                            uid,
-                            node,
-                            slice: m.grant.slice,
-                            at: now,
-                            detected: None,
-                            locks_reclaimed: Vec::new(),
-                            was_sentinel: !was_standby && sentinel.uid == Some(uid),
-                            was_standby,
-                        });
-                    }
+                let (mut took_lock, mut rotation_lost) = (false, false);
+                for (&uid, seat) in pool
+                    .seats
+                    .iter()
+                    .filter(|(_, s)| node_of(s.member.slice) == node)
+                {
+                    let was_standby = !published.iter().any(|&(u, _)| u == uid);
+                    let held_lock = !was_standby
+                        && !took_lock
+                        && rig
+                            .store
+                            .try_lock(CLASS, LockOwner::new(uid), now, CRASH_TTL);
+                    took_lock |= held_lock;
+                    rotation_lost |= !was_standby;
+                    crashed.push(CrashRec {
+                        uid,
+                        node,
+                        slice: seat.member.slice,
+                        at: now,
+                        was_sentinel: published.first().is_some_and(|&(s, _)| s == uid),
+                        was_standby,
+                        held_lock,
+                    });
                 }
-                rig.pool_size.store(members.len() as u32, Ordering::SeqCst);
                 repairs.push((
                     now + SimDuration::from_millis(2_000 + chaos_rng.gen_range(0..1_500u64)),
                     node,
                 ));
                 // A standby-only crash costs no serving capacity, so it
-                // opens no availability episode.
-                if rotation_lost && open_episode.is_none() {
-                    open_episode = Some(episodes.len());
+                // opens no availability window.
+                if rotation_lost && !open_episode {
                     episodes.push(Episode {
                         opened: now,
                         restored: None,
@@ -494,12 +411,16 @@ pub fn run_churn(seed: u64) -> ChurnRun {
                         _ => client.complete(&p.a, &outcome),
                     }
                 }
+                // An explicit refusal or shed proves the member never
+                // admitted (so never executed) the attempt: the
+                // at-most-once pin is safe to release.
                 RmiMessage::Overloaded { retry_after, .. } => {
-                    // An explicit refusal proves the member never admitted
-                    // (so never executed) the attempt: the at-most-once
-                    // pin is safe to release.
                     routing.pins.remove(&p.a.invocation);
                     client.overloaded(&p, retry_after);
+                }
+                RmiMessage::Redirected { .. } => {
+                    routing.pins.remove(&p.a.invocation);
+                    client.redirected(&p);
                 }
                 _ => {}
             }
@@ -511,7 +432,7 @@ pub fn run_churn(seed: u64) -> ChurnRun {
         // 3. Fast-fail sweep: pending attempts aimed at endpoints the
         //    crash closed. This is the stub's ConnectionClosed path — the
         //    client learns in one poll, not one reply timeout.
-        let mut unanswered = client.take_pending(|p| !members.contains_key(&p.target));
+        let mut unanswered = client.take_pending(|p| !serving(&rig, &pool, p.target));
         // 4. Client-side expiry sweep: no answer and the deadline passed.
         let expired = if unanswered.is_empty() {
             client.take_pending(|p| p.a.deadline < now)
@@ -537,99 +458,11 @@ pub fn run_churn(seed: u64) -> ChurnRun {
             continue;
         }
 
-        // 5. Control tick: detection, reclamation, re-election,
-        //    replacement, capacity accounting, membership refresh.
+        // 5. Clients refresh their membership view; the registry is
+        //    snapshotted once a second.
         if now >= next_tick {
             next_tick += TICK;
-            // 5a. Detect revocations and finish the crashed members:
-            //     reclaim their locks with epoch fencing.
-            for slice in rig.cluster.drain_revocations() {
-                if let Some(rec) = crashed
-                    .iter_mut()
-                    .find(|r| r.slice == slice && r.detected.is_none())
-                {
-                    rec.detected = Some(now);
-                    rec.locks_reclaimed = rig.store.release_owner(LockOwner::new(rec.uid), now);
-                }
-            }
-            // 5b. Sentinel re-election by lowest uid if the sentinel died
-            //     (or, below, once a blacked-out pool has members again).
-            let dead_sentinel = sentinel.uid.filter(|uid| !members.contains_key(uid));
-            if let Some(dead_uid) = dead_sentinel {
-                let crash_at = crashed
-                    .iter()
-                    .find(|r| r.uid == dead_uid)
-                    .map_or(now, |r| r.at);
-                if let Some(uid) = sentinel.elect(&rig, &members) {
-                    let lag = now.saturating_since(crash_at);
-                    reelection_lag.record(lag);
-                    reelections.push((uid, now, lag));
-                }
-            }
-            // 5c. Route-flip first: a live standby covers a rotation
-            //     deficit at the tick the crash is detected — no master,
-            //     no provisioning wait. The vacated standby slot is
-            //     backfilled by a background request below.
-            while (members.len() as u32) < TARGET_POOL {
-                let Some((uid, m)) = standbys.pop_first() else {
-                    break;
-                };
-                rig.trace.emit(now, TraceEvent::MemberPromoted { uid });
-                members.insert(uid, m);
-                promotions += 1;
-            }
-            // 5c'. Replacement capacity, retried across master outages.
-            //      Promotions need no master; fresh slices do. Earmarks
-            //      can never exceed what is actually pending.
-            standby_inbound = standby_inbound.min(rig.cluster.pending_slices() as u32);
-            let rotation_inbound =
-                (rig.cluster.pending_slices() as u32).saturating_sub(standby_inbound);
-            let deficit = TARGET_POOL.saturating_sub(members.len() as u32 + rotation_inbound);
-            let standby_deficit =
-                WARM_STANDBY.saturating_sub(standbys.len() as u32 + standby_inbound);
-            if deficit + standby_deficit > 0 {
-                if rig.cluster.master_available(now) {
-                    if deficit > 0 {
-                        let _ = rig.cluster.request_slices(deficit, now);
-                    }
-                    if standby_deficit > 0 {
-                        if let Ok(out) = rig.cluster.request_slices(standby_deficit, now) {
-                            standby_inbound += out.granted;
-                        }
-                    }
-                } else {
-                    master_delayed_ticks += 1;
-                }
-            }
-            // 5d. Replacements that finished provisioning come up: the
-            //     rotation refills first, then the standby tier; a grant
-            //     that a promotion made surplus goes straight back.
-            for grant in rig.cluster.poll_ready(now) {
-                if (members.len() as u32) < TARGET_POOL {
-                    spawn_member(&mut rig, grant, &mut members, false);
-                } else if (standbys.len() as u32) < WARM_STANDBY {
-                    standby_inbound = standby_inbound.saturating_sub(1);
-                    spawn_member(&mut rig, grant, &mut standbys, true);
-                } else {
-                    standby_inbound = standby_inbound.saturating_sub(1);
-                    let _ = rig.cluster.release(grant.slice, now);
-                }
-            }
-            rig.pool_size.store(members.len() as u32, Ordering::SeqCst);
-            if sentinel.uid.is_none() {
-                sentinel.elect(&rig, &members);
-            }
-            // 5e. Close the recovery window once capacity is back.
-            if let Some(i) = open_episode {
-                if members.len() as u32 >= TARGET_POOL {
-                    let lag = now.saturating_since(episodes[i].opened);
-                    capacity_lag.record(lag);
-                    episodes[i].restored = Some(now);
-                    open_episode = None;
-                }
-            }
-            // 5f. Clients refresh their membership view.
-            view = current_view(&members);
+            view = published;
             if now >= next_snapshot {
                 next_snapshot += SimDuration::from_secs(1);
                 snapshots.push(rig.registry.snapshot(now));
@@ -640,8 +473,7 @@ pub fn run_churn(seed: u64) -> ChurnRun {
         // 6. Due retries re-enter ahead of fresh arrivals, targeting the
         //    *current* membership (failure triggered a refresh).
         if let Some(retry) = client.due_retry() {
-            let fresh = current_view(&members);
-            routing.send(&rig, &mut client, &mut members, &fresh, retry);
+            routing.send(&rig, &mut client, &pool, &published, retry);
             continue;
         }
 
@@ -654,32 +486,23 @@ pub fn run_churn(seed: u64) -> ChurnRun {
                 WORK
             };
             let attempt = client.begin(call, now + DEADLINE_BUDGET);
-            recs.insert(
-                attempt.invocation,
-                InvRec {
-                    start: now,
-                    deadline: attempt.deadline,
-                },
-            );
-            routing.send(&rig, &mut client, &mut members, &view, attempt);
+            routing.send(&rig, &mut client, &pool, &view, attempt);
             continue;
         }
 
-        // 8. Let every live member execute one admitted request.
-        let mut worked = false;
-        for m in members.values_mut() {
-            worked |= m.sim.skeleton.step();
-        }
-        if worked {
+        // 8. The pool's round: detection, re-election, promotion, backfill,
+        //    broadcasts, and one turn per free member.
+        if rig.drive_pool(&mut pool) {
             continue;
         }
 
         // 9. Idle: jump to the next event, or finish.
+        let standbys = pool.seats.len() - published.len();
         if arrivals.peek().is_none()
             && client.is_idle()
-            && open_episode.is_none()
-            && members.len() as u32 >= TARGET_POOL
-            && standbys.len() as u32 >= WARM_STANDBY
+            && !open_episode
+            && published.len() as u32 >= TARGET_POOL
+            && standbys as u32 >= WARM_STANDBY
             && chaos.is_empty()
             && repairs.is_empty()
         {
@@ -693,27 +516,17 @@ pub fn run_churn(seed: u64) -> ChurnRun {
             chaos.front().map(|&(at, _)| at),
             repairs.iter().map(|&(at, _)| at).min(),
             reply_timeout.min(),
+            pool.next_event(),
         ]);
     }
 
-    // Quiesce: release every live member's slice — rotation and standby
-    // tier alike; live standbys hold a slice despite never serving.
-    // (Revoked slices were already reabsorbed by fail_node — releasing
-    // them again is exactly the double-release bug this harness guards
-    // against.) First advance past the last possible reply-cache TTL
-    // (deadline + grace) so the sweep below can prove deterministic
+    // Quiesce through the runtime's shutdown, after every reply-cache TTL
+    // (deadline + grace) has run out, so the sweep proves deterministic
     // expiry: anything still cached after that horizon is a leak.
-    rig.clock
-        .advance(DEADLINE_BUDGET + SimDuration::from_secs(1));
+    let leaked_cache_entries =
+        rig.quiesce_pool(&mut pool, DEADLINE_BUDGET + SimDuration::from_secs(1));
     let quiesce_at = rig.clock.now();
-    let mut leaked_cache_entries = 0usize;
-    for (uid, mut m) in members.into_iter().chain(standbys) {
-        leaked_cache_entries += m.sim.skeleton.sweep_reply_cache();
-        let _ = rig.cluster.release(m.grant.slice, quiesce_at);
-        rig.net.close_endpoint(m.sim.ep);
-        rig.trace
-            .emit(quiesce_at, TraceEvent::MemberDrained { uid });
-    }
+    let stats = pool.handle.stats();
 
     // Every conservation, exactly-once, routing-hygiene and leak verdict
     // comes from the shared checker over the complete trace.
@@ -731,7 +544,7 @@ pub fn run_churn(seed: u64) -> ChurnRun {
         "churn.dedup.duplicates",
         violations.duplicate_executions.len(),
     );
-    gauge("churn.standby.promotions", promotions);
+    gauge("churn.standby.promotions", stats.promoted as usize);
     gauge("churn.standby.crashes", standby_crashes);
     gauge("churn.standby.routed", violations.standby_routed.len());
     snapshots.push(rig.registry.snapshot(quiesce_at));
@@ -742,27 +555,39 @@ pub fn run_churn(seed: u64) -> ChurnRun {
         .map(|e| (e.opened, e.restored.map_or(quiesce_at, |r| r + WINDOW_PAD)))
         .collect();
     // How each invocation ended is its terminal event: `Some(ok)` for a
-    // completion; an expiry (or nothing at all) counts as expired.
+    // completion; an expiry (or nothing at all) counts as expired. When it
+    // started, and under which deadline, is its first attempt's anchor.
     let mut completed: BTreeMap<u64, bool> = BTreeMap::new();
+    let mut started: Vec<(u64, SimTime, SimTime)> = Vec::new();
     for r in &trace {
-        if let TraceEvent::InvocationCompleted { invocation, ok, .. } = r.event {
-            completed.insert(invocation, ok);
+        match r.event {
+            TraceEvent::InvocationCompleted { invocation, ok, .. } => {
+                completed.insert(invocation, ok);
+            }
+            TraceEvent::AttemptStarted {
+                invocation,
+                attempt: 1,
+                deadline,
+                ..
+            } => started.push((invocation, r.at, deadline)),
+            _ => {}
         }
     }
     let tally = |wanted: bool| completed.values().filter(|&&ok| ok == wanted).count();
-    let mut eligible = 0usize;
-    let mut eligible_ok = 0usize;
-    for (inv, rec) in &recs {
-        let disrupted = windows
-            .iter()
-            .any(|&(from, to)| rec.start <= to && rec.deadline >= from);
-        if !disrupted {
-            eligible += 1;
-            if completed.get(inv) == Some(&true) {
-                eligible_ok += 1;
-            }
-        }
-    }
+    let eligible: Vec<u64> = started
+        .iter()
+        .filter(|&&(_, start, deadline)| {
+            !windows
+                .iter()
+                .any(|&(from, to)| start <= to && deadline >= from)
+        })
+        .map(|&(invocation, ..)| invocation)
+        .collect();
+    let eligible_ok = eligible
+        .iter()
+        .filter(|inv| completed.get(inv) == Some(&true))
+        .count();
+    let eligible = eligible.len();
     let availability = if eligible == 0 {
         1.0
     } else {
@@ -773,16 +598,17 @@ pub fn run_churn(seed: u64) -> ChurnRun {
         report: String::new(),
         metrics_csv: snapshots_to_csv(&snapshots),
         trace,
-        invocations: recs.len(),
+        invocations: client.invocations(),
         completed_ok: tally(true),
         completed_err: tally(false),
-        expired: recs.len() - completed.len(),
+        expired: client.invocations() - completed.len(),
         availability,
         eligible,
         crashes: crashed.len(),
         sentinel_crashes: crashed.iter().filter(|r| r.was_sentinel).count(),
-        reelections: reelections.len(),
-        locks_reclaimed: crashed.iter().map(|r| r.locks_reclaimed.len()).sum(),
+        standby_crashes,
+        stats,
+        locks_reclaimed: rig.store.lock_stats().reclaimed as usize,
         violations,
         slices_total: rig.cluster.total_slices(),
         slices_free: rig.cluster.free_slices(),
@@ -790,20 +616,17 @@ pub fn run_churn(seed: u64) -> ChurnRun {
         dedup_hits: counter("rmi.dedup.hits"),
         dedup_replayed: counter("rmi.dedup.replayed"),
         dedup_evicted: counter("rmi.dedup.evicted"),
-        promotions,
-        standby_crashes,
     };
-    run.report = render_report(
-        seed,
-        &run,
-        &crashed,
-        &episodes,
-        &reelections,
-        eligible_ok,
-        master_delayed_ticks,
-        &rig.cluster,
-    );
+    run.report = render_report(seed, &run, &crashed, &episodes, eligible_ok, &rig);
     run
+}
+
+/// Whether member `uid` can still be reached: the pool runs it and its
+/// endpoint is open.
+fn serving(rig: &SimRig, pool: &SimPool, uid: u64) -> bool {
+    pool.seats
+        .get(&uid)
+        .is_some_and(|seat| rig.net.is_open(seat.member.mailbox.id()))
 }
 
 /// Seeded exponential backoff with jitter: `[step/2, step]` where the
@@ -832,7 +655,7 @@ impl Routing {
         &mut self,
         rig: &SimRig,
         client: &mut SimClient,
-        members: &mut BTreeMap<u64, Member>,
+        pool: &SimPool,
         view: &[(u64, EndpointId)],
         a: Attempt,
     ) {
@@ -841,7 +664,10 @@ impl Routing {
             // A pinned retransmit may only go back to the member that already
             // accepted an earlier attempt — it may have executed and lost the
             // reply, and only its cache can recognise the duplicate.
-            Some(uid) => members.get(&uid).map(|m| (uid, m.sim.ep)),
+            Some(uid) => pool
+                .seats
+                .get(&uid)
+                .map(|seat| (uid, seat.member.mailbox.id())),
             None if view.is_empty() => None,
             None => Some(view[self.rng.gen_range(0..view.len())]),
         };
@@ -860,35 +686,30 @@ impl Routing {
             }
             return;
         };
-        match members.get_mut(&uid).filter(|_| rig.net.is_open(ep)) {
+        if !serving(rig, pool, uid) {
             // The stub's ConnectionClosed fast path: fail immediately,
             // decorrelate with jitter, retry against fresh membership.
-            None => client.refused(a, uid, jitter(&mut self.rng, a.attempt)),
-            Some(m) => {
-                if a.call.semantics == Semantics::AtMostOnce {
-                    // Delivery commits the attempt to this member (the
-                    // skeleton's cache now tracks it); only an explicit refusal
-                    // releases it.
-                    self.pins.insert(a.invocation, uid);
-                }
-                client.send_attempt(&mut m.sim, uid, a);
-            }
+            client.refused(a, uid, jitter(&mut self.rng, a.attempt));
+            return;
         }
+        if a.call.semantics == Semantics::AtMostOnce {
+            // Delivery commits the attempt to this member (the skeleton's
+            // cache will track it); only an explicit refusal releases it.
+            self.pins.insert(a.invocation, uid);
+        }
+        client.send_to(ep, uid, a);
     }
 }
 
-/// Renders the why-recovered report: one block per crash, each carrying
-/// detection, reclamation, re-election, and capacity-restore facts.
-#[allow(clippy::too_many_arguments)]
+/// Renders the why-recovered report: one block per injected crash, each
+/// with what the runtime's trace shows of its detection and re-election.
 fn render_report(
     seed: u64,
     run: &ChurnRun,
     crashed: &[CrashRec],
     episodes: &[Episode],
-    reelections: &[(u64, SimTime, SimDuration)],
     eligible_ok: usize,
-    master_delayed_ticks: u64,
-    cluster: &ResourceManager,
+    rig: &SimRig,
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -904,25 +725,31 @@ fn render_report(
     );
     let _ = writeln!(
         out,
-        "crashes: {} members across {} recovery episodes; sentinel re-elections: {}",
+        "crashes: {} members across {} disruption windows; the runtime reaped {} \
+         and re-elected the sentinel {} times",
         crashed.len(),
         episodes.len(),
-        reelections.len(),
-    );
-    let _ = writeln!(
-        out,
-        "replacement requests deferred by master outage: {master_delayed_ticks} ticks"
+        run.stats.crashed,
+        run.stats.elections,
     );
     let _ = writeln!(
         out,
         "standby tier: {} promotions (route-flips), {} standby crashes, \
          {} attempts routed to standbys (must be 0)",
-        run.promotions,
+        run.stats.promoted,
         run.standby_crashes,
         run.violations.standby_routed.len(),
     );
     out.push('\n');
     let _ = writeln!(out, "Why the pool recovered ({} crashes):", crashed.len());
+    let elections: Vec<(u64, SimTime)> = run
+        .trace
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::SentinelElected { uid, .. } => Some((uid, r.at)),
+            _ => None,
+        })
+        .collect();
     for (i, rec) in crashed.iter().enumerate() {
         let _ = writeln!(
             out,
@@ -940,15 +767,19 @@ fn render_report(
                 ""
             },
         );
-        match rec.detected {
+        let reaped = |r: &&TraceRecord| matches!(r.event, TraceEvent::MemberCrashed { uid } if uid == rec.uid);
+        match run.trace.iter().find(reaped).map(|r| r.at) {
             Some(at) => {
                 let _ = writeln!(
                     out,
-                    "    detected t={:.2}s (+{:.0}ms); locks reclaimed: {} {:?}",
+                    "    detected t={:.2}s (+{:.0}ms){}",
                     at.as_secs_f64(),
                     ms(at.saturating_since(rec.at)),
-                    rec.locks_reclaimed.len(),
-                    rec.locks_reclaimed,
+                    if rec.held_lock {
+                        "; held the class lock, owner fenced"
+                    } else {
+                        ""
+                    },
                 );
             }
             None => {
@@ -956,19 +787,19 @@ fn render_report(
             }
         }
         if rec.was_sentinel {
-            if let Some((uid, at, lag)) = reelections.iter().find(|(_, at, _)| *at >= rec.at) {
+            if let Some((uid, at)) = elections.iter().find(|(_, at)| *at >= rec.at) {
                 let _ = writeln!(
                     out,
                     "    sentinel re-elected: member {uid} t={:.2}s \
                      (crash-to-reelection lag {:.0}ms)",
                     at.as_secs_f64(),
-                    ms(*lag),
+                    ms(at.saturating_since(rec.at)),
                 );
             }
         }
     }
     out.push('\n');
-    let _ = writeln!(out, "Recovery episodes ({}):", episodes.len());
+    let _ = writeln!(out, "Disruption windows ({}):", episodes.len());
     for (i, e) in episodes.iter().enumerate() {
         match e.restored {
             Some(restored) => {
@@ -992,6 +823,22 @@ fn render_report(
             }
         }
     }
+    let lag = |name| {
+        let h = rig.metrics.histogram(name).snapshot();
+        let max = h.max().map_or(0.0, ms);
+        format!("{} recorded, max {max:.0}ms", h.count())
+    };
+    let _ = writeln!(
+        out,
+        "runtime recovery lags: re-election {}; capacity {}",
+        lag("pool.recovery.reelection.lag"),
+        lag("pool.recovery.capacity.lag"),
+    );
+    let _ = writeln!(
+        out,
+        "locks reclaimed from crashed owners: {}",
+        run.locks_reclaimed
+    );
     out.push('\n');
     let _ = writeln!(
         out,
@@ -1009,10 +856,10 @@ fn render_report(
         "quiesce: leaked locks {}, leaked slices {} (free {}/{}, in-use {}, pending {})",
         run.violations.leaks.leaked_locks,
         run.violations.leaks.leaked_slices,
-        cluster.free_slices(),
-        cluster.total_slices(),
-        cluster.slices_in_use(),
-        cluster.pending_slices(),
+        rig.cluster.free_slices(),
+        rig.cluster.total_slices(),
+        rig.cluster.slices_in_use(),
+        rig.cluster.pending_slices(),
     );
     if run.dropped > 0 {
         let _ = writeln!(
@@ -1066,11 +913,19 @@ mod tests {
 
     #[test]
     fn sentinel_reelections_match_sentinel_crashes() {
+        // The script knows what it killed; the runtime must have noticed
+        // every one of them on its own, and re-elected once per sentinel.
         for seed in [7u64, 99, 2026] {
             let run = run_churn(seed);
             assert_eq!(
-                run.reelections, run.sentinel_crashes,
-                "seed {seed}: one re-election per sentinel crash"
+                run.stats.crashed as usize, run.crashes,
+                "seed {seed}: the runtime reaped every member the script killed\n{}",
+                run.report
+            );
+            assert_eq!(
+                run.stats.elections as usize, run.sentinel_crashes,
+                "seed {seed}: one re-election per sentinel crash\n{}",
+                run.report
             );
             let elected = run
                 .trace
@@ -1078,9 +933,8 @@ mod tests {
                 .filter(|r| matches!(r.event, TraceEvent::SentinelElected { .. }))
                 .count();
             assert_eq!(
-                elected,
-                run.sentinel_crashes + 1,
-                "seed {seed}: initial election plus one per sentinel crash"
+                elected, run.sentinel_crashes,
+                "seed {seed}: one SentinelElected record per sentinel crash"
             );
         }
     }
@@ -1212,10 +1066,19 @@ mod tests {
         // no attempt ever routes to a member in the standby tier.
         for seed in [7u64, 99, 2026] {
             let run = run_churn(seed);
+            let promoted = run
+                .trace
+                .iter()
+                .filter(|r| matches!(r.event, TraceEvent::MemberPromoted { .. }))
+                .count();
             assert!(
-                run.promotions >= 1,
+                promoted >= 1,
                 "seed {seed}: no route-flip promotion happened\n{}",
                 run.report
+            );
+            assert_eq!(
+                run.stats.promoted as usize, promoted,
+                "seed {seed}: the runtime's count matches its trace"
             );
             assert!(
                 run.standby_crashes >= 1,

@@ -7,7 +7,9 @@
 //!
 //! * [`SimRig`] — network, clock, trace sink, metrics registry, store and
 //!   cluster manager wired together, plus [`SimRig::spawn_member`], the one
-//!   place a scenario skeleton is constructed;
+//!   place a lone scenario skeleton is constructed;
+//! * [`SimPool`] — the real pool runtime ([`PoolRuntime`]) and the members
+//!   it launches, stepped on the virtual clock by [`SimRig::drive_pool`];
 //! * [`JitteredService`] — the hosted service: occupies the member for
 //!   0.8–1.2 × a mean on the virtual clock, optionally inside a class-lock
 //!   critical section;
@@ -18,20 +20,21 @@
 //! * [`SimRig::check`] — hands the run's trace and quiesce counts to the
 //!   shared [`Invariants`] checker.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use elasticrmi::{
-    AdmissionConfig, ElasticService, InvocationContext, LoadReport, PoolSample, RemoteError,
-    ReplyCacheConfig, RmiMessage, ScalingDecision, ScalingEngine, Semantics, ServiceContext,
-    Skeleton,
+    AdmissionConfig, ElasticService, InvocationContext, Launch, LoadReport, PoolConfig, PoolDeps,
+    PoolHandle, PoolRuntime, RemoteError, ReplyCacheConfig, RmiMessage, Semantics, ServiceContext,
+    ServiceFactory, Skeleton,
 };
-use erm_cluster::{ClusterConfig, LatencyModel, ResourceManager, SliceGrant};
+use erm_cluster::{ClusterConfig, ClusterHandle, LatencyModel, ResourceManager};
 use erm_kvstore::{Store, StoreConfig};
 use erm_metrics::{MetricsHandle, Registry, TraceEvent, TraceHandle, TraceRecord, TraceSink};
 use erm_sim::{seeded_rng, Clock, SharedClock, SimDuration, SimTime, VirtualClock};
-use erm_transport::{EndpointId, InProcNetwork, Mailbox};
+use erm_transport::{EndpointId, Host, InProcNetwork, Mailbox, Network, RecvError, SendError};
 use rand::Rng;
 
 use crate::invariants::{Invariants, Quiesce, Violations};
@@ -62,7 +65,7 @@ pub struct SimRig {
     pub(crate) metrics: MetricsHandle,
     pub(crate) registry: Arc<Registry>,
     pub(crate) store: Arc<Store>,
-    pub(crate) cluster: ResourceManager,
+    pub(crate) cluster: ClusterHandle,
     /// The pool size every member's [`ServiceContext`] reads.
     pub(crate) pool_size: Arc<AtomicU32>,
     class: &'static str,
@@ -93,12 +96,12 @@ impl SimRig {
         let (metrics, registry) = MetricsHandle::shared();
         let store = Arc::new(Store::new(StoreConfig::default()));
         store.install_lock_metrics(&metrics);
-        let mut cluster = ResourceManager::new(ClusterConfig {
+        let cluster = ClusterHandle::new(ResourceManager::new(ClusterConfig {
             nodes,
             slices_per_node,
             provisioning: LatencyModel::Fixed(provisioning),
             ..ClusterConfig::default()
-        });
+        }));
         cluster.set_telemetry(trace.clone(), &metrics);
         SimRig {
             net: InProcNetwork::new(),
@@ -167,58 +170,6 @@ impl SimRig {
         }
     }
 
-    /// Requests `n` slices at time zero and advances the clock to the
-    /// instant they finish provisioning.
-    pub fn bootstrap(&mut self, n: u32) -> Vec<SliceGrant> {
-        self.cluster
-            .request_slices(n, self.clock.now())
-            .expect("bootstrap slices");
-        self.clock.advance_to(SimTime::ZERO + self.provisioning);
-        self.cluster.poll_ready(self.clock.now())
-    }
-
-    /// One control-loop tick of the real [`ScalingEngine`] on a member's
-    /// load report. The rule explanation precedes the decision in the trace
-    /// so span reconstruction can pair them.
-    pub fn scaling_tick(
-        &self,
-        engine: &mut ScalingEngine,
-        report: &LoadReport,
-        pool_size: u32,
-        standbys: u32,
-    ) -> ScalingDecision {
-        let now = self.clock.now();
-        let sample = PoolSample {
-            pool_size,
-            avg_cpu: report.busy,
-            avg_ram: report.ram,
-            fine_votes: Vec::new(),
-            desired_size: None,
-            queue_delay_p99: SimDuration::from_micros(report.queue_delay_p99_us),
-            rejected: report.rejected,
-            standbys,
-        };
-        let (decision, why) = engine.poll_explained(now, &sample);
-        if let Some(w) = why {
-            self.trace.emit(
-                now,
-                TraceEvent::RuleFired {
-                    rule: w.rule,
-                    observed_milli: w.observed_milli,
-                    threshold_milli: w.threshold_milli,
-                },
-            );
-        }
-        let delta = match decision {
-            ScalingDecision::Grow(k) => i64::from(k),
-            ScalingDecision::Shrink(k) => -i64::from(k),
-            ScalingDecision::Hold => return decision,
-        };
-        self.trace
-            .emit(now, TraceEvent::ScaleDecision { pool_size, delta });
-        decision
-    }
-
     /// Idles until the earliest of `events` — always at least one
     /// microsecond, so a due-but-unserviceable event cannot wedge the loop.
     pub fn idle_until(&self, events: &[Option<SimTime>]) {
@@ -245,6 +196,314 @@ impl SimRig {
         };
         facts.check(trace, &quiesce)
     }
+
+    /// Starts the production pool runtime for `config` on this rig's
+    /// cluster, store, trace and metrics, each member hosting the service
+    /// `service(clock, n)` builds for the `n`-th member, and drives it until
+    /// its initial members (and warm tier) are up.
+    pub fn start_pool<S: ElasticService + 'static>(
+        &self,
+        config: PoolConfig,
+        service: impl Fn(&Arc<VirtualClock>, u64) -> S + Send + Sync + 'static,
+    ) -> SimPool {
+        let host = Arc::new(SimHost {
+            net: self.net.clone(),
+            clock: Arc::clone(&self.clock),
+            turn: AtomicU64::new(u64::MAX),
+            held: Mutex::new(Vec::new()),
+        });
+        let (clock, built) = (Arc::clone(&self.clock), AtomicU64::new(0));
+        let factory: ServiceFactory =
+            Arc::new(move || Box::new(service(&clock, built.fetch_add(1, Ordering::SeqCst))));
+        let deps = PoolDeps {
+            cluster: self.cluster.clone(),
+            net: Arc::clone(&host) as Arc<dyn Host>,
+            store: Arc::clone(&self.store),
+            clock: self.shared_clock(),
+            trace: self.trace.clone(),
+            metrics: self.metrics.clone(),
+        };
+        let floor = (config.min_pool_size() + config.warm_standby()) as usize;
+        let runtime = PoolRuntime::start(config, factory, deps, None).expect("pool starts");
+        let mut pool = SimPool {
+            handle: runtime.handle(),
+            runtime,
+            host,
+            seats: BTreeMap::new(),
+            due: Some(self.clock.now()),
+        };
+        self.drive_pool_until(&mut pool, |pool| pool.seats.len() >= floor);
+        pool
+    }
+
+    /// Drives `pool`, idling to its next event whenever a round finds
+    /// nothing to do, until `done` holds.
+    pub fn drive_pool_until(&self, pool: &mut SimPool, done: impl Fn(&SimPool) -> bool) {
+        while !done(pool) {
+            if !self.drive_pool(pool) {
+                self.idle_until(&[pool.next_event()]);
+            }
+        }
+    }
+
+    /// One round of the pool on the virtual clock: delivers the members'
+    /// sends that have come due, steps the runtime if its turn has come,
+    /// then gives every free member a turn in uid order: its whole mailbox
+    /// ingested, then one admitted request executed or [`Skeleton::idle`].
+    /// A turn runs from the round's instant on the member's own stretch of
+    /// time (service time advances the clock); the clock is rewound after
+    /// it, and the member stays busy, its sends held, until the rig's clock
+    /// catches up — so members serve in parallel. A member whose mailbox
+    /// closed, whose drain finished or whose service panicked is reported
+    /// to the runtime as exited, as its thread's end would be. Returns
+    /// whether anything happened.
+    pub fn drive_pool(&self, pool: &mut SimPool) -> bool {
+        let now = self.clock.now();
+        let mut progress = pool.host.deliver(now);
+        if pool.due.is_some_and(|due| due <= now) {
+            let (launched, due) = pool.runtime.step(now);
+            pool.due = due;
+            for mut member in launched {
+                member.skeleton.start();
+                let seat = Seat {
+                    member,
+                    free_at: now,
+                };
+                pool.seats.insert(seat.member.uid, seat);
+            }
+            progress = true;
+        }
+        let mut exited = Vec::new();
+        for (&uid, seat) in pool.seats.iter_mut().filter(|(_, s)| s.free_at <= now) {
+            pool.host.turn.store(now.as_micros(), Ordering::SeqCst);
+            let turn = std::panic::catch_unwind(AssertUnwindSafe(|| seat.turn()));
+            let (did, done) = turn.unwrap_or((true, true));
+            seat.free_at = self.clock.now();
+            self.clock.rewind_to(now);
+            pool.host.turn.store(u64::MAX, Ordering::SeqCst);
+            progress |= did || done;
+            if done {
+                exited.push(uid);
+            }
+        }
+        for uid in exited {
+            pool.seats.remove(&uid);
+            pool.runtime.member_exited(uid);
+        }
+        progress
+    }
+
+    /// Serves an open-loop workload from `pool`: each arrival in `schedule`
+    /// invokes [`Call::WORK`] due `budget` later, round-robin over the
+    /// published rotation; retries re-enter ahead of fresh arrivals; and
+    /// replies are answered the plain way (completion, retry after an
+    /// `Overloaded` hint, a redirect followed at once). `tick.1` runs every
+    /// `tick.0` from now. Returns once every invocation ended and the clock
+    /// passed `end`.
+    pub fn serve(
+        &self,
+        pool: &mut SimPool,
+        client: &mut SimClient,
+        schedule: Vec<SimTime>,
+        budget: SimDuration,
+        end: SimTime,
+        (period, mut tick): (SimDuration, impl FnMut(SimTime)),
+    ) {
+        let mut arrivals = schedule.into_iter().peekable();
+        let mut next_tick = self.clock.now() + period;
+        let mut sent = 0;
+        loop {
+            let now = self.clock.now();
+            while let Some((p, reply)) = client.recv() {
+                match reply {
+                    RmiMessage::Response { outcome, .. } => client.complete(&p.a, &outcome),
+                    RmiMessage::Overloaded { retry_after, .. } => {
+                        client.overloaded(&p, retry_after);
+                    }
+                    RmiMessage::Redirected { .. } => client.redirected(&p),
+                    _ => {}
+                }
+            }
+            let due = client.due_retry().or_else(|| {
+                arrivals.next_if(|&at| at <= now)?;
+                Some(client.begin(Call::WORK, now + budget))
+            });
+            if let Some(attempt) = due {
+                let view = pool.view();
+                let (uid, ep) = view[sent % view.len()];
+                client.send_to(ep, uid, attempt);
+                sent += 1;
+                continue;
+            }
+            if now >= next_tick {
+                next_tick += period;
+                tick(now);
+                continue;
+            }
+            if self.drive_pool(pool) {
+                continue;
+            }
+            if arrivals.peek().is_none() && client.is_idle() && now >= end {
+                return;
+            }
+            self.idle_until(&[
+                Some(next_tick),
+                arrivals.peek().copied(),
+                client.next_retry(),
+                pool.next_event(),
+            ]);
+        }
+    }
+
+    /// Quiesces `pool` through the runtime's own shutdown. First the clock
+    /// moves on by `settle` (at least the provisioning latency, so no grant
+    /// is still in flight) and every member's reply cache is swept; then
+    /// the shutdown is driven to its end. Returns the reply-cache entries
+    /// still alive after the sweep.
+    pub fn quiesce_pool(&self, pool: &mut SimPool, settle: SimDuration) -> usize {
+        self.clock.advance(settle.max(self.provisioning));
+        let leaked = pool
+            .seats
+            .values_mut()
+            .map(|seat| seat.member.skeleton.sweep_reply_cache())
+            .sum();
+        pool.handle.shutdown();
+        self.drive_pool_until(pool, |pool| pool.due.is_none());
+        leaked
+    }
+}
+
+/// The network a [`SimPool`]'s members and runtime send through: a send
+/// made during a member's turn, stamped later than the round's instant,
+/// waits until the rig's clock reaches it.
+struct SimHost {
+    net: InProcNetwork,
+    clock: Arc<VirtualClock>,
+    /// The round's instant (µs) while a member's turn runs, else `MAX`.
+    turn: AtomicU64,
+    /// Held sends, in send order.
+    held: Mutex<Vec<HeldSend>>,
+}
+
+/// A send made ahead of the rig's clock: `(due, from, to, payload)`.
+type HeldSend = (SimTime, EndpointId, EndpointId, Vec<u8>);
+
+impl SimHost {
+    /// Delivers the held sends due by `now`, oldest first; says if any were.
+    fn deliver(&self, now: SimTime) -> bool {
+        let mut held = self.held.lock().expect("held lock");
+        held.sort_by_key(|&(due, ..)| due);
+        let ready = held.partition_point(|&(due, ..)| due <= now);
+        for (_, from, to, payload) in held.drain(..ready) {
+            let _ = self.net.send(from, to, payload);
+        }
+        ready > 0
+    }
+}
+
+impl Network for SimHost {
+    fn send(&self, from: EndpointId, to: EndpointId, payload: Vec<u8>) -> Result<(), SendError> {
+        let at = self.clock.now();
+        if at.as_micros() > self.turn.load(Ordering::SeqCst) {
+            let mut held = self.held.lock().expect("held lock");
+            held.push((at, from, to, payload));
+            return Ok(());
+        }
+        self.net.send(from, to, payload)
+    }
+
+    fn endpoint_open(&self, id: EndpointId) -> bool {
+        self.net.is_open(id)
+    }
+}
+
+impl Host for SimHost {
+    fn open(&self) -> (EndpointId, Mailbox) {
+        self.net.open_endpoint()
+    }
+
+    fn close(&self, id: EndpointId) {
+        self.net.close_endpoint(id);
+    }
+}
+
+/// One member a [`SimPool`] runs: what the runtime launched, and when the
+/// member is next free (its last turn's service time ran until then).
+pub(crate) struct Seat {
+    pub(crate) member: Launch,
+    free_at: SimTime,
+}
+
+impl Seat {
+    /// One turn of the member: the intake of a member thread (its whole
+    /// mailbox ingested), then one admitted request executed — one, so
+    /// arrivals interleave with service — or, with nothing to run,
+    /// [`Skeleton::idle`]. Returns whether it did anything, and whether
+    /// the member is finished.
+    fn turn(&mut self) -> (bool, bool) {
+        let (skeleton, mailbox) = (&mut self.member.skeleton, &self.member.mailbox);
+        let (mut ingested, mut done) = (false, false);
+        loop {
+            match mailbox.try_recv() {
+                Ok(d) => {
+                    ingested = true;
+                    done |= skeleton.ingest_datagram(d, mailbox);
+                }
+                Err(RecvError::Timeout) => break,
+                Err(RecvError::Closed) => {
+                    done = true;
+                    break;
+                }
+            }
+        }
+        let worked = !done && skeleton.step();
+        (
+            ingested || worked,
+            done || (!worked && skeleton.idle(mailbox)),
+        )
+    }
+}
+
+/// The production pool runtime and its members on the virtual clock; see
+/// [`SimRig::start_pool`] and [`SimRig::drive_pool`].
+pub struct SimPool {
+    runtime: PoolRuntime,
+    /// The pool's published view, counters and shutdown request.
+    pub(crate) handle: PoolHandle,
+    host: Arc<SimHost>,
+    /// Running members by uid.
+    pub(crate) seats: BTreeMap<u64, Seat>,
+    /// The runtime's next turn; `None` once it has shut down.
+    due: Option<SimTime>,
+}
+
+impl SimPool {
+    /// The published rotation as `(uid, endpoint)`, in uid order: what a
+    /// client that refreshed its membership now would route over.
+    pub fn view(&self) -> Vec<(u64, EndpointId)> {
+        let published = self.handle.members();
+        self.seats
+            .iter()
+            .filter(|(_, seat)| published.contains(&seat.member.mailbox.id()))
+            .map(|(&uid, seat)| (uid, seat.member.mailbox.id()))
+            .collect()
+    }
+
+    /// When the pool next needs a round although nothing else happens: the
+    /// runtime's turn, a held send coming due, or a busy member with work
+    /// waiting becoming free.
+    pub fn next_event(&self) -> Option<SimTime> {
+        let busy = self
+            .seats
+            .values()
+            .filter(|seat| {
+                !seat.member.mailbox.is_empty() || seat.member.skeleton.queue_depth() > 0
+            })
+            .map(|seat| seat.free_at);
+        let held = self.host.held.lock().expect("held lock");
+        let sends = held.iter().map(|&(due, ..)| due);
+        self.due.into_iter().chain(sends).chain(busy).min()
+    }
 }
 
 /// A bounded or unbounded spin on the class lock around the service time,
@@ -266,6 +525,18 @@ pub struct ClassLock {
     pub(crate) max_wait: Option<SimDuration>,
 }
 
+impl ClassLock {
+    /// Every method serializes on `class`, waiting as long as it takes.
+    pub const fn every_method(class: &'static str) -> ClassLock {
+        ClassLock {
+            class,
+            method: None,
+            spin: SimDuration::from_micros(200),
+            max_wait: None,
+        }
+    }
+}
+
 /// The hosted service of every scenario: does no computation, but
 /// *occupies* the member for a seeded 0.8–1.2 × `mean` by advancing the
 /// shared virtual clock.
@@ -273,7 +544,6 @@ pub struct JitteredService {
     clock: Arc<VirtualClock>,
     rng: rand::rngs::StdRng,
     mean: SimDuration,
-    share_load: bool,
     lock: Option<ClassLock>,
 }
 
@@ -284,16 +554,8 @@ impl JitteredService {
             clock: Arc::clone(clock),
             rng: seeded_rng(seed),
             mean,
-            share_load: false,
             lock: None,
         }
-    }
-
-    /// Divides the service time by the live pool size: one real skeleton
-    /// stands in for the whole pool, and a bigger pool shares the load.
-    pub fn sharing_load(mut self) -> Self {
-        self.share_load = true;
-        self
     }
 
     /// Runs the service time inside a class-lock critical section.
@@ -311,14 +573,7 @@ impl ElasticService for JitteredService {
         ctx: &mut ServiceContext,
     ) -> Result<Vec<u8>, RemoteError> {
         let factor: f64 = self.rng.gen_range(0.8..=1.2);
-        let members = if self.share_load {
-            ctx.pool_size().max(1)
-        } else {
-            1
-        };
-        let busy = SimDuration::from_micros(
-            (self.mean.as_micros() as f64 * factor / f64::from(members)) as u64,
-        );
+        let busy = SimDuration::from_micros((self.mean.as_micros() as f64 * factor) as u64);
         let Some(lock) = self
             .lock
             .filter(|l| l.method.is_none_or(|only| only == method))
@@ -425,6 +680,7 @@ pub struct SimClient {
     /// The client's endpoint (the `origin` of every request).
     ep: EndpointId,
     mb: Mailbox,
+    net: InProcNetwork,
     clock: Arc<VirtualClock>,
     trace: TraceHandle,
     max_attempts: u32,
@@ -446,6 +702,7 @@ impl SimClient {
         SimClient {
             ep,
             mb,
+            net: rig.net.clone(),
             clock: Arc::clone(&rig.clock),
             trace: rig.trace.clone(),
             max_attempts,
@@ -487,9 +744,23 @@ impl SimClient {
     }
 
     /// Emits the `AttemptStarted` anchor naming `target` — the uid of the
-    /// member the balancer picked, real or modelled — and hands the request
-    /// to `member`'s skeleton.
+    /// member the balancer picked — and hands the request to `member`'s
+    /// skeleton.
     pub fn send_attempt(&mut self, member: &mut SimMember, target: u64, a: Attempt) {
+        let request = self.request(target, a);
+        member.skeleton.ingest(self.ep, request, &member.mb);
+    }
+
+    /// [`SimClient::send_attempt`] to pool member `target` at `ep`, through
+    /// the network (the member ingests it on its next turn).
+    pub fn send_to(&mut self, ep: EndpointId, target: u64, a: Attempt) {
+        let request = self.request(target, a).encode();
+        let _ = self.net.send(self.ep, ep, request);
+    }
+
+    /// Anchors attempt `a` on `target` and records it as pending: the
+    /// request to send.
+    fn request(&mut self, target: u64, a: Attempt) -> RmiMessage {
         let id = self.next_call;
         self.next_call += 1;
         self.started(&a, target);
@@ -521,13 +792,12 @@ impl SimClient {
             origin: self.ep,
             routing_key: a.call.key,
         };
-        let request = RmiMessage::Request {
+        RmiMessage::Request {
             call: id,
             context,
             method: a.call.method.into(),
             args,
-        };
-        member.skeleton.ingest(self.ep, request, &member.mb);
+        }
     }
 
     /// Pulls `member`'s load report for the closing burst interval, exactly
@@ -543,10 +813,10 @@ impl SimClient {
         }
     }
 
-    /// The next reply (`Response`, `Overloaded` or `WrongShard`) in the
-    /// client's mailbox, with the pending attempt it answers — already
-    /// removed from the map. Answers to attempts no longer pending are
-    /// skipped.
+    /// The next reply (`Response`, `Overloaded`, `WrongShard` or
+    /// `Redirected`) in the client's mailbox, with the pending attempt it
+    /// answers — already removed from the map. Answers to attempts no
+    /// longer pending are skipped.
     pub fn recv(&mut self) -> Option<(Pending, RmiMessage)> {
         while let Ok(d) = self.mb.try_recv() {
             let Ok(msg) = RmiMessage::decode(&d.payload) else {
@@ -554,7 +824,8 @@ impl SimClient {
             };
             let (RmiMessage::Response { call, .. }
             | RmiMessage::Overloaded { call, .. }
-            | RmiMessage::WrongShard { call, .. }) = msg
+            | RmiMessage::WrongShard { call, .. }
+            | RmiMessage::Redirected { call, .. }) = msg
             else {
                 continue;
             };
@@ -647,6 +918,19 @@ impl SimClient {
         self.retry_or_give_up(p.a, self.clock.now() + retry_after);
     }
 
+    /// A member shed the attempt with `Redirected` (a drain, or the
+    /// sentinel's rebalance): records it and retries right away, budget
+    /// permitting, wherever the balancer picks.
+    pub fn redirected(&mut self, p: &Pending) {
+        let now = self.clock.now();
+        self.emit(TraceEvent::AttemptRedirected {
+            invocation: p.a.invocation,
+            attempt: p.a.attempt,
+            remaining: p.a.deadline.saturating_since(now),
+        });
+        self.retry_or_give_up(p.a, now);
+    }
+
     /// An attempt got no usable answer from `target` (closed endpoint,
     /// reply timeout): records it and retries after `backoff`.
     pub fn failed(&mut self, a: Attempt, target: u64, backoff: SimDuration) {
@@ -683,94 +967,67 @@ impl SimClient {
     }
 }
 
-/// The modelled pool around one real skeleton (`telemetry`, `warmpool`):
-/// which member uids the balancer rotates over and which sit in the warm
-/// tier, kept exactly as `ElasticPool` keeps them — standbys are
-/// provisioned and heartbeating but outside the rotation and the scaling
-/// samples until promoted. The rotation size is `rig.pool_size`, which a
-/// load-sharing [`JitteredService`] divides its service time by.
-#[derive(Default)]
-pub struct ModelledPool {
-    next_uid: u64,
-    /// Members in the load-balancing rotation, with their slices.
-    pub(crate) rotation: Vec<(u64, SliceGrant)>,
-    /// Warm standbys, with their slices.
-    pub(crate) standbys: Vec<(u64, SliceGrant)>,
-    rr: usize,
-    /// Standbys promoted into the rotation so far.
-    pub(crate) promotions: usize,
-}
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::AtomicI32;
 
-impl ModelledPool {
-    fn fresh_uid(&mut self) -> u64 {
-        self.next_uid += 1;
-        self.next_uid - 1
-    }
+    use elasticrmi::{MethodCallStats, ScalingPolicy};
 
-    /// Puts a member into the rotation. `event` is emitted *before* the
-    /// balancer can pick the member: a flip that routed first would show
-    /// up as a standby-routed attempt.
-    fn rotate_in(&mut self, rig: &SimRig, uid: u64, grant: SliceGrant, event: TraceEvent) {
-        rig.trace.emit(rig.clock.now(), event);
-        rig.pool_size.fetch_add(1, Ordering::SeqCst);
-        self.rotation.push((uid, grant));
-    }
+    use super::*;
 
-    /// A fresh grant joins the rotation.
-    pub fn join(&mut self, rig: &SimRig, grant: SliceGrant) {
-        let uid = self.fresh_uid();
-        self.rotate_in(rig, uid, grant, TraceEvent::MemberJoined { uid });
-    }
+    /// Votes the pool size the test asks for; member 2 dies inside its
+    /// drain, before its `ShutdownReady` ack is sent.
+    struct DiesDraining(Arc<AtomicI32>);
 
-    /// A fresh grant parks in the warm tier.
-    pub fn standby(&mut self, rig: &SimRig, grant: SliceGrant) {
-        let uid = self.fresh_uid();
-        rig.trace
-            .emit(rig.clock.now(), TraceEvent::StandbyJoined { uid });
-        self.standbys.push((uid, grant));
-    }
+    impl ElasticService for DiesDraining {
+        fn dispatch(
+            &mut self,
+            _method: &str,
+            _args: &[u8],
+            _ctx: &mut ServiceContext,
+        ) -> Result<Vec<u8>, RemoteError> {
+            Ok(Vec::new())
+        }
 
-    /// The oldest standby is promoted into the rotation (the route-flip).
-    pub fn promote(&mut self, rig: &SimRig) {
-        let (uid, grant) = self.standbys.remove(0);
-        self.rotate_in(rig, uid, grant, TraceEvent::MemberPromoted { uid });
-        self.promotions += 1;
-    }
+        fn change_pool_size(&mut self, _stats: &MethodCallStats, _ctx: &mut ServiceContext) -> i32 {
+            self.0.load(Ordering::SeqCst)
+        }
 
-    /// Round-robin over the rotation, exactly like the pool's balancer.
-    pub fn route(&mut self) -> u64 {
-        let (uid, _) = self.rotation[self.rr % self.rotation.len()];
-        self.rr += 1;
-        uid
-    }
-
-    fn drained(rig: &mut SimRig, uid: u64, grant: SliceGrant) {
-        let now = rig.clock.now();
-        rig.trace.emit(now, TraceEvent::MemberDrained { uid });
-        let _ = rig.cluster.release(grant.slice, now);
-    }
-
-    /// Drains up to `k` members from the tail of the rotation — never
-    /// member 0, which is the real skeleton.
-    pub fn shrink(&mut self, rig: &mut SimRig, k: u32) {
-        for _ in 0..k {
-            if self.rotation.len() <= 1 {
-                break;
-            }
-            let (uid, grant) = self.rotation.pop().expect("checked non-empty");
-            rig.pool_size.fetch_sub(1, Ordering::SeqCst);
-            Self::drained(rig, uid, grant);
+        fn on_shutdown(&mut self, ctx: &mut ServiceContext) {
+            assert_ne!(ctx.uid(), 2, "member 2 dies mid-drain");
         }
     }
 
-    /// Quiesce: drains the whole rotation and hands back the warm tier's
-    /// slices too. Anything the cluster still counts afterwards is a leak.
-    pub fn release_all(&mut self, rig: &mut SimRig) {
-        for (uid, grant) in self.rotation.drain(..) {
-            Self::drained(rig, uid, grant);
-        }
-        for (_, grant) in self.standbys.drain(..) {
-            let _ = rig.cluster.release(grant.slice, rig.clock.now());
-        }
+    #[test]
+    fn a_member_that_dies_mid_drain_is_reaped_and_gives_its_slice_back() {
+        let rig = SimRig::new("Drain", 4, 1, SimDuration::from_millis(10));
+        let vote = Arc::new(AtomicI32::new(1));
+        let config = PoolConfig::builder("Drain")
+            .min_pool_size(2)
+            .max_pool_size(3)
+            .policy(ScalingPolicy::FineGrained)
+            .burst_interval(SimDuration::from_millis(100))
+            .build()
+            .unwrap();
+        let votes = Arc::clone(&vote);
+        let mut pool = rig.start_pool(config, move |_, _| DiesDraining(Arc::clone(&votes)));
+        let deadline = SimTime::from_secs(10);
+        rig.drive_pool_until(&mut pool, |p| p.handle.size() == 3);
+        // Shrink: the youngest member, 2, is told to drain and dies before
+        // it can ack. The runtime must still reap it, as a crash.
+        vote.store(-1, Ordering::SeqCst);
+        let reaped = |p: &SimPool| p.handle.stats().crashed == 1 || rig.clock.now() > deadline;
+        rig.drive_pool_until(&mut pool, reaped);
+        let stats = pool.handle.stats();
+        assert_eq!((stats.crashed, stats.shrunk), (1, 0), "{stats:?}");
+        assert_eq!(pool.handle.size(), 2);
+        assert_eq!(rig.cluster.slices_in_use(), 2, "the victim's slice is back");
+
+        vote.store(0, Ordering::SeqCst);
+        rig.quiesce_pool(&mut pool, SimDuration::ZERO);
+        assert_eq!(
+            rig.cluster.slices_in_use() + rig.cluster.pending_slices(),
+            0
+        );
     }
 }

@@ -5,10 +5,10 @@
 //! pool that is allowed to scale — with every telemetry layer switched on
 //! at once:
 //!
-//! * a [`TraceSink`](erm_metrics::TraceSink) shared by the skeleton, the scaling driver, and the
-//!   cluster manager, so the event stream contains complete invocation
-//!   *and* control-plane histories;
-//! * a metrics [`Registry`](erm_metrics::Registry) with the skeleton's
+//! * a [`TraceSink`](erm_metrics::TraceSink) shared by the skeletons, the
+//!   pool runtime and the cluster manager, so the event stream contains
+//!   complete invocation *and* control-plane histories;
+//! * a metrics [`Registry`](erm_metrics::Registry) with the skeletons'
 //!   `skeleton.queue.delay`, the kvstore's `kv.lock.wait`/`kv.lock.hold`,
 //!   and the cluster's `cluster.provision.latency` instruments installed,
 //!   snapshotted at every burst interval;
@@ -20,18 +20,14 @@
 //!   into the `scaling.decision.lag` histogram).
 //!
 //! The run is a single-threaded discrete-event simulation on a
-//! [`VirtualClock`](erm_sim::VirtualClock) and is deterministic for a given seed. One real
-//! [`Skeleton`](elasticrmi::Skeleton) hosts the service; added pool members are emulated by
-//! dividing the service time by the live pool size (the load-sharing
-//! effect of a bigger pool), so the scaling loop sees honest load signals
-//! without spinning up threads.
+//! [`VirtualClock`](erm_sim::VirtualClock) and is deterministic for a given
+//! seed. The pool is the production runtime ([`elasticrmi::PoolRuntime`])
+//! driven by [`SimRig::drive_pool`]: every member it grows is a real
+//! [`Skeleton`](elasticrmi::Skeleton), and every decision is its own.
 
 use std::fmt::Write as _;
-use std::sync::atomic::Ordering;
 
-use elasticrmi::{
-    AdmissionConfig, PoolConfig, RmiMessage, ScalingDecision, ScalingEngine, ScalingPolicy,
-};
+use elasticrmi::{Discipline, PoolConfig, ScalingPolicy};
 use erm_kvstore::LockOwner;
 use erm_metrics::{
     chrome_trace, snapshots_to_csv, DecisionSpan, InvocationOutcome, InvocationSpan,
@@ -40,9 +36,7 @@ use erm_metrics::{
 use erm_sim::{Clock, SimDuration};
 
 use crate::invariants::Violations;
-use crate::rig::{
-    arrival_schedule, ms, Call, ClassLock, JitteredService, ModelledPool, SimClient, SimRig,
-};
+use crate::rig::{arrival_schedule, ms, ClassLock, JitteredService, SimClient, SimRig};
 
 /// Class name shared by the skeleton, the store lock, and the pool config.
 const CLASS: &str = "Overload";
@@ -71,46 +65,33 @@ pub struct ElasticOverloadRun {
 
 /// Runs the instrumented elastic overload scenario to completion.
 ///
-/// Timeline (all virtual): one member bootstraps, 3 s of warmup at 80 req/s,
-/// a 6 s burst at 4x, 3 s of recovery. The scaling engine (implicit CPU
-/// thresholds plus a 50 ms queue-delay bound, floor 2 / ceiling 6) is polled
-/// every burst interval; grows go through the cluster manager's offer round
-/// trip with 500 ms provisioning latency.
+/// Timeline (all virtual): two members bootstrap, 3 s of warmup at 80 req/s,
+/// a 6 s burst at 4x, 3 s of recovery. The pool (implicit CPU thresholds
+/// plus a 50 ms queue-delay bound, floor 2 / ceiling 6) polls its members
+/// every 1 s burst interval; grows go through the cluster manager's offer
+/// round trip with 500 ms provisioning latency.
 pub fn run_elastic_overload(seed: u64) -> ElasticOverloadRun {
-    let mut rig = SimRig::new(CLASS, 8, 1, SimDuration::from_millis(500));
-    // The service occupies the member for the request's service time
-    // divided by the live pool size, and serializes each request briefly on
-    // the class lock (the way a `synchronized` elastic method would) so the
-    // `kv.lock.wait` / `kv.lock.hold` instruments see real traffic.
-    let service =
-        JitteredService::new(&rig.clock, seed ^ 0x7e1e_0e17, SimDuration::from_millis(10))
-            .sharing_load()
-            .locking(ClassLock {
-                class: CLASS,
-                method: None,
-                spin: SimDuration::from_micros(200),
-                max_wait: None,
-            });
-    let mut member = rig.spawn_member(0, service, Some(AdmissionConfig::edf(16)), None);
-    let mut client = SimClient::new(&rig, 3);
-
-    // Bootstrap: provision the floor of two members before traffic starts.
-    // These offers precede any ScaleDecision, so span reconstruction leaves
-    // them unattributed — exactly right for bootstrap capacity.
-    let mut pool = ModelledPool::default();
-    for grant in rig.bootstrap(2) {
-        pool.join(&rig, grant);
-    }
-
-    let pool_config = PoolConfig::builder(CLASS)
+    let rig = SimRig::new(CLASS, 8, 1, SimDuration::from_millis(500));
+    let config = PoolConfig::builder(CLASS)
         .min_pool_size(2)
         .max_pool_size(6)
         .policy(ScalingPolicy::Implicit)
         .queue_delay_grow_above(SimDuration::from_millis(50))
         .burst_interval(SimDuration::from_secs(1))
+        .admission(Discipline::Edf)
+        .overload_capacity(16)
         .build()
         .expect("valid pool config");
-    let mut engine = ScalingEngine::new(pool_config, rig.clock.now());
+    // Each member occupies itself for the request's service time and
+    // serializes it on the class lock (the way a `synchronized` elastic
+    // method would), so the `kv.lock.wait` / `kv.lock.hold` instruments see
+    // real traffic. Bootstrap offers precede any ScaleDecision, so span
+    // reconstruction leaves them unattributed — right for bootstrap capacity.
+    let mut pool = rig.start_pool(config, move |clock, n| {
+        JitteredService::new(clock, seed ^ 0x7e1e_0e17 ^ n, SimDuration::from_millis(10))
+            .locking(ClassLock::every_method(CLASS))
+    });
+    let mut client = SimClient::new(&rig, 3);
 
     // Pre-computed arrival schedule: 80 req/s with ±50 % jitter, 4x inside
     // the burst window. Two members at 10 ms mean service ≈ 200 req/s
@@ -121,72 +102,24 @@ pub fn run_elastic_overload(seed: u64) -> ElasticOverloadRun {
     let end = burst_to + SimDuration::from_secs(3);
     let schedule = arrival_schedule(seed, start, end, 80.0, Some((burst_from, burst_to, 4.0)));
 
-    let deadline_budget = SimDuration::from_millis(250);
-    let poll_every = SimDuration::from_secs(1);
-    let mut next_poll = start + poll_every;
+    // Once a second a phantom contender briefly takes the class lock, so
+    // the next dispatch measurably waits (shared-state pressure on cue),
+    // and the registry is snapshotted.
     let mut snapshots: Vec<RegistrySnapshot> = vec![rig.registry.snapshot(start)];
-    let mut arrivals = schedule.into_iter().peekable();
+    let tick = (SimDuration::from_secs(1), |now| {
+        let _ = rig
+            .store
+            .try_lock(CLASS, CONTENDER, now, SimDuration::from_millis(2));
+        snapshots.push(rig.registry.snapshot(now));
+    });
+    let budget = SimDuration::from_millis(250);
+    rig.serve(&mut pool, &mut client, schedule, budget, end, tick);
 
-    loop {
-        let now = rig.clock.now();
-        // 1. Drain replies: close invocation spans, schedule retries.
-        while let Some((p, reply)) = client.recv() {
-            match reply {
-                RmiMessage::Response { outcome, .. } => client.complete(&p.a, &outcome),
-                RmiMessage::Overloaded { retry_after, .. } => client.overloaded(&p, retry_after),
-                _ => {}
-            }
-        }
-        // 2. New members that finished provisioning come up.
-        for grant in rig.cluster.poll_ready(now) {
-            pool.join(&rig, grant);
-        }
-        // 3. Due retries re-enter ahead of fresh arrivals; 4. arrivals due
-        //    now enter.
-        let due = client.due_retry().or_else(|| {
-            arrivals.next_if(|&at| at <= now)?;
-            Some(client.begin(Call::WORK, now + deadline_budget))
-        });
-        if let Some(attempt) = due {
-            client.send_attempt(&mut member, 0, attempt);
-            continue;
-        }
-        // 5. Burst-interval rollover: poll load, run the scaling engine on
-        //    the report, snapshot the registry.
-        if now >= next_poll {
-            next_poll += poll_every;
-            // A phantom contender briefly takes the class lock so the next
-            // dispatch measurably waits: shared-state pressure on cue.
-            let _ = rig
-                .store
-                .try_lock(CLASS, CONTENDER, now, SimDuration::from_millis(2));
-            if let Some(report) = client.poll_load(&mut member) {
-                let size = rig.pool_size.load(Ordering::SeqCst);
-                match rig.scaling_tick(&mut engine, &report, size, 0) {
-                    ScalingDecision::Grow(k) => {
-                        let _ = rig.cluster.request_slices(k, now);
-                    }
-                    ScalingDecision::Shrink(k) => pool.shrink(&mut rig, k),
-                    ScalingDecision::Hold => {}
-                }
-            }
-            snapshots.push(rig.registry.snapshot(now));
-            continue;
-        }
-        // 6. Execute one admitted request or cull expired ones.
-        if member.skeleton.step() {
-            continue;
-        }
-        // 7. Idle: jump to the next event, or finish.
-        if arrivals.peek().is_none() && client.is_idle() && now >= end {
-            break;
-        }
-        rig.idle_until(&[
-            Some(next_poll),
-            arrivals.peek().copied(),
-            client.next_retry(),
-        ]);
-    }
+    // Quiesce for the checker through the runtime's own shutdown, and let
+    // the phantom contender drop the class lock it took at the last poll
+    // (during the run it just lets the 2 ms TTL lapse).
+    rig.quiesce_pool(&mut pool, SimDuration::ZERO);
+    let _ = rig.store.release_owner(CONTENDER, rig.clock.now());
 
     // Reconstruct spans, attribute decision lag, and render the artifacts.
     let records = rig.sink.snapshot();
@@ -200,12 +133,6 @@ pub fn run_elastic_overload(seed: u64) -> ElasticOverloadRun {
         }
     }
     snapshots.push(rig.registry.snapshot(rig.clock.now()));
-
-    // Quiesce for the checker: hand back every slice, and let the phantom
-    // contender drop the class lock it took at the last poll (during the
-    // run it just lets the 2 ms TTL lapse).
-    pool.release_all(&mut rig);
-    let _ = rig.store.release_owner(CONTENDER, rig.clock.now());
     let violations = rig.check(&client.facts, &records, 0);
 
     // Duplicate-suppression tallies (wire v4): hits, replayed, evicted.

@@ -27,26 +27,18 @@
 //! All of them are verdicts of the shared [`crate::invariants`] checker.
 //!
 //! The run is a deterministic single-threaded discrete-event simulation on
-//! a [`VirtualClock`](erm_sim::VirtualClock), same substitution scheme as [`crate::telemetry`]:
-//! one real [`Skeleton`](elasticrmi::Skeleton) hosts the service (honest admission and
-//! queue-delay signals), added members are emulated by dividing service
-//! time by the rotation size, and the standby tier is modelled exactly as
-//! `ElasticPool` implements it (provisioned, heartbeating, excluded from
-//! the rotation and from scaling samples until promoted).
+//! a [`VirtualClock`](erm_sim::VirtualClock), like [`crate::telemetry`]: the
+//! pool is the production runtime driven by [`SimRig::drive_pool`], so the
+//! standby tier, the promotion and the backfill are `ElasticPool`'s own.
 
 use std::fmt::Write as _;
-use std::sync::atomic::Ordering;
 
-use elasticrmi::{
-    AdmissionConfig, PoolConfig, RmiMessage, ScalingDecision, ScalingEngine, ScalingPolicy,
-};
+use elasticrmi::{Discipline, PoolConfig, ScalingPolicy};
 use erm_metrics::{snapshots_to_csv, MetricsHandle, SpanBuilder};
 use erm_sim::{Clock, SimDuration, SimTime};
 
 use crate::invariants::Violations;
-use crate::rig::{
-    arrival_schedule, ms, Call, ClassLock, JitteredService, ModelledPool, SimClient, SimRig,
-};
+use crate::rig::{arrival_schedule, ms, ClassLock, JitteredService, SimClient, SimRig};
 
 /// Class name shared by the skeleton, the store lock, and the pool config.
 const CLASS: &str = "Warmpool";
@@ -103,44 +95,27 @@ pub struct WarmpoolRun {
 
 /// Runs one variant of the scenario.
 fn run_variant(seed: u64, warm_standby: u32, quick: bool) -> WarmpoolVariant {
-    let mut rig = SimRig::new(CLASS, 8, 1, PROVISION);
-    // The service occupies the member for the request's service time
-    // divided by the *rotation* size (`rig.pool_size`) — standbys hold
-    // capacity but serve no load until promoted — and briefly serializes
-    // on the class lock.
-    let service =
-        JitteredService::new(&rig.clock, seed ^ 0x3a9b_51c7, SimDuration::from_millis(10))
-            .sharing_load()
-            .locking(ClassLock {
-                class: CLASS,
-                method: None,
-                spin: SimDuration::from_micros(200),
-                max_wait: None,
-            });
-    let mut member = rig.spawn_member(0, service, Some(AdmissionConfig::edf(16)), None);
-    let mut client = SimClient::new(&rig, 3);
-
-    // Bootstrap: the rotation floor of two plus the warm tier, provisioned
-    // before traffic starts. Grants beyond the floor join as standbys.
-    let mut pool = ModelledPool::default();
-    for grant in rig.bootstrap(2 + warm_standby) {
-        if pool.rotation.len() < 2 {
-            pool.join(&rig, grant);
-        } else {
-            pool.standby(&rig, grant);
-        }
-    }
-
-    let pool_config = PoolConfig::builder(CLASS)
+    let rig = SimRig::new(CLASS, 8, 1, PROVISION);
+    let config = PoolConfig::builder(CLASS)
         .min_pool_size(2)
         .max_pool_size(6)
         .warm_standby(warm_standby)
         .policy(ScalingPolicy::Implicit)
         .queue_delay_grow_above(SimDuration::from_millis(50))
         .burst_interval(TICK)
+        .admission(Discipline::Edf)
+        .overload_capacity(16)
         .build()
         .expect("valid pool config");
-    let mut engine = ScalingEngine::new(pool_config, rig.clock.now());
+    // Each member occupies itself for the request's service time, briefly
+    // serializing on the class lock; standbys hold capacity but serve no
+    // load until promoted. The rotation floor of two plus the warm tier is
+    // provisioned before traffic starts.
+    let mut pool = rig.start_pool(config, move |clock, n| {
+        JitteredService::new(clock, seed ^ 0x3a9b_51c7 ^ n, SimDuration::from_millis(10))
+            .locking(ClassLock::every_method(CLASS))
+    });
+    let mut client = SimClient::new(&rig, 3);
 
     // Arrival schedule: 80 req/s with ±50 % jitter, 4x inside the burst.
     // Two members at 10 ms mean service ≈ 200 req/s capacity, so the burst
@@ -152,99 +127,15 @@ fn run_variant(seed: u64, warm_standby: u32, quick: bool) -> WarmpoolVariant {
     let end = burst_to + SimDuration::from_secs(recovery);
     let schedule = arrival_schedule(seed, start, end, 80.0, Some((burst_from, burst_to, 4.0)));
     let invocations_total = schedule.len();
+    let (budget, tick) = (DEADLINE_BUDGET, (TICK, |_| {}));
+    rig.serve(&mut pool, &mut client, schedule, budget, end, tick);
 
-    let mut next_poll = start + TICK;
-    let mut arrivals = schedule.into_iter().peekable();
-    // Grants still provisioning that are earmarked for the standby tier.
-    let mut standby_inbound: u32 = 0;
-
-    loop {
-        let now = rig.clock.now();
-        // 1. Drain replies: terminal events, Overloaded retry scheduling.
-        while let Some((p, reply)) = client.recv() {
-            match reply {
-                RmiMessage::Response { outcome, .. } => client.complete(&p.a, &outcome),
-                RmiMessage::Overloaded { retry_after, .. } => client.overloaded(&p, retry_after),
-                _ => {}
-            }
-        }
-        // 2. Grants that finished provisioning come up: the standby tier
-        //    refills first, anything else joins the rotation.
-        for grant in rig.cluster.poll_ready(now) {
-            if (pool.standbys.len() as u32) < warm_standby && standby_inbound > 0 {
-                standby_inbound -= 1;
-                pool.standby(&rig, grant);
-            } else {
-                pool.join(&rig, grant);
-            }
-        }
-        // 3. Due retries re-enter ahead of fresh arrivals; 4. arrivals due
-        //    now enter.
-        let due = client.due_retry().or_else(|| {
-            arrivals.next_if(|&at| at <= now)?;
-            Some(client.begin(Call::WORK, now + DEADLINE_BUDGET))
-        });
-        if let Some(attempt) = due {
-            client.send_attempt(&mut member, pool.route(), attempt);
-            continue;
-        }
-        // 5. Control-loop tick: poll load, decide, grow by route-flip when
-        //    the warm tier can cover it.
-        if now >= next_poll {
-            next_poll += TICK;
-            if let Some(report) = client.poll_load(&mut member) {
-                let size = rig.pool_size.load(Ordering::SeqCst);
-                let standbys = pool.standbys.len() as u32;
-                match rig.scaling_tick(&mut engine, &report, size, standbys) {
-                    ScalingDecision::Grow(k) => {
-                        // Route-flip first: promote standbys, publishing the
-                        // promotion before any request can route to them.
-                        // Shortfall goes through the cold offer path; the
-                        // tier is refilled in the background.
-                        let mut shortfall = k;
-                        while shortfall > 0 && !pool.standbys.is_empty() {
-                            pool.promote(&rig);
-                            shortfall -= 1;
-                        }
-                        let promoted = k - shortfall;
-                        let ask = shortfall + promoted; // growth + tier refill
-                        if ask > 0 {
-                            if let Ok(out) = rig.cluster.request_slices(ask, now) {
-                                standby_inbound += out.granted.min(promoted);
-                            }
-                        }
-                    }
-                    ScalingDecision::Shrink(k) => pool.shrink(&mut rig, k),
-                    ScalingDecision::Hold => {}
-                }
-            }
-            continue;
-        }
-        // 6. Execute one admitted request or cull expired ones.
-        if member.skeleton.step() {
-            continue;
-        }
-        // 7. Idle: jump to the next event, or finish.
-        if arrivals.peek().is_none() && client.is_idle() && now >= end {
-            break;
-        }
-        rig.idle_until(&[
-            Some(next_poll),
-            arrivals.peek().copied(),
-            client.next_retry(),
-        ]);
-    }
-
-    // Quiesce: collect stragglers still provisioning, then release every
-    // slice — rotation and standby tier alike. Anything the cluster still
-    // counts afterwards is a leak.
-    rig.clock.advance(PROVISION + SimDuration::from_secs(1));
-    let quiesce_at = rig.clock.now();
-    for grant in rig.cluster.poll_ready(quiesce_at) {
-        let _ = rig.cluster.release(grant.slice, quiesce_at);
-    }
-    let slice_seconds = rig.cluster.reserved_slice_seconds(quiesce_at);
-    pool.release_all(&mut rig);
+    // The cost side is what the run reserved; then quiesce through the
+    // runtime's shutdown. Anything the cluster still counts is a leak.
+    let slice_seconds = rig
+        .cluster
+        .with(|m| m.reserved_slice_seconds(rig.clock.now()));
+    rig.quiesce_pool(&mut pool, PROVISION);
     let records = rig.sink.snapshot();
     let violations = rig.check(&client.facts, &records, 0);
 
@@ -266,7 +157,7 @@ fn run_variant(seed: u64, warm_standby: u32, quick: bool) -> WarmpoolVariant {
         warm_standby,
         invocations: invocations_total,
         violations,
-        promotions: pool.promotions,
+        promotions: pool.handle.stats().promoted as usize,
         grow_decisions: grows.len(),
         promoted_lag,
         offer_lag,

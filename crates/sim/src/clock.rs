@@ -14,7 +14,7 @@ use crate::time::{SimDuration, SimTime};
 /// [`SystemClock`] in the threaded runtime.
 ///
 /// Implementations must be monotonic: successive calls to [`Clock::now`]
-/// never go backwards.
+/// never go backwards (per actor, under [`VirtualClock::rewind_to`]).
 pub trait Clock: Send + Sync {
     /// The current time.
     fn now(&self) -> SimTime;
@@ -74,6 +74,15 @@ impl VirtualClock {
             "virtual clock moved backwards: {prev} -> {}",
             target.as_micros()
         );
+    }
+
+    /// Sets the clock back to `earlier`, for a discrete-event driver that
+    /// runs several actors from one instant, each on its own stretch of
+    /// time (parallel pool members sharing one clock): after an actor's
+    /// turn the driver rewinds to where the next actor starts. Everything
+    /// that saw the later time must have been that actor's own work.
+    pub fn rewind_to(&self, earlier: SimTime) {
+        self.micros.store(earlier.as_micros(), Ordering::SeqCst);
     }
 }
 

@@ -9,9 +9,24 @@
 //!
 //! This lives in the root package because tier-1 `cargo test -q` runs only
 //! the root package. A digest that changes is a behaviour change: the fix is
-//! in the harness, not in this table. The table was recorded on the commit
-//! before the scenarios moved onto the shared rig (`erm_harness::rig`) and
-//! passed there unchanged; the single exception is documented at its rows.
+//! in the harness, not in this table. The `overload` and `sharded` rows were
+//! recorded on the commit before the scenarios moved onto the shared rig
+//! (`erm_harness::rig`) and passed there unchanged.
+//!
+//! The `churn`, `elastic-overload` and `warmpool` rows moved once, when those
+//! scenarios stopped modelling the pool and started driving the production
+//! runtime (`SimRig::drive_pool`): real members that serve in parallel, the
+//! runtime's own detection, election, promotion, backfill and shutdown. The
+//! digests of the modelled pools they replaced were:
+//!   churn            report [0xdfad0180e9ed5fc9, 0x62b891cd7bdced83, 0x9e529adcc7c728cf]
+//!   churn            csv    [0x82974cfc107bf129, 0xbaca739613ce85db, 0xbfcf82923ee3f25c]
+//!   elastic-overload report [0xde4be90e72a6210f, 0x7dc2d8ad17d6f820, 0x25c93dab5ed3922a]
+//!   elastic-overload csv    [0x27b211623682b8ae, 0x4a25ce8ccb77bfce, 0xa66032d775680cd0]
+//!   elastic-overload trace  [0x5871210ec994b58a, 0xc82e7c21573b8836, 0xf5513ca5127800db]
+//!   warmpool         report [0x82b4351fbb63899c, 0xbe7c7908e8509403, 0x8daf66bf977c03c3]
+//!   warmpool         csv    [0xfb7f69bc1df0194c, 0xe84e0a8acc51cca5, 0x83e9fa202d837e75]
+//!   warmpool-quick   report [0x1884bd2d970c6a55, 0x0f53896bd232c2b8, 0x485d4663579841bb]
+//!   warmpool-quick   csv    [0xfd20464cb42bc90c, 0x2526df2ddd37f125, 0x1bac98fc2d845335]
 
 use erm_harness::{
     render_overload, run_churn, run_elastic_overload, run_sharded, run_warmpool, ElasticOverloadRun,
@@ -30,62 +45,52 @@ const GOLDEN: [(&str, &str, [u64; 3]); 14] = [
     (
         "churn",
         "report",
-        [0xdfad0180e9ed5fc9, 0x62b891cd7bdced83, 0x9e529adcc7c728cf],
+        [0xf4b1a38fab6fccaf, 0x9e84b1d593285f58, 0x7db6d0a50cdce9d9],
     ),
     (
         "churn",
         "csv",
-        [0x82974cfc107bf129, 0xbaca739613ce85db, 0xbfcf82923ee3f25c],
+        [0x0e3cc6e68016e185, 0x2dc04bea3faded13, 0x5644ae6ecec11d37],
     ),
     (
         "overload",
         "report",
         [0x9972dabb17173315, 0x9f972f72a824bf6b, 0xeb449b313448e88c],
     ),
-    // The one permitted change since these digests were recorded on the
-    // parent commit: the elastic overload client dropped every invocation it
-    // gave up on (192 / 323 / 217 for the three seeds) without a terminal
-    // event, which the shared checker reports as lost. They now complete as
-    // failed, so the report's tally line reads "remote-error N, rejected 0"
-    // where it read "remote-error 0, rejected N", and those invocations'
-    // root spans in the trace carry outcome RemoteError, not Rejected.
-    // Nothing else moved; the CSV row below is the parent's. Parent digests:
-    //   report [0x539c03fb1d88d4b3, 0x80a7ff5e27a281a0, 0x20eac53688930ff2]
-    //   trace  [0x85dcbe6df336787c, 0xeaa950075d592364, 0x40fcc56b74a481e1]
     (
         "elastic-overload",
         "report",
-        [0xde4be90e72a6210f, 0x7dc2d8ad17d6f820, 0x25c93dab5ed3922a],
+        [0x2c79bc94d7024d13, 0xca463c84f3bcdb3c, 0x2a16b3d1d9c92460],
     ),
     (
         "elastic-overload",
         "csv",
-        [0x27b211623682b8ae, 0x4a25ce8ccb77bfce, 0xa66032d775680cd0],
+        [0x2f78b5c750e1dc56, 0x93155fe758a1e3fc, 0x3b393a4d47ed2aae],
     ),
     (
         "elastic-overload",
         "trace",
-        [0x5871210ec994b58a, 0xc82e7c21573b8836, 0xf5513ca5127800db],
+        [0x52f5c968c71c960d, 0xb784491ee8ba59fd, 0x00c18dfc86698f3d],
     ),
     (
         "warmpool",
         "report",
-        [0x82b4351fbb63899c, 0xbe7c7908e8509403, 0x8daf66bf977c03c3],
+        [0xc4a9cec35a6205c5, 0x82a31e8676007226, 0x718c01568432a824],
     ),
     (
         "warmpool",
         "csv",
-        [0xfb7f69bc1df0194c, 0xe84e0a8acc51cca5, 0x83e9fa202d837e75],
+        [0xfd55adaed671b156, 0xc6fb916096b73a4b, 0x7036706198efea4d],
     ),
     (
         "warmpool-quick",
         "report",
-        [0x1884bd2d970c6a55, 0x0f53896bd232c2b8, 0x485d4663579841bb],
+        [0x3843dc230e24085c, 0xd468e3953dd8b0bf, 0x526cdac0b96a3ecd],
     ),
     (
         "warmpool-quick",
         "csv",
-        [0xfd20464cb42bc90c, 0x2526df2ddd37f125, 0x1bac98fc2d845335],
+        [0x0385e12f86d04071, 0xd967d1310bbec561, 0x69343163ea2c8b7e],
     ),
     (
         "sharded",
