@@ -29,6 +29,7 @@ use std::time::Duration;
 use erm_cluster::{ClusterHandle, SliceGrant, SliceId};
 use erm_kvstore::{LockOwner, Store};
 use erm_metrics::{Histogram, MetricsHandle, TraceEvent, TraceHandle};
+use erm_semantics::SemanticsTable;
 use erm_sim::{SharedClock, SimDuration, SimTime};
 use erm_transport::{EndpointId, Host, Mailbox, Network};
 use parking_lot::{Mutex, RwLock};
@@ -39,7 +40,7 @@ use crate::config::{PoolConfig, ScalingPolicy};
 use crate::error::PoolError;
 use crate::message::{LoadReport, MemberState, RmiMessage};
 use crate::scaling::{PoolSample, ScalingDecision, ScalingEngine};
-use crate::shard::{hash_bytes, ShardRing};
+use crate::shard::{hash_bytes, ShardRing, ShardingTable};
 use crate::stub::{ClientLb, Stub};
 
 /// Creates one service instance per pool member.
@@ -116,6 +117,11 @@ struct PoolShared {
     stats: Mutex<PoolStats>,
     last_reports: Mutex<Vec<LoadReport>>,
     shutdown: AtomicBool,
+    /// What [`PoolHandle::open_stub`] wires a client to: the pool's host,
+    /// clock and trace, and its semantics and sharding tables.
+    deps: PoolDeps,
+    semantics: SemanticsTable,
+    sharding: ShardingTable,
 }
 
 /// The driver-independent face of a [`PoolRuntime`]: its published view,
@@ -157,6 +163,28 @@ impl PoolHandle {
     pub fn shutdown(&self) {
         self.0.shutdown.store(true, Ordering::SeqCst);
     }
+
+    /// Opens a client stub on this pool without waiting for its membership
+    /// ([`Stub::open`]): a fresh endpoint on the pool's host, the pool's
+    /// clock and trace, and the pool's declared per-method semantics (wire
+    /// v4) and routing keys (wire v5), so at-most-once and keyed methods
+    /// are honoured end to end with no per-caller wiring.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::RmiError::SentinelUnreachable`] if the discovery request
+    /// cannot be sent.
+    pub fn open_stub(&self, lb: ClientLb) -> Result<Stub, crate::RmiError> {
+        let deps = &self.0.deps;
+        let (ep, mailbox) = deps.net.open();
+        let net: Arc<dyn Network> = Arc::clone(&deps.net) as Arc<dyn Network>;
+        let clock = Arc::clone(&deps.clock);
+        let mut stub = Stub::open(net, ep, mailbox, self.sentinel(), lb, clock)?;
+        stub.set_trace(deps.trace.clone());
+        stub.set_semantics(self.0.semantics.clone());
+        stub.set_sharding(self.0.sharding.clone());
+        Ok(stub)
+    }
 }
 
 /// Handle to a running elastic object pool: a [`PoolHandle`] (its size,
@@ -166,11 +194,6 @@ impl PoolHandle {
 /// their slices).
 pub struct ElasticPool {
     handle: PoolHandle,
-    net: Arc<dyn Host>,
-    clock: SharedClock,
-    trace: TraceHandle,
-    semantics: crate::SemanticsTable,
-    sharding: crate::ShardingTable,
     driver: Option<JoinHandle<()>>,
 }
 
@@ -205,9 +228,8 @@ impl ElasticPool {
         deps: PoolDeps,
         decider: Option<Box<dyn Decider>>,
     ) -> Result<ElasticPool, PoolError> {
-        let semantics = config.semantics().clone();
-        let sharding = config.sharding().clone();
-        let runtime = PoolRuntime::start(config, factory, deps.clone(), decider)?;
+        let clock = Arc::clone(&deps.clock);
+        let runtime = PoolRuntime::start(config, factory, deps, decider)?;
         let handle = runtime.handle();
         let driver = std::thread::Builder::new()
             .name("elasticrmi-pool".to_string())
@@ -216,11 +238,6 @@ impl ElasticPool {
 
         let pool = ElasticPool {
             handle,
-            net: deps.net,
-            clock: deps.clock,
-            trace: deps.trace,
-            semantics,
-            sharding,
             driver: Some(driver),
         };
         // Wait for the initial members to come up, bounded on the injected
@@ -228,9 +245,9 @@ impl ElasticPool {
         // seconds; under a virtual clock, provisioning failure surfaces
         // only when the driving harness advances time past the bound —
         // never because wall time leaked into protocol logic.
-        let deadline = pool.clock.now() + SimDuration::from_secs(30);
+        let deadline = clock.now() + SimDuration::from_secs(30);
         while pool.size() == 0 {
-            if pool.clock.now() > deadline {
+            if clock.now() > deadline {
                 return Err(PoolError::Cluster(
                     "initial members failed to provision in time".to_string(),
                 ));
@@ -240,31 +257,16 @@ impl ElasticPool {
         Ok(pool)
     }
 
-    /// Opens a client stub against this pool.
+    /// Opens a client stub against this pool ([`PoolHandle::open_stub`])
+    /// and waits for its membership, as [`Stub::connect`] does.
     ///
     /// # Errors
     ///
     /// Propagates [`crate::RmiError::SentinelUnreachable`] if discovery
     /// fails.
     pub fn stub(&self, lb: ClientLb) -> Result<Stub, crate::RmiError> {
-        let (ep, mailbox) = self.net.open();
-        let net: Arc<dyn Network> = Arc::clone(&self.net) as Arc<dyn Network>;
-        let mut stub = Stub::connect(
-            net,
-            ep,
-            mailbox,
-            self.sentinel(),
-            lb,
-            Arc::clone(&self.clock),
-        )?;
-        stub.set_trace(self.trace.clone());
-        // Stubs stamp each request's `context.semantics` from the pool's
-        // declared per-method table (wire v4), so at-most-once methods are
-        // protected end-to-end without per-caller wiring.
-        stub.set_semantics(self.semantics.clone());
-        // Likewise the routing-key table (wire v5): keyed methods route by
-        // ring position instead of load, with no per-caller wiring.
-        stub.set_sharding(self.sharding.clone());
+        let mut stub = self.handle.open_stub(lb)?;
+        stub.await_members()?;
         Ok(stub)
     }
 
@@ -479,6 +481,17 @@ impl PoolRuntime {
             outstanding: outcome.granted,
             standby: false,
         };
+        let shared = Arc::new(PoolShared {
+            sentinel: RwLock::new(EndpointId(u64::MAX)),
+            members: RwLock::new(Vec::new()),
+            size: Arc::new(AtomicU32::new(0)),
+            stats: Mutex::new(PoolStats::default()),
+            last_reports: Mutex::new(Vec::new()),
+            shutdown: AtomicBool::new(false),
+            deps: deps.clone(),
+            semantics: config.semantics().clone(),
+            sharding: config.sharding().clone(),
+        });
         Ok(PoolRuntime {
             engine: ScalingEngine::new(config.clone(), now),
             recovery: RecoveryTracker::new(&deps.metrics),
@@ -486,14 +499,7 @@ impl PoolRuntime {
             deps,
             factory,
             decider,
-            shared: Arc::new(PoolShared {
-                sentinel: RwLock::new(EndpointId(u64::MAX)),
-                members: RwLock::new(Vec::new()),
-                size: Arc::new(AtomicU32::new(0)),
-                stats: Mutex::new(PoolStats::default()),
-                last_reports: Mutex::new(Vec::new()),
-                shutdown: AtomicBool::new(false),
-            }),
+            shared,
             ctl,
             ctl_mailbox,
             members: BTreeMap::new(),

@@ -188,6 +188,29 @@ impl Stub {
         lb: ClientLb,
         clock: SharedClock,
     ) -> Result<Stub, RmiError> {
+        let mut stub = Stub::open(net, endpoint, mailbox, sentinel, lb, clock)?;
+        stub.await_members()?;
+        Ok(stub)
+    }
+
+    /// [`Stub::connect`] without the wait: asks the sentinel for the member
+    /// list and returns at once. The view installs on the first pump after
+    /// the `PoolInfo` arrives; until then every invocation targets the
+    /// sentinel. This is the shape a driver that owns the clock needs — it
+    /// cannot block while the pool it drives is the one to answer.
+    ///
+    /// # Errors
+    ///
+    /// [`RmiError::SentinelUnreachable`] when the transport refuses the
+    /// request.
+    pub fn open(
+        net: Arc<dyn Network>,
+        endpoint: EndpointId,
+        mailbox: Mailbox,
+        sentinel: EndpointId,
+        lb: ClientLb,
+        clock: SharedClock,
+    ) -> Result<Stub, RmiError> {
         let rng = match lb {
             ClientLb::Random { seed } => seeded_rng(seed),
             ClientLb::RoundRobin => seeded_rng(0),
@@ -222,7 +245,11 @@ impl Stub {
             due: Vec::new(),
             target_open: Vec::new(),
         };
-        stub.refresh_members()?;
+        stub.stats.refreshes += 1;
+        let request = RmiMessage::PoolInfoRequest.encode();
+        stub.net
+            .send(endpoint, sentinel, request)
+            .map_err(|_| RmiError::SentinelUnreachable(sentinel))?;
         Ok(stub)
     }
 
@@ -449,6 +476,34 @@ impl Stub {
     /// Number of invocations begun but not yet finished.
     pub fn in_flight(&self) -> usize {
         self.pending.len()
+    }
+
+    /// When the stub next has work to do if no message arrives: the earliest
+    /// attempt reply timeout, backoff end, invocation deadline or membership
+    /// refresh deadline. `None` with nothing pending. A driver that owns the
+    /// clock advances to it and pumps ([`Stub::drain_completed`]).
+    pub fn next_due(&self) -> Option<SimTime> {
+        let due = |pending: &Pending| match pending.state {
+            PendingState::Waiting {
+                attempt_deadline, ..
+            } => attempt_deadline,
+            // Out of targets and waiting on a refresh: only the `PoolInfo`
+            // (a message), the refresh deadline or its own deadline moves it.
+            PendingState::Idle { .. }
+                if pending.awaiting_refresh
+                    && self.refresh_inflight.is_some()
+                    && pending.committed.is_none()
+                    && pending.next_target >= pending.targets.len() =>
+            {
+                pending.context.deadline
+            }
+            PendingState::Idle { not_before } => not_before.min(pending.context.deadline),
+        };
+        self.pending
+            .values()
+            .map(due)
+            .chain(self.refresh_inflight)
+            .min()
     }
 
     /// Blocks until `invocation` finishes, sleeping on the mailbox between
@@ -1051,7 +1106,9 @@ impl Stub {
     /// Member gone or mute: once per invocation, ask the sentinel for a
     /// fresh membership view — asynchronously, so the other pending
     /// invocations keep flowing while the `PoolInfo` is in flight.
-    /// Concurrent failures share one outstanding request.
+    /// Concurrent failures share one outstanding request. Every member
+    /// answers with its view, so a dead sentinel's request goes to the
+    /// first live member instead; the view it returns names the new one.
     fn maybe_refresh(&mut self, invocation: u64) {
         let already = self
             .pending
@@ -1062,16 +1119,17 @@ impl Stub {
         }
         if self.refresh_inflight.is_none() {
             self.stats.refreshes += 1;
+            let net = &self.net;
+            let ask = std::iter::once(self.sentinel)
+                .chain(self.members.iter().copied())
+                .find(|&m| net.endpoint_open(m))
+                .unwrap_or(self.sentinel);
             if self
                 .net
-                .send(
-                    self.endpoint,
-                    self.sentinel,
-                    RmiMessage::PoolInfoRequest.encode(),
-                )
+                .send(self.endpoint, ask, RmiMessage::PoolInfoRequest.encode())
                 .is_err()
             {
-                // Sentinel unreachable: leave `refreshed` false so a later
+                // Nobody reachable: leave `refreshed` false so a later
                 // failure of this invocation may try again.
                 return;
             }
@@ -1231,27 +1289,16 @@ impl Stub {
         order
     }
 
-    /// Fetches the member list from the sentinel.
+    /// Blocks until a `PoolInfo` arrives, for at most the reply timeout.
     ///
-    /// # Errors
-    ///
-    /// [`RmiError::SentinelUnreachable`] when no `PoolInfo` arrives in time.
-    pub fn refresh_members(&mut self) -> Result<(), RmiError> {
-        self.stats.refreshes += 1;
-        if self
-            .net
-            .send(
-                self.endpoint,
-                self.sentinel,
-                RmiMessage::PoolInfoRequest.encode(),
-            )
-            .is_err()
-        {
-            return Err(RmiError::SentinelUnreachable(self.sentinel));
-        }
-        let mut wait = ClockWait::new(self.clock.now() + self.reply_timeout);
+    /// The bound is on the injected clock alone: a run on a `VirtualClock`
+    /// is decided by clock advances, a run on the `SystemClock` by wall
+    /// time, and the two never mix — a harness that pauses its clock
+    /// forever gets the hang it asked for.
+    pub(crate) fn await_members(&mut self) -> Result<(), RmiError> {
+        let deadline = self.clock.now() + self.reply_timeout;
         loop {
-            if matches!(wait.poll(self.clock.as_ref()), WaitState::DeadlineReached) {
+            if self.clock.now() >= deadline {
                 return Err(RmiError::SentinelUnreachable(self.sentinel));
             }
             match self.mailbox.recv_timeout(POLL_TICK) {
@@ -1271,38 +1318,6 @@ impl Stub {
                 Err(RecvError::Timeout) => continue,
                 Err(RecvError::Closed) => return Err(RmiError::SentinelUnreachable(self.sentinel)),
             }
-        }
-    }
-}
-
-/// A wait bounded by a deadline on the injected (possibly virtual) clock.
-///
-/// Purely clock-driven: protocol semantics (timeouts, budgets, backoff)
-/// live entirely in sim time, so a run on a `VirtualClock` is decided by
-/// clock advances alone and a run on the `SystemClock` by wall time — the
-/// two domains never mix. (An earlier version kept a wall-clock backstop
-/// "in case nobody advances the virtual clock"; that blurred every
-/// timeout's semantics and made TCP runs nondeterministic, so it is gone:
-/// a harness that pauses its clock forever gets the hang it asked for.)
-struct ClockWait {
-    deadline: SimTime,
-}
-
-enum WaitState {
-    Waiting,
-    DeadlineReached,
-}
-
-impl ClockWait {
-    fn new(deadline: SimTime) -> Self {
-        ClockWait { deadline }
-    }
-
-    fn poll(&mut self, clock: &dyn erm_sim::Clock) -> WaitState {
-        if clock.now() >= self.deadline {
-            WaitState::DeadlineReached
-        } else {
-            WaitState::Waiting
         }
     }
 }
@@ -1454,25 +1469,27 @@ mod tests {
         members: &[&FakeMember],
         clock: SharedClock,
     ) -> Stub {
-        let (client_ep, client_mb) = net.open();
-        let net_arc: Arc<dyn Network> = Arc::new(net.clone());
-        let info = pool_info(sentinel, members);
-        let s_ep = sentinel.endpoint;
-        // Connect blocks on discovery, so run it in a thread and serve the
-        // PoolInfoRequest from here.
-        let handle = std::thread::spawn(move || {
-            Stub::connect(
-                net_arc,
-                client_ep,
-                client_mb,
-                s_ep,
-                ClientLb::RoundRobin,
-                clock,
-            )
-        });
+        // Serve the discovery request inline, then pump: the view installs.
+        let mut stub = open_on(net, sentinel, clock);
         let d = sentinel.mailbox.recv().expect("discovery request");
-        net.send(sentinel.endpoint, d.from, info.encode()).unwrap();
-        handle.join().unwrap().expect("connect succeeds")
+        let info = pool_info(sentinel, members).encode();
+        net.send(sentinel.endpoint, d.from, info).unwrap();
+        assert!(stub.drain_completed().is_empty());
+        stub
+    }
+
+    fn open_on(net: &InProcNetwork, sentinel: &FakeMember, clock: SharedClock) -> Stub {
+        let (ep, mailbox) = net.open();
+        let lb = ClientLb::RoundRobin;
+        Stub::open(
+            Arc::new(net.clone()),
+            ep,
+            mailbox,
+            sentinel.endpoint,
+            lb,
+            clock,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -1482,6 +1499,84 @@ mod tests {
         let m1 = FakeMember::new(&net);
         let stub = connect(&net, &sentinel, &[&sentinel, &m1]);
         assert_eq!(stub.members(), &[sentinel.endpoint, m1.endpoint]);
+    }
+
+    #[test]
+    fn open_returns_before_the_view_and_installs_it_on_the_next_pump() {
+        let net = InProcNetwork::new();
+        let sentinel = FakeMember::new(&net);
+        let m1 = FakeMember::new(&net);
+        let mut stub = open_on(&net, &sentinel, Arc::new(SystemClock::new()));
+        assert!(stub.members().is_empty(), "no PoolInfo yet");
+
+        // Begun before the view arrives, an invocation targets the
+        // sentinel: the only member the stub knows.
+        stub.invoke_begin("m", &()).unwrap();
+        let request = |m: &FakeMember| RmiMessage::decode(&m.mailbox.try_recv().unwrap().payload);
+        assert!(matches!(
+            request(&sentinel),
+            Ok(RmiMessage::PoolInfoRequest)
+        ));
+        assert!(matches!(request(&sentinel), Ok(RmiMessage::Request { .. })));
+
+        // The view is a message like any other: it installs when pumped.
+        net.send(
+            sentinel.endpoint,
+            stub.endpoint,
+            pool_info(&sentinel, &[&m1, &sentinel]).encode(),
+        )
+        .unwrap();
+        assert!(stub.members().is_empty(), "not before the pump");
+        assert!(stub.drain_completed().is_empty());
+        assert_eq!(stub.members(), &[m1.endpoint, sentinel.endpoint]);
+        assert_eq!(stub.stats().refreshes, 1, "open asked exactly once");
+    }
+
+    #[test]
+    fn next_due_is_the_first_instant_a_pump_has_work() {
+        let net = InProcNetwork::new();
+        let sentinel = FakeMember::new(&net);
+        let m1 = FakeMember::new(&net);
+        let clock = Arc::new(erm_sim::VirtualClock::new());
+        let mut stub = connect_on(&net, &sentinel, &[&m1], clock.clone());
+        stub.set_reply_timeout(SimDuration::from_millis(100));
+        assert_eq!(stub.next_due(), None, "nothing pending");
+        let at = |us| SimTime::ZERO + SimDuration::from_micros(us);
+        // Attempts in flight at m1 since t = 0 and since t = 30 ms.
+        let early: Vec<u64> = (0..3)
+            .map(|_| stub.invoke_begin("m", &()).unwrap())
+            .collect();
+        clock.advance_to(at(30_000));
+        stub.invoke_begin("m", &()).unwrap();
+        let attempts = |m: &FakeMember| {
+            let mut seen = BTreeSet::new();
+            while let Ok(d) = m.mailbox.try_recv() {
+                if let RmiMessage::Request { context, .. } = RmiMessage::decode(&d.payload).unwrap()
+                {
+                    seen.insert((context.id, context.attempt));
+                }
+            }
+            seen
+        };
+        assert_eq!(attempts(&m1).len(), 4);
+        assert_eq!(stub.next_due(), Some(at(100_000)));
+
+        // One microsecond early, a pump changes nothing.
+        clock.advance_to(at(99_999));
+        assert!(stub.drain_completed().is_empty());
+        assert_eq!(stub.stats().retries, 0);
+        assert!(attempts(&m1).is_empty() && attempts(&sentinel).is_empty());
+        assert_eq!(stub.next_due(), Some(at(100_000)));
+
+        // On the instant, exactly the t = 0 attempts time out and move on
+        // to the sentinel, the next target of their walk.
+        clock.advance_to(at(100_000));
+        assert!(stub.drain_completed().is_empty());
+        let retried: BTreeSet<(u64, u32)> = early.iter().map(|&id| (id, 2)).collect();
+        assert_eq!(attempts(&sentinel), retried);
+        assert_eq!(stub.stats().retries, 3);
+        assert_eq!(stub.next_due(), Some(at(130_000)));
+        assert_eq!(stub.in_flight(), 4);
     }
 
     #[test]
@@ -1571,6 +1666,46 @@ mod tests {
         );
         assert_eq!(stats.connections_closed, 1);
         assert!(stats.retries >= 1);
+    }
+
+    #[test]
+    fn refresh_asks_a_live_member_once_the_sentinel_is_dead() {
+        // Every member answers `PoolInfoRequest`, so the view survives the
+        // sentinel: asking only it would leave the stub walking corpses
+        // once later crashes took the rest of its view.
+        let net = InProcNetwork::new();
+        let sentinel = FakeMember::new(&net);
+        let m1 = FakeMember::new(&net);
+        let m2 = FakeMember::new(&net);
+        let clock = Arc::new(erm_sim::VirtualClock::new());
+        let mut stub = connect_on(&net, &sentinel, &[&sentinel, &m1], clock);
+        net.close_endpoint(sentinel.endpoint);
+
+        // Round-robin picks the dead sentinel first: the send is refused
+        // and the failure asks for a fresh view — from m1, which is alive.
+        stub.invoke_begin("m", &()).unwrap();
+        let d = m1
+            .mailbox
+            .try_recv()
+            .expect("the refresh reaches a live member");
+        assert!(matches!(
+            RmiMessage::decode(&d.payload).unwrap(),
+            RmiMessage::PoolInfoRequest
+        ));
+        let view = RmiMessage::PoolInfo {
+            epoch: 2,
+            sentinel: m1.endpoint,
+            members: vec![m1.endpoint, m2.endpoint],
+            uids: vec![1, 2],
+        };
+        net.send(m1.endpoint, d.from, view.encode()).unwrap();
+        assert!(stub.drain_completed().is_empty());
+        assert_eq!(stub.members(), &[m1.endpoint, m2.endpoint]);
+        assert_eq!(
+            stub.sentinel, m1.endpoint,
+            "the view names the new sentinel"
+        );
+        assert_eq!(stub.stats().refreshes, 2);
     }
 
     #[test]

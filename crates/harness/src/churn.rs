@@ -12,9 +12,13 @@
 //! * **detection and re-election** — revoked slices take their members
 //!   down and the sentinel is re-elected by lowest uid; the tests hold the
 //!   runtime's counts to the crashes the script injected;
-//! * **in-flight failover** — clients fail fast on closed endpoints (the
-//!   stub's `ConnectionClosed` path) and retry elsewhere after a seeded,
-//!   jittered backoff, instead of burning the reply timeout;
+//! * **in-flight failover** — the client is the production
+//!   [`Stub`](elasticrmi::Stub): it fails fast on closed endpoints and
+//!   retries elsewhere after its seeded, jittered backoff, re-asks the
+//!   member an at-most-once invocation is pinned to, and refreshes its
+//!   view (from the sentinel, or a live member once the sentinel is gone)
+//!   only when an attempt fails — all its own logic, exported as the
+//!   `churn.stub.*` gauges;
 //! * **orphaned-lock reclamation** — a crashed member's owner is fenced
 //!   with [`Store::release_owner`](erm_kvstore::Store::release_owner), so
 //!   `synchronized` waiters unblock at detection, not at TTL expiry;
@@ -29,23 +33,21 @@
 //! [`VirtualClock`](erm_sim::VirtualClock), deterministic for a given seed: same seed, same
 //! report, same CSV, byte for byte.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
 use elasticrmi::{
-    Discipline, PoolConfig, PoolStats, ReplyCacheConfig, RmiMessage, ScalingPolicy, Semantics,
+    ClientLb, Discipline, PoolConfig, PoolStats, ReplyCacheConfig, ScalingPolicy, Semantics,
+    SemanticsTable, StubStats,
 };
 use erm_cluster::{NodeId, SliceId};
 use erm_kvstore::LockOwner;
 use erm_metrics::{snapshots_to_csv, RegistrySnapshot, TraceEvent, TraceRecord};
 use erm_sim::{seeded_rng, Clock, SimDuration, SimTime};
-use erm_transport::EndpointId;
 use rand::Rng;
 
-use crate::invariants::Violations;
-use crate::rig::{
-    arrival_schedule, ms, Attempt, Call, ClassLock, JitteredService, SimClient, SimPool, SimRig,
-};
+use crate::invariants::{Invariants, Violations};
+use crate::rig::{arrival_schedule, ms, ClassLock, JitteredService, SimRig};
 
 /// Class name shared by every skeleton, the store lock, and the report.
 const CLASS: &str = "Churn";
@@ -58,8 +60,7 @@ const TARGET_POOL: u32 = 4;
 /// provisioning wait); the vacated slot is backfilled in the background.
 const WARM_STANDBY: u32 = 1;
 
-/// The pool's burst interval, and how often clients refresh their
-/// membership view.
+/// The pool's burst interval.
 const TICK: SimDuration = SimDuration::from_millis(200);
 
 /// Deadline budget each invocation runs under.
@@ -74,21 +75,19 @@ const LOCK_WAIT_MAX: SimDuration = SimDuration::from_millis(30);
 /// can free it in time.
 const CRASH_TTL: SimDuration = SimDuration::from_secs(120);
 
-/// Attempts a client invests in one invocation before giving up.
-const MAX_ATTEMPTS: u32 = 5;
-
 /// Every Nth invocation calls the `synchronized` method.
 const SYNC_EVERY: u64 = 5;
 
-/// Client-side per-attempt reply timeout: an unanswered attempt is
+/// The stub's per-attempt reply timeout: an unanswered attempt is
 /// retransmitted with a bumped attempt counter after this long. Together
 /// with the reply-drop fault this is the duplicate-generation engine the
 /// reply cache must absorb.
 const REPLY_TIMEOUT: SimDuration = SimDuration::from_millis(120);
 
-/// Percentage of in-flight replies the "network" silently drops. The
-/// execution happened; only the answer is lost — the classic scenario
-/// where a retry would re-execute a non-idempotent method.
+/// Percentage of `Response` frames the network silently drops on their
+/// way to the client. The execution happened; only the answer is lost —
+/// the classic scenario where a retry would re-execute a non-idempotent
+/// method.
 const DROP_REPLY_PCT: u64 = 12;
 
 /// Pad appended to each disruption window so requests overlapping its
@@ -147,23 +146,17 @@ pub struct ChurnRun {
     pub dedup_replayed: u64,
     /// Completed cache entries evicted under the entry/byte caps.
     pub dedup_evicted: u64,
+    /// The client stub's own counters at the end of the run.
+    pub stub: StubStats,
 }
 
 /// `sync` serializes on the class lock with a bounded wait, so a crashed
 /// holder surfaces as `LockBusy` until reclamation frees it.
-const SYNC: Call = Call {
-    method: "sync",
-    semantics: Semantics::AtLeastOnce,
-    key: None,
-};
+const SYNC: &str = "sync";
 
-/// `work` is the non-idempotent method: at-most-once, pinned to the member
-/// that first accepted it (mirroring the stub's `committed` state).
-const WORK: Call = Call {
-    method: "work",
-    semantics: Semantics::AtMostOnce,
-    key: None,
-};
+/// `work` is the non-idempotent method: the pool declares it at-most-once,
+/// so the stub pins it to the member that took delivery.
+const WORK: &str = "work";
 
 /// A member the chaos script killed: what the report checks the runtime's
 /// trace against.
@@ -208,12 +201,9 @@ struct Episode {
 /// seeded-random crashes in [15 s, 21 s]. Every failed node heals a few
 /// seconds later; the run then drains, lets the pool restore capacity, and
 /// quiesces through the runtime's shutdown with leak checks.
-#[allow(clippy::too_many_lines)]
 pub fn run_churn(seed: u64) -> ChurnRun {
     let rig = SimRig::new(CLASS, 8, 2, SimDuration::from_millis(500));
-    let mut client = SimClient::new(&rig, MAX_ATTEMPTS);
     let mut chaos_rng = seeded_rng(seed ^ 0x000c_4a05_u64);
-    let mut drop_rng = seeded_rng(seed ^ 0xd20b_u64);
 
     // Scripted chaos plus the seeded-random phase, sorted by due time.
     let mut chaos: Vec<(SimTime, Chaos)> = vec![
@@ -252,6 +242,7 @@ pub fn run_churn(seed: u64) -> ChurnRun {
         .burst_interval(TICK)
         .admission(Discipline::Edf)
         .overload_capacity(32)
+        .semantics(SemanticsTable::new().method(WORK, Semantics::AtMostOnce))
         .reply_cache(ReplyCacheConfig {
             grace: SimDuration::from_secs(1),
             max_entries: 4096,
@@ -267,7 +258,7 @@ pub fn run_churn(seed: u64) -> ChurnRun {
         )
         .locking(ClassLock {
             class: CLASS,
-            method: Some(SYNC.method),
+            method: Some(SYNC),
             spin: SimDuration::from_micros(100),
             max_wait: Some(LOCK_WAIT_MAX),
         })
@@ -283,18 +274,21 @@ pub fn run_churn(seed: u64) -> ChurnRun {
     );
     let mut arrivals = schedule.into_iter().peekable();
 
-    // Client state. The membership view refreshes only every TICK, so it
-    // goes stale the instant a member crashes — exactly the window the
-    // fast-fail path must cover.
-    let mut view = pool.view();
-    let mut routing = Routing {
-        pins: HashMap::new(),
-        rng: seeded_rng(seed ^ 0x11e7_u64),
-    };
+    // The client: the production stub, balancing at random over the view
+    // the sentinel last gave it, under the pool's semantics table. Its view
+    // goes stale the instant a member crashes — the window its fast-fail
+    // path must cover. Replies to it cross the reply-drop fault.
+    let mut stub = pool.stub(ClientLb::Random {
+        seed: seed ^ 0x11e7_u64,
+    });
+    stub.set_reply_timeout(REPLY_TIMEOUT);
+    stub.set_invocation_budget(DEADLINE_BUDGET);
+    pool.drop_replies(DROP_REPLY_PCT, seed ^ 0xd20b_u64);
+    let mut facts = Invariants::default();
+    let mut invocations = 0u64;
 
     let mut crashed: Vec<CrashRec> = Vec::new();
     let mut episodes: Vec<Episode> = Vec::new();
-    let mut next_tick = SimTime::ZERO + SimDuration::from_millis(700);
     let mut next_snapshot = SimTime::from_secs(1);
     let mut snapshots: Vec<RegistrySnapshot> = vec![rig.registry.snapshot(rig.clock.now())];
     let hard_stop = SimTime::from_secs(60);
@@ -386,120 +380,46 @@ pub fn run_churn(seed: u64) -> ChurnRun {
             continue;
         }
 
-        // 2. Drain client replies.
-        let mut drained = false;
-        while let Some((p, reply)) = client.recv() {
-            drained = true;
-            match reply {
-                RmiMessage::Response { outcome, .. } => {
-                    // The reply-drop fault: the member executed and
-                    // answered, but the answer never reaches the client —
-                    // its retransmit is a true duplicate.
-                    if drop_rng.gen_range(0..100u64) < DROP_REPLY_PCT {
-                        client.pending.insert(p.id, p);
-                        continue;
-                    }
-                    match outcome {
-                        // An answer past the deadline is as good as none.
-                        Ok(_) if now > p.a.deadline => client.expire(&p.a),
-                        // Transient server-side error (e.g. LockBusy
-                        // behind a crashed holder): retry on budget.
-                        Err(e) if !e.is_deadline_exceeded() => {
-                            let backoff = jitter(&mut routing.rng, p.a.attempt);
-                            client.retry_or_give_up(p.a, now + backoff);
-                        }
-                        _ => client.complete(&p.a, &outcome),
-                    }
-                }
-                // An explicit refusal or shed proves the member never
-                // admitted (so never executed) the attempt: the
-                // at-most-once pin is safe to release.
-                RmiMessage::Overloaded { retry_after, .. } => {
-                    routing.pins.remove(&p.a.invocation);
-                    client.overloaded(&p, retry_after);
-                }
-                RmiMessage::Redirected { .. } => {
-                    routing.pins.remove(&p.a.invocation);
-                    client.redirected(&p);
-                }
-                _ => {}
-            }
-        }
-        if drained {
+        // 2. The client's turn: replies, fast failover from closed
+        //    endpoints, reply timeouts, backoffs and expiries, all the
+        //    stub's own.
+        stub.drain_completed();
+
+        // 3. The registry is snapshotted once a second.
+        if now >= next_snapshot {
+            next_snapshot += SimDuration::from_secs(1);
+            snapshots.push(rig.registry.snapshot(now));
             continue;
         }
 
-        // 3. Fast-fail sweep: pending attempts aimed at endpoints the
-        //    crash closed. This is the stub's ConnectionClosed path — the
-        //    client learns in one poll, not one reply timeout.
-        let mut unanswered = client.take_pending(|p| !serving(&rig, &pool, p.target));
-        // 4. Client-side expiry sweep: no answer and the deadline passed.
-        let expired = if unanswered.is_empty() {
-            client.take_pending(|p| p.a.deadline < now)
-        } else {
-            Vec::new()
-        };
-        // 4b. Reply-timeout sweep: attempts whose answer was lost (the
-        //     drop fault, or a reply stuck behind a backlog) retransmit
-        //     with a bumped attempt counter — the duplicate-generation
-        //     path the reply cache must absorb.
-        if unanswered.is_empty() && expired.is_empty() {
-            unanswered = client.take_pending(|p| p.sent + REPLY_TIMEOUT <= now);
-        }
-        let swept = !(unanswered.is_empty() && expired.is_empty());
-        for p in expired {
-            client.expire(&p.a);
-        }
-        for p in unanswered {
-            let backoff = jitter(&mut routing.rng, p.a.attempt);
-            client.failed(p.a, p.target, backoff);
-        }
-        if swept {
-            continue;
-        }
-
-        // 5. Clients refresh their membership view; the registry is
-        //    snapshotted once a second.
-        if now >= next_tick {
-            next_tick += TICK;
-            view = published;
-            if now >= next_snapshot {
-                next_snapshot += SimDuration::from_secs(1);
-                snapshots.push(rig.registry.snapshot(now));
-            }
-            continue;
-        }
-
-        // 6. Due retries re-enter ahead of fresh arrivals, targeting the
-        //    *current* membership (failure triggered a refresh).
-        if let Some(retry) = client.due_retry() {
-            routing.send(&rig, &mut client, &pool, &published, retry);
-            continue;
-        }
-
-        // 7. Arrivals due now enter, targeting the (possibly stale) view.
-        //    Every `SYNC_EVERY`th invocation calls the synchronized method.
+        // 4. Arrivals due now enter. Every `SYNC_EVERY`th invocation calls
+        //    the synchronized method.
         if arrivals.next_if(|&at| at <= now).is_some() {
-            let call = if (client.invocations() as u64).is_multiple_of(SYNC_EVERY) {
+            let method = if invocations.is_multiple_of(SYNC_EVERY) {
                 SYNC
             } else {
                 WORK
             };
-            let attempt = client.begin(call, now + DEADLINE_BUDGET);
-            routing.send(&rig, &mut client, &pool, &view, attempt);
+            let id = stub
+                .invoke_begin_raw(method, Vec::new())
+                .expect("no limiter");
+            if method == WORK {
+                facts.at_most_once.insert(id);
+            }
+            invocations += 1;
             continue;
         }
 
-        // 8. The pool's round: detection, re-election, promotion, backfill,
+        // 5. The pool's round: detection, re-election, promotion, backfill,
         //    broadcasts, and one turn per free member.
         if rig.drive_pool(&mut pool) {
             continue;
         }
 
-        // 9. Idle: jump to the next event, or finish.
+        // 6. Idle: jump to the next event, or finish.
         let standbys = pool.seats.len() - published.len();
         if arrivals.peek().is_none()
-            && client.is_idle()
+            && stub.in_flight() == 0
             && !open_episode
             && published.len() as u32 >= TARGET_POOL
             && standbys as u32 >= WARM_STANDBY
@@ -508,14 +428,12 @@ pub fn run_churn(seed: u64) -> ChurnRun {
         {
             break;
         }
-        let reply_timeout = client.pending.values().map(|p| p.sent + REPLY_TIMEOUT);
         rig.idle_until(&[
-            Some(next_tick),
+            Some(next_snapshot),
             arrivals.peek().copied(),
-            client.next_retry(),
+            stub.next_due(),
             chaos.front().map(|&(at, _)| at),
             repairs.iter().map(|&(at, _)| at).min(),
-            reply_timeout.min(),
             pool.next_event(),
         ]);
     }
@@ -531,7 +449,7 @@ pub fn run_churn(seed: u64) -> ChurnRun {
     // Every conservation, exactly-once, routing-hygiene and leak verdict
     // comes from the shared checker over the complete trace.
     let trace = rig.sink.snapshot();
-    let violations = rig.check(&client.facts, &trace, leaked_cache_entries);
+    let violations = rig.check(&facts, &trace, leaked_cache_entries);
     let standby_crashes = crashed.iter().filter(|r| r.was_standby).count();
     // Suppression totals come from the shared metrics registry, not the
     // skeletons: published diffs survive member crashes and re-elections.
@@ -547,6 +465,18 @@ pub fn run_churn(seed: u64) -> ChurnRun {
     gauge("churn.standby.promotions", stats.promoted as usize);
     gauge("churn.standby.crashes", standby_crashes);
     gauge("churn.standby.routed", violations.standby_routed.len());
+    let stub = stub.stats();
+    gauge("churn.stub.retries", stub.retries as usize);
+    gauge("churn.stub.replays", stub.replays as usize);
+    gauge(
+        "churn.stub.connections_closed",
+        stub.connections_closed as usize,
+    );
+    gauge("churn.stub.refreshes", stub.refreshes as usize);
+    gauge(
+        "churn.stub.redirects_followed",
+        stub.redirects_followed as usize,
+    );
     snapshots.push(rig.registry.snapshot(quiesce_at));
 
     // Availability over invocations untouched by any disruption window.
@@ -598,10 +528,10 @@ pub fn run_churn(seed: u64) -> ChurnRun {
         report: String::new(),
         metrics_csv: snapshots_to_csv(&snapshots),
         trace,
-        invocations: client.invocations(),
+        invocations: invocations as usize,
         completed_ok: tally(true),
         completed_err: tally(false),
-        expired: client.invocations() - completed.len(),
+        expired: invocations as usize - completed.len(),
         availability,
         eligible,
         crashes: crashed.len(),
@@ -616,89 +546,10 @@ pub fn run_churn(seed: u64) -> ChurnRun {
         dedup_hits: counter("rmi.dedup.hits"),
         dedup_replayed: counter("rmi.dedup.replayed"),
         dedup_evicted: counter("rmi.dedup.evicted"),
+        stub,
     };
     run.report = render_report(seed, &run, &crashed, &episodes, eligible_ok, &rig);
     run
-}
-
-/// Whether member `uid` can still be reached: the pool runs it and its
-/// endpoint is open.
-fn serving(rig: &SimRig, pool: &SimPool, uid: u64) -> bool {
-    pool.seats
-        .get(&uid)
-        .is_some_and(|seat| rig.net.is_open(seat.member.mailbox.id()))
-}
-
-/// Seeded exponential backoff with jitter: `[step/2, step]` where the
-/// step doubles per attempt from 2 ms, capped at 16 ms. Mirrors the
-/// stub's `backoff_before_retry` so failover storms decorrelate.
-fn jitter(rng: &mut rand::rngs::StdRng, attempt: u32) -> SimDuration {
-    let step_us = (2_000u64 << u64::from(attempt.min(3))).min(16_000);
-    SimDuration::from_micros(rng.gen_range(step_us / 2..=step_us))
-}
-
-/// The client's routing state: the seeded balancer and the at-most-once
-/// pins. Pinning mirrors the stub's `committed` state: once a member
-/// accepted an attempt, every retransmit goes back to it — its reply cache
-/// is the only place the duplicate can be recognised.
-struct Routing {
-    pins: HashMap<u64, u64>,
-    rng: rand::rngs::StdRng,
-}
-
-impl Routing {
-    /// Picks the attempt's target and either sends it or fast-fails it
-    /// into the retry queue (closed endpoint or stale membership entry).
-    /// `sync` runs `AtLeastOnce`; `work` is the non-idempotent `AtMostOnce`
-    /// method, pinned to the member that first accepted it.
-    fn send(
-        &mut self,
-        rig: &SimRig,
-        client: &mut SimClient,
-        pool: &SimPool,
-        view: &[(u64, EndpointId)],
-        a: Attempt,
-    ) {
-        let pinned = self.pins.get(&a.invocation).copied();
-        let target = match pinned {
-            // A pinned retransmit may only go back to the member that already
-            // accepted an earlier attempt — it may have executed and lost the
-            // reply, and only its cache can recognise the duplicate.
-            Some(uid) => pool
-                .seats
-                .get(&uid)
-                .map(|seat| (uid, seat.member.mailbox.id())),
-            None if view.is_empty() => None,
-            None => Some(view[self.rng.gen_range(0..view.len())]),
-        };
-        let Some((uid, ep)) = target else {
-            if pinned.is_some() {
-                // The pinned member crashed. Failing over could execute the
-                // invocation a second time, so it terminates here — the same
-                // dead end a stub's committed invocation reaches.
-                client.give_up(&a);
-            } else {
-                // Total blackout: park the attempt for one backoff, or expire.
-                let due = rig.clock.now() + jitter(&mut self.rng, a.attempt);
-                if !client.try_retry(a, due) {
-                    client.expire(&a);
-                }
-            }
-            return;
-        };
-        if !serving(rig, pool, uid) {
-            // The stub's ConnectionClosed fast path: fail immediately,
-            // decorrelate with jitter, retry against fresh membership.
-            client.refused(a, uid, jitter(&mut self.rng, a.attempt));
-            return;
-        }
-        if a.call.semantics == Semantics::AtMostOnce {
-            // Delivery commits the attempt to this member (the skeleton's
-            // cache will track it); only an explicit refusal releases it.
-            self.pins.insert(a.invocation, uid);
-        }
-        client.send_to(ep, uid, a);
-    }
 }
 
 /// Renders the why-recovered report: one block per injected crash, each
@@ -739,6 +590,17 @@ fn render_report(
         run.stats.promoted,
         run.standby_crashes,
         run.violations.standby_routed.len(),
+    );
+    let _ = writeln!(
+        out,
+        "client stub: {} retries, {} replies replayed, {} connections closed, \
+         {} membership refreshes, {} redirects followed, {} pins lost",
+        run.stub.retries,
+        run.stub.replays,
+        run.stub.connections_closed,
+        run.stub.refreshes,
+        run.stub.redirects_followed,
+        run.stub.pins_lost,
     );
     out.push('\n');
     let _ = writeln!(out, "Why the pool recovered ({} crashes):", crashed.len());
@@ -1053,6 +915,14 @@ mod tests {
                 run.violations.leaks.leaked_cache_entries, 0,
                 "seed {seed}: reply caches must be empty after the TTL sweep"
             );
+            // The client is the real stub: it saw replays, and no more than
+            // the caches sent (one the fault dropped never reaches it).
+            assert!(
+                (1..=run.dedup_replayed).contains(&run.stub.replays),
+                "seed {seed}: stub saw {} replays, caches sent {}",
+                run.stub.replays,
+                run.dedup_replayed
+            );
         }
     }
 
@@ -1084,6 +954,10 @@ mod tests {
                 run.standby_crashes >= 1,
                 "seed {seed}: the scripted standby crash never bit\n{}",
                 run.report
+            );
+            assert!(
+                run.stub.connections_closed >= 1,
+                "seed {seed}: the stub's crash fast-fail path never ran"
             );
             assert!(
                 run.violations.is_clean(),
@@ -1133,6 +1007,11 @@ mod tests {
             "churn.standby.promotions",
             "churn.standby.crashes",
             "churn.standby.routed",
+            "churn.stub.retries",
+            "churn.stub.replays",
+            "churn.stub.connections_closed",
+            "churn.stub.refreshes",
+            "churn.stub.redirects_followed",
         ] {
             assert!(
                 run.metrics_csv.contains(name),

@@ -20,9 +20,9 @@
 //!
 //! A trace does not say which invocations were at-most-once or what key
 //! they carried; the [`Invariants`] value holds those facts, filled in by
-//! whoever drove the run. `AttemptStarted::target` must name the member by
-//! uid, as every harness scenario does (the real stub names its endpoint,
-//! which only matters to the standby-routing check).
+//! whoever drove the run from the methods it invoked. The checker reasons in
+//! member uids; the real stub names its attempts' targets by endpoint, so a
+//! driver running it first translates them with [`attempts_by_uid`].
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -158,6 +158,20 @@ impl Invariants {
         out.attempt_regressions.dedup();
         out
     }
+}
+
+/// `trace` with each `AttemptStarted::target` turned from the endpoint the
+/// real stub names into the uid of the member behind it (`uids`: endpoint
+/// id → uid). A target no member ever had becomes `u64::MAX`, no member's
+/// uid.
+pub fn attempts_by_uid(trace: &[TraceRecord], uids: &BTreeMap<u64, u64>) -> Vec<TraceRecord> {
+    let mut trace = trace.to_vec();
+    for record in &mut trace {
+        if let TraceEvent::AttemptStarted { target, .. } = &mut record.event {
+            *target = uids.get(target).copied().unwrap_or(u64::MAX);
+        }
+    }
+    trace
 }
 
 /// Ids counted more than once, restricted to those `select` accepts.
@@ -322,6 +336,24 @@ mod tests {
             corrupt(&mut trace);
             assert_eq!(check(&facts, &trace), only(breach));
         }
+    }
+
+    #[test]
+    fn attempts_naming_endpoints_are_checked_by_the_member_behind_them() {
+        // Members 0, 1 and the standby 2 listen at endpoints 10, 11 and 12.
+        let uids = BTreeMap::from([(10, 0), (11, 1), (12, 2)]);
+        let (facts, mut trace) = clean_trace();
+        for record in &mut trace {
+            if let TraceEvent::AttemptStarted { target, .. } = &mut record.event {
+                *target += 10;
+            }
+        }
+        let verdict = |trace: &[TraceRecord]| check(&facts, &attempts_by_uid(trace, &uids));
+        assert_eq!(verdict(&trace), Violations::default());
+        // Endpoint 12 is member 2's, still a standby at t=2.
+        trace.insert(4, at(2, started(9, 1, 12)));
+        trace.insert(5, at(2, completed(9, 1)));
+        assert_eq!(verdict(&trace), only(|v| v.standby_routed = vec![9]));
     }
 
     #[test]

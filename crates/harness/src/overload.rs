@@ -24,7 +24,7 @@ use erm_metrics::AdmissionStats;
 use erm_sim::{Clock, SimDuration, SimTime};
 
 use crate::invariants::Violations;
-use crate::rig::{arrival_schedule, Call, JitteredService, SimClient, SimMember, SimRig};
+use crate::rig::{arrival_schedule, Call, JitteredService, RawClient, SimMember, SimRig};
 
 /// One overload run: a pinned single-member pool under a rate step.
 #[derive(Debug, Clone)]
@@ -114,7 +114,7 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadResult {
     let service = JitteredService::new(&rig.clock, config.seed ^ 0x5e51_1ce0, config.service_mean);
     let mut member = rig.spawn_member(0, service, config.admission, None);
     // An `Overloaded` refusal is final here: one attempt per request.
-    let mut client = SimClient::new(&rig, 1);
+    let mut client = RawClient::new(&rig);
     let clock = &rig.clock;
     let limiter = config.limiter.map(AimdLimiter::new);
 
@@ -132,7 +132,7 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadResult {
         offered: schedule.len() as u64,
         ..OverloadResult::default()
     };
-    let poll_p99 = |client: &mut SimClient, member: &mut SimMember| {
+    let poll_p99 = |client: &mut RawClient, member: &mut SimMember| {
         let report = client.poll_load(member);
         SimDuration::from_micros(report.map_or(0, |r| r.queue_delay_p99_us))
     };
@@ -140,7 +140,7 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadResult {
     let mut next_poll = SimTime::ZERO + poll_every;
     let mut arrivals = schedule.into_iter().peekable();
 
-    let drain = |client: &mut SimClient, result: &mut OverloadResult| {
+    let drain = |client: &mut RawClient, result: &mut OverloadResult| {
         let now = clock.now();
         while let Some((p, reply)) = client.recv() {
             // Where the request ended up, and what its fate tells the

@@ -14,38 +14,40 @@
 //!   0.8–1.2 × a mean on the virtual clock, optionally inside a class-lock
 //!   critical section;
 //! * [`arrival_schedule`] — the pre-computed ±50 % jittered arrivals;
-//! * [`SimClient`] — the modelled stub: call ids, the pending map, the
-//!   retry queue, and the one mapping from replies to terminal trace
-//!   events;
+//! * [`SimPool::stub`] — the production client [`Stub`] on the pool,
+//!   pumped on the virtual clock by [`SimRig::serve`] (or a scenario's own
+//!   loop): its routing, retries, pins and backoff are what the scenarios
+//!   exercise;
+//! * [`RawClient`] — a raw request injector for the scenarios that probe a
+//!   lone skeleton's refusal paths with deliberate one-shot attempts and
+//!   misroutes, which a stub would route around;
 //! * [`SimRig::check`] — hands the run's trace and quiesce counts to the
 //!   shared [`Invariants`] checker.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use elasticrmi::{
-    AdmissionConfig, ElasticService, InvocationContext, Launch, LoadReport, PoolConfig, PoolDeps,
-    PoolHandle, PoolRuntime, RemoteError, ReplyCacheConfig, RmiMessage, Semantics, ServiceContext,
-    ServiceFactory, Skeleton,
+    AdmissionConfig, ClientLb, ElasticService, InvocationContext, Launch, LoadReport, PoolConfig,
+    PoolDeps, PoolHandle, PoolRuntime, RemoteError, ReplyCacheConfig, RmiMessage, Semantics,
+    ServiceContext, ServiceFactory, Skeleton, Stub,
 };
 use erm_cluster::{ClusterConfig, ClusterHandle, LatencyModel, ResourceManager};
 use erm_kvstore::{Store, StoreConfig};
 use erm_metrics::{MetricsHandle, Registry, TraceEvent, TraceHandle, TraceRecord, TraceSink};
 use erm_sim::{seeded_rng, Clock, SharedClock, SimDuration, SimTime, VirtualClock};
 use erm_transport::{EndpointId, Host, InProcNetwork, Mailbox, Network, RecvError, SendError};
+use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::invariants::{Invariants, Quiesce, Violations};
+use crate::invariants::{attempts_by_uid, Invariants, Quiesce, Violations};
 
 /// Trace ring capacity: above every scenario's event count, so runs are
 /// lossless and the checker sees all of each.
 const SINK_CAPACITY: usize = 1 << 18;
-
-/// A retry is only worth scheduling if it can land this long before the
-/// invocation's deadline.
-const RETRY_MARGIN: SimDuration = SimDuration::from_millis(5);
 
 /// A duration in fractional milliseconds, for report rendering.
 pub fn ms(d: SimDuration) -> f64 {
@@ -72,6 +74,9 @@ pub struct SimRig {
     provisioning: SimDuration,
     /// The pool runtime's control endpoint, opened with the first member.
     runtime: Option<(EndpointId, Mailbox)>,
+    /// Endpoint id → uid of every member a [`SimPool`] launched: the real
+    /// stub names its attempts' targets by endpoint, the checker by uid.
+    uids: RefCell<BTreeMap<u64, u64>>,
 }
 
 /// One real pool member: the production [`Skeleton`] (ingest, cull,
@@ -116,6 +121,7 @@ impl SimRig {
             class,
             provisioning,
             runtime: None,
+            uids: RefCell::new(BTreeMap::new()),
         }
     }
 
@@ -181,7 +187,9 @@ impl SimRig {
 
     /// Runs the shared checker over `trace` with the leak counts: locks the
     /// store still holds, slices the cluster still counts, and the
-    /// reply-cache entries the scenario found after its TTL sweep.
+    /// reply-cache entries the scenario found after its TTL sweep. Once a
+    /// [`SimPool`] ran, attempts name endpoints (the real stub's): they are
+    /// translated to the uids of the members behind them first.
     pub fn check(
         &self,
         facts: &Invariants,
@@ -194,7 +202,12 @@ impl SimRig {
             leaked_slices: self.cluster.slices_in_use() + self.cluster.pending_slices(),
             leaked_cache_entries,
         };
-        facts.check(trace, &quiesce)
+        let uids = self.uids.borrow();
+        if uids.is_empty() {
+            facts.check(trace, &quiesce)
+        } else {
+            facts.check(&attempts_by_uid(trace, &uids), &quiesce)
+        }
     }
 
     /// Starts the production pool runtime for `config` on this rig's
@@ -211,6 +224,7 @@ impl SimRig {
             clock: Arc::clone(&self.clock),
             turn: AtomicU64::new(u64::MAX),
             held: Mutex::new(Vec::new()),
+            reply_drop: Mutex::new(None),
         });
         let (clock, built) = (Arc::clone(&self.clock), AtomicU64::new(0));
         let factory: ServiceFactory =
@@ -265,6 +279,8 @@ impl SimRig {
             pool.due = due;
             for mut member in launched {
                 member.skeleton.start();
+                let ep = member.mailbox.id();
+                self.uids.borrow_mut().insert(ep.0, member.uid);
                 let seat = Seat {
                     member,
                     free_at: now,
@@ -293,48 +309,32 @@ impl SimRig {
         progress
     }
 
-    /// Serves an open-loop workload from `pool`: each arrival in `schedule`
-    /// invokes [`Call::WORK`] due `budget` later, round-robin over the
-    /// published rotation; retries re-enter ahead of fresh arrivals; and
-    /// replies are answered the plain way (completion, retry after an
-    /// `Overloaded` hint, a redirect followed at once). `tick.1` runs every
-    /// `tick.0` from now. Returns once every invocation ended and the clock
-    /// passed `end`.
+    /// Serves an open-loop workload from `pool` through a real client: a
+    /// round-robin [`Stub`] opened on the pool, each arrival in `schedule`
+    /// an invocation of [`Call::WORK`] due `budget` later. The stub is
+    /// pumped every round; its routing, retries and deadlines are its own.
+    /// `tick.1` runs every `tick.0` from now. Returns once every invocation
+    /// ended and the clock passed `end`.
     pub fn serve(
         &self,
         pool: &mut SimPool,
-        client: &mut SimClient,
         schedule: Vec<SimTime>,
         budget: SimDuration,
         end: SimTime,
         (period, mut tick): (SimDuration, impl FnMut(SimTime)),
     ) {
+        let mut stub = pool.stub(ClientLb::RoundRobin);
+        stub.set_invocation_budget(budget);
         let mut arrivals = schedule.into_iter().peekable();
         let mut next_tick = self.clock.now() + period;
-        let mut sent = 0;
         loop {
             let now = self.clock.now();
-            while let Some((p, reply)) = client.recv() {
-                match reply {
-                    RmiMessage::Response { outcome, .. } => client.complete(&p.a, &outcome),
-                    RmiMessage::Overloaded { retry_after, .. } => {
-                        client.overloaded(&p, retry_after);
-                    }
-                    RmiMessage::Redirected { .. } => client.redirected(&p),
-                    _ => {}
-                }
-            }
-            let due = client.due_retry().or_else(|| {
-                arrivals.next_if(|&at| at <= now)?;
-                Some(client.begin(Call::WORK, now + budget))
-            });
-            if let Some(attempt) = due {
-                let view = pool.view();
-                let (uid, ep) = view[sent % view.len()];
-                client.send_to(ep, uid, attempt);
-                sent += 1;
+            if arrivals.next_if(|&at| at <= now).is_some() {
+                let begun = stub.invoke_begin_raw(Call::WORK.method, Vec::new());
+                begun.expect("no limiter");
                 continue;
             }
+            stub.drain_completed();
             if now >= next_tick {
                 next_tick += period;
                 tick(now);
@@ -343,13 +343,13 @@ impl SimRig {
             if self.drive_pool(pool) {
                 continue;
             }
-            if arrivals.peek().is_none() && client.is_idle() && now >= end {
+            if arrivals.peek().is_none() && stub.in_flight() == 0 && now >= end {
                 return;
             }
             self.idle_until(&[
                 Some(next_tick),
                 arrivals.peek().copied(),
-                client.next_retry(),
+                stub.next_due(),
                 pool.next_event(),
             ]);
         }
@@ -373,9 +373,9 @@ impl SimRig {
     }
 }
 
-/// The network a [`SimPool`]'s members and runtime send through: a send
-/// made during a member's turn, stamped later than the round's instant,
-/// waits until the rig's clock reaches it.
+/// The network a [`SimPool`]'s members, runtime and client send through: a
+/// send made during a member's turn, stamped later than the round's
+/// instant, waits until the rig's clock reaches it.
 struct SimHost {
     net: InProcNetwork,
     clock: Arc<VirtualClock>,
@@ -383,6 +383,9 @@ struct SimHost {
     turn: AtomicU64,
     /// Held sends, in send order.
     held: Mutex<Vec<HeldSend>>,
+    /// The reply-drop fault, when armed: the percentage of `Response`
+    /// frames lost on their way to the client, and the RNG deciding which.
+    reply_drop: Mutex<Option<(u64, StdRng)>>,
 }
 
 /// A send made ahead of the rig's clock: `(due, from, to, payload)`.
@@ -395,9 +398,24 @@ impl SimHost {
         held.sort_by_key(|&(due, ..)| due);
         let ready = held.partition_point(|&(due, ..)| due <= now);
         for (_, from, to, payload) in held.drain(..ready) {
-            let _ = self.net.send(from, to, payload);
+            let _ = self.forward(from, to, payload);
         }
         ready > 0
+    }
+
+    /// Hands a send to the network, unless the reply-drop fault loses it:
+    /// the member executed and answered, but the answer never arrives.
+    fn forward(&self, from: EndpointId, to: EndpointId, payload: Vec<u8>) -> Result<(), SendError> {
+        if let Some((pct, rng)) = &mut *self.reply_drop.lock().expect("fault lock") {
+            let response = matches!(
+                RmiMessage::decode(&payload),
+                Ok(RmiMessage::Response { .. })
+            );
+            if response && rng.gen_range(0..100u64) < *pct {
+                return Ok(());
+            }
+        }
+        self.net.send(from, to, payload)
     }
 }
 
@@ -409,7 +427,7 @@ impl Network for SimHost {
             held.push((at, from, to, payload));
             return Ok(());
         }
-        self.net.send(from, to, payload)
+        self.forward(from, to, payload)
     }
 
     fn endpoint_open(&self, id: EndpointId) -> bool {
@@ -478,8 +496,23 @@ pub struct SimPool {
 }
 
 impl SimPool {
-    /// The published rotation as `(uid, endpoint)`, in uid order: what a
-    /// client that refreshed its membership now would route over.
+    /// Opens the production client stub on the pool
+    /// ([`PoolHandle::open_stub`]): its discovery request is answered, and
+    /// its view installed, as the rig drives the pool and pumps the stub.
+    pub fn stub(&self, lb: ClientLb) -> Stub {
+        self.handle
+            .open_stub(lb)
+            .expect("the sentinel is reachable")
+    }
+
+    /// Arms the reply-drop fault: `pct` percent of the `Response` frames
+    /// members send (only clients receive them) are lost in the network,
+    /// chosen by an RNG seeded with `seed`.
+    pub fn drop_replies(&self, pct: u64, seed: u64) {
+        *self.host.reply_drop.lock().expect("fault lock") = Some((pct, seeded_rng(seed)));
+    }
+
+    /// The published rotation as `(uid, endpoint)`, in uid order.
     pub fn view(&self) -> Vec<(u64, EndpointId)> {
         let published = self.handle.members();
         self.seats
@@ -630,28 +663,25 @@ pub fn arrival_schedule(
     schedule
 }
 
-/// What one invocation calls: the method, its execution guarantee, and the
-/// routing key a sharded stub would extract from the arguments (the key,
-/// when present, is also the encoded argument).
+/// What one at-least-once invocation calls: the method, and the routing
+/// key a sharded stub would extract from the arguments (the key, when
+/// present, is also the encoded argument).
 #[derive(Debug, Clone, Copy)]
 pub struct Call {
     pub(crate) method: &'static str,
-    pub(crate) semantics: Semantics,
     pub(crate) key: Option<u64>,
 }
 
 impl Call {
-    /// The unkeyed, at-least-once `work` method most scenarios invoke.
+    /// The unkeyed `work` method most scenarios invoke.
     pub const WORK: Call = Call {
         method: "work",
-        semantics: Semantics::AtLeastOnce,
         key: None,
     };
 }
 
-/// One attempt of one invocation; also what the retry queue holds. The
-/// invocation id and the absolute deadline are stable across attempts; the
-/// attempt counter is 1-based.
+/// One attempt of one invocation. The invocation id and the absolute
+/// deadline are stable across attempts; the attempt counter is 1-based.
 #[derive(Debug, Clone, Copy)]
 pub struct Attempt {
     pub(crate) invocation: u64,
@@ -663,53 +693,42 @@ pub struct Attempt {
 /// A sent attempt awaiting its reply.
 #[derive(Debug, Clone, Copy)]
 pub struct Pending {
-    /// Wire correlation id (fresh per attempt).
-    pub(crate) id: u64,
     pub(crate) a: Attempt,
     /// The member uid the attempt's `AttemptStarted` named.
     pub(crate) target: u64,
-    pub(crate) sent: SimTime,
 }
 
-/// The modelled stub: every scenario's client side. Retry *policy* (when,
-/// where, how often) stays in the scenario's script; the bookkeeping and
-/// the trace vocabulary live here so all scenarios speak it identically —
-/// in particular, every started invocation ends in exactly one terminal
-/// event, including the ones the client gives up on.
-pub struct SimClient {
+/// A raw request injector: hands requests straight to a skeleton and maps
+/// the replies to terminal trace events, with no routing and no retries of
+/// its own. Scenarios that probe one skeleton's refusal paths use it where
+/// a stub would route around the refusal; every attempt it starts still
+/// ends in exactly one terminal event.
+pub struct RawClient {
     /// The client's endpoint (the `origin` of every request).
     ep: EndpointId,
     mb: Mailbox,
-    net: InProcNetwork,
     clock: Arc<VirtualClock>,
     trace: TraceHandle,
-    max_attempts: u32,
     next_invocation: u64,
     next_call: u64,
     /// Attempts awaiting a reply, by wire call id.
-    pub(crate) pending: HashMap<u64, Pending>,
-    /// Scheduled retries as `(due, attempt to send)`.
-    retries: Vec<(SimTime, Attempt)>,
+    pending: HashMap<u64, Pending>,
     /// What the checker needs to know about the traffic sent.
     pub(crate) facts: Invariants,
 }
 
-impl SimClient {
-    /// A client on `rig`'s network investing at most `max_attempts`
-    /// attempts in one invocation.
-    pub fn new(rig: &SimRig, max_attempts: u32) -> SimClient {
+impl RawClient {
+    /// A client on `rig`'s network.
+    pub fn new(rig: &SimRig) -> RawClient {
         let (ep, mb) = rig.net.open_endpoint();
-        SimClient {
+        RawClient {
             ep,
             mb,
-            net: rig.net.clone(),
             clock: Arc::clone(&rig.clock),
             trace: rig.trace.clone(),
-            max_attempts,
             next_invocation: 0,
             next_call: 0,
             pending: HashMap::new(),
-            retries: Vec::new(),
             facts: Invariants::default(),
         }
     }
@@ -734,49 +753,19 @@ impl SimClient {
         self.trace.emit(self.clock.now(), event);
     }
 
-    fn started(&self, a: &Attempt, target: u64) {
+    /// Emits the `AttemptStarted` anchor naming `target` — the uid of the
+    /// member picked — records the attempt as pending, and hands the
+    /// request to `member`'s skeleton.
+    pub fn send_attempt(&mut self, member: &mut SimMember, target: u64, a: Attempt) {
+        let id = self.next_call;
+        self.next_call += 1;
         self.emit(TraceEvent::AttemptStarted {
             invocation: a.invocation,
             attempt: a.attempt,
             target,
             deadline: a.deadline,
         });
-    }
-
-    /// Emits the `AttemptStarted` anchor naming `target` — the uid of the
-    /// member the balancer picked — and hands the request to `member`'s
-    /// skeleton.
-    pub fn send_attempt(&mut self, member: &mut SimMember, target: u64, a: Attempt) {
-        let request = self.request(target, a);
-        member.skeleton.ingest(self.ep, request, &member.mb);
-    }
-
-    /// [`SimClient::send_attempt`] to pool member `target` at `ep`, through
-    /// the network (the member ingests it on its next turn).
-    pub fn send_to(&mut self, ep: EndpointId, target: u64, a: Attempt) {
-        let request = self.request(target, a).encode();
-        let _ = self.net.send(self.ep, ep, request);
-    }
-
-    /// Anchors attempt `a` on `target` and records it as pending: the
-    /// request to send.
-    fn request(&mut self, target: u64, a: Attempt) -> RmiMessage {
-        let id = self.next_call;
-        self.next_call += 1;
-        self.started(&a, target);
-        let sent = self.clock.now();
-        self.pending.insert(
-            id,
-            Pending {
-                id,
-                a,
-                target,
-                sent,
-            },
-        );
-        if a.call.semantics == Semantics::AtMostOnce {
-            self.facts.at_most_once.insert(a.invocation);
-        }
+        self.pending.insert(id, Pending { a, target });
         let args = match a.call.key {
             Some(key) => {
                 self.facts.keys.insert(a.invocation, key);
@@ -785,19 +774,20 @@ impl SimClient {
             None => Vec::new(),
         };
         let context = InvocationContext {
-            semantics: a.call.semantics,
+            semantics: Semantics::AtLeastOnce,
             id: a.invocation,
             deadline: a.deadline,
             attempt: a.attempt,
             origin: self.ep,
             routing_key: a.call.key,
         };
-        RmiMessage::Request {
+        let request = RmiMessage::Request {
             call: id,
             context,
             method: a.call.method.into(),
             args,
-        }
+        };
+        member.skeleton.ingest(self.ep, request, &member.mb);
     }
 
     /// Pulls `member`'s load report for the closing burst interval, exactly
@@ -836,22 +826,6 @@ impl SimClient {
         None
     }
 
-    /// Removes and returns the pending attempts `select` picks, in call-id
-    /// order (the map's own order is not deterministic).
-    pub fn take_pending(&mut self, select: impl Fn(&Pending) -> bool) -> Vec<Pending> {
-        let mut taken: Vec<Pending> = self
-            .pending
-            .values()
-            .filter(|p| select(p))
-            .copied()
-            .collect();
-        taken.sort_unstable_by_key(|p| p.id);
-        for p in &taken {
-            self.pending.remove(&p.id);
-        }
-        taken
-    }
-
     fn completed(&self, a: &Attempt, ok: bool) {
         self.emit(TraceEvent::InvocationCompleted {
             invocation: a.invocation,
@@ -871,99 +845,33 @@ impl SimClient {
     }
 
     /// Ends the invocation as expired.
-    pub fn expire(&self, a: &Attempt) {
+    fn expire(&self, a: &Attempt) {
         self.emit(TraceEvent::InvocationExpired {
             invocation: a.invocation,
             attempts: a.attempt,
         });
     }
 
-    /// No more retry budget: the single terminal event for the invocation
-    /// is an expiry at or past its deadline, a failed completion before it.
-    pub fn give_up(&self, a: &Attempt) {
-        if self.clock.now() >= a.deadline {
-            self.expire(a);
-        } else {
-            self.completed(a, false);
-        }
-    }
-
-    /// Schedules the next attempt at `due` if the attempt budget and the
-    /// deadline allow it; says whether it did.
-    pub fn try_retry(&mut self, a: Attempt, due: SimTime) -> bool {
-        let affordable = a.attempt < self.max_attempts && due + RETRY_MARGIN < a.deadline;
-        if affordable {
-            let attempt = a.attempt + 1;
-            self.retries.push((due, Attempt { attempt, ..a }));
-        }
-        affordable
-    }
-
-    /// Retries at `due` if the budget allows; otherwise gives up.
-    pub fn retry_or_give_up(&mut self, a: Attempt, due: SimTime) {
-        if !self.try_retry(a, due) {
-            self.give_up(&a);
-        }
-    }
-
-    /// An attempt was refused with `Overloaded`: records it and retries
-    /// after the server's hint, budget permitting.
-    pub fn overloaded(&mut self, p: &Pending, retry_after: SimDuration) {
+    /// An attempt was refused with `Overloaded`: records it, and ends the
+    /// invocation — as expired at or past its deadline, as a failed
+    /// completion before it.
+    pub fn overloaded(&self, p: &Pending, retry_after: SimDuration) {
         self.emit(TraceEvent::AttemptOverloaded {
             invocation: p.a.invocation,
             attempt: p.a.attempt,
             target: p.target,
             retry_after,
         });
-        self.retry_or_give_up(p.a, self.clock.now() + retry_after);
+        if self.clock.now() >= p.a.deadline {
+            self.expire(&p.a);
+        } else {
+            self.completed(&p.a, false);
+        }
     }
 
-    /// A member shed the attempt with `Redirected` (a drain, or the
-    /// sentinel's rebalance): records it and retries right away, budget
-    /// permitting, wherever the balancer picks.
-    pub fn redirected(&mut self, p: &Pending) {
-        let now = self.clock.now();
-        self.emit(TraceEvent::AttemptRedirected {
-            invocation: p.a.invocation,
-            attempt: p.a.attempt,
-            remaining: p.a.deadline.saturating_since(now),
-        });
-        self.retry_or_give_up(p.a, now);
-    }
-
-    /// An attempt got no usable answer from `target` (closed endpoint,
-    /// reply timeout): records it and retries after `backoff`.
-    pub fn failed(&mut self, a: Attempt, target: u64, backoff: SimDuration) {
-        self.emit(TraceEvent::AttemptFailed {
-            invocation: a.invocation,
-            attempt: a.attempt,
-            target,
-        });
-        self.retry_or_give_up(a, self.clock.now() + backoff);
-    }
-
-    /// The stub's `ConnectionClosed` fast path: the attempt is anchored in
-    /// the trace but fails without ever being sent.
-    pub fn refused(&mut self, a: Attempt, target: u64, backoff: SimDuration) {
-        self.started(&a, target);
-        self.failed(a, target, backoff);
-    }
-
-    /// Removes and returns one retry that has come due.
-    pub fn due_retry(&mut self) -> Option<Attempt> {
-        let now = self.clock.now();
-        let idx = self.retries.iter().position(|&(due, _)| due <= now)?;
-        Some(self.retries.swap_remove(idx).1)
-    }
-
-    /// When the earliest scheduled retry comes due.
-    pub fn next_retry(&self) -> Option<SimTime> {
-        self.retries.iter().map(|&(due, _)| due).min()
-    }
-
-    /// Nothing in flight and nothing scheduled.
+    /// Nothing in flight.
     pub fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.retries.is_empty()
+        self.pending.is_empty()
     }
 }
 

@@ -47,7 +47,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 
 use elasticrmi::{
-    AdmissionConfig, KeyExtractor, MemberState, RmiMessage, Semantics, ShardRing, ShardingTable,
+    AdmissionConfig, KeyExtractor, MemberState, RmiMessage, ShardRing, ShardingTable,
 };
 use erm_kvstore::LockOwner;
 use erm_metrics::{snapshots_to_csv, MetricsHandle, TraceEvent};
@@ -57,7 +57,7 @@ use erm_workloads::ZipfKeys;
 use rand::Rng;
 
 use crate::invariants::Violations;
-use crate::rig::{Attempt, Call, JitteredService, SimClient, SimMember, SimRig};
+use crate::rig::{Attempt, Call, JitteredService, RawClient, SimMember, SimRig};
 
 /// Class name shared by the skeletons, the store locks, and the report.
 const CLASS: &str = "Sharded";
@@ -150,7 +150,7 @@ pub struct ShardedRun {
 struct Enforcement {
     rig: SimRig,
     members: Vec<SimMember>,
-    client: SimClient,
+    client: RawClient,
     /// The ring in force right now (installed by the last broadcast).
     ring: ShardRing,
     redirects: usize,
@@ -207,7 +207,6 @@ impl Enforcement {
     fn inject(&mut self, target: usize, key: u64) {
         let call = Call {
             method: METHOD,
-            semantics: Semantics::AtLeastOnce,
             key: Some(key),
         };
         let deadline = self.rig.clock.now() + SimDuration::from_secs(60);
@@ -263,7 +262,7 @@ fn run_enforcement(seed: u64, quick: bool) -> ShardEnforcement {
     // Membership is scripted, not provisioned: the cluster is never asked.
     let mut rig = SimRig::new(CLASS, 1, 1, SimDuration::ZERO);
     rig.pool_size.store(2, Ordering::SeqCst);
-    let client = SimClient::new(&rig, 1);
+    let client = RawClient::new(&rig);
     let table = ShardingTable::new().method(METHOD, KeyExtractor::FirstU64);
     let members = (0..3u64)
         .map(|uid| {

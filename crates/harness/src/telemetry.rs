@@ -35,8 +35,8 @@ use erm_metrics::{
 };
 use erm_sim::{Clock, SimDuration};
 
-use crate::invariants::Violations;
-use crate::rig::{arrival_schedule, ms, ClassLock, JitteredService, SimClient, SimRig};
+use crate::invariants::{Invariants, Violations};
+use crate::rig::{arrival_schedule, ms, ClassLock, JitteredService, SimRig};
 
 /// Class name shared by the skeleton, the store lock, and the pool config.
 const CLASS: &str = "Overload";
@@ -91,7 +91,6 @@ pub fn run_elastic_overload(seed: u64) -> ElasticOverloadRun {
         JitteredService::new(clock, seed ^ 0x7e1e_0e17 ^ n, SimDuration::from_millis(10))
             .locking(ClassLock::every_method(CLASS))
     });
-    let mut client = SimClient::new(&rig, 3);
 
     // Pre-computed arrival schedule: 80 req/s with ±50 % jitter, 4x inside
     // the burst window. Two members at 10 ms mean service ≈ 200 req/s
@@ -113,7 +112,7 @@ pub fn run_elastic_overload(seed: u64) -> ElasticOverloadRun {
         snapshots.push(rig.registry.snapshot(now));
     });
     let budget = SimDuration::from_millis(250);
-    rig.serve(&mut pool, &mut client, schedule, budget, end, tick);
+    rig.serve(&mut pool, schedule, budget, end, tick);
 
     // Quiesce for the checker through the runtime's own shutdown, and let
     // the phantom contender drop the class lock it took at the last poll
@@ -133,7 +132,7 @@ pub fn run_elastic_overload(seed: u64) -> ElasticOverloadRun {
         }
     }
     snapshots.push(rig.registry.snapshot(rig.clock.now()));
-    let violations = rig.check(&client.facts, &records, 0);
+    let violations = rig.check(&Invariants::default(), &records, 0);
 
     // Duplicate-suppression tallies (wire v4): hits, replayed, evicted.
     // All zero on an `AtLeastOnce`-only workload, but the line is always

@@ -34,11 +34,11 @@
 use std::fmt::Write as _;
 
 use elasticrmi::{Discipline, PoolConfig, ScalingPolicy};
-use erm_metrics::{snapshots_to_csv, MetricsHandle, SpanBuilder};
+use erm_metrics::{snapshots_to_csv, MetricsHandle, SpanBuilder, TraceEvent};
 use erm_sim::{Clock, SimDuration, SimTime};
 
-use crate::invariants::Violations;
-use crate::rig::{arrival_schedule, ms, ClassLock, JitteredService, SimClient, SimRig};
+use crate::invariants::{Invariants, Violations};
+use crate::rig::{arrival_schedule, ms, ClassLock, JitteredService, SimRig};
 
 /// Class name shared by the skeleton, the store lock, and the pool config.
 const CLASS: &str = "Warmpool";
@@ -73,6 +73,11 @@ pub struct WarmpoolVariant {
     /// Symptom-to-capacity lag of the first grow decision satisfied by the
     /// cluster's offer path (`None` if none resolved).
     pub offer_lag: Option<SimDuration>,
+    /// From the first grow decision to the first request a member that
+    /// joined for it executed (`None` if none ever did): how long until the
+    /// client used the new capacity. The stub learns of new members only
+    /// through a failure-triggered refresh or a sentinel redirect.
+    pub first_serve_lag: Option<SimDuration>,
     /// Reserved-capacity integral over the run, in slice-seconds: the cost
     /// side of the warm tier.
     pub slice_seconds: f64,
@@ -115,7 +120,6 @@ fn run_variant(seed: u64, warm_standby: u32, quick: bool) -> WarmpoolVariant {
         JitteredService::new(clock, seed ^ 0x3a9b_51c7 ^ n, SimDuration::from_millis(10))
             .locking(ClassLock::every_method(CLASS))
     });
-    let mut client = SimClient::new(&rig, 3);
 
     // Arrival schedule: 80 req/s with ±50 % jitter, 4x inside the burst.
     // Two members at 10 ms mean service ≈ 200 req/s capacity, so the burst
@@ -128,7 +132,7 @@ fn run_variant(seed: u64, warm_standby: u32, quick: bool) -> WarmpoolVariant {
     let schedule = arrival_schedule(seed, start, end, 80.0, Some((burst_from, burst_to, 4.0)));
     let invocations_total = schedule.len();
     let (budget, tick) = (DEADLINE_BUDGET, (TICK, |_| {}));
-    rig.serve(&mut pool, &mut client, schedule, budget, end, tick);
+    rig.serve(&mut pool, schedule, budget, end, tick);
 
     // The cost side is what the run reserved; then quiesce through the
     // runtime's shutdown. Anything the cluster still counts is a leak.
@@ -137,13 +141,27 @@ fn run_variant(seed: u64, warm_standby: u32, quick: bool) -> WarmpoolVariant {
         .with(|m| m.reserved_slice_seconds(rig.clock.now()));
     rig.quiesce_pool(&mut pool, PROVISION);
     let records = rig.sink.snapshot();
-    let violations = rig.check(&client.facts, &records, 0);
+    let violations = rig.check(&Invariants::default(), &records, 0);
 
     // Decision lag attribution through the span machinery: promotions
     // covering the grow delta give the decision its capacity time.
-    let builder = SpanBuilder::new(records);
+    let builder = SpanBuilder::new(records.clone());
     let decisions = builder.decisions();
     let grows: Vec<_> = decisions.iter().filter(|d| d.delta > 0).collect();
+    let first_serve_lag = grows.first().and_then(|d| {
+        let joined: Vec<u64> = d
+            .members_up
+            .iter()
+            .chain(&d.promoted)
+            .map(|m| m.0)
+            .collect();
+        records.iter().find_map(|r| match r.event {
+            TraceEvent::RequestExecuted { uid, .. } if r.at >= d.at && joined.contains(&uid) => {
+                Some(r.at.saturating_since(d.at))
+            }
+            _ => None,
+        })
+    });
     let promoted_lag = grows
         .iter()
         .find(|d| d.promoted.len() as i64 >= d.delta)
@@ -161,6 +179,7 @@ fn run_variant(seed: u64, warm_standby: u32, quick: bool) -> WarmpoolVariant {
         grow_decisions: grows.len(),
         promoted_lag,
         offer_lag,
+        first_serve_lag,
         slice_seconds,
     }
 }
@@ -195,6 +214,7 @@ pub fn run_warmpool(seed: u64, quick: bool) -> WarmpoolRun {
             gauge(name!("promotions"), v.promotions as i64);
             gauge(name!("promoted.lag_us"), lag_us(v.promoted_lag));
             gauge(name!("offer.lag_us"), lag_us(v.offer_lag));
+            gauge(name!("first_serve.lag_us"), lag_us(v.first_serve_lag));
             gauge(name!("slice_ms"), (v.slice_seconds * 1000.0) as i64);
         }};
     }
@@ -223,9 +243,11 @@ pub fn run_warmpool(seed: u64, quick: bool) -> WarmpoolRun {
             |lag: Option<SimDuration>| lag.map_or("n/a".to_string(), |d| format!("{:.1}ms", ms(d)));
         let _ = writeln!(
             out,
-            "    first grow lag: promoted {} / offer path {}",
+            "    first grow lag: promoted {} / offer path {}; first request served \
+             by a member it added: {} after the decision",
             fmt_lag(v.promoted_lag),
             fmt_lag(v.offer_lag),
+            fmt_lag(v.first_serve_lag),
         );
         let _ = writeln!(
             out,
@@ -342,6 +364,8 @@ mod tests {
             "warmpool.warm.terminal.duplicates",
             "warmpool.warm.promoted.lag_us",
             "warmpool.warm.promotions",
+            "warmpool.warm.first_serve.lag_us",
+            "warmpool.cold.first_serve.lag_us",
             "warmpool.tick_us",
         ] {
             assert!(

@@ -13,20 +13,22 @@
 //! recorded on the commit before the scenarios moved onto the shared rig
 //! (`erm_harness::rig`) and passed there unchanged.
 //!
-//! The `churn`, `elastic-overload` and `warmpool` rows moved once, when those
-//! scenarios stopped modelling the pool and started driving the production
-//! runtime (`SimRig::drive_pool`): real members that serve in parallel, the
-//! runtime's own detection, election, promotion, backfill and shutdown. The
-//! digests of the modelled pools they replaced were:
-//!   churn            report [0xdfad0180e9ed5fc9, 0x62b891cd7bdced83, 0x9e529adcc7c728cf]
-//!   churn            csv    [0x82974cfc107bf129, 0xbaca739613ce85db, 0xbfcf82923ee3f25c]
-//!   elastic-overload report [0xde4be90e72a6210f, 0x7dc2d8ad17d6f820, 0x25c93dab5ed3922a]
-//!   elastic-overload csv    [0x27b211623682b8ae, 0x4a25ce8ccb77bfce, 0xa66032d775680cd0]
-//!   elastic-overload trace  [0x5871210ec994b58a, 0xc82e7c21573b8836, 0xf5513ca5127800db]
-//!   warmpool         report [0x82b4351fbb63899c, 0xbe7c7908e8509403, 0x8daf66bf977c03c3]
-//!   warmpool         csv    [0xfb7f69bc1df0194c, 0xe84e0a8acc51cca5, 0x83e9fa202d837e75]
-//!   warmpool-quick   report [0x1884bd2d970c6a55, 0x0f53896bd232c2b8, 0x485d4663579841bb]
-//!   warmpool-quick   csv    [0xfd20464cb42bc90c, 0x2526df2ddd37f125, 0x1bac98fc2d845335]
+//! The `churn`, `elastic-overload` and `warmpool` rows moved twice: when
+//! those scenarios stopped modelling the pool and started driving the
+//! production runtime (`SimRig::drive_pool`), and when they stopped
+//! modelling the client and started driving the production `Stub`
+//! (`SimPool::stub`): its routing, at-most-once pins, backoff and
+//! failure-triggered refreshes, with the reply-drop fault in the rig's
+//! network. The digests of the modelled client they replaced were:
+//!   churn            report [0xf4b1a38fab6fccaf, 0x9e84b1d593285f58, 0x7db6d0a50cdce9d9]
+//!   churn            csv    [0x0e3cc6e68016e185, 0x2dc04bea3faded13, 0x5644ae6ecec11d37]
+//!   elastic-overload report [0x2c79bc94d7024d13, 0xca463c84f3bcdb3c, 0x2a16b3d1d9c92460]
+//!   elastic-overload csv    [0x2f78b5c750e1dc56, 0x93155fe758a1e3fc, 0x3b393a4d47ed2aae]
+//!   elastic-overload trace  [0x52f5c968c71c960d, 0xb784491ee8ba59fd, 0x00c18dfc86698f3d]
+//!   warmpool         report [0xc4a9cec35a6205c5, 0x82a31e8676007226, 0x718c01568432a824]
+//!   warmpool         csv    [0xfd55adaed671b156, 0xc6fb916096b73a4b, 0x7036706198efea4d]
+//!   warmpool-quick   report [0x3843dc230e24085c, 0xd468e3953dd8b0bf, 0x526cdac0b96a3ecd]
+//!   warmpool-quick   csv    [0x0385e12f86d04071, 0xd967d1310bbec561, 0x69343163ea2c8b7e]
 
 use erm_harness::{
     render_overload, run_churn, run_elastic_overload, run_sharded, run_warmpool, ElasticOverloadRun,
@@ -45,12 +47,12 @@ const GOLDEN: [(&str, &str, [u64; 3]); 14] = [
     (
         "churn",
         "report",
-        [0xf4b1a38fab6fccaf, 0x9e84b1d593285f58, 0x7db6d0a50cdce9d9],
+        [0x94a791947be54cd8, 0x95bf74e00581e552, 0x1c8a7f3ba64d809f],
     ),
     (
         "churn",
         "csv",
-        [0x0e3cc6e68016e185, 0x2dc04bea3faded13, 0x5644ae6ecec11d37],
+        [0xcf7debbecff7b827, 0x45f72b3e71800289, 0x76a523ceea7137ca],
     ),
     (
         "overload",
@@ -60,37 +62,37 @@ const GOLDEN: [(&str, &str, [u64; 3]); 14] = [
     (
         "elastic-overload",
         "report",
-        [0x2c79bc94d7024d13, 0xca463c84f3bcdb3c, 0x2a16b3d1d9c92460],
+        [0xcc23562e1f5ad1e6, 0x65091b9a8b5825ae, 0x9754c7161951fc75],
     ),
     (
         "elastic-overload",
         "csv",
-        [0x2f78b5c750e1dc56, 0x93155fe758a1e3fc, 0x3b393a4d47ed2aae],
+        [0x40df709b10bfe392, 0xde13a00f36376a14, 0xb8b8d5f9237b0dc7],
     ),
     (
         "elastic-overload",
         "trace",
-        [0x52f5c968c71c960d, 0xb784491ee8ba59fd, 0x00c18dfc86698f3d],
+        [0x1194589f5a236c80, 0x68b5f40707bbd188, 0x711ba9489cef32cd],
     ),
     (
         "warmpool",
         "report",
-        [0xc4a9cec35a6205c5, 0x82a31e8676007226, 0x718c01568432a824],
+        [0x0d6dff2cd6c4688e, 0xd1c2ffe000bfcf31, 0xd5531e59a7f07db6],
     ),
     (
         "warmpool",
         "csv",
-        [0xfd55adaed671b156, 0xc6fb916096b73a4b, 0x7036706198efea4d],
+        [0x92db59d34f01f6d7, 0xc6a26ffbede77ed4, 0x51ed1952c26df7c6],
     ),
     (
         "warmpool-quick",
         "report",
-        [0x3843dc230e24085c, 0xd468e3953dd8b0bf, 0x526cdac0b96a3ecd],
+        [0x57d85ad3568aba68, 0x3d0536237b8709d7, 0xda1557b4719a8b50],
     ),
     (
         "warmpool-quick",
         "csv",
-        [0x0385e12f86d04071, 0xd967d1310bbec561, 0x69343163ea2c8b7e],
+        [0xa5d56f883b4caf04, 0x645f80f3e08299ba, 0xed660fa5efb95f83],
     ),
     (
         "sharded",
