@@ -22,6 +22,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -157,9 +158,12 @@ impl PoolHandle {
         self.0.last_reports.lock().clone()
     }
 
-    /// Asks the runtime to shut down. Its next step tells every member to
-    /// drain; later steps finalize them as they ack or exit and release
-    /// their slices, force-releasing whatever is left after 5 s of sim time.
+    /// Asks the runtime to shut down: sets the flag its next step reads.
+    /// That step tells every member to drain; later steps finalize them as
+    /// they ack or exit and release their slices, force-releasing whatever
+    /// is left after 5 s of sim time. Nothing is woken: the pool thread
+    /// sees the flag at its next due step ([`ElasticPool::shutdown`] wakes
+    /// it at once), and a simulated driver at its next turn.
     pub fn shutdown(&self) {
         self.0.shutdown.store(true, Ordering::SeqCst);
     }
@@ -194,6 +198,8 @@ impl PoolHandle {
 /// their slices).
 pub struct ElasticPool {
     handle: PoolHandle,
+    /// The runtime's control endpoint, which the pool thread blocks on.
+    ctl: EndpointId,
     driver: Option<JoinHandle<()>>,
 }
 
@@ -211,13 +217,22 @@ impl ElasticPool {
     /// member per granted slice (fewer than requested is accepted, §4.2),
     /// and launches the control loop.
     ///
+    /// Returns once the pool thread has taken its first step with a
+    /// non-empty view: the members are running and each already has that
+    /// view's `StateBroadcast` queued, so a stub that connects now learns
+    /// the whole membership from the sentinel. The wait is bounded by 30 s
+    /// of the injected clock's time: under a virtual clock, provisioning
+    /// fails only when the driving harness advances time past the bound,
+    /// never because wall time leaked into protocol logic.
+    ///
     /// `decider` supplies application-level decisions and is required
     /// exactly when the policy is [`ScalingPolicy::AppLevel`].
     ///
     /// # Errors
     ///
     /// [`PoolError::NoCapacity`] when the cluster grants no slices at all;
-    /// [`PoolError::Cluster`] when the cluster master is down.
+    /// [`PoolError::Cluster`] when the cluster master is down, or when no
+    /// member came up within the bound.
     ///
     /// # Panics
     ///
@@ -228,33 +243,29 @@ impl ElasticPool {
         deps: PoolDeps,
         decider: Option<Box<dyn Decider>>,
     ) -> Result<ElasticPool, PoolError> {
-        let clock = Arc::clone(&deps.clock);
+        let provision_by = deps.clock.now() + SimDuration::from_secs(30);
         let runtime = PoolRuntime::start(config, factory, deps, decider)?;
-        let handle = runtime.handle();
+        let (handle, ctl) = (runtime.handle(), runtime.ctl);
+        let (ready, first_view) = sync_channel(1);
         let driver = std::thread::Builder::new()
             .name("elasticrmi-pool".to_string())
-            .spawn(move || drive_threads(runtime))
+            .spawn(move || drive_threads(runtime, provision_by, ready))
             .expect("spawn pool runtime");
 
+        // On an error, dropping the pool shuts the runtime down and joins
+        // its thread.
         let pool = ElasticPool {
             handle,
+            ctl,
             driver: Some(driver),
         };
-        // Wait for the initial members to come up, bounded on the injected
-        // clock: 30 s of *sim* time. Under the system clock that is 30 real
-        // seconds; under a virtual clock, provisioning failure surfaces
-        // only when the driving harness advances time past the bound —
-        // never because wall time leaked into protocol logic.
-        let deadline = clock.now() + SimDuration::from_secs(30);
-        while pool.size() == 0 {
-            if clock.now() > deadline {
-                return Err(PoolError::Cluster(
-                    "initial members failed to provision in time".to_string(),
-                ));
-            }
-            std::thread::sleep(Duration::from_millis(2));
+        match first_view.recv() {
+            Ok(Ok(())) => Ok(pool),
+            Ok(Err(e)) => Err(e),
+            Err(_) => Err(PoolError::Cluster(
+                "pool runtime stopped before its first view".to_string(),
+            )),
         }
-        Ok(pool)
     }
 
     /// Opens a client stub against this pool ([`PoolHandle::open_stub`])
@@ -275,6 +286,10 @@ impl ElasticPool {
     pub fn shutdown(&mut self) {
         self.handle.shutdown();
         if let Some(driver) = self.driver.take() {
+            // Wake the pool thread, so the drain starts now rather than at
+            // its next due step. The runtime ignores the datagram itself.
+            let net = &self.handle.0.deps.net;
+            let _ = net.send(self.ctl, self.ctl, RmiMessage::Shutdown.encode());
             let _ = driver.join();
         }
     }
@@ -294,10 +309,24 @@ impl Drop for ElasticPool {
     }
 }
 
-/// The pool thread: steps the runtime every [`TICK`] of wall time, runs each
-/// launched member on a thread of its own, and reports the threads that end.
-fn drive_threads(mut runtime: PoolRuntime) {
+/// The pool thread: steps the runtime, runs each launched member on a
+/// thread of its own, and reports the threads that end. Between steps it
+/// blocks on the control mailbox until the step's next due time; a
+/// datagram that lands earlier (a member's `Load` report or drain ack,
+/// or [`ElasticPool::shutdown`]'s wake-up) is applied at once and the
+/// runtime steps again. Member exits, grants and revocations are seen at
+/// the next step.
+///
+/// `ready` hears exactly once: `Ok` after the first step that published,
+/// and so broadcast, a non-empty view, or an error if none did by
+/// `provision_by`.
+fn drive_threads(
+    mut runtime: PoolRuntime,
+    provision_by: SimTime,
+    ready: SyncSender<Result<(), PoolError>>,
+) {
     let clock = Arc::clone(&runtime.deps.clock);
+    let mut ready = Some(ready);
     let mut threads: Vec<(u64, JoinHandle<()>)> = Vec::new();
     loop {
         for (uid, thread) in threads.extract_if(.., |(_, t)| t.is_finished()) {
@@ -312,10 +341,25 @@ fn drive_threads(mut runtime: PoolRuntime) {
                 .expect("spawn member thread");
             threads.push((l.uid, thread));
         }
-        if next_due.is_none() {
-            return; // a member stuck past the deadline finishes on its own
+        let up = runtime.shared.size.load(Ordering::SeqCst) > 0;
+        if let Some(ready) = ready.take_if(|_| up || clock.now() > provision_by) {
+            let _ = ready.send(if up {
+                Ok(())
+            } else {
+                Err(PoolError::Cluster(
+                    "initial members failed to provision in time".to_string(),
+                ))
+            });
         }
-        std::thread::sleep(Duration::from_micros(TICK.as_micros()));
+        let Some(next_due) = next_due else {
+            return; // a member stuck past the deadline finishes on its own
+        };
+        // A timeout is the due step. The control endpoint is closed only by
+        // the last shutdown step, which returns no next step.
+        let wait = Duration::from(next_due.saturating_since(clock.now()));
+        if let Ok(d) = runtime.ctl_mailbox.recv_timeout(wait) {
+            runtime.apply_ctl(&d.payload);
+        }
     }
 }
 
@@ -445,8 +489,10 @@ pub struct PoolRuntime {
     shutdown_deadline: Option<SimTime>,
 }
 
-/// Control-loop pacing: how often the runtime polls its mailbox, the cluster
-/// and its members' exits — a wall-time sleep for the pool thread.
+/// Control-loop pacing: how often the runtime polls the cluster for grants
+/// and revocations and sees its members' exits. `step` asks for its next
+/// turn this far ahead; the pool thread waits that long on the control
+/// mailbox, and a simulated driver steps it once its clock gets there.
 const TICK: SimDuration = SimDuration::from_millis(2);
 /// How long (sim time) the sentinel waits for load reports after a poll.
 const COLLECT_GRACE: SimDuration = SimDuration::from_millis(100);
@@ -595,6 +641,14 @@ impl PoolRuntime {
         // 6. Burst-interval scaling.
         self.scaling_step(now);
         (std::mem::take(&mut self.launched), Some(now + TICK))
+    }
+
+    /// Applies one datagram from the control mailbox, as `step`'s drain
+    /// does; what is not a control message is dropped.
+    fn apply_ctl(&mut self, payload: &[u8]) {
+        if let Ok(msg) = RmiMessage::decode(payload) {
+            self.on_ctl(msg);
+        }
     }
 
     fn on_ctl(&mut self, msg: RmiMessage) {

@@ -15,7 +15,7 @@ use elasticrmi::{
 use erm_cluster::{ClusterConfig, ClusterHandle, LatencyModel, ResourceManager};
 use erm_kvstore::{Store, StoreConfig};
 use erm_metrics::{MetricsHandle, TraceHandle};
-use erm_sim::{SimDuration, SystemClock};
+use erm_sim::{SimDuration, SystemClock, VirtualClock};
 use erm_transport::InProcNetwork;
 
 /// A service whose fine-grained vote is dictated by the test through a
@@ -70,6 +70,61 @@ fn pool_starts_at_min_size() {
     assert_eq!(pool.size(), 3);
     assert_eq!(pool.members().len(), 3);
     pool.shutdown();
+}
+
+#[test]
+fn instantiate_returns_with_the_first_view_broadcast() {
+    // The stub's first view comes from the sentinel, which has it from the
+    // runtime's first broadcast: `instantiate` must not return before that
+    // broadcast is queued, or a stub connecting at once sees no members.
+    for run in 0..200 {
+        let (mut pool, _vote) = puppet_pool(3, 6);
+        let stub = pool.stub(ClientLb::RoundRobin).unwrap();
+        assert_eq!(stub.members().len(), 3, "run {run}: {:?}", stub.members());
+        pool.shutdown();
+    }
+}
+
+#[test]
+fn provisioning_past_the_bound_fails_instantiation() {
+    // Grants take 60 s of sim time; `instantiate` gives up 30 s after it
+    // asked, once a helper moves the virtual clock 31 s past the request.
+    let clock = VirtualClock::new();
+    let mut deps = fast_deps();
+    deps.cluster = ClusterHandle::new(ResourceManager::new(ClusterConfig {
+        nodes: 4,
+        slices_per_node: 1,
+        provisioning: LatencyModel::Fixed(SimDuration::from_secs(60)),
+        ..ClusterConfig::default()
+    }));
+    deps.clock = Arc::new(clock.clone());
+    let cluster = deps.cluster.clone();
+    let advancer = std::thread::spawn(move || {
+        // The request is made after `instantiate` read the clock.
+        assert!(wait_until(10, || cluster.free_slices() < 4));
+        clock.advance(SimDuration::from_secs(31));
+    });
+    // `instantiate` returns its error only after dropping the pool, which
+    // joins the pool thread: a hang in either shows as no answer here.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let vote = Arc::new(AtomicI32::new(0));
+        let config = PoolConfig::builder("Puppet").build().unwrap();
+        let factory = Arc::new(move || {
+            Box::new(Puppet {
+                vote: Arc::clone(&vote),
+            }) as Box<dyn ElasticService>
+        });
+        let _ = tx.send(ElasticPool::instantiate(config, factory, deps, None).map(drop));
+    });
+    let outcome = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("instantiate returns once the bound has passed");
+    assert!(
+        matches!(outcome, Err(PoolError::Cluster(_))),
+        "got {outcome:?}"
+    );
+    advancer.join().unwrap();
 }
 
 #[test]
