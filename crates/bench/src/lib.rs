@@ -1,8 +1,5 @@
-//! Helpers for the `figures` binary, which produces the figure data.
-//!
-//! The `bench` binary runs the open-loop knee grid behind
-//! `BENCH_throughput.json`. See EXPERIMENTS.md for the paper-vs-measured
-//! record.
+//! Helpers for the `figures` binary, which produces the figure data. See
+//! EXPERIMENTS.md for the paper-vs-measured record.
 
 use erm_harness::{run_experiment, ExperimentConfig};
 use erm_sim::SimDuration;

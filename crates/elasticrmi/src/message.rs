@@ -330,8 +330,15 @@ impl RmiMessage {
 mod tests {
     use super::*;
 
+    /// Both decoders return `msg` from its encoding, and reject every
+    /// strict prefix of it and it with one trailing byte.
     fn roundtrip(msg: RmiMessage) {
         let bytes = msg.encode();
+        let prefixes = (0..bytes.len()).map(|n| bytes[..n].to_vec());
+        for bad in prefixes.chain([[bytes.as_slice(), &[0]].concat()]) {
+            assert!(RmiMessage::decode(&bad).is_err(), "{msg:?} from {bad:?}");
+            assert!(RmiMessage::decode_owned(bad).is_err(), "{msg:?}");
+        }
         assert_eq!(RmiMessage::decode(&bytes).unwrap(), msg);
         assert_eq!(RmiMessage::decode_owned(bytes).unwrap(), msg);
     }

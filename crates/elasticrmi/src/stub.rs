@@ -15,10 +15,11 @@
 //! invocation and returns its id immediately, and the stub keeps the
 //! retry/failover/deadline state of every outstanding invocation in a
 //! pending map instead of on the call stack, so hundreds of requests can be
-//! in flight on one endpoint at once — the property the open-loop load
-//! harness relies on. [`Stub::poll_complete`] (or [`Stub::drain_completed`])
-//! pumps the mailbox, advances every pending state machine, and surfaces
-//! finished results correlated by invocation id. The blocking
+//! in flight on one endpoint at once — the property the virtual-clock rig's
+//! open-loop arrivals and the benchmark's pipelined clients rely on.
+//! [`Stub::poll_complete`] (or [`Stub::drain_completed`]) pumps the
+//! mailbox, advances every pending state machine, and surfaces finished
+//! results correlated by invocation id. The blocking
 //! [`Stub::invoke`] is a thin begin-then-wait wrapper over the same engine,
 //! so its semantics (and every pre-existing test) are unchanged.
 

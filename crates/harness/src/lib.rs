@@ -18,7 +18,6 @@ pub mod deployment;
 pub mod experiment;
 pub mod figures;
 pub mod invariants;
-pub mod openloop;
 pub mod overload;
 pub mod rig;
 pub mod scalability;
@@ -34,16 +33,12 @@ pub use deployment::Deployment;
 pub use experiment::{run_experiment, ExperimentConfig, ExperimentResult};
 pub use figures::{agility_results, sparkline, FigureId};
 pub use invariants::{Invariants, Quiesce, Violations};
-pub use openloop::{
-    format_open_loop, open_loop_json, run_open_loop, run_open_loop_grid, OpenLoopConfig,
-    OpenLoopGrid, OpenLoopPoint, OPEN_LOOP_MEMBER_COUNTS, OPEN_LOOP_SERVICE,
-};
 pub use overload::{render_overload, run_overload, OverloadConfig, OverloadResult};
 pub use scalability::{
     render_scalability, scalability_curve, ScalabilityPoint, SharedStateProfile,
 };
 pub use shard::{run_sharded, ShardEnforcement, ShardScalePoint, ShardedRun};
-pub use sockets::{run_socket_overload, Outcomes, SocketOverloadRun, TransportKind};
+pub use sockets::{run_socket_overload, Outcomes, SocketOverloadRun};
 pub use summary::{format_summary, summary_table, SummaryRow};
 pub use telemetry::{render_why_scaled, run_elastic_overload, ElasticOverloadRun};
 pub use tiered::{render_tiered, run_tiered, TierCoordination, TieredResult};

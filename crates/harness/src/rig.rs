@@ -938,4 +938,60 @@ mod tests {
             0
         );
     }
+
+    /// The open-loop knee, exactly: a pinned pool of n members, each busy
+    /// 2 ms per request, serves n × 500 requests a second once offered
+    /// more, and loses nothing either side of the knee.
+    #[test]
+    fn a_pinned_pool_serves_members_times_its_member_rate_and_loses_nothing() {
+        let mean = SimDuration::from_millis(2);
+        let per_member = 1_000_000 / mean.as_micros();
+        for members in [2u32, 4, 8] {
+            let capacity = u64::from(members) * per_member;
+            for load in [0.5, 1.25] {
+                let rig = SimRig::new("Knee", members, 1, SimDuration::from_millis(10));
+                let config = PoolConfig::builder("Knee")
+                    .min_pool_size(members)
+                    .max_pool_size(members)
+                    .build()
+                    .unwrap();
+                let mut pool = rig.start_pool(config, move |clock, n| {
+                    JitteredService::new(clock, 7 ^ n, mean)
+                });
+                let start = rig.clock.now();
+                let end = start + SimDuration::from_secs(1);
+                let schedule = arrival_schedule(7, start, end, capacity as f64 * load, None);
+                let arrivals = schedule.len();
+                let budget = SimDuration::from_secs(2);
+                rig.serve(&mut pool, schedule, budget, end, (budget, |_| {}));
+                rig.quiesce_pool(&mut pool, SimDuration::ZERO);
+
+                let trace = rig.sink.snapshot();
+                let cell = format!("{members} members at {load}x");
+                let violations = rig.check(&Invariants::default(), &trace, 0);
+                assert!(violations.is_clean(), "{cell}: {violations:?}");
+                if load < 1.0 {
+                    let ok = trace
+                        .iter()
+                        .filter(|r| {
+                            matches!(r.event, TraceEvent::InvocationCompleted { ok: true, .. })
+                        })
+                        .count();
+                    assert_eq!(ok, arrivals, "{cell}: every arrival completes ok");
+                } else {
+                    let executed = trace
+                        .iter()
+                        .filter(|r| {
+                            r.at < end && matches!(r.event, TraceEvent::RequestExecuted { .. })
+                        })
+                        .count() as f64;
+                    let error = (executed - capacity as f64).abs() / capacity as f64;
+                    assert!(
+                        error <= 0.01,
+                        "{cell}: executed {executed} in the window, capacity {capacity}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -1,139 +1,36 @@
-//! The full stack over real TCP loopback sockets (and, for comparison,
-//! in-process channels): the paper's "performs as well as plain RMI" claim
-//! needs socket-path evidence, not just `InProcNetwork` runs.
+//! The full stack over real TCP loopback sockets: the paper's "performs as
+//! well as plain RMI" claim needs socket-path evidence, not just
+//! `InProcNetwork` runs.
 //!
 //! [`run_socket_overload`] is the PR 2 overload scenario (base load, 2x
 //! burst, recovery) driven end-to-end through stub → wire → skeleton →
 //! pool → registry over TCP loopback, with the same invariants: zero lost
 //! invocations and conservation of terminal events. This is
-//! `figures --tcp`. The `Fabric` / `ServerSide` pair it is built from
-//! also serves the open-loop sweep in [`crate::openloop`]: one member is a
-//! standalone skeleton — the plain-RMI shape the paper compares against;
-//! more run through the full elastic pool pinned at size.
+//! `figures --tcp`.
 //!
 //! Time domains: all protocol semantics (timeouts, budgets, burst
 //! intervals) run on the injected clock — here the [`SystemClock`], since
 //! real sockets run in real time. Wall clock appears only inside the TCP
-//! I/O layer and inside the benched service body (which *is* the
-//! application's work, not protocol logic).
+//! I/O layer and inside the service body (which *is* the application's
+//! work, not protocol logic).
 
-use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use elasticrmi::{
     decode_args, encode_result, ClientLb, Discipline, ElasticPool, ElasticService, PoolConfig,
-    PoolDeps, RegistryClient, RegistryServer, RemoteError, RmiError, RmiMessage, ServiceContext,
-    Skeleton, Stub,
+    PoolDeps, RegistryClient, RegistryServer, RemoteError, RmiError, ServiceContext, Stub,
 };
 use erm_cluster::{ClusterConfig, ClusterHandle, LatencyModel, ResourceManager};
 use erm_kvstore::{Store, StoreConfig};
 use erm_metrics::{MetricsHandle, TraceHandle};
 use erm_sim::{SharedClock, SimDuration, SystemClock};
-use erm_transport::{EndpointId, Host, InProcNetwork, Network, TcpHost};
+use erm_transport::{EndpointId, Host, TcpHost};
 
-/// Which byte-moving substrate a run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportKind {
-    /// In-process channels (`InProcNetwork`) — the no-socket upper bound.
-    Inproc,
-    /// Real TCP loopback sockets (`TcpHost`), one host per "machine".
-    Tcp,
-}
-
-impl fmt::Display for TransportKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TransportKind::Inproc => write!(f, "inproc"),
-            TransportKind::Tcp => write!(f, "tcp"),
-        }
-    }
-}
-
-/// A server "machine" and a client "machine" wired over the chosen
-/// transport. On inproc both are the same network; on TCP they are two
-/// hosts on loopback and the client bootstraps with one `register_host`
-/// call — every further route (members added by scale-out included) is
-/// learned from the advertised addresses on inbound frames.
-pub(crate) struct Fabric {
-    kind: TransportKind,
-    inproc: Option<Arc<InProcNetwork>>,
-    tcp_server: Option<Arc<TcpHost>>,
-    tcp_client: Option<Arc<TcpHost>>,
-}
-
-impl Fabric {
-    pub(crate) fn new(kind: TransportKind) -> Fabric {
-        match kind {
-            TransportKind::Inproc => Fabric {
-                kind,
-                inproc: Some(Arc::new(InProcNetwork::new())),
-                tcp_server: None,
-                tcp_client: None,
-            },
-            TransportKind::Tcp => {
-                let server =
-                    Arc::new(TcpHost::bind("127.0.0.1:0", 0).expect("bind server loopback"));
-                let client =
-                    Arc::new(TcpHost::bind("127.0.0.1:0", 1).expect("bind client loopback"));
-                // The out-of-band bootstrap, as with rmiregistry's
-                // host:port: the client knows where the server listens.
-                client.register_host(0, server.local_addr());
-                // Dial ahead of first use: links are keyed by address, so
-                // warming any server-host endpoint spares the first
-                // invocation (registry lookup included) the connect
-                // handshake.
-                client.preconnect(EndpointId(0));
-                Fabric {
-                    kind,
-                    inproc: None,
-                    tcp_server: Some(server),
-                    tcp_client: Some(client),
-                }
-            }
-        }
-    }
-
-    /// The host the pool (and registry) lives on.
-    pub(crate) fn server_host(&self) -> Arc<dyn Host> {
-        match self.kind {
-            TransportKind::Inproc => self.inproc.clone().expect("inproc fabric"),
-            TransportKind::Tcp => self.tcp_server.clone().expect("tcp fabric"),
-        }
-    }
-
-    /// The host client stubs live on.
-    pub(crate) fn client_host(&self) -> Arc<dyn Host> {
-        match self.kind {
-            TransportKind::Inproc => self.inproc.clone().expect("inproc fabric"),
-            TransportKind::Tcp => self.tcp_client.clone().expect("tcp fabric"),
-        }
-    }
-
-    pub(crate) fn client_net(&self) -> Arc<dyn Network> {
-        match self.kind {
-            TransportKind::Inproc => self.inproc.clone().expect("inproc fabric"),
-            TransportKind::Tcp => self.tcp_client.clone().expect("tcp fabric"),
-        }
-    }
-
-    pub(crate) fn shutdown(&self) {
-        if let Some(s) = &self.tcp_server {
-            s.shutdown();
-        }
-        if let Some(c) = &self.tcp_client {
-            c.shutdown();
-        }
-    }
-}
-
-/// The benched/overloaded service: `work` burns the configured service
-/// time (real work on the member's thread, not protocol time) and echoes,
-/// `echo` returns immediately.
-pub(crate) struct SpinService {
-    pub(crate) service: std::time::Duration,
-}
+/// The overloaded service: `work` burns 2.5 ms on the member's thread (the
+/// application's work, not protocol time) and echoes.
+struct SpinService;
 
 impl ElasticService for SpinService {
     fn dispatch(
@@ -145,13 +42,7 @@ impl ElasticService for SpinService {
         match method {
             "work" => {
                 let n: u64 = decode_args(method, args)?;
-                if !self.service.is_zero() {
-                    std::thread::sleep(self.service);
-                }
-                encode_result(&n)
-            }
-            "echo" => {
-                let n: u64 = decode_args(method, args)?;
+                std::thread::sleep(std::time::Duration::from_micros(2_500));
                 encode_result(&n)
             }
             other => Err(RemoteError::no_such_method(other)),
@@ -255,7 +146,18 @@ struct ClientSlice {
 ///
 /// `quick` halves every phase for CI smoke runs.
 pub fn run_socket_overload(seed: u64, quick: bool) -> SocketOverloadRun {
-    let fabric = Fabric::new(TransportKind::Tcp);
+    // A server "machine" and a client "machine", two hosts on loopback.
+    let server = Arc::new(TcpHost::bind("127.0.0.1:0", 0).expect("bind server loopback"));
+    let client = Arc::new(TcpHost::bind("127.0.0.1:0", 1).expect("bind client loopback"));
+    // The out-of-band bootstrap, as with rmiregistry's host:port: the
+    // client knows where the server listens. Every further route (members
+    // added by scale-out included) is learned from the advertised
+    // addresses on inbound frames.
+    client.register_host(0, server.local_addr());
+    // Dial ahead of first use: links are keyed by address, so warming any
+    // server-host endpoint spares the first invocation (registry lookup
+    // included) the connect handshake.
+    client.preconnect(EndpointId(0));
     let clock: SharedClock = Arc::new(SystemClock::new());
     let deps = PoolDeps {
         cluster: ClusterHandle::new(ResourceManager::new(ClusterConfig {
@@ -263,13 +165,12 @@ pub fn run_socket_overload(seed: u64, quick: bool) -> SocketOverloadRun {
             provisioning: LatencyModel::instant(),
             ..ClusterConfig::default()
         })),
-        net: fabric.server_host(),
+        net: server.clone(),
         store: Arc::new(Store::new(StoreConfig::default())),
         clock: Arc::clone(&clock),
         trace: TraceHandle::disabled(),
         metrics: MetricsHandle::disabled(),
     };
-    let service = std::time::Duration::from_micros(2_500);
     let mut pool = ElasticPool::instantiate(
         PoolConfig::builder("SocketOverload")
             .min_pool_size(2)
@@ -280,19 +181,19 @@ pub fn run_socket_overload(seed: u64, quick: bool) -> SocketOverloadRun {
             .queue_delay_grow_above(SimDuration::from_millis(5))
             .build()
             .expect("valid overload config"),
-        Arc::new(move || Box::new(SpinService { service })),
+        Arc::new(|| Box::new(SpinService)),
         deps,
         None,
     )
     .expect("pool over TCP instantiates");
 
     // Registry on the server machine; clients look the pool up by name.
-    let registry = RegistryServer::spawn(fabric.server_host());
+    let registry = RegistryServer::spawn(server.clone());
     {
-        let mut binder = RegistryClient::connect(fabric.server_host(), registry.endpoint());
+        let mut binder = RegistryClient::connect(server.clone(), registry.endpoint());
         assert!(binder.bind("overload", pool.sentinel()).expect("bind"));
     }
-    let mut lookup = RegistryClient::connect(fabric.client_host(), registry.endpoint());
+    let mut lookup = RegistryClient::connect(client.clone(), registry.endpoint());
     let sentinel = lookup
         .lookup("overload")
         .expect("registry answers over TCP")
@@ -317,8 +218,8 @@ pub fn run_socket_overload(seed: u64, quick: bool) -> SocketOverloadRun {
     let mut handles = Vec::new();
     for i in 0..burst_clients {
         let is_burst_only = i >= base_clients;
-        let net = fabric.client_net();
-        let (ep, mailbox) = fabric.client_host().open();
+        let net = client.clone();
+        let (ep, mailbox) = client.open();
         let clock = Arc::clone(&clock);
         let running = Arc::clone(&running);
         running.fetch_add(1, Ordering::SeqCst);
@@ -456,7 +357,8 @@ pub fn run_socket_overload(seed: u64, quick: bool) -> SocketOverloadRun {
 
     pool.shutdown();
     registry.shutdown();
-    fabric.shutdown();
+    server.shutdown();
+    client.shutdown();
 
     SocketOverloadRun {
         offered,
@@ -468,121 +370,6 @@ pub fn run_socket_overload(seed: u64, quick: bool) -> SocketOverloadRun {
         p50,
         p99,
         report,
-    }
-}
-
-/// The serving side of a benchmark cell: a pinned pool, or a lone skeleton
-/// for `members == 1` (ElasticPool's paper-faithful minimum is 2 — a
-/// singleton *pool* does not exist; a singleton remote object is exactly
-/// plain RMI).
-pub(crate) enum ServerSide {
-    Standalone {
-        join: std::thread::JoinHandle<()>,
-        ctl: EndpointId,
-        endpoint: EndpointId,
-        net: Arc<dyn Network>,
-    },
-    Pool(ElasticPool),
-}
-
-impl ServerSide {
-    /// Spawns a serving side on `fabric`'s server host: a standalone
-    /// skeleton for one member, a pinned elastic pool otherwise. The
-    /// service body sleeps `service` per `work` invocation (`echo` is
-    /// always immediate).
-    pub(crate) fn spawn(
-        fabric: &Fabric,
-        kind: TransportKind,
-        members: u32,
-        clock: &SharedClock,
-        service: std::time::Duration,
-    ) -> ServerSide {
-        if members == 1 {
-            let host = fabric.server_host();
-            let (endpoint, mailbox) = host.open();
-            let (ctl, _ctl_mailbox) = host.open();
-            let net: Arc<dyn Network> = match kind {
-                TransportKind::Inproc => fabric.inproc.clone().expect("inproc fabric"),
-                TransportKind::Tcp => fabric.tcp_server.clone().expect("tcp fabric"),
-            };
-            let ctx = ServiceContext::new(
-                Arc::new(Store::new(StoreConfig::default())),
-                "Bench",
-                0,
-                Arc::clone(clock),
-                Arc::new(AtomicU32::new(1)),
-            );
-            let skeleton = Skeleton::new(
-                0,
-                endpoint,
-                ctl,
-                Arc::clone(&net),
-                Arc::clone(clock),
-                Box::new(SpinService { service }),
-                ctx,
-                TraceHandle::disabled(),
-                None,
-            );
-            let join = std::thread::Builder::new()
-                .name("bench-skeleton".to_string())
-                .spawn(move || skeleton.run(mailbox))
-                .expect("spawn bench skeleton");
-            ServerSide::Standalone {
-                join,
-                ctl,
-                endpoint,
-                net,
-            }
-        } else {
-            let deps = PoolDeps {
-                cluster: ClusterHandle::new(ResourceManager::new(ClusterConfig {
-                    nodes: members,
-                    provisioning: LatencyModel::instant(),
-                    ..ClusterConfig::default()
-                })),
-                net: fabric.server_host(),
-                store: Arc::new(Store::new(StoreConfig::default())),
-                clock: Arc::clone(clock),
-                trace: TraceHandle::disabled(),
-                metrics: MetricsHandle::disabled(),
-            };
-            ServerSide::Pool(
-                ElasticPool::instantiate(
-                    PoolConfig::builder("Bench")
-                        .min_pool_size(members)
-                        .max_pool_size(members)
-                        .build()
-                        .expect("valid bench config"),
-                    Arc::new(move || Box::new(SpinService { service })),
-                    deps,
-                    None,
-                )
-                .expect("bench pool instantiates"),
-            )
-        }
-    }
-
-    /// The endpoint a stub should connect to as its sentinel.
-    pub(crate) fn sentinel(&self) -> EndpointId {
-        match self {
-            ServerSide::Standalone { endpoint, .. } => *endpoint,
-            ServerSide::Pool(pool) => pool.sentinel(),
-        }
-    }
-
-    pub(crate) fn shutdown(self) {
-        match self {
-            ServerSide::Standalone {
-                join,
-                ctl,
-                endpoint,
-                net,
-            } => {
-                let _ = net.send(ctl, endpoint, RmiMessage::Shutdown.encode());
-                let _ = join.join();
-            }
-            ServerSide::Pool(mut pool) => pool.shutdown(),
-        }
     }
 }
 

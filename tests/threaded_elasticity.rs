@@ -107,6 +107,59 @@ fn idle_pool_shrinks_back_under_implicit_policy() {
 }
 
 #[test]
+fn a_pinned_pool_of_four_serves_more_than_one_and_a_half_times_a_pool_of_two() {
+    // SlowEcho sleeps, so each member is 2 ms of real concurrency whatever
+    // the core count: doubling the members must show on the wall clock.
+    let (two, four) = (pinned_throughput(2), pinned_throughput(4));
+    assert!(
+        four > 1.5 * two,
+        "4 members served {four:.0}/s, 2 members {two:.0}/s"
+    );
+}
+
+/// Ok invocations per second a pinned pool of `members` SlowEchos serves
+/// one pipelined stub that keeps 8 invocations per member outstanding for
+/// 400 ms, counted until the last of them ends. Every begun invocation
+/// must reach a terminal outcome.
+fn pinned_throughput(members: u32) -> f64 {
+    use std::time::{Duration, Instant};
+    let config = PoolConfig::builder("SlowEcho")
+        .min_pool_size(members)
+        .max_pool_size(members)
+        .build()
+        .unwrap();
+    let (mut pool, _deps) = pool_with(config, Arc::new(|| Box::new(SlowEcho)));
+    let mut stub = pool.stub(ClientLb::RoundRobin).unwrap();
+    stub.set_reply_timeout(SimDuration::from_secs(2));
+    stub.set_invocation_budget(SimDuration::from_secs(2));
+    let window = 8 * members as usize;
+    let (mut begun, mut ended, mut ok) = (0usize, 0usize, 0u32);
+    let start = Instant::now();
+    let (stop, give_up) = (
+        start + Duration::from_millis(400),
+        start + Duration::from_secs(5),
+    );
+    while Instant::now() < give_up {
+        while Instant::now() < stop && stub.in_flight() < window {
+            stub.invoke_begin("work", &()).unwrap();
+            begun += 1;
+        }
+        for (_, result) in stub.drain_completed() {
+            ended += 1;
+            ok += u32::from(result.is_ok());
+        }
+        if Instant::now() >= stop && stub.in_flight() == 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let elapsed = start.elapsed().as_secs_f64();
+    assert_eq!(ended, begun, "{members} members: every invocation ends");
+    pool.shutdown();
+    f64::from(ok) / elapsed
+}
+
+#[test]
 fn store_scales_with_the_pool() {
     // §4.2: the runtime adds store nodes as the pool grows.
     use std::sync::atomic::{AtomicI32, Ordering};
