@@ -202,7 +202,7 @@ struct Episode {
 /// seconds later; the run then drains, lets the pool restore capacity, and
 /// quiesces through the runtime's shutdown with leak checks.
 pub fn run_churn(seed: u64) -> ChurnRun {
-    let rig = SimRig::new(CLASS, 8, 2, SimDuration::from_millis(500));
+    let rig = SimRig::new(8, 2, SimDuration::from_millis(500));
     let mut chaos_rng = seeded_rng(seed ^ 0x000c_4a05_u64);
 
     // Scripted chaos plus the seeded-random phase, sorted by due time.
@@ -250,19 +250,23 @@ pub fn run_churn(seed: u64) -> ChurnRun {
         })
         .build()
         .expect("valid pool config");
-    let mut pool = rig.start_pool(config, move |clock, n| {
-        JitteredService::new(
-            clock,
-            seed ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            SimDuration::from_micros(300),
-        )
-        .locking(ClassLock {
-            class: CLASS,
-            method: Some(SYNC),
-            spin: SimDuration::from_micros(100),
-            max_wait: Some(LOCK_WAIT_MAX),
-        })
-    });
+    let mut pool = rig.start_pool(
+        config,
+        move |clock, n| {
+            JitteredService::new(
+                clock,
+                seed ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                SimDuration::from_micros(300),
+            )
+            .locking(ClassLock {
+                class: CLASS,
+                method: Some(SYNC),
+                spin: SimDuration::from_micros(100),
+                max_wait: Some(LOCK_WAIT_MAX),
+            })
+        },
+        None,
+    );
 
     // Pre-computed steady arrival schedule: 120 req/s, ±50 % jitter.
     let schedule = arrival_schedule(

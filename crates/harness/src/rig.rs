@@ -1,15 +1,17 @@
 //! The one virtual-clock rig the discrete-event scenarios are built from.
 //!
 //! [`crate::overload`], [`crate::telemetry`], [`crate::warmpool`],
-//! [`crate::churn`] and [`crate::shard`] all drive *real* [`Skeleton`]s on
-//! an in-process network under a [`VirtualClock`]. What they share lives
-//! here as plain parts each scenario calls from its own drive loop:
+//! [`crate::churn`] and [`crate::shard`] all run the production pool runtime
+//! ([`PoolRuntime`]) and its real [`Skeleton`]s on an in-process network
+//! under a [`VirtualClock`]. What they share lives here as plain parts each
+//! scenario calls from its own drive loop:
 //!
 //! * [`SimRig`] — network, clock, trace sink, metrics registry, store and
-//!   cluster manager wired together, plus [`SimRig::spawn_member`], the one
-//!   place a lone scenario skeleton is constructed;
-//! * [`SimPool`] — the real pool runtime ([`PoolRuntime`]) and the members
-//!   it launches, stepped on the virtual clock by [`SimRig::drive_pool`];
+//!   cluster manager wired together;
+//! * [`SimPool`] — the pool runtime and the members it launches, started by
+//!   [`SimRig::start_pool`] and stepped on the virtual clock by
+//!   [`SimRig::drive_pool`]: membership, broadcasts, shard handoff and load
+//!   polls are the runtime's own;
 //! * [`JitteredService`] — the hosted service: occupies the member for
 //!   0.8–1.2 × a mean on the virtual clock, optionally inside a class-lock
 //!   critical section;
@@ -18,22 +20,23 @@
 //!   pumped on the virtual clock by [`SimRig::serve`] (or a scenario's own
 //!   loop): its routing, retries, pins and backoff are what the scenarios
 //!   exercise;
-//! * [`RawClient`] — a raw request injector for the scenarios that probe a
-//!   lone skeleton's refusal paths with deliberate one-shot attempts and
+//! * [`RawClient`] — a raw request injector for the scenarios that probe
+//!   the members' refusal paths with deliberate one-shot attempts and
 //!   misroutes, which a stub would route around;
 //! * [`SimRig::check`] — hands the run's trace and quiesce counts to the
 //!   shared [`Invariants`] checker.
+//!
+//! [`Skeleton`]: elasticrmi::Skeleton
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use elasticrmi::{
-    AdmissionConfig, ClientLb, ElasticService, InvocationContext, Launch, LoadReport, PoolConfig,
-    PoolDeps, PoolHandle, PoolRuntime, RemoteError, ReplyCacheConfig, RmiMessage, Semantics,
-    ServiceContext, ServiceFactory, Skeleton, Stub,
+    ClientLb, Decider, ElasticService, InvocationContext, Launch, PoolConfig, PoolDeps, PoolHandle,
+    PoolRuntime, RemoteError, RmiMessage, Semantics, ServiceContext, ServiceFactory, Stub,
 };
 use erm_cluster::{ClusterConfig, ClusterHandle, LatencyModel, ResourceManager};
 use erm_kvstore::{Store, StoreConfig};
@@ -55,9 +58,9 @@ pub fn ms(d: SimDuration) -> f64 {
 }
 
 /// The substrates of one virtual-clock run, wired to one trace sink and one
-/// metrics registry: skeletons, store locks and the cluster manager all
-/// emit into `trace` (backed by `sink`) and register in `registry` (through
-/// `metrics`).
+/// metrics registry: the pool runtime, its skeletons, store locks and the
+/// cluster manager all emit into `trace` (backed by `sink`) and register in
+/// `registry` (through `metrics`).
 pub struct SimRig {
     pub(crate) net: InProcNetwork,
     /// The run's only clock; services advance it by their service time.
@@ -68,35 +71,16 @@ pub struct SimRig {
     pub(crate) registry: Arc<Registry>,
     pub(crate) store: Arc<Store>,
     pub(crate) cluster: ClusterHandle,
-    /// The pool size every member's [`ServiceContext`] reads.
-    pub(crate) pool_size: Arc<AtomicU32>,
-    class: &'static str,
     provisioning: SimDuration,
-    /// The pool runtime's control endpoint, opened with the first member.
-    runtime: Option<(EndpointId, Mailbox)>,
     /// Endpoint id → uid of every member a [`SimPool`] launched: the real
     /// stub names its attempts' targets by endpoint, the checker by uid.
     uids: RefCell<BTreeMap<u64, u64>>,
 }
 
-/// One real pool member: the production [`Skeleton`] (ingest, cull,
-/// dispatch) and its transport identity.
-pub struct SimMember {
-    pub(crate) uid: u64,
-    pub(crate) ep: EndpointId,
-    pub(crate) mb: Mailbox,
-    pub(crate) skeleton: Skeleton,
-}
-
 impl SimRig {
-    /// A rig for elastic class `class` over a cluster of `nodes` ×
-    /// `slices_per_node` slices with fixed `provisioning` latency.
-    pub fn new(
-        class: &'static str,
-        nodes: u32,
-        slices_per_node: u32,
-        provisioning: SimDuration,
-    ) -> SimRig {
+    /// A rig over a cluster of `nodes` × `slices_per_node` slices with
+    /// fixed `provisioning` latency.
+    pub fn new(nodes: u32, slices_per_node: u32, provisioning: SimDuration) -> SimRig {
         let (trace, sink) = TraceHandle::buffered(SINK_CAPACITY);
         let (metrics, registry) = MetricsHandle::shared();
         let store = Arc::new(Store::new(StoreConfig::default()));
@@ -117,63 +101,13 @@ impl SimRig {
             registry,
             store,
             cluster,
-            pool_size: Arc::new(AtomicU32::new(0)),
-            class,
             provisioning,
-            runtime: None,
             uids: RefCell::new(BTreeMap::new()),
         }
     }
 
     fn shared_clock(&self) -> SharedClock {
         Arc::<VirtualClock>::clone(&self.clock) as SharedClock
-    }
-
-    /// The pool runtime's control endpoint (skeletons report to it; the
-    /// sharded scenario broadcasts membership from it).
-    pub fn runtime_ep(&mut self) -> EndpointId {
-        let net = &self.net;
-        self.runtime.get_or_insert_with(|| net.open_endpoint()).0
-    }
-
-    /// Brings up member `uid` hosting `service`, with metrics installed. Its
-    /// endpoint is opened first, so a run's first member is endpoint 0.
-    pub fn spawn_member(
-        &mut self,
-        uid: u64,
-        service: JitteredService,
-        admission: Option<AdmissionConfig>,
-        reply_cache: Option<ReplyCacheConfig>,
-    ) -> SimMember {
-        let (ep, mb) = self.net.open_endpoint();
-        let ctx = ServiceContext::new(
-            Arc::clone(&self.store),
-            self.class,
-            uid,
-            self.shared_clock(),
-            Arc::clone(&self.pool_size),
-        );
-        let mut skeleton = Skeleton::new(
-            uid,
-            ep,
-            self.runtime_ep(),
-            Arc::new(self.net.clone()),
-            self.shared_clock(),
-            Box::new(service),
-            ctx,
-            self.trace.clone(),
-            admission,
-        );
-        if let Some(config) = reply_cache {
-            skeleton.set_reply_cache(config);
-        }
-        skeleton.set_metrics(&self.metrics);
-        SimMember {
-            uid,
-            ep,
-            mb,
-            skeleton,
-        }
     }
 
     /// Idles until the earliest of `events` — always at least one
@@ -212,12 +146,16 @@ impl SimRig {
 
     /// Starts the production pool runtime for `config` on this rig's
     /// cluster, store, trace and metrics, each member hosting the service
-    /// `service(clock, n)` builds for the `n`-th member, and drives it until
-    /// its initial members (and warm tier) are up.
+    /// `service(clock, n)` builds for the `n`-th member, with `decider`
+    /// making the decisions of an [`elasticrmi::ScalingPolicy::AppLevel`]
+    /// pool (as [`PoolRuntime::start`] takes it). Drives the pool until its
+    /// initial members (and warm tier) are up, or as many of them as the
+    /// cluster has slices for.
     pub fn start_pool<S: ElasticService + 'static>(
         &self,
         config: PoolConfig,
         service: impl Fn(&Arc<VirtualClock>, u64) -> S + Send + Sync + 'static,
+        decider: Option<Box<dyn Decider>>,
     ) -> SimPool {
         let host = Arc::new(SimHost {
             net: self.net.clone(),
@@ -237,8 +175,9 @@ impl SimRig {
             trace: self.trace.clone(),
             metrics: self.metrics.clone(),
         };
-        let floor = (config.min_pool_size() + config.warm_standby()) as usize;
-        let runtime = PoolRuntime::start(config, factory, deps, None).expect("pool starts");
+        let floor = ((config.min_pool_size() + config.warm_standby()) as usize)
+            .min(self.cluster.total_slices());
+        let runtime = PoolRuntime::start(config, factory, deps, decider).expect("pool starts");
         let mut pool = SimPool {
             handle: runtime.handle(),
             runtime,
@@ -263,14 +202,15 @@ impl SimRig {
     /// One round of the pool on the virtual clock: delivers the members'
     /// sends that have come due, steps the runtime if its turn has come,
     /// then gives every free member a turn in uid order: its whole mailbox
-    /// ingested, then one admitted request executed or [`Skeleton::idle`].
-    /// A turn runs from the round's instant on the member's own stretch of
-    /// time (service time advances the clock); the clock is rewound after
-    /// it, and the member stays busy, its sends held, until the rig's clock
-    /// catches up — so members serve in parallel. A member whose mailbox
-    /// closed, whose drain finished or whose service panicked is reported
-    /// to the runtime as exited, as its thread's end would be. Returns
-    /// whether anything happened.
+    /// ingested, then one admitted request executed or
+    /// [`Skeleton::idle`](elasticrmi::Skeleton::idle). A turn runs from the
+    /// round's instant on the member's own stretch of time (service time
+    /// advances the clock); the clock is rewound after it, and the member
+    /// stays busy, its sends held, until the rig's clock catches up — so
+    /// members serve in parallel. A member whose mailbox closed, whose
+    /// drain finished or whose service panicked is reported to the runtime
+    /// as exited, as its thread's end would be. Returns whether anything
+    /// happened.
     pub fn drive_pool(&self, pool: &mut SimPool) -> bool {
         let now = self.clock.now();
         let mut progress = pool.host.deliver(now);
@@ -456,8 +396,8 @@ impl Seat {
     /// One turn of the member: the intake of a member thread (its whole
     /// mailbox ingested), then one admitted request executed — one, so
     /// arrivals interleave with service — or, with nothing to run,
-    /// [`Skeleton::idle`]. Returns whether it did anything, and whether
-    /// the member is finished.
+    /// [`Skeleton::idle`](elasticrmi::Skeleton::idle). Returns whether it
+    /// did anything, and whether the member is finished.
     fn turn(&mut self) -> (bool, bool) {
         let (skeleton, mailbox) = (&mut self.member.skeleton, &self.member.mailbox);
         let (mut ingested, mut done) = (false, false);
@@ -694,19 +634,20 @@ pub struct Attempt {
 #[derive(Debug, Clone, Copy)]
 pub struct Pending {
     pub(crate) a: Attempt,
-    /// The member uid the attempt's `AttemptStarted` named.
-    pub(crate) target: u64,
+    /// The member endpoint the attempt's `AttemptStarted` named.
+    pub(crate) target: EndpointId,
 }
 
-/// A raw request injector: hands requests straight to a skeleton and maps
-/// the replies to terminal trace events, with no routing and no retries of
-/// its own. Scenarios that probe one skeleton's refusal paths use it where
-/// a stub would route around the refusal; every attempt it starts still
-/// ends in exactly one terminal event.
+/// A raw request injector: sends requests to member endpoints through the
+/// rig's network and maps the replies to terminal trace events, with no
+/// routing and no retries of its own. Scenarios that probe the members'
+/// refusal paths use it where a stub would route around the refusal; every
+/// attempt it starts still ends in exactly one terminal event.
 pub struct RawClient {
     /// The client's endpoint (the `origin` of every request).
     ep: EndpointId,
     mb: Mailbox,
+    net: InProcNetwork,
     clock: Arc<VirtualClock>,
     trace: TraceHandle,
     next_invocation: u64,
@@ -724,6 +665,7 @@ impl RawClient {
         RawClient {
             ep,
             mb,
+            net: rig.net.clone(),
             clock: Arc::clone(&rig.clock),
             trace: rig.trace.clone(),
             next_invocation: 0,
@@ -753,16 +695,16 @@ impl RawClient {
         self.trace.emit(self.clock.now(), event);
     }
 
-    /// Emits the `AttemptStarted` anchor naming `target` — the uid of the
-    /// member picked — records the attempt as pending, and hands the
-    /// request to `member`'s skeleton.
-    pub fn send_attempt(&mut self, member: &mut SimMember, target: u64, a: Attempt) {
+    /// Emits the `AttemptStarted` anchor naming `target` — the endpoint of
+    /// the member picked, as the real stub names it — records the attempt
+    /// as pending, and sends the request there.
+    pub fn send_attempt(&mut self, target: EndpointId, a: Attempt) {
         let id = self.next_call;
         self.next_call += 1;
         self.emit(TraceEvent::AttemptStarted {
             invocation: a.invocation,
             attempt: a.attempt,
-            target,
+            target: target.0,
             deadline: a.deadline,
         });
         self.pending.insert(id, Pending { a, target });
@@ -787,20 +729,9 @@ impl RawClient {
             method: a.call.method.into(),
             args,
         };
-        member.skeleton.ingest(self.ep, request, &member.mb);
-    }
-
-    /// Pulls `member`'s load report for the closing burst interval, exactly
-    /// like the sentinel's `PollLoad` would. The mailbox must be drained:
-    /// the report is the next message in it.
-    pub fn poll_load(&mut self, member: &mut SimMember) -> Option<LoadReport> {
-        member
-            .skeleton
-            .ingest(self.ep, RmiMessage::PollLoad, &member.mb);
-        match RmiMessage::decode(&self.mb.try_recv().ok()?.payload) {
-            Ok(RmiMessage::Load(report)) => Some(report),
-            _ => None,
-        }
+        self.net
+            .send(self.ep, target, request.encode())
+            .expect("the member endpoint is open");
     }
 
     /// The next reply (`Response`, `Overloaded`, `WrongShard` or
@@ -859,7 +790,7 @@ impl RawClient {
         self.emit(TraceEvent::AttemptOverloaded {
             invocation: p.a.invocation,
             attempt: p.a.attempt,
-            target: p.target,
+            target: p.target.0,
             retry_after,
         });
         if self.clock.now() >= p.a.deadline {
@@ -908,7 +839,7 @@ mod tests {
 
     #[test]
     fn a_member_that_dies_mid_drain_is_reaped_and_gives_its_slice_back() {
-        let rig = SimRig::new("Drain", 4, 1, SimDuration::from_millis(10));
+        let rig = SimRig::new(4, 1, SimDuration::from_millis(10));
         let vote = Arc::new(AtomicI32::new(1));
         let config = PoolConfig::builder("Drain")
             .min_pool_size(2)
@@ -918,7 +849,8 @@ mod tests {
             .build()
             .unwrap();
         let votes = Arc::clone(&vote);
-        let mut pool = rig.start_pool(config, move |_, _| DiesDraining(Arc::clone(&votes)));
+        let service = move |_: &_, _| DiesDraining(Arc::clone(&votes));
+        let mut pool = rig.start_pool(config, service, None);
         let deadline = SimTime::from_secs(10);
         rig.drive_pool_until(&mut pool, |p| p.handle.size() == 3);
         // Shrink: the youngest member, 2, is told to drain and dies before
@@ -949,15 +881,14 @@ mod tests {
         for members in [2u32, 4, 8] {
             let capacity = u64::from(members) * per_member;
             for load in [0.5, 1.25] {
-                let rig = SimRig::new("Knee", members, 1, SimDuration::from_millis(10));
+                let rig = SimRig::new(members, 1, SimDuration::from_millis(10));
                 let config = PoolConfig::builder("Knee")
                     .min_pool_size(members)
                     .max_pool_size(members)
                     .build()
                     .unwrap();
-                let mut pool = rig.start_pool(config, move |clock, n| {
-                    JitteredService::new(clock, 7 ^ n, mean)
-                });
+                let service = move |clock: &_, n| JitteredService::new(clock, 7 ^ n, mean);
+                let mut pool = rig.start_pool(config, service, None);
                 let start = rig.clock.now();
                 let end = start + SimDuration::from_secs(1);
                 let schedule = arrival_schedule(7, start, end, capacity as f64 * load, None);

@@ -2,9 +2,12 @@
 //!
 //! Two parts, one run:
 //!
-//! 1. **Enforcement** — three real [`Skeleton`](elasticrmi::Skeleton)s behind a consistent-hash
-//!    ring, driven through a membership change with requests deliberately
-//!    misrouted and a queue caught mid-handoff. The run then hands the raw
+//! 1. **Enforcement** — the production pool runtime
+//!    ([`elasticrmi::PoolRuntime`]) running a sharded pool on the virtual
+//!    clock, grown from two members to three by its own application-level
+//!    decision, with requests deliberately misrouted and a queue caught
+//!    mid-handoff. The runtime's broadcast changes the ring and its own
+//!    shard handoff releases the moved locks. The run then hands the raw
 //!    trace to the shared [`crate::invariants`] checker and gates the
 //!    sharding invariants at zero:
 //!
@@ -13,13 +16,14 @@
 //!      [`TraceEvent::RequestExecuted`] record is checked against the ring
 //!      that was in force at that point of the trace;
 //!    * every misroute is refused with `WrongShard` (ingest-time for fresh
-//!      requests, dispatch-time for requests caught in the queue by a
+//!      requests, dispatch-time for requests caught in the queue by the
 //!      grow), and the client's retry at the named owner succeeds;
-//!    * shard handoff conserves locks: the ring diff over the held set
-//!      partitions it into *moved* (released via
-//!      [`Store::release_named`](erm_kvstore::Store::release_named), no fencing) and *retained* (still held
-//!      by a member that still owns the range), with nothing lost and
-//!      nothing leaked at quiesce;
+//!    * shard handoff conserves locks: an oracle independent of the
+//!      runtime diffs the held set across the grow. A lock's key range is
+//!      `hash_bytes(name)`; the locks whose range changed owner are
+//!      *moved* and must be exactly the ones released, and every lock
+//!      still held must sit with the new owner of its range, with nothing
+//!      leaked at quiesce;
 //!    * terminal conservation as in [`crate::warmpool`]: every injected
 //!      invocation reaches exactly one terminal event.
 //!
@@ -42,22 +46,24 @@
 //!    plateaus as soon as the hottest *key*'s lock chain saturates —
 //!    the collapse the paper's locality argument predicts.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 use elasticrmi::{
-    AdmissionConfig, KeyExtractor, MemberState, RmiMessage, ShardRing, ShardingTable,
+    hash_bytes, Discipline, KeyExtractor, PoolConfig, PoolSample, RmiMessage, ScalingPolicy,
+    ShardRing, ShardingTable,
 };
 use erm_kvstore::LockOwner;
-use erm_metrics::{snapshots_to_csv, MetricsHandle, TraceEvent};
+use erm_metrics::{snapshots_to_csv, MetricsHandle, TraceEvent, TraceRecord};
 use erm_sim::{seeded_rng, Clock, SimDuration, SimTime};
 use erm_transport::EndpointId;
 use erm_workloads::ZipfKeys;
 use rand::Rng;
 
 use crate::invariants::Violations;
-use crate::rig::{Attempt, Call, JitteredService, RawClient, SimMember, SimRig};
+use crate::rig::{Attempt, Call, JitteredService, RawClient, SimPool, SimRig};
 
 /// Class name shared by the skeletons, the store locks, and the report.
 const CLASS: &str = "Sharded";
@@ -84,6 +90,12 @@ const LOCK_RTT_US: u64 = 100;
 /// lock manager's polling granularity, on top of the hold itself.
 const HANDOFF_US: u64 = 400;
 
+/// How often the enforcement pool's sentinel asks its decider for a size.
+const BURST_INTERVAL: SimDuration = SimDuration::from_millis(100);
+
+/// Provisioning latency of the member the enforcement pool grows.
+const PROVISIONING: SimDuration = SimDuration::from_millis(10);
+
 /// Enforcement-part outcome: the invariants the sharded pool must hold
 /// through misroutes and a mid-queue membership change.
 #[derive(Debug, Clone)]
@@ -96,16 +108,20 @@ pub struct ShardEnforcement {
     pub redirects: usize,
     /// `RequestMisrouted` events skeletons emitted (must equal `redirects`).
     pub misrouted_refusals: usize,
+    /// Of those, refusals at dispatch: the refusing member had admitted the
+    /// invocation before the grow's broadcast moved its key (must be > 0).
+    pub refused_at_dispatch: usize,
     /// The shared checker's verdict (must be clean): in particular no
     /// execution by a non-owner of the key at execution time, no lost or
     /// doubly-terminated invocation, and no lock still held at quiesce
     /// after the rightful owners released theirs.
     pub violations: Violations,
-    /// Locks whose key range moved rings at the membership change.
+    /// Locks whose key range (`hash_bytes(name)`) changed owner at the
+    /// membership change.
     pub handoff_moved: usize,
     /// Locks held when the handoff ran.
     pub handoff_total: usize,
-    /// Locks actually released by the handoff (must equal `handoff_moved`).
+    /// Locks the runtime's handoff released (must equal `handoff_moved`).
     pub handoff_released: usize,
     /// Retained locks whose holder no longer owned the range (must be 0).
     pub misplaced_retained: usize,
@@ -146,229 +162,201 @@ pub struct ShardedRun {
     pub scaling: Vec<ShardScalePoint>,
 }
 
-/// The enforcement rig: real skeletons behind one ring, one client.
+/// The enforcement run: the sharded pool and a client that misroutes on
+/// purpose.
 struct Enforcement {
     rig: SimRig,
-    members: Vec<SimMember>,
+    pool: SimPool,
     client: RawClient,
-    /// The ring in force right now (installed by the last broadcast).
-    ring: ShardRing,
     redirects: usize,
 }
 
 impl Enforcement {
-    /// Installs the membership view `0..live` on every live skeleton.
-    /// Members new to the view are announced in the trace, which is where
-    /// the checker learns the ring in force at each execution.
-    fn broadcast(&mut self, epoch: u64, live: usize) {
-        let states: Vec<MemberState> = self.members[..live]
-            .iter()
-            .map(|m| MemberState {
-                endpoint: m.ep,
-                uid: m.uid,
-                pending: 0,
-            })
-            .collect();
-        let runtime_ep = self.rig.runtime_ep();
-        for m in &mut self.members[..live] {
-            m.skeleton.ingest(
-                runtime_ep,
-                RmiMessage::StateBroadcast {
-                    epoch,
-                    sentinel_uid: 0,
-                    members: states.clone(),
-                },
-                &m.mb,
-            );
-        }
-        for uid in self.ring.len() as u64..live as u64 {
-            self.rig
-                .trace
-                .emit(self.rig.clock.now(), TraceEvent::MemberJoined { uid });
-        }
-        let seats: Vec<(u64, EndpointId)> = states.iter().map(|m| (m.uid, m.endpoint)).collect();
-        self.ring = ShardRing::from_members(&seats);
+    /// The ring of the pool's published view.
+    fn ring(&self) -> ShardRing {
+        ShardRing::from_members(&self.pool.view())
     }
 
-    /// The member the ring in force assigns `key` to.
-    fn owner(&self, key: u64) -> usize {
-        self.ring.owner_uid(key).expect("non-empty ring") as usize
-    }
-
-    /// Sends one attempt to member `target`.
-    fn send(&mut self, target: usize, attempt: Attempt) {
-        self.client
-            .send_attempt(&mut self.members[target], target as u64, attempt);
-    }
-
-    /// Sends the first attempt of a fresh invocation of `key` to `target`.
-    /// The stub's extractor output for FirstU64 args is the raw key; the
-    /// client stamps what `Stub::invoke` would.
-    fn inject(&mut self, target: usize, key: u64) {
+    /// Sends the first attempt of a fresh invocation of `key` to the member
+    /// `uid` of `ring`. The stub's extractor output for FirstU64 args is the
+    /// raw key; the client stamps what `Stub::invoke` would.
+    fn inject(&mut self, ring: &ShardRing, uid: u64, key: u64) {
         let call = Call {
             method: METHOD,
             key: Some(key),
         };
         let deadline = self.rig.clock.now() + SimDuration::from_secs(60);
         let attempt = self.client.begin(call, deadline);
-        self.send(target, attempt);
+        let target = ring.endpoint_of(uid).expect("the member is on the ring");
+        self.client.send_attempt(target, attempt);
     }
 
-    /// Steps the first `live` skeletons and drains the client mailbox until
-    /// the run is quiescent. `WrongShard` refusals are retried at the named
-    /// owner, exactly as the stub's redirect path does.
-    fn pump(&mut self, live: usize) {
+    /// Drives the pool until every attempt is answered. `WrongShard`
+    /// refusals are retried at the named owner, exactly as the stub's
+    /// redirect path does.
+    fn settle(&mut self) {
         loop {
-            let mut progress = false;
-            for m in &mut self.members[..live] {
-                while m.skeleton.step() {
-                    progress = true;
-                }
-            }
             while let Some((p, reply)) = self.client.recv() {
-                progress = true;
                 match reply {
                     RmiMessage::Response { outcome, .. } => self.client.complete(&p.a, &outcome),
                     RmiMessage::WrongShard { owner, .. } => {
                         self.redirects += 1;
-                        let target = self
-                            .members
-                            .iter()
-                            .position(|m| m.ep == owner)
-                            .expect("owner endpoint is a pool member");
                         let attempt = p.a.attempt + 1;
-                        self.send(target, Attempt { attempt, ..p.a });
+                        self.client.send_attempt(owner, Attempt { attempt, ..p.a });
                     }
                     _ => {}
                 }
             }
-            if !progress {
-                break;
+            if self.client.is_idle() {
+                return;
+            }
+            if !self.rig.drive_pool(&mut self.pool) {
+                self.rig.idle_until(&[self.pool.next_event()]);
             }
         }
     }
 }
 
-/// The key a `key/<k>` lock name guards.
-fn lock_key(name: &str) -> u64 {
-    name.strip_prefix("key/")
-        .and_then(|s| s.parse().ok())
-        .expect("lock names carry their key")
+/// The member owning lock `name` on `ring`: a lock's key range is
+/// `hash_bytes(name)`, the convention the runtime's shard handoff releases
+/// locks by.
+fn range_owner(ring: &ShardRing, name: &str) -> Option<u64> {
+    ring.owner_uid(hash_bytes(name.as_bytes()))
+}
+
+/// Refusals at dispatch in `records`: a `RequestMisrouted` whose member had
+/// admitted the same invocation earlier. An ingest-time refusal happens
+/// before admission, so it never matches.
+fn refused_at_dispatch(records: &[TraceRecord]) -> usize {
+    let mut admitted = BTreeSet::new();
+    let mut refused = 0;
+    for record in records {
+        match record.event {
+            TraceEvent::RequestAdmitted {
+                uid, invocation, ..
+            } => {
+                admitted.insert((uid, invocation));
+            }
+            TraceEvent::RequestMisrouted {
+                uid, invocation, ..
+            } if admitted.contains(&(uid, invocation)) => refused += 1,
+            _ => {}
+        }
+    }
+    refused
 }
 
 /// Runs the enforcement part and hands the trace to the shared checker.
 fn run_enforcement(seed: u64, quick: bool) -> ShardEnforcement {
     let (fresh, queued, locks) = if quick { (80, 40, 64) } else { (400, 160, 200) };
-    // Membership is scripted, not provisioned: the cluster is never asked.
-    let mut rig = SimRig::new(CLASS, 1, 1, SimDuration::ZERO);
-    rig.pool_size.store(2, Ordering::SeqCst);
+    let rig = SimRig::new(3, 1, PROVISIONING);
+    // The decider holds the pool at two members until the run raises it.
+    let target = Arc::new(AtomicU32::new(2));
+    let decided = Arc::clone(&target);
+    let decider = move |_: &PoolSample| decided.load(Ordering::SeqCst);
+    let config = PoolConfig::builder(CLASS)
+        .min_pool_size(2)
+        .max_pool_size(3)
+        .policy(ScalingPolicy::AppLevel)
+        .burst_interval(BURST_INTERVAL)
+        .admission(Discipline::Edf)
+        .overload_capacity(256)
+        .sharding(ShardingTable::new().method(METHOD, KeyExtractor::FirstU64))
+        .build()
+        .expect("valid pool config");
+    // The run measures routing, not compute: a short service time.
+    let service = move |clock: &_, uid| {
+        JitteredService::new(clock, seed ^ uid, SimDuration::from_micros(300))
+    };
+    let pool = rig.start_pool(config, service, Some(Box::new(decider)));
     let client = RawClient::new(&rig);
-    let table = ShardingTable::new().method(METHOD, KeyExtractor::FirstU64);
-    let members = (0..3u64)
-        .map(|uid| {
-            // The run measures routing, not compute: a short service time.
-            let service =
-                JitteredService::new(&rig.clock, seed ^ uid, SimDuration::from_micros(300));
-            let mut member = rig.spawn_member(uid, service, Some(AdmissionConfig::edf(256)), None);
-            member.skeleton.set_sharding(table.clone());
-            member
-        })
-        .collect();
     let mut run = Enforcement {
         rig,
-        members,
+        pool,
         client,
-        ring: ShardRing::default(),
         redirects: 0,
     };
 
-    // Epoch 1: two members. Every fifth request is deliberately sent to
-    // the *other* member — the ingest-time refusal path under test.
-    run.broadcast(1, 2);
+    // Two members. Every fifth request is deliberately sent to the *other*
+    // member — the ingest-time refusal path under test.
+    let ring1 = run.ring();
     let mut zipf = ZipfKeys::new(KEYS, ZIPF_S, seed);
     for i in 0..fresh {
         let key = zipf.next_key();
-        let owner = run.owner(key);
+        let owner = ring1.owner_uid(key).expect("two-member ring");
         let target = if i % 5 == 0 { 1 - owner } else { owner };
-        run.inject(target, key);
-        run.pump(2);
+        run.inject(&ring1, target, key);
+        run.settle();
     }
 
-    // Phase B setup: the epoch-1 owners take locks over a dense key range
-    // (the `kv.lock.*` hot set), and a batch of correctly-routed requests
-    // is parked in the members' queues *without stepping*.
-    let store = std::sync::Arc::clone(&run.rig.store);
-    let ring1 = run.ring.clone();
+    // The owners take locks over a dense set of names (the `kv.lock.*` hot
+    // set), each the owner of the name's key range.
+    let store = Arc::clone(&run.rig.store);
     let lock_ttl = SimDuration::from_secs(120);
-    for k in 0..locks as u64 {
-        let uid = ring1.owner_uid(k).expect("two-member ring");
+    for k in 0..locks {
         let name = format!("key/{k}");
+        let owner = LockOwner::new(range_owner(&ring1, &name).expect("two-member ring"));
         assert!(
-            store.try_lock(&name, LockOwner::new(uid), run.rig.clock.now(), lock_ttl),
+            store.try_lock(&name, owner, run.rig.clock.now(), lock_ttl),
             "fresh lock must be free"
         );
     }
+
+    // Member 2 joins: the decider asks for three, and the round in which
+    // the runtime collects the grant is the one the members ingest a batch
+    // of correctly-routed requests in, before they dispatch any of it. The
+    // same round's broadcast moves keys, so queued requests whose keys
+    // moved hit the dispatch-time recheck; the runtime's handoff releases
+    // the moved locks first.
+    target.store(3, Ordering::SeqCst);
+    let (rig, pool) = (&run.rig, &mut run.pool);
+    rig.drive_pool_until(pool, |_| rig.cluster.pending_slices() > 0);
+    let ready_at = rig.clock.now() + PROVISIONING;
+    rig.drive_pool_until(pool, |_| rig.clock.now() >= ready_at);
     for _ in 0..queued {
         let key = zipf.next_key();
-        run.inject(run.owner(key), key);
+        run.inject(&ring1, ring1.owner_uid(key).expect("two-member ring"), key);
     }
-
-    // Epoch 2: member 2 joins. Queued requests whose keys moved now hit
-    // the dispatch-time recheck; the handoff below releases exactly the
-    // moved lock ranges, mirroring `ElasticPool`'s `shard_handoff`.
-    run.rig.clock.advance(SimDuration::from_millis(5));
-    run.broadcast(2, 3);
-    let now = run.rig.clock.now();
-    let ring2 = run.ring.clone();
     let held = store.held_locks();
-    let handoff_total = held.len();
-    let mut by_owner: HashMap<u64, Vec<String>> = HashMap::new();
-    let mut handoff_moved = 0usize;
-    for (name, owner) in &held {
-        let k = lock_key(name);
-        if ring1.owner_uid(k) != ring2.owner_uid(k) {
-            handoff_moved += 1;
-            by_owner.entry(owner.id()).or_default().push(name.clone());
-        }
-    }
-    let mut handoff_released = 0usize;
-    for (uid, names) in &by_owner {
-        handoff_released += store.release_named(&LockOwner::new(*uid), names, now).len();
-    }
-    run.rig.trace.emit(
-        now,
-        TraceEvent::ShardHandoff {
-            epoch: 2,
-            moved: handoff_moved as u64,
-            total: handoff_total as u64,
-        },
+    run.rig.drive_pool(&mut run.pool);
+    assert_eq!(
+        run.pool.handle.size(),
+        3,
+        "the grow lands in the batch's round"
     );
-    // Conservation: everything still held must sit with a holder that
-    // still owns the range under the new ring.
-    let misplaced_retained = store
-        .held_locks()
+    let ring2 = run.ring();
+    let retained = store.held_locks();
+    // The oracle: the locks whose range changed owner are the ones the
+    // handoff must release, and everything still held must sit with the
+    // owner of its range under the new ring.
+    let handoff_moved = held
         .iter()
-        .filter(|(name, owner)| ring2.owner_uid(lock_key(name)) != Some(owner.id()))
+        .filter(|(name, _)| range_owner(&ring1, name) != range_owner(&ring2, name))
         .count();
-
-    run.pump(3);
+    let handoff_released = held.iter().filter(|lock| !retained.contains(lock)).count();
+    let misplaced_retained = retained
+        .iter()
+        .filter(|(name, owner)| range_owner(&ring2, name) != Some(owner.id()))
+        .count();
+    run.settle();
 
     // A fresh tail of traffic under the three-member ring, misroutes
     // included, so the new member executes and refuses like the others.
     for i in 0..fresh / 2 {
         let key = zipf.next_key();
-        let owner = run.owner(key);
+        let owner = ring2.owner_uid(key).expect("three-member ring");
         let target = if i % 5 == 0 { (owner + 1) % 3 } else { owner };
-        run.inject(target, key);
-        run.pump(3);
+        run.inject(&ring2, target, key);
+        run.settle();
     }
-    run.pump(3);
 
-    // Quiesce: rightful owners release their retained locks; anything the
-    // store still counts afterwards leaked through the handoff.
+    // Quiesce: the owners release their retained locks, and the pool shuts
+    // down; anything the store still counts afterwards leaked through the
+    // handoff.
     for (name, owner) in store.held_locks() {
-        let _ = store.release_named(&owner, &[name], run.rig.clock.now());
+        let _ = store.unlock_at(&name, owner, run.rig.clock.now());
     }
+    run.rig.quiesce_pool(&mut run.pool, SimDuration::ZERO);
 
     // The ownership check is the tentpole gate: the shared checker judges
     // each `RequestExecuted` record against the ring in force at that point
@@ -383,9 +371,10 @@ fn run_enforcement(seed: u64, quick: bool) -> ShardEnforcement {
         executed: count(|e| matches!(e, TraceEvent::RequestExecuted { .. })),
         redirects: run.redirects,
         misrouted_refusals: count(|e| matches!(e, TraceEvent::RequestMisrouted { .. })),
+        refused_at_dispatch: refused_at_dispatch(&records),
         violations,
         handoff_moved,
-        handoff_total,
+        handoff_total: held.len(),
         handoff_released,
         misplaced_retained,
     }
@@ -482,6 +471,10 @@ pub fn run_sharded(seed: u64, quick: bool) -> ShardedRun {
         e.misrouted_refusals as i64,
     );
     gauge(
+        "shard.enforce.refused_at_dispatch",
+        e.refused_at_dispatch as i64,
+    );
+    gauge(
         "shard.enforce.misrouted.executions",
         found.misrouted_executions.len() as i64,
     );
@@ -538,8 +531,8 @@ pub fn run_sharded(seed: u64, quick: bool) -> ShardedRun {
     let _ = writeln!(
         out,
         "  enforcement: {} invocations, {} executed, {} redirects \
-         ({} refusal events)",
-        e.invocations, e.executed, e.redirects, e.misrouted_refusals,
+         ({} refusal events, {} at dispatch)",
+        e.invocations, e.executed, e.redirects, e.misrouted_refusals, e.refused_at_dispatch,
     );
     let _ = writeln!(
         out,
@@ -618,6 +611,10 @@ mod tests {
                 "seed {seed}: handoff must release exactly the moved ranges"
             );
             assert!(e.redirects > 0, "seed {seed}: misroutes never exercised");
+            assert!(
+                e.refused_at_dispatch > 0,
+                "seed {seed}: the grow caught no queued request at dispatch"
+            );
             assert_eq!(
                 e.redirects, e.misrouted_refusals,
                 "seed {seed}: every refusal event pairs with one WrongShard"
@@ -684,6 +681,7 @@ mod tests {
             "shard.enforce.terminal.duplicates",
             "shard.enforce.locks.leaked",
             "shard.enforce.redirects",
+            "shard.enforce.refused_at_dispatch",
             "shard.handoff.moved",
             "shard.handoff.released",
             "shard.handoff.misplaced",

@@ -71,7 +71,7 @@ pub struct ElasticOverloadRun {
 /// every 1 s burst interval; grows go through the cluster manager's offer
 /// round trip with 500 ms provisioning latency.
 pub fn run_elastic_overload(seed: u64) -> ElasticOverloadRun {
-    let rig = SimRig::new(CLASS, 8, 1, SimDuration::from_millis(500));
+    let rig = SimRig::new(8, 1, SimDuration::from_millis(500));
     let config = PoolConfig::builder(CLASS)
         .min_pool_size(2)
         .max_pool_size(6)
@@ -87,10 +87,14 @@ pub fn run_elastic_overload(seed: u64) -> ElasticOverloadRun {
     // method would), so the `kv.lock.wait` / `kv.lock.hold` instruments see
     // real traffic. Bootstrap offers precede any ScaleDecision, so span
     // reconstruction leaves them unattributed — right for bootstrap capacity.
-    let mut pool = rig.start_pool(config, move |clock, n| {
-        JitteredService::new(clock, seed ^ 0x7e1e_0e17 ^ n, SimDuration::from_millis(10))
-            .locking(ClassLock::every_method(CLASS))
-    });
+    let mut pool = rig.start_pool(
+        config,
+        move |clock, n| {
+            JitteredService::new(clock, seed ^ 0x7e1e_0e17 ^ n, SimDuration::from_millis(10))
+                .locking(ClassLock::every_method(CLASS))
+        },
+        None,
+    );
 
     // Pre-computed arrival schedule: 80 req/s with ±50 % jitter, 4x inside
     // the burst window. Two members at 10 ms mean service ≈ 200 req/s

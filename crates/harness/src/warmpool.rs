@@ -100,7 +100,7 @@ pub struct WarmpoolRun {
 
 /// Runs one variant of the scenario.
 fn run_variant(seed: u64, warm_standby: u32, quick: bool) -> WarmpoolVariant {
-    let rig = SimRig::new(CLASS, 8, 1, PROVISION);
+    let rig = SimRig::new(8, 1, PROVISION);
     let config = PoolConfig::builder(CLASS)
         .min_pool_size(2)
         .max_pool_size(6)
@@ -116,10 +116,14 @@ fn run_variant(seed: u64, warm_standby: u32, quick: bool) -> WarmpoolVariant {
     // serializing on the class lock; standbys hold capacity but serve no
     // load until promoted. The rotation floor of two plus the warm tier is
     // provisioned before traffic starts.
-    let mut pool = rig.start_pool(config, move |clock, n| {
-        JitteredService::new(clock, seed ^ 0x3a9b_51c7 ^ n, SimDuration::from_millis(10))
-            .locking(ClassLock::every_method(CLASS))
-    });
+    let mut pool = rig.start_pool(
+        config,
+        move |clock, n| {
+            JitteredService::new(clock, seed ^ 0x3a9b_51c7 ^ n, SimDuration::from_millis(10))
+                .locking(ClassLock::every_method(CLASS))
+        },
+        None,
+    );
 
     // Arrival schedule: 80 req/s with ±50 % jitter, 4x inside the burst.
     // Two members at 10 ms mean service ≈ 200 req/s capacity, so the burst

@@ -9,9 +9,7 @@
 //!
 //! This lives in the root package because tier-1 `cargo test -q` runs only
 //! the root package. A digest that changes is a behaviour change: the fix is
-//! in the harness, not in this table. The `overload` and `sharded` rows were
-//! recorded on the commit before the scenarios moved onto the shared rig
-//! (`erm_harness::rig`) and passed there unchanged.
+//! in the harness, not in this table.
 //!
 //! The `churn`, `elastic-overload` and `warmpool` rows moved twice: when
 //! those scenarios stopped modelling the pool and started driving the
@@ -29,6 +27,21 @@
 //!   warmpool         csv    [0xfd55adaed671b156, 0xc6fb916096b73a4b, 0x7036706198efea4d]
 //!   warmpool-quick   report [0x3843dc230e24085c, 0xd468e3953dd8b0bf, 0x526cdac0b96a3ecd]
 //!   warmpool-quick   csv    [0x0385e12f86d04071, 0xd967d1310bbec561, 0x69343163ea2c8b7e]
+//!
+//! The `overload` and `sharded` rows moved once, when those two scenarios
+//! stopped hosting hand-built members and started running the production
+//! pool runtime (`SimRig::start_pool`): the overload member as a pinned
+//! one-member pool whose load reports the sentinel polls, and the sharded
+//! enforcement as a sharded pool grown by its own decider, whose broadcast
+//! and shard handoff replace the scripted ones (a lock's key range is now
+//! `hash_bytes(name)`, the runtime's convention). The sharded report also
+//! gained the dispatch-time refusal count. The digests of the hand-built
+//! members were:
+//!   overload         report [0x9972dabb17173315, 0x9f972f72a824bf6b, 0xeb449b313448e88c]
+//!   sharded          report [0xbff7172a527e5b0e, 0x8bd5578d42df9536, 0xa3d20cfa321ef854]
+//!   sharded          csv    [0x31a2fcb11299251e, 0x27eda42168858506, 0x4daef017caa53547]
+//!   sharded-quick    report [0x774f4edfb5b3df8f, 0xb8c90424e2a24725, 0x400d65660983b6f2]
+//!   sharded-quick    csv    [0x21b3cd3112a58b63, 0xcc36832dbed4bd6c, 0x3e5124e329fc4a11]
 
 use erm_harness::{
     render_overload, run_churn, run_elastic_overload, run_sharded, run_warmpool, ElasticOverloadRun,
@@ -57,7 +70,7 @@ const GOLDEN: [(&str, &str, [u64; 3]); 14] = [
     (
         "overload",
         "report",
-        [0x9972dabb17173315, 0x9f972f72a824bf6b, 0xeb449b313448e88c],
+        [0x27d99e6c5119311a, 0x342af2993119435e, 0x9390d9fde0a387d2],
     ),
     (
         "elastic-overload",
@@ -97,22 +110,22 @@ const GOLDEN: [(&str, &str, [u64; 3]); 14] = [
     (
         "sharded",
         "report",
-        [0xbff7172a527e5b0e, 0x8bd5578d42df9536, 0xa3d20cfa321ef854],
+        [0xee50202841b45952, 0x6255c3ee82291d74, 0x816d408f85d96b0d],
     ),
     (
         "sharded",
         "csv",
-        [0x31a2fcb11299251e, 0x27eda42168858506, 0x4daef017caa53547],
+        [0x234f99ae67bdce75, 0x5487375826bdc3ab, 0x300788d05e8a91b7],
     ),
     (
         "sharded-quick",
         "report",
-        [0x774f4edfb5b3df8f, 0xb8c90424e2a24725, 0x400d65660983b6f2],
+        [0xb7822dd7b8429cfa, 0xb2f5bb9c734f849e, 0x8f3e5ae4e88c37d5],
     ),
     (
         "sharded-quick",
         "csv",
-        [0x21b3cd3112a58b63, 0xcc36832dbed4bd6c, 0x3e5124e329fc4a11],
+        [0xd6623530e500a3f5, 0x596895441dfc9aa2, 0x1fe409d89c2b97e5],
     ),
 ];
 

@@ -86,6 +86,7 @@ fn no_request_is_lost_or_double_counted() {
                 "seed {seed}: the member's reject tally must match the \
                  Overloaded replies the client saw"
             );
+            assert!(r.violations.is_clean(), "seed {seed}: {:?}", r.violations);
         }
     }
 }
