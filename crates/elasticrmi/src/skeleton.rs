@@ -1257,69 +1257,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_of_in_flight_invocation_parks_and_merges() {
-        // A duplicate arriving while the first attempt is still queued must
-        // not enter the run queue; it parks on the in-progress entry and is
-        // answered when the single execution completes.
-        let executions = Arc::new(AtomicU32::new(0));
-        let mut r = rig_with_service(
-            None,
-            Box::new(CountingService {
-                executions: Arc::clone(&executions),
-            }),
-        );
-        let mut ctx = live_ctx(1);
-        ctx.semantics = Semantics::AtMostOnce;
-        // Ingest both attempts before stepping: the first is admitted, the
-        // second parks.
-        r.skeleton.ingest(
-            r.client,
-            RmiMessage::Request {
-                call: 1,
-                context: ctx,
-                method: "incr".into(),
-                args: vec![],
-            },
-            &r.skeleton_mailbox,
-        );
-        ctx.attempt = 2;
-        r.skeleton.ingest(
-            r.client,
-            RmiMessage::Request {
-                call: 2,
-                context: ctx,
-                method: "incr".into(),
-                args: vec![],
-            },
-            &r.skeleton_mailbox,
-        );
-        assert!(
-            r.client_mailbox.try_recv().is_err(),
-            "parked duplicate must not be answered before execution"
-        );
-        while r.skeleton.step() {}
-        let mut replies = std::collections::BTreeMap::new();
-        while let Ok(d) = r.client_mailbox.try_recv() {
-            match RmiMessage::decode(&d.payload).unwrap() {
-                RmiMessage::Response {
-                    call,
-                    outcome: Ok(bytes),
-                    replayed,
-                } => {
-                    replies.insert(call, (bytes, replayed));
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert_eq!(executions.load(Ordering::SeqCst), 1, "merged, not re-run");
-        assert_eq!(replies.len(), 2, "both attempts answered");
-        assert_eq!(replies[&1].0, replies[&2].0, "identical payloads");
-        assert!(!replies[&1].1, "original reply is not a replay");
-        assert!(replies[&2].1, "parked duplicate is flagged as replayed");
-        assert_eq!(r.skeleton.dedup_stats().parked, 1);
-    }
-
-    #[test]
     fn poll_load_reports_and_resets_interval() {
         let mut r = rig();
         let args = erm_transport::to_bytes(&"x".to_string()).unwrap();
@@ -1835,6 +1772,181 @@ mod tests {
             context: ctx,
             method: "incr".into(),
             args: key.to_le_bytes().to_vec(),
+        }
+    }
+
+    /// How the queued original of a parked duplicate ends.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Ending {
+        Executed,
+        Culled,
+        RefusedAtDispatch,
+    }
+
+    /// `msg`'s call id, and its answer with the call id and `replayed` flag
+    /// blanked, so an origin's answer and a duplicate's compare equal.
+    fn blanked(msg: RmiMessage) -> (u64, RmiMessage) {
+        match msg {
+            RmiMessage::Response { call, outcome, .. } => (
+                call,
+                RmiMessage::Response {
+                    call: 0,
+                    outcome,
+                    replayed: false,
+                },
+            ),
+            RmiMessage::WrongShard {
+                call,
+                epoch,
+                owner,
+                deadline,
+            } => (
+                call,
+                RmiMessage::WrongShard {
+                    call: 0,
+                    epoch,
+                    owner,
+                    deadline,
+                },
+            ),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn duplicate_of_in_flight_invocation_parks_and_merges() {
+        // Duplicates arriving while the first attempt is still queued must
+        // not enter the run queue; they park on the in-progress entry and
+        // get the origin's answer however the origin ends: executed, culled
+        // past its deadline, or refused at dispatch after a handoff.
+        let two = ShardRing::from_members(&[(0, EndpointId(90)), (1, EndpointId(91))]);
+        let three = ShardRing::from_members(&[
+            (0, EndpointId(90)),
+            (1, EndpointId(91)),
+            (2, EndpointId(92)),
+        ]);
+        let key = (0..200_000u64)
+            .find(|k| two.owns(0, *k) && three.owns(2, *k))
+            .expect("some key moves from 0 to 2");
+        for ending in [Ending::Executed, Ending::Culled, Ending::RefusedAtDispatch] {
+            let (mut r, executions) = sharded_rig(&[(0, 90), (1, 91)]);
+            let attempt = |call: u64| {
+                let RmiMessage::Request {
+                    mut context,
+                    method,
+                    args,
+                    ..
+                } = keyed_request(1, key)
+                else {
+                    unreachable!()
+                };
+                context.semantics = Semantics::AtMostOnce;
+                context.deadline = SimTime::ZERO + SimDuration::from_millis(10);
+                context.attempt = call as u32;
+                RmiMessage::Request {
+                    call,
+                    context,
+                    method,
+                    args,
+                }
+            };
+            // The origin is admitted, two duplicates park behind it.
+            for call in 1..=3 {
+                r.skeleton
+                    .ingest(r.client, attempt(call), &r.skeleton_mailbox);
+            }
+            assert!(
+                r.client_mailbox.try_recv().is_err(),
+                "{ending:?}: parked duplicates are not answered before the origin ends"
+            );
+            assert_eq!(r.skeleton.queue_depth(), 1, "{ending:?}");
+            assert_eq!(r.skeleton.dedup_stats().parked, 2, "{ending:?}");
+            match ending {
+                Ending::Executed => {}
+                Ending::Culled => r.clock.advance(SimDuration::from_millis(20)),
+                Ending::RefusedAtDispatch => {
+                    r.skeleton.ingest(
+                        r.runtime,
+                        RmiMessage::StateBroadcast {
+                            epoch: 4,
+                            sentinel_uid: 0,
+                            members: seats(&[(0, 90), (1, 91), (2, 92)]),
+                        },
+                        &r.skeleton_mailbox,
+                    );
+                }
+            }
+            while r.skeleton.step() {}
+            let mut answers = std::collections::BTreeMap::new();
+            let mut replayed = std::collections::BTreeMap::new();
+            while let Ok(d) = r.client_mailbox.try_recv() {
+                let msg = RmiMessage::decode(&d.payload).unwrap();
+                if let RmiMessage::Response {
+                    call, replayed: f, ..
+                } = msg
+                {
+                    replayed.insert(call, f);
+                }
+                let (call, answer) = blanked(msg);
+                answers.insert(call, answer);
+            }
+            assert_eq!(
+                answers.keys().copied().collect::<Vec<_>>(),
+                vec![1, 2, 3],
+                "{ending:?}: the origin and both duplicates are answered once"
+            );
+            assert_eq!(answers[&2], answers[&1], "{ending:?}");
+            assert_eq!(answers[&3], answers[&1], "{ending:?}");
+            match (ending, &answers[&1]) {
+                (Ending::Executed, RmiMessage::Response { outcome: Ok(_), .. }) => {
+                    assert_eq!(replayed, [(1, false), (2, true), (3, true)].into());
+                }
+                (
+                    Ending::Culled,
+                    RmiMessage::Response {
+                        outcome: Err(e), ..
+                    },
+                ) => {
+                    assert!(e.is_deadline_exceeded());
+                    assert_eq!(replayed, [(1, false), (2, true), (3, true)].into());
+                }
+                (Ending::RefusedAtDispatch, RmiMessage::WrongShard { owner, .. }) => {
+                    assert_eq!(*owner, EndpointId(92));
+                    assert_eq!(r.skeleton.misrouted(), 3, "each attempt's own refusal");
+                }
+                (ending, answer) => panic!("{ending:?} answered {answer:?}"),
+            }
+            let ran = u32::from(ending == Ending::Executed);
+            assert_eq!(executions.load(Ordering::SeqCst), ran, "{ending:?}");
+            // A later retry replays the executed reply; after an abort the
+            // entry is gone, so the retry is new work: a cache miss.
+            if ending == Ending::RefusedAtDispatch {
+                // The key's range returns to this member.
+                r.skeleton.ingest(
+                    r.runtime,
+                    RmiMessage::StateBroadcast {
+                        epoch: 5,
+                        sentinel_uid: 0,
+                        members: seats(&[(0, 90), (1, 91)]),
+                    },
+                    &r.skeleton_mailbox,
+                );
+            }
+            let hits = r.skeleton.dedup_stats().hits;
+            r.skeleton.handle(r.client, attempt(4), &r.skeleton_mailbox);
+            let RmiMessage::Response {
+                call: 4, replayed, ..
+            } = recv(&r.client_mailbox)
+            else {
+                panic!("{ending:?}: the retry gets a response")
+            };
+            let hit = ending == Ending::Executed;
+            assert_eq!(
+                r.skeleton.dedup_stats().hits - hits,
+                u64::from(hit),
+                "{ending:?}"
+            );
+            assert_eq!(replayed, hit, "{ending:?}");
         }
     }
 
