@@ -29,6 +29,6 @@ mod queue;
 
 pub use aimd::{AimdConfig, AimdLimiter, AimdSnapshot};
 pub use queue::{
-    suggest_retry_after, AdmissionConfig, AdmissionQueue, Admitted, Discipline, RejectReason,
-    Rejected,
+    suggest_retry_after, AdmissionConfig, AdmissionQueue, AdmissionStats, Admitted, Discipline,
+    RejectReason, Rejected,
 };

@@ -45,6 +45,20 @@ impl AdmissionConfig {
     }
 }
 
+/// Tallies of one member's admission decisions: what it admitted,
+/// rejected, culled or shed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct AdmissionStats {
+    /// Requests admitted into a run queue.
+    pub admitted: u64,
+    /// Requests refused with `Overloaded` (queue full).
+    pub rejected: u64,
+    /// Admitted requests culled from a queue after their deadline passed.
+    pub culled: u64,
+    /// Requests shed sideways (rebalance redirect or shutdown drain).
+    pub shed: u64,
+}
+
 /// Why an offer was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {

@@ -109,7 +109,7 @@ pub mod stub;
 
 pub use api::{decode_args, encode_result, ElasticService, MethodCallStats, ServiceContext};
 pub use config::{ConfigError, PoolConfig, PoolConfigBuilder, ScalingPolicy, Thresholds};
-pub use erm_admission::{AdmissionConfig, AimdConfig, AimdLimiter, Discipline};
+pub use erm_admission::{AdmissionConfig, AdmissionStats, AimdConfig, AimdLimiter, Discipline};
 pub use erm_semantics::{DedupStats, ReplyCache, ReplyCacheConfig, Semantics, SemanticsTable};
 pub use error::{PoolError, RemoteError, RmiError};
 pub use message::{InvocationContext, LoadReport, MemberState, MethodStat, RmiMessage};

@@ -12,23 +12,33 @@
 //! * executes the two-phase shutdown drain of §2.5: finish what is pending,
 //!   redirect everything newer, then acknowledge readiness.
 //!
-//! Request intake and execution are split into two halves: [`Skeleton::ingest`]
-//! runs the admission decision (shed, reject expired, refuse `Overloaded`, or
-//! enqueue into the bounded [`AdmissionQueue`]) and [`Skeleton::step`] executes
-//! one admitted request per the configured discipline, culling anything whose
-//! deadline expired while queued. The event loop batch-drains the mailbox
-//! through `ingest` before stepping, so under a burst the queue bound and
-//! EDF ordering apply across the whole backlog rather than one message at a
-//! time.
+//! Request intake and execution are split into two halves. [`Skeleton::ingest`]
+//! takes a request through five stages, in order: (1) shard refusal, (2) the
+//! reply cache's TTL sweep and duplicate lookup (replay, or park behind the
+//! in-flight original), (3) the §2.5 drain (force what was pending at
+//! `Shutdown`, shed the rest), (4) the rebalance shed, and (5) admission into
+//! the bounded [`AdmissionQueue`] (admitted, expired, or `Overloaded`).
+//! [`Skeleton::step`] culls queued requests whose deadline passed, then
+//! executes one admitted request per the discipline, re-checking its shard
+//! owner first. The event loop batch-drains the mailbox through `ingest`
+//! before stepping, so under a burst the queue bound and EDF ordering apply
+//! across the whole backlog rather than one message at a time.
+//!
+//! Each stage passes a request on or ends it, and every ending goes through
+//! one answer path, `settle`: it completes or aborts the at-most-once
+//! reply-cache entry and sends the same answer to the origin and to every
+//! duplicate parked behind it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use erm_admission::{suggest_retry_after, AdmissionConfig, AdmissionQueue, RejectReason};
+use erm_admission::{
+    suggest_retry_after, AdmissionConfig, AdmissionQueue, AdmissionStats, Admitted, RejectReason,
+    Rejected,
+};
 use erm_metrics::{
-    AdmissionCounters, AdmissionStats, Counter, Gauge, Histogram, LatencyTracker, MetricsHandle,
-    TraceEvent, TraceHandle,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricsHandle, TraceEvent, TraceHandle,
 };
 use erm_semantics::{DedupStats, Lookup, ReplyCache, ReplyCacheConfig, Semantics};
 use erm_sim::{SharedClock, SimDuration, SimTime};
@@ -43,14 +53,33 @@ use crate::shard::{ShardRing, ShardingTable};
 /// How long the receive loop blocks before re-checking control state.
 const POLL_TICK: Duration = Duration::from_millis(5);
 
-/// An admitted invocation waiting in the run queue.
+/// One attempt of an invocation, from its arrival until `settle` answers it.
 #[derive(Debug, Clone)]
-struct QueuedRequest {
+struct Attempt {
     from: EndpointId,
     call: u64,
     context: InvocationContext,
     method: String,
     args: Vec<u8>,
+}
+
+/// How an attempt ends. `settle` sends the message it makes to the origin
+/// and to every duplicate parked behind it.
+#[derive(Debug, Clone)]
+enum Ending {
+    /// Dispatched (or replayed from the reply cache): a `Response`.
+    Executed(Result<Vec<u8>, RemoteError>),
+    /// Its deadline passed before it ran: a deadline-exceeded `Response`.
+    Expired(RemoteError),
+    /// Its key's ring owner is another member: `WrongShard`.
+    Misrouted { owner_uid: u64, owner: EndpointId },
+    /// Shed to other members by the drain or a rebalance: `Redirected`.
+    Shed(Vec<EndpointId>),
+    /// The run queue is full: `Overloaded`.
+    Overloaded {
+        queue_depth: u32,
+        retry_after: SimDuration,
+    },
 }
 
 #[derive(Debug, Default)]
@@ -59,7 +88,7 @@ struct IntervalStats {
     busy_micros: u64,
     expired: u32,
     rejected: u32,
-    queue_delay: LatencyTracker,
+    queue_delay: HistogramSnapshot,
     started_at: Option<SimTime>,
 }
 
@@ -117,8 +146,8 @@ pub struct Skeleton {
     interval: IntervalStats,
     served_since_start: u64,
     trace: TraceHandle,
-    queue: AdmissionQueue<QueuedRequest>,
-    counters: Arc<AdmissionCounters>,
+    queue: AdmissionQueue<Attempt>,
+    admission: AdmissionStats,
     /// Duplicate-suppression cache for `AtMostOnce` methods (wire v4),
     /// consulted *before* admission so suppressed attempts never occupy a
     /// run-queue slot.
@@ -180,7 +209,7 @@ impl Skeleton {
             interval: IntervalStats::default(),
             served_since_start: 0,
             queue: admission.map_or_else(AdmissionQueue::unbounded_fifo, AdmissionQueue::new),
-            counters: Arc::new(AdmissionCounters::new()),
+            admission: AdmissionStats::default(),
             reply_cache: ReplyCache::new(ReplyCacheConfig::default()),
             published_dedup: DedupStats::default(),
             published_cache_len: 0,
@@ -251,7 +280,7 @@ impl Skeleton {
 
     /// Admission decisions taken since start.
     pub fn admission_stats(&self) -> AdmissionStats {
-        self.counters.snapshot()
+        self.admission
     }
 
     /// Duplicate-suppression counters for this member's reply cache.
@@ -278,13 +307,16 @@ impl Skeleton {
     /// last pushed to the shared metrics instruments.
     fn sync_dedup_metrics(&mut self) {
         let s = self.reply_cache.stats();
+        let len = self.reply_cache.len();
+        if s == self.published_dedup && len == self.published_cache_len {
+            return;
+        }
         self.dedup_hits.add(s.hits - self.published_dedup.hits);
         self.dedup_replayed
             .add(s.replayed - self.published_dedup.replayed);
         self.dedup_evicted
             .add(s.evicted - self.published_dedup.evicted);
         self.published_dedup = s;
-        let len = self.reply_cache.len();
         self.dedup_size
             .add(len as i64 - self.published_cache_len as i64);
         self.published_cache_len = len;
@@ -357,19 +389,24 @@ impl Skeleton {
     }
 
     /// The intake half of the skeleton: control messages are applied
-    /// immediately; a `Request` gets its admission decision (drain
-    /// redirect, rebalance shed, expired rejection, `Overloaded` refusal,
-    /// or enqueue) but is **not** executed. Returns `true` when the
+    /// immediately; a `Request` goes through the five intake stages (see
+    /// the module doc) but is **not** executed. Returns `true` when the
     /// skeleton should exit.
     pub fn ingest(&mut self, from: EndpointId, msg: RmiMessage, mailbox: &Mailbox) -> bool {
-        match msg {
+        let exit = match msg {
             RmiMessage::Request {
                 call,
                 context,
                 method,
                 args,
             } => {
-                self.on_request(from, call, context, method, args);
+                self.on_request(Attempt {
+                    from,
+                    call,
+                    context,
+                    method,
+                    args,
+                });
                 self.finished
             }
             RmiMessage::PoolInfoRequest => {
@@ -439,9 +476,10 @@ impl Skeleton {
                 self.drain_budget = mailbox.len();
                 if self.drain_budget == 0 && self.queue.is_empty() {
                     self.finish_shutdown();
-                    return true;
+                    true
+                } else {
+                    false
                 }
-                false
             }
             RmiMessage::Ping => {
                 self.send(from, RmiMessage::Pong);
@@ -456,100 +494,84 @@ impl Skeleton {
             | RmiMessage::Load(_)
             | RmiMessage::ShutdownReady { .. }
             | RmiMessage::Pong => false,
-        }
+        };
+        exit
     }
 
-    fn on_request(
-        &mut self,
-        from: EndpointId,
-        call: u64,
-        context: InvocationContext,
-        method: String,
-        args: Vec<u8>,
-    ) {
+    /// The five intake stages, in order. Each either passes the attempt on
+    /// or ends it through `settle` (via `expire` or `shed` where those
+    /// count and trace the ending first).
+    fn on_request(&mut self, attempt: Attempt) {
         let now = self.clock.now();
-        // Key affinity comes first: a misrouted request must never touch the
-        // reply cache or an admission slot on a non-owner — executing it here
-        // would defeat the locality sharding exists to provide.
-        if self.refuse_if_misrouted(from, call, &context) {
-            return;
+        let context = attempt.context;
+        // 1. Shard refusal. Key affinity comes first: a misrouted request
+        // must never touch the reply cache or an admission slot on a
+        // non-owner — executing it here would defeat the locality sharding
+        // exists to provide.
+        if let Some(refusal) = self.shard_refusal(&context) {
+            return self.settle(&attempt, false, refusal);
         }
-        // TTL sweep first so a dead entry can never shadow live work, then
-        // the duplicate check — *before* any admission decision, so a
+        // 2. TTL sweep first so a dead entry can never shadow live work,
+        // then the duplicate check — *before* any admission decision, so a
         // suppressed attempt never occupies a run-queue slot and a draining
         // member replays cached replies instead of redirecting duplicates.
         self.reply_cache.expire(now);
         if context.semantics == Semantics::AtMostOnce {
-            match self
-                .reply_cache
-                .lookup(context.origin, context.id, from, call, now)
-            {
-                Lookup::Miss => self.sync_dedup_metrics(),
-                Lookup::Parked => {
-                    // A duplicate of an in-flight invocation: merged into
-                    // the first execution, answered when it completes.
-                    self.sync_dedup_metrics();
-                    return;
-                }
-                Lookup::Replay(outcome) => {
-                    self.sync_dedup_metrics();
-                    self.send(
-                        from,
-                        RmiMessage::Response {
-                            call,
-                            outcome,
-                            replayed: true,
-                        },
-                    );
-                    return;
-                }
-            }
-        }
-        let request = QueuedRequest {
-            from,
-            call,
-            context,
-            method,
-            args,
-        };
-        if self.draining {
-            if self.drain_budget > 0 {
-                // Pending at shutdown time: still executed (§2.5), so it
-                // bypasses the capacity check — but not the deadline.
-                self.drain_budget -= 1;
-                match self.queue.force(now, context.deadline, request) {
-                    Ok(_) => self.begin_dedup(&context),
-                    Err(rejected) => self.reject_expired(now, rejected.item, rejected.reason),
-                }
-            } else {
-                self.counters.shed();
-                self.redirect(from, call, &context);
-            }
-            return;
-        }
-        if let Some(target) = self.take_redirect_quota() {
-            // Sentinel told us to shed a portion of incoming invocations.
-            self.counters.shed();
-            self.trace.emit(
+            let lookup = self.reply_cache.lookup(
+                context.origin,
+                context.id,
+                attempt.from,
+                attempt.call,
                 now,
-                TraceEvent::RequestShed {
-                    uid: self.uid,
-                    invocation: context.id,
-                },
             );
-            self.send(
-                from,
-                RmiMessage::Redirected {
-                    call,
-                    members: vec![target],
-                    deadline: context.deadline,
-                },
-            );
-            return;
+            self.sync_dedup_metrics();
+            match lookup {
+                Lookup::Miss => {}
+                // A duplicate of an in-flight invocation: merged into the
+                // first execution, settled with it.
+                Lookup::Parked => return,
+                // A duplicate of a finished one: answered as a parked
+                // duplicate would have been.
+                Lookup::Replay(outcome) => {
+                    return self.answer(
+                        attempt.from,
+                        attempt.call,
+                        &context,
+                        Ending::Executed(outcome),
+                        true,
+                    );
+                }
+            }
         }
-        match self.queue.offer(now, context.deadline, request) {
+        // 3. Drain. A request pending at shutdown time is still executed
+        // (§2.5), so it bypasses the capacity check — but not the deadline.
+        // Anything newer goes to the other members.
+        if self.draining {
+            if self.drain_budget == 0 {
+                let others = self
+                    .members
+                    .iter()
+                    .filter(|m| m.uid != self.uid)
+                    .map(|m| m.endpoint)
+                    .collect();
+                return self.shed(now, attempt, others);
+            }
+            self.drain_budget -= 1;
+            match self.queue.force(now, context.deadline, attempt) {
+                Ok(_) => self.begin_dedup(&context),
+                Err(rejected) => self.refuse_at_door(now, rejected),
+            }
+            return self.check_drain_done();
+        }
+        // 4. Rebalance shed: the sentinel told this member to shed a portion
+        // of incoming invocations.
+        if let Some(target) = self.take_redirect_quota() {
+            return self.shed(now, attempt, vec![target]);
+        }
+        // 5. Admission.
+        match self.queue.offer(now, context.deadline, attempt) {
             Ok(depth) => {
-                self.counters.admit();
+                self.admission.admitted += 1;
                 self.begin_dedup(&context);
                 self.trace.emit(
                     now,
@@ -560,89 +582,56 @@ impl Skeleton {
                     },
                 );
             }
-            Err(rejected) => match rejected.reason {
-                RejectReason::Expired { .. } => {
-                    self.reject_expired(now, rejected.item, rejected.reason);
-                }
-                RejectReason::QueueFull { depth } => {
-                    // Refuse *before* queueing: an early, explicit rejection
-                    // with a retry hint beats letting the request die by
-                    // deadline behind a full queue.
-                    self.interval.rejected += 1;
-                    self.counters.reject();
-                    let retry_after = suggest_retry_after(depth, self.mean_service());
-                    self.trace.emit(
-                        now,
-                        TraceEvent::RequestOverloaded {
-                            uid: self.uid,
-                            invocation: context.id,
-                            queue_depth: depth,
-                            retry_after,
-                        },
-                    );
-                    self.send(
-                        from,
-                        RmiMessage::Overloaded {
-                            call,
-                            queue_depth: depth,
-                            retry_after,
-                        },
-                    );
-                }
-            },
+            Err(rejected) => self.refuse_at_door(now, rejected),
         }
     }
 
-    /// Refuses a keyed request this member does not own, naming the ring
-    /// owner so the stub can retry there directly. Returns `true` when the
-    /// request was refused (a `WrongShard` reply was sent). No-op unless
+    /// Answers an attempt the run queue would not take: expired on arrival,
+    /// or refused `Overloaded` *before* queueing — an early, explicit
+    /// rejection with a retry hint beats letting the request die by
+    /// deadline behind a full queue.
+    fn refuse_at_door(&mut self, now: SimTime, rejected: Rejected<Attempt>) {
+        let attempt = rejected.item;
+        match rejected.reason {
+            RejectReason::Expired { late_by } => self.expire(now, attempt, late_by, false),
+            RejectReason::QueueFull { depth } => {
+                self.interval.rejected += 1;
+                self.admission.rejected += 1;
+                let retry_after = suggest_retry_after(depth, self.mean_service());
+                self.trace.emit(
+                    now,
+                    TraceEvent::RequestOverloaded {
+                        uid: self.uid,
+                        invocation: attempt.context.id,
+                        queue_depth: depth,
+                        retry_after,
+                    },
+                );
+                let overloaded = Ending::Overloaded {
+                    queue_depth: depth,
+                    retry_after,
+                };
+                self.settle(&attempt, false, overloaded);
+            }
+        }
+    }
+
+    /// The refusal of a keyed request this member does not own, naming the
+    /// ring owner so the stub can retry there directly. `None` unless
     /// sharding is enabled, the context carries a routing key, and a
     /// membership view has been installed (an empty ring means this member
     /// has not yet heard who owns what — refusing would deadlock bootstrap).
-    fn refuse_if_misrouted(
-        &mut self,
-        from: EndpointId,
-        call: u64,
-        context: &InvocationContext,
-    ) -> bool {
+    fn shard_refusal(&self, context: &InvocationContext) -> Option<Ending> {
         if !self.sharding.is_enabled() {
-            return false;
+            return None;
         }
-        let Some(key) = context.routing_key else {
-            return false;
-        };
+        let key = context.routing_key?;
         if self.ring.is_empty() || self.ring.owns(self.uid, key) {
-            return false;
+            return None;
         }
-        let Some(owner_uid) = self.ring.owner_uid(key) else {
-            return false;
-        };
-        let Some(owner) = self.ring.endpoint_of(owner_uid) else {
-            return false;
-        };
-        self.misrouted += 1;
-        self.shard_misrouted.add(1);
-        self.trace.emit(
-            self.clock.now(),
-            TraceEvent::RequestMisrouted {
-                uid: self.uid,
-                invocation: context.id,
-                owner_uid,
-            },
-        );
-        // Carry the current epoch so the stub can tell a fresher view from
-        // its own, and echo the deadline so the follow-up attempt runs
-        // under the remaining budget.
-        self.send(
-            from,
-            RmiMessage::WrongShard {
-                call,
-                epoch: self.epoch,
-                owner,
-                deadline: context.deadline,
-            },
-        );
-        true
+        let owner_uid = self.ring.owner_uid(key)?;
+        let owner = self.ring.endpoint_of(owner_uid)?;
+        Some(Ending::Misrouted { owner_uid, owner })
     }
 
     /// Executes at most one admitted request: culls (and answers) every
@@ -652,90 +641,47 @@ impl Skeleton {
     pub fn step(&mut self) -> bool {
         let now = self.clock.now();
         let culled = self.queue.cull(now);
-        let did_work = !culled.is_empty();
+        let mut worked = !culled.is_empty();
         for dead in culled {
-            let late_by = now.saturating_since(dead.deadline);
-            self.interval.expired += 1;
-            self.counters.cull();
-            self.trace.emit(
-                now,
-                TraceEvent::RequestExpired {
-                    uid: self.uid,
-                    invocation: dead.item.context.id,
-                    late_by,
-                },
-            );
-            let outcome = Err(RemoteError::deadline_exceeded(&dead.item.method, late_by));
-            // The invocation died unexecuted: drop its in-progress cache
-            // entry (a fresh retry would be legal — it just can't beat the
-            // deadline) and give every parked duplicate the same failure.
-            if dead.item.context.semantics == Semantics::AtMostOnce {
-                let waiters = self
-                    .reply_cache
-                    .abort(dead.item.context.origin, dead.item.context.id);
-                for w in waiters {
-                    self.send(
-                        w.from,
-                        RmiMessage::Response {
-                            call: w.call,
-                            outcome: outcome.clone(),
-                            replayed: true,
-                        },
-                    );
-                }
-                self.sync_dedup_metrics();
-            }
-            self.send(
-                dead.item.from,
-                RmiMessage::Response {
-                    call: dead.item.call,
-                    outcome,
-                    replayed: false,
-                },
-            );
+            // The invocation died unexecuted: its in-progress cache entry
+            // is dropped (a fresh retry would be legal — it just can't beat
+            // the deadline).
+            self.expire(now, dead.item, now.saturating_since(dead.deadline), true);
         }
-        let Some(admitted) = self.queue.pop(now) else {
-            if did_work {
-                self.check_drain_done();
-            }
-            return did_work;
-        };
+        if let Some(admitted) = self.queue.pop(now) {
+            self.dispatch(admitted);
+            worked = true;
+        }
+        if worked {
+            self.check_drain_done();
+        }
+        worked
+    }
+
+    fn dispatch(&mut self, admitted: Admitted<Attempt>) {
         let queue_delay = admitted.queue_delay;
-        let request = admitted.item;
+        let mut attempt = admitted.item;
         // Re-check ownership at dispatch time: a handoff can land between
         // admission and execution, and running the method then would be a
         // misrouted execution — the invariant the sharded harness gates at
         // zero. Refuse late rather than execute on a non-owner.
-        if self.refuse_if_misrouted(request.from, request.call, &request.context) {
-            if request.context.semantics == Semantics::AtMostOnce {
-                // The in-progress dedup entry was begun at admission; drop
-                // it (a retry at the owner is legal) and give every parked
-                // duplicate the same refusal.
-                let waiters = self
-                    .reply_cache
-                    .abort(request.context.origin, request.context.id);
-                for w in waiters {
-                    self.refuse_if_misrouted(w.from, w.call, &request.context);
-                }
-                self.sync_dedup_metrics();
-            }
-            self.check_drain_done();
-            return true;
+        if let Some(refusal) = self.shard_refusal(&attempt.context) {
+            return self.settle(&attempt, true, refusal);
         }
-        self.interval.queue_delay.observe(queue_delay);
+        self.interval.queue_delay.record(queue_delay);
         self.queue_delay_hist.record(queue_delay);
         let start = self.clock.now();
-        self.ctx.set_invocation(Some(request.context));
+        self.ctx.set_invocation(Some(attempt.context));
         let outcome = self
             .service
-            .dispatch(&request.method, &request.args, &mut self.ctx);
+            .dispatch(&attempt.method, &attempt.args, &mut self.ctx);
         self.ctx.set_invocation(None);
         // The arguments still sit in the buffer the transport delivered
         // them in; the next inbound payload of that size reuses it.
-        buffers::recycle(request.args);
+        buffers::recycle(std::mem::take(&mut attempt.args));
         let end = self.clock.now();
         let latency = end.saturating_since(start);
-        self.interval.record(&request.method, latency.as_micros());
+        self.interval.record(&attempt.method, latency.as_micros());
         self.service_time_hist.record(latency);
         self.served_since_start += 1;
         // Server-side span anchor: lets trace consumers reconstruct the
@@ -744,43 +690,12 @@ impl Skeleton {
             end,
             TraceEvent::RequestExecuted {
                 uid: self.uid,
-                invocation: request.context.id,
+                invocation: attempt.context.id,
                 queued_for: queue_delay,
                 ran_for: latency,
             },
         );
-        if request.context.semantics == Semantics::AtMostOnce {
-            // Cache the reply for future duplicates (charged by payload
-            // size) and answer every attempt that parked while it ran.
-            let bytes = outcome.as_ref().map_or(0, Vec::len);
-            let waiters = self.reply_cache.complete(
-                request.context.origin,
-                request.context.id,
-                outcome.clone(),
-                bytes,
-            );
-            for w in waiters {
-                self.send(
-                    w.from,
-                    RmiMessage::Response {
-                        call: w.call,
-                        outcome: outcome.clone(),
-                        replayed: true,
-                    },
-                );
-            }
-            self.sync_dedup_metrics();
-        }
-        self.send(
-            request.from,
-            RmiMessage::Response {
-                call: request.call,
-                outcome,
-                replayed: false,
-            },
-        );
-        self.check_drain_done();
-        true
+        self.settle(&attempt, true, Ending::Executed(outcome));
     }
 
     /// Records an admitted `AtMostOnce` invocation as in flight. Called only
@@ -794,29 +709,131 @@ impl Skeleton {
         }
     }
 
-    fn reject_expired(&mut self, now: SimTime, request: QueuedRequest, reason: RejectReason) {
-        let late_by = match reason {
-            RejectReason::Expired { late_by } => late_by,
-            RejectReason::QueueFull { .. } => now.saturating_since(request.context.deadline),
-        };
+    /// Ends an attempt whose deadline passed before it ran: on arrival, or
+    /// culled from the run queue (`admitted`).
+    fn expire(&mut self, now: SimTime, attempt: Attempt, late_by: SimDuration, admitted: bool) {
         self.interval.expired += 1;
+        if admitted {
+            self.admission.culled += 1;
+        }
         self.trace.emit(
             now,
             TraceEvent::RequestExpired {
                 uid: self.uid,
-                invocation: request.context.id,
+                invocation: attempt.context.id,
                 late_by,
             },
         );
-        self.send(
-            request.from,
-            RmiMessage::Response {
-                call: request.call,
-                outcome: Err(RemoteError::deadline_exceeded(&request.method, late_by)),
-                replayed: false,
+        let error = RemoteError::deadline_exceeded(&attempt.method, late_by);
+        self.settle(&attempt, admitted, Ending::Expired(error));
+    }
+
+    /// Sheds an attempt sideways to `members`: the drain's redirect or a
+    /// rebalance.
+    fn shed(&mut self, now: SimTime, attempt: Attempt, members: Vec<EndpointId>) {
+        self.admission.shed += 1;
+        self.trace.emit(
+            now,
+            TraceEvent::RequestShed {
+                uid: self.uid,
+                invocation: attempt.context.id,
             },
         );
-        self.check_drain_done();
+        self.settle(&attempt, false, Ending::Shed(members));
+    }
+
+    /// The one answer path. An `admitted` at-most-once attempt holds its
+    /// reply-cache entry: executing completes it (the reply is cached for
+    /// future duplicates, charged by payload size), any other ending aborts
+    /// it (a retry is legal again, because the invocation never ran). Every
+    /// duplicate parked on the entry then gets the origin's answer under its
+    /// own call id — after the origin for a refusal, before it otherwise.
+    fn settle(&mut self, attempt: &Attempt, admitted: bool, ending: Ending) {
+        let context = &attempt.context;
+        let parked = if admitted && context.semantics == Semantics::AtMostOnce {
+            let parked = match &ending {
+                Ending::Executed(outcome) => {
+                    let bytes = outcome.as_ref().map_or(0, Vec::len);
+                    self.reply_cache
+                        .complete(context.origin, context.id, outcome.clone(), bytes)
+                }
+                _ => self.reply_cache.abort(context.origin, context.id),
+            };
+            self.sync_dedup_metrics();
+            parked
+        } else {
+            Vec::new()
+        };
+        let origin_first = matches!(ending, Ending::Misrouted { .. });
+        if origin_first {
+            self.answer(attempt.from, attempt.call, context, ending.clone(), false);
+        }
+        for p in parked {
+            self.answer(p.from, p.call, context, ending.clone(), true);
+        }
+        if !origin_first {
+            self.answer(attempt.from, attempt.call, context, ending, false);
+        }
+    }
+
+    /// Sends `ending`'s message for one attempt of `context`'s invocation;
+    /// a `duplicate`'s `Response` is flagged `replayed`.
+    fn answer(
+        &mut self,
+        to: EndpointId,
+        call: u64,
+        context: &InvocationContext,
+        ending: Ending,
+        duplicate: bool,
+    ) {
+        let msg = match ending {
+            Ending::Executed(outcome) => RmiMessage::Response {
+                call,
+                outcome,
+                replayed: duplicate,
+            },
+            Ending::Expired(error) => RmiMessage::Response {
+                call,
+                outcome: Err(error),
+                replayed: duplicate,
+            },
+            Ending::Misrouted { owner_uid, owner } => {
+                self.misrouted += 1;
+                self.shard_misrouted.add(1);
+                self.trace.emit(
+                    self.clock.now(),
+                    TraceEvent::RequestMisrouted {
+                        uid: self.uid,
+                        invocation: context.id,
+                        owner_uid,
+                    },
+                );
+                // Carry the current epoch so the stub can tell a fresher
+                // view from its own.
+                RmiMessage::WrongShard {
+                    call,
+                    epoch: self.epoch,
+                    owner,
+                    deadline: context.deadline,
+                }
+            }
+            // Echo the deadline so the follow-up attempt runs under the
+            // remaining budget, never a fresh one.
+            Ending::Shed(members) => RmiMessage::Redirected {
+                call,
+                members,
+                deadline: context.deadline,
+            },
+            Ending::Overloaded {
+                queue_depth,
+                retry_after,
+            } => RmiMessage::Overloaded {
+                call,
+                queue_depth,
+                retry_after,
+            },
+        };
+        self.send(to, msg);
     }
 
     fn check_drain_done(&mut self) {
@@ -846,38 +863,12 @@ impl Skeleton {
         Some(target)
     }
 
-    fn redirect(&mut self, from: EndpointId, call: u64, context: &InvocationContext) {
-        self.trace.emit(
-            self.clock.now(),
-            TraceEvent::RequestShed {
-                uid: self.uid,
-                invocation: context.id,
-            },
-        );
-        let members: Vec<EndpointId> = self
-            .members
-            .iter()
-            .filter(|m| m.uid != self.uid)
-            .map(|m| m.endpoint)
-            .collect();
-        // Echo the deadline so the follow-up attempt runs under the
-        // remaining budget, never a fresh one.
-        self.send(
-            from,
-            RmiMessage::Redirected {
-                call,
-                members,
-                deadline: context.deadline,
-            },
-        );
-    }
-
     fn make_load_report(&mut self, pending: u32) -> LoadReport {
         let now = self.clock.now();
         let elapsed = self
             .interval
             .started_at
-            .map_or(erm_sim::SimDuration::ZERO, |t| now.saturating_since(t));
+            .map_or(SimDuration::ZERO, |t| now.saturating_since(t));
         let busy = if elapsed.is_zero() {
             0.0
         } else {
@@ -888,6 +879,10 @@ impl Skeleton {
         let stats = MethodCallStats::new(elapsed, stats_vec.iter().cloned().collect())
             .with_expired(self.interval.expired);
         let vote = self.service.change_pool_size(&stats, &mut self.ctx);
+        let delay_us = |q| {
+            let quantile = self.interval.queue_delay.quantile(q);
+            quantile.map_or(0, SimDuration::as_micros)
+        };
         let report = LoadReport {
             uid: self.uid,
             pending,
@@ -897,16 +892,8 @@ impl Skeleton {
             expired: self.interval.expired,
             method_stats: stats_vec,
             rejected: self.interval.rejected,
-            queue_delay_p50_us: self
-                .interval
-                .queue_delay
-                .quantile(0.5)
-                .map_or(0, SimDuration::as_micros),
-            queue_delay_p99_us: self
-                .interval
-                .queue_delay
-                .quantile(0.99)
-                .map_or(0, SimDuration::as_micros),
+            queue_delay_p50_us: delay_us(0.5),
+            queue_delay_p99_us: delay_us(0.99),
         };
         // Burst interval rolls over after each poll.
         self.interval = IntervalStats {
@@ -1412,6 +1399,8 @@ mod tests {
         }
         assert_eq!(redirects, 2, "exactly the rebalance count is shed");
         assert_eq!(responses, 2);
+        let stats = r.skeleton.admission_stats();
+        assert_eq!((stats.shed, stats.rejected, stats.culled), (2, 0, 0));
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!   explicit retry hint, queued work stays young enough to finish inside
 //!   its deadline, and goodput holds near capacity through the burst.
 
-use elasticrmi::{AdmissionConfig, AimdConfig, AimdLimiter, PoolConfig, RmiMessage};
-use erm_metrics::AdmissionStats;
+use elasticrmi::{
+    AdmissionConfig, AdmissionStats, AimdConfig, AimdLimiter, PoolConfig, RmiMessage,
+};
 use erm_sim::{Clock, SimDuration};
 
 use crate::invariants::Violations;

@@ -13,12 +13,14 @@
 //!   and that resource serving its first request. See
 //!   [`ProvisioningRecorder`].
 //!
-//! The crate also provides the QoS trackers (latency, admission tallies) used by
-//! the threaded runtime and application tests, plus the telemetry layer:
+//! The crate also provides the telemetry layer, the workspace's one metrics
+//! system:
 //!
 //! * a [`Registry`] of named counters, gauges and log-linear histograms that
 //!   every component reaches through a cheap [`MetricsHandle`] (disabled by
-//!   default, like [`TraceHandle`]);
+//!   default, like [`TraceHandle`]). A [`HistogramSnapshot`] also records on
+//!   its own: a skeleton keeps its burst interval's queue-delay percentiles
+//!   in one;
 //! * a [`SpanBuilder`] that folds the flat trace ring back into
 //!   per-invocation span trees and per-decision control-plane spans, with
 //!   Chrome/Perfetto export via [`chrome_trace`] and CSV snapshots via
@@ -26,14 +28,12 @@
 
 mod agility;
 mod provisioning;
-mod qos;
 mod registry;
 mod span;
 mod trace;
 
 pub use agility::{AgilityMeter, AgilityReport};
 pub use provisioning::{ProvisioningRecorder, ProvisioningReport};
-pub use qos::{AdmissionCounters, AdmissionStats, LatencyTracker};
 pub use registry::{
     snapshots_to_csv, Counter, Gauge, Histogram, HistogramSnapshot, MetricsHandle, Registry,
     RegistrySnapshot, CSV_HEADER,

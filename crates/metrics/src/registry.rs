@@ -12,9 +12,11 @@
 //! Registering the same name twice returns the same underlying cell, so
 //! restarted components keep accumulating into one series.
 //!
-//! Histograms use the same log-linear (√2 resolution, 64 bucket) scheme as
-//! [`crate::LatencyTracker`], but over atomics: fixed allocation, mergeable
-//! snapshots, HDR-style approximate quantiles with exact count/mean/max.
+//! Histograms use a log-linear scheme (√2 resolution, 64 buckets from 1 µs)
+//! over atomics: fixed allocation, mergeable snapshots, HDR-style
+//! approximate quantiles with exact count/mean/max. A [`HistogramSnapshot`]
+//! also records on its own, without atomics, for single-owner windows such
+//! as a skeleton's burst interval.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -22,7 +24,28 @@ use std::sync::{Arc, Mutex};
 
 use erm_sim::{SimDuration, SimTime};
 
-use crate::qos::{bucket_index, bucket_upper_bound, BUCKETS};
+const BUCKETS: usize = 64;
+
+/// Log-linear bucket index for a duration: two buckets per power of two
+/// (≈ √2 resolution) starting at 1 µs.
+fn bucket_index(d: SimDuration) -> usize {
+    let micros = d.as_micros().max(1);
+    let log2 = 63 - micros.leading_zeros() as usize;
+    let half = usize::from(micros >= (1u64 << log2) + (1u64 << log2.saturating_sub(1)));
+    (2 * log2 + half).min(BUCKETS - 1)
+}
+
+/// Upper bound of a log-linear bucket, the value quantiles report.
+fn bucket_upper_bound(index: usize) -> SimDuration {
+    let log2 = index / 2;
+    let base = 1u64 << log2;
+    let bound = if index.is_multiple_of(2) {
+        base + base / 2
+    } else {
+        base * 2
+    };
+    SimDuration::from_micros(bound)
+}
 
 /// The shared instrument table. Create one per run (or per pool) and snapshot
 /// it whenever a time-series sample is wanted.
@@ -313,6 +336,16 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Records one observation into this copy, exactly as the atomic
+    /// [`Histogram`] would.
+    pub fn record(&mut self, d: SimDuration) {
+        let micros = d.as_micros();
+        self.buckets[bucket_index(d)] += 1;
+        self.count += 1;
+        self.sum_micros += micros;
+        self.max_micros = self.max_micros.max(micros);
+    }
+
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -449,22 +482,36 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles_match_latency_tracker() {
+    fn local_record_matches_the_atomic_histogram() {
         let (handle, _registry) = MetricsHandle::shared();
         let h = handle.histogram("lat");
-        let mut tracker = crate::LatencyTracker::new();
+        let mut local = HistogramSnapshot::default();
+        assert_eq!(local.mean(), None);
+        assert_eq!(local.max(), None);
+        assert_eq!(local.quantile(0.9), None);
         for ms in 1..=100u64 {
             let d = SimDuration::from_millis(ms);
             h.record(d);
-            tracker.observe(d);
+            local.record(d);
         }
-        let snap = h.snapshot();
-        assert_eq!(snap.count(), 100);
-        assert_eq!(snap.mean(), tracker.mean());
-        assert_eq!(snap.max(), tracker.max());
-        for q in [0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(snap.quantile(q), tracker.quantile(q), "q={q}");
-        }
+        assert_eq!(local, h.snapshot());
+        // Count, mean and max are exact; quantiles are bucket upper bounds
+        // clamped to the maximum.
+        assert_eq!(local.count(), 100);
+        assert_eq!(local.mean(), Some(SimDuration::from_micros(50_500)));
+        assert_eq!(local.max(), Some(SimDuration::from_millis(100)));
+        let p50 = local.quantile(0.5).unwrap();
+        assert!(
+            p50 >= SimDuration::from_millis(32) && p50 <= SimDuration::from_millis(100),
+            "p50 = {p50}"
+        );
+        assert_eq!(local.quantile(1.0), Some(SimDuration::from_millis(100)));
+    }
+
+    #[test]
+    #[should_panic(expected = "within [0,1]")]
+    fn quantile_validates_range() {
+        let _ = HistogramSnapshot::default().quantile(1.5);
     }
 
     #[test]
