@@ -304,7 +304,9 @@ impl Skeleton {
     }
 
     /// Publishes the diff between the cache's internal counters and what was
-    /// last pushed to the shared metrics instruments.
+    /// last pushed to the shared metrics instruments. Every public entry
+    /// point that can touch the cache ends with it, so the registry is
+    /// current whenever the skeleton is not running.
     fn sync_dedup_metrics(&mut self) {
         let s = self.reply_cache.stats();
         let len = self.reply_cache.len();
@@ -495,6 +497,7 @@ impl Skeleton {
             | RmiMessage::ShutdownReady { .. }
             | RmiMessage::Pong => false,
         };
+        self.sync_dedup_metrics();
         exit
     }
 
@@ -517,15 +520,13 @@ impl Skeleton {
         // member replays cached replies instead of redirecting duplicates.
         self.reply_cache.expire(now);
         if context.semantics == Semantics::AtMostOnce {
-            let lookup = self.reply_cache.lookup(
+            match self.reply_cache.lookup(
                 context.origin,
                 context.id,
                 attempt.from,
                 attempt.call,
                 now,
-            );
-            self.sync_dedup_metrics();
-            match lookup {
+            ) {
                 Lookup::Miss => {}
                 // A duplicate of an in-flight invocation: merged into the
                 // first execution, settled with it.
@@ -655,6 +656,7 @@ impl Skeleton {
         if worked {
             self.check_drain_done();
         }
+        self.sync_dedup_metrics();
         worked
     }
 
@@ -705,7 +707,6 @@ impl Skeleton {
         if context.semantics == Semantics::AtMostOnce {
             self.reply_cache
                 .begin(context.origin, context.id, context.deadline);
-            self.sync_dedup_metrics();
         }
     }
 
@@ -751,16 +752,14 @@ impl Skeleton {
     fn settle(&mut self, attempt: &Attempt, admitted: bool, ending: Ending) {
         let context = &attempt.context;
         let parked = if admitted && context.semantics == Semantics::AtMostOnce {
-            let parked = match &ending {
+            match &ending {
                 Ending::Executed(outcome) => {
                     let bytes = outcome.as_ref().map_or(0, Vec::len);
                     self.reply_cache
                         .complete(context.origin, context.id, outcome.clone(), bytes)
                 }
                 _ => self.reply_cache.abort(context.origin, context.id),
-            };
-            self.sync_dedup_metrics();
-            parked
+            }
         } else {
             Vec::new()
         };
