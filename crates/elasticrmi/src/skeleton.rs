@@ -331,15 +331,15 @@ impl Skeleton {
         loop {
             match mailbox.recv_timeout(POLL_TICK) {
                 Ok(datagram) => {
-                    let mut exit = self.ingest_datagram(datagram, &mailbox);
+                    self.ingest_datagram(datagram, &mailbox);
                     // Batch-drain every queued arrival before executing, so
                     // the admission bound and run-queue discipline apply
                     // across the whole backlog of a burst.
                     while let Ok(d) = mailbox.try_recv() {
-                        exit |= self.ingest_datagram(d, &mailbox);
+                        self.ingest_datagram(d, &mailbox);
                     }
                     while self.step() {}
-                    if exit || self.finished {
+                    if self.finished {
                         break;
                     }
                 }
@@ -385,9 +385,9 @@ impl Skeleton {
     /// Returns `true` when the skeleton should exit. Exposed for
     /// deterministic unit tests.
     pub fn handle(&mut self, from: EndpointId, msg: RmiMessage, mailbox: &Mailbox) -> bool {
-        let exit = self.ingest(from, msg, mailbox);
+        self.ingest(from, msg, mailbox);
         while self.step() {}
-        exit || self.finished
+        self.finished
     }
 
     /// The intake half of the skeleton: control messages are applied
@@ -395,21 +395,26 @@ impl Skeleton {
     /// the module doc) but is **not** executed. Returns `true` when the
     /// skeleton should exit.
     pub fn ingest(&mut self, from: EndpointId, msg: RmiMessage, mailbox: &Mailbox) -> bool {
-        let exit = match msg {
+        // §2.5: every message that sat in the mailbox when `Shutdown`
+        // arrived spends one unit of the drain budget, whatever its kind; a
+        // request that spent one was pending, and is still executed.
+        let pending = self.drain_budget > 0;
+        self.drain_budget = self.drain_budget.saturating_sub(1);
+        match msg {
             RmiMessage::Request {
                 call,
                 context,
                 method,
                 args,
             } => {
-                self.on_request(Attempt {
+                let attempt = Attempt {
                     from,
                     call,
                     context,
                     method,
                     args,
-                });
-                self.finished
+                };
+                self.on_request(attempt, pending);
             }
             RmiMessage::PoolInfoRequest => {
                 let members: Vec<EndpointId> = self.members.iter().map(|m| m.endpoint).collect();
@@ -428,7 +433,6 @@ impl Skeleton {
                         uids,
                     },
                 );
-                false
             }
             RmiMessage::PollLoad => {
                 // Pending = undrained mailbox plus *live* queued work;
@@ -437,7 +441,6 @@ impl Skeleton {
                 let pending = mailbox.len() as u32 + self.queue.live_len(self.clock.now());
                 let report = self.make_load_report(pending);
                 self.send(from, RmiMessage::Load(report));
-                false
             }
             RmiMessage::StateBroadcast {
                 epoch,
@@ -461,32 +464,17 @@ impl Skeleton {
                         self.members.iter().map(|m| (m.uid, m.endpoint)).collect();
                     self.ring = ShardRing::from_members(&seats);
                 }
-                false
             }
-            RmiMessage::Rebalance { to, count } => {
-                self.redirect_quota.push((to, count));
-                false
-            }
+            RmiMessage::Rebalance { to, count } => self.redirect_quota.push((to, count)),
             RmiMessage::Shutdown => {
                 // §2.5: acknowledge, finish pending invocations (those
                 // already queued in the mailbox or admitted to the run
-                // queue), then notify readiness.
+                // queue), then notify readiness. Work already admitted
+                // executes via `step` without spending the budget.
                 self.draining = true;
-                // Budget covers requests still in the mailbox (they pass
-                // through `on_request` on arrival); work already admitted to
-                // the run queue executes via `step` without consuming it.
                 self.drain_budget = mailbox.len();
-                if self.drain_budget == 0 && self.queue.is_empty() {
-                    self.finish_shutdown();
-                    true
-                } else {
-                    false
-                }
             }
-            RmiMessage::Ping => {
-                self.send(from, RmiMessage::Pong);
-                false
-            }
+            RmiMessage::Ping => self.send(from, RmiMessage::Pong),
             // Messages a skeleton never consumes.
             RmiMessage::Response { .. }
             | RmiMessage::Redirected { .. }
@@ -495,16 +483,19 @@ impl Skeleton {
             | RmiMessage::PoolInfo { .. }
             | RmiMessage::Load(_)
             | RmiMessage::ShutdownReady { .. }
-            | RmiMessage::Pong => false,
-        };
+            | RmiMessage::Pong => {}
+        }
+        // Spending the last unit, or a `Shutdown` with nothing pending, may
+        // end the drain.
+        self.check_drain_done();
         self.sync_dedup_metrics();
-        exit
+        self.finished
     }
 
     /// The five intake stages, in order. Each either passes the attempt on
     /// or ends it through `settle` (via `expire` or `shed` where those
     /// count and trace the ending first).
-    fn on_request(&mut self, attempt: Attempt) {
+    fn on_request(&mut self, attempt: Attempt, pending: bool) {
         let now = self.clock.now();
         let context = attempt.context;
         // 1. Shard refusal. Key affinity comes first: a misrouted request
@@ -544,25 +535,23 @@ impl Skeleton {
                 }
             }
         }
-        // 3. Drain. A request pending at shutdown time is still executed
-        // (§2.5), so it bypasses the capacity check — but not the deadline.
-        // Anything newer goes to the other members.
-        if self.draining {
-            if self.drain_budget == 0 {
-                let others = self
-                    .members
-                    .iter()
-                    .filter(|m| m.uid != self.uid)
-                    .map(|m| m.endpoint)
-                    .collect();
-                return self.shed(now, attempt, others);
-            }
-            self.drain_budget -= 1;
-            match self.queue.force(now, context.deadline, attempt) {
+        // 3. Drain (§2.5). A request that was pending at `Shutdown` is still
+        // executed, so it bypasses the capacity check — but not the
+        // deadline. Anything newer goes to the other members.
+        if pending {
+            return match self.queue.force(now, context.deadline, attempt) {
                 Ok(_) => self.begin_dedup(&context),
                 Err(rejected) => self.refuse_at_door(now, rejected),
-            }
-            return self.check_drain_done();
+            };
+        }
+        if self.draining {
+            let others = self
+                .members
+                .iter()
+                .filter(|m| m.uid != self.uid)
+                .map(|m| m.endpoint)
+                .collect();
+            return self.shed(now, attempt, others);
         }
         // 4. Rebalance shed: the sentinel told this member to shed a portion
         // of incoming invocations.
@@ -1468,6 +1457,51 @@ mod tests {
         assert!(matches!(
             recv(&r.client_mailbox),
             RmiMessage::Redirected { .. }
+        ));
+    }
+
+    #[test]
+    fn control_messages_queued_before_shutdown_spend_the_drain_budget() {
+        // A `Ping` and a request sit in the mailbox when `Shutdown` arrives:
+        // both were pending, so both spend the drain budget. Were the `Ping`
+        // free, its unit would let a request sent after the drain execute,
+        // and `ShutdownReady` would wait for it.
+        let mut r = rig();
+        let args = erm_transport::to_bytes(&"x".to_string()).unwrap();
+        let skeleton = r.skeleton_mailbox.id();
+        r.net
+            .send(r.runtime, skeleton, RmiMessage::Ping.encode())
+            .unwrap();
+        let request = |call| RmiMessage::Request {
+            call,
+            context: live_ctx(call),
+            method: "echo".into(),
+            args: args.clone(),
+        };
+        r.net
+            .send(r.client, skeleton, request(10).encode())
+            .unwrap();
+        r.skeleton
+            .handle(r.runtime, RmiMessage::Shutdown, &r.skeleton_mailbox);
+        for _ in 0..2 {
+            let d = r.skeleton_mailbox.try_recv().unwrap();
+            let msg = RmiMessage::decode(&d.payload).unwrap();
+            r.skeleton.handle(d.from, msg, &r.skeleton_mailbox);
+        }
+        assert!(matches!(recv(&r.runtime_mailbox), RmiMessage::Pong));
+        assert!(matches!(
+            recv(&r.runtime_mailbox),
+            RmiMessage::ShutdownReady { uid: 0 }
+        ));
+        assert!(matches!(
+            recv(&r.client_mailbox),
+            RmiMessage::Response { call: 10, .. }
+        ));
+        r.skeleton
+            .handle(r.client, request(11), &r.skeleton_mailbox);
+        assert!(matches!(
+            recv(&r.client_mailbox),
+            RmiMessage::Redirected { call: 11, .. }
         ));
     }
 
