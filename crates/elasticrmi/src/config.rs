@@ -8,7 +8,7 @@
 //! choosing [`ScalingPolicy::FineGrained`] disables the CPU/RAM thresholds,
 //! because the thresholds only exist inside the coarse-grained variants.
 
-use erm_admission::{AdmissionConfig, Discipline};
+use erm_admission::AdmissionConfig;
 use erm_semantics::{ReplyCacheConfig, SemanticsTable};
 use erm_sim::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -187,7 +187,6 @@ pub struct PoolConfig {
     burst_interval: SimDuration,
     policy: ScalingPolicy,
     overload_capacity: Option<u32>,
-    admission: Option<Discipline>,
     queue_delay_grow_above: Option<SimDuration>,
     semantics: SemanticsTable,
     reply_cache: Option<ReplyCacheConfig>,
@@ -205,7 +204,6 @@ impl PoolConfig {
             burst_interval: SimDuration::from_secs(60),
             policy: ScalingPolicy::Implicit,
             overload_capacity: None,
-            admission: None,
             queue_delay_grow_above: None,
             semantics: SemanticsTable::default(),
             reply_cache: None,
@@ -240,27 +238,20 @@ impl PoolConfig {
         self.policy
     }
 
-    /// Per-member overload capacity, if configured. When set it bounds the
-    /// admission queue and serves as the sentinel balancer's per-member
-    /// target; when `None` the balancer falls back to its legacy
-    /// mean-pending heuristic.
+    /// Per-member overload capacity, if configured. When set, skeletons run
+    /// EDF admission bounded at it and the sentinel balancer uses it as its
+    /// per-member target; when `None` admission is off (the legacy
+    /// unbounded FIFO) and the balancer falls back to its mean-pending
+    /// heuristic.
     pub fn overload_capacity(&self) -> Option<u32> {
         self.overload_capacity
     }
 
-    /// Default admission-queue bound used when admission control is on but
-    /// no explicit [`PoolConfig::overload_capacity`] was configured.
-    pub const DEFAULT_OVERLOAD_CAPACITY: u32 = 64;
-
-    /// The skeletons' admission-queue configuration, or `None` when
-    /// admission control is off (the legacy unbounded-FIFO behaviour).
+    /// The skeletons' admission-queue configuration: EDF bounded at
+    /// [`PoolConfig::overload_capacity`], or `None` when admission control
+    /// is off.
     pub fn admission_config(&self) -> Option<AdmissionConfig> {
-        self.admission.map(|discipline| AdmissionConfig {
-            capacity: self
-                .overload_capacity
-                .unwrap_or(Self::DEFAULT_OVERLOAD_CAPACITY),
-            discipline,
-        })
+        self.overload_capacity.map(AdmissionConfig::edf)
     }
 
     /// Queue-delay p99 above which the scaling engine votes to grow,
@@ -340,7 +331,6 @@ pub struct PoolConfigBuilder {
     burst_interval: SimDuration,
     policy: ScalingPolicy,
     overload_capacity: Option<u32>,
-    admission: Option<Discipline>,
     queue_delay_grow_above: Option<SimDuration>,
     semantics: SemanticsTable,
     reply_cache: Option<ReplyCacheConfig>,
@@ -374,19 +364,12 @@ impl PoolConfigBuilder {
         self
     }
 
-    /// Sets the per-member overload capacity: the admission-queue bound and
-    /// the balancer's per-member pending target. Unset, the balancer uses
-    /// its mean-pending heuristic and the admission queue (when enabled)
-    /// defaults to [`PoolConfig::DEFAULT_OVERLOAD_CAPACITY`].
+    /// Turns on skeleton-side admission control: EDF run queues bounded at
+    /// `capacity`, which is also the balancer's per-member pending target.
+    /// Off by default (unbounded FIFO, the legacy behaviour, and the
+    /// balancer's mean-pending heuristic).
     pub fn overload_capacity(mut self, capacity: u32) -> Self {
         self.overload_capacity = Some(capacity);
-        self
-    }
-
-    /// Enables skeleton-side admission control with the given run-queue
-    /// discipline. Off by default (unbounded FIFO, the legacy behaviour).
-    pub fn admission(mut self, discipline: Discipline) -> Self {
-        self.admission = Some(discipline);
         self
     }
 
@@ -474,7 +457,6 @@ impl PoolConfigBuilder {
             burst_interval: self.burst_interval,
             policy: self.policy,
             overload_capacity: self.overload_capacity,
-            admission: self.admission,
             queue_delay_grow_above: self.queue_delay_grow_above,
             semantics: self.semantics,
             reply_cache: self.reply_cache,
@@ -581,7 +563,6 @@ mod tests {
         assert_eq!(legacy.queue_delay_grow_above(), None);
 
         let tuned = PoolConfig::builder("C1")
-            .admission(Discipline::Edf)
             .overload_capacity(32)
             .queue_delay_grow_above(SimDuration::from_millis(50))
             .build()
@@ -589,20 +570,12 @@ mod tests {
         assert_eq!(
             tuned.admission_config(),
             Some(AdmissionConfig::edf(32)),
-            "explicit capacity bounds the admission queue"
+            "the capacity turns on EDF admission bounded at it"
         );
+        assert_eq!(tuned.overload_capacity(), Some(32));
         assert_eq!(
             tuned.queue_delay_grow_above(),
             Some(SimDuration::from_millis(50))
-        );
-
-        let defaulted = PoolConfig::builder("C1")
-            .admission(Discipline::Fifo)
-            .build()
-            .unwrap();
-        assert_eq!(
-            defaulted.admission_config(),
-            Some(AdmissionConfig::fifo(PoolConfig::DEFAULT_OVERLOAD_CAPACITY))
         );
     }
 

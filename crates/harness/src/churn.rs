@@ -37,8 +37,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
 use elasticrmi::{
-    ClientLb, Discipline, PoolConfig, PoolStats, ReplyCacheConfig, ScalingPolicy, Semantics,
-    SemanticsTable, StubStats,
+    ClientLb, PoolConfig, PoolStats, ReplyCacheConfig, ScalingPolicy, Semantics, SemanticsTable,
+    StubStats,
 };
 use erm_cluster::{NodeId, SliceId};
 use erm_kvstore::LockOwner;
@@ -240,7 +240,6 @@ pub fn run_churn(seed: u64) -> ChurnRun {
         .warm_standby(WARM_STANDBY)
         .policy(ScalingPolicy::Implicit)
         .burst_interval(TICK)
-        .admission(Discipline::Edf)
         .overload_capacity(32)
         .semantics(SemanticsTable::new().method(WORK, Semantics::AtMostOnce))
         .reply_cache(ReplyCacheConfig {

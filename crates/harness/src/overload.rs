@@ -22,9 +22,7 @@
 //!   explicit retry hint, queued work stays young enough to finish inside
 //!   its deadline, and goodput holds near capacity through the burst.
 
-use elasticrmi::{
-    AdmissionConfig, AdmissionStats, AimdConfig, AimdLimiter, PoolConfig, RmiMessage,
-};
+use elasticrmi::{AdmissionStats, AimdConfig, AimdLimiter, PoolConfig, RmiMessage};
 use erm_sim::{Clock, SimDuration};
 
 use crate::invariants::Violations;
@@ -41,8 +39,8 @@ const BURST_INTERVAL: SimDuration = SimDuration::from_secs(1);
 pub struct OverloadConfig {
     /// Seed for arrival spacing and service-time jitter.
     pub seed: u64,
-    /// Run-queue bound and discipline; `None` is the legacy unbounded FIFO.
-    pub admission: Option<AdmissionConfig>,
+    /// The member's EDF run-queue bound; `None` is the legacy unbounded FIFO.
+    pub overload_capacity: Option<u32>,
     /// Client-side AIMD limiter; `None` sends every arrival.
     pub limiter: Option<AimdConfig>,
     /// Mean service time per request (±20 % seeded jitter).
@@ -68,7 +66,7 @@ impl OverloadConfig {
     pub fn baseline(seed: u64) -> Self {
         OverloadConfig {
             seed,
-            admission: None,
+            overload_capacity: None,
             limiter: None,
             service_mean: SimDuration::from_millis(10),
             deadline_budget: SimDuration::from_millis(250),
@@ -84,7 +82,7 @@ impl OverloadConfig {
     /// run queue bounded at 8 entries plus a default AIMD client limiter.
     pub fn with_admission(seed: u64) -> Self {
         OverloadConfig {
-            admission: Some(AdmissionConfig::edf(8)),
+            overload_capacity: Some(8),
             limiter: Some(AimdConfig::default()),
             ..Self::baseline(seed)
         }
@@ -127,10 +125,8 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadResult {
         .min_pool_size(2)
         .max_pool_size(2)
         .burst_interval(BURST_INTERVAL);
-    if let Some(admission) = config.admission {
-        builder = builder
-            .admission(admission.discipline)
-            .overload_capacity(admission.capacity);
+    if let Some(capacity) = config.overload_capacity {
+        builder = builder.overload_capacity(capacity);
     }
     let pool_config = builder.build().expect("valid pool config");
     let (seed, mean) = (config.seed ^ 0x5e51_1ce0, config.service_mean);

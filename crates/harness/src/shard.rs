@@ -52,8 +52,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use elasticrmi::{
-    hash_bytes, Discipline, KeyExtractor, PoolConfig, PoolSample, RmiMessage, ScalingPolicy,
-    ShardRing, ShardingTable,
+    hash_bytes, KeyExtractor, PoolConfig, PoolSample, RmiMessage, ScalingPolicy, ShardRing,
+    ShardingTable,
 };
 use erm_kvstore::LockOwner;
 use erm_metrics::{snapshots_to_csv, MetricsHandle, TraceEvent, TraceRecord};
@@ -259,7 +259,6 @@ fn run_enforcement(seed: u64, quick: bool) -> ShardEnforcement {
         .max_pool_size(3)
         .policy(ScalingPolicy::AppLevel)
         .burst_interval(BURST_INTERVAL)
-        .admission(Discipline::Edf)
         .overload_capacity(256)
         .sharding(ShardingTable::new().method(METHOD, KeyExtractor::FirstU64))
         .build()

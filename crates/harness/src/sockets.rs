@@ -19,8 +19,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use elasticrmi::{
-    decode_args, encode_result, ClientLb, Discipline, ElasticPool, ElasticService, PoolConfig,
-    PoolDeps, RegistryClient, RegistryServer, RemoteError, RmiError, ServiceContext, Stub,
+    decode_args, encode_result, ClientLb, ElasticPool, ElasticService, PoolConfig, PoolDeps,
+    RegistryClient, RegistryServer, RemoteError, RmiError, ServiceContext, Stub,
 };
 use erm_cluster::{ClusterConfig, ClusterHandle, LatencyModel, ResourceManager};
 use erm_kvstore::{Store, StoreConfig};
@@ -177,7 +177,6 @@ pub fn run_socket_overload(seed: u64, quick: bool) -> SocketOverloadRun {
             .max_pool_size(6)
             .burst_interval(SimDuration::from_millis(250))
             .overload_capacity(32)
-            .admission(Discipline::Edf)
             .queue_delay_grow_above(SimDuration::from_millis(5))
             .build()
             .expect("valid overload config"),

@@ -27,7 +27,7 @@
 
 use std::fmt::Write as _;
 
-use elasticrmi::{Discipline, PoolConfig, ScalingPolicy};
+use elasticrmi::{PoolConfig, ScalingPolicy};
 use erm_kvstore::LockOwner;
 use erm_metrics::{
     chrome_trace, snapshots_to_csv, DecisionSpan, InvocationOutcome, InvocationSpan,
@@ -78,7 +78,6 @@ pub fn run_elastic_overload(seed: u64) -> ElasticOverloadRun {
         .policy(ScalingPolicy::Implicit)
         .queue_delay_grow_above(SimDuration::from_millis(50))
         .burst_interval(SimDuration::from_secs(1))
-        .admission(Discipline::Edf)
         .overload_capacity(16)
         .build()
         .expect("valid pool config");

@@ -33,7 +33,7 @@
 
 use std::fmt::Write as _;
 
-use elasticrmi::{Discipline, PoolConfig, ScalingPolicy};
+use elasticrmi::{PoolConfig, ScalingPolicy};
 use erm_metrics::{snapshots_to_csv, MetricsHandle, SpanBuilder, TraceEvent};
 use erm_sim::{Clock, SimDuration, SimTime};
 
@@ -108,7 +108,6 @@ fn run_variant(seed: u64, warm_standby: u32, quick: bool) -> WarmpoolVariant {
         .policy(ScalingPolicy::Implicit)
         .queue_delay_grow_above(SimDuration::from_millis(50))
         .burst_interval(TICK)
-        .admission(Discipline::Edf)
         .overload_capacity(16)
         .build()
         .expect("valid pool config");
