@@ -97,7 +97,6 @@ pub mod api;
 pub mod balance;
 pub mod config;
 pub mod error;
-pub mod macros;
 pub mod message;
 pub mod pool;
 pub mod registry;
