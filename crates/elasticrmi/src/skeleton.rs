@@ -304,12 +304,14 @@ impl Skeleton {
     }
 
     /// Publishes the diff between the cache's internal counters and what was
-    /// last pushed to the shared metrics instruments. Every public entry
-    /// point that can touch the cache ends with it, so the registry is
-    /// current whenever the skeleton is not running.
+    /// last pushed to the shared metrics instruments. `ingest`, `step` and
+    /// `sweep_reply_cache` each end with it, so the registry is current
+    /// between calls.
     fn sync_dedup_metrics(&mut self) {
         let s = self.reply_cache.stats();
         let len = self.reply_cache.len();
+        // Nothing changes for an at-least-once request: leave the shared
+        // atomics alone.
         if s == self.published_dedup && len == self.published_cache_len {
             return;
         }
