@@ -246,11 +246,9 @@ impl Stub {
             due: Vec::new(),
             target_open: Vec::new(),
         };
-        stub.stats.refreshes += 1;
-        let request = RmiMessage::PoolInfoRequest.encode();
-        stub.net
-            .send(endpoint, sentinel, request)
-            .map_err(|_| RmiError::SentinelUnreachable(sentinel))?;
+        if !stub.request_view() {
+            return Err(RmiError::SentinelUnreachable(sentinel));
+        }
         Ok(stub)
     }
 
@@ -566,11 +564,11 @@ impl Stub {
         }
         due.clear();
         self.due = due;
-        // An async refresh the sentinel never answered. While invocations
-        // are still waiting on it, keep asking (one request per reply
-        // timeout) — they retry until their own deadlines expire, as the
-        // blocking loop did. Only a sentinel the transport refuses outright
-        // ends the wait early (pool unreachable).
+        // An async refresh nobody answered. While invocations are still
+        // waiting on it, keep asking (one request per reply timeout) — they
+        // retry until their own deadlines expire, as the blocking loop did.
+        // Only a pool the transport refuses outright ends the wait early
+        // (pool unreachable).
         if self
             .refresh_inflight
             .is_some_and(|deadline| self.clock.now() >= deadline)
@@ -581,16 +579,7 @@ impl Stub {
                 .values()
                 .any(|pending| pending.awaiting_refresh)
             {
-                self.stats.refreshes += 1;
-                if self
-                    .net
-                    .send(
-                        self.endpoint,
-                        self.sentinel,
-                        RmiMessage::PoolInfoRequest.encode(),
-                    )
-                    .is_ok()
-                {
+                if self.request_view() {
                     self.refresh_inflight = Some(self.clock.now() + self.reply_timeout);
                 } else {
                     for pending in self.pending.values_mut() {
@@ -1104,12 +1093,10 @@ impl Stub {
         );
     }
 
-    /// Member gone or mute: once per invocation, ask the sentinel for a
-    /// fresh membership view — asynchronously, so the other pending
+    /// Member gone or mute: once per invocation, ask for a fresh membership
+    /// view ([`Stub::request_view`]) — asynchronously, so the other pending
     /// invocations keep flowing while the `PoolInfo` is in flight.
-    /// Concurrent failures share one outstanding request. Every member
-    /// answers with its view, so a dead sentinel's request goes to the
-    /// first live member instead; the view it returns names the new one.
+    /// Concurrent failures share one outstanding request.
     fn maybe_refresh(&mut self, invocation: u64) {
         let already = self
             .pending
@@ -1119,17 +1106,7 @@ impl Stub {
             return;
         }
         if self.refresh_inflight.is_none() {
-            self.stats.refreshes += 1;
-            let net = &self.net;
-            let ask = std::iter::once(self.sentinel)
-                .chain(self.members.iter().copied())
-                .find(|&m| net.endpoint_open(m))
-                .unwrap_or(self.sentinel);
-            if self
-                .net
-                .send(self.endpoint, ask, RmiMessage::PoolInfoRequest.encode())
-                .is_err()
-            {
+            if !self.request_view() {
                 // Nobody reachable: leave `refreshed` false so a later
                 // failure of this invocation may try again.
                 return;
@@ -1140,6 +1117,22 @@ impl Stub {
             pending.refreshed = true;
             pending.awaiting_refresh = true;
         }
+    }
+
+    /// Sends a `PoolInfoRequest` — the only place one is sent — and counts
+    /// it, failed sends included. It goes to the sentinel or, when the
+    /// sentinel's endpoint is closed, to the first live member: every
+    /// member answers with its view, and the view names the new sentinel.
+    /// Returns whether the transport took the request.
+    fn request_view(&mut self) -> bool {
+        self.stats.refreshes += 1;
+        let net = &self.net;
+        let ask = std::iter::once(self.sentinel)
+            .chain(self.members.iter().copied())
+            .find(|&m| net.endpoint_open(m))
+            .unwrap_or(self.sentinel);
+        net.send(self.endpoint, ask, RmiMessage::PoolInfoRequest.encode())
+            .is_ok()
     }
 
     /// The invocation produced a result (success or application error).
@@ -1707,6 +1700,63 @@ mod tests {
             "the view names the new sentinel"
         );
         assert_eq!(stub.stats().refreshes, 2);
+    }
+
+    #[test]
+    fn an_unanswered_refresh_is_asked_again_of_a_live_member() {
+        // The sentinel is dead and m1 loses the first refresh's reply while
+        // staying mute on its attempt. The re-ask must go where the first
+        // request went, not to the dead sentinel: the view m1 returns names
+        // m2, which answers.
+        let net = InProcNetwork::new();
+        let sentinel = FakeMember::new(&net);
+        let m1 = FakeMember::new(&net);
+        let m2 = FakeMember::new(&net);
+        let clock = Arc::new(erm_sim::VirtualClock::new());
+        let mut stub = connect_on(&net, &sentinel, &[&sentinel, &m1], clock.clone());
+        net.close_endpoint(sentinel.endpoint);
+
+        let id = stub.invoke_begin("m", &()).unwrap();
+        let mut view_requests = 0;
+        let result = loop {
+            if let Some((done, result)) = stub.drain_completed().pop() {
+                assert_eq!(done, id);
+                break result;
+            }
+            while let Ok(d) = m1.mailbox.try_recv() {
+                if let RmiMessage::PoolInfoRequest = RmiMessage::decode(&d.payload).unwrap() {
+                    view_requests += 1;
+                    if view_requests > 1 {
+                        let view = RmiMessage::PoolInfo {
+                            epoch: 2,
+                            sentinel: m1.endpoint,
+                            members: vec![m1.endpoint, m2.endpoint],
+                            uids: vec![1, 2],
+                        };
+                        net.send(m1.endpoint, d.from, view.encode()).unwrap();
+                    }
+                }
+            }
+            while let Ok(d) = m2.mailbox.try_recv() {
+                if let RmiMessage::Request { call, .. } = RmiMessage::decode(&d.payload).unwrap() {
+                    let reply = RmiMessage::Response {
+                        replayed: false,
+                        call,
+                        outcome: Ok(erm_transport::to_bytes(&2u32).unwrap()),
+                    };
+                    net.send(m2.endpoint, d.from, reply.encode()).unwrap();
+                }
+            }
+            if !stub.mailbox.is_empty() {
+                continue;
+            }
+            clock.advance_to(stub.next_due().expect("the invocation is pending"));
+        };
+        assert_eq!(view_requests, 2, "the re-ask reached m1");
+        let v: u32 = erm_transport::from_bytes(&result.expect("m2 answers")).unwrap();
+        assert_eq!(v, 2);
+        assert_eq!(stub.stats().refreshes, 3, "open, the failure, the re-ask");
+        assert_eq!(stub.members(), &[m1.endpoint, m2.endpoint]);
     }
 
     #[test]
