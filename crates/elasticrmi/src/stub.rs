@@ -6,8 +6,11 @@
 //! * discovers membership from the sentinel on first contact,
 //! * load-balances invocations across members (round-robin or random),
 //! * marshals arguments, awaits and unmarshals results,
-//! * on send failure, timeout or an explicit `Redirected` reply, retries the
-//!   invocation on other members *including the sentinel*, and
+//! * on send failure, timeout or an explicit refusal (`Redirected`,
+//!   `Overloaded`, `WrongShard`), retries the invocation on other members
+//!   *including the sentinel*,
+//! * refreshes its member list from the sentinel (or, with the sentinel
+//!   gone, from any live member), and
 //! * propagates the failure to the application only when every member has
 //!   been tried.
 //!
@@ -22,6 +25,20 @@
 //! results correlated by invocation id. The blocking
 //! [`Stub::invoke`] is a thin begin-then-wait wrapper over the same engine,
 //! so its semantics (and every pre-existing test) are unchanged.
+//!
+//! Each of those jobs is one function of the engine:
+//!
+//! * every invocation ends in `finish` — a reply, its deadline, a lost
+//!   at-most-once pin, or a walk run out — which counts the ending, emits
+//!   the terminal trace event, returns the limiter slot and stores the
+//!   result;
+//! * every attempt that gets no answer, because its target closed or stayed
+//!   mute, goes through `on_attempt_failed`;
+//! * every explicit refusal — proof the request did not execute — releases
+//!   the at-most-once pin and idles the invocation through `release`;
+//! * every `PoolInfoRequest` is sent by `request_view`;
+//! * `Pending::due` is the one rule for when an invocation has work without
+//!   a message arriving; [`Stub::next_due`] and the pump both apply it.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -37,7 +54,7 @@ use rand::Rng;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
-use crate::error::RmiError;
+use crate::error::{RemoteError, RmiError};
 use crate::message::{InvocationContext, RmiMessage};
 use crate::shard::{ShardRing, ShardingTable};
 
@@ -478,29 +495,14 @@ impl Stub {
     }
 
     /// When the stub next has work to do if no message arrives: the earliest
-    /// attempt reply timeout, backoff end, invocation deadline or membership
-    /// refresh deadline. `None` with nothing pending. A driver that owns the
-    /// clock advances to it and pumps ([`Stub::drain_completed`]).
+    /// [`Pending::due`] of any invocation, or the membership refresh
+    /// deadline. `None` with nothing pending. A driver that owns the clock
+    /// advances to it and pumps ([`Stub::drain_completed`]).
     pub fn next_due(&self) -> Option<SimTime> {
-        let due = |pending: &Pending| match pending.state {
-            PendingState::Waiting {
-                attempt_deadline, ..
-            } => attempt_deadline,
-            // Out of targets and waiting on a refresh: only the `PoolInfo`
-            // (a message), the refresh deadline or its own deadline moves it.
-            PendingState::Idle { .. }
-                if pending.awaiting_refresh
-                    && self.refresh_inflight.is_some()
-                    && pending.committed.is_none()
-                    && pending.next_target >= pending.targets.len() =>
-            {
-                pending.context.deadline
-            }
-            PendingState::Idle { not_before } => not_before.min(pending.context.deadline),
-        };
+        let refreshing = self.refresh_inflight.is_some();
         self.pending
             .values()
-            .map(due)
+            .map(|pending| pending.due(refreshing))
             .chain(self.refresh_inflight)
             .min()
     }
@@ -514,7 +516,9 @@ impl Stub {
                 return result;
             }
             match self.mailbox.recv_timeout(POLL_TICK) {
-                Ok(datagram) => self.process_datagram(datagram),
+                Ok(datagram) => {
+                    self.process_datagram(datagram);
+                }
                 Err(RecvError::Timeout) => {}
                 // Own endpoint closed: nothing will ever arrive; let the
                 // pending deadlines run out instead of busy-spinning.
@@ -533,6 +537,7 @@ impl Stub {
         // Exactly the invocations `advance_one` would not return from
         // untouched, in id order; the transport is asked once per target.
         let now = self.clock.now();
+        let refreshing = self.refresh_inflight.is_some();
         let mut due = std::mem::take(&mut self.due);
         let (net, target_open) = (&self.net, &mut self.target_open);
         target_open.clear();
@@ -545,17 +550,9 @@ impl Stub {
             open
         };
         for (&id, pending) in &self.pending {
-            let has_work = match pending.state {
-                PendingState::Waiting {
-                    target,
-                    attempt_deadline,
-                    ..
-                } => now >= attempt_deadline || !is_open(target),
-                PendingState::Idle { not_before } => {
-                    now >= not_before || pending.context.is_expired(now)
-                }
-            };
-            if has_work {
+            if now >= pending.due(refreshing)
+                || matches!(pending.state, PendingState::Waiting { target, .. } if !is_open(target))
+            {
                 due.push(id);
             }
         }
@@ -590,15 +587,16 @@ impl Stub {
         }
     }
 
-    /// Routes one inbound message to the pending invocation it belongs to.
-    /// Replies whose call id is unknown are stale — their attempt was
-    /// already abandoned (timeout, crash failover) — and are dropped,
-    /// exactly as the blocking loop used to skip them.
-    fn process_datagram(&mut self, datagram: Datagram) {
+    /// Routes one inbound message to the pending invocation it belongs to,
+    /// and returns whether it was a membership view. Replies whose call id
+    /// is unknown are stale — their attempt was already abandoned (timeout,
+    /// crash failover) — and are dropped, exactly as the blocking loop used
+    /// to skip them.
+    fn process_datagram(&mut self, datagram: Datagram) -> bool {
         let decoded = RmiMessage::decode(&datagram.payload);
         buffers::recycle(datagram.payload);
         let Ok(msg) = decoded else {
-            return;
+            return false;
         };
         match msg {
             RmiMessage::Response {
@@ -607,14 +605,14 @@ impl Stub {
                 replayed,
             } => {
                 let Some(invocation) = self.calls.remove(&call) else {
-                    return;
+                    return false;
                 };
                 if replayed {
                     // Served from the skeleton's reply cache: a duplicate of
                     // ours was suppressed rather than re-executed.
                     self.stats.replays += 1;
                 }
-                self.finish_completed(invocation, outcome.map_err(RmiError::Remote));
+                self.finish(invocation, End::Replied(outcome));
             }
             RmiMessage::Redirected {
                 call,
@@ -622,119 +620,19 @@ impl Stub {
                 deadline,
             } => {
                 let Some(invocation) = self.calls.remove(&call) else {
-                    return;
+                    return false;
                 };
-                self.on_redirected(invocation, members, deadline);
+                self.on_redirected(invocation, members, deadline, false);
                 self.advance_one(invocation);
             }
             RmiMessage::Overloaded {
                 call, retry_after, ..
             } => {
                 let Some(invocation) = self.calls.remove(&call) else {
-                    return;
+                    return false;
                 };
                 self.on_overloaded(invocation, retry_after);
                 self.advance_one(invocation);
-            }
-            RmiMessage::PoolInfo {
-                epoch,
-                sentinel,
-                members,
-                uids,
-            } => {
-                self.refresh_inflight = None;
-                self.sentinel = sentinel;
-                let view_installed = !members.is_empty();
-                let newer = epoch > self.epoch;
-                if view_installed {
-                    if newer {
-                        // Members the newer view dropped are departed: a
-                        // later redirect naming them is stale by
-                        // construction.
-                        for old in &self.members {
-                            if !members.contains(old) {
-                                self.departed.insert(*old);
-                            }
-                        }
-                    }
-                    for m in &members {
-                        self.departed.remove(m);
-                    }
-                    self.members = members;
-                    self.rr_next = 0;
-                    // Rebuild the shard ring when the view carries uids
-                    // (wire v5); a uid-less view leaves sharded routing off.
-                    self.ring = if uids.len() == self.members.len() {
-                        let pairs: Vec<(u64, EndpointId)> = uids
-                            .iter()
-                            .copied()
-                            .zip(self.members.iter().copied())
-                            .collect();
-                        ShardRing::from_members(&pairs)
-                    } else {
-                        ShardRing::default()
-                    };
-                }
-                // Invocations that asked for this refresh get the fresh
-                // members appended to their remaining walk.
-                let fresh = self.members.clone();
-                for pending in self.pending.values_mut() {
-                    if !pending.awaiting_refresh {
-                        continue;
-                    }
-                    pending.awaiting_refresh = false;
-                    for m in &fresh {
-                        if !pending.targets.contains(m) {
-                            pending.targets.push(*m);
-                        }
-                    }
-                }
-                // A strictly newer epoch is proof the pool reconfigured
-                // after anything committed under an older view. A pinned
-                // at-most-once invocation whose member this view omits can
-                // never be answered (the reply cache died with the member)
-                // and must not retry elsewhere (see `Pending::committed`):
-                // fail it fast rather than ride the pin to the deadline.
-                // Under sharding the same holds when a handoff moved the
-                // invocation's key range off the pinned member — the member
-                // survives, but its reply cache can no longer dedup the key,
-                // so a retry there (or anywhere) risks a second execution.
-                if newer {
-                    self.epoch = epoch;
-                    if view_installed {
-                        // Purge departed members from the unvisited tail of
-                        // every pending walk: the view proved they are gone.
-                        let departed = self.departed.clone();
-                        if !departed.is_empty() {
-                            for pending in self.pending.values_mut() {
-                                let mut i = pending.targets.len();
-                                while i > pending.next_target {
-                                    i -= 1;
-                                    if departed.contains(&pending.targets[i]) {
-                                        pending.targets.remove(i);
-                                    }
-                                }
-                            }
-                        }
-                        let lost: Vec<u64> = self
-                            .pending
-                            .iter()
-                            .filter(|(_, p)| {
-                                p.committed_epoch < epoch
-                                    && p.committed.is_some_and(|m| {
-                                        !fresh.contains(&m)
-                                            || p.context.routing_key.is_some_and(|key| {
-                                                self.ring.owner(key).is_some_and(|owner| owner != m)
-                                            })
-                                    })
-                            })
-                            .map(|(&id, _)| id)
-                            .collect();
-                        for invocation in lost {
-                            self.finish_pin_lost(invocation);
-                        }
-                    }
-                }
             }
             RmiMessage::WrongShard {
                 call,
@@ -743,24 +641,130 @@ impl Stub {
                 deadline,
             } => {
                 let Some(invocation) = self.calls.remove(&call) else {
-                    return;
+                    return false;
                 };
                 self.stats.wrong_shard += 1;
-                // The refusing member knows a newer membership than ours:
-                // our ring is stale, so re-derive it before routing more
+                // A refusing member that knows a newer membership than ours
+                // proves our ring stale: re-derive it before routing more
                 // keyed work.
-                let stale_view = epoch > self.epoch;
-                self.on_redirected(invocation, vec![owner], deadline);
-                if stale_view {
-                    if let Some(pending) = self.pending.get_mut(&invocation) {
-                        pending.refreshed = false;
-                    }
-                    self.maybe_refresh(invocation);
-                }
+                self.on_redirected(invocation, vec![owner], deadline, epoch > self.epoch);
                 self.advance_one(invocation);
+            }
+            RmiMessage::PoolInfo {
+                epoch,
+                sentinel,
+                members,
+                uids,
+            } => {
+                self.on_pool_info(epoch, sentinel, members, uids);
+                return true;
             }
             // Requests and pool-control traffic: not for a client endpoint.
             _ => {}
+        }
+        false
+    }
+
+    /// A membership view arrived: install it, extend the walks that waited
+    /// for it, and end the at-most-once pins it proves lost.
+    fn on_pool_info(
+        &mut self,
+        epoch: u64,
+        sentinel: EndpointId,
+        members: Vec<EndpointId>,
+        uids: Vec<u64>,
+    ) {
+        self.refresh_inflight = None;
+        self.sentinel = sentinel;
+        let view_installed = !members.is_empty();
+        let newer = epoch > self.epoch;
+        if view_installed {
+            if newer {
+                // Members the newer view dropped are departed: a later
+                // redirect naming them is stale by construction.
+                for old in &self.members {
+                    if !members.contains(old) {
+                        self.departed.insert(*old);
+                    }
+                }
+            }
+            for m in &members {
+                self.departed.remove(m);
+            }
+            self.members = members;
+            self.rr_next = 0;
+            // Rebuild the shard ring when the view carries uids (wire v5); a
+            // uid-less view leaves sharded routing off.
+            self.ring = if uids.len() == self.members.len() {
+                let pairs: Vec<(u64, EndpointId)> = uids
+                    .iter()
+                    .copied()
+                    .zip(self.members.iter().copied())
+                    .collect();
+                ShardRing::from_members(&pairs)
+            } else {
+                ShardRing::default()
+            };
+        }
+        // Invocations that asked for this refresh get the fresh members
+        // appended to their remaining walk.
+        for pending in self.pending.values_mut() {
+            if !pending.awaiting_refresh {
+                continue;
+            }
+            pending.awaiting_refresh = false;
+            for m in &self.members {
+                if !pending.targets.contains(m) {
+                    pending.targets.push(*m);
+                }
+            }
+        }
+        // A strictly newer epoch is proof the pool reconfigured after
+        // anything committed under an older view. A pinned at-most-once
+        // invocation whose member this view omits can never be answered (the
+        // reply cache died with the member) and must not retry elsewhere (see
+        // `Pending::committed`): fail it fast rather than ride the pin to the
+        // deadline. Under sharding the same holds when a handoff moved the
+        // invocation's key range off the pinned member — the member
+        // survives, but its reply cache can no longer dedup the key, so a
+        // retry there (or anywhere) risks a second execution.
+        if !newer {
+            return;
+        }
+        self.epoch = epoch;
+        if !view_installed {
+            return;
+        }
+        // Purge departed members from the unvisited tail of every pending
+        // walk: the view proved they are gone.
+        if !self.departed.is_empty() {
+            let departed = &self.departed;
+            for pending in self.pending.values_mut() {
+                let mut i = pending.targets.len();
+                while i > pending.next_target {
+                    i -= 1;
+                    if departed.contains(&pending.targets[i]) {
+                        pending.targets.remove(i);
+                    }
+                }
+            }
+        }
+        let lost: Vec<u64> = self
+            .pending
+            .iter()
+            .filter(|(_, p)| {
+                p.committed_epoch < epoch
+                    && p.committed.is_some_and(|m| {
+                        !self.members.contains(&m)
+                            || p.context.routing_key.is_some_and(|key| {
+                                self.ring.owner(key).is_some_and(|owner| owner != m)
+                            })
+                    })
+            })
+            .map(|(&id, _)| id)
+            .collect();
+        for invocation in lost {
+            self.finish(invocation, End::PinLost);
         }
     }
 
@@ -770,65 +774,38 @@ impl Stub {
     fn advance_one(&mut self, invocation: u64) {
         loop {
             let now = self.clock.now();
-            let (state, expired, exhausted, awaiting_refresh) = {
-                let Some(pending) = self.pending.get(&invocation) else {
-                    return;
-                };
-                (
-                    pending.state,
-                    pending.context.is_expired(now),
-                    // A committed at-most-once invocation never runs out of
-                    // targets: it re-asks its member until the deadline.
-                    pending.committed.is_none() && pending.next_target >= pending.targets.len(),
-                    pending.awaiting_refresh,
-                )
+            let Some(pending) = self.pending.get(&invocation) else {
+                return;
             };
+            let state = pending.state;
+            let due = pending.due(self.refresh_inflight.is_some());
+            let expired = pending.context.is_expired(now);
+            let exhausted = pending.exhausted();
+            // A member that died *after* accepting the request never
+            // replies; detecting the closed endpoint here fails over
+            // immediately instead of burning the whole reply timeout.
+            if let PendingState::Waiting { target, .. } = state {
+                if !self.net.endpoint_open(target) {
+                    self.on_attempt_failed(invocation, target, true);
+                    continue;
+                }
+            }
+            if now < due {
+                return;
+            }
+            if expired {
+                self.finish(invocation, End::Expired);
+                return;
+            }
             match state {
-                PendingState::Waiting {
-                    call,
-                    target,
-                    attempt_deadline,
-                } => {
-                    // A member that died *after* accepting the request never
-                    // replies; detecting the closed endpoint here fails over
-                    // immediately instead of burning the whole reply timeout.
-                    if !self.net.endpoint_open(target) {
-                        self.calls.remove(&call);
-                        self.on_connection_closed(invocation, target);
-                        continue;
-                    }
-                    if now >= attempt_deadline {
-                        self.calls.remove(&call);
-                        if expired {
-                            self.finish_expired(invocation);
-                            return;
-                        }
-                        self.on_attempt_timeout(invocation, target);
-                        continue;
-                    }
+                PendingState::Waiting { target, .. } => {
+                    self.on_attempt_failed(invocation, target, false);
+                }
+                PendingState::Idle { .. } if exhausted => {
+                    self.finish(invocation, End::Unreachable);
                     return;
                 }
-                PendingState::Idle { not_before } => {
-                    if expired {
-                        self.finish_expired(invocation);
-                        return;
-                    }
-                    if now < not_before {
-                        return;
-                    }
-                    if exhausted {
-                        // A membership refresh is still in flight for this
-                        // invocation: hold on, fresh members may yet extend
-                        // the walk (the blocking loop refreshed before
-                        // declaring the pool unreachable).
-                        if awaiting_refresh && self.refresh_inflight.is_some() {
-                            return;
-                        }
-                        self.finish_unreachable(invocation);
-                        return;
-                    }
-                    self.fire_attempt(invocation);
-                }
+                PendingState::Idle { .. } => self.fire_attempt(invocation),
             }
         }
     }
@@ -881,10 +858,13 @@ impl Stub {
         if self.net.send(self.endpoint, target, payload).is_err() {
             // The transport knows the endpoint is gone — not a silent
             // timeout, an immediate failover signal.
-            self.on_connection_closed(invocation, target);
+            self.on_attempt_failed(invocation, target, true);
             return;
         }
         let epoch = self.epoch;
+        // The attempt waits until its reply timeout or the invocation's
+        // deadline, whichever comes first — on the injected clock.
+        let attempt_deadline = (now + self.reply_timeout).min(deadline);
         if let Some(pending) = self.pending.get_mut(&invocation) {
             if pending.context.semantics == Semantics::AtMostOnce {
                 // Delivered: the member may execute it at any point from
@@ -893,11 +873,6 @@ impl Stub {
                 pending.committed = Some(target);
                 pending.committed_epoch = epoch;
             }
-        }
-        // The attempt waits until its reply timeout or the invocation's
-        // deadline, whichever comes first — on the injected clock.
-        let attempt_deadline = (now + self.reply_timeout).min(deadline);
-        if let Some(pending) = self.pending.get_mut(&invocation) {
             pending.state = PendingState::Waiting {
                 call,
                 target,
@@ -907,26 +882,34 @@ impl Stub {
         self.calls.insert(call, invocation);
     }
 
-    /// The target is definitively gone (send refused, or endpoint closed
-    /// mid-wait): fail over immediately, with jittered backoff before the
-    /// next attempt.
-    fn on_connection_closed(&mut self, invocation: u64, target: EndpointId) {
-        self.stats.connections_closed += 1;
-        let attempt = self
-            .pending
-            .get(&invocation)
-            .map_or(0, |pending| pending.attempts);
+    /// The attempt got no answer: its target is gone (`closed`: the send
+    /// was refused, or the endpoint closed mid-wait) or stayed mute for the
+    /// whole reply timeout. Its call id is dropped, so a late reply is
+    /// stale. A `Maybe` invocation ends here — strictly one wire attempt,
+    /// never a retransmission. Any other asks for a fresh view and moves on:
+    /// after a jittered backoff when the target died, at once when it may
+    /// just be slow.
+    fn on_attempt_failed(&mut self, invocation: u64, target: EndpointId, closed: bool) {
+        if closed {
+            self.stats.connections_closed += 1;
+        }
+        let Some(pending) = self.pending.get(&invocation) else {
+            return;
+        };
+        if let PendingState::Waiting { call, .. } = pending.state {
+            self.calls.remove(&call);
+        }
+        let maybe = pending.context.semantics == Semantics::Maybe;
         self.trace.emit(
             self.clock.now(),
             TraceEvent::AttemptFailed {
                 invocation,
-                attempt,
+                attempt: pending.attempts,
                 target: target.0,
             },
         );
-        // `Maybe`: strictly one wire attempt — any failure after it is
-        // terminal, never a retransmission.
-        if self.finish_if_maybe(invocation) {
+        if maybe {
+            self.finish(invocation, End::Unreachable);
             return;
         }
         self.maybe_refresh(invocation);
@@ -934,7 +917,8 @@ impl Stub {
         let Some(pending) = self.pending.get_mut(&invocation) else {
             return;
         };
-        if pending.committed.is_some() || pending.next_target < pending.targets.len() {
+        let mut not_before = now;
+        if closed && !pending.exhausted() {
             // Fast failover is a stampede risk: every client that was
             // waiting on the dead member retries at once. A seeded,
             // jittered, exponentially growing delay (1 ms base, 16 ms cap,
@@ -943,61 +927,42 @@ impl Stub {
             // the injected clock.
             let step_us = (1_000u64 << u64::from(pending.attempts.min(4))).min(16_000);
             let wait_us = self.rng.gen_range(step_us / 2..=step_us);
-            let not_before =
-                (now + SimDuration::from_micros(wait_us)).min(pending.context.deadline);
-            pending.state = PendingState::Idle { not_before };
-        } else {
-            pending.state = PendingState::Idle { not_before: now };
+            not_before = (now + SimDuration::from_micros(wait_us)).min(pending.context.deadline);
         }
+        pending.state = PendingState::Idle { not_before };
     }
 
-    /// The target stayed mute for the whole reply timeout: move on (no
-    /// backoff — nothing crashed, the member may just be slow).
-    fn on_attempt_timeout(&mut self, invocation: u64, target: EndpointId) {
-        let attempt = self
-            .pending
-            .get(&invocation)
-            .map_or(0, |pending| pending.attempts);
-        self.trace.emit(
-            self.clock.now(),
-            TraceEvent::AttemptFailed {
-                invocation,
-                attempt,
-                target: target.0,
-            },
-        );
-        if self.finish_if_maybe(invocation) {
-            return;
-        }
-        self.maybe_refresh(invocation);
+    /// The step every explicit refusal (`Redirected`, `Overloaded`,
+    /// `WrongShard`) shares. A refusal proves the request never executed at
+    /// the refusing member, so an at-most-once pin is released and the
+    /// invocation idles for an immediate retry. A `Maybe` invocation ends
+    /// instead; then this returns false.
+    fn release(&mut self, invocation: u64) -> bool {
         let now = self.clock.now();
-        if let Some(pending) = self.pending.get_mut(&invocation) {
-            pending.state = PendingState::Idle { not_before: now };
+        let Some(pending) = self.pending.get_mut(&invocation) else {
+            return false;
+        };
+        if pending.context.semantics == Semantics::Maybe {
+            self.finish(invocation, End::Unreachable);
+            return false;
         }
+        pending.committed = None;
+        pending.state = PendingState::Idle { not_before: now };
+        true
     }
 
-    /// Terminates a `Maybe` invocation after its single attempt failed.
-    /// Returns whether it did.
-    fn finish_if_maybe(&mut self, invocation: u64) -> bool {
-        let is_maybe = self
-            .pending
-            .get(&invocation)
-            .is_some_and(|pending| pending.context.semantics == Semantics::Maybe);
-        if is_maybe {
-            self.finish_unreachable(invocation);
-        }
-        is_maybe
-    }
-
-    /// A member redirected the call: try the suggested members next
-    /// (before our possibly stale list), never extending the budget.
+    /// A member refused the call and named where to go instead
+    /// (`Redirected`, or the owner a `WrongShard` names): try the suggested
+    /// members next (before our possibly stale list), never extending the
+    /// budget. `stale_view`: the refusing member's view is newer than ours.
     fn on_redirected(
         &mut self,
         invocation: u64,
         mut suggested: Vec<EndpointId>,
         deadline: SimTime,
+        stale_view: bool,
     ) {
-        if self.finish_if_maybe(invocation) {
+        if !self.release(invocation) {
             return;
         }
         self.stats.redirects_followed += 1;
@@ -1015,31 +980,22 @@ impl Stub {
         let dropped = suggested_len - suggested.len();
         self.stats.stale_redirects += dropped as u64;
         let all_stale = dropped > 0 && suggested.is_empty();
-        let (attempt, remaining) = {
-            let Some(pending) = self.pending.get_mut(&invocation) else {
-                return;
-            };
-            // An explicit refusal proves the request never executed there
-            // (the reply cache is consulted before the drain redirect), so
-            // an at-most-once commitment is released and failover resumes.
-            pending.committed = None;
-            // A redirect never extends the budget: the follow-up attempt
-            // inherits whichever deadline is tighter.
-            pending.context.deadline = pending.context.deadline.min(deadline);
-            let i = pending.next_target;
-            suggested.retain(|m| !pending.targets[i..].contains(m));
-            for (k, m) in suggested.into_iter().enumerate() {
-                pending.targets.insert(i + k, m);
-            }
-            pending.state = PendingState::Idle { not_before: now };
-            (pending.attempts, pending.context.remaining(now))
+        let Some(pending) = self.pending.get_mut(&invocation) else {
+            return;
         };
-        if all_stale {
-            // The redirecting member's view and ours disagree; get a fresh
-            // one so the walk can continue somewhere real.
-            if let Some(pending) = self.pending.get_mut(&invocation) {
-                pending.refreshed = false;
-            }
+        // A redirect never extends the budget: the follow-up attempt
+        // inherits whichever deadline is tighter.
+        pending.context.deadline = pending.context.deadline.min(deadline);
+        let i = pending.next_target;
+        suggested.retain(|m| !pending.targets[i..].contains(m));
+        for (k, m) in suggested.into_iter().enumerate() {
+            pending.targets.insert(i + k, m);
+        }
+        let (attempt, remaining) = (pending.attempts, pending.context.remaining(now));
+        if stale_view || all_stale {
+            // The refusing member's view and ours disagree; get a fresh one
+            // so the walk can continue somewhere real.
+            pending.refreshed = false;
             self.maybe_refresh(invocation);
         }
         self.trace.emit(
@@ -1060,26 +1016,20 @@ impl Stub {
         if let Some(limiter) = &self.limiter {
             limiter.on_congestion(now, Some(retry_after));
         }
-        let (attempt, target) = {
-            let Some(pending) = self.pending.get_mut(&invocation) else {
-                return;
-            };
-            let target = match pending.state {
-                PendingState::Waiting { target, .. } => target.0,
-                PendingState::Idle { .. } => 0,
-            };
-            pending.overload_hint = Some(
-                pending
-                    .overload_hint
-                    .map_or(retry_after, |h| h.min(retry_after)),
-            );
-            // Refused before queueing — proof of non-execution, so an
-            // at-most-once commitment is released like on a redirect.
-            pending.committed = None;
-            pending.state = PendingState::Idle { not_before: now };
-            (pending.attempts, target)
+        let Some(pending) = self.pending.get_mut(&invocation) else {
+            return;
         };
-        if self.finish_if_maybe(invocation) {
+        let target = match pending.state {
+            PendingState::Waiting { target, .. } => target.0,
+            PendingState::Idle { .. } => 0,
+        };
+        let attempt = pending.attempts;
+        pending.overload_hint = Some(
+            pending
+                .overload_hint
+                .map_or(retry_after, |h| h.min(retry_after)),
+        );
+        if !self.release(invocation) {
             return;
         }
         self.trace.emit(
@@ -1096,7 +1046,8 @@ impl Stub {
     /// Member gone or mute: once per invocation, ask for a fresh membership
     /// view ([`Stub::request_view`]) — asynchronously, so the other pending
     /// invocations keep flowing while the `PoolInfo` is in flight.
-    /// Concurrent failures share one outstanding request.
+    /// Concurrent failures share one outstanding request, and the
+    /// invocation waits on it once its walk runs out.
     fn maybe_refresh(&mut self, invocation: u64) {
         let already = self
             .pending
@@ -1135,126 +1086,85 @@ impl Stub {
             .is_ok()
     }
 
-    /// The invocation produced a result (success or application error).
-    fn finish_completed(&mut self, invocation: u64, result: Result<Vec<u8>, RmiError>) {
+    /// Ends `invocation` — the one place that removes its pending entry,
+    /// drops an attempt still on the wire, counts the ending, emits the
+    /// terminal trace event, returns the limiter slot and stores the result
+    /// for [`Stub::poll_complete`].
+    fn finish(&mut self, invocation: u64, end: End) {
         let Some(pending) = self.pending.remove(&invocation) else {
             return;
         };
-        self.stats.invocations += 1;
-        self.trace.emit(
-            self.clock.now(),
+        let now = self.clock.now();
+        let attempts = pending.attempts;
+        if !matches!(end, End::Replied(_)) {
+            // Abandon any attempt still on the wire so a late reply cannot
+            // resolve against a finished invocation. (A reply's own call id
+            // was consumed when it arrived.)
+            if let PendingState::Waiting { call, .. } = pending.state {
+                self.calls.remove(&call);
+            }
+        }
+        // `expired`: the terminal event is `InvocationExpired`, not
+        // `InvocationCompleted`.
+        let (result, expired) = match end {
+            End::Replied(outcome) => {
+                self.stats.invocations += 1;
+                (outcome.map_err(RmiError::Remote), false)
+            }
+            End::Expired => {
+                // Congestion too: the pool could not serve it in time.
+                self.stats.expired += 1;
+                if let Some(limiter) = &self.limiter {
+                    limiter.on_congestion(now, None);
+                }
+                (Err(RmiError::DeadlineExceeded { attempts }), true)
+            }
+            End::PinLost => {
+                self.stats.pins_lost += 1;
+                let member = pending.committed.unwrap_or(EndpointId(u64::MAX));
+                (Err(RmiError::OutcomeUnknown { attempts, member }), true)
+            }
+            End::Unreachable => {
+                let error = match pending.overload_hint {
+                    Some(retry_after) => RmiError::Overloaded {
+                        attempts,
+                        retry_after,
+                    },
+                    None => RmiError::PoolUnreachable { attempts },
+                };
+                (Err(error), false)
+            }
+        };
+        let event = if expired {
+            TraceEvent::InvocationExpired {
+                invocation,
+                attempts,
+            }
+        } else {
             TraceEvent::InvocationCompleted {
                 invocation,
-                attempts: pending.attempts,
+                attempts,
                 ok: result.is_ok(),
-            },
-        );
-        // A completed round trip — even one that raised an application
-        // error — proves the pool had capacity: widen the window. Congestion
-        // signals (Overloaded, deadline expiry) already shrank it closest
-        // to the evidence.
-        self.settle_limiter(
-            &pending,
-            matches!(&result, Ok(_) | Err(RmiError::Remote(_))),
-        );
+            }
+        };
+        self.trace.emit(now, event);
+        if pending.holds_slot {
+            if let Some(limiter) = &self.limiter {
+                limiter.release();
+                // A completed round trip — even one that raised an
+                // application error — proves the pool had capacity: widen
+                // the window. Congestion signals (Overloaded, deadline
+                // expiry) already shrank it closest to the evidence.
+                if matches!(result, Ok(_) | Err(RmiError::Remote(_))) {
+                    limiter.on_success();
+                }
+            }
+        }
         self.completed.insert(invocation, result);
         if self.spare_args.len() < SPARE_ARGS {
             let mut args = pending.args;
             args.clear();
             self.spare_args.push(args);
-        }
-    }
-
-    /// The invocation ran out its whole budget — congestion too: the pool
-    /// could not serve it in time.
-    fn finish_expired(&mut self, invocation: u64) {
-        let Some(pending) = self.pending.remove(&invocation) else {
-            return;
-        };
-        self.stats.expired += 1;
-        if let Some(limiter) = &self.limiter {
-            limiter.on_congestion(self.clock.now(), None);
-        }
-        self.trace.emit(
-            self.clock.now(),
-            TraceEvent::InvocationExpired {
-                invocation,
-                attempts: pending.attempts,
-            },
-        );
-        let attempts = pending.attempts;
-        self.settle_limiter(&pending, false);
-        self.completed
-            .insert(invocation, Err(RmiError::DeadlineExceeded { attempts }));
-    }
-
-    /// A fresh membership view omitted the member this at-most-once
-    /// invocation is committed to: the outcome is unknowable and a retry
-    /// elsewhere is forbidden, so terminate now with the verdict the
-    /// deadline expiry would eventually deliver.
-    fn finish_pin_lost(&mut self, invocation: u64) {
-        let Some(pending) = self.pending.remove(&invocation) else {
-            return;
-        };
-        // Abandon any attempt still on the wire so a late (impossible)
-        // reply cannot resolve against a finished invocation.
-        if let PendingState::Waiting { call, .. } = pending.state {
-            self.calls.remove(&call);
-        }
-        self.stats.pins_lost += 1;
-        let attempts = pending.attempts;
-        let member = pending.committed.unwrap_or(EndpointId(u64::MAX));
-        self.trace.emit(
-            self.clock.now(),
-            TraceEvent::InvocationExpired {
-                invocation,
-                attempts,
-            },
-        );
-        self.settle_limiter(&pending, false);
-        self.completed.insert(
-            invocation,
-            Err(RmiError::OutcomeUnknown { attempts, member }),
-        );
-    }
-
-    /// Every target (sentinel included) was tried and none answered.
-    fn finish_unreachable(&mut self, invocation: u64) {
-        let Some(pending) = self.pending.remove(&invocation) else {
-            return;
-        };
-        let attempts = pending.attempts;
-        // The terminal event every started invocation owes its trace: the
-        // pool refused or never answered, so it completes as failed.
-        self.trace.emit(
-            self.clock.now(),
-            TraceEvent::InvocationCompleted {
-                invocation,
-                attempts,
-                ok: false,
-            },
-        );
-        let result = match pending.overload_hint {
-            Some(retry_after) => Err(RmiError::Overloaded {
-                attempts,
-                retry_after,
-            }),
-            None => Err(RmiError::PoolUnreachable { attempts }),
-        };
-        self.settle_limiter(&pending, false);
-        self.completed.insert(invocation, result);
-    }
-
-    /// Returns the invocation's limiter slot; `success` re-opens the window.
-    fn settle_limiter(&self, pending: &Pending, success: bool) {
-        if !pending.holds_slot {
-            return;
-        }
-        if let Some(limiter) = &self.limiter {
-            limiter.release();
-            if success {
-                limiter.on_success();
-            }
         }
     }
 
@@ -1296,16 +1206,11 @@ impl Stub {
                 return Err(RmiError::SentinelUnreachable(self.sentinel));
             }
             match self.mailbox.recv_timeout(POLL_TICK) {
+                // Everything routes through the engine — a `Response`
+                // arriving here belongs to some pending pipelined invocation
+                // and must not be swallowed by the refresh.
                 Ok(datagram) => {
-                    // Everything routes through the engine — a `Response`
-                    // arriving here belongs to some pending pipelined
-                    // invocation and must not be swallowed by the refresh.
-                    let got_info = matches!(
-                        RmiMessage::decode(&datagram.payload),
-                        Ok(RmiMessage::PoolInfo { .. })
-                    );
-                    self.process_datagram(datagram);
-                    if got_info {
+                    if self.process_datagram(datagram) {
                         return Ok(());
                     }
                 }
@@ -1367,6 +1272,53 @@ struct Pending {
     /// invocation was sent to.
     committed_epoch: u64,
     state: PendingState,
+}
+
+impl Pending {
+    /// Whether the walk has run out. A committed at-most-once invocation
+    /// never runs out of targets: it re-asks its member until the deadline.
+    fn exhausted(&self) -> bool {
+        self.committed.is_none() && self.next_target >= self.targets.len()
+    }
+
+    /// The due rule: the first instant this invocation has work if no
+    /// message arrives. While an attempt is on the wire, its reply
+    /// deadline; otherwise the backoff end or the invocation deadline,
+    /// whichever comes first — and only the deadline once the walk has run
+    /// out and the invocation waits on the membership refresh in flight
+    /// (`refreshing`), which only the `PoolInfo`, a message, ends sooner. A
+    /// waiting attempt whose target closed has work at once; only the
+    /// transport knows that.
+    fn due(&self, refreshing: bool) -> SimTime {
+        match self.state {
+            PendingState::Waiting {
+                attempt_deadline, ..
+            } => attempt_deadline,
+            PendingState::Idle { .. }
+                if refreshing && self.awaiting_refresh && self.exhausted() =>
+            {
+                self.context.deadline
+            }
+            PendingState::Idle { not_before } => not_before.min(self.context.deadline),
+        }
+    }
+}
+
+/// How an invocation ends; [`Stub::finish`] gives each its counter, its
+/// terminal trace event and its result.
+enum End {
+    /// A member answered: the method's return value or its exception.
+    Replied(Result<Vec<u8>, RemoteError>),
+    /// The invocation's budget ran out.
+    Expired,
+    /// A strictly newer view omitted the member an at-most-once invocation
+    /// is pinned to, or moved its key off that member: the outcome is
+    /// unknowable and a retry elsewhere is forbidden, so the invocation ends
+    /// now with the verdict its deadline would eventually deliver.
+    PinLost,
+    /// Every target (sentinel included) was tried, or the one `Maybe`
+    /// attempt failed: nobody answered, or everybody refused.
+    Unreachable,
 }
 
 /// Where one pending invocation is in its attempt cycle.
