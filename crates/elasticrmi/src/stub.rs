@@ -10,7 +10,8 @@
 //!   `Overloaded`, `WrongShard`), retries the invocation on other members
 //!   *including the sentinel*,
 //! * refreshes its member list from the sentinel (or, with the sentinel
-//!   gone, from any live member), and
+//!   gone, from any live member) when an attempt fails or a member refuses
+//!   it, since a busy pool may have grown, and
 //! * propagates the failure to the application only when every member has
 //!   been tried.
 //!
@@ -35,7 +36,9 @@
 //! * every attempt that gets no answer, because its target closed or stayed
 //!   mute, goes through `on_attempt_failed`;
 //! * every explicit refusal — proof the request did not execute — releases
-//!   the at-most-once pin and idles the invocation through `release`;
+//!   the at-most-once pin and idles the invocation through `release`; an
+//!   `Overloaded`, or a redirect naming a member outside the view, also
+//!   asks for a view, without waiting for it;
 //! * every `PoolInfoRequest` is sent by `request_view`;
 //! * `Pending::due` is the one rule for when an invocation has work without
 //!   a message arriving; [`Stub::next_due`] and the pump both apply it.
@@ -88,7 +91,10 @@ pub struct StubStats {
     pub retries: u64,
     /// `Redirected` replies followed.
     pub redirects_followed: u64,
-    /// Membership refreshes fetched from the sentinel.
+    /// Membership view requests (`PoolInfoRequest`) sent: on connect, after
+    /// a failed or refused attempt, and again while invocations wait on an
+    /// unanswered one. Each goes to the sentinel or, with the sentinel's
+    /// endpoint closed, to the first live member; failed sends count too.
     pub refreshes: u64,
     /// Invocations abandoned because their deadline passed.
     pub expired: u64,
@@ -912,7 +918,7 @@ impl Stub {
             self.finish(invocation, End::Unreachable);
             return;
         }
-        self.maybe_refresh(invocation);
+        self.refresh(invocation, true);
         let now = self.clock.now();
         let Some(pending) = self.pending.get_mut(&invocation) else {
             return;
@@ -980,6 +986,7 @@ impl Stub {
         let dropped = suggested_len - suggested.len();
         self.stats.stale_redirects += dropped as u64;
         let all_stale = dropped > 0 && suggested.is_empty();
+        let names_new = suggested.iter().any(|m| !self.members.contains(m));
         let Some(pending) = self.pending.get_mut(&invocation) else {
             return;
         };
@@ -996,7 +1003,11 @@ impl Stub {
             // The refusing member's view and ours disagree; get a fresh one
             // so the walk can continue somewhere real.
             pending.refreshed = false;
-            self.maybe_refresh(invocation);
+            self.refresh(invocation, true);
+        } else if names_new {
+            // A member our view lacks: the pool grew. The view lets later
+            // invocations spread onto it; this one has it spliced already.
+            self.refresh(invocation, false);
         }
         self.trace.emit(
             now,
@@ -1032,6 +1043,8 @@ impl Stub {
         if !self.release(invocation) {
             return;
         }
+        // A busy pool may have grown a member this stub does not know yet.
+        self.refresh(invocation, false);
         self.trace.emit(
             now,
             TraceEvent::AttemptOverloaded {
@@ -1043,12 +1056,15 @@ impl Stub {
         );
     }
 
-    /// Member gone or mute: once per invocation, ask for a fresh membership
-    /// view ([`Stub::request_view`]) — asynchronously, so the other pending
+    /// Once per invocation, asks for a fresh membership view
+    /// ([`Stub::request_view`]) — asynchronously, so the other pending
     /// invocations keep flowing while the `PoolInfo` is in flight.
-    /// Concurrent failures share one outstanding request, and the
-    /// invocation waits on it once its walk runs out.
-    fn maybe_refresh(&mut self, invocation: u64) {
+    /// Concurrent asks share one outstanding request. With `wait` (a member
+    /// gone or mute, or a view proved stale) the invocation waits on the
+    /// view once its walk runs out, and the view extends the walk. Without
+    /// it (a refusal: the pool is busy or has grown) the invocation walks
+    /// on and ends as it would have; the view serves later invocations.
+    fn refresh(&mut self, invocation: u64, wait: bool) {
         let already = self
             .pending
             .get(&invocation)
@@ -1066,7 +1082,7 @@ impl Stub {
         }
         if let Some(pending) = self.pending.get_mut(&invocation) {
             pending.refreshed = true;
-            pending.awaiting_refresh = true;
+            pending.awaiting_refresh |= wait;
         }
     }
 
@@ -1882,6 +1898,85 @@ mod tests {
                 } if retry_after == SimDuration::from_millis(20)
             ),
             "unexpected {err:?}"
+        );
+    }
+
+    #[test]
+    fn a_refusal_asks_for_the_view_that_names_a_grown_member() {
+        // The pool grew a member the stub has not heard of, and every member
+        // it knows refuses. The first refusal asks for a view; the
+        // invocation does not wait for it and still ends Overloaded, and
+        // the view puts the new member on the next invocation's walk.
+        let net = InProcNetwork::new();
+        let sentinel = FakeMember::new(&net);
+        let m1 = FakeMember::new(&net);
+        let m2 = FakeMember::new(&net);
+        let clock = Arc::new(erm_sim::VirtualClock::new());
+        let mut stub = connect_on(&net, &sentinel, &[&sentinel, &m1], clock);
+        // Answers the request waiting at `m`, skipping view requests.
+        let reply = |m: &FakeMember, f: &dyn Fn(u64) -> RmiMessage| loop {
+            let d = m.mailbox.try_recv().expect("a request is waiting");
+            if let RmiMessage::Request { call, .. } = RmiMessage::decode(&d.payload).unwrap() {
+                net.send(m.endpoint, d.from, f(call).encode()).unwrap();
+                return;
+            }
+        };
+        let overloaded = |call| RmiMessage::Overloaded {
+            call,
+            queue_depth: 8,
+            retry_after: SimDuration::from_millis(5),
+        };
+        let ok = |call| RmiMessage::Response {
+            replayed: false,
+            call,
+            outcome: Ok(erm_transport::to_bytes(&3u32).unwrap()),
+        };
+
+        let first = stub.invoke_begin("m", &()).unwrap();
+        reply(&sentinel, &overloaded);
+        assert!(stub.drain_completed().is_empty());
+        let ask = sentinel
+            .mailbox
+            .try_recv()
+            .expect("the refusal asks for a view");
+        assert!(matches!(
+            RmiMessage::decode(&ask.payload),
+            Ok(RmiMessage::PoolInfoRequest)
+        ));
+        reply(&m1, &overloaded);
+        let done = stub.drain_completed();
+        assert!(
+            matches!(
+                done.as_slice(),
+                [(id, Err(RmiError::Overloaded { attempts: 2, .. }))] if *id == first
+            ),
+            "the refused invocation does not wait for the view: {done:?}"
+        );
+
+        let grown = RmiMessage::PoolInfo {
+            epoch: 2,
+            sentinel: sentinel.endpoint,
+            members: vec![sentinel.endpoint, m1.endpoint, m2.endpoint],
+            uids: vec![0, 1, 2],
+        };
+        net.send(sentinel.endpoint, ask.from, grown.encode())
+            .unwrap();
+        assert!(stub.drain_completed().is_empty());
+        assert_eq!(
+            stub.members(),
+            &[sentinel.endpoint, m1.endpoint, m2.endpoint]
+        );
+
+        let second = stub.invoke_begin("m", &()).unwrap();
+        reply(&sentinel, &overloaded);
+        assert!(stub.drain_completed().is_empty());
+        reply(&m1, &overloaded);
+        assert!(stub.drain_completed().is_empty());
+        reply(&m2, &ok);
+        let done = stub.drain_completed();
+        assert!(
+            matches!(done.as_slice(), [(id, Ok(_))] if *id == second),
+            "the grown member answers: {done:?}"
         );
     }
 

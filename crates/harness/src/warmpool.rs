@@ -75,8 +75,9 @@ pub struct WarmpoolVariant {
     pub offer_lag: Option<SimDuration>,
     /// From the first grow decision to the first request a member that
     /// joined for it executed (`None` if none ever did): how long until the
-    /// client used the new capacity. The stub learns of new members only
-    /// through a failure-triggered refresh or a sentinel redirect.
+    /// client used the new capacity. The stub learns of new members from a
+    /// refresh, which a failed or refused attempt asks for, or a sentinel
+    /// redirect.
     pub first_serve_lag: Option<SimDuration>,
     /// Reserved-capacity integral over the run, in slice-seconds: the cost
     /// side of the warm tier.
