@@ -501,7 +501,7 @@ impl Stub {
     }
 
     /// When the stub next has work to do if no message arrives: the earliest
-    /// [`Pending::due`] of any invocation, or the membership refresh
+    /// due time of any invocation (`Pending::due`), or the membership refresh
     /// deadline. `None` with nothing pending. A driver that owns the clock
     /// advances to it and pumps ([`Stub::drain_completed`]).
     pub fn next_due(&self) -> Option<SimTime> {
