@@ -6,7 +6,8 @@ use erm_sim::SimTime;
 use parking_lot::Mutex;
 
 use crate::manager::{
-    AdminAlert, ClusterError, NodeId, RequestOutcome, ResourceManager, SliceGrant, SliceId,
+    AdminAlert, ClusterError, LeaseId, NodeId, RequestOutcome, ResourceManager, SliceGrant,
+    TenantId,
 };
 
 /// A cloneable handle to a shared [`ResourceManager`].
@@ -26,8 +27,10 @@ use crate::manager::{
 ///
 /// let cluster = ClusterHandle::new(ResourceManager::new(ClusterConfig::default()));
 /// let worker = cluster.clone(); // same underlying manager
-/// worker.request_slices(2, SimTime::ZERO).unwrap();
+/// let tenant = worker.add_tenant();
+/// worker.request_slices(tenant, 2, SimTime::ZERO).unwrap();
 /// assert!(cluster.free_slices() < cluster.total_slices());
+/// assert_eq!(cluster.pending_of(tenant, |_| true), 2);
 /// ```
 #[derive(Clone)]
 pub struct ClusterHandle {
@@ -57,29 +60,39 @@ impl ClusterHandle {
         self.inner.lock().set_telemetry(trace, metrics);
     }
 
+    /// See [`ResourceManager::add_tenant`].
+    pub fn add_tenant(&self) -> TenantId {
+        self.inner.lock().add_tenant()
+    }
+
     /// See [`ResourceManager::request_slices`].
-    pub fn request_slices(&self, n: u32, now: SimTime) -> Result<RequestOutcome, ClusterError> {
-        self.inner.lock().request_slices(n, now)
+    pub fn request_slices(
+        &self,
+        tenant: TenantId,
+        n: u32,
+        now: SimTime,
+    ) -> Result<RequestOutcome, ClusterError> {
+        self.inner.lock().request_slices(tenant, n, now)
     }
 
-    /// See [`ResourceManager::poll_ready`].
-    pub fn poll_ready(&self, now: SimTime) -> Vec<SliceGrant> {
-        self.inner.lock().poll_ready(now)
+    /// See [`ResourceManager::take_ready`].
+    pub fn take_ready(&self, tenant: TenantId, now: SimTime) -> Vec<SliceGrant> {
+        self.inner.lock().take_ready(tenant, now)
     }
 
-    /// See [`ResourceManager::poll_ready_of`].
-    pub fn poll_ready_of(&self, requests: &[u64], now: SimTime) -> Vec<SliceGrant> {
-        self.inner.lock().poll_ready_of(requests, now)
+    /// See [`ResourceManager::take_revocations`].
+    pub fn take_revocations(&self, tenant: TenantId) -> Vec<LeaseId> {
+        self.inner.lock().take_revocations(tenant)
     }
 
     /// See [`ResourceManager::release`].
-    pub fn release(&self, slice: SliceId, now: SimTime) -> Result<(), ClusterError> {
-        self.inner.lock().release(slice, now)
+    pub fn release(&self, lease: LeaseId, now: SimTime) -> Result<(), ClusterError> {
+        self.inner.lock().release(lease, now)
     }
 
-    /// See [`ResourceManager::drain_revocations`].
-    pub fn drain_revocations(&self) -> Vec<SliceId> {
-        self.inner.lock().drain_revocations()
+    /// See [`ResourceManager::pending_of`].
+    pub fn pending_of(&self, tenant: TenantId, requests: impl Fn(u64) -> bool) -> u32 {
+        self.inner.lock().pending_of(tenant, requests)
     }
 
     /// See [`ResourceManager::total_slices`].
@@ -166,47 +179,35 @@ mod tests {
     fn clones_share_one_manager() {
         let a = handle();
         let b = a.clone();
-        a.request_slices(3, SimTime::ZERO).unwrap();
+        let tenant = a.add_tenant();
+        a.request_slices(tenant, 3, SimTime::ZERO).unwrap();
         assert_eq!(b.free_slices(), b.total_slices() - 3);
-    }
-
-    #[test]
-    fn a_tenant_collects_only_the_grants_of_its_own_requests() {
-        let cluster = handle();
-        let mine = cluster.request_slices(2, SimTime::ZERO).unwrap();
-        let theirs = cluster.request_slices(3, SimTime::ZERO).unwrap();
-        let at = SimTime::from_secs(1);
-        let got = cluster.poll_ready_of(&[mine.request_id], at);
-        assert_eq!(got.len(), 2);
-        assert!(got.iter().all(|g| g.request_id == mine.request_id));
-        assert!(cluster.poll_ready_of(&[mine.request_id], at).is_empty());
-        // The other tenant's grants were left for it, none lost.
-        let rest = cluster.poll_ready(at);
-        assert_eq!(rest.len(), 3);
-        assert!(rest.iter().all(|g| g.request_id == theirs.request_id));
-        assert_eq!(cluster.slices_in_use(), 5);
+        assert_eq!(b.take_ready(tenant, SimTime::ZERO).len(), 3);
     }
 
     #[test]
     fn with_gives_exclusive_access() {
         let cluster = handle();
-        cluster.request_slices(1, SimTime::ZERO).unwrap();
-        let ready = cluster.with(|m| m.poll_ready(SimTime::from_secs(1)));
+        let tenant = cluster.add_tenant();
+        cluster.request_slices(tenant, 1, SimTime::ZERO).unwrap();
+        let ready = cluster.with(|m| m.take_ready(tenant, SimTime::from_secs(1)));
         assert_eq!(ready.len(), 1);
-        let slice = ready[0].slice;
-        cluster.release(slice, SimTime::from_secs(2)).unwrap();
+        cluster
+            .release(ready[0].lease, SimTime::from_secs(2))
+            .unwrap();
         assert_eq!(cluster.slices_in_use(), 0);
     }
 
     #[test]
     fn delegates_failure_injection() {
         let cluster = handle();
-        cluster.request_slices(2, SimTime::ZERO).unwrap();
-        cluster.poll_ready(SimTime::from_secs(1));
+        let tenant = cluster.add_tenant();
+        cluster.request_slices(tenant, 2, SimTime::ZERO).unwrap();
+        cluster.take_ready(tenant, SimTime::from_secs(1));
         let grants = cluster.with(|m| m.slices_in_use());
         assert_eq!(grants, 2);
         cluster.fail_node(NodeId(0));
-        assert!(!cluster.drain_revocations().is_empty());
+        assert_eq!(cluster.take_revocations(tenant).len(), 2);
         cluster.fail_master_until(SimTime::from_secs(10));
         assert!(!cluster.master_available(SimTime::from_secs(5)));
         assert!(cluster.master_available(SimTime::from_secs(10)));

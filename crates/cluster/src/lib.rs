@@ -10,6 +10,8 @@
 //! * a fixed inventory of nodes divided into slices,
 //! * a grant protocol where a request for `k` slices may yield `l < k`
 //!   when the cluster is short (the paper instantiates only `l` objects),
+//! * leases: each grant is held by the one tenant that asked for it, and
+//!   only that tenant collects it, learns of its revocation, or releases it,
 //! * a provisioning-latency model (slices become usable after a delay),
 //! * slice release/reuse ("this slice is then available to other elastic
 //!   objects in the cluster"),
@@ -25,11 +27,18 @@
 //! use erm_sim::{SimDuration, SimTime};
 //!
 //! let mut cluster = ResourceManager::new(ClusterConfig::default());
-//! let outcome = cluster.request_slices(3, SimTime::ZERO).unwrap();
+//! let (pool, other) = (cluster.add_tenant(), cluster.add_tenant());
+//! let outcome = cluster.request_slices(pool, 3, SimTime::ZERO).unwrap();
 //! assert_eq!(outcome.granted, 3);
-//! // Slices are usable only after the provisioning latency has elapsed.
-//! let ready = cluster.poll_ready(SimTime::ZERO + SimDuration::from_minutes(5));
+//! // Slices are usable only after the provisioning latency has elapsed,
+//! // and only the tenant that asked collects them.
+//! let later = SimTime::ZERO + SimDuration::from_minutes(5);
+//! assert!(cluster.take_ready(other, later).is_empty());
+//! let ready = cluster.take_ready(pool, later);
 //! assert_eq!(ready.len(), 3);
+//! // A lease is released once; a second release frees nothing.
+//! cluster.release(ready[0].lease, later).unwrap();
+//! assert!(cluster.release(ready[0].lease, later).is_err());
 //! ```
 
 mod handle;
@@ -39,6 +48,6 @@ mod manager;
 pub use handle::ClusterHandle;
 pub use latency::LatencyModel;
 pub use manager::{
-    AdminAlert, ClusterConfig, ClusterError, NodeId, RequestOutcome, ResourceManager, SliceGrant,
-    SliceId,
+    AdminAlert, ClusterConfig, ClusterError, LeaseId, NodeId, RequestOutcome, ResourceManager,
+    SliceGrant, SliceId, TenantId,
 };

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use erm_cluster::{ClusterHandle, SliceGrant, SliceId};
+use erm_cluster::{ClusterHandle, LeaseId, SliceGrant, SliceId, TenantId};
 use erm_kvstore::{LockOwner, Store};
 use erm_metrics::{Histogram, MetricsHandle, TraceEvent, TraceHandle};
 use erm_semantics::SemanticsTable;
@@ -378,9 +378,10 @@ pub struct Launch {
 
 struct Member {
     endpoint: EndpointId,
-    slice: SliceId,
+    /// The cluster's lease on the member's slice, released when it goes.
+    lease: LeaseId,
     draining: bool,
-    requested_at: Option<SimTime>,
+    requested_at: SimTime,
     first_served: bool,
     /// When this member's endpoint was taken down by a slice revocation
     /// (node failure): the crash time its recovery lags count from.
@@ -396,15 +397,6 @@ impl Member {
     fn in_rotation(&self) -> bool {
         !self.draining && !self.standby
     }
-}
-
-/// One outstanding slice request: when it was made (for provisioning-latency
-/// attribution), how many grants are still due (pruned at the last, since
-/// request ids can be reused), and which tier the members join.
-struct PendingRequest {
-    requested_at: SimTime,
-    outstanding: u32,
-    standby: bool,
 }
 
 /// Tracks open crash-recovery windows and records their lags (§4.4: a
@@ -470,16 +462,17 @@ pub struct PoolRuntime {
     /// Sim-time deadline for the current load-report collection round;
     /// `None` when no poll is outstanding.
     collect_until: Option<SimTime>,
-    grant_times: BTreeMap<u64, PendingRequest>,
+    /// The pool's account with the cluster: its leases, pending grants and
+    /// revocations are booked there, not here.
+    tenant: TenantId,
+    /// Requests whose grants join the warm tier; any other joins the
+    /// rotation. Cleared once none of them has a grant provisioning.
+    standby_requests: BTreeSet<u64>,
     last_broadcast: SimTime,
     /// When the warm tier last asked the cluster for a replacement standby;
     /// unforced refills are throttled to one ask per broadcast interval so a
     /// saturated cluster is not spammed with doomed requests every tick.
     standby_requested_at: Option<SimTime>,
-    /// Slices the cluster revoked (node failure) whose members are not
-    /// finalized yet. `finalize_member` must not `release()` these: the
-    /// slice may have been re-granted by then, to a new owner.
-    revoked_slices: BTreeSet<SliceId>,
     /// The in-rotation membership `(uid, endpoint)` seats as of the last
     /// `publish()`. `sync_view` diffs against this to bump the epoch exactly
     /// once per view change and to drive shard handoff when sharding is on.
@@ -514,19 +507,15 @@ impl PoolRuntime {
             "a Decider must be supplied iff the policy is AppLevel"
         );
         let now = deps.clock.now();
+        let tenant = deps.cluster.add_tenant();
         let outcome = deps
             .cluster
-            .request_slices(config.min_pool_size(), now)
+            .request_slices(tenant, config.min_pool_size(), now)
             .map_err(|e| PoolError::Cluster(e.to_string()))?;
         if outcome.granted == 0 {
             return Err(PoolError::NoCapacity);
         }
         let (ctl, ctl_mailbox) = deps.net.open();
-        let pending = PendingRequest {
-            requested_at: now,
-            outstanding: outcome.granted,
-            standby: false,
-        };
         let shared = Arc::new(PoolShared {
             sentinel: RwLock::new(EndpointId(u64::MAX)),
             members: RwLock::new(Vec::new()),
@@ -555,10 +544,10 @@ impl PoolRuntime {
             epoch: 0,
             reports: BTreeMap::new(),
             collect_until: None,
-            grant_times: BTreeMap::from([(outcome.request_id, pending)]),
+            tenant,
+            standby_requests: BTreeSet::new(),
             last_broadcast: SimTime::ZERO,
             standby_requested_at: None,
-            revoked_slices: BTreeSet::new(),
             last_view: Vec::new(),
             shutdown_deadline: None,
         })
@@ -597,27 +586,21 @@ impl PoolRuntime {
         if let Some(deadline) = self.shutdown_deadline {
             return (Vec::new(), self.shutdown_step(now, deadline));
         }
-        // 2. Newly provisioned slices become members.
-        // Only this pool's: another pool on the same cluster collects
-        // its own (taking them here left that pool with no members).
-        let due: Vec<u64> = self.grant_times.keys().copied().collect();
-        let grants = self.deps.cluster.poll_ready_of(&due, now);
+        // 2. This pool's newly provisioned slices become members.
+        let grants = self.deps.cluster.take_ready(self.tenant, now);
         let grew = !grants.is_empty();
         for grant in grants {
             self.spawn_member(grant);
         }
-        // 3. Crash detection + sentinel re-election. Slice revocations
-        // (node failures) kill their members too.
-        let revoked = self.deps.cluster.drain_revocations();
-        if !revoked.is_empty() {
-            self.revoked_slices.extend(revoked.iter().copied());
-            for m in self.members.values_mut() {
-                if revoked.contains(&m.slice) {
-                    // Take the endpoint down; the skeleton exits on its
-                    // closed mailbox and reaping does the rest.
-                    m.crashed_at = Some(now);
-                    self.deps.net.close(m.endpoint);
-                }
+        // 3. Crash detection + sentinel re-election. This pool's revoked
+        // leases (node failures) kill their members too.
+        let revoked = self.deps.cluster.take_revocations(self.tenant);
+        for m in self.members.values_mut() {
+            if revoked.contains(&m.lease) {
+                // Take the endpoint down; the skeleton exits on its
+                // closed mailbox and reaping does the rest.
+                m.crashed_at = Some(now);
+                self.deps.net.close(m.endpoint);
             }
         }
         let crashed = self.reap_crashed();
@@ -659,11 +642,9 @@ impl PoolRuntime {
                     // provisioning-interval measurement.
                     if !m.first_served && !report.method_stats.is_empty() {
                         m.first_served = true;
-                        if let Some(t0) = m.requested_at {
-                            let mut stats = self.shared.stats.lock();
-                            let latency = self.deps.clock.now().saturating_since(t0);
-                            stats.provisioning_latencies.push(latency);
-                        }
+                        let latency = self.deps.clock.now().saturating_since(m.requested_at);
+                        let mut stats = self.shared.stats.lock();
+                        stats.provisioning_latencies.push(latency);
                     }
                 }
                 if report.rejected > 0 {
@@ -681,9 +662,6 @@ impl PoolRuntime {
     }
 
     fn spawn_member(&mut self, grant: SliceGrant) {
-        // A fresh grant supersedes any old revocation marker for the slice:
-        // from here on, finalizing its member must release it normally.
-        self.revoked_slices.remove(&grant.slice);
         let uid = self.next_uid;
         self.next_uid += 1;
         let (endpoint, mailbox) = self.deps.net.open();
@@ -717,28 +695,14 @@ impl PoolRuntime {
             skeleton,
             mailbox,
         });
-        // Consume one grant from the originating request; prune the entry on
-        // the final grant so reused request ids never read a stale
-        // `requested_at`.
-        let (requested_at, standby) = match self.grant_times.get_mut(&grant.request_id) {
-            Some(pending) => {
-                let at = pending.requested_at;
-                let standby = pending.standby;
-                pending.outstanding = pending.outstanding.saturating_sub(1);
-                if pending.outstanding == 0 {
-                    self.grant_times.remove(&grant.request_id);
-                }
-                (Some(at), standby)
-            }
-            None => (None, false),
-        };
+        let standby = self.standby_requests.contains(&grant.request_id);
         self.members.insert(
             uid,
             Member {
                 endpoint,
-                slice: grant.slice,
+                lease: grant.lease,
                 draining: false,
-                requested_at,
+                requested_at: grant.requested_at,
                 first_served: false,
                 crashed_at: None,
                 standby,
@@ -763,12 +727,9 @@ impl PoolRuntime {
         };
         self.deps.net.close(member.endpoint);
         let now = self.deps.clock.now();
-        // A revoked slice is already back in the cluster's inventory;
-        // releasing it again would free a slice that may since have been
-        // re-granted to another member.
-        if !self.revoked_slices.remove(&member.slice) {
-            let _ = self.deps.cluster.release(member.slice, now);
-        }
+        // A revoked lease frees nothing: its slice went back at the
+        // revocation and may have been granted again since.
+        let _ = self.deps.cluster.release(member.lease, now);
         self.reports.remove(&uid);
         let mut stats = self.shared.stats.lock();
         if crashed {
@@ -1168,36 +1129,24 @@ impl PoolRuntime {
     /// Every slice this pool is answerable for: members not yet finalized,
     /// standbys included, plus grants still provisioning.
     fn slice_footprint(&self) -> u32 {
-        self.members.len() as u32
-            + self
-                .grant_times
-                .values()
-                .map(|p| p.outstanding)
-                .sum::<u32>()
+        self.members.len() as u32 + self.deps.cluster.pending_of(self.tenant, |_| true)
     }
 
-    /// Requests `count` slices, recording the pending request for
-    /// provisioning-latency attribution and tier assignment. Returns how
-    /// many the cluster granted.
+    /// Requests `count` slices for the rotation or the warm tier. Returns
+    /// how many the cluster granted.
     fn request_members(&mut self, count: u32, standby: bool, now: SimTime) -> u32 {
         if count == 0 {
             return 0;
         }
-        let Ok(outcome) = self.deps.cluster.request_slices(count, now) else {
+        let Ok(outcome) = self.deps.cluster.request_slices(self.tenant, count, now) else {
             return 0;
         };
         if outcome.granted == 0 {
             return 0;
         }
-        self.grant_times.insert(
-            outcome.request_id,
-            PendingRequest {
-                requested_at: now,
-                outstanding: outcome.granted,
-                standby,
-            },
-        );
-        if !standby {
+        if standby {
+            self.standby_requests.insert(outcome.request_id);
+        } else {
             self.shared.stats.lock().grown += outcome.granted;
         }
         outcome.granted
@@ -1217,12 +1166,17 @@ impl PoolRuntime {
             .values()
             .filter(|m| m.standby && !m.draining && m.crashed_at.is_none())
             .count() as u32;
-        let inbound: u32 = self
-            .grant_times
-            .values()
-            .filter(|p| p.standby)
-            .map(|p| p.outstanding)
-            .sum();
+        if have >= want {
+            return;
+        }
+        let standby = &self.standby_requests;
+        let inbound = self
+            .deps
+            .cluster
+            .pending_of(self.tenant, |r| standby.contains(&r));
+        if inbound == 0 {
+            self.standby_requests.clear();
+        }
         let deficit = want.saturating_sub(have + inbound);
         if deficit == 0 {
             return;
@@ -1259,9 +1213,8 @@ impl PoolRuntime {
     /// late grants go straight back, and once every member is gone (or the
     /// deadline passed) the rest is force-released.
     fn shutdown_step(&mut self, now: SimTime, deadline: SimTime) -> Option<SimTime> {
-        let due: Vec<u64> = self.grant_times.keys().copied().collect();
-        for grant in self.deps.cluster.poll_ready_of(&due, now) {
-            let _ = self.deps.cluster.release(grant.slice, now);
+        for grant in self.deps.cluster.take_ready(self.tenant, now) {
+            let _ = self.deps.cluster.release(grant.lease, now);
         }
         self.reap_crashed();
         if !self.members.is_empty() && now < deadline {
@@ -1317,46 +1270,55 @@ mod tests {
         clock: &VirtualClock,
         metrics: MetricsHandle,
     ) -> PoolRuntime {
-        let deps = PoolDeps {
+        let config = PoolConfig::builder("Churn").build().unwrap();
+        let deps = deps(cluster, clock, metrics);
+        PoolRuntime::start(config, Arc::new(|| Box::new(Idle)), deps, None).unwrap()
+    }
+
+    fn deps(cluster: &ClusterHandle, clock: &VirtualClock, metrics: MetricsHandle) -> PoolDeps {
+        PoolDeps {
             cluster: cluster.clone(),
             net: Arc::new(InProcNetwork::new()),
             store: Arc::new(Store::new(StoreConfig::default())),
             clock: Arc::new(clock.clone()),
             trace: TraceHandle::disabled(),
             metrics,
-        };
-        let config = PoolConfig::builder("Churn").build().unwrap();
-        PoolRuntime::start(config, Arc::new(|| Box::new(Idle)), deps, None).unwrap()
+        }
     }
 
-    /// Brings up every grant of the runtime's initial request as a member.
+    /// Brings up every ready grant of the runtime's requests as a member.
     fn join_initial(rt: &mut PoolRuntime, cluster: &ClusterHandle, at: SimTime) {
-        for grant in cluster.poll_ready(at) {
+        for grant in cluster.take_ready(rt.tenant, at) {
             rt.spawn_member(grant);
         }
     }
 
-    fn grant_one(cluster: &ClusterHandle, at: SimTime) -> SliceId {
-        cluster.request_slices(1, at).unwrap();
-        cluster.poll_ready(at).pop().expect("instant grant").slice
+    /// Steps `rt` once a tick until the clock reads `until`, as a simulated
+    /// driver would, except that its members never run.
+    fn step_until(rt: &mut PoolRuntime, clock: &VirtualClock, until: SimTime) {
+        while clock.now() < until {
+            clock.advance(TICK);
+            rt.step(clock.now());
+        }
     }
 
     #[test]
-    fn finalize_skips_release_for_revoked_slice() {
+    fn finalize_of_a_revoked_member_frees_nothing() {
         // Regression: a crashed member's slice was revoked by fail_node and
         // immediately re-granted after repair. Releasing it again during
-        // finalize would free the new member's slice underneath it.
+        // finalize would free the new holder's slice underneath it.
         let cluster = cluster(1);
         let clock = VirtualClock::new();
         let mut rt = runtime(&cluster, &clock, MetricsHandle::disabled());
         join_initial(&mut rt, &cluster, SimTime::ZERO);
-        let slice = rt.members[&0].slice;
 
         cluster.fail_node(NodeId(0));
-        rt.revoked_slices.extend(cluster.drain_revocations());
         cluster.repair_node(NodeId(0));
-        let regrant = grant_one(&cluster, SimTime::from_secs(1));
-        assert_eq!(regrant, slice, "the sole slice is granted again");
+        let other = cluster.add_tenant();
+        cluster
+            .request_slices(other, 1, SimTime::from_secs(1))
+            .unwrap();
+        assert_eq!(cluster.take_ready(other, SimTime::from_secs(1)).len(), 1);
 
         rt.finalize_member(0, true);
         assert_eq!(
@@ -1364,7 +1326,108 @@ mod tests {
             1,
             "finalize must not release a slice the cluster already revoked"
         );
-        assert!(rt.revoked_slices.is_empty(), "marker consumed");
+    }
+
+    #[test]
+    fn a_pool_takes_only_its_own_revocations() {
+        // Regression: the revocations of every pool on the cluster went to
+        // whichever pool stepped first, so the other pool's members kept
+        // serving on slices the cluster had freed.
+        let cluster = ClusterHandle::new(ResourceManager::new(ClusterConfig {
+            nodes: 2,
+            slices_per_node: 2,
+            provisioning: LatencyModel::instant(),
+            ..ClusterConfig::default()
+        }));
+        let clock = VirtualClock::new();
+        let mut a = runtime(&cluster, &clock, MetricsHandle::disabled());
+        let mut b = runtime(&cluster, &clock, MetricsHandle::disabled());
+        a.step(clock.now());
+        b.step(clock.now());
+        assert_eq!((a.members.len(), b.members.len()), (2, 2));
+        // B holds both slices of node 1.
+        cluster.fail_node(NodeId(1));
+        clock.advance(TICK);
+        a.step(clock.now());
+        b.step(clock.now());
+        assert!(a.members.values().all(|m| m.crashed_at.is_none()));
+        assert!(
+            b.members.values().all(|m| m.crashed_at.is_some()),
+            "both of B's members lost their slices"
+        );
+    }
+
+    #[test]
+    fn a_standby_revoked_while_provisioning_is_asked_for_again() {
+        // Regression: the pool kept its own count of grants still due, and a
+        // revocation before the grant arrived left that count at 1 forever:
+        // the warm tier stayed empty, its slice budget spent on a ghost.
+        let cluster = ClusterHandle::new(ResourceManager::new(ClusterConfig {
+            nodes: 3,
+            slices_per_node: 1,
+            provisioning: LatencyModel::Fixed(SimDuration::from_secs(1)),
+            ..ClusterConfig::default()
+        }));
+        let clock = VirtualClock::new();
+        let mut rt = runtime(&cluster, &clock, MetricsHandle::disabled());
+        rt.config = PoolConfig::builder("Churn")
+            .min_pool_size(2)
+            .max_pool_size(3)
+            .warm_standby(1)
+            .build()
+            .unwrap();
+        // The first step asks for the standby, on the third node.
+        rt.step(clock.now());
+        cluster.fail_node(NodeId(2));
+        step_until(
+            &mut rt,
+            &clock,
+            SimTime::ZERO + SimDuration::from_millis(500),
+        );
+        cluster.repair_node(NodeId(2));
+        step_until(&mut rt, &clock, SimTime::from_secs(6));
+        assert_eq!(
+            rt.members
+                .values()
+                .filter(|m| m.standby && !m.draining && m.crashed_at.is_none())
+                .count(),
+            1
+        );
+        assert_eq!(rt.slice_footprint(), 3);
+        assert_eq!(cluster.slices_in_use(), 3);
+    }
+
+    #[test]
+    fn a_release_deferred_by_an_outage_survives_a_node_failure() {
+        // Regression: a member's release, deferred by a master outage, and
+        // the failure of its node both freed its slice, so after recovery
+        // the cluster listed the slice free twice and granted it twice.
+        let cluster = cluster(2);
+        let clock = VirtualClock::new();
+        let mut rt = runtime(&cluster, &clock, MetricsHandle::disabled());
+        rt.step(clock.now());
+        assert_eq!(rt.members.len(), 2);
+        cluster.fail_master_until(SimTime::from_secs(2));
+        rt.member_exited(1);
+        step_until(
+            &mut rt,
+            &clock,
+            SimTime::ZERO + SimDuration::from_millis(500),
+        );
+        assert_eq!(rt.members.len(), 1, "member 1 reaped, its release deferred");
+        cluster.fail_node(NodeId(1));
+        cluster.repair_node(NodeId(1));
+        // Past recovery, growing by two finds only the one freed slice.
+        step_until(&mut rt, &clock, SimTime::from_secs(3));
+        assert_eq!(rt.request_members(2, false, clock.now()), 1);
+        step_until(&mut rt, &clock, SimTime::from_secs(4));
+        assert_eq!(rt.members.len(), 2);
+        assert_eq!(
+            (cluster.slices_in_use(), cluster.free_slices()),
+            (2, 0),
+            "every slice is held once and none is listed free"
+        );
+        assert!((0.0..=1.0).contains(&cluster.utilization()));
     }
 
     #[test]
@@ -1391,7 +1454,6 @@ mod tests {
         member.crashed_at = Some(SimTime::ZERO);
         rt.member_exited(0);
         cluster.fail_node(NodeId(0));
-        rt.revoked_slices.extend(cluster.drain_revocations());
 
         assert!(rt.reap_crashed(), "draining+revoked member must be reaped");
         assert!(rt.members.is_empty());
@@ -1520,7 +1582,7 @@ mod tests {
         let store = Arc::clone(&rt.deps.store);
         let ttl = SimDuration::from_secs(3600);
 
-        let mut grants = cluster.poll_ready(SimTime::ZERO).into_iter();
+        let mut grants = cluster.take_ready(rt.tenant, SimTime::ZERO).into_iter();
         rt.spawn_member(grants.next().unwrap());
         rt.publish(); // bootstrap: epoch 1, no handoff possible
         let e0 = rt.members[&0].endpoint;
@@ -1589,36 +1651,24 @@ mod tests {
     }
 
     #[test]
-    fn grant_times_pruned_on_final_grant() {
-        // Regression: entries used to live for the pool's lifetime, so a
-        // request id reused by the cluster would read a stale requested_at
-        // and mis-attribute provisioning latency.
+    fn members_carry_their_requests_time() {
+        // Provisioning latency counts from the request, which the grant
+        // carries, however late the pool takes it.
         let cluster = cluster(4);
         let clock = VirtualClock::new();
         clock.advance(SimDuration::from_secs(1));
         let mut rt = runtime(&cluster, &clock, MetricsHandle::disabled());
         let t0 = clock.now();
         join_initial(&mut rt, &cluster, t0);
-        assert!(rt.grant_times.is_empty(), "the initial request is complete");
         assert_eq!(rt.request_members(2, false, t0), 2);
-        assert_eq!(rt.grant_times.len(), 1);
-        let grants = cluster.poll_ready(t0);
-        assert_eq!(grants.len(), 2);
-        let (first, second) = (grants[0], grants[1]);
-        rt.spawn_member(first);
-        assert_eq!(
-            rt.grant_times.len(),
-            1,
-            "entry survives while grants are still outstanding"
-        );
-        rt.spawn_member(second);
+        assert_eq!(cluster.pending_of(rt.tenant, |_| true), 2);
+        clock.advance(SimDuration::from_secs(1));
+        join_initial(&mut rt, &cluster, clock.now());
+        assert_eq!(cluster.pending_of(rt.tenant, |_| true), 0);
+        assert_eq!(rt.members.len(), 4);
         assert!(
-            rt.grant_times.is_empty(),
-            "entry pruned once the last grant is collected"
-        );
-        assert!(
-            rt.members.values().all(|m| m.requested_at == Some(t0)),
-            "latency attribution still works for every grant of the request"
+            rt.members.values().all(|m| m.requested_at == t0),
+            "latency attribution works for every grant of each request"
         );
     }
 
@@ -1667,7 +1717,6 @@ mod tests {
         rt.replenish_standbys(clock.now(), true);
         join_initial(&mut rt, &cluster, clock.now());
         assert_eq!(rt.members.values().filter(|m| m.standby).count(), 1);
-        assert!(rt.grant_times.is_empty(), "standby grants prune too");
     }
 
     #[test]
@@ -1706,14 +1755,12 @@ mod tests {
         standby.crashed_at = Some(SimTime::ZERO);
         rt.member_exited(0);
         cluster.fail_node(NodeId(0));
-        rt.revoked_slices.extend(cluster.drain_revocations());
         assert!(rt.reap_crashed());
         assert_eq!(
             cluster.slices_in_use(),
             0,
             "revoked standby slice returned by the cluster, not leaked"
         );
-        assert!(rt.revoked_slices.is_empty(), "marker consumed exactly once");
         cluster.repair_node(NodeId(0));
         assert_eq!(cluster.free_slices(), 1);
     }
@@ -1731,23 +1778,29 @@ mod tests {
             .unwrap();
         let t0 = clock.now();
         join_initial(&mut rt, &cluster, t0);
+        let pending = |rt: &PoolRuntime| cluster.pending_of(rt.tenant, |_| true);
         rt.replenish_standbys(t0, false);
-        assert_eq!(rt.grant_times.len(), 1, "initial fill is immediate");
-        let inbound: u32 = rt.grant_times.values().map(|p| p.outstanding).sum();
-        assert_eq!(inbound, 2);
+        assert_eq!(pending(&rt), 2, "initial fill is immediate");
         // Spawn them, then kill one: the refill ask is rate-limited...
         join_initial(&mut rt, &cluster, t0);
-        assert!(rt.grant_times.is_empty());
+        assert_eq!(
+            rt.members
+                .values()
+                .filter(|m| m.standby && !m.draining && m.crashed_at.is_none())
+                .count(),
+            2
+        );
         rt.finalize_member(2, true);
         rt.replenish_standbys(t0, false);
-        assert!(
-            rt.grant_times.is_empty(),
+        assert_eq!(
+            pending(&rt),
+            0,
             "unforced refill waits out the throttle window"
         );
         // ...until the window passes or the caller forces it.
         clock.advance(BROADCAST_EVERY);
         rt.replenish_standbys(clock.now(), false);
-        assert_eq!(rt.grant_times.len(), 1);
+        assert_eq!(pending(&rt), 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use elasticrmi::{PoolSample, ScalingDecision, ScalingEngine};
 use erm_apps::{demand_vote, AppKind};
-use erm_cluster::{ClusterConfig, ResourceManager, SliceId};
+use erm_cluster::{ClusterConfig, ResourceManager, SliceGrant};
 use erm_metrics::{
     AgilityMeter, AgilityReport, ProvisioningRecorder, ProvisioningReport, TraceEvent, TraceHandle,
     TraceRecord,
@@ -173,12 +173,13 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
     let mut req_series = TimeSeries::new("req_min");
     let mut load_series = TimeSeries::new("workload");
 
-    // Pool bookkeeping.
-    let mut ready: Vec<SliceId> = Vec::new();
-    let mut draining: EventQueue<SliceId> = EventQueue::new();
-    let mut next_prov_id: u64 = 0;
-    let mut pending_requests: Vec<(u64, u32)> = Vec::new(); // (first prov id, remaining)
-    let mut pending_count: u32 = 0;
+    // The pool is one tenant of the cluster, which books its grants. The
+    // k-th slice requested is provisioning id k, and grants are paired with
+    // ids in the order they arrive.
+    let pool = cluster.add_tenant();
+    let mut ready: Vec<SliceGrant> = Vec::new();
+    let mut draining: EventQueue<SliceGrant> = EventQueue::new();
+    let (mut requested, mut joined): (u64, u64) = (0, 0);
     let mut smoothed_cpu: f64 = 0.0;
     // What the members' method-call statistics report: the rate averaged
     // over the last burst interval, not the instantaneous truth.
@@ -187,17 +188,12 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
 
     // Kick off the initial provisioning (instantaneous for the oracle,
     // latency-bound otherwise — the pool's own startup transient).
-    {
-        let outcome = cluster
-            .request_slices(initial, SimTime::ZERO)
-            .expect("master up at start");
-        let first = next_prov_id;
-        next_prov_id += u64::from(outcome.granted);
-        pending_count += outcome.granted;
-        for i in 0..u64::from(outcome.granted) {
-            prov.requested(first + i, SimTime::ZERO);
-        }
-        pending_requests.push((first, outcome.granted));
+    let outcome = cluster
+        .request_slices(pool, initial, SimTime::ZERO)
+        .expect("master up at start");
+    for _ in 0..outcome.granted {
+        prov.requested(requested, SimTime::ZERO);
+        requested += 1;
     }
 
     let end = SimTime::ZERO + workload.duration();
@@ -214,23 +210,16 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
             }
         }
         // 1. Provisioning completions join the pool and serve immediately.
-        for grant in cluster.poll_ready(now) {
+        for grant in cluster.take_ready(pool, now) {
             trace.emit(now, TraceEvent::MemberJoined { uid: grant.slice.0 });
-            ready.push(grant.slice);
-            pending_count = pending_count.saturating_sub(1);
-            if let Some(entry) = pending_requests.first_mut() {
-                prov.first_served(entry.0, grant.ready_at);
-                entry.0 += 1;
-                entry.1 -= 1;
-                if entry.1 == 0 {
-                    pending_requests.remove(0);
-                }
-            }
+            prov.first_served(joined, grant.ready_at);
+            joined += 1;
+            ready.push(grant);
         }
         // 2. Draining members release their slices.
-        for slice in draining.pop_due(now).collect::<Vec<_>>() {
-            trace.emit(now, TraceEvent::MemberDrained { uid: slice.0 });
-            let _ = cluster.release(slice, now);
+        for grant in draining.pop_due(now).collect::<Vec<_>>() {
+            trace.emit(now, TraceEvent::MemberDrained { uid: grant.slice.0 });
+            let _ = cluster.release(grant.lease, now);
             // capacity already decremented at drain start
         }
 
@@ -253,7 +242,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
 
         // 4. The control loop (the real middleware code).
         if let Some(engine) = engine.as_mut() {
-            let committed = n_ready + pending_count;
+            let committed = n_ready + cluster.pending_of(pool, |_| true);
             let sample = PoolSample {
                 pool_size: committed,
                 avg_cpu: smoothed_cpu as f32,
@@ -289,15 +278,10 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
                             delta: i64::from(k),
                         },
                     );
-                    if let Ok(outcome) = cluster.request_slices(k, now) {
-                        let first = next_prov_id;
-                        next_prov_id += u64::from(outcome.granted);
-                        pending_count += outcome.granted;
-                        for i in 0..u64::from(outcome.granted) {
-                            prov.requested(first + i, now);
-                        }
-                        if outcome.granted > 0 {
-                            pending_requests.push((first, outcome.granted));
+                    if let Ok(outcome) = cluster.request_slices(pool, k, now) {
+                        for _ in 0..outcome.granted {
+                            prov.requested(requested, now);
+                            requested += 1;
                         }
                     }
                 }
@@ -313,8 +297,8 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
                         if ready.len() as u32 <= engine.config().min_pool_size() {
                             break;
                         }
-                        if let Some(slice) = ready.pop() {
-                            draining.schedule(now + DRAIN_DELAY, slice);
+                        if let Some(grant) = ready.pop() {
+                            draining.schedule(now + DRAIN_DELAY, grant);
                         }
                     }
                 }

@@ -16,7 +16,7 @@
 
 use elasticrmi::{PoolSample, ScalingDecision, ScalingEngine};
 use erm_apps::{demand_vote, AppKind, AppModel};
-use erm_cluster::{ClusterConfig, ResourceManager, SliceId};
+use erm_cluster::{ClusterConfig, ResourceManager, SliceGrant, TenantId};
 use erm_metrics::{AgilityMeter, AgilityReport};
 use erm_sim::{derive_seed, SimDuration, SimTime};
 use erm_workloads::{PatternKind, Workload, WorkloadBuilder};
@@ -65,15 +65,17 @@ struct Tier {
     app: AppModel,
     workload: Workload,
     engine: ScalingEngine,
-    ready: Vec<SliceId>,
-    pending: u32,
-    draining: erm_sim::EventQueue<SliceId>,
+    /// The tier's account with the cluster, which books its grants.
+    tenant: TenantId,
+    ready: Vec<SliceGrant>,
+    draining: erm_sim::EventQueue<SliceGrant>,
     meter: AgilityMeter,
 }
 
 impl Tier {
-    fn committed(&self) -> u32 {
-        self.ready.len() as u32 + self.pending
+    /// Members serving plus slices still provisioning.
+    fn committed(&self, cluster: &ResourceManager) -> u32 {
+        self.ready.len() as u32 + cluster.pending_of(self.tenant, |_| true)
     }
 }
 
@@ -84,7 +86,7 @@ pub fn run_tiered(coordination: TierCoordination, seed: u64) -> TieredResult {
     const TICK: SimDuration = SimDuration::from_secs(10);
     const DRAIN_DELAY: SimDuration = SimDuration::from_secs(5);
 
-    let mk_tier = |app_kind: AppKind, label: &str, max_pool: u32| {
+    let mk_tier = |app_kind: AppKind, label: &str, max_pool: u32, tenant: TenantId| {
         let app = app_kind.model();
         let workload = WorkloadBuilder::new(PatternKind::Cyclic, app.point_a)
             .noise(0.04)
@@ -94,8 +96,8 @@ pub fn run_tiered(coordination: TierCoordination, seed: u64) -> TieredResult {
         Tier {
             engine: ScalingEngine::new(config, SimTime::ZERO),
             meter: AgilityMeter::paper_default(),
+            tenant,
             ready: Vec::new(),
-            pending: 0,
             draining: erm_sim::EventQueue::new(),
             app,
             workload,
@@ -118,36 +120,29 @@ pub fn run_tiered(coordination: TierCoordination, seed: u64) -> TieredResult {
     });
 
     let mut tiers = [
-        mk_tier(AppKind::Marketcetera, "front", front_peak + 4),
-        mk_tier(AppKind::Dcs, "back", back_peak + 4),
+        mk_tier(
+            AppKind::Marketcetera,
+            "front",
+            front_peak + 4,
+            cluster.add_tenant(),
+        ),
+        mk_tier(AppKind::Dcs, "back", back_peak + 4, cluster.add_tenant()),
     ];
 
     // Initial provisioning: what each tier needs at t=0.
     let mut now = SimTime::ZERO;
-    let mut grant_owner: Vec<(u64, usize)> = Vec::new(); // request_id -> tier
-    for (i, tier) in tiers.iter_mut().enumerate() {
+    for tier in &tiers {
         let need = tier.app.req_min(tier.workload.rate_at(now), 0) as u32;
-        if let Ok(out) = cluster.request_slices(need, now) {
-            tier.pending += out.granted;
-            grant_owner.push((out.request_id, i));
-        }
+        let _ = cluster.request_slices(tier.tenant, need, now);
     }
 
     let end = SimTime::ZERO + tiers[0].workload.duration();
     while now <= end {
-        // Deliver grants to their owning tier.
-        for grant in cluster.poll_ready(now) {
-            let owner = grant_owner
-                .iter()
-                .find(|(id, _)| *id == grant.request_id)
-                .map_or(0, |&(_, t)| t);
-            tiers[owner].ready.push(grant.slice);
-            tiers[owner].pending = tiers[owner].pending.saturating_sub(1);
-        }
-        // Finish drains.
+        // Each tier takes its grants and finishes its drains.
         for tier in tiers.iter_mut() {
-            for slice in tier.draining.pop_due(now).collect::<Vec<_>>() {
-                let _ = cluster.release(slice, now);
+            tier.ready.extend(cluster.take_ready(tier.tenant, now));
+            for grant in tier.draining.pop_due(now).collect::<Vec<_>>() {
+                let _ = cluster.release(grant.lease, now);
             }
         }
 
@@ -165,9 +160,9 @@ pub fn run_tiered(coordination: TierCoordination, seed: u64) -> TieredResult {
                 .iter()
                 .zip(rates)
                 .map(|(tier, rate)| {
-                    let vote =
-                        demand_vote(rate, tier.app.per_object_capacity, tier.committed(), 0.9);
-                    (i64::from(tier.committed()) + i64::from(vote)).max(2) as u32
+                    let committed = tier.committed(&cluster);
+                    let vote = demand_vote(rate, tier.app.per_object_capacity, committed, 0.9);
+                    (i64::from(committed) + i64::from(vote)).max(2) as u32
                 })
                 .collect(),
             TierCoordination::GlobalDecider => {
@@ -197,13 +192,13 @@ pub fn run_tiered(coordination: TierCoordination, seed: u64) -> TieredResult {
         // Apply through each tier's real scaling engine (AppLevel semantics:
         // desired size in the sample).
         for (i, tier) in tiers.iter_mut().enumerate() {
+            let committed = tier.committed(&cluster);
             let sample = PoolSample {
-                pool_size: tier.committed(),
+                pool_size: committed,
                 avg_cpu: 0.0,
                 avg_ram: 0.0,
                 fine_votes: vec![
-                    (i64::from(desired[i]) - i64::from(tier.committed())).clamp(-4, 16)
-                        as i32;
+                    (i64::from(desired[i]) - i64::from(committed)).clamp(-4, 16) as i32;
                     tier.ready.len().max(1)
                 ],
                 desired_size: None,
@@ -211,20 +206,15 @@ pub fn run_tiered(coordination: TierCoordination, seed: u64) -> TieredResult {
             };
             match tier.engine.poll(now, &sample) {
                 ScalingDecision::Grow(k) => {
-                    if let Ok(out) = cluster.request_slices(k, now) {
-                        if out.granted > 0 {
-                            tier.pending += out.granted;
-                            grant_owner.push((out.request_id, i));
-                        }
-                    }
+                    let _ = cluster.request_slices(tier.tenant, k, now);
                 }
                 ScalingDecision::Shrink(k) => {
                     for _ in 0..k {
                         if tier.ready.len() as u32 <= tier.engine.config().min_pool_size() {
                             break;
                         }
-                        if let Some(slice) = tier.ready.pop() {
-                            tier.draining.schedule(now + DRAIN_DELAY, slice);
+                        if let Some(grant) = tier.ready.pop() {
+                            tier.draining.schedule(now + DRAIN_DELAY, grant);
                         }
                     }
                 }

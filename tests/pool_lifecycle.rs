@@ -235,9 +235,10 @@ fn empty_cluster_fails_instantiation() {
         trace: TraceHandle::disabled(),
         metrics: MetricsHandle::disabled(),
     };
-    // Exhaust the only slice first.
+    // Another tenant takes the only slice first.
+    let other = deps.cluster.add_tenant();
     deps.cluster
-        .request_slices(1, erm_sim::SimTime::ZERO)
+        .request_slices(other, 1, erm_sim::SimTime::ZERO)
         .unwrap();
     let config = PoolConfig::builder("Puppet").build().unwrap();
     let vote = Arc::new(AtomicI32::new(0));
