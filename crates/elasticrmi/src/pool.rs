@@ -714,7 +714,6 @@ impl PoolRuntime {
             TraceEvent::MemberJoined { uid }
         };
         self.deps.trace.emit(self.deps.clock.now(), event);
-        self.publish();
     }
 
     /// Removes a member from all books; `crashed` distinguishes failure from
@@ -1286,11 +1285,13 @@ mod tests {
         }
     }
 
-    /// Brings up every ready grant of the runtime's requests as a member.
+    /// Brings up every ready grant of the runtime's requests as a member,
+    /// publishing the new view as `step` does after its grants.
     fn join_initial(rt: &mut PoolRuntime, cluster: &ClusterHandle, at: SimTime) {
         for grant in cluster.take_ready(rt.tenant, at) {
             rt.spawn_member(grant);
         }
+        rt.publish();
     }
 
     /// Steps `rt` once a tick until the clock reads `until`, as a simulated
@@ -1431,6 +1432,28 @@ mod tests {
     }
 
     #[test]
+    fn a_sharded_pool_boots_at_epoch_one_without_a_handoff() {
+        // Regression: every grant published a view of its own, so a sharded
+        // two-member pool booted at epoch 2 after a handoff between the
+        // first member and the pair, reassigning keys nobody had used.
+        let cluster = cluster(2);
+        let clock = VirtualClock::new();
+        let (trace, sink) = TraceHandle::buffered(64);
+        let mut rt = runtime(&cluster, &clock, MetricsHandle::disabled());
+        rt.config = sharded_config();
+        rt.deps.trace = trace;
+        rt.step(clock.now());
+        assert_eq!(rt.members.len(), 2);
+        assert_eq!(rt.epoch, 1);
+        let handoffs = sink
+            .snapshot()
+            .into_iter()
+            .filter(|r| matches!(r.event, TraceEvent::ShardHandoff { .. }))
+            .count();
+        assert_eq!(handoffs, 0);
+    }
+
+    #[test]
     fn finalize_releases_unrevoked_slices_normally() {
         let cluster = cluster(1);
         let clock = VirtualClock::new();
@@ -1556,7 +1579,6 @@ mod tests {
         let mut rt = runtime(&cluster, &clock, MetricsHandle::disabled());
         assert_eq!(rt.epoch, 0);
         join_initial(&mut rt, &cluster, SimTime::ZERO);
-        rt.publish();
         assert_eq!(rt.epoch, 1, "bootstrap view change bumps once");
         rt.publish();
         assert_eq!(rt.epoch, 1, "republishing an unchanged view is a no-op");
