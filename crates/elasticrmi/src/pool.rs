@@ -397,6 +397,12 @@ impl Member {
     fn in_rotation(&self) -> bool {
         !self.draining && !self.standby
     }
+
+    /// Whether this is a warm standby a grow can promote: parked outside
+    /// the rotation, not draining, and not taken down by a revocation.
+    fn warm(&self) -> bool {
+        self.standby && !self.draining && self.crashed_at.is_none()
+    }
 }
 
 /// Tracks open crash-recovery windows and records their lags (§4.4: a
@@ -969,11 +975,7 @@ impl PoolRuntime {
             .map(|(_, r)| r)
             .collect();
         let pool_size = self.members.values().filter(|m| m.in_rotation()).count() as u32;
-        let standbys = self
-            .members
-            .values()
-            .filter(|m| m.standby && !m.draining)
-            .count() as u32;
+        let standbys = self.members.values().filter(|m| m.warm()).count() as u32;
         let n = live.len().max(1) as f32;
         let mut sample = PoolSample {
             pool_size,
@@ -1107,7 +1109,7 @@ impl PoolRuntime {
         let picks: Vec<u64> = self
             .members
             .iter()
-            .filter(|(_, m)| m.standby && !m.draining && m.crashed_at.is_none())
+            .filter(|(_, m)| m.warm())
             .take(k as usize)
             .map(|(&uid, _)| uid)
             .collect();
@@ -1160,11 +1162,7 @@ impl PoolRuntime {
         if want == 0 {
             return;
         }
-        let have = self
-            .members
-            .values()
-            .filter(|m| m.standby && !m.draining && m.crashed_at.is_none())
-            .count() as u32;
+        let have = self.members.values().filter(|m| m.warm()).count() as u32;
         if have >= want {
             return;
         }
@@ -1387,13 +1385,7 @@ mod tests {
         );
         cluster.repair_node(NodeId(2));
         step_until(&mut rt, &clock, SimTime::from_secs(6));
-        assert_eq!(
-            rt.members
-                .values()
-                .filter(|m| m.standby && !m.draining && m.crashed_at.is_none())
-                .count(),
-            1
-        );
+        assert_eq!(rt.members.values().filter(|m| m.warm()).count(), 1);
         assert_eq!(rt.slice_footprint(), 3);
         assert_eq!(cluster.slices_in_use(), 3);
     }
@@ -1451,6 +1443,47 @@ mod tests {
             .filter(|r| matches!(r.event, TraceEvent::ShardHandoff { .. }))
             .count();
         assert_eq!(handoffs, 0);
+    }
+
+    #[test]
+    fn a_decider_is_not_told_of_a_revoked_standby() {
+        // Regression: the sample counted a standby whose slice was revoked
+        // as warm until its member was reaped, though it can never promote.
+        let cluster = cluster(3);
+        let clock = VirtualClock::new();
+        let told = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&told);
+        let config = PoolConfig::builder("Churn")
+            .policy(ScalingPolicy::AppLevel)
+            .burst_interval(SimDuration::from_secs(1))
+            .warm_standby(1)
+            .build()
+            .unwrap();
+        let decider = move |sample: &PoolSample| {
+            seen.lock().push(sample.standbys);
+            sample.pool_size
+        };
+        let deps = deps(&cluster, &clock, MetricsHandle::disabled());
+        let factory: ServiceFactory = Arc::new(|| Box::new(Idle));
+        let mut rt = PoolRuntime::start(config, factory, deps, Some(Box::new(decider))).unwrap();
+        step_until(
+            &mut rt,
+            &clock,
+            SimTime::ZERO + SimDuration::from_millis(500),
+        );
+        assert_eq!(rt.members.values().filter(|m| m.warm()).count(), 1);
+        // The standby's node fails; its member never exits, so it is not
+        // reaped, but it is no longer warm.
+        cluster.fail_node(NodeId(2));
+        told.lock().clear();
+        step_until(
+            &mut rt,
+            &clock,
+            SimTime::ZERO + SimDuration::from_millis(2_500),
+        );
+        let told = told.lock().clone();
+        assert!(!told.is_empty(), "the decider was asked");
+        assert!(told.iter().all(|&n| n == 0), "told {told:?}");
     }
 
     #[test]
@@ -1805,13 +1838,7 @@ mod tests {
         assert_eq!(pending(&rt), 2, "initial fill is immediate");
         // Spawn them, then kill one: the refill ask is rate-limited...
         join_initial(&mut rt, &cluster, t0);
-        assert_eq!(
-            rt.members
-                .values()
-                .filter(|m| m.standby && !m.draining && m.crashed_at.is_none())
-                .count(),
-            2
-        );
+        assert_eq!(rt.members.values().filter(|m| m.warm()).count(), 2);
         rt.finalize_member(2, true);
         rt.replenish_standbys(t0, false);
         assert_eq!(
