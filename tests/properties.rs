@@ -559,3 +559,238 @@ fn skeleton_conserves_invocations_under_overload() {
         );
     }
 }
+
+/// ROADMAP item 15(a), tenancy as a property: seeded interleavings of two
+/// or three tenants of one cluster. Each step is a request, a take of
+/// ready grants, a release (of a held lease, or of a stale one), a node
+/// failure or repair, a take of revocations, or a master outage opening or
+/// closing. After every step the cluster's books must agree with what each
+/// tenant was told: grants and revocations reach only their holder, every
+/// slice has at most one live lease, and nothing is freed twice.
+#[test]
+fn tenants_of_one_cluster_keep_separate_books() {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use erm_cluster::{
+        ClusterConfig, ClusterError, LatencyModel, LeaseId, NodeId, ResourceManager, SliceGrant,
+        SliceId, TenantId,
+    };
+
+    /// What one tenant was told, and what it should therefore hold.
+    #[derive(Default)]
+    struct Books {
+        requests: BTreeSet<u64>,
+        granted: u64,
+        released: u64,
+        /// Leases lost to node failures, counted when the node fails.
+        revoked: u64,
+        held: BTreeMap<LeaseId, SliceGrant>,
+        /// Held leases lost to a failure that the tenant has not taken.
+        owed: BTreeSet<LeaseId>,
+        /// Provisioning leases lost to a failure, not yet taken.
+        owed_provisioning: u32,
+        /// Leases released or revoked: releasing one must free nothing.
+        stale: Vec<LeaseId>,
+    }
+
+    let all = |_| true;
+    for seed in 0..300u64 {
+        let mut rng = StdRng::seed_from_u64(0x7E4A ^ seed.wrapping_mul(0x9E37_79B9));
+        let nodes = rng.gen_range(2u32..=4);
+        let mut cluster = ResourceManager::new(ClusterConfig {
+            nodes,
+            slices_per_node: rng.gen_range(1u32..=3),
+            provisioning: LatencyModel::LoadDependent {
+                base: SimDuration::ZERO,
+                slope_per_load: SimDuration::from_secs(2),
+                jitter: SimDuration::from_secs(1),
+            },
+            seed,
+            ..ClusterConfig::default()
+        });
+        let ids: Vec<TenantId> = (0..rng.gen_range(2..=3))
+            .map(|_| cluster.add_tenant())
+            .collect();
+        let mut books: Vec<Books> = ids.iter().map(|_| Books::default()).collect();
+        // Every lease ever delivered, as a grant or a revocation, and to whom.
+        let mut delivered: BTreeMap<LeaseId, usize> = BTreeMap::new();
+        let mut deferred: BTreeMap<LeaseId, SliceId> = BTreeMap::new();
+        let mut master_down_until: Option<SimTime> = None;
+        let mut now = SimTime::ZERO;
+
+        // The cluster frees deferred releases at the first request or
+        // release of a held lease once the master is back.
+        let reaches_master = |until: &mut Option<SimTime>,
+                              deferred: &mut BTreeMap<LeaseId, SliceId>,
+                              now: SimTime| {
+            match *until {
+                Some(t) if now < t => false,
+                Some(_) => {
+                    *until = None;
+                    deferred.clear();
+                    true
+                }
+                None => true,
+            }
+        };
+
+        for step in 0..80 {
+            now += SimDuration::from_millis(rng.gen_range(0..=500));
+            let t = rng.gen_range(0..ids.len());
+            let tenant = ids[t];
+            let ctx = format!("seed {seed} step {step}");
+            match rng.gen_range(0..8) {
+                0 | 1 => {
+                    let n = rng.gen_range(0u32..=3);
+                    let result = cluster.request_slices(tenant, n, now);
+                    if reaches_master(&mut master_down_until, &mut deferred, now) {
+                        let out = result.unwrap();
+                        assert!(out.granted <= n, "{ctx}");
+                        books[t].requests.insert(out.request_id);
+                        books[t].granted += u64::from(out.granted);
+                    } else {
+                        assert_eq!(result.unwrap_err(), ClusterError::MasterDown, "{ctx}");
+                    }
+                }
+                2 => {
+                    for grant in cluster.take_ready(tenant, now) {
+                        assert!(
+                            delivered.insert(grant.lease, t).is_none(),
+                            "{ctx}: {:?} delivered twice",
+                            grant.lease
+                        );
+                        assert!(books[t].requests.contains(&grant.request_id), "{ctx}");
+                        assert!(grant.requested_at <= grant.ready_at && grant.ready_at <= now);
+                        books[t].held.insert(grant.lease, grant);
+                    }
+                }
+                3 => {
+                    let (free, in_use) = (cluster.free_slices(), cluster.slices_in_use());
+                    let stale = &books[t].stale;
+                    if !stale.is_empty() && rng.gen_bool(0.3) {
+                        let lease = stale[rng.gen_range(0..stale.len())];
+                        let err = cluster.release(lease, now).unwrap_err();
+                        assert_eq!(err, ClusterError::StaleLease(lease), "{ctx}");
+                        assert_eq!(cluster.free_slices(), free, "{ctx}: a stale release freed");
+                        assert_eq!(cluster.slices_in_use(), in_use, "{ctx}");
+                    } else if let Some(&lease) = books[t].held.keys().next() {
+                        cluster.release(lease, now).unwrap();
+                        let grant = books[t].held.remove(&lease).unwrap();
+                        if !reaches_master(&mut master_down_until, &mut deferred, now) {
+                            deferred.insert(lease, grant.slice);
+                        }
+                        books[t].released += 1;
+                        books[t].stale.push(lease);
+                    }
+                }
+                4 => {
+                    let node = NodeId(rng.gen_range(0..nodes));
+                    let before: Vec<u32> =
+                        ids.iter().map(|&i| cluster.pending_of(i, all)).collect();
+                    let reserved = cluster.slices_in_use() + cluster.pending_slices();
+                    cluster.fail_node(node);
+                    let mut lost = 0;
+                    for (i, b) in books.iter_mut().enumerate() {
+                        let gone: Vec<LeaseId> = b
+                            .held
+                            .values()
+                            .filter(|g| g.node == node)
+                            .map(|g| g.lease)
+                            .collect();
+                        for lease in &gone {
+                            b.held.remove(lease);
+                        }
+                        let provisioning = before[i] - cluster.pending_of(ids[i], all);
+                        b.owed.extend(gone.iter().copied());
+                        b.owed_provisioning += provisioning;
+                        b.revoked += gone.len() as u64 + u64::from(provisioning);
+                        lost += gone.len() + provisioning as usize;
+                    }
+                    deferred.retain(|_, slice| cluster.node_of(*slice) != node);
+                    assert_eq!(
+                        reserved - (cluster.slices_in_use() + cluster.pending_slices()),
+                        lost,
+                        "{ctx}: every lease the failure ended was a tenant's"
+                    );
+                }
+                5 => cluster.repair_node(NodeId(rng.gen_range(0..nodes))),
+                6 => {
+                    let b = &mut books[t];
+                    for lease in cluster.take_revocations(tenant) {
+                        if !b.owed.remove(&lease) {
+                            // Not a lease it held, so one still provisioning:
+                            // never delivered to anyone before.
+                            assert!(!delivered.contains_key(&lease), "{ctx}: {lease:?} stolen");
+                            assert!(b.owed_provisioning > 0, "{ctx}: {lease:?} not owed");
+                            b.owed_provisioning -= 1;
+                        }
+                        delivered.insert(lease, t);
+                        b.stale.push(lease);
+                    }
+                    assert!(b.owed.is_empty() && b.owed_provisioning == 0, "{ctx}");
+                }
+                _ => {
+                    let until = if rng.gen() {
+                        now + SimDuration::from_millis(rng.gen_range(500..=3_000))
+                    } else {
+                        now
+                    };
+                    cluster.fail_master_until(until);
+                    master_down_until = Some(until);
+                }
+            }
+
+            let mut held_and_pending = 0;
+            for (i, b) in books.iter().enumerate() {
+                let pending = cluster.pending_of(ids[i], all) as u64;
+                assert_eq!(
+                    b.held.len() as u64 + pending,
+                    b.granted - b.released - b.revoked,
+                    "{ctx}: tenant {i}'s books"
+                );
+                held_and_pending += b.held.len() + pending as usize;
+            }
+            assert_eq!(
+                held_and_pending,
+                cluster.slices_in_use() + cluster.pending_slices(),
+                "{ctx}"
+            );
+            let live: Vec<SliceId> = books
+                .iter()
+                .flat_map(|b| b.held.values().map(|g| g.slice))
+                .chain(deferred.values().copied())
+                .collect();
+            let distinct: BTreeSet<SliceId> = live.iter().copied().collect();
+            assert_eq!(distinct.len(), live.len(), "{ctx}: a slice with two leases");
+            assert_eq!(
+                cluster.free_slices() + live.len() + cluster.pending_slices(),
+                cluster.total_slices(),
+                "{ctx}: every slice is free, leased or provisioning, once"
+            );
+            let utilization = cluster.utilization();
+            assert!((0.0..=1.0).contains(&utilization), "{ctx}: {utilization}");
+        }
+
+        // Wind down: with the master and every node back, each tenant takes
+        // what is owed to it and releases everything it holds.
+        cluster.fail_master_until(now);
+        for node in 0..nodes {
+            cluster.repair_node(NodeId(node));
+        }
+        let later = now + SimDuration::from_secs(60);
+        cluster.request_slices(ids[0], 0, later).unwrap();
+        for (i, &tenant) in ids.iter().enumerate() {
+            cluster.take_revocations(tenant);
+            let held: Vec<LeaseId> = books[i].held.keys().copied().collect();
+            let ready = cluster.take_ready(tenant, later);
+            for lease in held.into_iter().chain(ready.iter().map(|g| g.lease)) {
+                cluster.release(lease, later).unwrap();
+            }
+        }
+        assert_eq!(
+            cluster.free_slices(),
+            cluster.total_slices(),
+            "seed {seed}: no grant is stranded"
+        );
+    }
+}
