@@ -407,7 +407,8 @@ impl ResourceManager {
             .collect();
         ready.sort_unstable_by_key(|g| (g.ready_at, g.lease));
         for grant in &ready {
-            self.leases.get_mut(&grant.lease).expect("due").state = LeaseState::Held;
+            let lease = self.leases.get_mut(&grant.lease).expect("listed above");
+            lease.state = LeaseState::Held;
             let latency = grant.ready_at.saturating_since(grant.requested_at);
             self.provision_latency.record(latency);
         }
@@ -436,12 +437,12 @@ impl ResourceManager {
             return Err(ClusterError::StaleLease(lease));
         }
         if self.check_master(now).is_err() {
-            self.leases.get_mut(&lease).expect("held").state = LeaseState::ReleaseDeferred;
+            self.leases.get_mut(&lease).expect("checked above").state = LeaseState::ReleaseDeferred;
             self.deferred.push(lease);
             return Ok(());
         }
         self.accrue_occupancy(now);
-        let ended = self.leases.remove(&lease).expect("held");
+        let ended = self.leases.remove(&lease).expect("checked above");
         self.free.push(ended.grant.slice);
         self.refresh_alerts(now);
         Ok(())
