@@ -110,6 +110,17 @@ impl SimRig {
         Arc::<VirtualClock>::clone(&self.clock) as SharedClock
     }
 
+    /// The run's virtual clock.
+    pub fn clock(&self) -> &Arc<VirtualClock> {
+        &self.clock
+    }
+
+    /// The in-process network every member, runtime and client sends
+    /// through; its counters see every frame of the run.
+    pub fn network(&self) -> &InProcNetwork {
+        &self.net
+    }
+
     /// Idles until the earliest of `events` — always at least one
     /// microsecond, so a due-but-unserviceable event cannot wedge the loop.
     pub fn idle_until(&self, events: &[Option<SimTime>]) {
