@@ -467,7 +467,13 @@ impl Skeleton {
                     self.ring = ShardRing::from_members(&seats);
                 }
             }
-            RmiMessage::Rebalance { to, count } => self.redirect_quota.push((to, count)),
+            // A zero quota sheds nothing; queued, it would wrap on the
+            // first take and shed without end.
+            RmiMessage::Rebalance { to, count } => {
+                if count > 0 {
+                    self.redirect_quota.push((to, count));
+                }
+            }
             RmiMessage::Shutdown => {
                 // §2.5: acknowledge, finish pending invocations (those
                 // already queued in the mailbox or admitted to the run
@@ -1391,6 +1397,39 @@ mod tests {
         assert_eq!(responses, 2);
         let stats = r.skeleton.admission_stats();
         assert_eq!((stats.shed, stats.rejected, stats.culled), (2, 0, 0));
+    }
+
+    #[test]
+    fn a_rebalance_of_zero_sheds_nothing() {
+        // The planner never asks for zero, but ingest takes any message
+        // that decodes: a zero quota must not wrap into 2^32 redirects.
+        let mut r = rig();
+        r.skeleton.handle(
+            r.runtime,
+            RmiMessage::Rebalance {
+                to: EndpointId(77),
+                count: 0,
+            },
+            &r.skeleton_mailbox,
+        );
+        let args = erm_transport::to_bytes(&"x".to_string()).unwrap();
+        for call in 0..4 {
+            r.skeleton.handle(
+                r.client,
+                RmiMessage::Request {
+                    call,
+                    context: live_ctx(call),
+                    method: "echo".into(),
+                    args: args.clone(),
+                },
+                &r.skeleton_mailbox,
+            );
+            match recv(&r.client_mailbox) {
+                RmiMessage::Response { .. } => {}
+                other => panic!("a zero rebalance shed a request: {other:?}"),
+            }
+        }
+        assert_eq!(r.skeleton.admission_stats().shed, 0);
     }
 
     #[test]
