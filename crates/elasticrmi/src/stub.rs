@@ -1844,6 +1844,106 @@ mod tests {
         assert_eq!(h.join().unwrap(), 7);
     }
 
+    /// Takes the request waiting at `m`, skipping view requests: its call id
+    /// and sender.
+    fn take_request(m: &FakeMember) -> (u64, EndpointId) {
+        loop {
+            let d = m.mailbox.try_recv().expect("a request is waiting");
+            match RmiMessage::decode(&d.payload).unwrap() {
+                RmiMessage::Request { call, .. } => return (call, d.from),
+                RmiMessage::PoolInfoRequest => {}
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    /// `m` answers `call` with `v`.
+    fn answer_with(net: &InProcNetwork, m: &FakeMember, (call, to): (u64, EndpointId), v: u32) {
+        let reply = RmiMessage::Response {
+            replayed: false,
+            call,
+            outcome: Ok(erm_transport::to_bytes(&v).unwrap()),
+        };
+        net.send(m.endpoint, to, reply.encode()).unwrap();
+    }
+
+    #[test]
+    fn drain_completed_returns_ascending_ids_whatever_order_replies_arrive_in() {
+        let net = InProcNetwork::new();
+        let sentinel = FakeMember::new(&net);
+        let clock = Arc::new(erm_sim::VirtualClock::new());
+        let mut stub = connect_on(&net, &sentinel, &[&sentinel], clock);
+        let ids: Vec<u64> = (0..3)
+            .map(|_| stub.invoke_begin("m", &()).unwrap())
+            .collect();
+        let requests: Vec<_> = (0..3).map(|_| take_request(&sentinel)).collect();
+        // All three replies wait in the mailbox, newest first, for one pump.
+        for (k, &request) in requests.iter().enumerate().rev() {
+            answer_with(&net, &sentinel, request, k as u32);
+        }
+        let done = stub.drain_completed();
+        let drained: Vec<u64> = done.iter().map(|(id, _)| *id).collect();
+        assert_eq!(drained, ids, "id order, not arrival order");
+        for (k, (_, result)) in done.into_iter().enumerate() {
+            let v: u32 = erm_transport::from_bytes(&result.unwrap()).unwrap();
+            assert_eq!(v, k as u32, "each result stays with its invocation");
+        }
+    }
+
+    #[test]
+    fn a_reply_to_an_attempt_retried_after_its_timeout_is_stale() {
+        let net = InProcNetwork::new();
+        let sentinel = FakeMember::new(&net);
+        let m1 = FakeMember::new(&net);
+        let clock = Arc::new(erm_sim::VirtualClock::new());
+        let mut stub = connect_on(&net, &sentinel, &[&m1], clock.clone());
+        stub.set_reply_timeout(SimDuration::from_millis(100));
+        let id = stub.invoke_begin("m", &()).unwrap();
+        let first = take_request(&m1);
+        // m1 stays mute past the reply timeout: attempt 2 goes to the
+        // sentinel, the next target of the walk.
+        clock.advance_to(SimTime::ZERO + SimDuration::from_millis(100));
+        assert!(stub.drain_completed().is_empty());
+        let second = take_request(&sentinel);
+        assert_ne!(first.0, second.0, "each attempt has its own call id");
+
+        // The first attempt's late reply is dropped...
+        answer_with(&net, &m1, first, 1);
+        assert!(stub.drain_completed().is_empty());
+        assert_eq!(stub.in_flight(), 1);
+        // ... and the second's completes the invocation.
+        answer_with(&net, &sentinel, second, 2);
+        let done = stub.drain_completed();
+        assert!(
+            matches!(done.as_slice(), [(done_id, Ok(bytes))]
+                if *done_id == id && erm_transport::from_bytes::<u32>(bytes).unwrap() == 2),
+            "the live attempt's reply completes it: {done:?}"
+        );
+        assert_eq!(stub.stats().invocations, 1);
+        assert_eq!(stub.stats().retries, 1);
+    }
+
+    #[test]
+    fn a_reply_to_a_finished_invocation_is_dropped() {
+        let net = InProcNetwork::new();
+        let sentinel = FakeMember::new(&net);
+        let clock = Arc::new(erm_sim::VirtualClock::new());
+        let mut stub = connect_on(&net, &sentinel, &[&sentinel], clock);
+        let finished = stub.invoke_begin("m", &()).unwrap();
+        let request = take_request(&sentinel);
+        stub.invoke_begin("m", &()).unwrap();
+        answer_with(&net, &sentinel, request, 1);
+        let done = stub.drain_completed();
+        assert!(matches!(done.as_slice(), [(id, Ok(_))] if *id == finished));
+
+        // The same reply again: its invocation is gone.
+        let stats = stub.stats();
+        answer_with(&net, &sentinel, request, 1);
+        assert!(stub.drain_completed().is_empty());
+        assert_eq!(stub.in_flight(), 1, "the other invocation still waits");
+        assert_eq!(stub.stats(), stats);
+    }
+
     #[test]
     fn overloaded_member_is_skipped_for_the_next_one() {
         let net = InProcNetwork::new();
