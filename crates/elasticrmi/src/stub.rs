@@ -42,8 +42,16 @@
 //! * every `PoolInfoRequest` is sent by `request_view`;
 //! * `Pending::due` is the one rule for when an invocation has work without
 //!   a message arriving; [`Stub::next_due`] and the pump both apply it.
+//!
+//! Past the wire payload and the result, an invocation's bookkeeping reuses
+//! what earlier ones left. Each attempt's call id is derived from its
+//! invocation id and attempt counter, and a reply is live only while its
+//! invocation waits on exactly that call id: no map mirrors the waiting
+//! states. Pending entries are boxed in an id-ordered map (the pump advances
+//! in id order) and reused with their walks; method names are shared;
+//! results wait in a `Vec` that [`Stub::drain_completed`] sorts by id.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -67,6 +75,9 @@ const POLL_TICK: Duration = Duration::from_millis(1);
 
 /// Argument buffers a stub keeps from completed invocations for reuse.
 const SPARE_ARGS: usize = 32;
+
+/// Pending entries a stub keeps for reuse: deeper than clients pipeline.
+const SPARE_PENDING: usize = 1024;
 
 /// Client-side load-balancing discipline (§4.3: "randomly or in a
 /// round-robin fashion").
@@ -136,7 +147,6 @@ pub struct Stub {
     lb: ClientLb,
     rr_next: usize,
     rng: StdRng,
-    next_call: u64,
     next_invocation: u64,
     clock: SharedClock,
     reply_timeout: SimDuration,
@@ -147,17 +157,21 @@ pub struct Stub {
     /// Per-method invocation semantics; default all-`AtLeastOnce`.
     semantics: SemanticsTable,
     /// Outstanding invocations by id — the call-stack state of the old
-    /// blocking retry loop, one entry per in-flight invocation.
-    pending: BTreeMap<u64, Pending>,
-    /// Wire call id -> invocation id, for correlating replies. An attempt
-    /// that is abandoned (timeout, crash failover) is removed here, which
-    /// is exactly what makes its late reply "stale".
-    calls: HashMap<u64, u64>,
-    /// Finished invocations awaiting [`Stub::poll_complete`].
-    completed: BTreeMap<u64, Result<Vec<u8>, RmiError>>,
+    /// blocking retry loop, one entry per in-flight invocation. Boxed, so
+    /// the map moves pointers, not entries, as it grows and shrinks.
+    pending: BTreeMap<u64, Box<Pending>>,
+    /// Finished invocations awaiting [`Stub::poll_complete`] or
+    /// [`Stub::drain_completed`], in the order they finished.
+    completed: Vec<(u64, Result<Vec<u8>, RmiError>)>,
+    /// Every method name invoked so far, each allocated once.
+    methods: Vec<Arc<str>>,
     /// Argument buffers of completed invocations, for the next
     /// [`Stub::invoke_begin`] to encode into (at most [`SPARE_ARGS`]).
     spare_args: Vec<Vec<u8>>,
+    /// Entries of completed invocations, walks emptied, for the next begin
+    /// (at most [`SPARE_PENDING`]); reusing the boxes is the point.
+    #[allow(clippy::vec_box)]
+    spare_pending: Vec<Box<Pending>>,
     /// Deadline of the outstanding async membership refresh, if any.
     refresh_inflight: Option<SimTime>,
     /// Highest membership epoch seen in a `PoolInfo`. Commitments are
@@ -248,7 +262,6 @@ impl Stub {
             lb,
             rr_next: 0,
             rng,
-            next_call: 0,
             next_invocation: 0,
             clock,
             reply_timeout: SimDuration::from_millis(500),
@@ -258,9 +271,10 @@ impl Stub {
             limiter: None,
             semantics: SemanticsTable::default(),
             pending: BTreeMap::new(),
-            calls: HashMap::new(),
-            completed: BTreeMap::new(),
+            completed: Vec::new(),
+            methods: Vec::new(),
             spare_args: Vec::new(),
+            spare_pending: Vec::new(),
             refresh_inflight: None,
             epoch: 0,
             sharding: ShardingTable::default(),
@@ -418,9 +432,9 @@ impl Stub {
     pub fn invoke_begin_raw(&mut self, method: &str, args: Vec<u8>) -> Result<u64, RmiError> {
         let invocation = self.next_invocation;
         self.next_invocation += 1;
+        let now = self.clock.now();
         let mut holds_slot = false;
-        if let Some(limiter) = self.limiter.clone() {
-            let now = self.clock.now();
+        if let Some(limiter) = &self.limiter {
             if !limiter.try_acquire(now) {
                 let retry_after = limiter.blocked_for(now);
                 self.stats.throttled += 1;
@@ -435,7 +449,6 @@ impl Stub {
             }
             holds_slot = true;
         }
-        let now = self.clock.now();
         // `attempt: 0` is the never-sent sentinel, not a wire value:
         // `fire_attempt` stamps the 1-based, strictly-increasing attempt
         // counter onto the context before every send (first attempt and
@@ -449,7 +462,14 @@ impl Stub {
             semantics: self.semantics.semantics_for(method),
             routing_key,
         };
-        let mut targets = self.target_order();
+        let method = self.method_name(method);
+        // A completed invocation's entry and walk, when there is one.
+        let mut spare = self.spare_pending.pop();
+        let mut targets = spare
+            .as_mut()
+            .map(|p| std::mem::take(&mut p.targets))
+            .unwrap_or_default();
+        self.target_order(&mut targets);
         // A keyed invocation goes to the ring owner first; the LB walk
         // stays behind it as failover (a misroute there is answered by a
         // WrongShard redirect, not executed).
@@ -457,26 +477,40 @@ impl Stub {
             targets.retain(|m| *m != owner);
             targets.insert(0, owner);
         }
-        self.pending.insert(
-            invocation,
-            Pending {
-                context,
-                method: method.to_string(),
-                args,
-                targets,
-                next_target: 0,
-                attempts: 0,
-                overload_hint: None,
-                refreshed: false,
-                awaiting_refresh: false,
-                holds_slot,
-                committed: None,
-                committed_epoch: 0,
-                state: PendingState::Idle { not_before: now },
-            },
-        );
+        let pending = Pending {
+            context,
+            method,
+            args,
+            targets,
+            next_target: 0,
+            overload_hint: None,
+            refreshed: false,
+            awaiting_refresh: false,
+            holds_slot,
+            committed: None,
+            committed_epoch: 0,
+            state: PendingState::Idle { not_before: now },
+        };
+        let entry = match spare {
+            Some(mut entry) => {
+                *entry = pending;
+                entry
+            }
+            None => Box::new(pending),
+        };
+        self.pending.insert(invocation, entry);
         self.advance_one(invocation);
         Ok(invocation)
+    }
+
+    /// The stub's one copy of `method`'s name.
+    fn method_name(&mut self, method: &str) -> Arc<str> {
+        if let Some(name) = self.methods.iter().find(|name| ***name == *method) {
+            return Arc::clone(name);
+        }
+        let name: Arc<str> = Arc::from(method);
+        self.methods.push(Arc::clone(&name));
+        name
     }
 
     /// Pumps the engine and takes the result of `invocation` if it has
@@ -484,7 +518,7 @@ impl Stub {
     /// clock moving and poll again.
     pub fn poll_complete(&mut self, invocation: u64) -> Option<Result<Vec<u8>, RmiError>> {
         self.pump();
-        self.completed.remove(&invocation)
+        self.take_completed(invocation)
     }
 
     /// Pumps the engine and takes *every* finished invocation as
@@ -492,7 +526,17 @@ impl Stub {
     /// an open-loop load generator wants.
     pub fn drain_completed(&mut self) -> Vec<(u64, Result<Vec<u8>, RmiError>)> {
         self.pump();
-        std::mem::take(&mut self.completed).into_iter().collect()
+        self.completed.sort_unstable_by_key(|&(id, _)| id);
+        std::mem::take(&mut self.completed)
+    }
+
+    /// Takes `invocation`'s result if it has finished.
+    fn take_completed(&mut self, invocation: u64) -> Option<Result<Vec<u8>, RmiError>> {
+        let at = self
+            .completed
+            .iter()
+            .position(|&(id, _)| id == invocation)?;
+        Some(self.completed.swap_remove(at).1)
     }
 
     /// Number of invocations begun but not yet finished.
@@ -518,7 +562,7 @@ impl Stub {
     fn wait_complete(&mut self, invocation: u64) -> Result<Vec<u8>, RmiError> {
         loop {
             self.pump();
-            if let Some(result) = self.completed.remove(&invocation) {
+            if let Some(result) = self.take_completed(invocation) {
                 return result;
             }
             match self.mailbox.recv_timeout(POLL_TICK) {
@@ -577,11 +621,7 @@ impl Stub {
             .is_some_and(|deadline| self.clock.now() >= deadline)
         {
             self.refresh_inflight = None;
-            if self
-                .pending
-                .values()
-                .any(|pending| pending.awaiting_refresh)
-            {
+            if self.pending.values().any(|p| p.awaiting_refresh) {
                 if self.request_view() {
                     self.refresh_inflight = Some(self.clock.now() + self.reply_timeout);
                 } else {
@@ -594,10 +634,11 @@ impl Stub {
     }
 
     /// Routes one inbound message to the pending invocation it belongs to,
-    /// and returns whether it was a membership view. Replies whose call id
-    /// is unknown are stale — their attempt was already abandoned (timeout,
-    /// crash failover) — and are dropped, exactly as the blocking loop used
-    /// to skip them.
+    /// and returns whether it was a membership view. A reply is live only
+    /// while its invocation waits on exactly its call id ([`Stub::live`]);
+    /// any other is stale — its attempt was abandoned (timeout, crash
+    /// failover) or its invocation finished — and is dropped, exactly as
+    /// the blocking loop used to skip them.
     fn process_datagram(&mut self, datagram: Datagram) -> bool {
         let decoded = RmiMessage::decode(&datagram.payload);
         buffers::recycle(datagram.payload);
@@ -610,7 +651,7 @@ impl Stub {
                 outcome,
                 replayed,
             } => {
-                let Some(invocation) = self.calls.remove(&call) else {
+                let Some(invocation) = self.live(call) else {
                     return false;
                 };
                 if replayed {
@@ -625,7 +666,7 @@ impl Stub {
                 members,
                 deadline,
             } => {
-                let Some(invocation) = self.calls.remove(&call) else {
+                let Some(invocation) = self.live(call) else {
                     return false;
                 };
                 self.on_redirected(invocation, members, deadline, false);
@@ -634,7 +675,7 @@ impl Stub {
             RmiMessage::Overloaded {
                 call, retry_after, ..
             } => {
-                let Some(invocation) = self.calls.remove(&call) else {
+                let Some(invocation) = self.live(call) else {
                     return false;
                 };
                 self.on_overloaded(invocation, retry_after);
@@ -646,7 +687,7 @@ impl Stub {
                 owner,
                 deadline,
             } => {
-                let Some(invocation) = self.calls.remove(&call) else {
+                let Some(invocation) = self.live(call) else {
                     return false;
                 };
                 self.stats.wrong_shard += 1;
@@ -774,6 +815,18 @@ impl Stub {
         }
     }
 
+    /// The invocation `call` names, if it waits on exactly that call id: the
+    /// newest begun with the low 32 bits [`call_id`] put there, as fewer
+    /// than 2^32 are ever in flight.
+    fn live(&self, call: u64) -> Option<u64> {
+        let newest = self.next_invocation.wrapping_sub(1);
+        let back = (newest as u32).wrapping_sub((call >> 32) as u32);
+        let invocation = newest.wrapping_sub(u64::from(back));
+        let pending = self.pending.get(&invocation)?;
+        let waiting = matches!(pending.state, PendingState::Waiting { .. });
+        (waiting && call_id(invocation, pending.context.attempt) == call).then_some(invocation)
+    }
+
     /// Runs `invocation`'s state machine until it blocks (waiting on a
     /// reply or a backoff) or finishes — the target walk of the old retry
     /// loop, kept in the pending map instead of on the call stack.
@@ -811,44 +864,45 @@ impl Stub {
                     self.finish(invocation, End::Unreachable);
                     return;
                 }
-                PendingState::Idle { .. } => self.fire_attempt(invocation),
+                PendingState::Idle { .. } => {
+                    // A sent attempt waits, unless its target closed since
+                    // (a host may hold sends) or its timeout is already due.
+                    if let Some((target, attempt_deadline)) = self.fire_attempt(invocation, now) {
+                        if !self.net.endpoint_open(target) {
+                            self.on_attempt_failed(invocation, target, true);
+                        } else if now < attempt_deadline {
+                            return;
+                        }
+                    }
+                }
             }
         }
     }
 
-    /// Sends the next attempt of `invocation` to its next target.
-    fn fire_attempt(&mut self, invocation: u64) {
-        let now = self.clock.now();
-        let call = self.next_call;
-        self.next_call += 1;
-        let (target, payload, attempt, deadline) = {
-            let Some(pending) = self.pending.get_mut(&invocation) else {
-                return;
-            };
-            // A committed at-most-once invocation is pinned to the member
-            // that already took delivery — its reply cache is the only
-            // thing that can answer without a second execution. Everyone
-            // else walks the target order.
-            let target = match pending.committed {
-                Some(member) => member,
-                None => {
-                    let t = pending.targets[pending.next_target];
-                    pending.next_target += 1;
-                    t
-                }
-            };
-            pending.attempts += 1;
-            // The wire attempt counter is 1-based and strictly increasing
-            // across every resend path (timeout retry, fast-failover,
-            // redirect splice) — the regression contract of wire v4.
-            pending.context.attempt = pending.attempts;
-            (
-                target,
-                RmiMessage::encode_request(call, &pending.context, &pending.method, &pending.args),
-                pending.attempts,
-                pending.context.deadline,
-            )
+    /// Sends the next attempt of `invocation` to its next target at `now`;
+    /// once the transport took it, returns the target and reply deadline.
+    fn fire_attempt(&mut self, invocation: u64, now: SimTime) -> Option<(EndpointId, SimTime)> {
+        let pending = self.pending.get_mut(&invocation)?;
+        // A committed at-most-once invocation is pinned to the member that
+        // already took delivery — its reply cache is the only thing that
+        // can answer without a second execution. Everyone else walks the
+        // target order.
+        let target = match pending.committed {
+            Some(member) => member,
+            None => {
+                let t = pending.targets[pending.next_target];
+                pending.next_target += 1;
+                t
+            }
         };
+        // The wire attempt counter is 1-based and strictly increasing
+        // across every resend path (timeout retry, fast-failover, redirect
+        // splice) — the regression contract of wire v4.
+        pending.context.attempt += 1;
+        let (attempt, deadline) = (pending.context.attempt, pending.context.deadline);
+        let call = call_id(invocation, attempt);
+        let payload =
+            RmiMessage::encode_request(call, &pending.context, &pending.method, &pending.args);
         if attempt > 1 {
             self.stats.retries += 1;
         }
@@ -865,33 +919,29 @@ impl Stub {
             // The transport knows the endpoint is gone — not a silent
             // timeout, an immediate failover signal.
             self.on_attempt_failed(invocation, target, true);
-            return;
+            return None;
         }
-        let epoch = self.epoch;
+        if pending.context.semantics == Semantics::AtMostOnce {
+            // Delivered: the member may execute it at any point from here
+            // on, so the invocation commits to this member, under the
+            // membership view current right now.
+            pending.committed = Some(target);
+            pending.committed_epoch = self.epoch;
+        }
         // The attempt waits until its reply timeout or the invocation's
         // deadline, whichever comes first — on the injected clock.
         let attempt_deadline = (now + self.reply_timeout).min(deadline);
-        if let Some(pending) = self.pending.get_mut(&invocation) {
-            if pending.context.semantics == Semantics::AtMostOnce {
-                // Delivered: the member may execute it at any point from
-                // here on, so the invocation commits to this member, under
-                // the membership view current right now.
-                pending.committed = Some(target);
-                pending.committed_epoch = epoch;
-            }
-            pending.state = PendingState::Waiting {
-                call,
-                target,
-                attempt_deadline,
-            };
-        }
-        self.calls.insert(call, invocation);
+        pending.state = PendingState::Waiting {
+            target,
+            attempt_deadline,
+        };
+        Some((target, attempt_deadline))
     }
 
     /// The attempt got no answer: its target is gone (`closed`: the send
     /// was refused, or the endpoint closed mid-wait) or stayed mute for the
-    /// whole reply timeout. Its call id is dropped, so a late reply is
-    /// stale. A `Maybe` invocation ends here — strictly one wire attempt,
+    /// whole reply timeout. The invocation stops waiting, so a late reply
+    /// is stale. A `Maybe` invocation ends here — strictly one wire attempt,
     /// never a retransmission. Any other asks for a fresh view and moves on:
     /// after a jittered backoff when the target died, at once when it may
     /// just be slow.
@@ -902,15 +952,12 @@ impl Stub {
         let Some(pending) = self.pending.get(&invocation) else {
             return;
         };
-        if let PendingState::Waiting { call, .. } = pending.state {
-            self.calls.remove(&call);
-        }
         let maybe = pending.context.semantics == Semantics::Maybe;
         self.trace.emit(
             self.clock.now(),
             TraceEvent::AttemptFailed {
                 invocation,
-                attempt: pending.attempts,
+                attempt: pending.context.attempt,
                 target: target.0,
             },
         );
@@ -931,7 +978,7 @@ impl Stub {
             // uniform in [step/2, step]) spreads the herd before it hits
             // the survivors — bounded by the invocation deadline, all on
             // the injected clock.
-            let step_us = (1_000u64 << u64::from(pending.attempts.min(4))).min(16_000);
+            let step_us = (1_000u64 << u64::from(pending.context.attempt.min(4))).min(16_000);
             let wait_us = self.rng.gen_range(step_us / 2..=step_us);
             not_before = (now + SimDuration::from_micros(wait_us)).min(pending.context.deadline);
         }
@@ -998,7 +1045,7 @@ impl Stub {
         for (k, m) in suggested.into_iter().enumerate() {
             pending.targets.insert(i + k, m);
         }
-        let (attempt, remaining) = (pending.attempts, pending.context.remaining(now));
+        let (attempt, remaining) = (pending.context.attempt, pending.context.remaining(now));
         if stale_view || all_stale {
             // The refusing member's view and ours disagree; get a fresh one
             // so the walk can continue somewhere real.
@@ -1034,12 +1081,8 @@ impl Stub {
             PendingState::Waiting { target, .. } => target.0,
             PendingState::Idle { .. } => 0,
         };
-        let attempt = pending.attempts;
-        pending.overload_hint = Some(
-            pending
-                .overload_hint
-                .map_or(retry_after, |h| h.min(retry_after)),
-        );
+        let attempt = pending.context.attempt;
+        pending.overload_hint = Some(retry_after.min(pending.overload_hint.unwrap_or(retry_after)));
         if !self.release(invocation) {
             return;
         }
@@ -1065,11 +1108,7 @@ impl Stub {
     /// it (a refusal: the pool is busy or has grown) the invocation walks
     /// on and ends as it would have; the view serves later invocations.
     fn refresh(&mut self, invocation: u64, wait: bool) {
-        let already = self
-            .pending
-            .get(&invocation)
-            .is_none_or(|pending| pending.refreshed);
-        if already {
+        if self.pending.get(&invocation).is_none_or(|p| p.refreshed) {
             return;
         }
         if self.refresh_inflight.is_none() {
@@ -1102,24 +1141,16 @@ impl Stub {
             .is_ok()
     }
 
-    /// Ends `invocation` — the one place that removes its pending entry,
-    /// drops an attempt still on the wire, counts the ending, emits the
-    /// terminal trace event, returns the limiter slot and stores the result
-    /// for [`Stub::poll_complete`].
+    /// Ends `invocation` — the one place that removes its pending entry
+    /// (so a reply to an attempt still on the wire is stale), counts the
+    /// ending, emits the terminal trace event, returns the limiter slot and
+    /// stores the result for [`Stub::poll_complete`].
     fn finish(&mut self, invocation: u64, end: End) {
-        let Some(pending) = self.pending.remove(&invocation) else {
+        let Some(mut pending) = self.pending.remove(&invocation) else {
             return;
         };
         let now = self.clock.now();
-        let attempts = pending.attempts;
-        if !matches!(end, End::Replied(_)) {
-            // Abandon any attempt still on the wire so a late reply cannot
-            // resolve against a finished invocation. (A reply's own call id
-            // was consumed when it arrived.)
-            if let PendingState::Waiting { call, .. } = pending.state {
-                self.calls.remove(&call);
-            }
-        }
+        let attempts = pending.context.attempt;
         // `expired`: the terminal event is `InvocationExpired`, not
         // `InvocationCompleted`.
         let (result, expired) = match end {
@@ -1176,20 +1207,23 @@ impl Stub {
                 }
             }
         }
-        self.completed.insert(invocation, result);
+        self.completed.push((invocation, result));
         if self.spare_args.len() < SPARE_ARGS {
-            let mut args = pending.args;
+            let mut args = std::mem::take(&mut pending.args);
             args.clear();
             self.spare_args.push(args);
         }
+        if self.spare_pending.len() < SPARE_PENDING {
+            pending.targets.clear();
+            self.spare_pending.push(pending);
+        }
     }
 
-    /// The attempt order for one invocation: the LB-chosen member first,
-    /// then the remaining members, then the sentinel (always last resort,
-    /// §4.3: "retries the invocation on other objects including the
-    /// sentinel").
-    fn target_order(&mut self) -> Vec<EndpointId> {
-        let mut order: Vec<EndpointId> = Vec::with_capacity(self.members.len() + 1);
+    /// Writes the attempt order for one invocation into the empty `order`:
+    /// the LB-chosen member first, then the remaining members, then the
+    /// sentinel (always last resort, §4.3: "retries the invocation on other
+    /// objects including the sentinel").
+    fn target_order(&mut self, order: &mut Vec<EndpointId>) {
         if !self.members.is_empty() {
             let start = match self.lb {
                 ClientLb::RoundRobin => {
@@ -1206,7 +1240,6 @@ impl Stub {
         if !order.contains(&self.sentinel) {
             order.push(self.sentinel);
         }
-        order
     }
 
     /// Blocks until a `PoolInfo` arrives, for at most the reply timeout.
@@ -1239,20 +1272,20 @@ impl Stub {
 
 /// One outstanding invocation: everything the old blocking retry loop kept
 /// on the call stack, parked in [`Stub`]'s pending map so hundreds of
-/// invocations can be in flight at once.
+/// invocations can be in flight at once. The only record of its attempts:
+/// a reply is live only while this is `Waiting` on exactly its call id.
 struct Pending {
     /// The context re-sent with every attempt — id, absolute deadline,
     /// attempt counter, origin endpoint.
     context: InvocationContext,
-    method: String,
+    /// The stub's shared copy of the method name.
+    method: Arc<str>,
     args: Vec<u8>,
     /// The walk order: LB-chosen member first, remaining members, sentinel
     /// last; extended in place by redirects and membership refreshes.
     targets: Vec<EndpointId>,
     /// Index of the next target to try.
     next_target: usize,
-    /// Attempts fired so far.
-    attempts: u32,
     /// Soonest `retry_after` hint seen across `Overloaded` rejections.
     overload_hint: Option<SimDuration>,
     /// Whether this invocation already asked for a membership refresh
@@ -1337,6 +1370,12 @@ enum End {
     Unreachable,
 }
 
+/// The wire call id of `invocation`'s attempt `attempt`: the invocation's
+/// low 32 bits above the attempt counter ([`Stub::live`] inverts it).
+fn call_id(invocation: u64, attempt: u32) -> u64 {
+    (invocation << 32) | u64::from(attempt)
+}
+
 /// Where one pending invocation is in its attempt cycle.
 #[derive(Debug, Clone, Copy)]
 enum PendingState {
@@ -1346,10 +1385,9 @@ enum PendingState {
         /// Earliest clock time the next attempt may be sent.
         not_before: SimTime,
     },
-    /// An attempt is on the wire awaiting its reply.
+    /// An attempt is on the wire awaiting its reply, which must carry
+    /// `call_id(id, context.attempt)`.
     Waiting {
-        /// Wire call id the reply must carry.
-        call: u64,
         /// The member the attempt went to.
         target: EndpointId,
         /// When to give up on this attempt (reply timeout, capped by the
@@ -1364,6 +1402,7 @@ mod tests {
     use crate::error::RemoteError;
     use erm_sim::SystemClock;
     use erm_transport::{Host, InProcNetwork};
+    use std::collections::HashMap;
 
     /// A scripted fake member that answers from a queue of behaviours.
     struct FakeMember {
@@ -2154,11 +2193,16 @@ mod tests {
         let mut a = connect(&net, &sentinel, &[&sentinel, &m1]);
         a.lb = ClientLb::Random { seed: 42 };
         a.rng = seeded_rng(42);
-        let seq_a: Vec<EndpointId> = (0..8).map(|_| a.target_order()[0]).collect();
+        let first = |stub: &mut Stub| {
+            let mut order = Vec::new();
+            stub.target_order(&mut order);
+            order[0]
+        };
+        let seq_a: Vec<EndpointId> = (0..8).map(|_| first(&mut a)).collect();
         let mut b = connect(&net, &sentinel, &[&sentinel, &m1]);
         b.lb = ClientLb::Random { seed: 42 };
         b.rng = seeded_rng(42);
-        let seq_b: Vec<EndpointId> = (0..8).map(|_| b.target_order()[0]).collect();
+        let seq_b: Vec<EndpointId> = (0..8).map(|_| first(&mut b)).collect();
         assert_eq!(seq_a, seq_b);
     }
 
