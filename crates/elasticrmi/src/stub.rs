@@ -1208,8 +1208,10 @@ impl Stub {
             }
         }
         self.completed.push((invocation, result));
+        // Taken out even when not kept: a spare entry holds no argument
+        // buffer, so the cap on spare arguments bounds their memory.
+        let mut args = std::mem::take(&mut pending.args);
         if self.spare_args.len() < SPARE_ARGS {
-            let mut args = std::mem::take(&mut pending.args);
             args.clear();
             self.spare_args.push(args);
         }
