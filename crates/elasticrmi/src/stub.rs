@@ -1201,9 +1201,15 @@ impl Stub {
                 // A completed round trip — even one that raised an
                 // application error — proves the pool had capacity: widen
                 // the window. Congestion signals (Overloaded, deadline
-                // expiry) already shrank it closest to the evidence.
-                if matches!(result, Ok(_) | Err(RmiError::Remote(_))) {
-                    limiter.on_success();
+                // expiry) already shrank it closest to the evidence, but a
+                // skeleton's deadline reply is one too: the pool could not
+                // serve the invocation in time.
+                match &result {
+                    Err(RmiError::Remote(e)) if e.is_deadline_exceeded() => {
+                        limiter.on_congestion(now, None);
+                    }
+                    Ok(_) | Err(RmiError::Remote(_)) => limiter.on_success(),
+                    Err(_) => {}
                 }
             }
         }
@@ -2185,6 +2191,35 @@ mod tests {
             "success must re-open the window ({shrunk} -> {})",
             limiter.current_limit()
         );
+    }
+
+    #[test]
+    fn limiter_shrinks_on_a_skeleton_deadline_reply() {
+        let net = InProcNetwork::new();
+        let sentinel = FakeMember::new(&net);
+        let mut stub = connect(&net, &sentinel, &[&sentinel]);
+        let limiter = Arc::new(erm_admission::AimdLimiter::new(
+            erm_admission::AimdConfig::default(),
+        ));
+        let limit_before = limiter.current_limit();
+        stub.set_limiter(Arc::clone(&limiter));
+        let h = std::thread::spawn(move || stub.invoke::<(), u32>("m", &()));
+        sentinel.answer(|call| RmiMessage::Response {
+            replayed: false,
+            call,
+            outcome: Err(RemoteError::deadline_exceeded("m", "1ms")),
+        });
+        let outcome = h.join().unwrap();
+        assert!(
+            matches!(&outcome, Err(RmiError::Remote(e)) if e.is_deadline_exceeded()),
+            "{outcome:?}"
+        );
+        assert!(
+            limiter.current_limit() < limit_before,
+            "a deadline reply is congestion ({limit_before} -> {})",
+            limiter.current_limit()
+        );
+        assert_eq!(limiter.in_flight(), 0, "the slot is released");
     }
 
     #[test]
