@@ -33,7 +33,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use erm_semantics::Semantics;
-use erm_sim::{SharedClock, SimDuration, SystemClock};
+use erm_sim::{Clock, SimDuration, SystemClock};
 use erm_transport::{EndpointId, Host, Mailbox, Network, RecvError};
 
 use crate::error::{RemoteError, RmiError};
@@ -156,7 +156,7 @@ pub struct RegistryClient {
     mailbox: Mailbox,
     registry: EndpointId,
     next_call: u64,
-    clock: SharedClock,
+    clock: SystemClock,
     timeout: Duration,
 }
 
@@ -170,9 +170,7 @@ impl std::fmt::Debug for RegistryClient {
 
 impl RegistryClient {
     /// Opens a client endpoint on `net` aimed at the registry at `registry`.
-    /// Requests carry deadlines from a system clock; use
-    /// [`RegistryClient::with_clock`] to stamp them from a shared
-    /// (possibly virtual) clock instead.
+    /// Requests carry deadlines from a system clock.
     pub fn connect(net: Arc<dyn Host>, registry: EndpointId) -> RegistryClient {
         let (endpoint, mailbox) = net.open();
         RegistryClient {
@@ -181,16 +179,9 @@ impl RegistryClient {
             mailbox,
             registry,
             next_call: 0,
-            clock: Arc::new(SystemClock::new()),
+            clock: SystemClock::new(),
             timeout: Duration::from_secs(2),
         }
-    }
-
-    /// Replaces the clock used to stamp request deadlines.
-    #[must_use]
-    pub fn with_clock(mut self, clock: SharedClock) -> RegistryClient {
-        self.clock = clock;
-        self
     }
 
     fn call<A: serde::Serialize, R: serde::de::DeserializeOwned>(
