@@ -3,7 +3,8 @@
 //! Runs the production pool runtime pinned at one member — its real
 //! [`Skeleton`](elasticrmi::Skeleton), the production ingest/cull/dispatch
 //! machinery, not a model of it — through a point-A workload that doubles
-//! for a burst window. The experiment is a discrete-event simulation on a
+//! for a burst window, offered by the production [`Stub`](elasticrmi::Stub)
+//! and, when configured, its AIMD limiter. The experiment is a discrete-event simulation on a
 //! [`VirtualClock`](erm_sim::VirtualClock): the hosted service advances the
 //! clock by each request's service time, so queueing delay, deadline
 //! expiry, and `Overloaded` retry hints all unfold in exact virtual time and
@@ -22,11 +23,15 @@
 //!   explicit retry hint, queued work stays young enough to finish inside
 //!   its deadline, and goodput holds near capacity through the burst.
 
-use elasticrmi::{AdmissionStats, AimdConfig, AimdLimiter, PoolConfig, RmiMessage};
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+use elasticrmi::{AdmissionStats, AimdConfig, AimdLimiter, ClientLb, PoolConfig, RmiError};
+use erm_metrics::TraceEvent;
 use erm_sim::{Clock, SimDuration};
 
-use crate::invariants::Violations;
-use crate::rig::{arrival_schedule, Call, JitteredService, RawClient, SimPool, SimRig};
+use crate::invariants::{Invariants, Violations};
+use crate::rig::{arrival_schedule, JitteredService, SimPool, SimRig, WORK};
 
 /// Class name of the pinned pool.
 const CLASS: &str = "Overload";
@@ -99,9 +104,10 @@ pub struct OverloadResult {
     pub offered: u64,
     /// Completed successfully within their deadline.
     pub goodput: u64,
-    /// Completed successfully but after the deadline: wasted server work.
+    /// Executed, but the client's deadline passed first: wasted server work.
     pub late: u64,
-    /// Answered with a deadline-exceeded error (culled or dead on arrival).
+    /// Never executed: culled with a deadline reply, or still queued when
+    /// the client's deadline passed.
     pub expired: u64,
     /// Refused with an `Overloaded` rejection (full run queue).
     pub rejected: u64,
@@ -132,13 +138,17 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadResult {
     let (seed, mean) = (config.seed ^ 0x5e51_1ce0, config.service_mean);
     let service = move |clock: &_, n| JitteredService::new(clock, seed ^ n, mean);
     let mut pool = rig.start_pool(pool_config, service, None);
-    let [(uid, member)] = pool.view()[..] else {
+    let [(uid, _)] = pool.view()[..] else {
         panic!("the pool is pinned at one member");
     };
-    // An `Overloaded` refusal is final here: one attempt per request.
-    let mut client = RawClient::new(&rig);
+    // The production client: with one member to walk, an `Overloaded`
+    // refusal is final. Its limiter, when configured, gates every arrival.
+    let mut stub = pool.stub(ClientLb::RoundRobin);
+    stub.set_invocation_budget(config.deadline_budget);
+    if let Some(limiter) = config.limiter {
+        stub.set_limiter(Arc::new(AimdLimiter::new(limiter)));
+    }
     let clock = &rig.clock;
-    let limiter = config.limiter.map(AimdLimiter::new);
 
     let start = clock.now();
     let burst_from = start + config.warmup;
@@ -157,38 +167,10 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadResult {
     };
     let mut arrivals = schedule.into_iter().peekable();
     let mut flushed_by = None;
+    // Invocations the stub expired at their deadline: late if the member
+    // executed them anyway, which only the finished trace can tell.
+    let mut timed_out = Vec::new();
 
-    let drain = |client: &mut RawClient, result: &mut OverloadResult| {
-        let now = clock.now();
-        while let Some((p, reply)) = client.recv() {
-            // Where the request ended up, and what its fate tells the
-            // limiter: `None` is a success, `Some(hint)` is congestion with
-            // the server's retry hint if it sent one.
-            let (bucket, congestion) = match reply {
-                RmiMessage::Response { outcome, .. } => {
-                    client.complete(&p.a, &outcome);
-                    match outcome {
-                        Ok(_) if now <= p.a.deadline => (&mut result.goodput, None),
-                        Ok(_) => (&mut result.late, Some(None)),
-                        Err(_) => (&mut result.expired, Some(None)),
-                    }
-                }
-                RmiMessage::Overloaded { retry_after, .. } => {
-                    client.overloaded(&p, retry_after);
-                    (&mut result.rejected, Some(Some(retry_after)))
-                }
-                _ => continue,
-            };
-            *bucket += 1;
-            if let Some(l) = &limiter {
-                l.release();
-                match congestion {
-                    Some(retry_after) => l.on_congestion(now, retry_after),
-                    None => l.on_success(),
-                }
-            }
-        }
-    };
     // The worst burst-interval p99 the sentinel has been told so far.
     let worst_p99 = |result: &mut OverloadResult, pool: &SimPool| {
         let reports = pool.handle.last_reports();
@@ -199,15 +181,27 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadResult {
 
     loop {
         let now = clock.now();
-        drain(&mut client, &mut result);
+        for (invocation, outcome) in stub.drain_completed() {
+            let bucket = match outcome {
+                Ok(_) => &mut result.goodput,
+                Err(RmiError::Overloaded { .. }) => &mut result.rejected,
+                Err(RmiError::DeadlineExceeded { .. }) => {
+                    timed_out.push(invocation);
+                    continue;
+                }
+                // The member culled it: its deadline reply.
+                Err(RmiError::Remote(_)) => &mut result.expired,
+                Err(e) => panic!("invocation {invocation} of a pinned pool ended {e}"),
+            };
+            *bucket += 1;
+        }
         // 1. Arrivals due now enter (or are throttled) before anything runs.
         if arrivals.next_if(|&at| at <= now).is_some() {
-            if limiter.as_ref().is_some_and(|l| !l.try_acquire(now)) {
-                result.throttled += 1;
-                continue;
+            match stub.invoke_begin_raw(WORK, Vec::new()) {
+                Ok(_) => {}
+                Err(RmiError::Throttled { .. }) => result.throttled += 1,
+                Err(e) => panic!("begin refused: {e}"),
             }
-            let attempt = client.begin(Call::WORK, now + config.deadline_budget);
-            client.send_attempt(member, attempt);
             continue;
         }
         // 2. The member ingests, executes one admitted request or culls
@@ -218,18 +212,33 @@ pub fn run_overload(config: &OverloadConfig) -> OverloadResult {
         }
         // 3. Every request answered: run on until the sentinel has polled
         //    the interval that holds the tail of the work.
-        if arrivals.peek().is_none() && client.is_idle() {
+        if arrivals.peek().is_none() && stub.in_flight() == 0 {
             let tail = *flushed_by.get_or_insert(now + BURST_INTERVAL + BURST_INTERVAL);
             if now >= tail {
                 break;
             }
         }
         // 4. Nothing to do now: jump to the next event.
-        rig.idle_until(&[arrivals.peek().copied(), pool.next_event()]);
+        rig.idle_until(&[arrivals.peek().copied(), stub.next_due(), pool.next_event()]);
     }
     result.admission = pool.seats[&uid].member.skeleton.admission_stats();
     rig.quiesce_pool(&mut pool, SimDuration::ZERO);
-    result.violations = rig.check(&client.facts, &rig.sink.snapshot(), 0);
+    let trace = rig.sink.snapshot();
+    let executed: BTreeSet<u64> = trace
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::RequestExecuted { invocation, .. } => Some(invocation),
+            _ => None,
+        })
+        .collect();
+    for invocation in timed_out {
+        if executed.contains(&invocation) {
+            result.late += 1;
+        } else {
+            result.expired += 1;
+        }
+    }
+    result.violations = rig.check(&Invariants::default(), &trace, 0);
     result
 }
 

@@ -16,31 +16,29 @@
 //!   0.8–1.2 × a mean on the virtual clock, optionally inside a class-lock
 //!   critical section;
 //! * [`arrival_schedule`] — the pre-computed ±50 % jittered arrivals;
-//! * [`SimPool::stub`] — the production client [`Stub`] on the pool,
-//!   pumped on the virtual clock by [`SimRig::serve`] (or a scenario's own
-//!   loop): its routing, retries, pins and backoff are what the scenarios
+//! * [`SimPool::stub`] — the production client [`Stub`] on the pool, the
+//!   only client any scenario runs, pumped on the virtual clock by
+//!   [`SimRig::serve`] (or a scenario's own loop): its routing, retries,
+//!   pins, backoff, `WrongShard` follow and limiter are what the scenarios
 //!   exercise;
-//! * [`RawClient`] — a raw request injector for the scenarios that probe
-//!   the members' refusal paths with deliberate one-shot attempts and
-//!   misroutes, which a stub would route around;
 //! * [`SimRig::check`] — hands the run's trace and quiesce counts to the
 //!   shared [`Invariants`] checker.
 //!
 //! [`Skeleton`]: elasticrmi::Skeleton
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use elasticrmi::{
-    ClientLb, Decider, ElasticService, InvocationContext, Launch, PoolConfig, PoolDeps, PoolHandle,
-    PoolRuntime, RemoteError, RmiMessage, Semantics, ServiceContext, ServiceFactory, Stub,
+    ClientLb, Decider, ElasticService, Launch, PoolConfig, PoolDeps, PoolHandle, PoolRuntime,
+    RemoteError, RmiMessage, ServiceContext, ServiceFactory, Stub,
 };
 use erm_cluster::{ClusterConfig, ClusterHandle, LatencyModel, ResourceManager};
 use erm_kvstore::{Store, StoreConfig};
-use erm_metrics::{MetricsHandle, Registry, TraceEvent, TraceHandle, TraceRecord, TraceSink};
+use erm_metrics::{MetricsHandle, Registry, TraceHandle, TraceRecord, TraceSink};
 use erm_sim::{seeded_rng, Clock, SharedClock, SimDuration, SimTime, VirtualClock};
 use erm_transport::{EndpointId, Host, InProcNetwork, Mailbox, Network, RecvError, SendError};
 use rand::rngs::StdRng;
@@ -51,6 +49,9 @@ use crate::invariants::{attempts_by_uid, Invariants, Quiesce, Violations};
 /// Trace ring capacity: above every scenario's event count, so runs are
 /// lossless and the checker sees all of each.
 const SINK_CAPACITY: usize = 1 << 18;
+
+/// The unkeyed method most scenarios invoke.
+pub const WORK: &str = "work";
 
 /// A duration in fractional milliseconds, for report rendering.
 pub fn ms(d: SimDuration) -> f64 {
@@ -132,9 +133,9 @@ impl SimRig {
 
     /// Runs the shared checker over `trace` with the leak counts: locks the
     /// store still holds, slices the cluster still counts, and the
-    /// reply-cache entries the scenario found after its TTL sweep. Once a
-    /// [`SimPool`] ran, attempts name endpoints (the real stub's): they are
-    /// translated to the uids of the members behind them first.
+    /// reply-cache entries the scenario found after its TTL sweep. Attempts
+    /// name endpoints (the real stub's): they are translated to the uids of
+    /// the members behind them first.
     pub fn check(
         &self,
         facts: &Invariants,
@@ -147,12 +148,7 @@ impl SimRig {
             leaked_slices: self.cluster.slices_in_use() + self.cluster.pending_slices(),
             leaked_cache_entries,
         };
-        let uids = self.uids.borrow();
-        if uids.is_empty() {
-            facts.check(trace, &quiesce)
-        } else {
-            facts.check(&attempts_by_uid(trace, &uids), &quiesce)
-        }
+        facts.check(&attempts_by_uid(trace, &self.uids.borrow()), &quiesce)
     }
 
     /// Starts the production pool runtime for `config` on this rig's
@@ -262,7 +258,7 @@ impl SimRig {
 
     /// Serves an open-loop workload from `pool` through a real client: a
     /// round-robin [`Stub`] opened on the pool, each arrival in `schedule`
-    /// an invocation of [`Call::WORK`] due `budget` later. The stub is
+    /// an invocation of [`WORK`] due `budget` later. The stub is
     /// pumped every round; its routing, retries and deadlines are its own.
     /// `tick.1` runs every `tick.0` from now. Returns once every invocation
     /// ended and the clock passed `end`.
@@ -281,7 +277,7 @@ impl SimRig {
         loop {
             let now = self.clock.now();
             if arrivals.next_if(|&at| at <= now).is_some() {
-                let begun = stub.invoke_begin_raw(Call::WORK.method, Vec::new());
+                let begun = stub.invoke_begin_raw(WORK, Vec::new());
                 begun.expect("no limiter");
                 continue;
             }
@@ -614,214 +610,12 @@ pub fn arrival_schedule(
     schedule
 }
 
-/// What one at-least-once invocation calls: the method, and the routing
-/// key a sharded stub would extract from the arguments (the key, when
-/// present, is also the encoded argument).
-#[derive(Debug, Clone, Copy)]
-pub struct Call {
-    pub(crate) method: &'static str,
-    pub(crate) key: Option<u64>,
-}
-
-impl Call {
-    /// The unkeyed `work` method most scenarios invoke.
-    pub const WORK: Call = Call {
-        method: "work",
-        key: None,
-    };
-}
-
-/// One attempt of one invocation. The invocation id and the absolute
-/// deadline are stable across attempts; the attempt counter is 1-based.
-#[derive(Debug, Clone, Copy)]
-pub struct Attempt {
-    pub(crate) invocation: u64,
-    pub(crate) attempt: u32,
-    pub(crate) deadline: SimTime,
-    pub(crate) call: Call,
-}
-
-/// A sent attempt awaiting its reply.
-#[derive(Debug, Clone, Copy)]
-pub struct Pending {
-    pub(crate) a: Attempt,
-    /// The member endpoint the attempt's `AttemptStarted` named.
-    pub(crate) target: EndpointId,
-}
-
-/// A raw request injector: sends requests to member endpoints through the
-/// rig's network and maps the replies to terminal trace events, with no
-/// routing and no retries of its own. Scenarios that probe the members'
-/// refusal paths use it where a stub would route around the refusal; every
-/// attempt it starts still ends in exactly one terminal event.
-pub struct RawClient {
-    /// The client's endpoint (the `origin` of every request).
-    ep: EndpointId,
-    mb: Mailbox,
-    net: InProcNetwork,
-    clock: Arc<VirtualClock>,
-    trace: TraceHandle,
-    next_invocation: u64,
-    next_call: u64,
-    /// Attempts awaiting a reply, by wire call id.
-    pending: HashMap<u64, Pending>,
-    /// What the checker needs to know about the traffic sent.
-    pub(crate) facts: Invariants,
-}
-
-impl RawClient {
-    /// A client on `rig`'s network.
-    pub fn new(rig: &SimRig) -> RawClient {
-        let (ep, mb) = rig.net.open_endpoint();
-        RawClient {
-            ep,
-            mb,
-            net: rig.net.clone(),
-            clock: Arc::clone(&rig.clock),
-            trace: rig.trace.clone(),
-            next_invocation: 0,
-            next_call: 0,
-            pending: HashMap::new(),
-            facts: Invariants::default(),
-        }
-    }
-
-    /// The first attempt of a fresh invocation of `call`, due by `deadline`.
-    pub fn begin(&mut self, call: Call, deadline: SimTime) -> Attempt {
-        self.next_invocation += 1;
-        Attempt {
-            invocation: self.next_invocation - 1,
-            attempt: 1,
-            deadline,
-            call,
-        }
-    }
-
-    /// Invocations begun so far.
-    pub fn invocations(&self) -> usize {
-        self.next_invocation as usize
-    }
-
-    fn emit(&self, event: TraceEvent) {
-        self.trace.emit(self.clock.now(), event);
-    }
-
-    /// Emits the `AttemptStarted` anchor naming `target` — the endpoint of
-    /// the member picked, as the real stub names it — records the attempt
-    /// as pending, and sends the request there.
-    pub fn send_attempt(&mut self, target: EndpointId, a: Attempt) {
-        let id = self.next_call;
-        self.next_call += 1;
-        self.emit(TraceEvent::AttemptStarted {
-            invocation: a.invocation,
-            attempt: a.attempt,
-            target: target.0,
-            deadline: a.deadline,
-        });
-        self.pending.insert(id, Pending { a, target });
-        let args = match a.call.key {
-            Some(key) => {
-                self.facts.keys.insert(a.invocation, key);
-                erm_transport::to_bytes(&key).expect("u64 args encode")
-            }
-            None => Vec::new(),
-        };
-        let context = InvocationContext {
-            semantics: Semantics::AtLeastOnce,
-            id: a.invocation,
-            deadline: a.deadline,
-            attempt: a.attempt,
-            origin: self.ep,
-            routing_key: a.call.key,
-        };
-        let request = RmiMessage::Request {
-            call: id,
-            context,
-            method: a.call.method.into(),
-            args,
-        };
-        self.net
-            .send(self.ep, target, request.encode())
-            .expect("the member endpoint is open");
-    }
-
-    /// The next reply (`Response`, `Overloaded`, `WrongShard` or
-    /// `Redirected`) in the client's mailbox, with the pending attempt it
-    /// answers — already removed from the map. Answers to attempts no
-    /// longer pending are skipped.
-    pub fn recv(&mut self) -> Option<(Pending, RmiMessage)> {
-        while let Ok(d) = self.mb.try_recv() {
-            let Ok(msg) = RmiMessage::decode(&d.payload) else {
-                continue;
-            };
-            let (RmiMessage::Response { call, .. }
-            | RmiMessage::Overloaded { call, .. }
-            | RmiMessage::WrongShard { call, .. }
-            | RmiMessage::Redirected { call, .. }) = msg
-            else {
-                continue;
-            };
-            if let Some(p) = self.pending.remove(&call) {
-                return Some((p, msg));
-            }
-        }
-        None
-    }
-
-    fn completed(&self, a: &Attempt, ok: bool) {
-        self.emit(TraceEvent::InvocationCompleted {
-            invocation: a.invocation,
-            attempts: a.attempt,
-            ok,
-        });
-    }
-
-    /// The reply → terminal-event mapping: a normal return completes the
-    /// invocation, a deadline error expires it, any other remote error
-    /// completes it as failed.
-    pub fn complete(&self, a: &Attempt, outcome: &Result<Vec<u8>, RemoteError>) {
-        match outcome {
-            Err(e) if e.is_deadline_exceeded() => self.expire(a),
-            _ => self.completed(a, outcome.is_ok()),
-        }
-    }
-
-    /// Ends the invocation as expired.
-    fn expire(&self, a: &Attempt) {
-        self.emit(TraceEvent::InvocationExpired {
-            invocation: a.invocation,
-            attempts: a.attempt,
-        });
-    }
-
-    /// An attempt was refused with `Overloaded`: records it, and ends the
-    /// invocation — as expired at or past its deadline, as a failed
-    /// completion before it.
-    pub fn overloaded(&self, p: &Pending, retry_after: SimDuration) {
-        self.emit(TraceEvent::AttemptOverloaded {
-            invocation: p.a.invocation,
-            attempt: p.a.attempt,
-            target: p.target.0,
-            retry_after,
-        });
-        if self.clock.now() >= p.a.deadline {
-            self.expire(&p.a);
-        } else {
-            self.completed(&p.a, false);
-        }
-    }
-
-    /// Nothing in flight.
-    pub fn is_idle(&self) -> bool {
-        self.pending.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::AtomicI32;
 
     use elasticrmi::{MethodCallStats, ScalingPolicy};
+    use erm_metrics::TraceEvent;
 
     use super::*;
 

@@ -5,19 +5,21 @@
 //! 1. **Enforcement** — the production pool runtime
 //!    ([`elasticrmi::PoolRuntime`]) running a sharded pool on the virtual
 //!    clock, grown from two members to three by its own application-level
-//!    decision, with requests deliberately misrouted and a queue caught
-//!    mid-handoff. The runtime's broadcast changes the ring and its own
-//!    shard handoff releases the moved locks. The run then hands the raw
-//!    trace to the shared [`crate::invariants`] checker and gates the
-//!    sharding invariants at zero:
+//!    decision, driven by the production [`elasticrmi::Stub`]. A queue is
+//!    caught mid-handoff, and a tail of calls the stub routes by its stale
+//!    two-member ring reaches the members after the grow. The runtime's
+//!    broadcast changes the ring and its own shard handoff releases the
+//!    moved locks. The run then hands the raw trace to the shared
+//!    [`crate::invariants`] checker and gates the sharding invariants at
+//!    zero:
 //!
 //!    * no invocation is ever *executed* by a member that was not the
 //!      ring owner of its key at execution time — every
 //!      [`TraceEvent::RequestExecuted`] record is checked against the ring
 //!      that was in force at that point of the trace;
-//!    * every misroute is refused with `WrongShard` (ingest-time for fresh
-//!      requests, dispatch-time for requests caught in the queue by the
-//!      grow), and the client's retry at the named owner succeeds;
+//!    * every misroute is refused with `WrongShard` (ingest-time for the
+//!      stale-view tail, dispatch-time for requests caught in the queue by
+//!      the grow), and the stub's follow to the named owner succeeds;
 //!    * shard handoff conserves locks: an oracle independent of the
 //!      runtime diffs the held set across the grow. A lock's key range is
 //!      `hash_bytes(name)`; the locks whose range changed owner are
@@ -52,8 +54,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use elasticrmi::{
-    hash_bytes, KeyExtractor, PoolConfig, PoolSample, RmiMessage, ScalingPolicy, ShardRing,
-    ShardingTable,
+    hash_bytes, ClientLb, KeyExtractor, PoolConfig, PoolSample, ScalingPolicy, ShardRing,
+    ShardingTable, Stub,
 };
 use erm_kvstore::LockOwner;
 use erm_metrics::{snapshots_to_csv, MetricsHandle, TraceEvent, TraceRecord};
@@ -62,8 +64,8 @@ use erm_transport::EndpointId;
 use erm_workloads::ZipfKeys;
 use rand::Rng;
 
-use crate::invariants::Violations;
-use crate::rig::{Attempt, Call, JitteredService, RawClient, SimPool, SimRig};
+use crate::invariants::{Invariants, Violations};
+use crate::rig::{JitteredService, SimPool, SimRig};
 
 /// Class name shared by the skeletons, the store locks, and the report.
 const CLASS: &str = "Sharded";
@@ -162,13 +164,13 @@ pub struct ShardedRun {
     pub scaling: Vec<ShardScalePoint>,
 }
 
-/// The enforcement run: the sharded pool and a client that misroutes on
-/// purpose.
+/// The enforcement run: the sharded pool, the production stub on it, and
+/// the routing key of every invocation the stub began.
 struct Enforcement {
     rig: SimRig,
     pool: SimPool,
-    client: RawClient,
-    redirects: usize,
+    stub: Stub,
+    facts: Invariants,
 }
 
 impl Enforcement {
@@ -177,41 +179,25 @@ impl Enforcement {
         ShardRing::from_members(&self.pool.view())
     }
 
-    /// Sends the first attempt of a fresh invocation of `key` to the member
-    /// `uid` of `ring`. The stub's extractor output for FirstU64 args is the
-    /// raw key; the client stamps what `Stub::invoke` would.
-    fn inject(&mut self, ring: &ShardRing, uid: u64, key: u64) {
-        let call = Call {
-            method: METHOD,
-            key: Some(key),
-        };
-        let deadline = self.rig.clock.now() + SimDuration::from_secs(60);
-        let attempt = self.client.begin(call, deadline);
-        let target = ring.endpoint_of(uid).expect("the member is on the ring");
-        self.client.send_attempt(target, attempt);
+    /// Begins a fresh invocation of `key`: the stub routes it to the owner
+    /// its view's ring names.
+    fn inject(&mut self, key: u64) {
+        let invocation = self.stub.invoke_begin(METHOD, &key).expect("no limiter");
+        self.facts.keys.insert(invocation, key);
     }
 
-    /// Drives the pool until every attempt is answered. `WrongShard`
-    /// refusals are retried at the named owner, exactly as the stub's
-    /// redirect path does.
+    /// Drives the pool and pumps the stub until it knows the pool's view and
+    /// every invocation has ended. `WrongShard` refusals are the stub's to
+    /// follow.
     fn settle(&mut self) {
         loop {
-            while let Some((p, reply)) = self.client.recv() {
-                match reply {
-                    RmiMessage::Response { outcome, .. } => self.client.complete(&p.a, &outcome),
-                    RmiMessage::WrongShard { owner, .. } => {
-                        self.redirects += 1;
-                        let attempt = p.a.attempt + 1;
-                        self.client.send_attempt(owner, Attempt { attempt, ..p.a });
-                    }
-                    _ => {}
-                }
-            }
-            if self.client.is_idle() {
+            self.stub.drain_completed();
+            if self.stub.in_flight() == 0 && !self.stub.members().is_empty() {
                 return;
             }
             if !self.rig.drive_pool(&mut self.pool) {
-                self.rig.idle_until(&[self.pool.next_event()]);
+                let due = [self.pool.next_event(), self.stub.next_due()];
+                self.rig.idle_until(&due);
             }
         }
     }
@@ -268,23 +254,22 @@ fn run_enforcement(seed: u64, quick: bool) -> ShardEnforcement {
         JitteredService::new(clock, seed ^ uid, SimDuration::from_micros(300))
     };
     let pool = rig.start_pool(config, service, Some(Box::new(decider)));
-    let client = RawClient::new(&rig);
+    let mut stub = pool.stub(ClientLb::RoundRobin);
+    stub.set_invocation_budget(SimDuration::from_secs(60));
     let mut run = Enforcement {
         rig,
         pool,
-        client,
-        redirects: 0,
+        stub,
+        facts: Invariants::default(),
     };
 
-    // Two members. Every fifth request is deliberately sent to the *other*
-    // member — the ingest-time refusal path under test.
+    // Two members, and a stub that knows them: every call goes to its key's
+    // owner.
+    run.settle();
     let ring1 = run.ring();
     let mut zipf = ZipfKeys::new(KEYS, ZIPF_S, seed);
-    for i in 0..fresh {
-        let key = zipf.next_key();
-        let owner = ring1.owner_uid(key).expect("two-member ring");
-        let target = if i % 5 == 0 { 1 - owner } else { owner };
-        run.inject(&ring1, target, key);
+    for _ in 0..fresh {
+        run.inject(zipf.next_key());
         run.settle();
     }
 
@@ -313,8 +298,7 @@ fn run_enforcement(seed: u64, quick: bool) -> ShardEnforcement {
     let ready_at = rig.clock.now() + PROVISIONING;
     rig.drive_pool_until(pool, |_| rig.clock.now() >= ready_at);
     for _ in 0..queued {
-        let key = zipf.next_key();
-        run.inject(&ring1, ring1.owner_uid(key).expect("two-member ring"), key);
+        run.inject(zipf.next_key());
     }
     let held = store.held_locks();
     run.rig.drive_pool(&mut run.pool);
@@ -337,17 +321,14 @@ fn run_enforcement(seed: u64, quick: bool) -> ShardEnforcement {
         .iter()
         .filter(|(name, owner)| range_owner(&ring2, name) != Some(owner.id()))
         .count();
-    run.settle();
-
-    // A fresh tail of traffic under the three-member ring, misroutes
-    // included, so the new member executes and refuses like the others.
-    for i in 0..fresh / 2 {
-        let key = zipf.next_key();
-        let owner = ring2.owner_uid(key).expect("three-member ring");
-        let target = if i % 5 == 0 { (owner + 1) % 3 } else { owner };
-        run.inject(&ring2, target, key);
-        run.settle();
+    // A fresh tail, begun before the stub hears of the grow: it routes by
+    // the two-member ring, so every key the grow moved is refused at
+    // ingest, and the stub's stale-view refresh and `WrongShard` follow
+    // complete it at the new owner.
+    for _ in 0..fresh / 2 {
+        run.inject(zipf.next_key());
     }
+    run.settle();
 
     // Quiesce: the owners release their retained locks, and the pool shuts
     // down; anything the store still counts afterwards leaked through the
@@ -361,14 +342,14 @@ fn run_enforcement(seed: u64, quick: bool) -> ShardEnforcement {
     // each `RequestExecuted` record against the ring in force at that point
     // of the trace, not the final one.
     let records = run.rig.sink.snapshot();
-    let violations = run.rig.check(&run.client.facts, &records, 0);
+    let violations = run.rig.check(&run.facts, &records, 0);
     let count =
         |select: fn(&TraceEvent) -> bool| records.iter().filter(|r| select(&r.event)).count();
 
     ShardEnforcement {
-        invocations: run.client.invocations(),
+        invocations: run.facts.keys.len(),
         executed: count(|e| matches!(e, TraceEvent::RequestExecuted { .. })),
-        redirects: run.redirects,
+        redirects: run.stub.stats().wrong_shard as usize,
         misrouted_refusals: count(|e| matches!(e, TraceEvent::RequestMisrouted { .. })),
         refused_at_dispatch: refused_at_dispatch(&records),
         violations,
@@ -613,6 +594,10 @@ mod tests {
             assert!(
                 e.refused_at_dispatch > 0,
                 "seed {seed}: the grow caught no queued request at dispatch"
+            );
+            assert!(
+                e.redirects > e.refused_at_dispatch,
+                "seed {seed}: no misroute was refused at ingest"
             );
             assert_eq!(
                 e.redirects, e.misrouted_refusals,

@@ -75,6 +75,31 @@
 //!   warmpool         csv    [0x92db59d34f01f6d7, 0xc6a26ffbede77ed4, 0x51ed1952c26df7c6]
 //!   warmpool-quick   report [0x57d85ad3568aba68, 0x3d0536237b8709d7, 0xda1557b4719a8b50]
 //!   warmpool-quick   csv    [0xa5d56f883b4caf04, 0x645f80f3e08299ba, 0xed660fa5efb95f83]
+//!
+//! The `sharded` and `sharded-quick` rows moved when the enforcement run
+//! stopped driving a raw request injector that misrouted every fifth call on
+//! purpose and followed `WrongShard` itself, and started driving the
+//! production `Stub` (`SimPool::stub`). Its calls go to their key's owner
+//! until the grow; a tail begun right after the grow routes by the stub's
+//! stale two-member ring, so the keys the grow moved are refused at ingest
+//! and the stub's own refresh and `WrongShard` follow complete them. The
+//! `overload` row did not move: that scenario now drives the stub and its
+//! AIMD limiter too, with the same outcome. Only the redirect count (and
+//! the equal refusal count) changed; every invocation still executes once,
+//! and the handoff and scaling rows are unchanged. Per seed 7 / 99 / 2026:
+//!
+//! | what | before | after |
+//! |---|---|---|
+//! | sharded: redirects (= refusal events) | 169, 181, 164 | 112, 125, 106 |
+//! | sharded: refusals at dispatch | 49, 61, 44 | 49, 61, 44 |
+//! | sharded-quick: redirects (= refusal events) | 41, 32, 35 | 35, 23, 20 |
+//! | sharded-quick: refusals at dispatch | 17, 8, 11 | 17, 8, 11 |
+//!
+//! The digests before were:
+//!   sharded          report [0xee50202841b45952, 0x6255c3ee82291d74, 0x816d408f85d96b0d]
+//!   sharded          csv    [0x234f99ae67bdce75, 0x5487375826bdc3ab, 0x300788d05e8a91b7]
+//!   sharded-quick    report [0xb7822dd7b8429cfa, 0xb2f5bb9c734f849e, 0x8f3e5ae4e88c37d5]
+//!   sharded-quick    csv    [0xd6623530e500a3f5, 0x596895441dfc9aa2, 0x1fe409d89c2b97e5]
 
 use erm_harness::{
     render_overload, run_churn, run_elastic_overload, run_sharded, run_warmpool, ElasticOverloadRun,
@@ -143,22 +168,22 @@ const GOLDEN: [(&str, &str, [u64; 3]); 14] = [
     (
         "sharded",
         "report",
-        [0xee50202841b45952, 0x6255c3ee82291d74, 0x816d408f85d96b0d],
+        [0x5fd513b388df3556, 0x083948a05750b104, 0xb1e2f0d227383b35],
     ),
     (
         "sharded",
         "csv",
-        [0x234f99ae67bdce75, 0x5487375826bdc3ab, 0x300788d05e8a91b7],
+        [0xf7ae3e86ff96b8c5, 0x6097a8fdad884d3b, 0x8b3de0816fa0640b],
     ),
     (
         "sharded-quick",
         "report",
-        [0xb7822dd7b8429cfa, 0xb2f5bb9c734f849e, 0x8f3e5ae4e88c37d5],
+        [0x05e091db1ca0db42, 0x04642efaa94882ea, 0xa2fbc9f7d2bd5ba9],
     ),
     (
         "sharded-quick",
         "csv",
-        [0xd6623530e500a3f5, 0x596895441dfc9aa2, 0x1fe409d89c2b97e5],
+        [0xaa191587012225bd, 0x164ddfc50f6e5986, 0xda32811c848f63e1],
     ),
 ];
 

@@ -26,6 +26,14 @@ fn admission_control_beats_unbounded_fifo_on_goodput() {
             admission.rejected > 0,
             "seed {seed}: the burst must trigger Overloaded rejections"
         );
+        assert!(
+            admission.throttled > 0,
+            "seed {seed}: the stub's AIMD limiter must throttle some arrivals"
+        );
+        assert_eq!(
+            baseline.throttled, 0,
+            "seed {seed}: the baseline runs no limiter"
+        );
     }
 }
 
