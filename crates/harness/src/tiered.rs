@@ -299,10 +299,26 @@ mod tests {
         assert!(r.back.mean_agility() < 30.0);
     }
 
+    /// FNV-1a digest of `render_tiered(3)`: the §3.3 rows are pinned
+    /// exactly, as `tests/harness_golden.rs` pins the scenarios.
+    const RENDER_DIGEST: u64 = 0xe28e_7c7a_bac4_eab7;
+
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     #[test]
     fn render_covers_both_modes() {
         let text = render_tiered(3);
         assert!(text.contains("local-controllers"));
         assert!(text.contains("global-decider"));
+        assert_eq!(
+            fnv1a(&text),
+            RENDER_DIGEST,
+            "the seed-3 rows moved to {:#018x}:\n{text}",
+            fnv1a(&text)
+        );
     }
 }

@@ -1,6 +1,11 @@
 //! Smoke tests of the evaluation pipeline from the outside: every figure
 //! renders, the headline comparisons hold, and the reproduction shape
 //! documented in EXPERIMENTS.md is stable.
+//!
+//! The §5.5 table is pinned exactly: an FNV-1a digest of
+//! `format_summary(&summary_table(3))`, as `tests/harness_golden.rs` pins
+//! the virtual-clock scenarios, so a change to the pool runtime or the
+//! cluster that moves a Fig. 7 cell fails here.
 
 use erm_apps::AppKind;
 use erm_harness::{run_experiment, Deployment, ExperimentConfig, FigureId};
@@ -130,10 +135,26 @@ fn provisioning_latency_grows_with_workload() {
     }
 }
 
+/// FNV-1a digest of the rendered §5.5 table at seed 3.
+const GRID_DIGEST: u64 = 0xb21e_fafc_a161_1a94;
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[test]
 fn summary_table_runs_the_full_grid() {
     let rows = erm_harness::summary_table(3);
     assert_eq!(rows.len(), 32);
+    let text = erm_harness::format_summary(&rows);
+    assert_eq!(
+        fnv1a(&text),
+        GRID_DIGEST,
+        "the seed-3 table moved to {:#018x}:\n{text}",
+        fnv1a(&text)
+    );
     // Every (app, pattern) block has the oracle worst on average.
     for app in AppKind::ALL {
         for pattern in [PatternKind::Abrupt, PatternKind::Cyclic] {
