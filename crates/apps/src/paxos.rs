@@ -17,9 +17,17 @@
 //!   returns the *chosen* value, which may be an earlier proposer's
 //!   (classic Paxos semantics).
 //! * `propose_next(value)` — replicated-log append: finds the lowest free
-//!   instance and proposes there, retrying forward until *this* value is
+//!   instance and proposes there, retrying forward until *this* command is
 //!   chosen somewhere (multi-Paxos without a distinguished leader).
 //! * `read_log(instance)` / `read_log_range(from, to)` — learned values.
+//!
+//! Every accepted and learned value carries its [`Entry::command`], the
+//! invocation that proposed it. A proposer recognises its own value by
+//! that command, never by its bytes: two invocations may carry equal
+//! bytes, and one invocation retried after a lost reply arrives twice. So
+//! an append whose command some proposer already got chosen — adopted by a
+//! rival in Phase 1, or by this call's earlier dispatch — answers with that
+//! instance instead of appending the value again.
 //! * `decided_count` — how many instances this replica has learned.
 //!
 //! The fine-grained elasticity metric is the consensus-round rate.
@@ -27,9 +35,34 @@
 use elasticrmi::{
     decode_args, encode_result, ElasticService, MethodCallStats, RemoteError, ServiceContext,
 };
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use serde::{Deserialize, Serialize};
 
 use crate::model::{demand_vote, AppKind};
+
+/// A proposed value and the command that proposed it: what acceptors
+/// accept and learners learn.
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct Entry {
+    /// The proposing invocation's `(origin endpoint, invocation id)`, which
+    /// stays the same across its retries; `(u64::MAX, n)` with a
+    /// process-unique `n` for a call made outside a remote dispatch.
+    pub command: (u64, u64),
+    /// The proposed bytes.
+    pub value: Vec<u8>,
+}
+
+impl Entry {
+    fn of(ctx: &ServiceContext, value: Vec<u8>) -> Entry {
+        static LOCAL: AtomicU64 = AtomicU64::new(0);
+        let command = match ctx.invocation() {
+            Some(inv) => (inv.origin.0, inv.id),
+            None => (u64::MAX, LOCAL.fetch_add(1, Ordering::Relaxed)),
+        };
+        Entry { command, value }
+    }
+}
 
 /// Durable acceptor state for one (instance, acceptor) pair.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -37,7 +70,7 @@ pub struct AcceptorState {
     /// Highest ballot this acceptor has promised.
     pub promised: u64,
     /// Highest-ballot proposal this acceptor has accepted.
-    pub accepted: Option<(u64, Vec<u8>)>,
+    pub accepted: Option<(u64, Entry)>,
 }
 
 /// Outcome of a `propose` call.
@@ -104,6 +137,17 @@ impl PaxosReplica {
         format!("paxos/log/{instance}")
     }
 
+    /// Where the instance a command was chosen at is recorded, so a retry
+    /// that reaches any replica finds it without walking the log.
+    fn command_key((origin, id): (u64, u64)) -> String {
+        format!("paxos/cmd/{origin}/{id}")
+    }
+
+    fn learned(ctx: &ServiceContext, instance: u64) -> Option<Entry> {
+        let v = ctx.store().get(&Self::log_key(instance))?;
+        Some(erm_transport::from_bytes(&v.value).expect("log entry decodes"))
+    }
+
     /// Atomically applies `f` to an acceptor cell (CAS retry loop) and
     /// returns `f`'s verdict together with the pre-update state.
     fn acceptor_rmw(
@@ -137,11 +181,11 @@ impl PaxosReplica {
         ctx: &ServiceContext,
         instance: u64,
         ballot: u64,
-        value: &[u8],
-    ) -> Option<(Vec<u8>, u64)> {
+        value: &Entry,
+    ) -> Option<(Entry, u64)> {
         // Phase 1: prepare/promise.
         let mut promises = 0u32;
-        let mut best_accepted: Option<(u64, Vec<u8>)> = None;
+        let mut best_accepted: Option<(u64, Entry)> = None;
         for a in 0..self.acceptors {
             let key = Self::acceptor_key(instance, a);
             let (granted, _) = Self::acceptor_rmw(ctx, &key, |s| {
@@ -171,7 +215,7 @@ impl PaxosReplica {
         }
         // Phase 2: accept with the highest-ballot accepted value, if any
         // (the core Paxos safety rule), else our own.
-        let chosen_value = best_accepted.map_or_else(|| value.to_vec(), |(_, v)| v);
+        let chosen_value = best_accepted.map_or_else(|| value.clone(), |(_, v)| v);
         let mut accepts = 0u32;
         for a in 0..self.acceptors {
             let key = Self::acceptor_key(instance, a);
@@ -195,16 +239,22 @@ impl PaxosReplica {
         Some((chosen_value, ballot))
     }
 
-    fn learn(ctx: &ServiceContext, instance: u64, value: &[u8]) {
+    fn learn(ctx: &ServiceContext, instance: u64, entry: &Entry) {
         let key = Self::log_key(instance);
-        match ctx.store().compare_and_put(&key, None, value.to_vec()) {
-            Ok(_) => {}
+        let bytes = erm_transport::to_bytes(entry).expect("log entry encodes");
+        match ctx.store().compare_and_put(&key, None, bytes) {
+            Ok(_) => {
+                let at = erm_transport::to_bytes(&instance).expect("u64 encodes");
+                let _ = ctx
+                    .store()
+                    .compare_and_put(&Self::command_key(entry.command), None, at);
+            }
             Err(_) => {
                 // Someone learned first. Paxos safety says it must be the
                 // same value; a mismatch would be a protocol violation.
-                let existing = ctx.store().get(&key).expect("log entry exists");
                 assert_eq!(
-                    existing.value, value,
+                    Self::learned(ctx, instance).as_ref(),
+                    Some(entry),
                     "Paxos safety violation: two different values learned for instance {instance}"
                 );
             }
@@ -222,10 +272,11 @@ impl ElasticService for PaxosReplica {
         match method {
             "propose" => {
                 let (instance, value): (u64, Vec<u8>) = decode_args(method, args)?;
+                let entry = Entry::of(ctx, value);
                 // Fast path: already decided.
-                if let Some(existing) = ctx.store().get(&Self::log_key(instance)) {
+                if let Some(existing) = Self::learned(ctx, instance) {
                     return encode_result(&ProposeResult {
-                        was_ours: existing.value == value,
+                        was_ours: existing.command == entry.command,
                         chosen: existing.value,
                         ballot: 0,
                     });
@@ -235,12 +286,12 @@ impl ElasticService for PaxosReplica {
                 for _ in 0..64 {
                     self.round += 1;
                     let ballot = self.round * STRIDE + ctx.uid() % STRIDE + 1;
-                    if let Some((chosen, ballot)) = self.attempt(ctx, instance, ballot, &value) {
+                    if let Some((chosen, ballot)) = self.attempt(ctx, instance, ballot, &entry) {
                         Self::learn(ctx, instance, &chosen);
                         self.decided_here += 1;
                         return encode_result(&ProposeResult {
-                            was_ours: chosen == value,
-                            chosen,
+                            was_ours: chosen.command == entry.command,
+                            chosen: chosen.value,
                             ballot,
                         });
                     }
@@ -251,32 +302,43 @@ impl ElasticService for PaxosReplica {
                 ))
             }
             "propose_next" => {
-                let value: Vec<u8> = decode_args(method, args)?;
+                let entry = Entry::of(ctx, decode_args(method, args)?);
+                let ours = |instance: u64, ballot: u64| {
+                    let chosen = entry.value.clone();
+                    let result = ProposeResult {
+                        chosen,
+                        was_ours: true,
+                        ballot,
+                    };
+                    encode_result(&(instance, result))
+                };
+                // A retry of a command already chosen gets its instance.
+                if let Some(at) = ctx.store().get(&Self::command_key(entry.command)) {
+                    let at: u64 = erm_transport::from_bytes(&at.value).expect("u64 decodes");
+                    return ours(at, 0);
+                }
                 // Walk the log from the lowest instance this replica has
-                // not yet seen decided, proposing until our value wins one.
+                // not yet seen decided, proposing until our command wins
+                // one. An instance already holding it — a rival adopted it
+                // in Phase 1 and learned it — is ours too.
                 let mut instance = self.next_free_hint;
                 for _ in 0..4096 {
-                    if let Some(existing) = ctx.store().get(&Self::log_key(instance)) {
-                        let _ = existing;
+                    if let Some(existing) = Self::learned(ctx, instance) {
+                        if existing.command == entry.command {
+                            return ours(instance, 0);
+                        }
                         instance += 1;
                         continue;
                     }
                     const STRIDE: u64 = 4096;
                     self.round += 1;
                     let ballot = self.round * STRIDE + ctx.uid() % STRIDE + 1;
-                    if let Some((chosen, ballot)) = self.attempt(ctx, instance, ballot, &value) {
+                    if let Some((chosen, ballot)) = self.attempt(ctx, instance, ballot, &entry) {
                         Self::learn(ctx, instance, &chosen);
                         self.decided_here += 1;
                         self.next_free_hint = instance;
-                        if chosen == value {
-                            return encode_result(&(
-                                instance,
-                                ProposeResult {
-                                    chosen,
-                                    was_ours: true,
-                                    ballot,
-                                },
-                            ));
+                        if chosen.command == entry.command {
+                            return ours(instance, ballot);
                         }
                         // Another proposer's value took this slot; move on.
                         instance += 1;
@@ -298,13 +360,13 @@ impl ElasticService for PaxosReplica {
                     ));
                 }
                 let entries: Vec<Option<Vec<u8>>> = (from..to)
-                    .map(|i| ctx.store().get(&Self::log_key(i)).map(|v| v.value))
+                    .map(|i| Self::learned(ctx, i).map(|e| e.value))
                     .collect();
                 encode_result(&entries)
             }
             "read_log" => {
                 let instance: u64 = decode_args(method, args)?;
-                let value = ctx.store().get(&Self::log_key(instance)).map(|v| v.value);
+                let value = Self::learned(ctx, instance).map(|e| e.value);
                 encode_result(&value)
             }
             "decided_count" => encode_result(&self.decided_here),
@@ -541,6 +603,60 @@ mod log_tests {
         assert_eq!(all.len(), n, "two appends landed in the same log slot");
         // The log is dense: 40 appends occupy instances 0..40.
         assert_eq!(*all.last().unwrap(), n as u64 - 1);
+    }
+
+    fn invocation(id: u64) -> elasticrmi::InvocationContext {
+        elasticrmi::InvocationContext {
+            id,
+            deadline: erm_sim::SimTime::from_secs(10),
+            attempt: 1,
+            origin: erm_transport::EndpointId(9),
+            semantics: elasticrmi::Semantics::AtLeastOnce,
+            routing_key: None,
+        }
+    }
+
+    #[test]
+    fn an_invocation_dispatched_twice_appends_once() {
+        // A retry after a lost reply reaches a replica as the same
+        // invocation again: its value is already in the log, so the
+        // append must answer with that slot instead of taking a second.
+        let store = Arc::new(Store::new(StoreConfig::default()));
+        let (mut r, mut ctx) = member(&store, 0);
+        ctx.set_invocation(Some(invocation(1)));
+        let (first, _) = propose_next(&mut r, &mut ctx, b"a");
+        let (again, res) = propose_next(&mut r, &mut ctx, b"a");
+        assert!(res.was_ours);
+        assert_eq!((first, again), (0, 0), "one invocation, one slot");
+    }
+
+    #[test]
+    fn a_retry_on_another_replica_after_later_appends_appends_once() {
+        let store = Arc::new(Store::new(StoreConfig::default()));
+        let (mut a, mut ctx_a) = member(&store, 0);
+        let (mut b, mut ctx_b) = member(&store, 1);
+        ctx_a.set_invocation(Some(invocation(1)));
+        let (first, _) = propose_next(&mut a, &mut ctx_a, b"a");
+        for id in 2..5 {
+            ctx_b.set_invocation(Some(invocation(id)));
+            propose_next(&mut b, &mut ctx_b, b"b");
+        }
+        ctx_b.set_invocation(Some(invocation(1)));
+        let (again, res) = propose_next(&mut b, &mut ctx_b, b"a");
+        assert!(res.was_ours);
+        assert_eq!((first, again), (0, 0), "one invocation, one slot");
+    }
+
+    #[test]
+    fn two_invocations_with_equal_bytes_get_two_slots() {
+        let store = Arc::new(Store::new(StoreConfig::default()));
+        let (mut r, mut ctx) = member(&store, 0);
+        ctx.set_invocation(Some(invocation(1)));
+        let (first, _) = propose_next(&mut r, &mut ctx, b"a");
+        ctx.set_invocation(Some(invocation(2)));
+        let (second, res) = propose_next(&mut r, &mut ctx, b"a");
+        assert!(res.was_ours);
+        assert_eq!((first, second), (0, 1));
     }
 
     #[test]
