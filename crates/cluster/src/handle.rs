@@ -95,6 +95,11 @@ impl ClusterHandle {
         self.inner.lock().pending_of(tenant, requests)
     }
 
+    /// See [`ResourceManager::next_ready`].
+    pub fn next_ready(&self) -> Option<SimTime> {
+        self.inner.lock().next_ready()
+    }
+
     /// See [`ResourceManager::total_slices`].
     pub fn total_slices(&self) -> usize {
         self.inner.lock().total_slices()

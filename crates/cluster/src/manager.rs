@@ -293,6 +293,18 @@ impl ResourceManager {
             .count() as u32
     }
 
+    /// The earliest instant a grant still provisioning becomes ready, for
+    /// any tenant: when a driver that steps on its own tick must step in
+    /// between to take that grant at its ready instant. `None` when
+    /// nothing is provisioning.
+    pub fn next_ready(&self) -> Option<SimTime> {
+        self.leases
+            .values()
+            .filter(|l| l.state == LeaseState::Provisioning)
+            .map(|l| l.grant.ready_at)
+            .min()
+    }
+
     /// Fraction of the cluster that is granted or provisioning.
     pub fn utilization(&self) -> f64 {
         1.0 - self.free.len() as f64 / self.total_slices() as f64
@@ -604,11 +616,14 @@ mod tests {
     #[test]
     fn provisioning_latency_delays_readiness() {
         let (mut c, t) = small_cluster(LatencyModel::Fixed(SimDuration::from_secs(20)));
+        assert_eq!(c.next_ready(), None);
         c.request_slices(t, 2, SimTime::ZERO).unwrap();
+        assert_eq!(c.next_ready(), Some(SimTime::from_secs(20)));
         assert!(c.take_ready(t, SimTime::from_secs(19)).is_empty());
         let ready = c.take_ready(t, SimTime::from_secs(20));
         assert_eq!(ready.len(), 2);
         assert!(ready.iter().all(|g| g.requested_at == SimTime::ZERO));
+        assert_eq!(c.next_ready(), None, "taken grants are no longer pending");
     }
 
     #[test]
