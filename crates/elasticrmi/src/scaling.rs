@@ -1,8 +1,9 @@
 //! The scaling decision engine (paper §2.5, §3).
 //!
 //! Deliberately pure: the engine consumes a [`PoolSample`] and emits a
-//! [`ScalingDecision`], with no I/O of its own. The threaded pool runtime
-//! and the discrete-event experiment harness both drive *this same code*,
+//! [`ScalingDecision`], with no I/O of its own. Its one driver is the pool
+//! runtime ([`crate::PoolRuntime`]), which the threaded pool, the harness's
+//! virtual-clock scenarios and the fluid agility experiments all run —
 //! which is what makes the reproduced agility figures evidence about the
 //! middleware rather than about a reimplementation of it.
 
@@ -100,31 +101,15 @@ impl ScalingEngine {
         ScalingEngine { config, next_due }
     }
 
-    /// The configuration the engine enforces.
-    pub fn config(&self) -> &PoolConfig {
-        &self.config
-    }
-
     /// Whether a burst interval has elapsed and a decision is due.
     pub fn is_due(&self, now: SimTime) -> bool {
         now >= self.next_due
     }
 
-    /// When the next decision will be due.
-    pub fn next_due(&self) -> SimTime {
-        self.next_due
-    }
-
     /// Makes a decision if one is due, otherwise returns `Hold` without
-    /// consuming the interval. This is the method the runtime calls every
-    /// tick.
-    pub fn poll(&mut self, now: SimTime, sample: &PoolSample) -> ScalingDecision {
-        self.poll_explained(now, sample).0
-    }
-
-    /// Like [`ScalingEngine::poll`], but also reports *why*: the rule whose
-    /// comparison determined a non-`Hold` decision. `None` when nothing was
-    /// due, nothing fired, or clamping cancelled the step.
+    /// consuming the interval, and reports *why*: the rule whose comparison
+    /// determined a non-`Hold` decision. `None` when nothing was due,
+    /// nothing fired, or clamping cancelled the step.
     pub fn poll_explained(
         &mut self,
         now: SimTime,
@@ -415,18 +400,13 @@ mod tests {
             .unwrap();
         let mut e = ScalingEngine::new(config, SimTime::ZERO);
         let hot = sample(5, 99.0, 0.0);
+        let mut poll = |secs| e.poll_explained(SimTime::from_secs(secs), &hot).0;
         // Not due before one interval has elapsed.
-        assert_eq!(e.poll(SimTime::from_secs(30), &hot), ScalingDecision::Hold);
-        assert_eq!(
-            e.poll(SimTime::from_secs(60), &hot),
-            ScalingDecision::Grow(1)
-        );
+        assert_eq!(poll(30), ScalingDecision::Hold);
+        assert_eq!(poll(60), ScalingDecision::Grow(1));
         // Interval consumed: immediately asking again holds.
-        assert_eq!(e.poll(SimTime::from_secs(61), &hot), ScalingDecision::Hold);
-        assert_eq!(
-            e.poll(SimTime::from_secs(120), &hot),
-            ScalingDecision::Grow(1)
-        );
+        assert_eq!(poll(61), ScalingDecision::Hold);
+        assert_eq!(poll(120), ScalingDecision::Grow(1));
     }
 
     #[test]

@@ -1,31 +1,37 @@
 //! The agility experiment runner (paper §5.5–§5.6).
 //!
-//! Runs one (application, workload pattern, deployment) combination through
-//! a fluid-flow discrete-time simulation in virtual time: the 450–500
-//! minute experiments of Fig. 7/Fig. 8 complete in milliseconds and are
-//! bit-for-bit reproducible from the seed.
+//! Runs one (application, workload pattern, deployment) combination in
+//! virtual time: the 450–500 minute experiments of Fig. 7/Fig. 8 complete
+//! in well under a second and are bit-for-bit reproducible from the seed.
 //!
-//! Fidelity note: the *controller under test is the real middleware code* —
-//! [`elasticrmi::ScalingEngine`] with the same `PoolConfig`s the threaded
-//! runtime uses, fed by [`erm_apps::demand_vote`], the same function the
-//! applications' `change_pool_size` overrides call. The cluster is the real
+//! Fidelity note: the *control loop under test is the production pool
+//! runtime* — a [`FluidPool`] runs [`elasticrmi::PoolRuntime`] with the
+//! same `PoolConfig`s the threaded runtime uses, as a tenant of the real
 //! [`erm_cluster::ResourceManager`] with per-deployment provisioning
-//! latency. Only the *workload/service loop* is fluid: instead of executing
-//! 50,000 requests per second, utilization is computed as offered rate over
-//! capacity.
+//! latency. Its poll, scaling decision, grants, joins and drain handshake
+//! are the runtime's own, and each member votes with
+//! [`erm_apps::demand_vote`], the function the applications'
+//! `change_pool_size` overrides call. Only the *members* are fluid:
+//! instead of executing 50,000 requests per second, each reports
+//! utilization computed as offered rate over capacity.
 
-use elasticrmi::{PoolSample, ScalingDecision, ScalingEngine};
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+use elasticrmi::PoolConfig;
 use erm_apps::{demand_vote, AppKind};
-use erm_cluster::{ClusterConfig, ResourceManager, SliceGrant};
+use erm_cluster::{ClusterConfig, ClusterHandle, ResourceManager};
 use erm_metrics::{
-    AgilityMeter, AgilityReport, ProvisioningRecorder, ProvisioningReport, TraceEvent, TraceHandle,
-    TraceRecord,
+    AgilityMeter, AgilityReport, MetricsHandle, ProvisioningRecorder, ProvisioningReport,
+    TraceEvent, TraceHandle, TraceRecord,
 };
-use erm_sim::{derive_seed, EventQueue, SimDuration, SimTime, TimeSeries};
+use erm_sim::{derive_seed, Clock, SimDuration, SimTime, TimeSeries, VirtualClock};
+use erm_transport::InProcNetwork;
 use erm_workloads::{PatternKind, Workload, WorkloadBuilder};
 use serde::{Deserialize, Serialize};
 
 use crate::deployment::Deployment;
+use crate::fluid::{load, FluidPool};
 
 /// Parameters of one experiment run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -49,9 +55,10 @@ pub struct ExperimentConfig {
     /// (paper §4.4: "mesos-related failures affect the addition/removal of
     /// new objects until Mesos recovers").
     pub master_outage: Option<(SimTime, SimTime)>,
-    /// Record control-plane [`TraceRecord`]s (scale decisions, member
-    /// joins/drains) into [`ExperimentResult::trace`]. Off by default: the
-    /// 450-minute sweeps emit thousands of events per run.
+    /// Keep the run's control-plane [`TraceRecord`]s (the rule that fired,
+    /// scale decisions, offers, member joins and drains) in
+    /// [`ExperimentResult::trace`]. Off by default: the 450-minute sweeps
+    /// emit thousands of events per run.
     pub trace: bool,
 }
 
@@ -94,6 +101,9 @@ pub struct ExperimentResult {
     /// Non-zero means [`ExperimentResult::trace`] is missing its oldest
     /// events and downstream span reconstruction may be incomplete.
     pub trace_dropped: u64,
+    /// Slices the cluster still counts held or provisioning after the pool
+    /// shut down: 0 unless a release was lost.
+    pub leaked_slices: usize,
 }
 
 impl ExperimentResult {
@@ -129,72 +139,62 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
     let peak_objects = app.peak_objects(workload.peak());
     let max_pool = peak_objects + peak_objects / 2 + 2;
 
-    let mut cluster = ResourceManager::new(ClusterConfig {
+    let (trace, sink) = TraceHandle::buffered(65_536);
+    let cluster = ClusterHandle::new(ResourceManager::new(ClusterConfig {
         nodes: max_pool + 8,
         slices_per_node: 1,
         provisioning: config.deployment.provisioning(),
         seed: derive_seed(config.seed, "cluster"),
         ..ClusterConfig::default()
-    });
+    }));
+    cluster.set_telemetry(trace.clone(), &MetricsHandle::disabled());
 
-    let mut engine: Option<ScalingEngine> = if config.deployment.is_elastic() {
-        let mut pool_config = config.deployment.pool_config(&app, max_pool);
-        if let Some(burst) = config.burst_override {
-            pool_config = elasticrmi::PoolConfig::builder(app.name)
-                .min_pool_size(pool_config.min_pool_size())
-                .max_pool_size(pool_config.max_pool_size())
-                .policy(pool_config.policy())
-                .burst_interval(burst)
-                .build()
-                .expect("override config valid");
-        }
-        Some(ScalingEngine::new(pool_config, SimTime::ZERO))
+    // The oracle is a pool pinned at the peak. An elastic pool starts at,
+    // and never shrinks below, what the workload needs at t = 0: the
+    // trough both patterns return to.
+    let pool_config = if config.deployment.is_elastic() {
+        let base = config.deployment.pool_config(&app, max_pool);
+        let start = app.req_min(workload.rate_at(SimTime::ZERO), 0) as u32;
+        PoolConfig::builder(app.name)
+            .min_pool_size(start.max(base.min_pool_size()))
+            .max_pool_size(max_pool)
+            .policy(base.policy())
+            .burst_interval(config.burst_override.unwrap_or(base.burst_interval()))
+            .build()
+            .expect("valid experiment config")
     } else {
-        None
+        PoolConfig::builder(app.name)
+            .min_pool_size(peak_objects)
+            .max_pool_size(peak_objects)
+            .build()
+            .expect("valid oracle config")
     };
-
-    // Initial capacity: the oracle provisions for the peak; elastic
-    // deployments start at the capacity the initial workload needs.
-    let initial = if config.deployment.is_elastic() {
-        app.req_min(workload.rate_at(SimTime::ZERO), 0) as u32
-    } else {
-        peak_objects
-    };
+    let (clock, net) = (Arc::new(VirtualClock::new()), InProcNetwork::new());
+    let mut pool = FluidPool::start(pool_config, &cluster, (&clock, &net), &trace, None);
 
     let mut meter = AgilityMeter::new(SimDuration::from_minutes(1), config.sample_window);
-    let mut prov = ProvisioningRecorder::new();
-    let (trace, trace_sink) = if config.trace {
-        let (handle, sink) = TraceHandle::buffered(65_536);
-        (handle, Some(sink))
-    } else {
-        (TraceHandle::disabled(), None)
-    };
     let mut capacity_series = TimeSeries::new("capacity");
     let mut req_series = TimeSeries::new("req_min");
     let mut load_series = TimeSeries::new("workload");
-
-    // The pool is one tenant of the cluster, which books its grants. The
-    // k-th slice requested is provisioning id k, and grants are paired with
-    // ids in the order they arrive.
-    let pool = cluster.add_tenant();
-    let mut ready: Vec<SliceGrant> = Vec::new();
-    let mut draining: EventQueue<SliceGrant> = EventQueue::new();
-    let (mut requested, mut joined): (u64, u64) = (0, 0);
     let mut smoothed_cpu: f64 = 0.0;
     // What the members' method-call statistics report: the rate averaged
     // over the last burst interval, not the instantaneous truth.
     let mut measured_rate: f64 = 0.0;
-    const DRAIN_DELAY: SimDuration = SimDuration::from_secs(5);
-
-    // Kick off the initial provisioning (instantaneous for the oracle,
-    // latency-bound otherwise — the pool's own startup transient).
-    let outcome = cluster
-        .request_slices(pool, initial, SimTime::ZERO)
-        .expect("master up at start");
-    for _ in 0..outcome.granted {
-        prov.requested(requested, SimTime::ZERO);
-        requested += 1;
-    }
+    // Each member votes from its *own* measured share of the workload: an
+    // even split perturbed by per-member sampling noise (clients
+    // round-robin, bursts are uneven), scaled back up by the pool size —
+    // exactly what the applications' change_pool_size overrides compute.
+    let report = |busy: f64, rate: f64, minute: u64, size: u32| {
+        move |uid: u64| {
+            let mut rng = erm_sim::seeded_rng(derive_seed(
+                config.seed,
+                &format!("vote-{}-{minute}-{uid}", app.name),
+            ));
+            let observed = rate * (1.0 + rand::Rng::gen_range(&mut rng, -0.1..=0.1));
+            let vote = demand_vote(observed, app.per_object_capacity, size, 0.9);
+            load(uid, busy as f32, Some(vote))
+        }
+    };
 
     let end = SimTime::ZERO + workload.duration();
     let mut now = SimTime::ZERO;
@@ -209,23 +209,12 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
                 outage_armed = None;
             }
         }
-        // 1. Provisioning completions join the pool and serve immediately.
-        for grant in cluster.take_ready(pool, now) {
-            trace.emit(now, TraceEvent::MemberJoined { uid: grant.slice.0 });
-            prov.first_served(joined, grant.ready_at);
-            joined += 1;
-            ready.push(grant);
-        }
-        // 2. Draining members release their slices.
-        for grant in draining.pop_due(now).collect::<Vec<_>>() {
-            trace.emit(now, TraceEvent::MemberDrained { uid: grant.slice.0 });
-            let _ = cluster.release(grant.lease, now);
-            // capacity already decremented at drain start
-        }
+        // 1. The runtime's turn: grants ready by now join.
+        pool.step(now);
 
-        // 3. Observe the workload and utilization.
+        // 2. Observe the workload and utilization.
         let rate = workload.noisy_rate_at(now);
-        let n_ready = ready.len() as u32;
+        let n_ready = pool.size();
         let capacity = f64::from(n_ready) * app.per_object_capacity;
         let inst_cpu = if capacity > 0.0 {
             (rate / capacity * 100.0).min(100.0)
@@ -240,97 +229,70 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
         let beta = (config.tick.as_secs_f64() / 60.0).min(1.0);
         measured_rate += beta * (rate - measured_rate);
 
-        // 4. The control loop (the real middleware code).
-        if let Some(engine) = engine.as_mut() {
-            let committed = n_ready + cluster.pending_of(pool, |_| true);
-            let sample = PoolSample {
-                pool_size: committed,
-                avg_cpu: smoothed_cpu as f32,
-                // RAM tracks CPU loosely in these services (buffers scale
-                // with in-flight work).
-                avg_ram: (smoothed_cpu * 0.8) as f32,
-                // Each member votes from its *own* measured share of the
-                // workload: an even split perturbed by per-member sampling
-                // noise (clients round-robin, bursts are uneven), then
-                // scaled back up by the pool size — exactly what the
-                // applications' change_pool_size overrides compute.
-                fine_votes: (0..n_ready.max(1))
-                    .map(|i| {
-                        let minute = now.as_minutes_f64() as u64;
-                        let mut rng = erm_sim::seeded_rng(derive_seed(
-                            config.seed,
-                            &format!("vote-{}-{minute}-{i}", app.name),
-                        ));
-                        let observed =
-                            measured_rate * (1.0 + rand::Rng::gen_range(&mut rng, -0.1..=0.1));
-                        demand_vote(observed, app.per_object_capacity, committed, 0.9)
-                    })
-                    .collect(),
-                desired_size: None,
-                ..PoolSample::default()
-            };
-            match engine.poll(now, &sample) {
-                ScalingDecision::Grow(k) => {
-                    trace.emit(
-                        now,
-                        TraceEvent::ScaleDecision {
-                            pool_size: committed,
-                            delta: i64::from(k),
-                        },
-                    );
-                    if let Ok(outcome) = cluster.request_slices(pool, k, now) {
-                        for _ in 0..outcome.granted {
-                            prov.requested(requested, now);
-                            requested += 1;
-                        }
-                    }
-                }
-                ScalingDecision::Shrink(k) => {
-                    trace.emit(
-                        now,
-                        TraceEvent::ScaleDecision {
-                            pool_size: committed,
-                            delta: -i64::from(k),
-                        },
-                    );
-                    for _ in 0..k {
-                        if ready.len() as u32 <= engine.config().min_pool_size() {
-                            break;
-                        }
-                        if let Some(grant) = ready.pop() {
-                            draining.schedule(now + DRAIN_DELAY, grant);
-                        }
-                    }
-                }
-                ScalingDecision::Hold => {}
-            }
-        }
-
-        // 5. Metrics. Cap_prov counts ready capacity (the paper's "recorded
-        // capacity provisioned").
+        // 3. The members answer the poll and the drains; the runtime
+        // decides.
         let minute = now.as_minutes_f64() as u64;
+        pool.answer(now, report(smoothed_cpu, measured_rate, minute, n_ready));
+
+        // 4. Metrics. Cap_prov counts the rotation (the paper's "recorded
+        // capacity provisioned").
         let req_min = app.req_min(rate, minute);
-        meter.record(now, req_min, f64::from(ready.len() as u32));
+        meter.record(now, req_min, f64::from(pool.size()));
         if now >= next_minute_sample {
-            capacity_series.push(now, f64::from(ready.len() as u32));
+            capacity_series.push(now, f64::from(pool.size()));
             req_series.push(now, req_min);
             load_series.push(now, rate);
             next_minute_sample = now + SimDuration::from_minutes(1);
         }
 
-        now += config.tick;
+        // 5. Grants that become ready before the next tick join at their
+        // ready instant, answered with this tick's load.
+        let next = now + config.tick;
+        while let Some(at) = cluster.next_ready().filter(|&at| at < next) {
+            pool.step(at);
+            pool.answer(at, report(smoothed_cpu, measured_rate, minute, pool.size()));
+        }
+        now = next;
     }
+    pool.shut_down(clock.now());
 
+    let records = sink.snapshot();
     ExperimentResult {
         config: config.clone(),
         agility: meter.finish(),
-        provisioning: prov.finish(end),
+        provisioning: provisioning(&records, end),
         capacity_series,
         req_min_series: req_series,
         workload_series: load_series,
-        trace_dropped: trace_sink.as_ref().map_or(0, |sink| sink.dropped()),
-        trace: trace_sink.map_or_else(Vec::new, |sink| sink.snapshot()),
+        trace_dropped: sink.dropped(),
+        trace: if config.trace { records } else { Vec::new() },
+        leaked_slices: cluster.slices_in_use() + cluster.pending_slices(),
     }
+}
+
+/// Fig. 8's provisioning intervals from the run's trace: the k-th slice
+/// the cluster granted is paired with the k-th member that joined, from
+/// the offer's instant to the join's.
+fn provisioning(records: &[TraceRecord], end: SimTime) -> ProvisioningReport {
+    let mut recorder = ProvisioningRecorder::new();
+    let mut offered: VecDeque<SimTime> = VecDeque::new();
+    let mut joined = 0u64;
+    for record in records {
+        match record.event {
+            TraceEvent::OfferOutcome { granted, .. } => {
+                offered.extend(std::iter::repeat_n(record.at, granted as usize));
+            }
+            TraceEvent::MemberJoined { .. } => {
+                if let Some(requested) = offered.pop_front() {
+                    recorder.requested(joined, requested);
+                    recorder.first_served(joined, record.at);
+                    joined += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    recorder.finish(end)
 }
 
 #[cfg(test)]

@@ -3,20 +3,25 @@
 //! Experiment harness for the ElasticRMI reproduction (paper §5).
 //!
 //! Connects the substrates into the paper's evaluation: the four
-//! [`Deployment`] scenarios (§5.4), the fluid-time [`run_experiment`] runner
-//! producing SPEC agility and provisioning-interval reports (§5.5–5.6), the
-//! figure renderers regenerating Fig. 7a–7j and Fig. 8a/8b, and the summary
-//! grid behind the prose statistics of §5.5.
+//! [`Deployment`] scenarios (§5.4), the [`run_experiment`] runner producing
+//! SPEC agility and provisioning-interval reports (§5.5–5.6), the figure
+//! renderers regenerating Fig. 7a–7j and Fig. 8a/8b, and the summary grid
+//! behind the prose statistics of §5.5.
 //!
-//! The control logic under test is the *real* middleware
-//! ([`elasticrmi::ScalingEngine`] with production `PoolConfig`s); only the
-//! request execution is fluid-modelled so a 500-minute experiment runs in
-//! milliseconds. See DESIGN.md for the substitution table.
+//! The control loop under test is the *real* middleware: every scenario
+//! and every figure runs the production pool runtime
+//! ([`elasticrmi::PoolRuntime`]) with production `PoolConfig`s on a virtual
+//! clock. The figures' members are fluid ([`fluid::FluidPool`]): they
+//! answer the runtime's load polls with utilization computed from the
+//! offered rate instead of executing requests, so a 500-minute experiment
+//! runs in well under a second. The scenarios run real skeletons on the
+//! shared [`rig`]. See DESIGN.md for the substitution table.
 
 pub mod churn;
 pub mod deployment;
 pub mod experiment;
 pub mod figures;
+pub mod fluid;
 pub mod invariants;
 pub mod overload;
 pub mod rig;

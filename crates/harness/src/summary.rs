@@ -32,6 +32,9 @@ pub struct SummaryRow {
     pub shortage_fraction: f64,
     /// Mean provisioning latency in seconds (0 when no event occurred).
     pub mean_provisioning_s: f64,
+    /// Slices the cluster still counted after the pool shut down
+    /// ([`crate::ExperimentResult::leaked_slices`]).
+    pub leaked_slices: usize,
 }
 
 /// Runs the full evaluation grid (4 apps × 2 patterns × 4 deployments) and
@@ -62,6 +65,7 @@ pub fn summary_table(seed: u64) -> Vec<SummaryRow> {
                         .provisioning
                         .mean_latency()
                         .map_or(0.0, |d| d.as_secs_f64()),
+                    leaked_slices: r.leaked_slices,
                 });
             }
         }

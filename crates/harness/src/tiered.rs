@@ -9,19 +9,25 @@
 //!
 //! This module reproduces the scenario that motivates the `Decider`: two
 //! elastic pools (a front tier and a back tier) sharing one cluster that is
-//! **too small for both peaks**. Local fine-grained controllers race for
-//! slices first-come-first-served; an application-level decider splits the
-//! scarce capacity proportionally to each tier's demand. The experiment
+//! **too small for both peaks**. Each tier is a [`FluidPool`], the
+//! production pool runtime with fluid members. Local fine-grained
+//! controllers race for slices first-come-first-served; under
+//! [`ScalingPolicy::AppLevel`], a real [`Decider`] per tier splits the
+//! scarce capacity proportionally to both tiers' demand. The experiment
 //! measures joint agility both ways.
 
-use elasticrmi::{PoolSample, ScalingDecision, ScalingEngine};
+use std::sync::{Arc, Mutex};
+
+use elasticrmi::{Decider, PoolConfig, PoolSample, ScalingPolicy};
 use erm_apps::{demand_vote, AppKind, AppModel};
-use erm_cluster::{ClusterConfig, ResourceManager, SliceGrant, TenantId};
-use erm_metrics::{AgilityMeter, AgilityReport};
-use erm_sim::{derive_seed, SimDuration, SimTime};
+use erm_cluster::{ClusterConfig, ClusterHandle, ResourceManager};
+use erm_metrics::{AgilityMeter, AgilityReport, TraceHandle};
+use erm_sim::{derive_seed, Clock, SimDuration, SimTime, VirtualClock};
+use erm_transport::InProcNetwork;
 use erm_workloads::{PatternKind, Workload, WorkloadBuilder};
 
 use crate::deployment::Deployment;
+use crate::fluid::{load, FluidPool};
 
 /// How the two tiers' sizes are decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,18 +70,28 @@ impl TieredResult {
 struct Tier {
     app: AppModel,
     workload: Workload,
-    engine: ScalingEngine,
-    /// The tier's account with the cluster, which books its grants.
-    tenant: TenantId,
-    ready: Vec<SliceGrant>,
-    draining: erm_sim::EventQueue<SliceGrant>,
+    /// How far ahead of the run's clock this tier's workload runs.
+    shift: SimDuration,
+    pool: FluidPool,
     meter: AgilityMeter,
 }
 
 impl Tier {
-    /// Members serving plus slices still provisioning.
-    fn committed(&self, cluster: &ResourceManager) -> u32 {
-        self.ready.len() as u32 + cluster.pending_of(self.tenant, |_| true)
+    /// Objects this tier needs for `rate` at the controllers' headroom.
+    fn need(&self, rate: f64) -> f64 {
+        (rate / (self.app.per_object_capacity * 0.9)).ceil()
+    }
+}
+
+/// The §3.3 `Decider` of tier `tier`: sees both tiers' needs and, when
+/// their sum exceeds the cluster, gives each its proportional share of it,
+/// rounded to nearest and never below the protocol floor of 2.
+fn proportional_share(needs: Arc<Mutex<[f64; 2]>>, tier: usize, budget: f64) -> impl Decider {
+    move |_: &PoolSample| {
+        let needs = *needs.lock().expect("needs lock");
+        let total: f64 = needs.iter().sum();
+        let scale = if total <= budget { 1.0 } else { budget / total };
+        ((needs[tier] * scale).round() as u32).max(2)
     }
 }
 
@@ -84,25 +100,7 @@ impl Tier {
 /// two workloads phase-shifted so their peaks collide only part of the time.
 pub fn run_tiered(coordination: TierCoordination, seed: u64) -> TieredResult {
     const TICK: SimDuration = SimDuration::from_secs(10);
-    const DRAIN_DELAY: SimDuration = SimDuration::from_secs(5);
 
-    let mk_tier = |app_kind: AppKind, label: &str, max_pool: u32, tenant: TenantId| {
-        let app = app_kind.model();
-        let workload = WorkloadBuilder::new(PatternKind::Cyclic, app.point_a)
-            .noise(0.04)
-            .seed(derive_seed(seed, label))
-            .build();
-        let config = Deployment::ElasticRmi.pool_config(&app, max_pool);
-        Tier {
-            engine: ScalingEngine::new(config, SimTime::ZERO),
-            meter: AgilityMeter::paper_default(),
-            tenant,
-            ready: Vec::new(),
-            draining: erm_sim::EventQueue::new(),
-            app,
-            workload,
-        }
-    };
     let front_peak = AppKind::Marketcetera
         .model()
         .peak_objects(AppKind::Marketcetera.model().point_a * erm_workloads::paper::POINT_B_FACTOR);
@@ -111,126 +109,114 @@ pub fn run_tiered(coordination: TierCoordination, seed: u64) -> TieredResult {
         .peak_objects(AppKind::Dcs.model().point_a * erm_workloads::paper::POINT_B_FACTOR);
     // The scarce cluster: 70% of combined peak.
     let cluster_slices = ((front_peak + back_peak) as f64 * 0.7) as u32;
-    let mut cluster = ResourceManager::new(ClusterConfig {
+    let cluster = ClusterHandle::new(ResourceManager::new(ClusterConfig {
         nodes: cluster_slices,
         slices_per_node: 1,
         provisioning: Deployment::ElasticRmi.provisioning(),
         seed: derive_seed(seed, "tiered-cluster"),
         ..ClusterConfig::default()
-    });
+    }));
+    let (clock, net) = (Arc::new(VirtualClock::new()), InProcNetwork::new());
+    // Both tiers' needs at the last tick, what the global Deciders see.
+    let needs = Arc::new(Mutex::new([0.0; 2]));
 
+    // Each tier starts at, and never shrinks below, what it needs at t = 0.
+    // The back tier's cycle is phase-shifted ~1/3.
+    let mk_tier = |tier: usize, app_kind: AppKind, label: &str, max_pool: u32, shift| {
+        let app = app_kind.model();
+        let workload = WorkloadBuilder::new(PatternKind::Cyclic, app.point_a)
+            .noise(0.04)
+            .seed(derive_seed(seed, label))
+            .build();
+        let base = Deployment::ElasticRmi.pool_config(&app, max_pool);
+        let start = app.req_min(workload.rate_at(SimTime::ZERO), 0) as u32;
+        let (policy, decider) = match coordination {
+            TierCoordination::LocalControllers => (base.policy(), None),
+            TierCoordination::GlobalDecider => {
+                let decider =
+                    proportional_share(Arc::clone(&needs), tier, f64::from(cluster_slices));
+                (
+                    ScalingPolicy::AppLevel,
+                    Some(Box::new(decider) as Box<dyn Decider>),
+                )
+            }
+        };
+        let config = PoolConfig::builder(app.name)
+            .min_pool_size(start.max(base.min_pool_size()))
+            .max_pool_size(max_pool)
+            .policy(policy)
+            .burst_interval(base.burst_interval())
+            .build()
+            .expect("valid tier config");
+        let pool = FluidPool::start(
+            config,
+            &cluster,
+            (&clock, &net),
+            &TraceHandle::disabled(),
+            decider,
+        );
+        Tier {
+            app,
+            workload,
+            shift,
+            pool,
+            meter: AgilityMeter::paper_default(),
+        }
+    };
     let mut tiers = [
         mk_tier(
+            0,
             AppKind::Marketcetera,
             "front",
             front_peak + 4,
-            cluster.add_tenant(),
+            SimDuration::ZERO,
         ),
-        mk_tier(AppKind::Dcs, "back", back_peak + 4, cluster.add_tenant()),
+        mk_tier(
+            1,
+            AppKind::Dcs,
+            "back",
+            back_peak + 4,
+            SimDuration::from_minutes(170),
+        ),
     ];
 
-    // Initial provisioning: what each tier needs at t=0.
-    let mut now = SimTime::ZERO;
-    for tier in &tiers {
-        let need = tier.app.req_min(tier.workload.rate_at(now), 0) as u32;
-        let _ = cluster.request_slices(tier.tenant, need, now);
-    }
+    // Local controllers vote their tier's demand against its rotation; the
+    // global Deciders need no vote.
+    let answer = |tier: &mut Tier, at: SimTime, rate: f64| {
+        let vote = (coordination == TierCoordination::LocalControllers)
+            .then(|| demand_vote(rate, tier.app.per_object_capacity, tier.pool.size(), 0.9));
+        tier.pool.answer(at, |uid| load(uid, 0.0, vote));
+    };
 
     let end = SimTime::ZERO + tiers[0].workload.duration();
+    let mut now = SimTime::ZERO;
     while now <= end {
-        // Each tier takes its grants and finishes its drains.
         for tier in tiers.iter_mut() {
-            tier.ready.extend(cluster.take_ready(tier.tenant, now));
-            for grant in tier.draining.pop_due(now).collect::<Vec<_>>() {
-                let _ = cluster.release(grant.lease, now);
-            }
+            tier.pool.step(now);
         }
-
-        // Demand per tier. The back tier's cycle is phase-shifted ~1/3.
-        let rates = [
-            tiers[0].workload.noisy_rate_at(now),
-            tiers[1]
-                .workload
-                .noisy_rate_at(now + SimDuration::from_minutes(170)),
-        ];
-
-        // Desired sizes.
-        let desired: Vec<u32> = match coordination {
-            TierCoordination::LocalControllers => tiers
-                .iter()
-                .zip(rates)
-                .map(|(tier, rate)| {
-                    let committed = tier.committed(&cluster);
-                    let vote = demand_vote(rate, tier.app.per_object_capacity, committed, 0.9);
-                    (i64::from(committed) + i64::from(vote)).max(2) as u32
-                })
-                .collect(),
-            TierCoordination::GlobalDecider => {
-                // The Decider sees both demands and splits the whole cluster
-                // proportionally when the sum exceeds capacity.
-                let needs: Vec<f64> = tiers
-                    .iter()
-                    .zip(rates)
-                    .map(|(tier, rate)| (rate / (tier.app.per_object_capacity * 0.9)).ceil())
-                    .collect();
-                let total: f64 = needs.iter().sum();
-                let budget = cluster_slices as f64;
-                if total <= budget {
-                    needs.iter().map(|n| (*n as u32).max(2)).collect()
-                } else {
-                    // Proportional split of the scarce budget, rounding to
-                    // nearest and never below the protocol floor.
-                    let scale = budget / total;
-                    needs
-                        .iter()
-                        .map(|n| ((n * scale).round() as u32).max(2))
-                        .collect()
-                }
-            }
-        };
-
-        // Apply through each tier's real scaling engine (AppLevel semantics:
-        // desired size in the sample).
-        for (i, tier) in tiers.iter_mut().enumerate() {
-            let committed = tier.committed(&cluster);
-            let sample = PoolSample {
-                pool_size: committed,
-                avg_cpu: 0.0,
-                avg_ram: 0.0,
-                fine_votes: vec![
-                    (i64::from(desired[i]) - i64::from(committed)).clamp(-4, 16) as i32;
-                    tier.ready.len().max(1)
-                ],
-                desired_size: None,
-                ..PoolSample::default()
-            };
-            match tier.engine.poll(now, &sample) {
-                ScalingDecision::Grow(k) => {
-                    let _ = cluster.request_slices(tier.tenant, k, now);
-                }
-                ScalingDecision::Shrink(k) => {
-                    for _ in 0..k {
-                        if tier.ready.len() as u32 <= tier.engine.config().min_pool_size() {
-                            break;
-                        }
-                        if let Some(grant) = tier.ready.pop() {
-                            tier.draining.schedule(now + DRAIN_DELAY, grant);
-                        }
-                    }
-                }
-                ScalingDecision::Hold => {}
-            }
-        }
-
-        // Metrics.
+        let rates = tiers
+            .each_ref()
+            .map(|tier| tier.workload.noisy_rate_at(now + tier.shift));
+        *needs.lock().expect("needs lock") = [tiers[0].need(rates[0]), tiers[1].need(rates[1])];
         let minute = now.as_minutes_f64() as u64;
         for (tier, rate) in tiers.iter_mut().zip(rates) {
+            answer(tier, now, rate);
             let req = tier.app.req_min(rate, minute);
-            tier.meter
-                .record(now, req, f64::from(tier.ready.len() as u32));
+            tier.meter.record(now, req, f64::from(tier.pool.size()));
         }
-
-        now += TICK;
+        // Grants that become ready before the next tick join at their
+        // ready instant.
+        let next = now + TICK;
+        while let Some(at) = cluster.next_ready().filter(|&at| at < next) {
+            for (tier, rate) in tiers.iter_mut().zip(rates) {
+                tier.pool.step(at);
+                answer(tier, at, rate);
+            }
+        }
+        now = next;
+    }
+    for tier in tiers.iter_mut() {
+        tier.pool.shut_down(clock.now());
     }
 
     let [front, back] = tiers;
@@ -300,7 +286,10 @@ mod tests {
     }
 
     /// FNV-1a digest of `render_tiered(3)`: the §3.3 rows are pinned
-    /// exactly, as `tests/harness_golden.rs` pins the scenarios.
+    /// exactly, as `tests/harness_golden.rs` pins the scenarios. It did not
+    /// move when the tiers stopped running a private control loop with
+    /// clamped fine votes and started running two production pool runtimes,
+    /// the global mode under a real `Decider`.
     const RENDER_DIGEST: u64 = 0xe28e_7c7a_bac4_eab7;
 
     fn fnv1a(text: &str) -> u64 {

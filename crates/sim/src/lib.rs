@@ -6,32 +6,30 @@
 //! clock. This crate provides the pieces that let the same elasticity logic
 //! run in virtual time instead: a monotonic [`SimTime`] timestamp, a
 //! [`Clock`] abstraction implemented both by the [`VirtualClock`] used in
-//! experiments and by the [`SystemClock`] used by the threaded runtime, a
-//! generic [`EventQueue`] for scheduling future completions (provisioning,
-//! message delivery), and deterministic RNG helpers so every experiment is
-//! reproducible from a seed.
+//! experiments and by the [`SystemClock`] used by the threaded runtime,
+//! [`TimeSeries`] for the recorded curves, and deterministic RNG helpers so
+//! every experiment is reproducible from a seed. What happens when is the
+//! production code's own business: the cluster manager books when each
+//! grant becomes ready, and a driver steps the pool runtime at those
+//! instants.
 //!
 //! # Example
 //!
 //! ```
-//! use erm_sim::{Clock, EventQueue, SimDuration, SimTime, VirtualClock};
+//! use erm_sim::{Clock, SimDuration, SimTime, VirtualClock};
 //!
 //! let clock = VirtualClock::new();
-//! let mut queue = EventQueue::new();
-//! queue.schedule(clock.now() + SimDuration::from_secs(30), "provisioned");
-//! clock.advance(SimDuration::from_secs(60));
-//! let ready: Vec<_> = queue.pop_due(clock.now()).collect();
-//! assert_eq!(ready, vec!["provisioned"]);
+//! let ready_at = clock.now() + SimDuration::from_secs(30);
+//! clock.advance_to(ready_at);
+//! assert_eq!(clock.now(), SimTime::from_secs(30));
 //! ```
 
 mod clock;
-mod queue;
 mod rng;
 mod series;
 mod time;
 
 pub use clock::{Clock, SharedClock, SystemClock, VirtualClock};
-pub use queue::EventQueue;
 pub use rng::{derive_seed, seeded_rng};
 pub use series::TimeSeries;
 pub use time::{SimDuration, SimTime};
