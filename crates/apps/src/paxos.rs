@@ -20,23 +20,21 @@
 //!   instance and proposes there, retrying forward until *this* command is
 //!   chosen somewhere (multi-Paxos without a distinguished leader).
 //! * `read_log(instance)` / `read_log_range(from, to)` — learned values.
-//!
-//! Every accepted and learned value carries its [`Entry::command`], the
-//! invocation that proposed it. A proposer recognises its own value by
-//! that command, never by its bytes: two invocations may carry equal
-//! bytes, and one invocation retried after a lost reply arrives twice. So
-//! an append whose command some proposer already got chosen — adopted by a
-//! rival in Phase 1, or by this call's earlier dispatch — answers with that
-//! instance instead of appending the value again.
 //! * `decided_count` — how many instances this replica has learned.
 //!
+//! A proposer knows its own value by the [`Entry::command`] it carries,
+//! never by its bytes: two invocations may carry equal bytes, and a retry
+//! after a lost reply is one invocation arriving twice. An append whose
+//! command is already chosen — a rival adopted it, or an earlier dispatch
+//! got it in — answers with that instance instead of appending it again.
+//!
 //! The fine-grained elasticity metric is the consensus-round rate.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use elasticrmi::{
     decode_args, encode_result, ElasticService, MethodCallStats, RemoteError, ServiceContext,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use serde::{Deserialize, Serialize};
 
 use crate::model::{demand_vote, AppKind};
@@ -619,32 +617,26 @@ mod log_tests {
     #[test]
     fn an_invocation_dispatched_twice_appends_once() {
         // A retry after a lost reply reaches a replica as the same
-        // invocation again: its value is already in the log, so the
-        // append must answer with that slot instead of taking a second.
-        let store = Arc::new(Store::new(StoreConfig::default()));
-        let (mut r, mut ctx) = member(&store, 0);
-        ctx.set_invocation(Some(invocation(1)));
-        let (first, _) = propose_next(&mut r, &mut ctx, b"a");
-        let (again, res) = propose_next(&mut r, &mut ctx, b"a");
-        assert!(res.was_ours);
-        assert_eq!((first, again), (0, 0), "one invocation, one slot");
-    }
-
-    #[test]
-    fn a_retry_on_another_replica_after_later_appends_appends_once() {
+        // invocation again, the same one or another after later appends:
+        // it answers with the slot its command already holds.
         let store = Arc::new(Store::new(StoreConfig::default()));
         let (mut a, mut ctx_a) = member(&store, 0);
         let (mut b, mut ctx_b) = member(&store, 1);
         ctx_a.set_invocation(Some(invocation(1)));
         let (first, _) = propose_next(&mut a, &mut ctx_a, b"a");
+        let (again, _) = propose_next(&mut a, &mut ctx_a, b"a");
         for id in 2..5 {
             ctx_b.set_invocation(Some(invocation(id)));
             propose_next(&mut b, &mut ctx_b, b"b");
         }
         ctx_b.set_invocation(Some(invocation(1)));
-        let (again, res) = propose_next(&mut b, &mut ctx_b, b"a");
+        let (elsewhere, res) = propose_next(&mut b, &mut ctx_b, b"a");
         assert!(res.was_ours);
-        assert_eq!((first, again), (0, 0), "one invocation, one slot");
+        assert_eq!(
+            (first, again, elsewhere),
+            (0, 0, 0),
+            "one invocation, one slot"
+        );
     }
 
     #[test]
