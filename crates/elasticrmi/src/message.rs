@@ -92,7 +92,7 @@ pub struct MemberState {
 
 /// A load report from a skeleton to the runtime/sentinel, covering one burst
 /// interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct LoadReport {
     /// The member's uid.
     pub uid: u64,

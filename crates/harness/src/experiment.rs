@@ -15,7 +15,6 @@
 //! instead of executing 50,000 requests per second, each reports
 //! utilization computed as offered rate over capacity.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use elasticrmi::PoolConfig;
@@ -152,25 +151,23 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
     // The oracle is a pool pinned at the peak. An elastic pool starts at,
     // and never shrinks below, what the workload needs at t = 0: the
     // trough both patterns return to.
+    let pool_config = PoolConfig::builder(app.name);
     let pool_config = if config.deployment.is_elastic() {
         let base = config.deployment.pool_config(&app, max_pool);
         let start = app.req_min(workload.rate_at(SimTime::ZERO), 0) as u32;
-        PoolConfig::builder(app.name)
+        pool_config
             .min_pool_size(start.max(base.min_pool_size()))
             .max_pool_size(max_pool)
             .policy(base.policy())
             .burst_interval(config.burst_override.unwrap_or(base.burst_interval()))
-            .build()
-            .expect("valid experiment config")
     } else {
-        PoolConfig::builder(app.name)
+        pool_config
             .min_pool_size(peak_objects)
             .max_pool_size(peak_objects)
-            .build()
-            .expect("valid oracle config")
     };
+    let pool_config = pool_config.build().expect("valid experiment config");
     let (clock, net) = (Arc::new(VirtualClock::new()), InProcNetwork::new());
-    let mut pool = FluidPool::start(pool_config, &cluster, (&clock, &net), &trace, None);
+    let mut pool = FluidPool::start(pool_config, &cluster, &clock, &net, &trace, None);
 
     let mut meter = AgilityMeter::new(SimDuration::from_minutes(1), config.sample_window);
     let mut capacity_series = TimeSeries::new("capacity");
@@ -275,19 +272,18 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
 /// the offer's instant to the join's.
 fn provisioning(records: &[TraceRecord], end: SimTime) -> ProvisioningReport {
     let mut recorder = ProvisioningRecorder::new();
-    let mut offered: VecDeque<SimTime> = VecDeque::new();
-    let mut joined = 0u64;
+    let (mut offered, mut joined) = (0u64, 0u64);
     for record in records {
         match record.event {
             TraceEvent::OfferOutcome { granted, .. } => {
-                offered.extend(std::iter::repeat_n(record.at, granted as usize));
+                for _ in 0..granted {
+                    recorder.requested(offered, record.at);
+                    offered += 1;
+                }
             }
             TraceEvent::MemberJoined { .. } => {
-                if let Some(requested) = offered.pop_front() {
-                    recorder.requested(joined, requested);
-                    recorder.first_served(joined, record.at);
-                    joined += 1;
-                }
+                recorder.first_served(joined, record.at);
+                joined += 1;
             }
             _ => {}
         }

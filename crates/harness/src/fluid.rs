@@ -1,18 +1,13 @@
 //! The production pool runtime with fluid members, for the 450-minute
 //! experiments of paper §5.5–§5.6 and the two-tier study of §3.3.
 //!
-//! A [`FluidPool`] runs the real [`PoolRuntime`] on a [`VirtualClock`] and
-//! an [`InProcNetwork`], as a tenant of the real cluster manager: grants,
-//! joins, the burst-interval load poll, the scaling decision, the drain
-//! handshake and every slice release are the runtime's own. Only the
-//! members are fluid. The runtime launches each one with a skeleton, but
-//! the pool keeps just its mailbox and never runs the skeleton: instead of
-//! executing 50,000 requests a second, the driver computes what each
-//! member's load report would say, and [`FluidPool::answer`] sends it.
-//!
-//! The driver steps the runtime on its own tick and at each grant's ready
-//! instant ([`erm_cluster::ClusterHandle::next_ready`]), not every 2 ms as
-//! the pool thread does, so a 450-minute run takes a few thousand steps.
+//! A [`FluidPool`] runs the real [`PoolRuntime`] on a [`VirtualClock`] as a
+//! cluster tenant: grants, joins, the load poll, the scaling decision, the
+//! drain handshake and every release are the runtime's own. Only the
+//! members are fluid: each keeps its mailbox but never runs its skeleton,
+//! and [`FluidPool::answer`] replies with a load the driver computed from
+//! the offered rate. Stepped on the driver's tick and at each grant's
+//! ready instant, a 450-minute run takes a few thousand steps.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -33,28 +28,25 @@ pub struct FluidPool {
     handle: PoolHandle,
     clock: Arc<VirtualClock>,
     net: InProcNetwork,
-    /// Each launched member's mailbox, by uid, until it acknowledged its
-    /// drain.
+    /// Each launched member's mailbox, by uid, until it acked its drain.
     members: BTreeMap<u64, Mailbox>,
-    /// When the runtime asked for its next turn; `None` once its shutdown
-    /// has completed.
+    /// When the runtime asked for its next turn; `None` once shut down.
     due: Option<SimTime>,
 }
 
 impl FluidPool {
     /// Starts the runtime for `config` as a new tenant of `cluster`, which
-    /// it asks for the `min_pool_size` initial slices at the clock's time.
-    /// The runtime traces into `trace`; `decider` is what
-    /// [`PoolRuntime::start`] takes for an application-level policy.
+    /// it asks for the `min_pool_size` initial slices at the clock's time,
+    /// with `decider` as [`PoolRuntime::start`] takes it.
     ///
     /// # Panics
     ///
-    /// Panics if the runtime cannot start: the master is down or the
-    /// cluster has no free slice.
+    /// Panics if the master is down or the cluster has no free slice.
     pub fn start(
         config: PoolConfig,
         cluster: &ClusterHandle,
-        (clock, net): (&Arc<VirtualClock>, &InProcNetwork),
+        clock: &Arc<VirtualClock>,
+        net: &InProcNetwork,
         trace: &TraceHandle,
         decider: Option<Box<dyn Decider>>,
     ) -> FluidPool {
@@ -103,23 +95,21 @@ impl FluidPool {
     /// so a poll answered now is decided now.
     pub fn answer(&mut self, now: SimTime, report: impl Fn(u64) -> LoadReport) {
         let (poll, drain) = (RmiMessage::PollLoad.encode(), RmiMessage::Shutdown.encode());
-        let mut drained = Vec::new();
-        for (&uid, mailbox) in &self.members {
+        self.members.retain(|&uid, mailbox| {
+            let mut serving = true;
             while let Ok(d) = mailbox.try_recv() {
                 let reply = if d.payload == poll {
                     RmiMessage::Load(report(uid))
                 } else if d.payload == drain {
-                    drained.push(uid);
+                    serving = false;
                     RmiMessage::ShutdownReady { uid }
                 } else {
                     continue;
                 };
                 let _ = self.net.send(mailbox.id(), d.from, reply.encode());
             }
-        }
-        for uid in drained {
-            self.members.remove(&uid);
-        }
+            serving
+        });
         self.step(now);
     }
 
@@ -138,17 +128,13 @@ impl FluidPool {
 /// A fluid member's load report: `busy` percent of CPU, RAM at 0.8 × that
 /// (buffers scale with in-flight work), and its `changePoolSize` vote.
 pub fn load(uid: u64, busy: f32, fine_vote: Option<i32>) -> LoadReport {
+    let ram = busy * 0.8;
     LoadReport {
         uid,
-        pending: 0,
         busy,
-        ram: busy * 0.8,
+        ram,
         fine_vote,
-        expired: 0,
-        method_stats: Vec::new(),
-        rejected: 0,
-        queue_delay_p50_us: 0,
-        queue_delay_p99_us: 0,
+        ..LoadReport::default()
     }
 }
 

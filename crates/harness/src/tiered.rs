@@ -76,13 +76,6 @@ struct Tier {
     meter: AgilityMeter,
 }
 
-impl Tier {
-    /// Objects this tier needs for `rate` at the controllers' headroom.
-    fn need(&self, rate: f64) -> f64 {
-        (rate / (self.app.per_object_capacity * 0.9)).ceil()
-    }
-}
-
 /// The §3.3 `Decider` of tier `tier`: sees both tiers' needs and, when
 /// their sum exceeds the cluster, gives each its proportional share of it,
 /// rounded to nearest and never below the protocol floor of 2.
@@ -100,15 +93,17 @@ fn proportional_share(needs: Arc<Mutex<[f64; 2]>>, tier: usize, budget: f64) -> 
 /// two workloads phase-shifted so their peaks collide only part of the time.
 pub fn run_tiered(coordination: TierCoordination, seed: u64) -> TieredResult {
     const TICK: SimDuration = SimDuration::from_secs(10);
+    // The back tier's cycle is phase-shifted ~1/3.
+    const TIERS: [(AppKind, &str, u64); 2] = [
+        (AppKind::Marketcetera, "front", 0),
+        (AppKind::Dcs, "back", 170),
+    ];
 
-    let front_peak = AppKind::Marketcetera
-        .model()
-        .peak_objects(AppKind::Marketcetera.model().point_a * erm_workloads::paper::POINT_B_FACTOR);
-    let back_peak = AppKind::Dcs
-        .model()
-        .peak_objects(AppKind::Dcs.model().point_a * erm_workloads::paper::POINT_B_FACTOR);
+    let peak =
+        |app: &AppModel| app.peak_objects(app.point_a * erm_workloads::paper::POINT_B_FACTOR);
+    let peaks = TIERS.map(|(kind, ..)| peak(&kind.model()));
     // The scarce cluster: 70% of combined peak.
-    let cluster_slices = ((front_peak + back_peak) as f64 * 0.7) as u32;
+    let cluster_slices = ((peaks[0] + peaks[1]) as f64 * 0.7) as u32;
     let cluster = ClusterHandle::new(ResourceManager::new(ClusterConfig {
         nodes: cluster_slices,
         slices_per_node: 1,
@@ -117,68 +112,43 @@ pub fn run_tiered(coordination: TierCoordination, seed: u64) -> TieredResult {
         ..ClusterConfig::default()
     }));
     let (clock, net) = (Arc::new(VirtualClock::new()), InProcNetwork::new());
+    let trace = TraceHandle::disabled();
     // Both tiers' needs at the last tick, what the global Deciders see.
     let needs = Arc::new(Mutex::new([0.0; 2]));
 
     // Each tier starts at, and never shrinks below, what it needs at t = 0.
-    // The back tier's cycle is phase-shifted ~1/3.
-    let mk_tier = |tier: usize, app_kind: AppKind, label: &str, max_pool: u32, shift| {
-        let app = app_kind.model();
+    let mut tiers = [0, 1].map(|i| {
+        let (kind, label, shift) = TIERS[i];
+        let app = kind.model();
         let workload = WorkloadBuilder::new(PatternKind::Cyclic, app.point_a)
             .noise(0.04)
             .seed(derive_seed(seed, label))
             .build();
-        let base = Deployment::ElasticRmi.pool_config(&app, max_pool);
+        let base = Deployment::ElasticRmi.pool_config(&app, peaks[i] + 4);
         let start = app.req_min(workload.rate_at(SimTime::ZERO), 0) as u32;
-        let (policy, decider) = match coordination {
-            TierCoordination::LocalControllers => (base.policy(), None),
-            TierCoordination::GlobalDecider => {
-                let decider =
-                    proportional_share(Arc::clone(&needs), tier, f64::from(cluster_slices));
-                (
-                    ScalingPolicy::AppLevel,
-                    Some(Box::new(decider) as Box<dyn Decider>),
-                )
-            }
-        };
+        let decider = (coordination == TierCoordination::GlobalDecider).then(|| {
+            let share = proportional_share(Arc::clone(&needs), i, f64::from(cluster_slices));
+            Box::new(share) as Box<dyn Decider>
+        });
         let config = PoolConfig::builder(app.name)
             .min_pool_size(start.max(base.min_pool_size()))
-            .max_pool_size(max_pool)
-            .policy(policy)
+            .max_pool_size(base.max_pool_size())
+            .policy(
+                decider
+                    .as_ref()
+                    .map_or(base.policy(), |_| ScalingPolicy::AppLevel),
+            )
             .burst_interval(base.burst_interval())
             .build()
             .expect("valid tier config");
-        let pool = FluidPool::start(
-            config,
-            &cluster,
-            (&clock, &net),
-            &TraceHandle::disabled(),
-            decider,
-        );
         Tier {
+            pool: FluidPool::start(config, &cluster, &clock, &net, &trace, decider),
             app,
             workload,
-            shift,
-            pool,
+            shift: SimDuration::from_minutes(shift),
             meter: AgilityMeter::paper_default(),
         }
-    };
-    let mut tiers = [
-        mk_tier(
-            0,
-            AppKind::Marketcetera,
-            "front",
-            front_peak + 4,
-            SimDuration::ZERO,
-        ),
-        mk_tier(
-            1,
-            AppKind::Dcs,
-            "back",
-            back_peak + 4,
-            SimDuration::from_minutes(170),
-        ),
-    ];
+    });
 
     // Local controllers vote their tier's demand against its rotation; the
     // global Deciders need no vote.
@@ -197,7 +167,8 @@ pub fn run_tiered(coordination: TierCoordination, seed: u64) -> TieredResult {
         let rates = tiers
             .each_ref()
             .map(|tier| tier.workload.noisy_rate_at(now + tier.shift));
-        *needs.lock().expect("needs lock") = [tiers[0].need(rates[0]), tiers[1].need(rates[1])];
+        *needs.lock().expect("needs lock") =
+            [0, 1].map(|i| (rates[i] / (tiers[i].app.per_object_capacity * 0.9)).ceil());
         let minute = now.as_minutes_f64() as u64;
         for (tier, rate) in tiers.iter_mut().zip(rates) {
             answer(tier, now, rate);
@@ -285,10 +256,8 @@ mod tests {
         assert!(r.back.mean_agility() < 30.0);
     }
 
-    /// FNV-1a digest of `render_tiered(3)`: the §3.3 rows are pinned
-    /// exactly, as `tests/harness_golden.rs` pins the scenarios. It did not
-    /// move when the tiers stopped running a private control loop with
-    /// clamped fine votes and started running two production pool runtimes,
+    /// FNV-1a digest of `render_tiered(3)`. It did not move when the tiers
+    /// left their private control loop for two production pool runtimes,
     /// the global mode under a real `Decider`.
     const RENDER_DIGEST: u64 = 0xe28e_7c7a_bac4_eab7;
 

@@ -49,3 +49,10 @@ pub fn wait_until(secs: u64, mut cond: impl FnMut() -> bool) -> bool {
     }
     cond()
 }
+
+/// FNV-1a of `text`: the digest the golden tests pin rendered output by.
+pub fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}

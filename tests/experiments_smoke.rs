@@ -34,6 +34,8 @@
 //! | DCS cyclic ElasticRMI | 2.11 / 0.02 | 2.08 / 0.02 |
 //! | DCS cyclic CloudWatch | 9.59 / 2.26 | 9.41 / 1.86 |
 
+mod common;
+
 use erm_apps::AppKind;
 use erm_harness::{run_experiment, Deployment, ExperimentConfig, FigureId};
 use erm_workloads::PatternKind;
@@ -165,12 +167,6 @@ fn provisioning_latency_grows_with_workload() {
 /// FNV-1a digest of the rendered §5.5 table at seed 3.
 const GRID_DIGEST: u64 = 0x3193_c1e3_4a39_48b4;
 
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 #[test]
 fn summary_table_runs_the_full_grid() {
     let rows = erm_harness::summary_table(3);
@@ -186,10 +182,10 @@ fn summary_table_runs_the_full_grid() {
     }
     let text = erm_harness::format_summary(&rows);
     assert_eq!(
-        fnv1a(&text),
+        common::fnv1a(&text),
         GRID_DIGEST,
         "the seed-3 table moved to {:#018x}:\n{text}",
-        fnv1a(&text)
+        common::fnv1a(&text)
     );
     // Every (app, pattern) block has the oracle worst on average.
     for app in AppKind::ALL {

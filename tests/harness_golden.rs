@@ -101,17 +101,13 @@
 //!   sharded-quick    report [0xb7822dd7b8429cfa, 0xb2f5bb9c734f849e, 0x8f3e5ae4e88c37d5]
 //!   sharded-quick    csv    [0xd6623530e500a3f5, 0x596895441dfc9aa2, 0x1fe409d89c2b97e5]
 
+mod common;
+
 use erm_harness::{
     render_overload, run_churn, run_elastic_overload, run_sharded, run_warmpool, ElasticOverloadRun,
 };
 
 const SEEDS: [u64; 3] = [7, 99, 2026];
-
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
-        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// `(scenario, artifact, [digest for seed 7, 99, 2026])`.
 const GOLDEN: [(&str, &str, [u64; 3]); 14] = [
@@ -233,7 +229,7 @@ fn every_scenario_artifact_matches_its_recorded_digest() {
                     .iter_mut()
                     .find(|(s, a, _)| *s == scenario && *a == artifact)
                     .expect("every artifact has a golden row");
-                row.2[i] = fnv1a(&text);
+                row.2[i] = common::fnv1a(&text);
             }
         }
     }
