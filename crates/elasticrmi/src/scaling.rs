@@ -122,8 +122,7 @@ impl ScalingEngine {
         self.decide_explained(sample)
     }
 
-    /// The pure decision function, ignoring pacing. Exposed for tests and
-    /// for harnesses that do their own scheduling.
+    /// The pure decision function, ignoring pacing. Exposed for tests.
     pub fn decide(&self, sample: &PoolSample) -> ScalingDecision {
         self.decide_explained(sample).0
     }

@@ -23,7 +23,7 @@ use erm_sim::{Clock, SharedClock, SimTime, VirtualClock};
 use erm_transport::{InProcNetwork, Mailbox, Network};
 
 /// A [`PoolRuntime`] whose members answer with driver-computed load.
-pub struct FluidPool {
+pub(crate) struct FluidPool {
     runtime: PoolRuntime,
     handle: PoolHandle,
     clock: Arc<VirtualClock>,
@@ -42,7 +42,7 @@ impl FluidPool {
     /// # Panics
     ///
     /// Panics if the master is down or the cluster has no free slice.
-    pub fn start(
+    pub(crate) fn start(
         config: PoolConfig,
         cluster: &ClusterHandle,
         clock: &Arc<VirtualClock>,
@@ -71,14 +71,14 @@ impl FluidPool {
     }
 
     /// Members in the rotation: the published pool size.
-    pub fn size(&self) -> u32 {
+    pub(crate) fn size(&self) -> u32 {
         self.handle.size()
     }
 
     /// One turn of the runtime at `now`, with the clock moved there: grants
     /// ready by then join, and a due poll goes out. Does nothing once the
     /// shutdown has completed.
-    pub fn step(&mut self, now: SimTime) {
+    pub(crate) fn step(&mut self, now: SimTime) {
         if self.due.is_none() {
             return;
         }
@@ -93,7 +93,7 @@ impl FluidPool {
     /// `report(uid)`, a `Shutdown` with `ShutdownReady` — and drops every
     /// other message (the broadcasts) undecoded. Then steps again at `now`,
     /// so a poll answered now is decided now.
-    pub fn answer(&mut self, now: SimTime, report: impl Fn(u64) -> LoadReport) {
+    pub(crate) fn answer(&mut self, now: SimTime, report: impl Fn(u64) -> LoadReport) {
         let (poll, drain) = (RmiMessage::PollLoad.encode(), RmiMessage::Shutdown.encode());
         self.members.retain(|&uid, mailbox| {
             let mut serving = true;
@@ -115,7 +115,7 @@ impl FluidPool {
 
     /// Ends the pool through the runtime's own shutdown, from `now`: every
     /// member drains and acknowledges, and the runtime releases its slices.
-    pub fn shut_down(&mut self, now: SimTime) {
+    pub(crate) fn shut_down(&mut self, now: SimTime) {
         self.handle.shutdown();
         let mut at = Some(now);
         while let Some(now) = at {
@@ -127,7 +127,7 @@ impl FluidPool {
 
 /// A fluid member's load report: `busy` percent of CPU, RAM at 0.8 × that
 /// (buffers scale with in-flight work), and its `changePoolSize` vote.
-pub fn load(uid: u64, busy: f32, fine_vote: Option<i32>) -> LoadReport {
+pub(crate) fn load(uid: u64, busy: f32, fine_vote: Option<i32>) -> LoadReport {
     let ram = busy * 0.8;
     LoadReport {
         uid,

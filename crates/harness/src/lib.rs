@@ -11,7 +11,7 @@
 //! The control loop under test is the *real* middleware: every scenario
 //! and every figure runs the production pool runtime
 //! ([`elasticrmi::PoolRuntime`]) with production `PoolConfig`s on a virtual
-//! clock. The figures' members are fluid ([`fluid::FluidPool`]): they
+//! clock. The figures' members are fluid (a `FluidPool`, `fluid.rs`): they
 //! answer the runtime's load polls with utilization computed from the
 //! offered rate instead of executing requests, so a 500-minute experiment
 //! runs in well under a second. The scenarios run real skeletons on the
@@ -21,7 +21,7 @@ pub mod churn;
 pub mod deployment;
 pub mod experiment;
 pub mod figures;
-pub mod fluid;
+mod fluid;
 pub mod invariants;
 pub mod overload;
 pub mod rig;

@@ -9,7 +9,7 @@
 //!
 //! This module reproduces the scenario that motivates the `Decider`: two
 //! elastic pools (a front tier and a back tier) sharing one cluster that is
-//! **too small for both peaks**. Each tier is a [`FluidPool`], the
+//! **too small for both peaks**. Each tier is a `FluidPool`, the
 //! production pool runtime with fluid members. Local fine-grained
 //! controllers race for slices first-come-first-served; under
 //! [`ScalingPolicy::AppLevel`], a real [`Decider`] per tier splits the

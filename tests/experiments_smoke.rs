@@ -10,7 +10,7 @@
 //! The digest moved once, when the figures stopped running a private fluid
 //! control loop (its own grant loop, 5 s drain queue and hand-driven
 //! `ScalingEngine`) and started running the production pool runtime with
-//! fluid members (`erm_harness::fluid::FluidPool`). The runtime starts a
+//! fluid members (`FluidPool`, `crates/harness/src/fluid.rs`). The runtime starts a
 //! pool at its `min_pool_size`, so an elastic pool's minimum is now the
 //! workload's t = 0 need: the start size the old loop used, and now also a
 //! floor the slow CloudWatch pool no longer shrinks under in the cyclic
