@@ -5,10 +5,10 @@
 //! in well under a second and are bit-for-bit reproducible from the seed.
 //!
 //! Fidelity note: the *control loop under test is the production pool
-//! runtime* — a `FluidPool` (`fluid.rs`) runs [`elasticrmi::PoolRuntime`] with the
-//! same `PoolConfig`s the threaded runtime uses, as a tenant of the real
-//! [`erm_cluster::ResourceManager`] with per-deployment provisioning
-//! latency. Its poll, scaling decision, grants, joins and drain handshake
+//! runtime* — a `FluidPool` (`fluid.rs`) runs [`elasticrmi::PoolRuntime`]
+//! with the same `PoolConfig`s the threaded runtime uses, as a tenant of
+//! the real [`erm_cluster::ResourceManager`] with per-deployment
+//! provisioning latency. Its poll, scaling decision, grants, joins and drain handshake
 //! are the runtime's own, and each member votes with
 //! [`erm_apps::demand_vote`], the function the applications'
 //! `change_pool_size` overrides call. Only the *members* are fluid:

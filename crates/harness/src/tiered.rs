@@ -35,8 +35,9 @@ pub enum TierCoordination {
     /// Each tier runs its own fine-grained controller; slices go to whoever
     /// asks first.
     LocalControllers,
-    /// One application-level `Decider` sees both tiers' demand and splits
-    /// the scarce cluster proportionally (the paper's §3.3 mechanism).
+    /// Each tier's application-level `Decider` sees both tiers' demand and
+    /// gives its tier a proportional share of the scarce cluster (the
+    /// paper's §3.3 mechanism).
     GlobalDecider,
 }
 
