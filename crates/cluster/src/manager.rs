@@ -294,8 +294,8 @@ impl ResourceManager {
     }
 
     /// The earliest instant a grant still provisioning becomes ready, for
-    /// any tenant: when a driver that steps on its own tick must step in
-    /// between to take that grant at its ready instant. `None` when
+    /// any tenant: when a caller that steps a pool on its own tick must
+    /// step it in between to take that grant at its ready instant. `None` when
     /// nothing is provisioning.
     pub fn next_ready(&self) -> Option<SimTime> {
         self.leases

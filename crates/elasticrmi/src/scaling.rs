@@ -1,7 +1,7 @@
 //! The scaling decision engine (paper §2.5, §3).
 //!
 //! Deliberately pure: the engine consumes a [`PoolSample`] and emits a
-//! [`ScalingDecision`], with no I/O of its own. Its one driver is the pool
+//! [`ScalingDecision`], with no I/O of its own. Its one caller is the pool
 //! runtime ([`crate::PoolRuntime`]), which the threaded pool, the harness's
 //! virtual-clock scenarios and the fluid agility experiments all run —
 //! which is what makes the reproduced agility figures evidence about the

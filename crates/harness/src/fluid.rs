@@ -5,8 +5,8 @@
 //! cluster tenant: grants, joins, the load poll, the scaling decision, the
 //! drain handshake and every release are the runtime's own. Only the
 //! members are fluid: each keeps its mailbox but never runs its skeleton,
-//! and [`FluidPool::answer`] replies with a load the driver computed from
-//! the offered rate. Stepped on the driver's tick and at each grant's
+//! and [`FluidPool::answer`] replies with a load its caller computed from
+//! the offered rate. Stepped on its caller's tick and at each grant's
 //! ready instant, a 450-minute run takes a few thousand steps.
 
 use std::collections::BTreeMap;
@@ -22,7 +22,7 @@ use erm_metrics::{MetricsHandle, TraceHandle};
 use erm_sim::{Clock, SharedClock, SimTime, VirtualClock};
 use erm_transport::{InProcNetwork, Mailbox, Network};
 
-/// A [`PoolRuntime`] whose members answer with driver-computed load.
+/// A [`PoolRuntime`] whose members answer with caller-computed load.
 pub(crate) struct FluidPool {
     runtime: PoolRuntime,
     handle: PoolHandle,

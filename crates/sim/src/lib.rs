@@ -10,7 +10,7 @@
 //! [`TimeSeries`] for the recorded curves, and deterministic RNG helpers so
 //! every experiment is reproducible from a seed. What happens when is the
 //! production code's own business: the cluster manager books when each
-//! grant becomes ready, and a driver steps the pool runtime at those
+//! grant becomes ready, and the harness steps the pool runtime at those
 //! instants.
 //!
 //! # Example
