@@ -10,6 +10,8 @@
 //!   membership broadcasts (the JGroups substitute), rebalance directives
 //!   and the two-phase shutdown handshake of §2.5.
 
+use std::ops::Range;
+
 use erm_semantics::Semantics;
 use erm_sim::{SimDuration, SimTime};
 use erm_transport::{buffers, EndpointId};
@@ -293,54 +295,74 @@ impl RmiMessage {
         erm_transport::from_bytes(bytes)
     }
 
-    /// [`RmiMessage::decode`] for a receiver that owns the payload: the
-    /// arguments of a `Request` are the tail of its encoding, so they stay
-    /// in the payload's buffer (moved to its front) instead of being copied
-    /// into a second one of the same size.
-    pub(crate) fn decode_owned(mut payload: Vec<u8>) -> Result<Self, erm_transport::WireError> {
-        let Some((call, context, method, args_at)) = Self::request_head(&payload) else {
-            return Self::decode(&payload);
-        };
-        payload.drain(..args_at);
-        Ok(RmiMessage::Request {
-            call,
-            context,
-            method,
-            args: payload,
-        })
-    }
-
-    /// The fields of a well-formed `Request` ahead of its argument bytes,
-    /// and where those start. `None` for everything else, malformed
-    /// requests included: the general decoder names the error.
-    fn request_head(bytes: &[u8]) -> Option<(CallId, InvocationContext, String, usize)> {
+    /// Where a well-formed `Request`'s fields lie in its encoding, read
+    /// without copying any of them: the skeleton keeps the payload as
+    /// delivered and dispatches the method name and the arguments where
+    /// they landed. The name is checked to be UTF-8 here. `None` for
+    /// everything else, malformed requests included: the general decoder
+    /// names the error.
+    pub(crate) fn request_head(bytes: &[u8]) -> Option<RequestHead> {
         let mut input = bytes;
         if u32::deserialize(&mut input).ok()? != 0 {
             return None;
         }
         let call = CallId::deserialize(&mut input).ok()?;
         let context = InvocationContext::deserialize(&mut input).ok()?;
-        let method = String::deserialize(&mut input).ok()?;
+        // The name's bytes follow its `u32` length.
+        let method_at = bytes.len() - input.len() + 4;
+        let method = <&str>::deserialize(&mut input).ok()?;
+        let method = method_at..method_at + method.len();
         let args_len = u32::deserialize(&mut input).ok()? as usize;
-        (input.len() == args_len).then(|| (call, context, method, bytes.len() - args_len))
+        (input.len() == args_len).then(|| RequestHead {
+            call,
+            context,
+            method,
+            args: bytes.len() - args_len..bytes.len(),
+        })
     }
+}
+
+/// The fields of an encoded `Request` ahead of its argument bytes, and
+/// where its method name and its arguments lie in the encoding.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct RequestHead {
+    pub(crate) call: CallId,
+    pub(crate) context: InvocationContext,
+    /// The method name's bytes, checked to be UTF-8.
+    pub(crate) method: Range<usize>,
+    pub(crate) args: Range<usize>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Both decoders return `msg` from its encoding, and reject every
-    /// strict prefix of it and it with one trailing byte.
+    /// The decoder returns `msg` from its encoding, and rejects every
+    /// strict prefix of it and it with one trailing byte. `request_head`
+    /// finds a request's fields in the encoding, and nothing in the rest.
     fn roundtrip(msg: RmiMessage) {
         let bytes = msg.encode();
         let prefixes = (0..bytes.len()).map(|n| bytes[..n].to_vec());
         for bad in prefixes.chain([[bytes.as_slice(), &[0]].concat()]) {
             assert!(RmiMessage::decode(&bad).is_err(), "{msg:?} from {bad:?}");
-            assert!(RmiMessage::decode_owned(bad).is_err(), "{msg:?}");
+            assert_eq!(RmiMessage::request_head(&bad), None, "{msg:?}");
         }
         assert_eq!(RmiMessage::decode(&bytes).unwrap(), msg);
-        assert_eq!(RmiMessage::decode_owned(bytes).unwrap(), msg);
+        let head = RmiMessage::request_head(&bytes);
+        match &msg {
+            RmiMessage::Request {
+                call,
+                context,
+                method,
+                args,
+            } => {
+                let head = head.expect("a request's head");
+                assert_eq!((head.call, head.context), (*call, *context));
+                assert_eq!(&bytes[head.method], method.as_bytes());
+                assert_eq!(&bytes[head.args], &args[..]);
+            }
+            _ => assert_eq!(head, None, "{msg:?}"),
+        }
     }
 
     fn ctx() -> InvocationContext {
@@ -451,21 +473,23 @@ mod tests {
     }
 
     #[test]
-    fn owned_decode_keeps_request_args_in_place_and_agrees_on_malformed_input() {
+    fn request_head_locates_name_and_args_and_agrees_on_malformed_input() {
         let args: Vec<u8> = (0..5_000u32).map(|i| i as u8).collect();
         let good = RmiMessage::encode_request(9, &ctx(), "blob", &args);
-        let owned = good.clone();
-        let buffer = owned.as_ptr();
-        match RmiMessage::decode_owned(owned).unwrap() {
-            RmiMessage::Request { args: got, .. } => {
-                assert_eq!(got, args);
-                assert_eq!(got.as_ptr(), buffer, "the payload's buffer, not a copy");
-            }
-            other => panic!("decoded {other:?}"),
-        }
+        let head = RmiMessage::request_head(&good).unwrap();
+        assert_eq!((head.call, head.context), (9, ctx()));
+        assert_eq!(&good[head.method], b"blob");
+        assert_eq!(head.args, good.len() - args.len()..good.len());
+
+        // A name that is not UTF-8 is malformed, as the decoder says.
+        let mut latin1 = good.clone();
+        let name_at = good.len() - args.len() - 4 - "blob".len();
+        latin1[name_at] = 0xe9;
+        assert!(RmiMessage::decode(&latin1).is_err());
+        assert_eq!(RmiMessage::request_head(&latin1), None);
 
         // Every truncation, a trailing byte, and each length prefix off by
-        // one or absurd: the same verdict as the borrowing decoder.
+        // one or absurd: the decoder's verdict too.
         let head = good.len() - args.len();
         let mut bad: Vec<Vec<u8>> = (0..good.len()).map(|n| good[..n].to_vec()).collect();
         bad.push([good.as_slice(), &[0]].concat());
@@ -478,9 +502,8 @@ mod tests {
             }
         }
         for b in bad {
-            let expected = RmiMessage::decode(&b);
-            assert!(expected.is_err());
-            assert_eq!(RmiMessage::decode_owned(b), expected);
+            assert!(RmiMessage::decode(&b).is_err());
+            assert_eq!(RmiMessage::request_head(&b), None);
         }
     }
 

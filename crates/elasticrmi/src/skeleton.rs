@@ -30,6 +30,7 @@
 //! duplicate parked behind it.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -47,20 +48,49 @@ use serde::Serialize;
 
 use crate::api::{ElasticService, MethodCallStats, ServiceContext};
 use crate::error::RemoteError;
-use crate::message::{InvocationContext, LoadReport, MemberState, MethodStat, RmiMessage};
+use crate::message::{
+    InvocationContext, LoadReport, MemberState, MethodStat, RequestHead, RmiMessage,
+};
 use crate::shard::{ShardRing, ShardingTable};
 
 /// How long the receive loop blocks before re-checking control state.
 const POLL_TICK: Duration = Duration::from_millis(5);
 
 /// One attempt of an invocation, from its arrival until `settle` answers it.
-#[derive(Debug, Clone)]
+/// The request stays in the payload it was delivered in; the method name
+/// and the arguments are read where they lie.
+#[derive(Debug)]
 struct Attempt {
     from: EndpointId,
     call: u64,
     context: InvocationContext,
-    method: String,
-    args: Vec<u8>,
+    payload: Vec<u8>,
+    method: Range<usize>,
+    args: Range<usize>,
+}
+
+impl Attempt {
+    fn new(from: EndpointId, head: RequestHead, payload: Vec<u8>) -> Attempt {
+        Attempt {
+            from,
+            call: head.call,
+            context: head.context,
+            payload,
+            method: head.method,
+            args: head.args,
+        }
+    }
+
+    /// The method name. `request_head` checked it at intake, so this
+    /// cannot fail; re-checking its few bytes keeps the crate free of
+    /// `unsafe`.
+    fn method(&self) -> &str {
+        std::str::from_utf8(&self.payload[self.method.clone()]).expect("checked at intake")
+    }
+
+    fn args(&self) -> &[u8] {
+        &self.payload[self.args.clone()]
+    }
 }
 
 /// How an attempt ends. `settle` sends the message it makes to the origin
@@ -373,11 +403,20 @@ impl Skeleton {
         self.finished
     }
 
-    /// Decodes `datagram` and [`Skeleton::ingest`]s it (a malformed one is
-    /// dropped). Returns `true` when the skeleton should exit.
+    /// The one way a request enters the skeleton: a `Request` is kept in
+    /// the payload it was delivered in and goes through the five intake
+    /// stages (see the module doc); anything else is decoded and applied as
+    /// [`Skeleton::ingest`] applies it. A malformed datagram is dropped.
+    /// Returns `true` when the skeleton should exit.
     pub fn ingest_datagram(&mut self, datagram: Datagram, mailbox: &Mailbox) -> bool {
-        match RmiMessage::decode_owned(datagram.payload) {
-            Ok(msg) => self.ingest(datagram.from, msg, mailbox),
+        let Datagram { from, payload } = datagram;
+        if let Some(head) = RmiMessage::request_head(&payload) {
+            let pending = self.spend_drain_budget();
+            self.on_request(Attempt::new(from, head, payload), pending);
+            return self.end_intake();
+        }
+        match RmiMessage::decode(&payload) {
+            Ok(msg) => self.ingest_control(from, msg, mailbox),
             Err(_) => false, // malformed datagrams are dropped
         }
     }
@@ -385,39 +424,49 @@ impl Skeleton {
     /// Handles one message to completion: admits it via [`Skeleton::ingest`]
     /// and then pumps [`Skeleton::step`] until the run queue is empty.
     /// Returns `true` when the skeleton should exit. Exposed for
-    /// deterministic unit tests.
+    /// deterministic unit tests; a `Request` is encoded first, as
+    /// [`Skeleton::ingest`] says.
     pub fn handle(&mut self, from: EndpointId, msg: RmiMessage, mailbox: &Mailbox) -> bool {
         self.ingest(from, msg, mailbox);
         while self.step() {}
         self.finished
     }
 
-    /// The intake half of the skeleton: control messages are applied
-    /// immediately; a `Request` goes through the five intake stages (see
-    /// the module doc) but is **not** executed. Returns `true` when the
-    /// skeleton should exit.
+    /// The intake half of the skeleton for a decoded message: control
+    /// messages are applied immediately; a `Request` is encoded and goes
+    /// through [`Skeleton::ingest_datagram`], the one request intake, which
+    /// runs the five intake stages (see the module doc) but does **not**
+    /// execute it. Returns `true` when the skeleton should exit.
     pub fn ingest(&mut self, from: EndpointId, msg: RmiMessage, mailbox: &Mailbox) -> bool {
-        // §2.5: every message that sat in the mailbox when `Shutdown`
-        // arrived spends one unit of the drain budget, whatever its kind; a
-        // request that spent one was pending, and is still executed.
+        if let RmiMessage::Request { .. } = msg {
+            let payload = msg.encode();
+            return self.ingest_datagram(Datagram { from, payload }, mailbox);
+        }
+        self.ingest_control(from, msg, mailbox)
+    }
+
+    /// §2.5: every message that sat in the mailbox when `Shutdown` arrived
+    /// spends one unit of the drain budget, whatever its kind. Returns
+    /// whether this one spent a unit: a request that did was pending, and
+    /// is still executed.
+    fn spend_drain_budget(&mut self) -> bool {
         let pending = self.drain_budget > 0;
         self.drain_budget = self.drain_budget.saturating_sub(1);
+        pending
+    }
+
+    /// What every intake ends with. Spending the last unit of the drain
+    /// budget, or a `Shutdown` with nothing pending, may end the drain.
+    fn end_intake(&mut self) -> bool {
+        self.check_drain_done();
+        self.sync_dedup_metrics();
+        self.finished
+    }
+
+    /// Applies one message of the discovery and control planes.
+    fn ingest_control(&mut self, from: EndpointId, msg: RmiMessage, mailbox: &Mailbox) -> bool {
+        self.spend_drain_budget();
         match msg {
-            RmiMessage::Request {
-                call,
-                context,
-                method,
-                args,
-            } => {
-                let attempt = Attempt {
-                    from,
-                    call,
-                    context,
-                    method,
-                    args,
-                };
-                self.on_request(attempt, pending);
-            }
             RmiMessage::PoolInfoRequest => {
                 let members: Vec<EndpointId> = self.members.iter().map(|m| m.endpoint).collect();
                 let uids: Vec<u64> = self.members.iter().map(|m| m.uid).collect();
@@ -483,8 +532,10 @@ impl Skeleton {
                 self.drain_budget = mailbox.len();
             }
             RmiMessage::Ping => self.send(from, RmiMessage::Pong),
-            // Messages a skeleton never consumes.
-            RmiMessage::Response { .. }
+            // Requests come in through `ingest_datagram`; the rest are
+            // messages a skeleton never consumes.
+            RmiMessage::Request { .. }
+            | RmiMessage::Response { .. }
             | RmiMessage::Redirected { .. }
             | RmiMessage::Overloaded { .. }
             | RmiMessage::WrongShard { .. }
@@ -493,11 +544,7 @@ impl Skeleton {
             | RmiMessage::ShutdownReady { .. }
             | RmiMessage::Pong => {}
         }
-        // Spending the last unit, or a `Shutdown` with nothing pending, may
-        // end the drain.
-        self.check_drain_done();
-        self.sync_dedup_metrics();
-        self.finished
+        self.end_intake()
     }
 
     /// The five intake stages, in order. Each either passes the attempt on
@@ -673,14 +720,14 @@ impl Skeleton {
         self.ctx.set_invocation(Some(attempt.context));
         let outcome = self
             .service
-            .dispatch(&attempt.method, &attempt.args, &mut self.ctx);
+            .dispatch(attempt.method(), attempt.args(), &mut self.ctx);
         self.ctx.set_invocation(None);
-        // The arguments still sit in the buffer the transport delivered
-        // them in; the next inbound payload of that size reuses it.
-        buffers::recycle(std::mem::take(&mut attempt.args));
         let end = self.clock.now();
         let latency = end.saturating_since(start);
-        self.interval.record(&attempt.method, latency.as_micros());
+        self.interval.record(attempt.method(), latency.as_micros());
+        // The request still sits in the buffer the transport delivered it
+        // in; the next inbound payload of that size reuses it.
+        buffers::recycle(std::mem::take(&mut attempt.payload));
         self.service_time_hist.record(latency);
         self.served_since_start += 1;
         // Server-side span anchor: lets trace consumers reconstruct the
@@ -722,7 +769,7 @@ impl Skeleton {
                 late_by,
             },
         );
-        let error = RemoteError::deadline_exceeded(&attempt.method, late_by);
+        let error = RemoteError::deadline_exceeded(attempt.method(), late_by);
         self.settle(&attempt, admitted, Ending::Expired(error));
     }
 

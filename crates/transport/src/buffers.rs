@@ -18,13 +18,24 @@
 //! that is never handed back is simply freed, and an empty pool allocates.
 //! Buffers under a page stay with the allocator, whose per-thread caches
 //! already recycle them without a lock.
+//!
+//! The same page-sized threshold splits the TCP path in two. A frame whose
+//! payload is at least `MIN_CAPACITY` (4 KiB) is *bulk*. The sending loop
+//! writes a bulk payload from the caller's own buffer with one vectored
+//! write, instead of copying it into its batch, and hands the buffer back
+//! here once it is on the wire. The receiving loop reads a bulk payload of
+//! up to `MAX_CAPACITY` (256 KiB) straight into a buffer taken from here,
+//! and delivers that buffer. Smaller frames are still coalesced on the way
+//! out and cut from the stream on the way in.
 
 use parking_lot::Mutex;
 
 /// Smaller buffers are not pooled (the allocator's thread cache serves them).
-const MIN_CAPACITY: usize = 4096;
+/// Also where a TCP frame's payload starts to be bulk (see the module doc).
+pub(crate) const MIN_CAPACITY: usize = 4096;
 /// Larger ones are not kept either: the allocator maps them individually.
-const MAX_CAPACITY: usize = 256 * 1024;
+/// Also the largest bulk payload the TCP reader reserves whole.
+pub(crate) const MAX_CAPACITY: usize = 256 * 1024;
 /// Buffers kept at most; the oldest makes room for a newer one.
 const MAX_SPARE: usize = 64;
 

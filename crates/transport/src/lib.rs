@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 //! RMI wire layer for the ElasticRMI reproduction (paper §2.3).
 //!

@@ -251,8 +251,33 @@ impl Drop for Waker {
 }
 
 // The write end travels to whichever threads need to nudge the loop.
+// SAFETY: a `Waker` is only an fd number; `wake` issues one `write(2)` on
+// it, which the kernel serializes, and the fd is closed once, by `Drop`.
 unsafe impl Send for Waker {}
+// SAFETY: `wake` takes `&self` and only writes to the pipe, which any
+// number of threads may do at once.
 unsafe impl Sync for Waker {}
+
+/// Reads at most `limit` bytes from `fd` straight into the spare capacity
+/// of `buf` (reserved first if short), and appends them to its contents:
+/// no intermediate buffer, and no zeroing of the bytes about to be
+/// overwritten. Returns the bytes read, 0 at end of stream.
+///
+/// # Errors
+///
+/// Propagates `read(2)` failures (`WouldBlock` on a drained nonblocking
+/// socket, `Interrupted` by a signal, connection errors).
+pub fn read_into(fd: RawFd, buf: &mut Vec<u8>, limit: usize) -> io::Result<usize> {
+    buf.reserve(limit);
+    let spare = buf.spare_capacity_mut();
+    // SAFETY: `spare` is writable memory of `spare.len() >= limit` bytes
+    // owned by `buf`, and `read(2)` writes at most `limit` bytes into it.
+    let n = unsafe { sys::read(fd, spare.as_mut_ptr().cast(), limit) };
+    let n = usize::try_from(n).map_err(|_| io::Error::last_os_error())?;
+    // SAFETY: the kernel initialized the first `n <= limit` spare bytes.
+    unsafe { buf.set_len(buf.len() + n) };
+    Ok(n)
+}
 
 #[cfg(test)]
 mod tests {

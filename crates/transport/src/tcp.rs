@@ -19,12 +19,24 @@
 //! core therefore drives hundreds of connections — the per-peer
 //! reader/writer thread pairs of the original implementation are gone, but
 //! the public API, the wire format, and the failure semantics are
-//! unchanged: a sent frame waits on its link as header fields beside the
-//! caller's payload `Vec` and first becomes wire bytes in the link's batch
-//! buffer, where queued frames coalesce into batched write syscalls (the
-//! payload's own buffer then goes back to [`crate::buffers`], which is also
-//! where the receiving loop gets the buffers it delivers payloads in); dead
-//! connections reconnect with bounded backoff (rewriting the in-flight
+//! unchanged. A sent frame waits on its link as header fields beside the
+//! caller's payload `Vec`. A small frame first becomes wire bytes in the
+//! link's batch buffer, where queued frames coalesce into batched write
+//! syscalls. A *bulk* frame, one whose payload is a page or more (the
+//! threshold at which [`crate::buffers`] pools buffers), ends its batch:
+//! its header joins the batch buffer and its payload is written from its
+//! own `Vec` by the same vectored write, so it is never copied in user
+//! space. Either way the payload's buffer then goes back to
+//! [`crate::buffers`].
+//!
+//! Reading is the mirror image. A connection's [`FrameReader`] reads into
+//! the spare capacity of its reassembly buffer and cuts small frames from
+//! it. Once a bulk frame's header is parsed, the rest of its payload is
+//! read straight into a buffer from [`crate::buffers`], which is delivered
+//! as the [`Datagram`]; the read after it asks for one header only, so the
+//! next bulk payload does not pass through the reassembly buffer either.
+//!
+//! Dead connections reconnect with bounded backoff (rewriting the in-flight
 //! batch, trading at-most-once for at-least-once on that boundary), and a
 //! peer whose every connect attempt failed is marked broken — which
 //! [`Network::endpoint_open`] surfaces so stubs can fail over instead of
@@ -42,8 +54,9 @@
 //! I/O, reconnect backoff, and readiness waits are real time by nature.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -57,7 +70,7 @@ use parking_lot::RwLock;
 
 use crate::buffers;
 use crate::endpoint::{Datagram, EndpointId, Mailbox, Network, SendError};
-use crate::poller::{Event, Interest, Poller, Waker};
+use crate::poller::{read_into, Event, Interest, Poller, Waker};
 
 /// Fixed part of a frame after the length word: `from` + `to` + `addr_len`.
 const FRAME_FIXED: usize = 8 + 8 + 2;
@@ -68,7 +81,9 @@ const MAX_BATCH_BYTES: usize = 64 * 1024;
 /// Largest frame the reassembler will accept; longer means a corrupt
 /// stream and the connection is dropped.
 const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
-/// Bytes read per `read(2)` on an inbound-ready connection.
+/// The most one `read(2)` asks for into a connection's reassembly buffer,
+/// and so the most that buffer reserves beyond the bytes that arrived. A
+/// bulk payload is read into its own buffer instead, as much as is missing.
 const READ_CHUNK: usize = 64 * 1024;
 /// Connection attempts per pending batch before the peer is declared broken.
 const CONNECT_ATTEMPTS: u32 = 5;
@@ -349,7 +364,6 @@ impl TcpHost {
                     listener,
                     inbound: HashMap::new(),
                     out: HashMap::new(),
-                    chunk: vec![0u8; READ_CHUNK],
                 }
                 .run();
             })?;
@@ -553,8 +567,9 @@ impl Network for TcpHost {
 }
 
 /// One outbound frame as it waits on a link: the header fields and the
-/// caller's payload `Vec` as handed to `send`. The wire bytes exist only in
-/// the batch buffer, where [`QueuedFrame::write_to`] puts them.
+/// caller's payload `Vec` as handed to `send`. The header's wire bytes exist
+/// only in the batch buffer, where [`QueuedFrame::write_header`] puts them;
+/// the payload joins them there unless it is bulk.
 #[derive(Debug)]
 struct QueuedFrame {
     from: EndpointId,
@@ -587,24 +602,29 @@ impl QueuedFrame {
         4 + self.len as usize
     }
 
-    /// Appends the wire frame (see the module doc) to a batch buffer.
-    /// `advertised` is the host's, the one `new` checked and sized `len` for.
-    fn write_to(&self, out: &mut Vec<u8>, advertised: &[u8]) {
+    /// Whether the payload is written from its own buffer rather than
+    /// copied into the batch.
+    fn is_bulk(&self) -> bool {
+        self.payload.len() >= buffers::MIN_CAPACITY
+    }
+
+    /// Appends the frame's header, everything ahead of the payload (see the
+    /// module doc), to a batch buffer. `advertised` is the host's, the one
+    /// `new` checked and sized `len` for.
+    fn write_header(&self, out: &mut Vec<u8>, advertised: &[u8]) {
         out.extend_from_slice(&self.len.to_le_bytes());
         out.extend_from_slice(&self.from.0.to_le_bytes());
         out.extend_from_slice(&self.to.0.to_le_bytes());
         out.extend_from_slice(&(advertised.len() as u16).to_le_bytes());
         out.extend_from_slice(advertised);
-        out.extend_from_slice(&self.payload);
     }
 }
 
-/// One accepted inbound connection plus its reassembly buffer.
+/// One accepted inbound connection and the reader of its frames.
 #[derive(Debug)]
 struct InboundConn {
     stream: TcpStream,
-    buf: Vec<u8>,
-    advertised: Advertised,
+    reader: FrameReader,
 }
 
 /// The advertised address a connection's frames last carried, as bytes and
@@ -619,12 +639,13 @@ struct OutLink {
     conn: Option<TcpStream>,
     /// Frames peers push back on the outbound socket (unusual but legal);
     /// also where a peer's FIN is observed.
-    read_buf: Vec<u8>,
-    read_advertised: Advertised,
-    /// The batch currently being written: coalesced frames, a cursor, and
-    /// per-frame end offsets so `frames_sent` counts a frame exactly once
-    /// even across partial writes and whole-batch rewrites.
+    reader: FrameReader,
+    /// The batch currently being written: coalesced frames, then at most
+    /// one bulk payload written from its own buffer; a cursor over both;
+    /// and per-frame end offsets so `frames_sent` counts a frame exactly
+    /// once even across partial writes and whole-batch rewrites.
     scratch: Vec<u8>,
+    bulk: Option<Vec<u8>>,
     scratch_off: usize,
     scratch_frames: Vec<usize>,
     scratch_sent: usize,
@@ -640,9 +661,9 @@ impl OutLink {
         OutLink {
             shared,
             conn: None,
-            read_buf: Vec::new(),
-            read_advertised: None,
+            reader: FrameReader::default(),
             scratch: Vec::new(),
+            bulk: None,
             scratch_off: 0,
             scratch_frames: Vec::new(),
             scratch_sent: 0,
@@ -653,9 +674,25 @@ impl OutLink {
         }
     }
 
-    /// Anything left to deliver (scratch remainder or queued frames)?
+    /// Bytes in the batch: the scratch buffer, then the bulk payload.
+    fn batch_len(&self) -> usize {
+        self.scratch.len() + self.bulk.as_ref().map_or(0, Vec::len)
+    }
+
+    /// Anything left to deliver (batch remainder or queued frames)?
     fn has_pending(&self) -> bool {
-        self.scratch_off < self.scratch.len() || !self.shared.queue.lock().is_empty()
+        self.scratch_off < self.batch_len() || !self.shared.queue.lock().is_empty()
+    }
+
+    /// Empties the batch; a bulk payload's buffer goes back to `buffers`.
+    fn clear_batch(&mut self) {
+        self.scratch.clear();
+        if let Some(payload) = self.bulk.take() {
+            buffers::recycle(payload);
+        }
+        self.scratch_frames.clear();
+        self.scratch_off = 0;
+        self.scratch_sent = 0;
     }
 
     /// Tears down the connection so the next `drive_connects` pass
@@ -683,7 +720,6 @@ struct EventLoop {
     listener: TcpListener,
     inbound: HashMap<RawFd, InboundConn>,
     out: HashMap<SocketAddr, OutLink>,
-    chunk: Vec<u8>,
 }
 
 impl EventLoop {
@@ -810,8 +846,10 @@ impl EventLoop {
     }
 
     /// Writes as much of the link's pending output as the socket accepts:
-    /// refills the scratch batch from the queue, issues nonblocking
-    /// writes, and re-arms write interest on `EWOULDBLOCK`.
+    /// refills the batch from the queue, issues nonblocking writes, and
+    /// re-arms write interest on `EWOULDBLOCK`. A bulk frame ends its batch;
+    /// the batch's scratch bytes and its payload go out in one vectored
+    /// write.
     fn flush(&mut self, addr: SocketAddr) {
         let inner = Arc::clone(&self.inner);
         let Some(link) = self.out.get_mut(&addr) else {
@@ -821,11 +859,8 @@ impl EventLoop {
             return;
         }
         loop {
-            if link.scratch_off == link.scratch.len() {
-                link.scratch.clear();
-                link.scratch_frames.clear();
-                link.scratch_off = 0;
-                link.scratch_sent = 0;
+            if link.scratch_off == link.batch_len() {
+                link.clear_batch();
                 let mut taken = 0usize;
                 {
                     let mut queue = link.shared.queue.lock();
@@ -836,7 +871,14 @@ impl EventLoop {
                             break;
                         };
                         taken += frame.wire_len();
-                        frame.write_to(&mut link.scratch, &inner.advertised);
+                        frame.write_header(&mut link.scratch, &inner.advertised);
+                        if frame.is_bulk() {
+                            link.scratch_frames
+                                .push(link.scratch.len() + frame.payload.len());
+                            link.bulk = Some(frame.payload);
+                            break;
+                        }
+                        link.scratch.extend_from_slice(&frame.payload);
                         link.scratch_frames.push(link.scratch.len());
                         buffers::recycle(frame.payload);
                     }
@@ -860,14 +902,24 @@ impl EventLoop {
                 }
             }
             let conn = link.conn.as_mut().expect("checked above");
-            match conn.write(&link.scratch[link.scratch_off..]) {
+            let written = match &link.bulk {
+                None => conn.write(&link.scratch[link.scratch_off..]),
+                Some(payload) => {
+                    let (head, body) = match link.scratch_off.checked_sub(link.scratch.len()) {
+                        Some(into_body) => (&[][..], &payload[into_body..]),
+                        None => (&link.scratch[link.scratch_off..], &payload[..]),
+                    };
+                    conn.write_vectored(&[IoSlice::new(head), IoSlice::new(body)])
+                }
+            };
+            match written {
                 Ok(0) => {
                     link.drop_conn();
                     return;
                 }
                 Ok(n) => {
                     inner.count_batch();
-                    if n < link.scratch.len() - link.scratch_off {
+                    if n < link.batch_len() - link.scratch_off {
                         inner.count_partial();
                     }
                     link.scratch_off += n;
@@ -910,8 +962,7 @@ impl EventLoop {
                         stream.as_raw_fd(),
                         InboundConn {
                             stream,
-                            buf: Vec::new(),
-                            advertised: None,
+                            reader: FrameReader::default(),
                         },
                     );
                 }
@@ -929,9 +980,7 @@ impl EventLoop {
         let Some(conn) = self.inbound.get_mut(&fd) else {
             return;
         };
-        let open = read_available(&mut conn.stream, &mut conn.buf, &mut self.chunk);
-        let well_formed = parse_frames(&mut conn.buf, &mut conn.advertised, &inner).is_ok();
-        if !open || !well_formed || error {
+        if !conn.reader.read_from(&conn.stream, &inner) || error {
             self.inbound.remove(&fd);
         }
     }
@@ -945,13 +994,10 @@ impl EventLoop {
             let Some(link) = self.out.get_mut(&addr) else {
                 return;
             };
-            let Some(conn) = link.conn.as_mut() else {
+            let Some(conn) = link.conn.as_ref() else {
                 return;
             };
-            let open = read_available(conn, &mut link.read_buf, &mut self.chunk);
-            let well_formed =
-                parse_frames(&mut link.read_buf, &mut link.read_advertised, &inner).is_ok();
-            if !open || !well_formed || ev.error {
+            if !link.reader.read_from(conn, &inner) || ev.error {
                 link.drop_conn();
                 return;
             }
@@ -993,10 +1039,7 @@ fn give_up(link: &mut OutLink, inner: &HostInner) {
         (n, link.shared.queued_bytes.swap(0, Ordering::SeqCst))
     };
     inner.gauge_queued(-(cleared_bytes as i64));
-    link.scratch.clear();
-    link.scratch_frames.clear();
-    link.scratch_off = 0;
-    link.scratch_sent = 0;
+    link.clear_batch();
     link.want_write = false;
     if link.shared.backpressured.swap(false, Ordering::SeqCst) {
         inner.gauge_backpressure_cleared();
@@ -1012,106 +1055,243 @@ fn give_up(link: &mut OutLink, inner: &HostInner) {
     }
 }
 
-/// Nonblocking read of whatever the socket has into `buf`. Returns whether
-/// the connection is still open (false on EOF or a hard error).
-fn read_available(stream: &mut TcpStream, buf: &mut Vec<u8>, chunk: &mut [u8]) -> bool {
-    loop {
-        match stream.read(chunk) {
-            Ok(0) => return false,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                if n < chunk.len() {
-                    // Short read: the socket is (almost certainly) drained;
-                    // anything more re-arms via level-triggered readiness.
-                    return true;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
+/// Reassembles the frames of one connection's byte stream and delivers
+/// them, learning reply routes from their advertised addresses.
+///
+/// Small frames are read into `buf` and cut from it. Once a bulk frame's
+/// header has arrived, the rest of its payload is read into `body`'s own
+/// buffer, which becomes the delivered [`Datagram`]; the bytes of it that
+/// came in with the header are the only ones copied. The read after a bulk
+/// frame asks for one header only, so a run of bulk frames never passes
+/// through `buf`. A bulk payload above `buffers`' largest pooled size is
+/// reassembled in `buf` like a small one, so that what a peer announces is
+/// not reserved before it arrives.
+#[derive(Debug, Default)]
+struct FrameReader {
+    /// Bytes read and not yet cut into frames.
+    buf: Vec<u8>,
+    /// The bulk frame being read into its own buffer, if any.
+    body: Option<Frame>,
+    /// The last header parsed was a bulk frame's: read one header next.
+    header_next: bool,
+    /// The advertised address the connection's frames last carried.
+    advertised: Advertised,
 }
 
-/// Extracts every complete frame from `buf` (draining consumed bytes,
-/// keeping any trailing partial frame for the next read), learns reply
-/// routes from advertised addresses (`advertised` caches the connection's
-/// last one), and delivers payloads to local mailboxes.
-///
-/// # Errors
-///
-/// A nonsensical length or header means the stream is corrupt beyond
-/// resynchronization; the caller must drop the connection.
-fn parse_frames(
-    buf: &mut Vec<u8>,
-    advertised: &mut Advertised,
-    inner: &HostInner,
-) -> Result<(), ()> {
-    let mut consumed = 0usize;
-    let result = loop {
-        let avail = buf.len() - consumed;
-        if avail < 4 {
-            break Ok(());
+/// An inbound frame whose header has been parsed: where it goes, and its
+/// payload as far as it has arrived.
+#[derive(Debug)]
+struct Frame {
+    from: EndpointId,
+    to: EndpointId,
+    /// The header advertised an address to learn the sender's route from.
+    learn: bool,
+    payload: Vec<u8>,
+    len: usize,
+}
+
+/// The parsed header of one frame: everything ahead of its payload.
+struct Header {
+    from: EndpointId,
+    to: EndpointId,
+    /// Where the advertised address lies in the bytes parsed; the payload
+    /// starts where it ends.
+    addr: Range<usize>,
+    payload_len: usize,
+}
+
+impl FrameReader {
+    /// Reads whatever the socket has and delivers every frame completed.
+    /// Returns whether the connection is still usable: false on EOF, an
+    /// I/O error or a malformed stream, after which it must be dropped (a
+    /// partly read frame with it).
+    fn read_from(&mut self, stream: &TcpStream, inner: &HostInner) -> bool {
+        let fd = stream.as_raw_fd();
+        loop {
+            let (target, want) = match &mut self.body {
+                Some(body) => {
+                    let missing = body.len - body.payload.len();
+                    (&mut body.payload, missing)
+                }
+                None if self.header_next => {
+                    let want = self.header_want();
+                    (&mut self.buf, want)
+                }
+                None => (&mut self.buf, READ_CHUNK),
+            };
+            match read_into(fd, target, want) {
+                Ok(0) => return false,
+                Ok(n) => {
+                    if self.parse(inner).is_err() {
+                        return false;
+                    }
+                    if n < want {
+                        // Short read: the socket is (almost certainly)
+                        // drained; anything more re-arms via
+                        // level-triggered readiness.
+                        return true;
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
         }
-        let len =
-            u32::from_le_bytes(buf[consumed..consumed + 4].try_into().expect("4 bytes")) as usize;
-        if !(FRAME_FIXED..=MAX_FRAME_BYTES).contains(&len) {
-            break Err(()); // malformed frame
+    }
+
+    /// Bytes still missing from the next frame's header, guessing the
+    /// address length from the connection's last one until the header's
+    /// own has arrived. At least one, so a read never asks for nothing.
+    fn header_want(&self) -> usize {
+        let addr_len = match self.buf.get(4 + 16..4 + FRAME_FIXED) {
+            Some(raw) => u16::from_le_bytes(raw.try_into().expect("2 bytes")) as usize,
+            None => self.advertised.as_ref().map_or(0, |(raw, _)| raw.len()),
+        };
+        (4 + FRAME_FIXED + addr_len)
+            .saturating_sub(self.buf.len())
+            .max(1)
+    }
+
+    /// Delivers a bulk payload that is complete, then every complete frame
+    /// in `buf`; a bulk frame's header moves its payload's bytes so far into
+    /// a buffer of its own. Consumed bytes are drained from `buf`.
+    ///
+    /// # Errors
+    ///
+    /// A nonsensical length or header means the stream is corrupt beyond
+    /// resynchronization; the caller must drop the connection.
+    fn parse(&mut self, inner: &HostInner) -> Result<(), ()> {
+        if let Some(body) = self.body.take_if(|body| body.payload.len() == body.len) {
+            self.deliver(inner, body);
         }
-        if avail < 4 + len {
-            break Ok(());
+        if self.body.is_some() {
+            return Ok(());
         }
-        let frame = &buf[consumed + 4..consumed + 4 + len];
-        let from = EndpointId(u64::from_le_bytes(frame[0..8].try_into().expect("8 bytes")));
-        let to = EndpointId(u64::from_le_bytes(
-            frame[8..16].try_into().expect("8 bytes"),
-        ));
-        let addr_len = u16::from_le_bytes(frame[16..18].try_into().expect("2 bytes")) as usize;
-        if FRAME_FIXED + addr_len > len {
-            break Err(()); // malformed frame
-        }
-        // Learn the sender's listener address so replies route without any
-        // out-of-band registration.
-        if addr_len > 0 {
-            let raw = &frame[18..18 + addr_len];
-            if advertised.as_ref().is_none_or(|(seen, _)| seen[..] != *raw) {
-                *advertised = std::str::from_utf8(raw)
+        let mut consumed = 0usize;
+        let result = loop {
+            let Some(header) = parse_header(&self.buf[consumed..]).transpose() else {
+                break Ok(()); // header incomplete
+            };
+            let Ok(header) = header else {
+                break Err(()); // malformed frame
+            };
+            let raw = &self.buf[consumed..][header.addr.clone()];
+            let learn = !raw.is_empty();
+            if learn
+                && self
+                    .advertised
+                    .as_ref()
+                    .is_none_or(|(seen, _)| seen[..] != *raw)
+            {
+                self.advertised = std::str::from_utf8(raw)
                     .ok()
                     .and_then(|s| s.parse::<SocketAddr>().ok())
                     .map(|addr| (raw.to_vec(), addr));
             }
-            // The write locks are taken only to change a route, which after
-            // a connection's first frame is almost never.
-            if let Some(&(_, addr)) = advertised.as_ref() {
-                if inner.peers.read().get(&from) != Some(&addr) {
-                    inner.peers.write().insert(from, addr);
-                }
-                let sender_host = (from.0 >> 32) as u32;
-                if inner.host_routes.read().get(&sender_host) != Some(&addr) {
-                    inner.host_routes.write().insert(sender_host, addr);
-                }
+            let start = consumed + header.addr.end;
+            let len = header.payload_len;
+            let arrived = (self.buf.len() - start).min(len);
+            let bulk = (buffers::MIN_CAPACITY..=buffers::MAX_CAPACITY).contains(&len);
+            self.header_next = bulk;
+            if !bulk && arrived < len {
+                break Ok(()); // small payload incomplete
+            }
+            let mut payload = buffers::take(len);
+            payload.extend_from_slice(&self.buf[start..start + arrived]);
+            consumed = start + arrived;
+            let frame = Frame {
+                from: header.from,
+                to: header.to,
+                learn,
+                payload,
+                len,
+            };
+            if arrived < len {
+                self.body = Some(frame); // the rest is read into its buffer
+                break Ok(());
+            }
+            self.deliver(inner, frame);
+        };
+        if consumed > 0 {
+            self.buf.drain(..consumed);
+        }
+        result
+    }
+
+    /// Hands a complete frame's payload to its local mailbox, after
+    /// learning the sender's route from the connection's advertised address
+    /// (when the frame carried one) so replies route without any
+    /// out-of-band registration.
+    fn deliver(&self, inner: &HostInner, frame: Frame) {
+        let Frame {
+            from,
+            to,
+            learn,
+            payload,
+            ..
+        } = frame;
+        // The write locks are taken only to change a route, which after a
+        // connection's first frame is almost never.
+        if let Some(&(_, addr)) = self.advertised.as_ref().filter(|_| learn) {
+            if inner.peers.read().get(&from) != Some(&addr) {
+                inner.peers.write().insert(from, addr);
+            }
+            let sender_host = (from.0 >> 32) as u32;
+            if inner.host_routes.read().get(&sender_host) != Some(&addr) {
+                inner.host_routes.write().insert(sender_host, addr);
             }
         }
-        let bytes = &frame[FRAME_FIXED + addr_len..];
-        let mut payload = buffers::take(bytes.len());
-        payload.extend_from_slice(bytes);
         inner.count_received(1);
         if let Some(tx) = inner.local.read().get(&to) {
             let _ = tx.send(Datagram { from, payload });
         }
         // Unknown destination: frame dropped, like a NIC with no listener.
-        consumed += 4 + len;
-    };
-    if consumed > 0 {
-        buf.drain(..consumed);
     }
-    result
+}
+
+/// Parses the header at the front of `bytes`: `Ok(None)` while it is
+/// incomplete.
+///
+/// # Errors
+///
+/// A length outside the legal frame sizes, or an address longer than the
+/// frame.
+fn parse_header(bytes: &[u8]) -> Result<Option<Header>, ()> {
+    let Some(len) = bytes.get(..4) else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
+    if !(FRAME_FIXED..=MAX_FRAME_BYTES).contains(&len) {
+        return Err(());
+    }
+    let Some(fixed) = bytes.get(4..4 + FRAME_FIXED) else {
+        return Ok(None);
+    };
+    let from = EndpointId(u64::from_le_bytes(fixed[0..8].try_into().expect("8 bytes")));
+    let to = EndpointId(u64::from_le_bytes(
+        fixed[8..16].try_into().expect("8 bytes"),
+    ));
+    let addr_len = u16::from_le_bytes(fixed[16..18].try_into().expect("2 bytes")) as usize;
+    if FRAME_FIXED + addr_len > len {
+        return Err(());
+    }
+    let addr = 4 + FRAME_FIXED..4 + FRAME_FIXED + addr_len;
+    if bytes.len() < addr.end {
+        return Ok(None);
+    }
+    Ok(Some(Header {
+        from,
+        to,
+        addr,
+        payload_len: len - FRAME_FIXED - addr_len,
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::{eventually, recv_ready};
+    use std::io::Read;
 
     fn pair() -> (TcpHost, TcpHost) {
         let a = TcpHost::bind("127.0.0.1:0", 0).unwrap();
@@ -1372,6 +1552,73 @@ mod tests {
         assert_eq!(host.stats().preconnects, 0, "no connection was made");
         // With no route there is nothing to dial at all.
         assert!(!host.preconnect(EndpointId(u64::MAX)));
+    }
+
+    /// A connection into `host` whose peer sent the header of a frame for
+    /// `to` announcing `payload_len` bytes, then `sent` of them; and a
+    /// reader that has taken in all of it.
+    fn stalled_frame(
+        host: &TcpHost,
+        to: EndpointId,
+        payload_len: usize,
+        sent: usize,
+    ) -> (TcpStream, TcpStream, FrameReader) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let addr = b"127.0.0.1:9999";
+        let mut head = Vec::new();
+        head.extend_from_slice(&((FRAME_FIXED + addr.len() + payload_len) as u32).to_le_bytes());
+        head.extend_from_slice(&(9u64 << 32).to_le_bytes());
+        head.extend_from_slice(&to.0.to_le_bytes());
+        head.extend_from_slice(&(addr.len() as u16).to_le_bytes());
+        head.extend_from_slice(addr);
+        let header = head.len();
+        head.resize(header + sent, 7);
+        peer.write_all(&head).unwrap();
+        let mut reader = FrameReader::default();
+        eventually("the reader took in all the peer sent", || {
+            assert!(reader.read_from(&stream, &host.inner), "stream is open");
+            let arrived = match &reader.body {
+                Some(body) => body.payload.len(),
+                None => reader.buf.len().saturating_sub(header),
+            };
+            arrived == sent
+        });
+        (peer, stream, reader)
+    }
+
+    #[test]
+    fn an_announced_frame_is_not_reserved_before_it_arrives() {
+        // A peer announces the largest legal frame, sends 10 payload bytes
+        // and stalls. The reader holds what arrived plus at most one read's
+        // worth, as when every frame was reassembled in one buffer. When the
+        // peer then closes, the partial frame is dropped, not delivered; so
+        // is a bulk frame cut short halfway, read into its own buffer.
+        let host = TcpHost::bind("127.0.0.1:0", 0).unwrap();
+        let (to, mailbox) = host.open_endpoint();
+        let huge = MAX_FRAME_BYTES - FRAME_FIXED - "127.0.0.1:9999".len();
+        for (payload_len, sent) in [(huge, 10), (100_000, 50_000)] {
+            let (peer, stream, mut reader) = stalled_frame(&host, to, payload_len, sent);
+            let held = reader.buf.len() + reader.body.as_ref().map_or(0, |b| b.payload.len());
+            let reserved =
+                reader.buf.capacity() + reader.body.as_ref().map_or(0, |b| b.payload.capacity());
+            if payload_len == huge {
+                assert!(
+                    reserved <= held + READ_CHUNK,
+                    "reserved {reserved} bytes for {held} arrived"
+                );
+            } else {
+                assert!(reader.body.is_some(), "a bulk payload has its own buffer");
+            }
+            drop(peer);
+            eventually("the reader sees the close", || {
+                !reader.read_from(&stream, &host.inner)
+            });
+        }
+        assert!(mailbox.try_recv().is_err(), "partial frames are dropped");
+        assert_eq!(host.stats().frames_received, 0);
     }
 
     #[test]

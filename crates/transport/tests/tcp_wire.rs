@@ -1,7 +1,8 @@
 //! Wire-level tests for the TCP transport: golden frame bytes on a real
 //! socket, reassembly of split/partial/interleaved frames under
-//! pipelining, coalesced batches, and reconnect after the peer closes the
-//! connection.
+//! pipelining, coalesced batches, bulk frames (payloads of 4 KiB or more,
+//! written from and read into their own buffers) split at every boundary
+//! that path has, and reconnect after the peer closes the connection.
 //!
 //! All waiting goes through [`erm_transport::testutil`] — readiness
 //! polling with one generous shared deadline — instead of per-call sleeps
@@ -9,7 +10,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use erm_transport::testutil::{accept_ready, eventually, recv_ready, TEST_DEADLINE};
 use erm_transport::{EndpointId, Network, TcpHost};
@@ -59,6 +60,28 @@ fn dribble(conn: &mut TcpStream, bytes: &[u8]) {
         off += n;
         step = (step * 3 + 1) % 23 + 1;
     }
+}
+
+/// Writes `bytes` in chunks cycling through sizes from one byte to more
+/// than a read's worth, so bulk payloads are split at irregular places too.
+fn write_irregular(conn: &mut TcpStream, bytes: &[u8]) {
+    const SIZES: [usize; 7] = [1, 23, 4_000, 5, 70_000, 333, 9];
+    let mut off = 0usize;
+    for size in SIZES.iter().cycle() {
+        if off == bytes.len() {
+            break;
+        }
+        let n = (*size).min(bytes.len() - off);
+        conn.write_all(&bytes[off..off + n]).unwrap();
+        conn.flush().unwrap();
+        off += n;
+    }
+}
+
+/// Payload `n` bytes long whose every byte depends on its position and on
+/// `seed`, so a byte out of place is a byte wrong.
+fn patterned(n: usize, seed: usize) -> Vec<u8> {
+    (0..n).map(|i| ((i * 7 + seed) % 251) as u8).collect()
 }
 
 #[test]
@@ -136,11 +159,12 @@ fn pipelined_batch_keeps_exact_golden_bytes() {
 
 #[test]
 fn large_frame_then_small_ones_keep_golden_stream_and_order() {
-    // One frame bigger than the writer's batch limit and the reader's
-    // chunk (both 64 KiB) with three small ones queued behind it. The
-    // sender keeps the payload apart from its header until the batch
-    // buffer; the stream must still be the frames' concatenation, and a
-    // host fed that stream in scraps must deliver all four in order.
+    // One frame bigger than the writer's batch limit and a read's worth
+    // (both 64 KiB) with three small ones queued behind it. The sender
+    // writes the large payload from its own buffer after its header and
+    // coalesces the small ones; the stream must still be the frames'
+    // concatenation, and a host fed that stream in scraps must deliver all
+    // four in order.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     listener.set_nonblocking(true).unwrap();
     let peer_addr: SocketAddr = listener.local_addr().unwrap();
@@ -378,4 +402,169 @@ fn broken_peer_turns_endpoint_open_false_and_drops_frames() {
         !host.endpoint_open(to)
     });
     assert!(host.stats().frames_dropped >= 1);
+}
+
+#[test]
+fn bulk_and_small_frames_reassemble_from_splits_at_headers_and_body_ends() {
+    // Payloads either side of the 4 KiB bulk threshold, one larger than a
+    // read, and a small one after it. The stream pauses (so the reader sees
+    // the split) inside the first bulk body, whose header came in with the
+    // small frame before it; exactly at the end of each bulk body; inside
+    // the header that follows each; and inside the large body. Every frame
+    // must be delivered as soon as its last byte is in, intact and in
+    // order.
+    let host = TcpHost::bind("127.0.0.1:0", 0).unwrap();
+    let (dest, mailbox) = host.open_endpoint();
+    let sizes = [0usize, 4_095, 4_096, 100_000, 8];
+    let mut stream = Vec::new();
+    let mut starts = Vec::new();
+    let mut frames = Vec::new();
+    for (i, &n) in sizes.iter().enumerate() {
+        let from = EndpointId((9 << 32) | i as u64);
+        let payload = patterned(n, i);
+        starts.push(stream.len());
+        stream.extend_from_slice(&golden_frame(from.0, dest.0, "127.0.0.1:9999", &payload));
+        frames.push((from, payload));
+    }
+    // (where the writer pauses, frames that must have arrived by then)
+    let stops = [
+        (starts[2] + 1_000, 2),  // inside the 4,096-byte body
+        (starts[3], 3),          // exactly at the end of it
+        (starts[3] + 9, 3),      // inside the next header
+        (starts[3] + 50_000, 3), // inside the 100,000-byte body
+        (starts[4], 4),          // exactly at the end of that body
+        (starts[4] + 5, 4),      // inside the next header
+        (stream.len(), 5),
+    ];
+
+    let mut conn = TcpStream::connect(host.local_addr()).unwrap();
+    let (mut written, mut delivered) = (0, 0);
+    for (stop, arrived) in stops {
+        write_irregular(&mut conn, &stream[written..stop]);
+        written = stop;
+        while delivered < arrived {
+            let got = recv_ready(&mailbox, &format!("frame {delivered} by offset {stop}"));
+            let (from, payload) = &frames[delivered];
+            assert_eq!(got.from, *from, "sender of frame {delivered}");
+            assert!(
+                got.payload == *payload,
+                "payload of frame {delivered} ({} bytes) survives",
+                payload.len()
+            );
+            delivered += 1;
+        }
+        // Let the reader take in the bytes after the last whole frame.
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(
+            mailbox.try_recv().is_err(),
+            "no frame delivered before its last byte (offset {stop})"
+        );
+    }
+    assert_eq!(host.stats().frames_received, sizes.len() as u64);
+}
+
+#[test]
+fn partial_writes_across_header_and_payload_keep_the_golden_stream() {
+    // Rounds of small frames (coalesced into one batch buffer) each ended
+    // by a bulk frame (header in the batch, payload written from its own
+    // buffer by the same vectored write), the bulk payload alternately
+    // large and small so both parts hold about half the bytes: 16 MB,
+    // several times what both socket buffers hold (4 MiB at most for the
+    // sender's here). The reader starts once the writer has stalled and
+    // takes small pieces, so the writer stops and resumes many times, at
+    // arbitrary offsets of both parts; the stream must still be the
+    // frames' concatenation.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let host = TcpHost::bind("127.0.0.1:0", 2).unwrap();
+    let (from, _mail) = host.open_endpoint();
+    let to = EndpointId(6 << 32);
+    host.register_peer(to, listener.local_addr().unwrap());
+    let addr = host.local_addr().to_string();
+
+    let mut expected = Vec::new();
+    let mut frames = 0u64;
+    for round in 0..112 {
+        let bulk = if round % 2 == 0 { 150_000 } else { 6_000 };
+        let sizes = (0..20).map(|k| 3_000 + k).chain([bulk + round]);
+        for (k, n) in sizes.enumerate() {
+            let payload = patterned(n, round * 21 + k);
+            expected.extend_from_slice(&golden_frame(from.0, to.0, &addr, &payload));
+            host.send(from, to, payload).unwrap();
+            frames += 1;
+        }
+    }
+
+    let mut conn = accept_ready(&listener, "the host's outbound connection");
+    conn.set_read_timeout(Some(TEST_DEADLINE)).unwrap();
+    eventually("the writer fills the socket buffers", || {
+        host.stats().wouldblock_retries >= 1
+    });
+    let mut got = Vec::with_capacity(expected.len());
+    let mut piece = [0u8; 4_001];
+    let mut size = 1usize;
+    while got.len() < expected.len() {
+        let want = size.min(expected.len() - got.len());
+        let n = conn.read(&mut piece[..want]).unwrap();
+        assert!(n > 0, "stream ended at {} of {}", got.len(), expected.len());
+        got.extend_from_slice(&piece[..n]);
+        size = (size * 13 + 7) % piece.len() + 1;
+    }
+    let first_wrong = got.iter().zip(&expected).position(|(a, b)| a != b);
+    assert_eq!(first_wrong, None, "the stream is the frames' concatenation");
+    eventually("every frame counted sent once", || {
+        host.stats().frames_sent == frames
+    });
+    assert!(host.stats().partial_writes >= 1, "{:?}", host.stats());
+}
+
+#[test]
+fn peer_closing_inside_a_bulk_frame_gets_the_whole_frame_again() {
+    // The peer reads the header and half the payload of one bulk frame,
+    // then closes. The payload is larger than the half plus both socket
+    // buffers, so the writer cannot have finished it: the batch rewinds,
+    // and the fresh connection carries the whole frame from its first
+    // byte. It is counted sent once.
+    const PAYLOAD: usize = 24 << 20;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let host = TcpHost::bind("127.0.0.1:0", 0).unwrap();
+    let (from, _mail) = host.open_endpoint();
+    let to = EndpointId(5 << 32);
+    host.register_peer(to, listener.local_addr().unwrap());
+    let addr = host.local_addr().to_string();
+    host.send(from, to, patterned(PAYLOAD, 3)).unwrap();
+    let header = golden_frame(from.0, to.0, &addr, &[]);
+    let header_len = header.len();
+    let mut expected_header = header;
+    expected_header[..4].copy_from_slice(&((header_len - 4 + PAYLOAD) as u32).to_le_bytes());
+
+    // Reads `n` payload bytes after the header, checking each against the
+    // pattern.
+    let read_frame_part = |conn: &mut TcpStream, n: usize| {
+        conn.set_nonblocking(false).unwrap();
+        conn.set_read_timeout(Some(TEST_DEADLINE)).unwrap();
+        let mut head = vec![0u8; header_len];
+        conn.read_exact(&mut head).unwrap();
+        assert_eq!(head, expected_header, "the frame starts over, header first");
+        let mut buf = vec![0u8; 1 << 16];
+        let mut at = 0usize;
+        while at < n {
+            let want = buf.len().min(n - at);
+            conn.read_exact(&mut buf[..want]).unwrap();
+            let wrong = (0..want).find(|&i| buf[i] != ((((at + i) * 7) + 3) % 251) as u8);
+            assert_eq!(wrong.map(|i| at + i), None, "payload byte out of place");
+            at += want;
+        }
+    };
+    {
+        let mut first = accept_ready(&listener, "the first connection");
+        read_frame_part(&mut first, PAYLOAD / 2);
+    }
+    let mut second = accept_ready(&listener, "the reconnection");
+    read_frame_part(&mut second, PAYLOAD);
+    eventually("the frame counted sent", || host.stats().frames_sent == 1);
+    let stats = host.stats();
+    assert_eq!(stats.frames_sent, 1, "counted once: {stats:?}");
+    assert!(stats.reconnects >= 1, "{stats:?}");
 }
