@@ -273,11 +273,11 @@ impl PoolConfig {
         self.reply_cache
     }
 
-    /// Number of warm standbys the pool keeps provisioned, connected, and
-    /// heartbeating but outside the LB rotation and the load samples. Zero
-    /// (the default) disables the warm tier. Scale-up with a warm tier is a
-    /// route-flip: a standby is promoted into rotation and a replacement is
-    /// requested in the background.
+    /// Number of warm standbys the pool keeps provisioned, connected and
+    /// answering the load poll, but outside the LB rotation and the load
+    /// samples. Zero (the default) disables the warm tier. Scale-up with a
+    /// warm tier is a route-flip: a standby is promoted into rotation and a
+    /// replacement is requested in the background.
     pub fn warm_standby(&self) -> u32 {
         self.warm_standby
     }

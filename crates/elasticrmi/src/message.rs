@@ -81,15 +81,13 @@ pub struct MethodStat {
     pub mean_latency_us: u64,
 }
 
-/// One member's load, as included in sentinel state broadcasts.
+/// One member's seat in the membership view of a state broadcast.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemberState {
     /// The member's invocation endpoint.
     pub endpoint: EndpointId,
     /// The member's pool-unique id (monotonically assigned at join).
     pub uid: u64,
-    /// Remote method invocations pending at the member.
-    pub pending: u32,
 }
 
 /// A load report from a skeleton to the runtime/sentinel, covering one burst
@@ -122,6 +120,10 @@ pub struct LoadReport {
     /// microseconds — the queueing-delay signal the scaling engine grows on
     /// (wire v3).
     pub queue_delay_p99_us: u64,
+    /// The membership epoch the member holds (wire v6). Below the epoch
+    /// the runtime polled at, it shows a lost view, which the runtime then
+    /// re-sends to this member.
+    pub epoch: u64,
 }
 
 /// All messages of the ElasticRMI protocol.
@@ -187,14 +189,15 @@ pub enum RmiMessage {
     PollLoad,
     /// Skeleton → runtime: the report.
     Load(LoadReport),
-    /// Sentinel/runtime → all skeletons: periodic membership + load
-    /// broadcast (the JGroups group-communication substitute, §4.3).
+    /// Runtime → all skeletons: the membership view, sent when it changes
+    /// (the JGroups group-communication substitute, §4.3), and again to a
+    /// member whose `Load` shows it missed one.
     StateBroadcast {
         /// Monotonic membership epoch.
         epoch: u64,
         /// Uid of the current sentinel.
         sentinel_uid: u64,
-        /// All members with their last known load.
+        /// The members in the rotation.
         members: Vec<MemberState>,
     },
     /// Sentinel → overloaded skeleton: redirect `count` of your queued
@@ -214,10 +217,14 @@ pub enum RmiMessage {
         uid: u64,
     },
 
-    /// Liveness probe.
-    Ping,
-    /// Liveness reply.
-    Pong,
+    /// Index 11, once a liveness probe that nothing sent (retired in wire
+    /// v6). Kept so later variants keep their indices; never sent, and
+    /// ignored on receipt.
+    #[doc(hidden)]
+    Retired11,
+    /// Index 12, once the reply to index 11 (retired in wire v6).
+    #[doc(hidden)]
+    Retired12,
 
     /// Skeleton → stub: the admission queue is full, so the request was
     /// refused *before* queueing (wire v3). Cheaper for everyone than
@@ -553,6 +560,7 @@ mod tests {
             rejected: 5,
             queue_delay_p50_us: 1_200,
             queue_delay_p99_us: 48_000,
+            epoch: 7,
         }));
         roundtrip(RmiMessage::StateBroadcast {
             epoch: 5,
@@ -560,7 +568,6 @@ mod tests {
             members: vec![MemberState {
                 endpoint: EndpointId(3),
                 uid: 0,
-                pending: 2,
             }],
         });
         roundtrip(RmiMessage::Rebalance {
@@ -569,8 +576,6 @@ mod tests {
         });
         roundtrip(RmiMessage::Shutdown);
         roundtrip(RmiMessage::ShutdownReady { uid: 6 });
-        roundtrip(RmiMessage::Ping);
-        roundtrip(RmiMessage::Pong);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! * feeds the aggregated [`PoolSample`] to the [`ScalingEngine`],
 //! * grows by requesting new slices (members join as provisioning
 //!   completes) and shrinks via the two-phase drain handshake,
-//! * broadcasts membership (epoch, sentinel, loads) to all skeletons,
+//! * broadcasts membership (epoch, sentinel, members) to all skeletons
+//!   when it changes, and re-sends it to a member whose load report shows
+//!   it missed one,
 //! * plans server-side rebalancing with first-fit bin packing, and
 //! * detects member crashes, re-electing the sentinel by lowest uid.
 //!
@@ -103,8 +105,6 @@ pub struct PoolStats {
     pub elections: u32,
     /// Current membership epoch.
     pub epoch: u64,
-    /// Provisioning latencies (request → member serving) observed.
-    pub provisioning_latencies: Vec<SimDuration>,
     /// `Overloaded` rejections reported by members across all burst
     /// intervals.
     pub rejected: u64,
@@ -381,13 +381,12 @@ struct Member {
     /// The cluster's lease on the member's slice, released when it goes.
     lease: LeaseId,
     draining: bool,
-    requested_at: SimTime,
-    first_served: bool,
     /// When this member's endpoint was taken down by a slice revocation
     /// (node failure): the crash time its recovery lags count from.
     crashed_at: Option<SimTime>,
-    /// Warm standby: fully provisioned and heartbeating, but outside the LB
-    /// rotation and the scaling sample until promoted by a route-flip.
+    /// Warm standby: fully provisioned and answering the load poll, but
+    /// outside the LB rotation and the scaling sample until promoted by a
+    /// route-flip.
     standby: bool,
 }
 
@@ -465,19 +464,20 @@ pub struct PoolRuntime {
     epoch: u64,
     reports: BTreeMap<u64, LoadReport>,
     engine: ScalingEngine,
-    /// Sim-time deadline for the current load-report collection round;
-    /// `None` when no poll is outstanding.
-    collect_until: Option<SimTime>,
+    /// The outstanding load poll: the sim-time deadline of its collection
+    /// round, and the view epoch it was sent at. `None` when no poll is
+    /// outstanding.
+    collecting: Option<(SimTime, u64)>,
     /// The pool's account with the cluster: its leases, pending grants and
     /// revocations are booked there, not here.
     tenant: TenantId,
     /// Requests whose grants join the warm tier; any other joins the
     /// rotation. Cleared once none of them has a grant provisioning.
     standby_requests: BTreeSet<u64>,
-    last_broadcast: SimTime,
     /// When the warm tier last asked the cluster for a replacement standby;
-    /// unforced refills are throttled to one ask per broadcast interval so a
-    /// saturated cluster is not spammed with doomed requests every tick.
+    /// unforced refills are throttled to one ask per `STANDBY_REFILL_EVERY`
+    /// so a saturated cluster is not spammed with doomed requests every
+    /// tick.
     standby_requested_at: Option<SimTime>,
     /// The in-rotation membership `(uid, endpoint)` seats as of the last
     /// `publish()`. `sync_view` diffs against this to bump the epoch exactly
@@ -495,7 +495,8 @@ pub struct PoolRuntime {
 const TICK: SimDuration = SimDuration::from_millis(2);
 /// How long (sim time) the sentinel waits for load reports after a poll.
 const COLLECT_GRACE: SimDuration = SimDuration::from_millis(100);
-const BROADCAST_EVERY: SimDuration = SimDuration::from_millis(500);
+/// The least time between two unforced asks for a replacement standby.
+const STANDBY_REFILL_EVERY: SimDuration = SimDuration::from_millis(500);
 
 impl PoolRuntime {
     /// Builds the runtime of [`ElasticPool::instantiate`], failing and
@@ -549,10 +550,9 @@ impl PoolRuntime {
             next_uid: 0,
             epoch: 0,
             reports: BTreeMap::new(),
-            collect_until: None,
+            collecting: None,
             tenant,
             standby_requests: BTreeSet::new(),
-            last_broadcast: SimTime::ZERO,
             standby_requested_at: None,
             last_view: Vec::new(),
             shutdown_deadline: None,
@@ -614,20 +614,16 @@ impl PoolRuntime {
             self.publish();
             self.broadcast();
         }
-        // 4. Periodic broadcast (the JGroups substitute).
         let live = self
             .members
             .values()
             .filter(|m| m.in_rotation() && m.crashed_at.is_none())
             .count() as u32;
         self.recovery.check_capacity(live, now);
-        if now.saturating_since(self.last_broadcast) >= BROADCAST_EVERY {
-            self.broadcast();
-        }
-        // 5. Keep the warm tier topped up (initial fill, and refills
+        // 4. Keep the warm tier topped up (initial fill, and refills
         // after a standby crash or promotion).
         self.replenish_standbys(now, false);
-        // 6. Burst-interval scaling.
+        // 5. Burst-interval scaling.
         self.scaling_step(now);
         (std::mem::take(&mut self.launched), Some(now + TICK))
     }
@@ -643,14 +639,15 @@ impl PoolRuntime {
     fn on_ctl(&mut self, msg: RmiMessage) {
         match msg {
             RmiMessage::Load(report) => {
-                if let Some(m) = self.members.get_mut(&report.uid) {
-                    // First evidence of the member serving: completes the
-                    // provisioning-interval measurement.
-                    if !m.first_served && !report.method_stats.is_empty() {
-                        m.first_served = true;
-                        let latency = self.deps.clock.now().saturating_since(m.requested_at);
-                        let mut stats = self.shared.stats.lock();
-                        stats.provisioning_latencies.push(latency);
+                // Links are FIFO, so a member that answers a poll with an
+                // epoch below the one polled at lost a view sent before
+                // the poll. Only that member gets it again.
+                let behind = self
+                    .collecting
+                    .is_some_and(|(_, polled)| report.epoch < polled);
+                if behind {
+                    if let Some(m) = self.members.get(&report.uid) {
+                        let _ = self.deps.net.send(self.ctl, m.endpoint, self.view());
                     }
                 }
                 if report.rejected > 0 {
@@ -708,8 +705,6 @@ impl PoolRuntime {
                 endpoint,
                 lease: grant.lease,
                 draining: false,
-                requested_at: grant.requested_at,
-                first_served: false,
                 crashed_at: None,
                 standby,
             },
@@ -912,36 +907,32 @@ impl PoolRuntime {
         self.scale_store();
     }
 
-    fn broadcast(&mut self) {
-        self.last_broadcast = self.deps.clock.now();
-        let sentinel_uid = self.sentinel_uid().unwrap_or(0);
-        // The advertised view carries only in-rotation members — standbys
-        // exist to the control plane but not to routing — yet the message
-        // still goes to *every* member (standbys included) so a standby
-        // holds a current view the instant it is promoted.
-        let states: Vec<MemberState> = self
-            .members
-            .iter()
-            .filter(|(_, m)| m.in_rotation())
-            .map(|(&uid, m)| MemberState {
-                endpoint: m.endpoint,
-                uid,
-                pending: self.reports.get(&uid).map_or(0, |r| r.pending),
-            })
-            .collect();
-        let msg = RmiMessage::StateBroadcast {
+    /// The published view as a `StateBroadcast`: the rotation, its
+    /// sentinel and its epoch. Standbys exist to the control plane but not
+    /// to routing, so they are not in it.
+    fn view(&self) -> Vec<u8> {
+        let seats = self.last_view.iter();
+        RmiMessage::StateBroadcast {
             epoch: self.epoch,
-            sentinel_uid,
-            members: states,
-        };
-        let (encoded, net) = (msg.encode(), &self.deps.net);
+            sentinel_uid: self.last_view.first().map_or(0, |&(uid, _)| uid),
+            members: seats
+                .map(|&(uid, endpoint)| MemberState { endpoint, uid })
+                .collect(),
+        }
+        .encode()
+    }
+
+    /// Sends the view just published to *every* member, standbys included,
+    /// so a standby holds a current view the instant it is promoted.
+    fn broadcast(&self) {
+        let (encoded, net) = (self.view(), &self.deps.net);
         for m in self.members.values() {
             let _ = net.send(self.ctl, m.endpoint, encoded.clone());
         }
     }
 
     fn scaling_step(&mut self, now: SimTime) {
-        match self.collect_until {
+        match self.collecting {
             None => {
                 if self.engine.is_due(now) && !self.members.is_empty() {
                     // Burst boundary: poll all members — standbys included,
@@ -952,13 +943,13 @@ impl PoolRuntime {
                     for m in self.members.values().filter(|m| !m.draining) {
                         let _ = self.deps.net.send(self.ctl, m.endpoint, poll.clone());
                     }
-                    self.collect_until = Some(now + COLLECT_GRACE);
+                    self.collecting = Some((now + COLLECT_GRACE, self.epoch));
                 }
             }
-            Some(deadline) => {
+            Some((deadline, _)) => {
                 let live = self.members.values().filter(|m| !m.draining).count();
                 if self.reports.len() >= live || now >= deadline {
-                    self.collect_until = None;
+                    self.collecting = None;
                     self.decide_and_act(now);
                 }
             }
@@ -1180,7 +1171,7 @@ impl PoolRuntime {
         }
         if !force {
             if let Some(last) = self.standby_requested_at {
-                if now.saturating_since(last) < BROADCAST_EVERY {
+                if now.saturating_since(last) < STANDBY_REFILL_EVERY {
                     return;
                 }
             }
@@ -1487,6 +1478,77 @@ mod tests {
     }
 
     #[test]
+    fn a_member_cut_off_across_a_view_change_catches_up_at_the_next_poll() {
+        // Views are sent when they change. A member whose link from the
+        // runtime is cut while one goes out answers the next poll it hears
+        // with the epoch it holds, and the runtime re-sends it the view:
+        // within one burst interval plus the collect grace of the link's
+        // return, not at a timer's next re-broadcast.
+        let cluster = cluster(3);
+        let clock = VirtualClock::new();
+        let net = InProcNetwork::new();
+        let burst = SimDuration::from_millis(200);
+        let config = PoolConfig::builder("Churn")
+            .min_pool_size(3)
+            .max_pool_size(3)
+            .burst_interval(burst)
+            .build()
+            .unwrap();
+        let deps = PoolDeps {
+            net: Arc::new(net.clone()),
+            ..deps(&cluster, &clock, MetricsHandle::disabled())
+        };
+        let mut rt = PoolRuntime::start(config, Arc::new(|| Box::new(Idle)), deps, None).unwrap();
+        let mut members: Vec<Launch> = Vec::new();
+        // A tick of the runtime, then every member's mailbox, as the pool
+        // thread and its member threads would run them.
+        let run_until = |rt: &mut PoolRuntime, members: &mut Vec<Launch>, until| {
+            while clock.now() < until {
+                clock.advance(TICK);
+                members.extend(rt.step(clock.now()).0);
+                for m in members.iter_mut() {
+                    while let Ok(d) = m.mailbox.try_recv() {
+                        m.skeleton.ingest_datagram(d, &m.mailbox);
+                    }
+                }
+            }
+        };
+        let (probe, replies) = net.open();
+        let view_of = |m: &mut Launch| {
+            m.skeleton
+                .handle(probe, RmiMessage::PoolInfoRequest, &m.mailbox);
+            match RmiMessage::decode(&replies.try_recv().unwrap().payload).unwrap() {
+                RmiMessage::PoolInfo {
+                    epoch,
+                    members,
+                    uids,
+                    ..
+                } => (epoch, uids.into_iter().zip(members).collect::<Vec<_>>()),
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        run_until(&mut rt, &mut members, SimTime::from_micros(50_000));
+        assert_eq!((members.len(), rt.epoch), (3, 1));
+        // Member 2's node fails while member 1's link from the runtime is
+        // cut: the view without member 2 reaches member 0 only.
+        let cut = members[1].mailbox.id();
+        net.set_link_cut(rt.ctl, cut, true);
+        cluster.fail_node(NodeId(2));
+        rt.member_exited(2);
+        members.truncate(2);
+        let back = SimTime::from_micros(600_000);
+        run_until(&mut rt, &mut members, back);
+        let now = (rt.epoch, rt.last_view.clone());
+        assert_eq!(now.0, 2);
+        assert_eq!(view_of(&mut members[0]), now);
+        assert_eq!(view_of(&mut members[1]).0, 1, "the cut member missed it");
+        net.set_link_cut(rt.ctl, cut, false);
+        run_until(&mut rt, &mut members, back + burst + COLLECT_GRACE);
+        assert_eq!(view_of(&mut members[1]), now, "caught up at the poll");
+        assert_eq!(rt.epoch, 2, "no view changed meanwhile");
+    }
+
+    #[test]
     fn finalize_releases_unrevoked_slices_normally() {
         let cluster = cluster(1);
         let clock = VirtualClock::new();
@@ -1602,6 +1664,7 @@ mod tests {
             rejected: 0,
             queue_delay_p50_us: 0,
             queue_delay_p99_us: 0,
+            epoch: 0,
         }
     }
 
@@ -1707,8 +1770,7 @@ mod tests {
 
     #[test]
     fn members_carry_their_requests_time() {
-        // Provisioning latency counts from the request, which the grant
-        // carries, however late the pool takes it.
+        // Every grant of a request joins, however late the pool takes it.
         let cluster = cluster(4);
         let clock = VirtualClock::new();
         clock.advance(SimDuration::from_secs(1));
@@ -1721,10 +1783,6 @@ mod tests {
         join_initial(&mut rt, &cluster, clock.now());
         assert_eq!(cluster.pending_of(rt.tenant, |_| true), 0);
         assert_eq!(rt.members.len(), 4);
-        assert!(
-            rt.members.values().all(|m| m.requested_at == t0),
-            "latency attribution works for every grant of each request"
-        );
     }
 
     #[test]
@@ -1847,7 +1905,7 @@ mod tests {
             "unforced refill waits out the throttle window"
         );
         // ...until the window passes or the caller forces it.
-        clock.advance(BROADCAST_EVERY);
+        clock.advance(STANDBY_REFILL_EVERY);
         rt.replenish_standbys(clock.now(), false);
         assert_eq!(pending(&rt), 1);
     }

@@ -318,11 +318,6 @@ impl Skeleton {
         self.reply_cache.stats()
     }
 
-    /// Live reply-cache entries (in-progress + completed).
-    pub fn reply_cache_len(&self) -> usize {
-        self.reply_cache.len()
-    }
-
     /// Runs a deterministic TTL sweep at the current sim time and returns
     /// the live entries left. Harnesses call this at quiesce to prove the
     /// cache drains to zero once every deadline (+ grace) has passed.
@@ -531,7 +526,6 @@ impl Skeleton {
                 self.draining = true;
                 self.drain_budget = mailbox.len();
             }
-            RmiMessage::Ping => self.send(from, RmiMessage::Pong),
             // Requests come in through `ingest_datagram`; the rest are
             // messages a skeleton never consumes.
             RmiMessage::Request { .. }
@@ -542,7 +536,8 @@ impl Skeleton {
             | RmiMessage::PoolInfo { .. }
             | RmiMessage::Load(_)
             | RmiMessage::ShutdownReady { .. }
-            | RmiMessage::Pong => {}
+            | RmiMessage::Retired11
+            | RmiMessage::Retired12 => {}
         }
         self.end_intake()
     }
@@ -937,6 +932,7 @@ impl Skeleton {
             rejected: self.interval.rejected,
             queue_delay_p50_us: delay_us(0.5),
             queue_delay_p99_us: delay_us(0.99),
+            epoch: self.epoch,
         };
         // Burst interval rolls over after each poll.
         self.interval = IntervalStats {
@@ -1335,12 +1331,10 @@ mod tests {
             MemberState {
                 endpoint: EndpointId(90),
                 uid: 0,
-                pending: 0,
             },
             MemberState {
                 endpoint: EndpointId(91),
                 uid: 1,
-                pending: 2,
             },
         ];
         r.skeleton.handle(
@@ -1368,6 +1362,13 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        // The load report names the view the member holds (v6).
+        r.skeleton
+            .handle(r.runtime, RmiMessage::PollLoad, &r.skeleton_mailbox);
+        match recv(&r.runtime_mailbox) {
+            RmiMessage::Load(report) => assert_eq!(report.epoch, 4),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
@@ -1390,7 +1391,6 @@ mod tests {
                 members: vec![MemberState {
                     endpoint: EndpointId(1),
                     uid: 9,
-                    pending: 0,
                 }],
             },
             &r.skeleton_mailbox,
@@ -1550,15 +1550,15 @@ mod tests {
 
     #[test]
     fn control_messages_queued_before_shutdown_spend_the_drain_budget() {
-        // A `Ping` and a request sit in the mailbox when `Shutdown` arrives:
-        // both were pending, so both spend the drain budget. Were the `Ping`
-        // free, its unit would let a request sent after the drain execute,
-        // and `ShutdownReady` would wait for it.
+        // A `PollLoad` and a request sit in the mailbox when `Shutdown`
+        // arrives: both were pending, so both spend the drain budget. Were
+        // the poll free, its unit would let a request sent after the drain
+        // execute, and `ShutdownReady` would wait for it.
         let mut r = rig();
         let args = erm_transport::to_bytes(&"x".to_string()).unwrap();
         let skeleton = r.skeleton_mailbox.id();
         r.net
-            .send(r.runtime, skeleton, RmiMessage::Ping.encode())
+            .send(r.runtime, skeleton, RmiMessage::PollLoad.encode())
             .unwrap();
         let request = |call| RmiMessage::Request {
             call,
@@ -1576,7 +1576,7 @@ mod tests {
             let msg = RmiMessage::decode(&d.payload).unwrap();
             r.skeleton.handle(d.from, msg, &r.skeleton_mailbox);
         }
-        assert!(matches!(recv(&r.runtime_mailbox), RmiMessage::Pong));
+        assert!(matches!(recv(&r.runtime_mailbox), RmiMessage::Load(_)));
         assert!(matches!(
             recv(&r.runtime_mailbox),
             RmiMessage::ShutdownReady { uid: 0 }
@@ -1653,7 +1653,6 @@ mod tests {
                 members: vec![MemberState {
                     endpoint: EndpointId(91),
                     uid: 1,
-                    pending: 0,
                 }],
             },
             &r.skeleton_mailbox,
@@ -1682,14 +1681,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn ping_pong() {
-        let mut r = rig();
-        r.skeleton
-            .handle(r.client, RmiMessage::Ping, &r.skeleton_mailbox);
-        assert!(matches!(recv(&r.client_mailbox), RmiMessage::Pong));
     }
 
     fn request(call: u64, deadline: SimTime) -> RmiMessage {
@@ -1847,7 +1838,6 @@ mod tests {
             .map(|&(uid, ep)| MemberState {
                 endpoint: EndpointId(ep),
                 uid,
-                pending: 0,
             })
             .collect()
     }

@@ -32,6 +32,9 @@ pub(crate) struct FluidPool {
     members: BTreeMap<u64, Mailbox>,
     /// When the runtime asked for its next turn; `None` once shut down.
     due: Option<SimTime>,
+    /// What `answer` dropped: each message's member uid and payload.
+    #[cfg(test)]
+    dropped: Vec<(u64, Vec<u8>)>,
 }
 
 impl FluidPool {
@@ -67,6 +70,8 @@ impl FluidPool {
             net: net.clone(),
             members: BTreeMap::new(),
             due: Some(clock.now()),
+            #[cfg(test)]
+            dropped: Vec::new(),
         }
     }
 
@@ -91,19 +96,27 @@ impl FluidPool {
 
     /// Answers what the runtime sent the members — a `PollLoad` with
     /// `report(uid)`, a `Shutdown` with `ShutdownReady` — and drops every
-    /// other message (the broadcasts) undecoded. Then steps again at `now`,
-    /// so a poll answered now is decided now.
+    /// other message (the view broadcasts) undecoded. A member holds no
+    /// view, so its report names the one the pool published: it is never
+    /// behind. Then steps again at `now`, so a poll answered now is decided
+    /// now.
     pub(crate) fn answer(&mut self, now: SimTime, report: impl Fn(u64) -> LoadReport) {
         let (poll, drain) = (RmiMessage::PollLoad.encode(), RmiMessage::Shutdown.encode());
+        let epoch = self.handle.stats().epoch;
         self.members.retain(|&uid, mailbox| {
             let mut serving = true;
             while let Ok(d) = mailbox.try_recv() {
                 let reply = if d.payload == poll {
-                    RmiMessage::Load(report(uid))
+                    RmiMessage::Load(LoadReport {
+                        epoch,
+                        ..report(uid)
+                    })
                 } else if d.payload == drain {
                     serving = false;
                     RmiMessage::ShutdownReady { uid }
                 } else {
+                    #[cfg(test)]
+                    self.dropped.push((uid, d.payload));
                     continue;
                 };
                 let _ = self.net.send(mailbox.id(), d.from, reply.encode());
@@ -149,5 +162,83 @@ impl ElasticService for Fluid {
         _ctx: &mut ServiceContext,
     ) -> Result<Vec<u8>, RemoteError> {
         Err(RemoteError::no_such_method(method))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use erm_cluster::{ClusterConfig, LatencyModel, ResourceManager};
+    use erm_sim::SimDuration;
+
+    #[test]
+    fn a_fluid_member_is_sent_a_view_only_when_it_changes() {
+        // A pool that grows (by promotion and by grant), shrinks and shuts
+        // down. Every message its members drop is a view. A member gets the
+        // view it already holds again only in a broadcast for a join (a
+        // standby's changes no view) or a drain ack. Any other re-sent view
+        // would be either a timer's or the repair of a report that looked
+        // behind.
+        let cluster = ClusterHandle::new(ResourceManager::new(ClusterConfig {
+            nodes: 6,
+            slices_per_node: 1,
+            provisioning: LatencyModel::Fixed(SimDuration::from_secs(15)),
+            ..ClusterConfig::default()
+        }));
+        let config = PoolConfig::builder("Fluid")
+            .min_pool_size(2)
+            .max_pool_size(5)
+            .warm_standby(1)
+            .burst_interval(SimDuration::from_secs(10))
+            .build()
+            .unwrap();
+        let clock = Arc::new(VirtualClock::new());
+        let net = InProcNetwork::new();
+        let trace = TraceHandle::disabled();
+        let mut pool = FluidPool::start(config, &cluster, &clock, &net, &trace, None);
+        let (mut held, mut events) = (BTreeMap::<u64, u64>::new(), 0);
+        let (mut views, mut repeats) = (0, 0);
+        let mut turn = |pool: &mut FluidPool, at: SimTime, busy: f32| {
+            let before: Vec<u64> = pool.members.keys().copied().collect();
+            pool.answer(at, |uid| load(uid, busy, None));
+            let mut got = BTreeMap::<u64, u64>::new();
+            for (uid, payload) in std::mem::take(&mut pool.dropped) {
+                let Ok(RmiMessage::StateBroadcast { epoch, .. }) = RmiMessage::decode(&payload)
+                else {
+                    panic!("member {uid} was sent something other than a view");
+                };
+                let last = held.insert(uid, epoch);
+                assert!(
+                    last <= Some(epoch),
+                    "member {uid} sent epoch {epoch} after {last:?}"
+                );
+                if last == Some(epoch) {
+                    *got.entry(uid).or_default() += 1;
+                }
+                views += 1;
+            }
+            // The views dropped now were sent by the previous turn's step,
+            // which applied the acks that turn's answer sent and brought up
+            // that turn's joins.
+            for (uid, n) in got {
+                assert!(n <= events, "member {uid} re-sent epoch {:?}", held[&uid]);
+                repeats += n;
+            }
+            let acked = before.iter().filter(|u| !pool.members.contains_key(u));
+            let joined = pool.members.keys().filter(|u| !before.contains(u));
+            events = (acked.count() + joined.count()) as u64;
+        };
+        for s in 0..240 {
+            let busy = if s < 100 { 95.0 } else { 10.0 };
+            turn(&mut pool, SimTime::from_secs(s), busy);
+        }
+        pool.handle.shutdown();
+        while let Some(at) = pool.due {
+            turn(&mut pool, at, 0.0);
+        }
+        let stats = pool.handle.stats();
+        assert!(stats.promoted > 0 && stats.grown > stats.promoted && stats.shrunk > 0);
+        assert!(views > 0, "the views were counted");
+        assert!(repeats > 0, "joins and drain acks re-send the view");
     }
 }

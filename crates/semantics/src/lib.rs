@@ -69,15 +69,6 @@ impl Default for Semantics {
 }
 
 impl Semantics {
-    /// Stable wire index (u32 LE on the wire, append-only).
-    pub fn wire_index(self) -> u32 {
-        match self {
-            Semantics::AtMostOnce => 0,
-            Semantics::AtLeastOnce => 1,
-            Semantics::Maybe => 2,
-        }
-    }
-
     /// Human name used in reports and docs.
     pub fn name(self) -> &'static str {
         match self {

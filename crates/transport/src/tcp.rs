@@ -64,7 +64,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Sender};
-use erm_metrics::{Counter, Gauge, MetricsHandle};
+use erm_metrics::{Gauge, MetricsHandle};
 use parking_lot::Mutex;
 use parking_lot::RwLock;
 
@@ -196,18 +196,9 @@ struct HostInner {
     telemetry: OnceLock<TcpTelemetry>,
 }
 
-/// Registry instruments mirroring [`TcpStats`] plus two live gauges.
+/// The two live registry gauges [`TcpStats`] has no field for.
 #[derive(Debug)]
 struct TcpTelemetry {
-    frames_sent: Counter,
-    frames_received: Counter,
-    batches: Counter,
-    reconnects: Counter,
-    frames_dropped: Counter,
-    partial_writes: Counter,
-    wouldblock_retries: Counter,
-    backpressure_events: Counter,
-    preconnects: Counter,
     queued_bytes: Gauge,
     links_backpressured: Gauge,
 }
@@ -242,66 +233,9 @@ impl HostInner {
         self.telemetry.get()
     }
 
-    fn count_sent(&self, n: u64) {
-        self.frames_sent.fetch_add(n, Ordering::Relaxed);
-        if let Some(t) = self.tel() {
-            t.frames_sent.add(n);
-        }
-    }
-
-    fn count_received(&self, n: u64) {
-        self.frames_received.fetch_add(n, Ordering::Relaxed);
-        if let Some(t) = self.tel() {
-            t.frames_received.add(n);
-        }
-    }
-
-    fn count_batch(&self) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = self.tel() {
-            t.batches.incr();
-        }
-    }
-
-    fn count_reconnect(&self) {
-        self.reconnects.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = self.tel() {
-            t.reconnects.incr();
-        }
-    }
-
-    fn count_dropped(&self, n: u64) {
-        self.frames_dropped.fetch_add(n, Ordering::Relaxed);
-        if let Some(t) = self.tel() {
-            t.frames_dropped.add(n);
-        }
-    }
-
-    fn count_partial(&self) {
-        self.partial_writes.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = self.tel() {
-            t.partial_writes.incr();
-        }
-    }
-
-    fn count_wouldblock(&self) {
-        self.wouldblock_retries.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = self.tel() {
-            t.wouldblock_retries.incr();
-        }
-    }
-
-    fn count_preconnect(&self) {
-        self.preconnects.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = self.tel() {
-            t.preconnects.incr();
-        }
-    }
-
     fn count_backpressure(&self) {
         self.backpressure_events.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = self.tel() {
-            t.backpressure_events.incr();
             t.links_backpressured.add(1);
         }
     }
@@ -417,21 +351,12 @@ impl TcpHost {
         }
     }
 
-    /// Registers `tcp.*` instruments with `metrics`: one counter per
-    /// [`TcpStats`] field plus live `tcp.outbound.queued_bytes` and
-    /// `tcp.links.backpressured` gauges. Later installs on the same host
-    /// are ignored, matching the other components' `install_metrics`.
+    /// Registers the live `tcp.outbound.queued_bytes` and
+    /// `tcp.links.backpressured` gauges with `metrics`. The counters are
+    /// [`TcpHost::stats`]. Later installs on the same host are ignored,
+    /// matching the other components' `install_metrics`.
     pub fn install_metrics(&self, metrics: &MetricsHandle) {
         let _ = self.inner.telemetry.set(TcpTelemetry {
-            frames_sent: metrics.counter("tcp.frames.sent"),
-            frames_received: metrics.counter("tcp.frames.received"),
-            batches: metrics.counter("tcp.write.batches"),
-            reconnects: metrics.counter("tcp.reconnects"),
-            frames_dropped: metrics.counter("tcp.frames.dropped"),
-            partial_writes: metrics.counter("tcp.write.partial"),
-            wouldblock_retries: metrics.counter("tcp.write.wouldblock"),
-            backpressure_events: metrics.counter("tcp.backpressure.events"),
-            preconnects: metrics.counter("tcp.preconnects"),
             queued_bytes: metrics.gauge("tcp.outbound.queued_bytes"),
             links_backpressured: metrics.gauge("tcp.links.backpressured"),
         });
@@ -817,12 +742,12 @@ impl EventLoop {
                     let _ = stream.set_nodelay(true);
                     let _ = stream.set_nonblocking(true);
                     if link.ever_connected {
-                        inner.count_reconnect();
+                        inner.reconnects.fetch_add(1, Ordering::Relaxed);
                     }
                     if !link.has_pending() {
                         // Nothing queued: this dial happened purely ahead
                         // of use.
-                        inner.count_preconnect();
+                        inner.preconnects.fetch_add(1, Ordering::Relaxed);
                     }
                     link.ever_connected = true;
                     link.shared.broken.store(false, Ordering::SeqCst);
@@ -918,20 +843,20 @@ impl EventLoop {
                     return;
                 }
                 Ok(n) => {
-                    inner.count_batch();
+                    inner.batches.fetch_add(1, Ordering::Relaxed);
                     if n < link.batch_len() - link.scratch_off {
-                        inner.count_partial();
+                        inner.partial_writes.fetch_add(1, Ordering::Relaxed);
                     }
                     link.scratch_off += n;
                     while link.scratch_sent < link.scratch_frames.len()
                         && link.scratch_frames[link.scratch_sent] <= link.scratch_off
                     {
                         link.scratch_sent += 1;
-                        inner.count_sent(1);
+                        inner.frames_sent.fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    inner.count_wouldblock();
+                    inner.wouldblock_retries.fetch_add(1, Ordering::Relaxed);
                     link.want_write = true;
                     return;
                 }
@@ -1051,7 +976,7 @@ fn give_up(link: &mut OutLink, inner: &HostInner) {
     link.shared.dial_ahead.store(false, Ordering::SeqCst);
     let dropped = unsent_scratch + queued;
     if dropped > 0 {
-        inner.count_dropped(dropped);
+        inner.frames_dropped.fetch_add(dropped, Ordering::Relaxed);
     }
 }
 
@@ -1241,7 +1166,7 @@ impl FrameReader {
                 inner.host_routes.write().insert(sender_host, addr);
             }
         }
-        inner.count_received(1);
+        inner.frames_received.fetch_add(1, Ordering::Relaxed);
         if let Some(tx) = inner.local.read().get(&to) {
             let _ = tx.send(Datagram { from, payload });
         }
@@ -1619,24 +1544,5 @@ mod tests {
         }
         assert!(mailbox.try_recv().is_err(), "partial frames are dropped");
         assert_eq!(host.stats().frames_received, 0);
-    }
-
-    #[test]
-    fn install_metrics_mirrors_stats_into_registry() {
-        let (metrics, registry) = MetricsHandle::shared();
-        let (host_a, host_b) = pair();
-        host_a.install_metrics(&metrics);
-        let (a, _mail_a) = host_a.open_endpoint();
-        let (b, mail_b) = host_b.open_endpoint();
-        host_a.register_peer(b, host_b.local_addr());
-        host_a.send(a, b, b"counted".to_vec()).unwrap();
-        recv_ready(&mail_b, "counted frame");
-        eventually("tcp.frames.sent reaches the registry", || {
-            registry
-                .snapshot(erm_sim::SimTime::ZERO)
-                .counters
-                .iter()
-                .any(|&(name, v)| name == "tcp.frames.sent" && v == 1)
-        });
     }
 }

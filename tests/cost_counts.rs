@@ -28,7 +28,14 @@
 //!   delivered request instead of decoding it into a `String` (−1
 //!   allocation and −4 bytes per invocation; +64 bytes per cell because
 //!   the run queue's entries, 8 slots across the two members, each grew
-//!   by 8 bytes).
+//!   by 8 bytes);
+//! * 3.12 / 808 — a view is sent only when it changes: the two 500 ms
+//!   re-broadcasts of the unchanged view inside the counted second are
+//!   gone, −34 allocations, −10,096 bytes and −4 frames in every cell.
+//!   8,192 of those bytes are the four `ShardRing` rebuilds (128 points of
+//!   16 bytes each); the rest are the encodes, frame copies and decodes.
+//!   Wire v6's other changes cost nothing here: no `Load` (now 8 bytes
+//!   longer) and no changed view is sent inside the counted second.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -143,10 +150,10 @@ const PINNED: [(f64, Semantics, Cost); 4] = [
         Semantics::AtLeastOnce,
         Cost {
             invocations: 402,
-            allocations: 1287,
-            bytes: 334872,
-            sent: 810,
-            delivered: 810,
+            allocations: 1253,
+            bytes: 324776,
+            sent: 806,
+            delivered: 806,
         },
     ),
     (
@@ -154,10 +161,10 @@ const PINNED: [(f64, Semantics, Cost); 4] = [
         Semantics::AtMostOnce,
         Cost {
             invocations: 402,
-            allocations: 1491,
-            bytes: 448728,
-            sent: 810,
-            delivered: 810,
+            allocations: 1457,
+            bytes: 438632,
+            sent: 806,
+            delivered: 806,
         },
     ),
     (
@@ -165,10 +172,10 @@ const PINNED: [(f64, Semantics, Cost); 4] = [
         Semantics::AtLeastOnce,
         Cost {
             invocations: 195,
-            allocations: 663,
-            bytes: 173830,
-            sent: 396,
-            delivered: 396,
+            allocations: 629,
+            bytes: 163734,
+            sent: 392,
+            delivered: 392,
         },
     ),
     (
@@ -176,10 +183,10 @@ const PINNED: [(f64, Semantics, Cost); 4] = [
         Semantics::AtMostOnce,
         Cost {
             invocations: 195,
-            allocations: 765,
-            bytes: 231046,
-            sent: 396,
-            delivered: 396,
+            allocations: 731,
+            bytes: 220950,
+            sent: 392,
+            delivered: 392,
         },
     ),
 ];

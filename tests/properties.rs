@@ -451,12 +451,10 @@ fn skeleton_conserves_invocations_under_overload() {
                     MemberState {
                         endpoint: skel_ep,
                         uid: 0,
-                        pending: 0,
                     },
                     MemberState {
                         endpoint: peer_ep,
                         uid: 1,
-                        pending: 0,
                     },
                 ],
             },

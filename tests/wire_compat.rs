@@ -5,7 +5,7 @@
 //! hard-code the expected encodings so any accidental format change fails
 //! loudly instead of corrupting cross-version traffic.
 
-use elasticrmi::{InvocationContext, LoadReport, RemoteError, RmiMessage};
+use elasticrmi::{InvocationContext, LoadReport, MemberState, RemoteError, RmiMessage};
 use erm_sim::{SimDuration, SimTime};
 use erm_transport::{to_bytes, EndpointId};
 
@@ -47,15 +47,30 @@ fn float_layout_is_ieee754_le() {
 
 #[test]
 fn enum_variants_are_u32_indices() {
-    // RmiMessage::Ping is variant 11 of the protocol enum (format v2, which
-    // inserted Redirected); its encoding is exactly the 4-byte index.
-    // Renumbering variants breaks deployed peers. Format v3 appended
-    // Overloaded as variant 13, format v5 appended WrongShard as variant 14
-    // — earlier indices are frozen.
-    assert_eq!(RmiMessage::Ping.encode(), [11, 0, 0, 0]);
-    assert_eq!(RmiMessage::Pong.encode(), [12, 0, 0, 0]);
+    // RmiMessage::PollLoad is variant 5 of the protocol enum (format v2,
+    // which inserted Redirected); a unit variant's encoding is exactly the
+    // 4-byte index. Renumbering variants breaks deployed peers. Format v3
+    // appended Overloaded as variant 13, format v5 appended WrongShard as
+    // variant 14, and format v6 retired Ping (11) and Pong (12) but keeps
+    // their indices reserved — every index is frozen.
     assert_eq!(RmiMessage::PoolInfoRequest.encode(), [3, 0, 0, 0]);
+    assert_eq!(RmiMessage::PollLoad.encode(), [5, 0, 0, 0]);
     assert_eq!(RmiMessage::Shutdown.encode(), [9, 0, 0, 0]);
+    assert_eq!(RmiMessage::Retired11.encode(), [11, 0, 0, 0]);
+    assert_eq!(RmiMessage::Retired12.encode(), [12, 0, 0, 0]);
+    let overloaded = RmiMessage::Overloaded {
+        call: 0,
+        queue_depth: 0,
+        retry_after: SimDuration::ZERO,
+    };
+    assert_eq!(overloaded.encode()[..4], [13, 0, 0, 0]);
+    let wrong_shard = RmiMessage::WrongShard {
+        call: 0,
+        epoch: 0,
+        owner: EndpointId(0),
+        deadline: SimTime::ZERO,
+    };
+    assert_eq!(wrong_shard.encode()[..4], [14, 0, 0, 0]);
 }
 
 #[test]
@@ -281,9 +296,10 @@ fn overloaded_message_golden_bytes() {
 }
 
 #[test]
-fn load_report_v3_golden_bytes() {
+fn load_report_v6_golden_bytes() {
     // Format v3: LoadReport appends rejected and the queue-delay
-    // percentiles after method_stats. Existing fields keep their v2 layout.
+    // percentiles after method_stats. Format v6 appends the view epoch the
+    // member holds. Existing fields keep their v2 layout.
     let msg = RmiMessage::Load(LoadReport {
         uid: 1,
         pending: 2,
@@ -295,6 +311,7 @@ fn load_report_v3_golden_bytes() {
         rejected: 4,
         queue_delay_p50_us: 1_000,
         queue_delay_p99_us: 2_000,
+        epoch: 5,
     });
     let expected: Vec<u8> = [
         vec![6, 0, 0, 0],                // variant 6: Load
@@ -308,6 +325,40 @@ fn load_report_v3_golden_bytes() {
         vec![4, 0, 0, 0],                // rejected: u32 = 4 (v3)
         vec![0xe8, 3, 0, 0, 0, 0, 0, 0], // queue_delay_p50_us (v3)
         vec![0xd0, 7, 0, 0, 0, 0, 0, 0], // queue_delay_p99_us (v3)
+        vec![5, 0, 0, 0, 0, 0, 0, 0],    // epoch: u64 = 5 (v6)
+    ]
+    .concat();
+    assert_eq!(msg.encode(), expected);
+    assert_eq!(RmiMessage::decode(&expected).unwrap(), msg);
+}
+
+#[test]
+fn state_broadcast_v6_golden_bytes() {
+    // Format v6: a member's seat is its endpoint and uid; the pending count
+    // that followed them is gone.
+    let msg = RmiMessage::StateBroadcast {
+        epoch: 3,
+        sentinel_uid: 1,
+        members: vec![
+            MemberState {
+                endpoint: EndpointId(4),
+                uid: 1,
+            },
+            MemberState {
+                endpoint: EndpointId(6),
+                uid: 2,
+            },
+        ],
+    };
+    let expected: Vec<u8> = [
+        vec![7, 0, 0, 0],             // variant 7: StateBroadcast
+        vec![3, 0, 0, 0, 0, 0, 0, 0], // epoch: u64 = 3
+        vec![1, 0, 0, 0, 0, 0, 0, 0], // sentinel_uid: u64 = 1
+        vec![2, 0, 0, 0],             // members: len 2
+        vec![4, 0, 0, 0, 0, 0, 0, 0], // endpoint: EndpointId(4)
+        vec![1, 0, 0, 0, 0, 0, 0, 0], // uid: u64 = 1
+        vec![6, 0, 0, 0, 0, 0, 0, 0], // endpoint: EndpointId(6)
+        vec![2, 0, 0, 0, 0, 0, 0, 0], // uid: u64 = 2
     ]
     .concat();
     assert_eq!(msg.encode(), expected);
@@ -371,8 +422,24 @@ fn endpoint_id_is_a_bare_u64() {
 #[test]
 fn golden_decodes_roundtrip() {
     // The inverse direction: the pinned bytes decode to the original values.
+    let bytes = [5u8, 0, 0, 0];
+    assert_eq!(RmiMessage::decode(&bytes).unwrap(), RmiMessage::PollLoad);
+    // A v5 peer's Ping and Pong still decode, to the placeholders every
+    // receiver ignores, and the variants after them keep their indices.
     let bytes = [11u8, 0, 0, 0];
-    assert_eq!(RmiMessage::decode(&bytes).unwrap(), RmiMessage::Ping);
+    assert_eq!(RmiMessage::decode(&bytes).unwrap(), RmiMessage::Retired11);
+    let bytes = [12u8, 0, 0, 0];
+    assert_eq!(RmiMessage::decode(&bytes).unwrap(), RmiMessage::Retired12);
+    let overloaded = [[13u8, 0, 0, 0].as_slice(), &[0; 20]].concat();
+    assert!(matches!(
+        RmiMessage::decode(&overloaded).unwrap(),
+        RmiMessage::Overloaded { call: 0, .. }
+    ));
+    let wrong_shard = [[14u8, 0, 0, 0].as_slice(), &[0; 32]].concat();
+    assert!(matches!(
+        RmiMessage::decode(&wrong_shard).unwrap(),
+        RmiMessage::WrongShard { call: 0, .. }
+    ));
     let s: String = erm_transport::from_bytes(&[2, 0, 0, 0, b'h', b'i']).unwrap();
     assert_eq!(s, "hi");
 }
